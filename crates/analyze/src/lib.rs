@@ -1,6 +1,6 @@
 //! `fastiov-analyze`: the workspace lint pass.
 //!
-//! Three repo-wide rules, enforced by `cargo run -p fastiov-analyze` (CI
+//! Four repo-wide rules, enforced by `cargo run -p fastiov-analyze` (CI
 //! lint gate) and by this crate's own tests:
 //!
 //! - **raw-lock** — no raw `parking_lot`/`std::sync` lock construction
@@ -19,6 +19,9 @@
 //!   outside test code. Remaining sites are budgeted per file by
 //!   `crates/analyze/allowlist.txt`; the budget must match exactly, so
 //!   it can only ever shrink.
+//! - **solo-clock** — `Clock::solo` (sleeps that advance the clock
+//!   instead of blocking) only in `crates/microvm/src/host.rs`, whose
+//!   boot work is single-threaded by construction. Test code is exempt.
 //!
 //! An intentional exception is annotated at the violating line (or the
 //! line above) as `// analyze: allow(<rule>): <reason>` — the reason is
@@ -34,7 +37,7 @@ use std::collections::BTreeMap;
 use std::fmt;
 use std::path::{Path, PathBuf};
 
-/// The three enforced rules.
+/// The four enforced rules.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Rule {
     /// Raw lock construction outside the instrumented wrappers.
@@ -43,6 +46,8 @@ pub enum Rule {
     WallClock,
     /// `.unwrap()` / undocumented `.expect()` in a hot-path crate.
     UnwrapExpect,
+    /// `Clock::solo` outside the host's boot code.
+    SoloClock,
 }
 
 impl Rule {
@@ -52,6 +57,7 @@ impl Rule {
             Rule::RawLock => "raw-lock",
             Rule::WallClock => "wall-clock",
             Rule::UnwrapExpect => "unwrap-expect",
+            Rule::SoloClock => "solo-clock",
         }
     }
 
@@ -60,6 +66,7 @@ impl Rule {
             "raw-lock" => Some(Rule::RawLock),
             "wall-clock" => Some(Rule::WallClock),
             "unwrap-expect" => Some(Rule::UnwrapExpect),
+            "solo-clock" => Some(Rule::SoloClock),
             _ => None,
         }
     }
@@ -97,7 +104,8 @@ impl fmt::Display for Violation {
 /// Result of analysing a workspace tree.
 #[derive(Debug, Default)]
 pub struct Analysis {
-    /// Hard violations (raw-lock, wall-clock, malformed annotations).
+    /// Hard violations (raw-lock, wall-clock, solo-clock, malformed
+    /// annotations).
     pub violations: Vec<Violation>,
     /// unwrap-expect sites per file (budgeted by the allowlist rather
     /// than individually fatal).
@@ -110,6 +118,9 @@ pub struct Analysis {
 
 /// Hot-path crates covered by the unwrap-expect rule.
 pub const HOT_CRATES: [&str; 6] = ["vfio", "fastiovd", "iommu", "hostmem", "nic", "engine"];
+
+/// The one file allowed to enter a `Clock::solo` scope.
+pub const SOLO_CLOCK_HOME: &str = "crates/microvm/src/host.rs";
 
 /// Masks comments, string literals and char literals in Rust source:
 /// their bytes become spaces, newlines survive, everything else is
@@ -286,6 +297,8 @@ pub struct FileRules {
     pub wall_clock: bool,
     /// unwrap-expect applies (hot-path crate src).
     pub unwrap_expect: bool,
+    /// solo-clock applies (production code outside the host's boot).
+    pub solo_clock: bool,
 }
 
 /// Classifies `rel` (workspace-relative, `/`-separated). Returns `None`
@@ -313,6 +326,7 @@ pub fn classify(rel: &str) -> Option<FileRules> {
         raw_lock: !is_test_tree,
         wall_clock: true,
         unwrap_expect: hot && !is_test_tree,
+        solo_clock: !is_test_tree && rel != SOLO_CLOCK_HOME,
     })
 }
 
@@ -345,7 +359,8 @@ fn annotation_on(line: &str) -> Option<Result<(Rule, String), String>> {
     let rule_name = &rest[..close];
     let Some(rule) = Rule::from_name(rule_name) else {
         return Some(Err(format!(
-            "unknown rule {rule_name:?} (expected raw-lock, wall-clock or unwrap-expect)"
+            "unknown rule {rule_name:?} \
+             (expected raw-lock, wall-clock, unwrap-expect or solo-clock)"
         )));
     };
     let tail = rest[close + 1..].trim_start();
@@ -434,6 +449,19 @@ pub fn scan_source(rel: &str, src: &str, rules: FileRules, analysis: &mut Analys
         {
             analysis.violations.push(Violation {
                 rule: Rule::WallClock,
+                file: rel.to_string(),
+                line: i + 1,
+                snippet: original[i].trim().to_string(),
+            });
+        }
+
+        if rules.solo_clock
+            && !in_test
+            && (mline.contains(".solo(") || mline.contains("::solo("))
+            && !allowed(&original, i, Rule::SoloClock)
+        {
+            analysis.violations.push(Violation {
+                rule: Rule::SoloClock,
                 file: rel.to_string(),
                 line: i + 1,
                 snippet: original[i].trim().to_string(),
@@ -584,6 +612,7 @@ mod tests {
             raw_lock: true,
             wall_clock: true,
             unwrap_expect: true,
+            solo_clock: true,
         }
     }
 
@@ -718,6 +747,25 @@ fn f() {
         assert!(hot.raw_lock && hot.wall_clock && hot.unwrap_expect);
         let cold = classify("crates/pool/src/pool.rs").unwrap();
         assert!(cold.raw_lock && cold.wall_clock && !cold.unwrap_expect);
+    }
+
+    #[test]
+    fn solo_clock_only_in_host_boot() {
+        let src = "fn boot(&self) {\n    self.clock.solo(|| self.pf.create_vfs(n))?;\n}\n";
+        let host = classify(SOLO_CLOCK_HOME).unwrap();
+        assert!(scan(SOLO_CLOCK_HOME, src, host).violations.is_empty());
+        let pool = "crates/pool/src/pool.rs";
+        let a = scan(pool, src, classify(pool).unwrap());
+        assert_eq!(a.violations.len(), 1, "{:?}", a.violations);
+        assert_eq!(a.violations[0].rule, Rule::SoloClock);
+        assert_eq!(a.violations[0].line, 2);
+        let annotated = "// analyze: allow(solo-clock): single-threaded by construction\n\
+                         clock.solo(|| clock.sleep(d));";
+        assert!(scan(pool, annotated, classify(pool).unwrap())
+            .violations
+            .is_empty());
+        let t = classify("tests/host.rs").unwrap();
+        assert!(!t.solo_clock);
     }
 
     #[test]

@@ -54,12 +54,13 @@ fn main() -> ExitCode {
 
     let unwrap_total: usize = analysis.unwrap_counts.values().sum();
     println!(
-        "fastiov-analyze: scanned {} files; {} hard violations ({}/{}/annotations), \
+        "fastiov-analyze: scanned {} files; {} hard violations ({}/{}/{}/annotations), \
          {} budgeted {} sites (allowlist total {})",
         analysis.files_scanned,
         analysis.violations.len(),
         Rule::RawLock,
         Rule::WallClock,
+        Rule::SoloClock,
         unwrap_total,
         Rule::UnwrapExpect,
         allowlist_total(&allow),

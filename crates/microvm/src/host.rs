@@ -63,7 +63,8 @@ impl Host {
 
     /// Builds the server with the given VFIO lock policy and pre-creates
     /// all VFs (the one-time boot-phase work of §2.3, excluded from
-    /// startup measurements).
+    /// startup measurements). Boot is single-threaded, so it runs solo on
+    /// the clock: its simulated cost is charged in full without blocking.
     pub fn new(params: HostParams, vfio_policy: LockPolicy) -> Result<Arc<Self>> {
         Self::with_faults(params, vfio_policy, FaultPlane::disabled())
     }
@@ -126,7 +127,7 @@ impl Host {
         if faults.is_enabled() {
             pf.set_fault_plane(Arc::clone(&faults));
         }
-        pf.create_vfs(params.total_vfs)?;
+        clock.solo(|| pf.create_vfs(params.total_vfs))?;
         let line = FairShareBandwidth::new(
             clock.clone(),
             params.nic_line_total,
@@ -200,21 +201,24 @@ impl Host {
     /// Binds every VF to the VFIO driver and registers it with the devset
     /// manager — the one-time post-boot step of the fixed SR-IOV CNI (§5),
     /// which removes the per-launch bind/rebind churn of the original
-    /// plugin.
+    /// plugin. Like VF pre-creation it is single-threaded boot work and
+    /// runs solo on the clock.
     pub fn prebind_all_vfs(&self) -> Result<()> {
-        for i in 0..self.pf.vf_count() as u16 {
-            let vf = self
-                .pf
-                .vf(fastiov_nic::VfId(i))
-                .map_err(crate::VmmError::Nic)?;
-            self.pf
-                .bind_vfio(fastiov_nic::VfId(i))
-                .map_err(crate::VmmError::Nic)?;
-            self.vfio
-                .register(Arc::clone(vf.pci()))
-                .map_err(crate::VmmError::Vfio)?;
-        }
-        Ok(())
+        self.clock.solo(|| {
+            for i in 0..self.pf.vf_count() as u16 {
+                let vf = self
+                    .pf
+                    .vf(fastiov_nic::VfId(i))
+                    .map_err(crate::VmmError::Nic)?;
+                self.pf
+                    .bind_vfio(fastiov_nic::VfId(i))
+                    .map_err(crate::VmmError::Nic)?;
+                self.vfio
+                    .register(Arc::clone(vf.pci()))
+                    .map_err(crate::VmmError::Vfio)?;
+            }
+            Ok(())
+        })
     }
 }
 
@@ -230,6 +234,33 @@ mod tests {
         assert_eq!(host.bus.device_count(), 17);
         assert_eq!(host.vfio_policy(), LockPolicy::Hierarchical);
         assert!(host.mem.stats().free_frames > 0);
+    }
+
+    #[test]
+    fn boot_is_charged_to_the_clock_without_blocking() {
+        let params = HostParams::paper_scaled(0.02);
+        let vfs = u32::from(params.total_vfs);
+        let boot = (params.vf_precreate + params.bind_vfio) * vfs;
+        let host = Host::new(params, LockPolicy::Hierarchical).unwrap();
+        let sw = fastiov_simtime::WallStopwatch::start();
+        host.prebind_all_vfs().unwrap();
+        let prebind_real = sw.elapsed();
+        assert!(host.clock.now().since_origin() >= boot);
+        assert_eq!(host.pf.vf_count(), 256);
+        for i in 0..256 {
+            let vf = host.pf.vf(fastiov_nic::VfId(i)).unwrap();
+            assert_eq!(vf.pci().driver(), fastiov_pci::DriverBinding::Vfio);
+            assert!(
+                host.vfio.device(vf.pci().bdf()).is_ok(),
+                "VF {i} unregistered"
+            );
+        }
+        // Blocking would cost 256 × bind_vfio × scale = 154 real ms.
+        let blocking = host.clock.to_real(host.params.bind_vfio * vfs);
+        assert!(
+            prebind_real * 10 <= blocking,
+            "prebind took {prebind_real:?}"
+        );
     }
 
     #[test]

@@ -6,7 +6,7 @@ use fastiov_faults::sites;
 use fastiov_microvm::{Host, Microvm, MicrovmConfig, NetworkAttachment, VmmError};
 use fastiov_nic::{AdminCmd, MacAddr, NetdevName, NicError, VfId};
 use fastiov_simtime::StageLog;
-use fastiov_simtime::{LockClass, TrackedMutex};
+use fastiov_simtime::{LockClass, TrackedCondvar, TrackedMutex};
 use std::fmt;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -159,7 +159,10 @@ struct Shared {
     provision_failures: AtomicU64,
     recycle_failures: AtomicU64,
     evicted: AtomicU64,
-    backlog: AtomicUsize,
+    /// Commands sent to the replenisher and not yet finished.
+    backlog: TrackedMutex<usize>,
+    /// Signalled when `backlog` drops to zero.
+    idle: TrackedCondvar,
     /// MicroVMs alive under pool management: parked plus claimed-out.
     /// Replenishing caps on this, not on the parked count, so the pool
     /// never exceeds `capacity` total VMs even while all are claimed.
@@ -238,6 +241,14 @@ impl Shared {
         }
     }
 
+    fn backlog_done(&self) {
+        let mut backlog = self.backlog.lock();
+        *backlog -= 1;
+        if *backlog == 0 {
+            self.idle.notify_all();
+        }
+    }
+
     fn retire(&self, warm: WarmVm) {
         self.live.fetch_sub(1, Ordering::AcqRel);
         let _ = warm.vm.shutdown();
@@ -274,7 +285,7 @@ fn replenisher(shared: Arc<Shared>, rx: Receiver<Cmd>) {
                 }
             }
         }
-        shared.backlog.fetch_sub(1, Ordering::Release);
+        shared.backlog_done();
     }
 }
 
@@ -303,7 +314,8 @@ impl WarmPool {
             provision_failures: AtomicU64::new(0),
             recycle_failures: AtomicU64::new(0),
             evicted: AtomicU64::new(0),
-            backlog: AtomicUsize::new(0),
+            backlog: TrackedMutex::new(LockClass::PoolWorker, 0),
+            idle: TrackedCondvar::new(),
             live: AtomicUsize::new(0),
         });
         let (tx, rx) = channel::unbounded();
@@ -395,13 +407,13 @@ impl WarmPool {
     }
 
     fn send(&self, cmd: Cmd) {
-        self.shared.backlog.fetch_add(1, Ordering::Acquire);
+        *self.shared.backlog.lock() += 1;
         let undelivered = match self.tx.lock().as_ref() {
             Some(tx) => tx.send(cmd).err().map(|e| e.0),
             None => Some(cmd),
         };
         if let Some(cmd) = undelivered {
-            self.shared.backlog.fetch_sub(1, Ordering::Release);
+            self.shared.backlog_done();
             if let Cmd::Recycle(warm) = cmd {
                 // Pool shutting down: don't leak the VM's frames or VF.
                 self.shared.retire(warm);
@@ -413,13 +425,17 @@ impl WarmPool {
     /// benchmark hook: recycling is asynchronous, so stats are only
     /// stable once the backlog hits zero.
     pub fn wait_idle(&self) {
-        while self.shared.backlog.load(Ordering::Acquire) > 0 {
-            std::thread::sleep(std::time::Duration::from_millis(1));
+        let mut backlog = self.shared.backlog.lock();
+        while *backlog > 0 {
+            self.shared.idle.wait(&mut backlog);
         }
     }
 
     /// Counter snapshot.
     pub fn stats(&self) -> PoolStats {
+        // Read before the slot list is locked below, whose guard lives to
+        // the end of the expression: no pool lock nests inside another.
+        let backlog = *self.shared.backlog.lock();
         PoolStats {
             size: self.shared.slots.lock().len(),
             capacity: self.shared.params.capacity,
@@ -430,7 +446,7 @@ impl WarmPool {
             provision_failures: self.shared.provision_failures.load(Ordering::Relaxed),
             recycle_failures: self.shared.recycle_failures.load(Ordering::Relaxed),
             evicted: self.shared.evicted.load(Ordering::Relaxed),
-            backlog: self.shared.backlog.load(Ordering::Acquire),
+            backlog,
         }
     }
 

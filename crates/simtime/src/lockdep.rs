@@ -85,7 +85,7 @@ pub enum LockClass {
     HostMmu,
     /// Warm-pool slot list.
     PoolSlots,
-    /// Warm-pool worker channel/handle slots.
+    /// Warm-pool worker channel/handle slots and replenisher backlog.
     PoolWorker,
     /// NIC PF admin mailbox (strictly serialized command channel).
     NicMailbox,
