@@ -4,8 +4,7 @@
 //! the harness binaries emit are small and flat enough that a tiny
 //! builder suffices. Rendering is deterministic: fields appear in
 //! insertion order, integers print exactly, and floats use a fixed
-//! 6-decimal format so identical inputs produce identical bytes (the
-//! property the `ext_contention` determinism check relies on).
+//! 6-decimal format so identical inputs produce identical bytes.
 
 use std::path::PathBuf;
 

@@ -8,7 +8,6 @@
 
 #![warn(missing_docs)]
 
-pub mod contention;
 pub mod json;
 
 use fastiov::{Baseline, ExperimentConfig};

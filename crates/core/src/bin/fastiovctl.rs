@@ -8,7 +8,7 @@
 //! fastiovctl app --app image --baseline vanilla --conc 50
 //! fastiovctl pool --capacity 16 --pods 32 [--rate 20] [--scale 0.002]
 //! fastiovctl faults --baseline pool16 --conc 50 [--rate 0.01] [--seed 1]
-//! fastiovctl contention --conc 50 [--shards 8] [--baseline fastiov]
+//! fastiovctl contention --conc 50 [--baseline fastiov]
 //! fastiovctl trace [--baseline fastiov] [--conc 200] [--out FILE] [--smoke]
 //! fastiovctl lockdep [--baseline NAME] [--conc 200] [--out FILE]
 //!                    [--json FILE] [--smoke]
@@ -70,6 +70,19 @@ fn baseline_from(name: &str) -> Option<Baseline> {
     })
 }
 
+/// The `--baseline` flag, or `default` without one. An unknown name is
+/// reported and yields `None`.
+fn baseline_or(flags: &HashMap<String, String>, default: Baseline) -> Option<Baseline> {
+    let Some(name) = flags.get("baseline") else {
+        return Some(default);
+    };
+    let b = baseline_from(name);
+    if b.is_none() {
+        eprintln!("unknown baseline {name} (see `fastiovctl baselines`)");
+    }
+    b
+}
+
 fn app_from(name: &str) -> Option<AppKind> {
     Some(match name.to_ascii_lowercase().as_str() {
         "image" => AppKind::Image,
@@ -98,11 +111,6 @@ fn config(flags: &HashMap<String, String>, baseline: Baseline) -> ExperimentConf
     }
     if let Some(vcpus) = flags.get("vcpus") {
         cfg.vcpus = vcpus.parse().expect("--vcpus takes a float");
-    }
-    if let Some(shards) = flags.get("shards") {
-        let n: usize = shards.parse().expect("--shards takes an integer");
-        cfg.host.mem_shards = n;
-        cfg.host.fastiovd_shards = n;
     }
     cfg
 }
@@ -165,7 +173,7 @@ fn usage() -> ExitCode {
          --baseline <name> [--conc N]\n  fastiovctl pool [--capacity N] [--pods N] \
          [--rate F] [--hold-ms M] [--scale F]\n  fastiovctl faults [--baseline <name>] \
          [--conc N] [--rate F] [--seed N] [--scale F]\n  fastiovctl contention \
-         [--baseline <name>] [--conc N] [--shards N] [--scale F]\n  fastiovctl trace \
+         [--baseline <name>] [--conc N] [--scale F]\n  fastiovctl trace \
          [--baseline <name>] [--conc N] [--out FILE] [--scale F] [--smoke]\n  \
          fastiovctl lockdep [--baseline <name>] [--conc N] [--out FILE] [--json FILE] \
          [--scale F] [--smoke]\n  fastiovctl memperf [--scale F]"
@@ -324,15 +332,8 @@ fn main() -> ExitCode {
             ExitCode::SUCCESS
         }
         "faults" => {
-            let b = match flags.get("baseline") {
-                Some(name) => match baseline_from(name) {
-                    Some(b) => b,
-                    None => {
-                        eprintln!("unknown baseline {name} (see `fastiovctl baselines`)");
-                        return ExitCode::FAILURE;
-                    }
-                },
-                None => Baseline::FastIov,
+            let Some(b) = baseline_or(&flags, Baseline::FastIov) else {
+                return ExitCode::FAILURE;
             };
             let rate: f64 = flags
                 .get("rate")
@@ -396,10 +397,10 @@ fn main() -> ExitCode {
             ExitCode::SUCCESS
         }
         "contention" => {
-            let b = flags
-                .get("baseline")
-                .map(|n| baseline_from(n).expect("unknown baseline"))
-                .unwrap_or(Baseline::FastIov);
+            use fastiov::simtime::LockClass;
+            let Some(b) = baseline_or(&flags, Baseline::FastIov) else {
+                return ExitCode::FAILURE;
+            };
             let cfg = config(&flags, b);
             let (_host, engine) = match cfg.build() {
                 Ok(built) => built,
@@ -413,28 +414,35 @@ fn main() -> ExitCode {
                 pool.wait_idle();
             }
             println!(
-                "{} at conc {} (shards: mem={} fastiovd={}): {}",
+                "{} at conc {}: {}",
                 b.label(),
                 cfg.concurrency,
-                cfg.host.mem_shards,
-                cfg.host.fastiovd_shards,
                 outcome.summary
             );
             let mut t = Table::new(vec![
-                "lock",
+                "lock class",
                 "wait (ms)",
                 "hold (ms)",
                 "acquisitions",
+                "contended",
                 "mean wait (us)",
             ]);
-            // Real (wall-clock) time: a relative ranking of which lock
-            // launch threads queued on, not a simulated-cost figure.
-            for (name, s) in engine.lock_reports() {
+            // Real (wall-clock) time since process start, host boot
+            // included: a relative ranking of which lock class threads
+            // queued on, not a simulated-cost figure.
+            let mut classes: Vec<(LockClass, _)> = LockClass::ALL
+                .iter()
+                .map(|&c| (c, c.stats()))
+                .filter(|(_, s)| s.acquisitions > 0)
+                .collect();
+            classes.sort_by_key(|(_, s)| std::cmp::Reverse(s.wait_ns));
+            for (class, s) in classes {
                 t.row(vec![
-                    name.to_string(),
+                    class.name().to_string(),
                     format!("{:.2}", s.wait_ns as f64 / 1e6),
                     format!("{:.2}", s.hold_ns as f64 / 1e6),
                     s.acquisitions.to_string(),
+                    s.contended.to_string(),
                     format!("{:.1}", s.mean_wait_ns() / 1e3),
                 ]);
             }
@@ -442,10 +450,9 @@ fn main() -> ExitCode {
             ExitCode::SUCCESS
         }
         "trace" => {
-            let b = flags
-                .get("baseline")
-                .map(|n| baseline_from(n).expect("unknown baseline"))
-                .unwrap_or(Baseline::FastIov);
+            let Some(b) = baseline_or(&flags, Baseline::FastIov) else {
+                return ExitCode::FAILURE;
+            };
             let smoke = flags.contains_key("smoke");
             let mut cfg = config(&flags, b);
             if !flags.contains_key("conc") {
@@ -612,8 +619,8 @@ fn main() -> ExitCode {
             let reports = lockdep::reports();
             if reports.is_empty() {
                 println!(
-                    "lockdep: no potential deadlocks, hierarchy violations, or \
-                     cross-instance holds across {} wave(s)",
+                    "lockdep: no potential deadlocks or hierarchy violations \
+                     across {} wave(s)",
                     baselines.len()
                 );
                 ExitCode::SUCCESS

@@ -346,15 +346,6 @@ impl Engine {
         &self.params
     }
 
-    /// Wait/hold snapshots of the host's instrumented hot-path locks,
-    /// sorted by total wait time (worst first) — the per-lock ranking the
-    /// contention experiments report.
-    pub fn lock_reports(&self) -> Vec<(&'static str, fastiov_simtime::LockSnapshot)> {
-        let mut reports = self.host.lock_reports();
-        reports.sort_by_key(|(_, s)| std::cmp::Reverse(s.wait_ns));
-        reports
-    }
-
     /// Starts one pod end to end (Fig. 4) and returns its handle. With a
     /// warm pool configured, claims a pre-launched microVM when one is
     /// available and pays only per-pod identity work; a claim the fault

@@ -22,8 +22,7 @@ use fastiov_faults::{sites, FaultPlane};
 use fastiov_hostmem::{FrameId, FrameRange, Hpa, PhysMemory};
 use fastiov_kvm::EptFaultHook;
 use fastiov_simtime::{
-    Clock, ContentionCounter, LockClass, LockSnapshot, SimInstant, Tracer, TrackedMutex,
-    TrackedRwLock,
+    Clock, LockClass, LockSnapshot, SimInstant, Tracer, TrackedMutex, TrackedRwLock,
 };
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -66,22 +65,17 @@ pub struct FastiovdStats {
     pub registered: u64,
 }
 
-/// One tier-1 shard: the PID → VM-table slice owned by `pid % N`.
-type Tier1Shard = TrackedRwLock<HashMap<u64, Arc<TrackedMutex<VmTable>>>>;
-
 /// The module state.
 ///
-/// The first tier (PID → VM table) is sharded by `pid % N` with an
-/// `RwLock` per shard: EPT faults and registrations of different VMs take
-/// disjoint locks, and even same-shard lookups share a read lock. The
-/// page count is an atomic ([`FastiovdStats::tracked`]) so `stats()`
-/// never walks the tables.
+/// The first tier (PID → VM table) sits behind one `RwLock`: EPT faults
+/// and registrations of existing VMs share its read side, and only VM
+/// creation and teardown write it. The page count is an atomic
+/// ([`FastiovdStats::tracked`]) so `stats()` never walks the tables.
 pub struct Fastiovd {
     mem: Arc<PhysMemory>,
     clock: Clock,
-    /// First tier, sharded: shard `pid % N` maps PID → VM table.
-    shards: Box<[Tier1Shard]>,
-    tier1_lock: ContentionCounter,
+    /// First tier: PID → VM table.
+    tier1: TrackedRwLock<HashMap<u64, Arc<TrackedMutex<VmTable>>>>,
     /// Pages currently tracked across all VMs.
     tracked: AtomicU64,
     lazily_zeroed: AtomicU64,
@@ -101,24 +95,12 @@ pub struct Fastiovd {
 }
 
 impl Fastiovd {
-    /// Loads the module with a single tier-1 shard (the pre-sharding
-    /// behaviour: every VM behind one lock).
+    /// Loads the module.
     pub fn new(clock: Clock, mem: Arc<PhysMemory>) -> Arc<Self> {
-        Self::with_shards(clock, mem, 1)
-    }
-
-    /// Loads the module with `shards` tier-1 shards (clamped to ≥ 1).
-    /// Shard count is semantically transparent — it only changes which
-    /// lock a given PID contends on.
-    pub fn with_shards(clock: Clock, mem: Arc<PhysMemory>, shards: usize) -> Arc<Self> {
-        let shards = shards.max(1);
         Arc::new(Fastiovd {
             mem,
             clock,
-            shards: (0..shards)
-                .map(|_| TrackedRwLock::new(LockClass::FastiovdShard, HashMap::new()))
-                .collect(),
-            tier1_lock: ContentionCounter::new(),
+            tier1: TrackedRwLock::new(LockClass::FastiovdTier1, HashMap::new()),
             tracked: AtomicU64::new(0),
             lazily_zeroed: AtomicU64::new(0),
             background_zeroed: AtomicU64::new(0),
@@ -146,45 +128,27 @@ impl Fastiovd {
         self.faults_enabled.store(enabled, Ordering::Release);
     }
 
-    /// Number of tier-1 shards.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
     /// The simulation clock the module runs on.
     pub fn clock(&self) -> &Clock {
         &self.clock
     }
 
-    /// Accumulated wait/hold time on the tier-1 shard locks.
+    /// Wait/hold totals of the tier-1 lock class.
     pub fn tier1_lock_stats(&self) -> LockSnapshot {
-        self.tier1_lock.snapshot()
-    }
-
-    fn shard_for(&self, pid: u64) -> &Tier1Shard {
-        &self.shards[(pid % self.shards.len() as u64) as usize]
+        LockClass::FastiovdTier1.stats()
     }
 
     fn vm_table(&self, pid: u64) -> Arc<TrackedMutex<VmTable>> {
-        let shard = self.shard_for(pid);
         // Fast path: the table exists; a read lock suffices.
-        if let Some(t) = self
-            .tier1_lock
-            .timed(|| shard.read(), |g| g.get(&pid).cloned())
-        {
+        if let Some(t) = self.tier1.read().get(&pid).cloned() {
             return t;
         }
-        self.tier1_lock.timed(
-            || shard.write(),
-            |mut g| {
-                Arc::clone(g.entry(pid).or_insert_with(|| {
-                    Arc::new(TrackedMutex::new(
-                        LockClass::FastiovdVmTable,
-                        VmTable::default(),
-                    ))
-                }))
-            },
-        )
+        Arc::clone(self.tier1.write().entry(pid).or_insert_with(|| {
+            Arc::new(TrackedMutex::new(
+                LockClass::FastiovdVmTable,
+                VmTable::default(),
+            ))
+        }))
     }
 
     /// Registers freshly allocated, *unzeroed* frames of microVM `pid` for
@@ -285,14 +249,11 @@ impl Fastiovd {
     /// zeroed — the allocator re-garbles frames on free, and the next
     /// owner zeroes before use. Returns how many pages were still tracked.
     pub fn unregister_vm(&self, pid: u64) -> usize {
-        let shard = self.shard_for(pid);
-        match self
-            .tier1_lock
-            .timed(|| shard.write(), |mut g| g.remove(&pid))
-        {
+        let removed = self.tier1.write().remove(&pid);
+        match removed {
             Some(t) => {
                 // Drain under the table lock: a scrubber or EPT fault that
-                // cloned this table's Arc before it left the shard map then
+                // cloned this table's Arc before it left the tier-1 map then
                 // finds nothing left to remove, so each page decrements
                 // `tracked` exactly once (no double fetch_sub underflow).
                 let n = {
@@ -319,43 +280,38 @@ impl Fastiovd {
         if self.tracked.load(Ordering::Relaxed) == 0 {
             return 0;
         }
+        let tables: Vec<Arc<TrackedMutex<VmTable>>> = self.tier1.read().values().cloned().collect();
         let mut done = 0;
-        'sweep: for shard in self.shards.iter() {
-            let tables: Vec<Arc<TrackedMutex<VmTable>>> = self
-                .tier1_lock
-                .timed(|| shard.read(), |g| g.values().cloned().collect());
-            for table in tables {
-                if done >= batch {
-                    break 'sweep;
-                }
-                // Claim victims under the lock, zero outside it.
-                let victims: Vec<FrameId> = {
-                    let mut t = table.lock();
-                    let mut v = Vec::new();
-                    while v.len() < batch - done {
-                        let Some(key) = t.order.pop_front() else {
-                            break;
-                        };
-                        // Stale keys (already zeroed by an EPT fault or
-                        // the instant list) are skipped.
-                        if let Some(info) = t.pages.remove(&key) {
-                            v.push(info.frame);
-                        }
-                    }
-                    v
-                };
-                self.tracked
-                    .fetch_sub(victims.len() as u64, Ordering::Relaxed);
-                for f in &victims {
-                    // A racing EPT fault may already have zeroed it; the
-                    // allocator makes zero_frame idempotent and
-                    // unzeroed-only.
-                    let _ = self.mem.zero_frame(*f);
-                }
-                self.background_zeroed
-                    .fetch_add(victims.len() as u64, Ordering::Relaxed);
-                done += victims.len();
+        for table in tables {
+            if done >= batch {
+                break;
             }
+            // Claim victims under the lock, zero outside it.
+            let victims: Vec<FrameId> = {
+                let mut t = table.lock();
+                let mut v = Vec::new();
+                while v.len() < batch - done {
+                    let Some(key) = t.order.pop_front() else {
+                        break;
+                    };
+                    // Stale keys (already zeroed by an EPT fault or the
+                    // instant list) are skipped.
+                    if let Some(info) = t.pages.remove(&key) {
+                        v.push(info.frame);
+                    }
+                }
+                v
+            };
+            self.tracked
+                .fetch_sub(victims.len() as u64, Ordering::Relaxed);
+            for f in &victims {
+                // A racing EPT fault may already have zeroed it; the
+                // allocator makes zero_frame idempotent and unzeroed-only.
+                let _ = self.mem.zero_frame(*f);
+            }
+            self.background_zeroed
+                .fetch_add(victims.len() as u64, Ordering::Relaxed);
+            done += victims.len();
         }
         done
     }
@@ -398,7 +354,7 @@ impl Fastiovd {
 
     /// True if the page at `hpa` of VM `pid` is currently tracked.
     pub fn is_tracked(&self, pid: u64, hpa: Hpa) -> bool {
-        let table = self.shard_for(pid).read().get(&pid).cloned();
+        let table = self.tier1.read().get(&pid).cloned();
         match table {
             Some(t) => t.lock().pages.contains_key(&hpa.raw()),
             None => false,
@@ -411,13 +367,8 @@ impl EptFaultHook for Fastiovd {
     /// If the page is tracked for `pid`, it is zeroed (charged) and
     /// untracked; KVM installs the EPT entry only after this returns.
     fn on_ept_fault(&self, pid: u64, hpa_page: Hpa) -> bool {
-        let shard = self.shard_for(pid);
-        let table = match self
-            .tier1_lock
-            .timed(|| shard.read(), |g| g.get(&pid).cloned())
-        {
-            Some(t) => t,
-            None => return false,
+        let Some(table) = self.tier1.read().get(&pid).cloned() else {
+            return false;
         };
         let info = table.lock().pages.remove(&hpa_page.raw());
         match info {
@@ -627,12 +578,8 @@ mod tests {
     }
 
     #[test]
-    fn sharded_module_isolates_pids_across_shards() {
-        let mem = PhysMemory::new(MemCosts::for_tests(), PageSize::Size2M, 64);
-        let clock = Clock::with_scale(1e-5);
-        let d = Fastiovd::with_shards(clock, Arc::clone(&mem), 4);
-        assert_eq!(d.shard_count(), 4);
-        // PIDs landing on every shard.
+    fn many_pids_register_scrub_and_unregister_independently() {
+        let (mem, d) = setup();
         for pid in 1..=8u64 {
             let r = mem.alloc_frames(2, pid).unwrap();
             d.register_pages(pid, &r);

@@ -10,9 +10,8 @@
 use crate::addr::{Hpa, PageSize};
 use crate::content::PageContent;
 use crate::{MemError, Result};
-use fastiov_simtime::{
-    Clock, ContentionCounter, CpuPool, FairShareBandwidth, LockClass, LockSnapshot, TrackedMutex,
-};
+use fastiov_simtime::{Clock, CpuPool, FairShareBandwidth, LockClass, LockSnapshot, TrackedMutex};
+use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -82,13 +81,6 @@ struct Frame {
     content: PageContent,
 }
 
-#[derive(Debug, Default)]
-struct FreeList {
-    /// Free frame indices, kept sorted (address order) for batched
-    /// retrieval.
-    free: std::collections::BTreeSet<usize>,
-}
-
 /// Counters exposed by [`PhysMemory::stats`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct AllocStats {
@@ -104,9 +96,9 @@ pub struct AllocStats {
     pub frames_zeroed_charged: u64,
     /// Frames zeroed for free by the idle-time pre-zero pass.
     pub frames_prezeroed: u64,
-    /// Free-list shards the allocator runs with.
-    pub shards: usize,
-    /// Frames taken from a non-home shard (work-stealing fallback).
+    /// Always 0: the allocator has one free list, so nothing is ever
+    /// taken from another one. Kept because the frozen benchmark reads it
+    /// (`benchmark/src/workload.rs`, `hostmem.frames_stolen`).
     pub frames_stolen: u64,
 }
 
@@ -127,48 +119,22 @@ pub struct PhysMemory {
     costs: MemCosts,
     page: PageSize,
     frames: Vec<TrackedMutex<Frame>>,
-    /// Free-list shards. Shard `i` owns the contiguous frame-index range
-    /// `[i * frames_per_shard, (i+1) * frames_per_shard)`, so address-ordered
-    /// batching within a shard still produces contiguous runs and the
-    /// fragmentation cost model (§3.2.3) is unchanged.
-    free: Vec<TrackedMutex<FreeList>>,
-    frames_per_shard: usize,
-    free_lock: ContentionCounter,
+    /// Free frame indices, kept sorted (address order) for batched
+    /// retrieval.
+    free: TrackedMutex<BTreeSet<usize>>,
     nonce: AtomicU64,
     allocations: AtomicU64,
     batches: AtomicU64,
     zeroed_charged: AtomicU64,
     prezeroed: AtomicU64,
-    stolen: AtomicU64,
 }
 
 impl PhysMemory {
     /// Owner id used by [`PhysMemory::inject_fragmentation`].
     pub const OWNER_FRAG: u64 = u64::MAX;
 
-    /// Creates a memory of `total_frames` frames of size `page` with a
-    /// single free-list shard (the pre-sharding behaviour: one global
-    /// lock, strictly lowest-address-first allocation).
+    /// Creates a memory of `total_frames` frames of size `page`, all free.
     pub fn new(costs: MemCosts, page: PageSize, total_frames: usize) -> Arc<Self> {
-        Self::new_sharded(costs, page, total_frames, 1)
-    }
-
-    /// Creates a memory whose free list is split into `shards`
-    /// address-range shards with per-shard mutexes.
-    ///
-    /// An allocation drains its owner's *home shard* (`owner % shards`) in
-    /// address order first and work-steals ring-wise from the remaining
-    /// shards only when the home shard runs dry, so concurrent launches
-    /// touch disjoint locks in the common case. `shards` is clamped to
-    /// `[1, total_frames]`; `shards == 1` is exactly [`PhysMemory::new`].
-    pub fn new_sharded(
-        costs: MemCosts,
-        page: PageSize,
-        total_frames: usize,
-        shards: usize,
-    ) -> Arc<Self> {
-        let shards = shards.clamp(1, total_frames.max(1));
-        let frames_per_shard = total_frames.div_ceil(shards).max(1);
         let frames = (0..total_frames)
             .map(|i| {
                 TrackedMutex::new(
@@ -182,47 +148,22 @@ impl PhysMemory {
                 )
             })
             .collect();
-        let free = (0..shards)
-            .map(|s| {
-                let lo = s * frames_per_shard;
-                let hi = ((s + 1) * frames_per_shard).min(total_frames);
-                TrackedMutex::new(
-                    LockClass::PhysShard,
-                    FreeList {
-                        free: (lo..hi).collect(),
-                    },
-                )
-            })
-            .collect();
         Arc::new(PhysMemory {
             costs,
             page,
             frames,
-            free,
-            frames_per_shard,
-            free_lock: ContentionCounter::new(),
+            free: TrackedMutex::new(LockClass::PhysFreeList, (0..total_frames).collect()),
             nonce: AtomicU64::new(total_frames as u64),
             allocations: AtomicU64::new(0),
             batches: AtomicU64::new(0),
             zeroed_charged: AtomicU64::new(0),
             prezeroed: AtomicU64::new(0),
-            stolen: AtomicU64::new(0),
         })
     }
 
-    /// Number of free-list shards.
-    pub fn shard_count(&self) -> usize {
-        self.free.len()
-    }
-
-    /// Shard owning frame index `idx`.
-    fn shard_of(&self, idx: usize) -> usize {
-        (idx / self.frames_per_shard).min(self.free.len() - 1)
-    }
-
-    /// Accumulated wait/hold time on the free-list shard locks.
+    /// Wait/hold totals of the free-list lock class.
     pub fn free_lock_stats(&self) -> LockSnapshot {
-        self.free_lock.snapshot()
+        LockClass::PhysFreeList.stats()
     }
 
     /// The page size of every frame.
@@ -251,58 +192,26 @@ impl PhysMemory {
     }
 
     /// Allocates `count` frames for `owner`, returning contiguous ranges in
-    /// address order and charging the batched-retrieval cost.
-    ///
-    /// The owner's home shard (`owner % shards`) is drained in address
-    /// order first; if it runs dry the remaining shards are visited
-    /// ring-wise (work stealing), each under its own short critical
-    /// section — no two shard locks are ever held at once. Because shards
-    /// are visited one at a time, a concurrent free into an
-    /// already-visited shard can leave one pass short even though enough
-    /// frames exist; the ring is retried once before declaring
-    /// out-of-memory, and the reported `available` is a global free-frame
-    /// count taken at failure time (advisory under concurrency).
+    /// address order (lowest free frames first) and charging the
+    /// batched-retrieval cost.
     pub fn alloc_frames(&self, count: usize, owner: u64) -> Result<Vec<FrameRange>> {
         if count == 0 {
             return Ok(Vec::new());
         }
-        let n_shards = self.free.len();
-        let home = (owner as usize) % n_shards;
-        let mut picked: Vec<usize> = Vec::with_capacity(count);
-        'ring: for _pass in 0..2 {
-            for k in 0..n_shards {
-                let need = count - picked.len();
-                if need == 0 {
-                    break 'ring;
-                }
-                let shard = (home + k) % n_shards;
-                let taken = self.free_lock.timed(
-                    || self.free[shard].lock(),
-                    |mut fl| {
-                        let taken: Vec<usize> = fl.free.iter().take(need).copied().collect();
-                        for &i in &taken {
-                            fl.free.remove(&i);
-                        }
-                        taken
-                    },
-                );
-                if k > 0 {
-                    self.stolen.fetch_add(taken.len() as u64, Ordering::Relaxed);
-                }
-                picked.extend(taken);
+        let picked: Vec<usize> = {
+            let mut free = self.free.lock();
+            if free.len() < count {
+                return Err(MemError::OutOfMemory {
+                    requested: count,
+                    available: free.len(),
+                });
             }
-        }
-        if picked.len() < count {
-            // Every shard was visited twice and memory is still short: put
-            // the partial take back and report the actual free-frame count,
-            // not just what this call managed to grab.
-            self.reinsert_free(&picked);
-            return Err(MemError::OutOfMemory {
-                requested: count,
-                available: self.collect_free_sorted().len(),
-            });
-        }
-        picked.sort_unstable();
+            let picked: Vec<usize> = free.iter().take(count).copied().collect();
+            for i in &picked {
+                free.remove(i);
+            }
+            picked
+        };
         let ranges = coalesce(&picked);
         for r in &ranges {
             for id in r.iter() {
@@ -322,25 +231,9 @@ impl PhysMemory {
         Ok(ranges)
     }
 
-    /// Returns frame indices to their owning shards.
+    /// Returns frame indices to the free list.
     fn reinsert_free(&self, indices: &[usize]) {
-        let mut by_shard: Vec<Vec<usize>> = vec![Vec::new(); self.free.len()];
-        for &i in indices {
-            by_shard[self.shard_of(i)].push(i);
-        }
-        for (s, idxs) in by_shard.iter().enumerate() {
-            if idxs.is_empty() {
-                continue;
-            }
-            self.free_lock.timed(
-                || self.free[s].lock(),
-                |mut fl| {
-                    for &i in idxs {
-                        fl.free.insert(i);
-                    }
-                },
-            );
-        }
+        self.free.lock().extend(indices);
     }
 
     /// Frees previously allocated ranges. Frames must belong to `owner` and
@@ -559,9 +452,11 @@ impl PhysMemory {
     /// happens during idle time, before the measured startup window).
     /// Returns the number of frames pre-zeroed.
     pub fn prezero_pass(&self, fraction: f64) -> usize {
-        let all_free = self.collect_free_sorted();
-        let n = (all_free.len() as f64 * fraction.clamp(0.0, 1.0)).round() as usize;
-        let targets: Vec<usize> = all_free.into_iter().take(n).collect();
+        let targets: Vec<usize> = {
+            let free = self.free.lock();
+            let n = (free.len() as f64 * fraction.clamp(0.0, 1.0)).round() as usize;
+            free.iter().take(n).copied().collect()
+        };
         let mut done = 0;
         for i in &targets {
             let mut f = self.frames[*i].lock();
@@ -582,47 +477,30 @@ impl PhysMemory {
     /// `stride`-th free frame is taken. Returns how many were taken.
     pub fn inject_fragmentation(&self, stride: usize) -> usize {
         assert!(stride >= 2, "stride < 2 would exhaust memory");
-        // Pick over the globally address-ordered free set so the injected
-        // pattern is shard-count independent, then remove each pick from
-        // its shard (skipping any frame a racing allocation grabbed).
-        let candidates: Vec<usize> = self
-            .collect_free_sorted()
-            .into_iter()
-            .step_by(stride)
-            .collect();
-        let mut taken = 0;
-        for &i in &candidates {
-            let removed = self.free[self.shard_of(i)].lock().free.remove(&i);
-            if removed {
-                self.frames[i].lock().owner = Some(Self::OWNER_FRAG);
-                taken += 1;
+        let taken: Vec<usize> = {
+            let mut free = self.free.lock();
+            let taken: Vec<usize> = free.iter().step_by(stride).copied().collect();
+            for i in &taken {
+                free.remove(i);
             }
+            taken
+        };
+        for &i in &taken {
+            self.frames[i].lock().owner = Some(Self::OWNER_FRAG);
         }
-        taken
-    }
-
-    /// Snapshot of every free frame index, address-ordered. Shard locks
-    /// are taken one at a time; shards own disjoint contiguous index
-    /// ranges so concatenation is already sorted.
-    fn collect_free_sorted(&self) -> Vec<usize> {
-        let mut out = Vec::new();
-        for shard in &self.free {
-            out.extend(shard.lock().free.iter().copied());
-        }
-        out
+        taken.len()
     }
 
     /// Current statistics.
     pub fn stats(&self) -> AllocStats {
         AllocStats {
-            free_frames: self.free.iter().map(|s| s.lock().free.len()).sum(),
+            free_frames: self.free.lock().len(),
             total_frames: self.frames.len(),
             allocations: self.allocations.load(Ordering::Relaxed),
             batches_retrieved: self.batches.load(Ordering::Relaxed),
             frames_zeroed_charged: self.zeroed_charged.load(Ordering::Relaxed),
             frames_prezeroed: self.prezeroed.load(Ordering::Relaxed),
-            shards: self.free.len(),
-            frames_stolen: self.stolen.load(Ordering::Relaxed),
+            frames_stolen: 0,
         }
     }
 }
@@ -834,65 +712,6 @@ mod tests {
         // Released frames are residue for the next tenant.
         let r3 = m.alloc_frames(1, 3).unwrap();
         assert!(m.leaks_residue(r3[0].start).unwrap());
-    }
-
-    #[test]
-    fn sharded_alloc_prefers_home_shard() {
-        let m = PhysMemory::new_sharded(MemCosts::for_tests(), PageSize::Size2M, 64, 4);
-        assert_eq!(m.shard_count(), 4);
-        // Owner 2's home shard is shard 2 = frames [32, 48).
-        let r = m.alloc_frames(8, 2).unwrap();
-        assert_eq!(r.len(), 1);
-        assert_eq!(r[0].start, FrameId(32));
-        assert_eq!(m.stats().frames_stolen, 0);
-    }
-
-    #[test]
-    fn sharded_alloc_steals_when_home_dry() {
-        let m = PhysMemory::new_sharded(MemCosts::for_tests(), PageSize::Size2M, 64, 4);
-        // Drain shard 1 (frames [16, 32)) completely, then ask for more.
-        let _hold = m.alloc_frames(16, 1).unwrap();
-        let r = m.alloc_frames(4, 1).unwrap();
-        assert_eq!(r.iter().map(|x| x.count).sum::<usize>(), 4);
-        // The overflow came from the next shard ring-wise (shard 2).
-        assert_eq!(r[0].start, FrameId(32));
-        assert_eq!(m.stats().frames_stolen, 4);
-    }
-
-    #[test]
-    fn sharded_oom_restores_partial_take() {
-        let m = PhysMemory::new_sharded(MemCosts::for_tests(), PageSize::Size2M, 16, 4);
-        let e = m.alloc_frames(17, 0).unwrap_err();
-        assert!(matches!(
-            e,
-            MemError::OutOfMemory {
-                requested: 17,
-                available: 16
-            }
-        ));
-        assert_eq!(m.stats().free_frames, 16, "partial take must be restored");
-        // And the memory is still fully allocatable afterwards.
-        let r = m.alloc_frames(16, 0).unwrap();
-        assert_eq!(r.iter().map(|x| x.count).sum::<usize>(), 16);
-    }
-
-    #[test]
-    fn sharded_free_returns_frames_to_home_shards() {
-        let m = PhysMemory::new_sharded(MemCosts::for_tests(), PageSize::Size2M, 32, 4);
-        let r = m.alloc_frames(32, 0).unwrap();
-        m.free_ranges(&r, 0).unwrap();
-        // After a full cycle every shard serves its own range again.
-        let r2 = m.alloc_frames(4, 3).unwrap();
-        assert_eq!(r2[0].start, FrameId(24), "owner 3's home shard restored");
-        assert_eq!(m.stats().free_frames, 28);
-    }
-
-    #[test]
-    fn sharded_fragmentation_matches_single_shard_pattern() {
-        let m = PhysMemory::new_sharded(MemCosts::for_tests(), PageSize::Size2M, 64, 4);
-        assert_eq!(m.inject_fragmentation(2), 32);
-        let r = m.alloc_frames(8, 0).unwrap();
-        assert_eq!(r.len(), 8, "every frame its own batch: {r:?}");
     }
 
     #[test]

@@ -4,9 +4,7 @@ use crate::iotlb::Iotlb;
 use crate::table::{IoPageTable, TableError};
 use crate::{IommuError, Result};
 use fastiov_hostmem::{FrameRange, Hpa, Iova, PageSize, PhysMemory};
-use fastiov_simtime::{
-    Clock, ContentionCounter, LockClass, LockSnapshot, Tracer, TrackedMutex, TrackedRwLock,
-};
+use fastiov_simtime::{Clock, LockClass, LockSnapshot, Tracer, TrackedMutex, TrackedRwLock};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -42,9 +40,6 @@ pub struct IommuDomain {
     walk_latency: Duration,
     table: TrackedMutex<IoPageTable>,
     tlb: TrackedMutex<Iotlb>,
-    /// Shared across every domain of the owning [`Iommu`]: one aggregate
-    /// wait/hold ranking for "the IOMMU table locks".
-    table_lock: Arc<ContentionCounter>,
     /// Captured from the owning [`Iommu`] at domain creation.
     tracer: Option<Tracer>,
     translations: AtomicU64,
@@ -84,40 +79,33 @@ impl IommuDomain {
         // structural digest deterministic.
         let _span = self.tracer.as_ref().map(|t| t.span("iommu.map"));
         let pages: usize = ranges.iter().map(|r| r.count).sum();
-        self.table_lock.timed(
-            || self.table.lock(),
-            |mut table| {
-                let mut cursor = self.page_no(iova);
-                let mut installed: Vec<(u64, usize)> = Vec::with_capacity(ranges.len());
-                for r in ranges {
-                    match table.map_extent(cursor, mem.hpa_of(r.start), self.page.bytes(), r.count)
-                    {
-                        Ok(()) => {
-                            installed.push((cursor, r.count));
-                            cursor += r.count as u64;
-                        }
-                        Err(e) => {
-                            // Report the exact conflicting page, as the
-                            // per-page install did — not just the start of
-                            // the failing range.
-                            let conflict = (cursor..cursor + r.count as u64)
-                                .find(|p| table.lookup(*p).is_some())
-                                .unwrap_or(cursor);
-                            for (s, c) in installed {
-                                let _ = table.unmap_extent(s, c);
-                            }
-                            return Err(match e {
-                                TableError::Present => {
-                                    IommuError::AlreadyMapped(Iova(conflict * self.page.bytes()))
-                                }
-                                _ => IommuError::Unaligned(iova),
-                            });
-                        }
+        {
+            let mut table = self.table.lock();
+            let mut cursor = self.page_no(iova);
+            let mut installed: Vec<(u64, usize)> = Vec::with_capacity(ranges.len());
+            for r in ranges {
+                if let Err(e) =
+                    table.map_extent(cursor, mem.hpa_of(r.start), self.page.bytes(), r.count)
+                {
+                    // Report the exact conflicting page, as the per-page
+                    // install did — not just the start of the failing range.
+                    let conflict = (cursor..cursor + r.count as u64)
+                        .find(|p| table.lookup(*p).is_some())
+                        .unwrap_or(cursor);
+                    for (s, c) in installed {
+                        let _ = table.unmap_extent(s, c);
                     }
+                    return Err(match e {
+                        TableError::Present => {
+                            IommuError::AlreadyMapped(Iova(conflict * self.page.bytes()))
+                        }
+                        _ => IommuError::Unaligned(iova),
+                    });
                 }
-                Ok(())
-            },
-        )?;
+                installed.push((cursor, r.count));
+                cursor += r.count as u64;
+            }
+        }
         self.clock.sleep(self.map_per_page * pages as u32);
         Ok(())
     }
@@ -131,25 +119,21 @@ impl IommuDomain {
         }
         let _span = self.tracer.as_ref().map(|t| t.span("iommu.unmap"));
         let start = self.page_no(iova);
-        self.table_lock.timed(
-            || self.table.lock(),
-            |mut table| {
-                // The TLB lock nests inside the table lock (as in the
-                // pre-extent code) so a concurrent translate can never
-                // observe the table emptied but the TLB still warm.
-                let mut tlb = self.tlb.lock();
-                table
-                    .unmap_extent(start, count)
-                    .map_err(|_| IommuError::NotMapped(iova))?;
-                tlb.invalidate_range(start, count);
-                Ok(())
-            },
-        )
+        let mut table = self.table.lock();
+        // The TLB lock nests inside the table lock (as in the pre-extent
+        // code) so a concurrent translate can never observe the table
+        // emptied but the TLB still warm.
+        let mut tlb = self.tlb.lock();
+        table
+            .unmap_extent(start, count)
+            .map_err(|_| IommuError::NotMapped(iova))?;
+        tlb.invalidate_range(start, count);
+        Ok(())
     }
 
-    /// Accumulated wait/hold time on this domain family's table locks.
+    /// Wait/hold totals of the I/O page-table lock class.
     pub fn table_lock_stats(&self) -> LockSnapshot {
-        self.table_lock.snapshot()
+        LockClass::IommuTable.stats()
     }
 
     /// Translates a device-issued IOVA; a miss is a [`IommuError::DmaFault`].
@@ -193,7 +177,6 @@ pub struct Iommu {
     map_per_page: Duration,
     walk_latency: Duration,
     tlb_capacity: usize,
-    table_lock: Arc<ContentionCounter>,
     /// Tracer captured by domains created after [`Iommu::set_tracer`].
     tracer: TrackedRwLock<Option<Tracer>>,
     inner: TrackedMutex<IommuInner>,
@@ -220,7 +203,6 @@ impl Iommu {
             map_per_page,
             walk_latency,
             tlb_capacity,
-            table_lock: Arc::new(ContentionCounter::new()),
             tracer: TrackedRwLock::new(LockClass::TracerSlot, None),
             inner: TrackedMutex::new(
                 LockClass::IommuRegistry,
@@ -232,9 +214,10 @@ impl Iommu {
         })
     }
 
-    /// Aggregate wait/hold time across every domain's table lock.
+    /// Wait/hold totals of the I/O page-table lock class, across every
+    /// domain.
     pub fn table_lock_stats(&self) -> LockSnapshot {
-        self.table_lock.snapshot()
+        LockClass::IommuTable.stats()
     }
 
     /// Installs the span tracer. Domains capture the tracer current at
@@ -257,7 +240,6 @@ impl Iommu {
             walk_latency: self.walk_latency,
             table: TrackedMutex::new(LockClass::IommuTable, IoPageTable::new()),
             tlb: TrackedMutex::new(LockClass::IommuTlb, Iotlb::new(self.tlb_capacity)),
-            table_lock: Arc::clone(&self.table_lock),
             tracer: self.tracer.read().clone(),
             translations: AtomicU64::new(0),
             dma_faults: AtomicU64::new(0),

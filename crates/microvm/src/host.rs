@@ -7,7 +7,7 @@ use fastiov_hostmem::{MemCosts, PhysMemory};
 use fastiov_iommu::Iommu;
 use fastiov_nic::{DmaEngine, PfDriver};
 use fastiov_pci::PciBus;
-use fastiov_simtime::{Clock, CpuPool, FairSemaphore, FairShareBandwidth, LockSnapshot, Tracer};
+use fastiov_simtime::{Clock, CpuPool, FairSemaphore, FairShareBandwidth, Tracer};
 use fastiov_vfio::{DevsetManager, LockPolicy};
 use fastiovd::Fastiovd;
 use std::sync::Arc;
@@ -83,7 +83,7 @@ impl Host {
         let cpu = CpuPool::new(clock.clone(), params.host_cores);
         let membw =
             FairShareBandwidth::new(clock.clone(), params.membw_total, params.membw_stream_cap);
-        let mem = PhysMemory::new_sharded(
+        let mem = PhysMemory::new(
             MemCosts {
                 clock: clock.clone(),
                 cpu: Arc::clone(&cpu),
@@ -93,7 +93,6 @@ impl Host {
             },
             params.page_size,
             params.total_frames(),
-            params.mem_shards,
         );
         let bus = PciBus::new(clock.clone(), params.pci_cfg_access, params.pci_reset);
         let iommu = Iommu::new(
@@ -137,8 +136,7 @@ impl Host {
         let irq = crate::irq::IrqRouter::new(clock.clone(), params.irq_relay);
         dma.set_interrupt_sink(Arc::clone(&irq) as Arc<dyn fastiov_nic::InterruptSink>);
         let wire = fastiov_nic::Wire::new();
-        let fastiovd =
-            Fastiovd::with_shards(clock.clone(), Arc::clone(&mem), params.fastiovd_shards);
+        let fastiovd = Fastiovd::new(clock.clone(), Arc::clone(&mem));
         fastiovd.set_tracer(tracer.clone());
         if faults.is_enabled() {
             fastiovd.set_fault_plane(Arc::clone(&faults));
@@ -184,18 +182,6 @@ impl Host {
     /// The VFIO lock policy this host runs.
     pub fn vfio_policy(&self) -> LockPolicy {
         self.vfio.policy()
-    }
-
-    /// Wait/hold snapshots of the instrumented hot-path locks, one entry
-    /// per lock family, for the contention ranking (`fastiovctl
-    /// contention`, `ext_contention`).
-    pub fn lock_reports(&self) -> Vec<(&'static str, LockSnapshot)> {
-        vec![
-            ("hostmem.free_list", self.mem.free_lock_stats()),
-            ("fastiovd.tier1", self.fastiovd.tier1_lock_stats()),
-            ("iommu.table", self.iommu.table_lock_stats()),
-            ("vfio.devset", self.vfio.lock_stats()),
-        ]
     }
 
     /// Binds every VF to the VFIO driver and registers it with the devset

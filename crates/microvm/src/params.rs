@@ -37,13 +37,6 @@ pub struct HostParams {
     pub retrieval_per_batch: Duration,
     /// CPU cost per page pinned.
     pub pin_per_page: Duration,
-    /// Free-list shards in the frame allocator (1 = the pre-sharding
-    /// single global lock; see DESIGN.md §7.3).
-    pub mem_shards: usize,
-
-    // --- fastiovd ----------------------------------------------------------
-    /// Tier-1 shards of the fastiovd table (1 = single outer lock).
-    pub fastiovd_shards: usize,
 
     // --- PCI / VFIO --------------------------------------------------------
     /// Per-device config access during a bus scan. With ~257 functions on
@@ -165,8 +158,6 @@ impl HostParams {
             membw_stream_cap: 0.6e9,
             retrieval_per_batch: Duration::from_micros(30),
             pin_per_page: Duration::from_micros(50),
-            mem_shards: 8,
-            fastiovd_shards: 8,
 
             pci_cfg_access: Duration::from_micros(100),
             pci_reset: Duration::from_millis(10),
@@ -265,12 +256,5 @@ mod tests {
         let p = HostParams::for_tests();
         assert!(p.total_frames() <= 4096);
         assert!(p.time_scale < 1e-3);
-    }
-
-    #[test]
-    fn shard_defaults_are_sane() {
-        let p = HostParams::paper();
-        assert!(p.mem_shards >= 1 && p.mem_shards <= p.host_cores);
-        assert!(p.fastiovd_shards >= 1);
     }
 }

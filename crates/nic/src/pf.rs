@@ -56,9 +56,6 @@ pub struct AdminQueue {
     submitted: AtomicU64,
     /// Span tracer: each submit records queueing + service as one span.
     tracer: TrackedRwLock<Option<Tracer>>,
-    /// Lockdep instance id: the mailbox serializes via a semaphore, not a
-    /// mutex, so [`AdminQueue::submit`] reports to the witness manually.
-    dep_id: u64,
 }
 
 impl AdminQueue {
@@ -71,7 +68,6 @@ impl AdminQueue {
             bringup_service,
             submitted: AtomicU64::new(0),
             tracer: TrackedRwLock::new(LockClass::TracerSlot, None),
-            dep_id: lockdep::new_lock_id(),
         }
     }
 
@@ -99,7 +95,7 @@ impl AdminQueue {
         let _span = self.tracer.read().as_ref().map(|t| t.span("nic.admin"));
         // The FairSemaphore(1) is a lock in all but name; report it so
         // ordering against real locks is witnessed.
-        let _dep = lockdep::acquire(LockClass::NicMailbox, self.dep_id, Mode::Exclusive);
+        let _dep = lockdep::acquire(LockClass::NicMailbox, Mode::Exclusive);
         let _g = self.sem.acquire();
         self.clock.sleep(self.service_for(cmd));
         self.submitted.fetch_add(1, Ordering::Relaxed);

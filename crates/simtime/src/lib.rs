@@ -19,7 +19,6 @@
 
 mod clock;
 pub mod lockdep;
-mod lockstat;
 mod resources;
 mod semaphore;
 mod timeline;
@@ -28,10 +27,9 @@ mod wall;
 
 pub use clock::{Clock, SimInstant};
 pub use lockdep::{
-    LockClass, LockdepReport, TrackedCondvar, TrackedMutex, TrackedMutexGuard, TrackedReadGuard,
-    TrackedRwLock, TrackedWriteGuard,
+    LockClass, LockSnapshot, LockdepReport, TrackedCondvar, TrackedMutex, TrackedMutexGuard,
+    TrackedReadGuard, TrackedRwLock, TrackedWriteGuard,
 };
-pub use lockstat::{ContentionCounter, LockSnapshot};
 pub use resources::{BandwidthResource, CpuPool, FairShareBandwidth, ResourceStats};
 pub use semaphore::FairSemaphore;
 pub use timeline::{StageLog, StageRecord};

@@ -42,7 +42,7 @@ impl WallStopwatch {
     }
 
     /// Real nanoseconds elapsed, saturating at `u64::MAX` (the unit the
-    /// contention counters accumulate in).
+    /// lock statistics accumulate in).
     pub fn elapsed_ns(&self) -> u64 {
         u64::try_from(self.start.elapsed().as_nanos()).unwrap_or(u64::MAX)
     }

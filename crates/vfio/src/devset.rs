@@ -413,13 +413,10 @@ impl DevsetManager {
         }
     }
 
-    /// Aggregate wait/hold time across every devset's parent–child lock.
+    /// Wait/hold totals of the devset parent lock class, across every
+    /// devset.
     pub fn lock_stats(&self) -> fastiov_simtime::LockSnapshot {
-        self.devsets
-            .lock()
-            .values()
-            .map(|s| s.lock.lock_stats())
-            .fold(fastiov_simtime::LockSnapshot::default(), |a, b| a.merged(b))
+        fastiov_simtime::LockClass::DevsetParent.stats()
     }
 }
 

@@ -23,12 +23,13 @@
 //! `examples/lock_framework.rs` for a non-VFIO use.
 //!
 //! The framework is itself an instrumented wrapper: acquisitions report
-//! to the lockdep witness under [`LockClass::DevsetParent`],
-//! [`LockClass::DevsetChild`] and [`LockClass::DevsetState`], so the
-//! rwlock/mutex internals below are the sanctioned raw-lock exception.
+//! to the lockdep witness and the lock statistics under
+//! [`LockClass::DevsetParent`], [`LockClass::DevsetChild`] and
+//! [`LockClass::DevsetState`], so the rwlock/mutex internals below are
+//! the sanctioned raw-lock exception.
 
-use fastiov_simtime::lockdep::{self, HeldToken, Mode};
-use fastiov_simtime::{ContentionCounter, LockClass, LockSnapshot, WallStopwatch};
+use fastiov_simtime::lockdep::{self, contend, HeldToken, HoldTimer, Mode};
+use fastiov_simtime::LockClass;
 use parking_lot::{Mutex, MutexGuard, RwLock, RwLockReadGuard, RwLockWriteGuard};
 use std::marker::PhantomData;
 
@@ -51,7 +52,6 @@ pub enum LockPolicy {
 pub struct ChildLock<T> {
     // analyze: allow(raw-lock): framework internal; acquisitions report as DevsetChild
     mutex: Mutex<T>,
-    dep_id: u64,
 }
 
 impl<T> ChildLock<T> {
@@ -60,7 +60,6 @@ impl<T> ChildLock<T> {
         ChildLock {
             // analyze: allow(raw-lock): framework internal; acquisitions report as DevsetChild
             mutex: Mutex::new(state),
-            dep_id: lockdep::new_lock_id(),
         }
     }
 
@@ -74,11 +73,17 @@ impl<T> ChildLock<T> {
     /// [`ParentGuard::witness`]) and cannot outlive it.
     #[track_caller]
     pub fn lock_direct<'a>(&'a self, _proof: ParentWitness<'a>) -> DirectChildGuard<'a, T> {
-        let dep = lockdep::acquire(LockClass::DevsetChild, self.dep_id, Mode::Exclusive);
-        DirectChildGuard {
-            _dep: dep,
-            inner: self.mutex.lock(),
-        }
+        let _dep = lockdep::acquire(LockClass::DevsetChild, Mode::Exclusive);
+        let (inner, _hold) = self.contend();
+        DirectChildGuard { _dep, _hold, inner }
+    }
+
+    fn contend(&self) -> (MutexGuard<'_, T>, HoldTimer) {
+        contend(
+            LockClass::DevsetChild,
+            || self.mutex.try_lock(),
+            || self.mutex.lock(),
+        )
     }
 }
 
@@ -93,6 +98,7 @@ pub struct ParentWitness<'a> {
 /// Guard of [`ChildLock::lock_direct`]; dereferences to the child state.
 pub struct DirectChildGuard<'a, T> {
     _dep: Option<HeldToken>,
+    _hold: HoldTimer,
     inner: MutexGuard<'a, T>,
 }
 
@@ -145,38 +151,30 @@ pub struct ParentChildLock<P> {
     /// uncontended by construction (parent access is already exclusive).
     // analyze: allow(raw-lock): framework internal; acquisitions report as DevsetState
     parent_state: Mutex<P>,
-    /// Wait/hold accounting across all operations on this lock pair.
-    stats: ContentionCounter,
-    /// Lockdep instance id shared by the coarse mutex and the rwlock
-    /// (they play the same role, never both).
-    dep_id: u64,
-    /// Lockdep instance id of the parent-state mutex.
-    state_dep_id: u64,
 }
 
 /// Guard for a child operation; dereferences to the child state.
 ///
 /// Field order is load-bearing: lockdep tokens drop (popping the
-/// per-thread held stack) before the locks they describe are released.
+/// per-thread held stack) and hold timers stop before the locks they
+/// describe are released.
 pub struct ChildGuard<'a, T> {
     _child_dep: Option<HeldToken>,
     _outer_dep: Option<HeldToken>,
+    _child_hold: HoldTimer,
+    _outer_hold: HoldTimer,
     _outer: OuterGuard<'a>,
     child: MutexGuard<'a, T>,
-    stats: &'a ContentionCounter,
-    wait_ns: u64,
-    acquired: WallStopwatch,
 }
 
 /// Guard for a parent operation; dereferences to the parent state.
 pub struct ParentGuard<'a, P> {
     _state_dep: Option<HeldToken>,
     _outer_dep: Option<HeldToken>,
+    _state_hold: HoldTimer,
+    _outer_hold: HoldTimer,
     _outer: OuterParentGuard<'a>,
     parent: MutexGuard<'a, P>,
-    stats: &'a ContentionCounter,
-    wait_ns: u64,
-    acquired: WallStopwatch,
 }
 
 impl<P> ParentGuard<'_, P> {
@@ -186,18 +184,6 @@ impl<P> ParentGuard<'_, P> {
         ParentWitness {
             _guard: PhantomData,
         }
-    }
-}
-
-impl<T> Drop for ChildGuard<'_, T> {
-    fn drop(&mut self) {
-        self.stats.record(self.wait_ns, self.acquired.elapsed_ns());
-    }
-}
-
-impl<P> Drop for ParentGuard<'_, P> {
-    fn drop(&mut self) {
-        self.stats.record(self.wait_ns, self.acquired.elapsed_ns());
     }
 }
 
@@ -225,20 +211,12 @@ impl<P> ParentChildLock<P> {
             rw: RwLock::new(()),
             // analyze: allow(raw-lock): framework internal; acquisitions report as DevsetState
             parent_state: Mutex::new(parent_state),
-            stats: ContentionCounter::new(),
-            dep_id: lockdep::new_lock_id(),
-            state_dep_id: lockdep::new_lock_id(),
         }
     }
 
     /// The active policy.
     pub fn policy(&self) -> LockPolicy {
         self.policy
-    }
-
-    /// Accumulated wait/hold time across all operations on this lock.
-    pub fn lock_stats(&self) -> LockSnapshot {
-        self.stats.snapshot()
     }
 
     /// Acquires for an **intra/inter-child** operation on the child whose
@@ -250,28 +228,35 @@ impl<P> ParentChildLock<P> {
     /// serialized.
     #[track_caller]
     pub fn lock_child<'a, T>(&'a self, child: &'a ChildLock<T>) -> ChildGuard<'a, T> {
-        let t0 = WallStopwatch::start();
         // Coarse mode's single mutex plays the parent-lock role but in
         // exclusive mode; hierarchical child ops share the read side.
-        let outer_mode = match self.policy {
-            LockPolicy::Coarse => Mode::Exclusive,
-            LockPolicy::Hierarchical => Mode::Shared,
+        let (_outer_dep, (_outer, _outer_hold)) = match self.policy {
+            LockPolicy::Coarse => (
+                lockdep::acquire(LockClass::DevsetParent, Mode::Exclusive),
+                contend(
+                    LockClass::DevsetParent,
+                    || self.coarse.try_lock().map(OuterGuard::Coarse),
+                    || OuterGuard::Coarse(self.coarse.lock()),
+                ),
+            ),
+            LockPolicy::Hierarchical => (
+                lockdep::acquire(LockClass::DevsetParent, Mode::Shared),
+                contend(
+                    LockClass::DevsetParent,
+                    || self.rw.try_read().map(OuterGuard::Read),
+                    || OuterGuard::Read(self.rw.read()),
+                ),
+            ),
         };
-        let outer_dep = lockdep::acquire(LockClass::DevsetParent, self.dep_id, outer_mode);
-        let outer = match self.policy {
-            LockPolicy::Coarse => OuterGuard::Coarse(self.coarse.lock()),
-            LockPolicy::Hierarchical => OuterGuard::Read(self.rw.read()),
-        };
-        let child_dep = lockdep::acquire(LockClass::DevsetChild, child.dep_id, Mode::Exclusive);
-        let child = child.mutex.lock();
+        let _child_dep = lockdep::acquire(LockClass::DevsetChild, Mode::Exclusive);
+        let (child, _child_hold) = child.contend();
         ChildGuard {
-            _child_dep: child_dep,
-            _outer_dep: outer_dep,
-            _outer: outer,
+            _child_dep,
+            _outer_dep,
+            _child_hold,
+            _outer_hold,
+            _outer,
             child,
-            stats: &self.stats,
-            wait_ns: t0.elapsed_ns(),
-            acquired: WallStopwatch::start(),
         }
     }
 
@@ -279,23 +264,32 @@ impl<P> ParentChildLock<P> {
     /// Excludes every other operation under either policy.
     #[track_caller]
     pub fn lock_parent(&self) -> ParentGuard<'_, P> {
-        let t0 = WallStopwatch::start();
-        let outer_dep = lockdep::acquire(LockClass::DevsetParent, self.dep_id, Mode::Exclusive);
-        let outer = match self.policy {
-            LockPolicy::Coarse => OuterParentGuard::Coarse(self.coarse.lock()),
-            LockPolicy::Hierarchical => OuterParentGuard::Write(self.rw.write()),
+        let _outer_dep = lockdep::acquire(LockClass::DevsetParent, Mode::Exclusive);
+        let (_outer, _outer_hold) = match self.policy {
+            LockPolicy::Coarse => contend(
+                LockClass::DevsetParent,
+                || self.coarse.try_lock().map(OuterParentGuard::Coarse),
+                || OuterParentGuard::Coarse(self.coarse.lock()),
+            ),
+            LockPolicy::Hierarchical => contend(
+                LockClass::DevsetParent,
+                || self.rw.try_write().map(OuterParentGuard::Write),
+                || OuterParentGuard::Write(self.rw.write()),
+            ),
         };
-        let state_dep =
-            lockdep::acquire(LockClass::DevsetState, self.state_dep_id, Mode::Exclusive);
-        let parent = self.parent_state.lock();
+        let _state_dep = lockdep::acquire(LockClass::DevsetState, Mode::Exclusive);
+        let (parent, _state_hold) = contend(
+            LockClass::DevsetState,
+            || self.parent_state.try_lock(),
+            || self.parent_state.lock(),
+        );
         ParentGuard {
-            _state_dep: state_dep,
-            _outer_dep: outer_dep,
-            _outer: outer,
+            _state_dep,
+            _outer_dep,
+            _state_hold,
+            _outer_hold,
+            _outer,
             parent,
-            stats: &self.stats,
-            wait_ns: t0.elapsed_ns(),
-            acquired: WallStopwatch::start(),
         }
     }
 }

@@ -168,6 +168,26 @@ impl<T: ?Sized> RwLock<T> {
         }
     }
 
+    pub fn try_read(&self) -> Option<RwLockReadGuard<'_, T>> {
+        match self.inner.try_read() {
+            Ok(g) => Some(RwLockReadGuard { inner: g }),
+            Err(std::sync::TryLockError::Poisoned(p)) => Some(RwLockReadGuard {
+                inner: p.into_inner(),
+            }),
+            Err(std::sync::TryLockError::WouldBlock) => None,
+        }
+    }
+
+    pub fn try_write(&self) -> Option<RwLockWriteGuard<'_, T>> {
+        match self.inner.try_write() {
+            Ok(g) => Some(RwLockWriteGuard { inner: g }),
+            Err(std::sync::TryLockError::Poisoned(p)) => Some(RwLockWriteGuard {
+                inner: p.into_inner(),
+            }),
+            Err(std::sync::TryLockError::WouldBlock) => None,
+        }
+    }
+
     pub fn get_mut(&mut self) -> &mut T {
         self.inner.get_mut().unwrap_or_else(PoisonError::into_inner)
     }

@@ -2,9 +2,9 @@
 //!
 //! The unit tests in `fastiov-simtime` exercise the witness mechanics in
 //! isolation; these check the two contracts the repo relies on. Negative:
-//! a deliberately inverted acquisition (child before parent, two fastiovd
-//! shards at once) must produce a report naming *both* acquisition sites,
-//! because a report without the partner site is not actionable. Positive:
+//! a deliberately inverted acquisition (child before parent) must produce
+//! a report naming *both* acquisition sites, because a report without the
+//! partner site is not actionable. Positive:
 //! a full 200-way launch wave under both lock policies — `Coarse` via the
 //! vanilla baseline, `Hierarchical` via FastIOV — must produce none.
 
@@ -57,36 +57,6 @@ fn child_before_parent_reports_both_sites() {
     );
     assert_ne!(r.held_site, r.acquire_site, "{r}");
     assert!(r.detail.contains("child-before-parent"), "{}", r.detail);
-}
-
-#[test]
-fn cross_shard_hold_reports_both_sites() {
-    let _g = fresh();
-    // FastiovdShard is declared `exclusive_peers`: the sharded tier-1
-    // design only stays deadlock-free because no thread ever holds two
-    // shards, so holding a second instance is a violation even though no
-    // ordering cycle exists yet.
-    let shard_a = TrackedRwLock::new(LockClass::FastiovdShard, ());
-    let shard_b = TrackedRwLock::new(LockClass::FastiovdShard, ());
-    let held_a = shard_a.write();
-    let second = shard_b.write();
-    drop(second);
-    drop(held_a);
-
-    let reports = lockdep::reports();
-    let r = reports
-        .iter()
-        .find(|r| r.kind == ReportKind::CrossInstance)
-        .unwrap_or_else(|| panic!("no cross-instance report among {reports:?}"));
-    assert_eq!(r.held_class, LockClass::FastiovdShard);
-    assert_eq!(r.acquired_class, LockClass::FastiovdShard);
-    assert!(r.held_site.contains("tests/lockdep.rs"), "{}", r.held_site);
-    assert!(
-        r.acquire_site.contains("tests/lockdep.rs"),
-        "{}",
-        r.acquire_site
-    );
-    assert_ne!(r.held_site, r.acquire_site, "{r}");
 }
 
 /// One full launch wave at the paper's headline concurrency with the

@@ -1,7 +1,7 @@
-//! Concurrency stress for the sharded DMA hot path: registration, EPT
-//! faults, background scrubbing and teardown racing across many threads,
-//! with the zero-charge accounting and residue invariants checked at the
-//! end (ISSUE 3 satellite).
+//! Concurrency stress for the decoupled-zeroing hot path: registration,
+//! EPT faults, background scrubbing and teardown racing across many
+//! threads, with the zero-charge accounting and residue invariants
+//! checked at the end.
 
 use fastiov_hostmem::{FrameId, MemCosts, PageSize, PhysMemory};
 use fastiov_kvm::EptFaultHook;
@@ -16,8 +16,8 @@ const PAGES_PER_ROUND: usize = 8;
 const TOTAL_FRAMES: usize = (WORKERS as usize) * ROUNDS * PAGES_PER_ROUND;
 
 /// Eight VM threads race register→EPT-fault→unregister against two
-/// scrubber threads across 4 free-list shards and 4 fastiovd tier-1
-/// shards. Frames are freed only after the race so every page has
+/// scrubber threads on one free list and one fastiovd tier-1 table.
+/// Frames are freed only after the race so every page has
 /// exactly one allocation generation, which makes the charge accounting
 /// an equality rather than a bound. Checks:
 ///
@@ -29,10 +29,10 @@ const TOTAL_FRAMES: usize = (WORKERS as usize) * ROUNDS * PAGES_PER_ROUND;
 /// - nothing left tracked after unregister, and every frame returns to
 ///   the free list at the end.
 #[test]
-fn sharded_register_fault_scrub_unregister_race() {
-    let mem = PhysMemory::new_sharded(MemCosts::for_tests(), PageSize::Size2M, TOTAL_FRAMES, 4);
+fn register_fault_scrub_unregister_race() {
+    let mem = PhysMemory::new(MemCosts::for_tests(), PageSize::Size2M, TOTAL_FRAMES);
     let clock = Clock::with_scale(1e-5);
-    let d = Fastiovd::with_shards(clock, Arc::clone(&mem), 4);
+    let d = Fastiovd::new(clock, Arc::clone(&mem));
 
     let stop = Arc::new(AtomicBool::new(false));
     let true_faults = Arc::new(AtomicU64::new(0));
@@ -121,73 +121,4 @@ fn sharded_register_fault_scrub_unregister_race() {
     }
     let ms = mem.stats();
     assert_eq!(ms.free_frames, ms.total_frames, "frames leaked");
-}
-
-/// Work stealing under pressure: shards run dry at different times but
-/// allocation must succeed as long as frames exist anywhere, and every
-/// frame must come home afterwards.
-#[test]
-fn work_stealing_keeps_allocations_alive_across_shards() {
-    // 64 frames, 4 shards of 16 — each worker wants 24, forcing steals.
-    let mem = PhysMemory::new_sharded(MemCosts::for_tests(), PageSize::Size2M, 64, 4);
-    let workers: Vec<_> = (0..8u64)
-        .map(|owner| {
-            let mem = Arc::clone(&mem);
-            std::thread::spawn(move || {
-                for _ in 0..16 {
-                    match mem.alloc_frames(24, owner) {
-                        Ok(ranges) => mem.free_ranges(&ranges, owner).expect("free"),
-                        // Transient exhaustion from racing peers is
-                        // legal; losing frames is not (checked below).
-                        Err(fastiov_hostmem::MemError::OutOfMemory { .. }) => {
-                            std::thread::yield_now();
-                        }
-                        Err(e) => panic!("owner {owner}: {e}"),
-                    }
-                }
-            })
-        })
-        .collect();
-    for w in workers {
-        w.join().expect("worker");
-    }
-    let s = mem.stats();
-    assert_eq!(s.free_frames, s.total_frames);
-    assert!(
-        s.frames_stolen > 0,
-        "24-frame requests on 16-frame shards must steal"
-    );
-}
-
-/// The tier-1 sharding keeps per-PID state isolated even when every
-/// shard is hit from multiple threads at once.
-#[test]
-fn tier1_sharding_is_transparent_under_parallel_registration() {
-    let mem = PhysMemory::new_sharded(MemCosts::for_tests(), PageSize::Size2M, 256, 4);
-    let clock = Clock::with_scale(1e-5);
-    let d = Fastiovd::with_shards(clock, Arc::clone(&mem), 4);
-    let handles: Vec<_> = (0..16u64)
-        .map(|pid| {
-            let mem = Arc::clone(&mem);
-            let d = Arc::clone(&d);
-            std::thread::spawn(move || {
-                let ranges = mem.alloc_frames(4, pid).expect("alloc");
-                assert!(d.register_pages(pid, &ranges));
-                for f in ranges.iter().flat_map(|r| r.iter()) {
-                    assert!(d.is_tracked(pid, mem.hpa_of(f)));
-                }
-                ranges
-            })
-        })
-        .collect();
-    let all: Vec<_> = handles
-        .into_iter()
-        .map(|h| h.join().expect("join"))
-        .collect();
-    assert_eq!(d.stats().tracked, 16 * 4);
-    for (pid, ranges) in all.iter().enumerate() {
-        assert_eq!(d.unregister_vm(pid as u64), 4);
-        mem.free_ranges(ranges, pid as u64).expect("free");
-    }
-    assert_eq!(d.stats().tracked, 0);
 }
