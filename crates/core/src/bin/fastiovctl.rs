@@ -4,7 +4,6 @@
 //! fastiovctl baselines
 //! fastiovctl startup --baseline fastiov --conc 200 [--scale 0.02]
 //!                    [--ram-mb 512] [--image-mb 256]
-//! fastiovctl compare --conc 200            # no-net vs vanilla vs fastiov
 //! fastiovctl app --app image --baseline vanilla --conc 50
 //! fastiovctl pool --capacity 16 --pods 32 [--rate 20] [--scale 0.002]
 //! fastiovctl faults --baseline pool16 --conc 50 [--rate 0.01] [--seed 1]
@@ -12,20 +11,23 @@
 //! fastiovctl trace [--baseline fastiov] [--conc 200] [--out FILE] [--smoke]
 //! fastiovctl lockdep [--baseline NAME] [--conc 200] [--out FILE]
 //!                    [--json FILE] [--smoke]
-//! fastiovctl memperf
+//! fastiovctl reproduce [--only <claim-id-prefix>] [--scale 0.02]
 //! ```
 //!
 //! Failed experiments exit with the stable code of their error class
-//! (see [`fastiov::Error::exit_code`]); `0` always means success.
+//! (see [`fastiov::Error::exit_code`]); `0` always means success. A
+//! malformed flag prints the reason and the usage and exits with `1`.
 
 use fastiov::apps::AppKind;
 use fastiov::engine::cdf_points;
 use fastiov::hostmem::addr::units::mib;
+use fastiov::reproduce;
 use fastiov::{
-    run_app_experiment, run_memperf, run_startup_experiment, Baseline, ExperimentConfig, Table,
+    run_app_experiment, run_startup_experiment, run_wave, Baseline, ExperimentConfig, Table,
 };
 use std::collections::HashMap;
 use std::process::ExitCode;
+use std::str::FromStr;
 
 fn parse_flags(args: &[String]) -> HashMap<String, String> {
     let mut flags = HashMap::new();
@@ -46,28 +48,37 @@ fn parse_flags(args: &[String]) -> HashMap<String, String> {
     flags
 }
 
+/// Baseline names, as `fastiovctl baselines` lists them; `poolN` takes
+/// any capacity.
+const BASELINES: [(&str, Baseline); 14] = [
+    ("no-net", Baseline::NoNet),
+    ("vanilla", Baseline::Vanilla),
+    ("vanilla-orig", Baseline::VanillaOriginal),
+    ("fastiov", Baseline::FastIov),
+    ("fastiov-l", Baseline::FastIovMinusL),
+    ("fastiov-a", Baseline::FastIovMinusA),
+    ("fastiov-s", Baseline::FastIovMinusS),
+    ("fastiov-d", Baseline::FastIovMinusD),
+    ("pre10", Baseline::Prezero(10)),
+    ("pre50", Baseline::Prezero(50)),
+    ("pre100", Baseline::Prezero(100)),
+    ("ipvtap", Baseline::Ipvtap),
+    ("fastiov-vdpa", Baseline::FastIovVdpa),
+    ("pool16", Baseline::WarmPool(16)),
+];
+
 fn baseline_from(name: &str) -> Option<Baseline> {
-    Some(match name.to_ascii_lowercase().as_str() {
-        "no-net" | "nonet" => Baseline::NoNet,
-        "vanilla" => Baseline::Vanilla,
-        "vanilla-orig" | "original" => Baseline::VanillaOriginal,
-        "fastiov" => Baseline::FastIov,
-        "fastiov-l" => Baseline::FastIovMinusL,
-        "fastiov-a" => Baseline::FastIovMinusA,
-        "fastiov-s" => Baseline::FastIovMinusS,
-        "fastiov-d" => Baseline::FastIovMinusD,
-        "pre10" => Baseline::Prezero(10),
-        "pre50" => Baseline::Prezero(50),
-        "pre100" => Baseline::Prezero(100),
-        "ipvtap" => Baseline::Ipvtap,
-        "fastiov-vdpa" | "vdpa" => Baseline::FastIovVdpa,
-        name => {
-            if let Some(n) = name.strip_prefix("pool") {
-                return n.parse().ok().map(Baseline::WarmPool);
-            }
-            return None;
-        }
-    })
+    let name = name.to_ascii_lowercase();
+    let name = match name.as_str() {
+        "nonet" => "no-net",
+        "original" => "vanilla-orig",
+        "vdpa" => "fastiov-vdpa",
+        n => n,
+    };
+    if let Some(n) = name.strip_prefix("pool") {
+        return n.parse().ok().map(Baseline::WarmPool);
+    }
+    BASELINES.iter().find(|(n, _)| *n == name).map(|&(_, b)| b)
 }
 
 /// The `--baseline` flag, or `default` without one. An unknown name is
@@ -84,34 +95,45 @@ fn baseline_or(flags: &HashMap<String, String>, default: Baseline) -> Option<Bas
 }
 
 fn app_from(name: &str) -> Option<AppKind> {
-    Some(match name.to_ascii_lowercase().as_str() {
-        "image" => AppKind::Image,
-        "compression" => AppKind::Compression,
-        "scientific" => AppKind::Scientific,
-        "inference" => AppKind::Inference,
-        _ => return None,
-    })
+    AppKind::ALL
+        .into_iter()
+        .find(|a| a.name().eq_ignore_ascii_case(name))
+}
+
+/// Reports a malformed flag with the usage and exits with `1`.
+fn bad_flag(name: &str, reason: impl std::fmt::Display) -> ! {
+    eprintln!("--{name}: {reason}");
+    let _ = usage();
+    std::process::exit(1)
+}
+
+/// The value of `--<name>`, or `default` without the flag.
+fn flag<T: FromStr>(flags: &HashMap<String, String>, name: &str, default: T) -> T
+where
+    T::Err: std::fmt::Display,
+{
+    match flags.get(name) {
+        None => default,
+        Some(v) => v
+            .parse()
+            .unwrap_or_else(|e| bad_flag(name, format!("{v:?}: {e}"))),
+    }
+}
+
+/// `--scale`: real seconds per simulated second, finite and positive.
+fn scale(flags: &HashMap<String, String>) -> f64 {
+    let scale: f64 = flag(flags, "scale", reproduce::DEFAULT_SCALE);
+    if !(scale.is_finite() && scale > 0.0) {
+        bad_flag("scale", format!("{scale} is not a finite positive number"));
+    }
+    scale
 }
 
 fn config(flags: &HashMap<String, String>, baseline: Baseline) -> ExperimentConfig {
-    let conc: u32 = flags
-        .get("conc")
-        .map(|v| v.parse().expect("--conc takes an integer"))
-        .unwrap_or(50);
-    let scale: f64 = flags
-        .get("scale")
-        .map(|v| v.parse().expect("--scale takes a float"))
-        .unwrap_or(0.02);
-    let mut cfg = ExperimentConfig::paper_scaled(baseline, conc, scale);
-    if let Some(ram) = flags.get("ram-mb") {
-        cfg.ram_bytes = mib(ram.parse().expect("--ram-mb takes an integer"));
-    }
-    if let Some(image) = flags.get("image-mb") {
-        cfg.image_bytes = mib(image.parse().expect("--image-mb takes an integer"));
-    }
-    if let Some(vcpus) = flags.get("vcpus") {
-        cfg.vcpus = vcpus.parse().expect("--vcpus takes a float");
-    }
+    let mut cfg = ExperimentConfig::paper_scaled(baseline, flag(flags, "conc", 50), scale(flags));
+    cfg.ram_bytes = mib(flag(flags, "ram-mb", 512));
+    cfg.image_bytes = mib(flag(flags, "image-mb", 256));
+    cfg.vcpus = flag(flags, "vcpus", cfg.vcpus);
     cfg
 }
 
@@ -168,15 +190,14 @@ fn print_startup(cfg: &ExperimentConfig, cdf: bool) -> ExitCode {
 fn usage() -> ExitCode {
     eprintln!(
         "usage:\n  fastiovctl baselines\n  fastiovctl startup --baseline <name> [--conc N] \
-         [--scale F] [--ram-mb M] [--image-mb M] [--cdf]\n  fastiovctl compare [--conc N] \
-         [--scale F]\n  fastiovctl app --app <image|compression|scientific|inference> \
-         --baseline <name> [--conc N]\n  fastiovctl pool [--capacity N] [--pods N] \
+         [--scale F] [--ram-mb M] [--image-mb M] [--cdf]\n  fastiovctl app \
+         --app <image|compression|scientific|inference> --baseline <name> [--conc N]\n  fastiovctl pool [--capacity N] [--pods N] \
          [--rate F] [--hold-ms M] [--scale F]\n  fastiovctl faults [--baseline <name>] \
          [--conc N] [--rate F] [--seed N] [--scale F]\n  fastiovctl contention \
          [--baseline <name>] [--conc N] [--scale F]\n  fastiovctl trace \
          [--baseline <name>] [--conc N] [--out FILE] [--scale F] [--smoke]\n  \
          fastiovctl lockdep [--baseline <name>] [--conc N] [--out FILE] [--json FILE] \
-         [--scale F] [--smoke]\n  fastiovctl memperf [--scale F]"
+         [--scale F] [--smoke]\n  fastiovctl reproduce [--only <claim-id-prefix>] [--scale F]"
     );
     ExitCode::FAILURE
 }
@@ -190,22 +211,7 @@ fn main() -> ExitCode {
     match cmd.as_str() {
         "baselines" => {
             let mut t = Table::new(vec!["name", "label"]);
-            for (name, b) in [
-                ("no-net", Baseline::NoNet),
-                ("vanilla", Baseline::Vanilla),
-                ("vanilla-orig", Baseline::VanillaOriginal),
-                ("fastiov", Baseline::FastIov),
-                ("fastiov-l", Baseline::FastIovMinusL),
-                ("fastiov-a", Baseline::FastIovMinusA),
-                ("fastiov-s", Baseline::FastIovMinusS),
-                ("fastiov-d", Baseline::FastIovMinusD),
-                ("pre10", Baseline::Prezero(10)),
-                ("pre50", Baseline::Prezero(50)),
-                ("pre100", Baseline::Prezero(100)),
-                ("ipvtap", Baseline::Ipvtap),
-                ("fastiov-vdpa", Baseline::FastIovVdpa),
-                ("pool16", Baseline::WarmPool(16)),
-            ] {
+            for (name, b) in BASELINES {
                 t.row(vec![name.to_string(), b.label()]);
             }
             println!("{}", t.render());
@@ -217,23 +223,6 @@ fn main() -> ExitCode {
                 return ExitCode::FAILURE;
             };
             print_startup(&config(&flags, b), flags.contains_key("cdf"))
-        }
-        "compare" => {
-            let mut t = Table::new(vec!["baseline", "avg (s)", "p99 (s)", "vf-related (s)"]);
-            for b in [Baseline::NoNet, Baseline::Vanilla, Baseline::FastIov] {
-                let run = match run_startup_experiment(&config(&flags, b)) {
-                    Ok(run) => run,
-                    Err(e) => return fail(&e),
-                };
-                t.row(vec![
-                    run.baseline.label(),
-                    format!("{:.2}", run.total.mean_secs()),
-                    format!("{:.2}", run.total.p99_secs()),
-                    format!("{:.2}", run.vf_related.mean_secs()),
-                ]);
-            }
-            println!("{}", t.render());
-            ExitCode::SUCCESS
         }
         "app" => {
             let Some(b) = flags.get("baseline").and_then(|n| baseline_from(n)) else {
@@ -259,22 +248,10 @@ fn main() -> ExitCode {
             ExitCode::SUCCESS
         }
         "pool" => {
-            let capacity: u16 = flags
-                .get("capacity")
-                .map(|v| v.parse().expect("--capacity takes an integer"))
-                .unwrap_or(16);
-            let pods: u32 = flags
-                .get("pods")
-                .map(|v| v.parse().expect("--pods takes an integer"))
-                .unwrap_or(2 * u32::from(capacity));
-            let rate: f64 = flags
-                .get("rate")
-                .map(|v| v.parse().expect("--rate takes a float"))
-                .unwrap_or(20.0);
-            let hold_ms: u64 = flags
-                .get("hold-ms")
-                .map(|v| v.parse().expect("--hold-ms takes an integer"))
-                .unwrap_or(500);
+            let capacity: u16 = flag(&flags, "capacity", 16);
+            let pods: u32 = flag(&flags, "pods", 2 * u32::from(capacity));
+            let rate: f64 = flag(&flags, "rate", 20.0);
+            let hold_ms: u64 = flag(&flags, "hold-ms", 500);
             let mut cfg = config(&flags, Baseline::WarmPool(capacity));
             if !flags.contains_key("scale") {
                 // Sustained runs sleep through pod lifetimes too; default
@@ -335,29 +312,15 @@ fn main() -> ExitCode {
             let Some(b) = baseline_or(&flags, Baseline::FastIov) else {
                 return ExitCode::FAILURE;
             };
-            let rate: f64 = flags
-                .get("rate")
-                .map(|v| v.parse().expect("--rate takes a float"))
-                .unwrap_or(0.01);
-            let seed: u64 = flags
-                .get("seed")
-                .map(|v| v.parse().expect("--seed takes an integer"))
-                .unwrap_or(1);
+            let rate: f64 = flag(&flags, "rate", 0.01);
+            let seed: u64 = flag(&flags, "seed", 1);
             let mut cfg = config(&flags, b);
             cfg.faults = fastiov::faults::FaultConfig::uniform(seed, rate);
             cfg.pool_watermark = Some(0);
-            let (host, engine) = match cfg.build() {
-                Ok(built) => built,
+            let (host, summary) = match run_wave(&cfg, |_| {}) {
+                Ok(done) => done,
                 Err(e) => return fail(&e),
             };
-            let outcome = engine.launch_concurrent(cfg.concurrency);
-            for pod in outcome.pods.iter().flatten() {
-                let _ = engine.teardown_pod(pod);
-            }
-            if let Some(pool) = engine.pool() {
-                pool.wait_idle();
-            }
-            let summary = &outcome.summary;
             println!(
                 "baseline {}  seed {seed}  per-site rate {rate}\n\
                  launched {}/{}  failure classes: {}",
@@ -402,23 +365,11 @@ fn main() -> ExitCode {
                 return ExitCode::FAILURE;
             };
             let cfg = config(&flags, b);
-            let (_host, engine) = match cfg.build() {
-                Ok(built) => built,
+            let summary = match run_wave(&cfg, |_| {}) {
+                Ok((_, summary)) => summary,
                 Err(e) => return fail(&e),
             };
-            let outcome = engine.launch_concurrent(cfg.concurrency);
-            for pod in outcome.pods.iter().flatten() {
-                let _ = engine.teardown_pod(pod);
-            }
-            if let Some(pool) = engine.pool() {
-                pool.wait_idle();
-            }
-            println!(
-                "{} at conc {}: {}",
-                b.label(),
-                cfg.concurrency,
-                outcome.summary
-            );
+            println!("{} at conc {}: {summary}", b.label(), cfg.concurrency);
             let mut t = Table::new(vec![
                 "lock class",
                 "wait (ms)",
@@ -460,21 +411,13 @@ fn main() -> ExitCode {
                 // wave; --smoke shrinks it so CI can afford the run.
                 cfg.concurrency = if smoke { 8 } else { 200 };
             }
-            let (host, engine) = match cfg.build() {
-                Ok(built) => built,
-                Err(e) => return fail(&e),
-            };
             // Must happen before the wave: spans are only recorded while
             // the tracer is enabled, and it starts disabled so untraced
             // runs pay a single atomic load per would-be span.
-            host.tracer.enable();
-            let outcome = engine.launch_concurrent(cfg.concurrency);
-            for pod in outcome.pods.iter().flatten() {
-                let _ = engine.teardown_pod(pod);
-            }
-            if let Some(pool) = engine.pool() {
-                pool.wait_idle();
-            }
+            let (host, summary) = match run_wave(&cfg, |host| host.tracer.enable()) {
+                Ok(done) => done,
+                Err(e) => return fail(&e),
+            };
             let out = flags
                 .get("out")
                 .cloned()
@@ -489,7 +432,7 @@ fn main() -> ExitCode {
                 "{} at conc {}: {}\n{} spans -> {} (load in chrome://tracing or ui.perfetto.dev)",
                 b.label(),
                 cfg.concurrency,
-                outcome.summary,
+                summary,
                 spans.len(),
                 out,
             );
@@ -509,7 +452,7 @@ fn main() -> ExitCode {
                 "wall mean (ms)",
             ]);
             let mut worst: f64 = 0.0;
-            for (stage, s) in &outcome.summary.stage_percentiles {
+            for (stage, s) in &summary.stage_percentiles {
                 let mut per_vm: HashMap<u64, (std::time::Duration, std::time::Duration)> =
                     HashMap::new();
                 for sp in spans.iter().filter(|sp| sp.vm != 0 && sp.name == *stage) {
@@ -549,7 +492,7 @@ fn main() -> ExitCode {
             println!(
                 "trace/summary reconciliation: max divergence {:.4}% over {} stages",
                 worst * 100.0,
-                outcome.summary.stage_percentiles.len(),
+                summary.stage_percentiles.len(),
             );
             if worst > 0.01 {
                 eprintln!("fastiovctl: trace disagrees with stage summary by more than 1%");
@@ -581,23 +524,11 @@ fn main() -> ExitCode {
                     // CI lint lane can afford the run.
                     cfg.concurrency = if smoke { 8 } else { 200 };
                 }
-                let (_host, engine) = match cfg.build() {
-                    Ok(built) => built,
+                let summary = match run_wave(&cfg, |_| {}) {
+                    Ok((_, summary)) => summary,
                     Err(e) => return fail(&e),
                 };
-                let outcome = engine.launch_concurrent(cfg.concurrency);
-                for pod in outcome.pods.iter().flatten() {
-                    let _ = engine.teardown_pod(pod);
-                }
-                if let Some(pool) = engine.pool() {
-                    pool.wait_idle();
-                }
-                println!(
-                    "{} at conc {}: {}",
-                    b.label(),
-                    cfg.concurrency,
-                    outcome.summary
-                );
+                println!("{} at conc {}: {summary}", b.label(), cfg.concurrency);
             }
             let out = flags
                 .get("out")
@@ -632,26 +563,54 @@ fn main() -> ExitCode {
                 ExitCode::FAILURE
             }
         }
-        "memperf" => {
-            let base = config(&flags, Baseline::Vanilla);
-            let sweep = mib(32);
-            for b in [Baseline::Vanilla, Baseline::FastIov] {
-                let r = match run_memperf(b, &base, sweep, 3, 5_000) {
-                    Ok(r) => r,
-                    Err(e) => return fail(&e),
-                };
-                println!(
-                    "{:<8} cold {:>7.2}ms steady {:>7.2}ms random {:>6.3}ms (faults {}, lazily zeroed {})",
-                    r.baseline.label(),
-                    r.cold_sweep.as_secs_f64() * 1e3,
-                    r.steady_sweep.as_secs_f64() * 1e3,
-                    r.random_reads.as_secs_f64() * 1e3,
-                    r.ept_faults,
-                    r.lazily_zeroed,
-                );
-            }
-            ExitCode::SUCCESS
-        }
+        "reproduce" => reproduce_cmd(flags.get("only").map_or("", String::as_str), scale(&flags)),
         _ => usage(),
     }
+}
+
+/// Runs the claims under `only`, merges their records into `RESULTS.json`
+/// (or rewrites it without `--only`), re-renders the `EXPERIMENTS.md`
+/// blocks from it, and fails on any ❌. Both files are read from and
+/// written to the current directory.
+fn reproduce_cmd(only: &str, scale: f64) -> ExitCode {
+    let t0 = fastiov::simtime::WallStopwatch::start();
+    let fresh = match reproduce::reproduce(only, scale) {
+        Ok(records) => records,
+        Err(fastiov::Error::Empty) => {
+            eprintln!("fastiovctl: no claim id starts with {only:?}");
+            return ExitCode::FAILURE;
+        }
+        Err(e) => return fail(&e),
+    };
+    let old = match only {
+        "" => String::new(),
+        _ => std::fs::read_to_string("RESULTS.json").unwrap_or_default(),
+    };
+    let results = reproduce::merge_results(&old, &fresh);
+    let md = match std::fs::read_to_string("EXPERIMENTS.md") {
+        Ok(md) => md,
+        Err(e) => {
+            eprintln!("fastiovctl: cannot read EXPERIMENTS.md (run from the repo root): {e}");
+            return ExitCode::FAILURE;
+        }
+    };
+    let md = reproduce::render_blocks(&md, &reproduce::parse_results(&results));
+    for (path, body) in [("RESULTS.json", &results), ("EXPERIMENTS.md", &md)] {
+        if let Err(e) = std::fs::write(path, body) {
+            eprintln!("fastiovctl: cannot write {path}: {e}");
+            return ExitCode::FAILURE;
+        }
+    }
+    let mut figures: Vec<&str> = fresh.iter().map(|r| r.figure.as_str()).collect();
+    figures.dedup();
+    for figure in figures {
+        println!("{figure}\n{}", reproduce::render_table(&fresh, figure));
+    }
+    let failed = fresh.iter().filter(|r| r.status == "❌").count();
+    println!(
+        "{} claims ({failed} failed) at scale {scale} in {:.0}s -> RESULTS.json, EXPERIMENTS.md",
+        fresh.len(),
+        t0.elapsed().as_secs_f64()
+    );
+    ExitCode::from(u8::from(failed > 0))
 }

@@ -3,7 +3,7 @@
 use crate::baseline::Baseline;
 use crate::{Error, Result};
 use fastiov_apps::{run_serverless_task, AppKind, StorageServer, TaskResult};
-use fastiov_engine::{Engine, EngineParams, StartupReport, Summary};
+use fastiov_engine::{Engine, EngineParams, LaunchSummary, StartupReport, Summary};
 use fastiov_faults::FaultConfig;
 use fastiov_hostmem::addr::units::mib;
 use fastiov_microvm::{stages, Host, HostParams};
@@ -160,23 +160,6 @@ impl StartupRunResult {
                 .unwrap_or(0.0)
         }
     }
-
-    /// Share of a stage in the p99-tail container's time (Tab. 1 right
-    /// column): computed over the slowest percentile of containers.
-    pub fn stage_share_p99(&self, stage: &str) -> f64 {
-        let mut by_total: Vec<&StartupReport> = self.reports.iter().collect();
-        by_total.sort_by_key(|r| r.total);
-        let tail = &by_total[(by_total.len() * 99 / 100).min(by_total.len() - 1)..];
-        let total: f64 = tail.iter().map(|r| r.total.as_secs_f64()).sum();
-        if total == 0.0 {
-            return 0.0;
-        }
-        let stage_sum: f64 = tail
-            .iter()
-            .map(|r| r.stage_total(stage).as_secs_f64())
-            .sum();
-        stage_sum / total
-    }
 }
 
 /// Runs one startup experiment: builds a fresh host, launches
@@ -189,6 +172,25 @@ pub fn run_startup_experiment(cfg: &ExperimentConfig) -> Result<StartupRunResult
         .collect::<std::result::Result<_, _>>()
         .map_err(Error::Startup)?;
     summarize(cfg.baseline, reports)
+}
+
+/// Runs one launch wave on a fresh host: `prepare` sees the host first,
+/// every started pod is torn down, and the warm pool (if any) is drained
+/// before returning the host and the wave's summary.
+pub fn run_wave(
+    cfg: &ExperimentConfig,
+    prepare: impl FnOnce(&Host),
+) -> Result<(Arc<Host>, LaunchSummary)> {
+    let (host, engine) = cfg.build()?;
+    prepare(&host);
+    let outcome = engine.launch_concurrent(cfg.concurrency);
+    for pod in outcome.pods.iter().flatten() {
+        let _ = engine.teardown_pod(pod);
+    }
+    if let Some(pool) = engine.pool() {
+        pool.wait_idle();
+    }
+    Ok((host, outcome.summary))
 }
 
 /// Builds the result summary from raw reports.
@@ -233,13 +235,6 @@ pub struct AppRunResult {
     pub tasks: Vec<TaskResult>,
     /// Task completion time summary.
     pub completion: Summary,
-}
-
-impl AppRunResult {
-    /// All completion durations (CDF plotting).
-    pub fn completions(&self) -> Vec<Duration> {
-        self.tasks.iter().map(|t| t.completion).collect()
-    }
 }
 
 /// Runs one serverless application experiment: `concurrency` tasks of

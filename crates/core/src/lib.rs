@@ -38,13 +38,15 @@ pub mod baseline;
 pub mod experiment;
 pub mod memperf;
 pub mod report;
+pub mod reproduce;
 
 pub use baseline::Baseline;
 pub use experiment::{
-    run_app_experiment, run_startup_experiment, AppRunResult, ExperimentConfig, StartupRunResult,
+    run_app_experiment, run_startup_experiment, run_wave, AppRunResult, ExperimentConfig,
+    StartupRunResult,
 };
 pub use memperf::{run_memperf, MemPerfResult};
-pub use report::{format_table, fraction_pct, render_gantt, GanttRow, Table};
+pub use report::{format_table, Table};
 
 // Re-export the building blocks for downstream users.
 pub use fastiov_apps as apps;

@@ -1,4 +1,4 @@
-//! Plain-text table formatting for the benchmark harness output.
+//! Plain-text table formatting for `fastiovctl` output.
 
 /// A simple aligned text table.
 #[derive(Debug, Clone, Default)]
@@ -24,31 +24,9 @@ impl Table {
         self
     }
 
-    /// Number of data rows.
-    pub fn len(&self) -> usize {
-        self.rows.len()
-    }
-
-    /// True if the table has no data rows.
-    pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
-    }
-
     /// Renders the table.
     pub fn render(&self) -> String {
         format_table(&self.headers, &self.rows)
-    }
-
-    /// Renders as CSV (for EXPERIMENTS.md ingestion).
-    pub fn to_csv(&self) -> String {
-        let mut out = String::new();
-        out.push_str(&self.headers.join(","));
-        out.push('\n');
-        for row in &self.rows {
-            out.push_str(&row.join(","));
-            out.push('\n');
-        }
-        out
     }
 }
 
@@ -83,61 +61,6 @@ pub fn format_table(headers: &[String], rows: &[Vec<String>]) -> String {
     out
 }
 
-/// Formats a fraction as a percentage string ("65.7%").
-pub fn fraction_pct(f: f64) -> String {
-    format!("{:.1}%", f * 100.0)
-}
-
-/// One Gantt lane: a label plus `(stage_marker, start_s, end_s)`
-/// intervals.
-pub type GanttRow = (String, Vec<(char, f64, f64)>);
-
-/// Renders per-container stage timelines as an ASCII Gantt chart
-/// (a terminal rendition of the paper's Fig. 5).
-///
-/// `rows` holds, per container, `(label, intervals)` where each interval
-/// is `(stage_marker, start_s, end_s)`. Stages are drawn with their
-/// marker character; overlaps resolve to the later interval.
-pub fn render_gantt(rows: &[GanttRow], width: usize) -> String {
-    let max_end = rows
-        .iter()
-        .flat_map(|(_, iv)| iv.iter().map(|&(_, _, e)| e))
-        .fold(0.0f64, f64::max);
-    if max_end <= 0.0 || rows.is_empty() {
-        return String::new();
-    }
-    let label_w = rows.iter().map(|(l, _)| l.len()).max().unwrap_or(0);
-    let scale = width as f64 / max_end;
-    let mut out = String::new();
-    for (label, intervals) in rows {
-        let mut lane = vec![' '; width];
-        for &(marker, start, end) in intervals {
-            let a = ((start * scale) as usize).min(width.saturating_sub(1));
-            let b = ((end * scale).ceil() as usize).clamp(a + 1, width);
-            for cell in &mut lane[a..b] {
-                *cell = marker;
-            }
-        }
-        out.push_str(&format!("{label:>label_w$} |"));
-        out.extend(lane);
-        out.push('\n');
-    }
-    out.push_str(&format!(
-        "{:>label_w$} +{}\n{:>label_w$}  0{:>w$.1}s\n",
-        "",
-        "-".repeat(width),
-        "",
-        max_end,
-        w = width - 1,
-    ));
-    out
-}
-
-/// Formats simulated seconds ("16.21s").
-pub fn secs(d: std::time::Duration) -> String {
-    format!("{:.2}s", d.as_secs_f64())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -152,14 +75,6 @@ mod tests {
         assert_eq!(lines.len(), 4);
         assert!(lines[0].starts_with("name"));
         assert!(lines[3].starts_with("longer-name"));
-        assert_eq!(t.len(), 2);
-    }
-
-    #[test]
-    fn csv_output() {
-        let mut t = Table::new(vec!["a", "b"]);
-        t.row(vec!["1", "2"]);
-        assert_eq!(t.to_csv(), "a,b\n1,2\n");
     }
 
     #[test]
@@ -167,33 +82,5 @@ mod tests {
         let mut t = Table::new(vec!["a", "b", "c"]);
         t.row(vec!["only-one"]);
         assert!(t.render().contains("only-one"));
-    }
-
-    #[test]
-    fn helpers() {
-        assert_eq!(fraction_pct(0.657), "65.7%");
-        assert_eq!(secs(std::time::Duration::from_millis(16210)), "16.21s");
-    }
-
-    #[test]
-    fn gantt_renders_lanes_and_axis() {
-        let rows = vec![
-            ("c0".to_string(), vec![('a', 0.0, 1.0), ('b', 1.0, 2.0)]),
-            ("c1".to_string(), vec![('b', 0.5, 2.0)]),
-        ];
-        let g = render_gantt(&rows, 20);
-        let lines: Vec<&str> = g.lines().collect();
-        assert_eq!(lines.len(), 4);
-        assert!(lines[0].starts_with("c0 |"));
-        // First half of c0's lane is 'a', second half 'b'.
-        assert!(lines[0].contains('a') && lines[0].contains('b'));
-        assert!(lines[1].contains('b') && !lines[1].contains('a'));
-        assert!(lines[2].contains("----"));
-        assert!(lines[3].contains("2.0s"));
-    }
-
-    #[test]
-    fn gantt_empty_input_is_empty() {
-        assert!(render_gantt(&[], 40).is_empty());
     }
 }

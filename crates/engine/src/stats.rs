@@ -52,27 +52,6 @@ impl Summary {
     pub fn p99_secs(&self) -> f64 {
         self.p99.as_secs_f64()
     }
-
-    /// Relative reduction of this summary's mean versus `baseline`'s
-    /// (`0.65` = 65 % faster).
-    pub fn mean_reduction_vs(&self, baseline: &Summary) -> f64 {
-        let b = baseline.mean.as_secs_f64();
-        if b == 0.0 {
-            0.0
-        } else {
-            1.0 - self.mean.as_secs_f64() / b
-        }
-    }
-
-    /// Relative reduction of this summary's p99 versus `baseline`'s.
-    pub fn p99_reduction_vs(&self, baseline: &Summary) -> f64 {
-        let b = baseline.p99.as_secs_f64();
-        if b == 0.0 {
-            0.0
-        } else {
-            1.0 - self.p99.as_secs_f64() / b
-        }
-    }
 }
 
 /// Nearest-rank percentile of an already-sorted sample.
@@ -131,14 +110,6 @@ mod tests {
         assert_eq!(percentile(&sorted, 0.5), Duration::from_millis(5));
         assert_eq!(percentile(&sorted, 0.99), Duration::from_millis(10));
         assert_eq!(percentile(&sorted, 1.0), Duration::from_millis(10));
-    }
-
-    #[test]
-    fn reductions() {
-        let fast = Summary::from_durations(&ms(&[10, 10])).unwrap();
-        let slow = Summary::from_durations(&ms(&[40, 40])).unwrap();
-        assert!((fast.mean_reduction_vs(&slow) - 0.75).abs() < 1e-9);
-        assert!((fast.p99_reduction_vs(&slow) - 0.75).abs() < 1e-9);
     }
 
     #[test]

@@ -6,8 +6,8 @@
 //! E810 with 256 VFs) and measured proportions (Tab. 1 at concurrency
 //! 200): each field's comment states what it was fitted to. Absolute
 //! times are model-scale; the reproduction target is the *shape* of every
-//! figure (orderings, ratios, crossovers), which `fastiov-bench`
-//! verifies.
+//! figure (orderings, ratios, crossovers), which the claim table of
+//! `fastiov::reproduce` checks (`fastiovctl reproduce`).
 
 use fastiov_hostmem::addr::units::{gib, mib};
 use fastiov_hostmem::PageSize;
@@ -146,7 +146,8 @@ pub struct HostParams {
 impl HostParams {
     /// Paper-calibrated parameters at the default experiment time scale
     /// (1 simulated second = 20 real ms, the scale the calibration pass
-    /// was run at; see `fastiov-bench`'s `calibrate` binary).
+    /// was run at; the `calibrate.*` and `tab1.*` claims of
+    /// `fastiovctl reproduce` check the targets).
     pub fn paper() -> Self {
         HostParams {
             time_scale: 0.02,
