@@ -366,7 +366,7 @@ mod tests {
         let plugin = SriovCniFixed::new(Arc::clone(&vfs) as Arc<dyn VfProvider>);
         let spec = PodNetSpec { pid: 1, index: 0 };
         let nns = registry.create(1);
-        let mut log = StageLog::begin(host.clock.clone());
+        let mut log = StageLog::begin(&host.tracer);
         let r = plugin
             .setup(&host, &spec, &nns, &registry, &mut log)
             .unwrap();
@@ -402,7 +402,7 @@ mod tests {
         let plugin = SriovCniOriginal::new(vfs);
         let spec = PodNetSpec { pid: 2, index: 1 };
         let nns = registry.create(2);
-        let mut log = StageLog::begin(host.clock.clone());
+        let mut log = StageLog::begin(&host.tracer);
         let r = plugin
             .setup(&host, &spec, &nns, &registry, &mut log)
             .unwrap();
@@ -428,7 +428,7 @@ mod tests {
         let plugin = IpvtapCni::new(CniParams::paper());
         let spec = PodNetSpec { pid: 3, index: 7 };
         let nns = registry.create(3);
-        let mut log = StageLog::begin(host.clock.clone());
+        let mut log = StageLog::begin(&host.tracer);
         let r = plugin
             .setup(&host, &spec, &nns, &registry, &mut log)
             .unwrap();

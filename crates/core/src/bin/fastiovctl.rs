@@ -7,10 +7,8 @@
 //! fastiovctl app --app image --baseline vanilla --conc 50
 //! fastiovctl pool --capacity 16 --pods 32 [--rate 20] [--scale 0.002]
 //! fastiovctl faults --baseline pool16 --conc 50 [--rate 0.01] [--seed 1]
-//! fastiovctl contention --conc 50 [--baseline fastiov]
-//! fastiovctl trace [--baseline fastiov] [--conc 200] [--out FILE] [--smoke]
-//! fastiovctl lockdep [--baseline NAME] [--conc 200] [--out FILE]
-//!                    [--json FILE] [--smoke]
+//! fastiovctl observe [--baseline fastiov] [--conc 200] [--scale 0.02] [--smoke]
+//!                    [--out observe/]
 //! fastiovctl reproduce [--only <claim-id-prefix>] [--scale 0.02]
 //! ```
 //!
@@ -81,11 +79,14 @@ fn baseline_from(name: &str) -> Option<Baseline> {
     BASELINES.iter().find(|(n, _)| *n == name).map(|&(_, b)| b)
 }
 
-/// The `--baseline` flag, or `default` without one. An unknown name is
-/// reported and yields `None`.
-fn baseline_or(flags: &HashMap<String, String>, default: Baseline) -> Option<Baseline> {
+/// The `--baseline` flag, or `default` without one. An unknown name, or
+/// a missing flag without a default, is reported and yields `None`.
+fn baseline_or(flags: &HashMap<String, String>, default: Option<Baseline>) -> Option<Baseline> {
     let Some(name) = flags.get("baseline") else {
-        return Some(default);
+        if default.is_none() {
+            eprintln!("--baseline required (see `fastiovctl baselines`)");
+        }
+        return default;
     };
     let b = baseline_from(name);
     if b.is_none() {
@@ -193,11 +194,8 @@ fn usage() -> ExitCode {
          [--scale F] [--ram-mb M] [--image-mb M] [--cdf]\n  fastiovctl app \
          --app <image|compression|scientific|inference> --baseline <name> [--conc N]\n  fastiovctl pool [--capacity N] [--pods N] \
          [--rate F] [--hold-ms M] [--scale F]\n  fastiovctl faults [--baseline <name>] \
-         [--conc N] [--rate F] [--seed N] [--scale F]\n  fastiovctl contention \
-         [--baseline <name>] [--conc N] [--scale F]\n  fastiovctl trace \
-         [--baseline <name>] [--conc N] [--out FILE] [--scale F] [--smoke]\n  \
-         fastiovctl lockdep [--baseline <name>] [--conc N] [--out FILE] [--json FILE] \
-         [--scale F] [--smoke]\n  fastiovctl reproduce [--only <claim-id-prefix>] [--scale F]"
+         [--conc N] [--rate F] [--seed N] [--scale F]\n  fastiovctl observe \
+         [--baseline <name>] [--conc N] [--scale F] [--smoke] [--out DIR]\n  fastiovctl reproduce [--only <claim-id-prefix>] [--scale F]"
     );
     ExitCode::FAILURE
 }
@@ -218,15 +216,13 @@ fn main() -> ExitCode {
             ExitCode::SUCCESS
         }
         "startup" => {
-            let Some(b) = flags.get("baseline").and_then(|n| baseline_from(n)) else {
-                eprintln!("--baseline required (see `fastiovctl baselines`)");
+            let Some(b) = baseline_or(&flags, None) else {
                 return ExitCode::FAILURE;
             };
             print_startup(&config(&flags, b), flags.contains_key("cdf"))
         }
         "app" => {
-            let Some(b) = flags.get("baseline").and_then(|n| baseline_from(n)) else {
-                eprintln!("--baseline required");
+            let Some(b) = baseline_or(&flags, None) else {
                 return ExitCode::FAILURE;
             };
             let Some(app) = flags.get("app").and_then(|n| app_from(n)) else {
@@ -309,7 +305,7 @@ fn main() -> ExitCode {
             ExitCode::SUCCESS
         }
         "faults" => {
-            let Some(b) = baseline_or(&flags, Baseline::FastIov) else {
+            let Some(b) = baseline_or(&flags, Some(Baseline::FastIov)) else {
                 return ExitCode::FAILURE;
             };
             let rate: f64 = flag(&flags, "rate", 0.01);
@@ -359,213 +355,166 @@ fn main() -> ExitCode {
             println!("{}", t.render());
             ExitCode::SUCCESS
         }
-        "contention" => {
-            use fastiov::simtime::LockClass;
-            let Some(b) = baseline_or(&flags, Baseline::FastIov) else {
-                return ExitCode::FAILURE;
-            };
-            let cfg = config(&flags, b);
-            let summary = match run_wave(&cfg, |_| {}) {
-                Ok((_, summary)) => summary,
-                Err(e) => return fail(&e),
-            };
-            println!("{} at conc {}: {summary}", b.label(), cfg.concurrency);
-            let mut t = Table::new(vec![
-                "lock class",
-                "wait (ms)",
-                "hold (ms)",
-                "acquisitions",
-                "contended",
-                "mean wait (us)",
-            ]);
-            // Real (wall-clock) time since process start, host boot
-            // included: a relative ranking of which lock class threads
-            // queued on, not a simulated-cost figure.
-            let mut classes: Vec<(LockClass, _)> = LockClass::ALL
-                .iter()
-                .map(|&c| (c, c.stats()))
-                .filter(|(_, s)| s.acquisitions > 0)
-                .collect();
-            classes.sort_by_key(|(_, s)| std::cmp::Reverse(s.wait_ns));
-            for (class, s) in classes {
-                t.row(vec![
-                    class.name().to_string(),
-                    format!("{:.2}", s.wait_ns as f64 / 1e6),
-                    format!("{:.2}", s.hold_ns as f64 / 1e6),
-                    s.acquisitions.to_string(),
-                    s.contended.to_string(),
-                    format!("{:.1}", s.mean_wait_ns() / 1e3),
-                ]);
-            }
-            println!("{}", t.render());
-            ExitCode::SUCCESS
-        }
-        "trace" => {
-            let Some(b) = baseline_or(&flags, Baseline::FastIov) else {
-                return ExitCode::FAILURE;
-            };
-            let smoke = flags.contains_key("smoke");
-            let mut cfg = config(&flags, b);
-            if !flags.contains_key("conc") {
-                // The paper's headline experiment is a 200-way simultaneous
-                // wave; --smoke shrinks it so CI can afford the run.
-                cfg.concurrency = if smoke { 8 } else { 200 };
-            }
-            // Must happen before the wave: spans are only recorded while
-            // the tracer is enabled, and it starts disabled so untraced
-            // runs pay a single atomic load per would-be span.
-            let (host, summary) = match run_wave(&cfg, |host| host.tracer.enable()) {
-                Ok(done) => done,
-                Err(e) => return fail(&e),
-            };
-            let out = flags
-                .get("out")
-                .cloned()
-                .unwrap_or_else(|| "trace.json".to_string());
-            let json = host.tracer.chrome_trace_json();
-            if let Err(e) = std::fs::write(&out, &json) {
-                eprintln!("fastiovctl: cannot write {out}: {e}");
-                return ExitCode::FAILURE;
-            }
-            let spans = host.tracer.spans();
-            println!(
-                "{} at conc {}: {}\n{} spans -> {} (load in chrome://tracing or ui.perfetto.dev)",
-                b.label(),
-                cfg.concurrency,
-                summary,
-                spans.len(),
-                out,
-            );
-            // Per-stage percentiles over simulated time, with the tracer's
-            // independent view of the same stages alongside. Traced stages
-            // share their exact clock readings with the stage log, so the
-            // two means must agree; any divergence means spans are being
-            // attributed to the wrong VM or dropped.
-            let mut t = Table::new(vec![
-                "stage",
-                "n",
-                "sim mean (s)",
-                "p50 (s)",
-                "p90 (s)",
-                "p99 (s)",
-                "trace mean (s)",
-                "wall mean (ms)",
-            ]);
-            let mut worst: f64 = 0.0;
-            for (stage, s) in &summary.stage_percentiles {
-                let mut per_vm: HashMap<u64, (std::time::Duration, std::time::Duration)> =
-                    HashMap::new();
-                for sp in spans.iter().filter(|sp| sp.vm != 0 && sp.name == *stage) {
-                    let e = per_vm.entry(sp.vm).or_default();
-                    e.0 += sp.sim_duration();
-                    e.1 += sp.wall_duration();
-                }
-                let n = per_vm.len().max(1) as f64;
-                let trace_mean = per_vm
-                    .values()
-                    .map(|(sim, _)| sim.as_secs_f64())
-                    .sum::<f64>()
-                    / n;
-                let wall_mean_ms =
-                    per_vm.values().map(|(_, w)| w.as_secs_f64()).sum::<f64>() / n * 1e3;
-                let sim_mean = s.mean.as_secs_f64();
-                let rel = if sim_mean > 0.0 {
-                    (trace_mean - sim_mean).abs() / sim_mean
-                } else if trace_mean > 0.0 {
-                    1.0
-                } else {
-                    0.0
-                };
-                worst = worst.max(rel);
-                t.row(vec![
-                    stage.clone(),
-                    s.n.to_string(),
-                    format!("{:.3}", sim_mean),
-                    format!("{:.3}", s.p50.as_secs_f64()),
-                    format!("{:.3}", s.p90.as_secs_f64()),
-                    format!("{:.3}", s.p99.as_secs_f64()),
-                    format!("{:.3}", trace_mean),
-                    format!("{:.2}", wall_mean_ms),
-                ]);
-            }
-            println!("{}", t.render());
-            println!(
-                "trace/summary reconciliation: max divergence {:.4}% over {} stages",
-                worst * 100.0,
-                summary.stage_percentiles.len(),
-            );
-            if worst > 0.01 {
-                eprintln!("fastiovctl: trace disagrees with stage summary by more than 1%");
-                return ExitCode::FAILURE;
-            }
-            ExitCode::SUCCESS
-        }
-        "lockdep" => {
-            use fastiov::simtime::lockdep;
-            let smoke = flags.contains_key("smoke");
-            // Without --baseline, cover both lock disciplines: vanilla
-            // drives LockPolicy::Coarse, fastiov LockPolicy::Hierarchical.
-            let baselines: Vec<Baseline> = match flags.get("baseline") {
-                Some(name) => match baseline_from(name) {
-                    Some(b) => vec![b],
-                    None => {
-                        eprintln!("unknown baseline {name} (see `fastiovctl baselines`)");
-                        return ExitCode::FAILURE;
-                    }
-                },
-                None => vec![Baseline::Vanilla, Baseline::FastIov],
-            };
-            lockdep::enable();
-            lockdep::reset();
-            for b in &baselines {
-                let mut cfg = config(&flags, *b);
-                if !flags.contains_key("conc") {
-                    // The paper's headline wave; --smoke shrinks it so the
-                    // CI lint lane can afford the run.
-                    cfg.concurrency = if smoke { 8 } else { 200 };
-                }
-                let summary = match run_wave(&cfg, |_| {}) {
-                    Ok((_, summary)) => summary,
-                    Err(e) => return fail(&e),
-                };
-                println!("{} at conc {}: {summary}", b.label(), cfg.concurrency);
-            }
-            let out = flags
-                .get("out")
-                .cloned()
-                .unwrap_or_else(|| "lockgraph.dot".to_string());
-            if let Err(e) = std::fs::write(&out, lockdep::graph_dot()) {
-                eprintln!("fastiovctl: cannot write {out}: {e}");
-                return ExitCode::FAILURE;
-            }
-            if let Some(json) = flags.get("json") {
-                if let Err(e) = std::fs::write(json, lockdep::graph_json()) {
-                    eprintln!("fastiovctl: cannot write {json}: {e}");
-                    return ExitCode::FAILURE;
-                }
-                println!("lock graph -> {out} (DOT), {json} (JSON)");
-            } else {
-                println!("lock graph -> {out} (render with `dot -Tsvg`)");
-            }
-            let reports = lockdep::reports();
-            if reports.is_empty() {
-                println!(
-                    "lockdep: no potential deadlocks or hierarchy violations \
-                     across {} wave(s)",
-                    baselines.len()
-                );
-                ExitCode::SUCCESS
-            } else {
-                for r in &reports {
-                    eprintln!("lockdep: {r}");
-                }
-                eprintln!("fastiovctl: {} lock-discipline report(s)", reports.len());
-                ExitCode::FAILURE
-            }
-        }
+        "observe" => observe(&flags),
         "reproduce" => reproduce_cmd(flags.get("only").map_or("", String::as_str), scale(&flags)),
         _ => usage(),
     }
+}
+
+/// One observed launch wave: the lockdep witness and the host tracer
+/// record together, and the run prints the wave summary, the per-stage
+/// table reconciled against the trace, the per-class lock statistics and
+/// the lockdep verdict, writing `trace.json`, `lockgraph.dot` and
+/// `lockgraph.json` into `--out` (default `observe/`). Fails if the trace
+/// and the stage summary diverge by more than 1 % or on any lockdep
+/// report.
+fn observe(flags: &HashMap<String, String>) -> ExitCode {
+    use fastiov::simtime::{lockdep, LockClass};
+    let Some(b) = baseline_or(flags, Some(Baseline::FastIov)) else {
+        return ExitCode::FAILURE;
+    };
+    let mut cfg = config(flags, b);
+    if !flags.contains_key("conc") {
+        // The paper's headline experiment is a 200-way simultaneous wave;
+        // --smoke shrinks it so CI can afford the run.
+        cfg.concurrency = if flags.contains_key("smoke") { 8 } else { 200 };
+    }
+    let dir = std::path::PathBuf::from(flags.get("out").map_or("observe", String::as_str));
+    if let Err(e) = std::fs::create_dir_all(&dir) {
+        eprintln!("fastiovctl: cannot create {}: {e}", dir.display());
+        return ExitCode::FAILURE;
+    }
+    lockdep::enable();
+    lockdep::reset();
+    // Must happen before the wave: spans are only recorded while the
+    // tracer is enabled, and it starts disabled so untraced runs pay a
+    // single atomic load per would-be span.
+    let (host, summary) = match run_wave(&cfg, |host| host.tracer.enable()) {
+        Ok(done) => done,
+        Err(e) => return fail(&e),
+    };
+    let files = [
+        ("trace.json", host.tracer.chrome_trace_json()),
+        ("lockgraph.dot", lockdep::graph_dot()),
+        ("lockgraph.json", lockdep::graph_json()),
+    ];
+    for (name, body) in &files {
+        let path = dir.join(name);
+        if let Err(e) = std::fs::write(&path, body) {
+            eprintln!("fastiovctl: cannot write {}: {e}", path.display());
+            return ExitCode::FAILURE;
+        }
+    }
+    let spans = host.tracer.spans();
+    println!("{} at conc {}: {summary}", b.label(), cfg.concurrency);
+    println!(
+        "{} spans -> {}: trace.json (load in chrome://tracing or ui.perfetto.dev), \
+         lockgraph.dot (render with `dot -Tsvg`), lockgraph.json",
+        spans.len(),
+        dir.display(),
+    );
+
+    // Per-stage percentiles over simulated time, with the tracer's
+    // independent view of the same stages alongside. Traced stages share
+    // their exact clock readings with the stage log, so the two means must
+    // agree; any divergence means spans are being attributed to the wrong
+    // VM or dropped.
+    let mut t = Table::new(vec![
+        "stage",
+        "n",
+        "sim mean (s)",
+        "p50 (s)",
+        "p90 (s)",
+        "p99 (s)",
+        "trace mean (s)",
+        "wall mean (ms)",
+    ]);
+    let mut worst: f64 = 0.0;
+    for (stage, s) in &summary.stage_percentiles {
+        let mut per_vm: HashMap<u64, (std::time::Duration, std::time::Duration)> = HashMap::new();
+        for sp in spans.iter().filter(|sp| sp.vm != 0 && sp.name == *stage) {
+            let e = per_vm.entry(sp.vm).or_default();
+            e.0 += sp.sim_duration();
+            e.1 += sp.wall_duration();
+        }
+        let n = per_vm.len().max(1) as f64;
+        let trace_mean = per_vm
+            .values()
+            .map(|(sim, _)| sim.as_secs_f64())
+            .sum::<f64>()
+            / n;
+        let wall_mean_ms = per_vm.values().map(|(_, w)| w.as_secs_f64()).sum::<f64>() / n * 1e3;
+        let sim_mean = s.mean.as_secs_f64();
+        let rel = if sim_mean > 0.0 {
+            (trace_mean - sim_mean).abs() / sim_mean
+        } else if trace_mean > 0.0 {
+            1.0
+        } else {
+            0.0
+        };
+        worst = worst.max(rel);
+        t.row(vec![
+            stage.clone(),
+            s.n.to_string(),
+            format!("{:.3}", sim_mean),
+            format!("{:.3}", s.p50.as_secs_f64()),
+            format!("{:.3}", s.p90.as_secs_f64()),
+            format!("{:.3}", s.p99.as_secs_f64()),
+            format!("{:.3}", trace_mean),
+            format!("{:.2}", wall_mean_ms),
+        ]);
+    }
+    println!("{}", t.render());
+    println!(
+        "trace/summary reconciliation: max divergence {:.4}% over {} stages",
+        worst * 100.0,
+        summary.stage_percentiles.len(),
+    );
+
+    let mut t = Table::new(vec![
+        "lock class",
+        "wait (ms)",
+        "hold (ms)",
+        "acquisitions",
+        "contended",
+        "mean wait (us)",
+    ]);
+    // Real (wall-clock) time since process start, host boot included: a
+    // relative ranking of which lock class threads queued on, not a
+    // simulated-cost figure.
+    let mut classes: Vec<(LockClass, _)> = LockClass::ALL
+        .iter()
+        .map(|&c| (c, c.stats()))
+        .filter(|(_, s)| s.acquisitions > 0)
+        .collect();
+    classes.sort_by_key(|(_, s)| std::cmp::Reverse(s.wait_ns));
+    for (class, s) in classes {
+        t.row(vec![
+            class.name().to_string(),
+            format!("{:.2}", s.wait_ns as f64 / 1e6),
+            format!("{:.2}", s.hold_ns as f64 / 1e6),
+            s.acquisitions.to_string(),
+            s.contended.to_string(),
+            format!("{:.1}", s.mean_wait_ns() / 1e3),
+        ]);
+    }
+    println!("{}", t.render());
+
+    let reports = lockdep::reports();
+    if reports.is_empty() {
+        println!("lockdep: no potential deadlocks or hierarchy violations");
+    }
+    for r in &reports {
+        eprintln!("lockdep: {r}");
+    }
+    let diverged = worst > 0.01;
+    if diverged {
+        eprintln!("fastiovctl: trace disagrees with stage summary by more than 1%");
+    }
+    if !reports.is_empty() {
+        eprintln!("fastiovctl: {} lock-discipline report(s)", reports.len());
+    }
+    ExitCode::from(u8::from(diverged || !reports.is_empty()))
 }
 
 /// Runs the claims under `only`, merges their records into `RESULTS.json`

@@ -1,5 +1,6 @@
-//! Malformed `fastiovctl` flags are usage errors (exit 1 naming the
-//! flag), never panics.
+//! `fastiovctl` as a process: malformed flags and unknown baselines are
+//! usage errors (exit 1 naming the flag or the name), never panics, and
+//! `observe` writes its three run files.
 
 use std::process::Command;
 
@@ -27,4 +28,35 @@ fn zero_scale_is_a_usage_error() {
     let (code, stderr) = run(&["startup", "--baseline", "fastiov", "--scale", "0"]);
     assert_eq!(code, Some(1), "{stderr}");
     assert!(stderr.contains("--scale"), "{stderr}");
+}
+
+#[test]
+fn unknown_baseline_is_named() {
+    for args in [
+        &["startup", "--baseline", "nosuch"][..],
+        &["app", "--app", "image", "--baseline", "nosuch"],
+        &["observe", "--baseline", "nosuch"],
+    ] {
+        let (code, stderr) = run(args);
+        assert_eq!(code, Some(1), "{args:?}: {stderr}");
+        assert!(
+            stderr.contains("unknown baseline nosuch"),
+            "{args:?}: {stderr}"
+        );
+    }
+}
+
+#[test]
+fn observe_smoke_writes_trace_and_lock_graph() {
+    let dir = std::env::temp_dir().join(format!("fastiovctl-observe-{}", std::process::id()));
+    let out = dir.to_str().expect("utf-8 temp dir");
+    let (code, stderr) = run(&["observe", "--smoke", "--scale", "0.002", "--out", out]);
+    assert_eq!(code, Some(0), "{stderr}");
+    for name in ["trace.json", "lockgraph.dot", "lockgraph.json"] {
+        let body = std::fs::read_to_string(dir.join(name)).expect(name);
+        assert!(!body.is_empty(), "{name} is empty");
+    }
+    let trace = std::fs::read_to_string(dir.join("trace.json")).expect("trace.json");
+    assert!(trace.starts_with(r#"{"traceEvents":["#), "{trace:.40}");
+    let _ = std::fs::remove_dir_all(&dir);
 }

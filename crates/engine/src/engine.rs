@@ -241,14 +241,6 @@ impl LaunchSummary {
             .filter_map(|(name, ds)| Summary::from_durations(&ds).map(|s| (name, s)))
             .collect();
     }
-
-    /// The percentile summary of one stage, if any pod executed it.
-    pub fn stage_summary(&self, name: &str) -> Option<&Summary> {
-        self.stage_percentiles
-            .iter()
-            .find(|(n, _)| n == name)
-            .map(|(_, s)| s)
-    }
 }
 
 impl fmt::Display for LaunchSummary {
@@ -449,7 +441,7 @@ impl Engine {
     /// per-pod identity: cgroup, namespace, interface move, IP, MAC/VLAN.
     fn run_pod_warm(&self, index: u32, warm: WarmVm) -> Result<PodHandle> {
         let pid = 1000 + index as u64;
-        let mut log = StageLog::begin_traced(self.host.clock.clone(), self.host.tracer.clone());
+        let mut log = StageLog::begin(&self.host.tracer);
         let started = log.started();
 
         log.stage(stages::CGROUP, || self.cgroups.create(pid));
@@ -509,7 +501,7 @@ impl Engine {
     /// The cold path: full Fig. 4 launch sequence.
     fn run_pod_cold(&self, index: u32) -> Result<PodHandle> {
         let pid = 1000 + index as u64;
-        let mut log = StageLog::begin_traced(self.host.clock.clone(), self.host.tracer.clone());
+        let mut log = StageLog::begin(&self.host.tracer);
         let started = log.started();
 
         // Containerd: resource isolation.

@@ -134,11 +134,6 @@ impl Vm {
         *self.hook.write() = Some(hook);
     }
 
-    /// Removes the fault hook.
-    pub fn clear_fault_hook(&self) {
-        *self.hook.write() = None;
-    }
-
     /// Registers a GPA→HVA slot.
     pub fn set_memslot(&self, slot: Memslot) -> Result<()> {
         let mut slots = self.slots.write();

@@ -50,7 +50,7 @@ pub struct Host {
     /// Disabled (a no-op) unless built via [`Host::with_faults`].
     pub faults: Arc<FaultPlane>,
     /// The per-launch span tracer shared by every instrumented layer.
-    /// Created disabled; `fastiovctl trace` and tests call
+    /// Created disabled; `fastiovctl observe` and tests call
     /// `tracer.enable()` before launching.
     pub tracer: Tracer,
     /// The host-global virtiofsd lock serializing device setup.

@@ -721,7 +721,7 @@ mod tests {
         cfg: MicrovmConfig,
         net: NetworkAttachment,
     ) -> Result<Arc<Microvm>> {
-        let mut log = StageLog::begin(host.clock.clone());
+        let mut log = StageLog::begin(&host.tracer);
         Microvm::launch(host, cfg, net, &mut log)
     }
 
@@ -774,7 +774,7 @@ mod tests {
     #[test]
     fn no_network_launch_has_no_vf_stages() {
         let host = host();
-        let mut log = StageLog::begin(host.clock.clone());
+        let mut log = StageLog::begin(&host.tracer);
         let cfg = MicrovmConfig::vanilla(4, mb(64), mb(32));
         let vm = Microvm::launch(&host, cfg, NetworkAttachment::None, &mut log).unwrap();
         let vf_stages = [
@@ -816,7 +816,7 @@ mod tests {
     fn async_init_returns_before_net_ready_then_completes() {
         let host = host();
         let cfg = MicrovmConfig::fastiov(7, mb(64), mb(32));
-        let mut log = StageLog::begin(host.clock.clone());
+        let mut log = StageLog::begin(&host.tracer);
         let vm = Microvm::launch(
             &host,
             cfg,
@@ -855,7 +855,7 @@ mod tests {
         // Old tenant writes a secret into its scratch area.
         let secret = [0xabu8; 64];
         vm.vm().write_gpa(vm.layout().app_gpa, &secret).unwrap();
-        let mut log = StageLog::begin(host.clock.clone());
+        let mut log = StageLog::begin(&host.tracer);
         vm.recycle(&mut log).unwrap();
         assert!(log.records().iter().any(|r| r.name == stages::RECYCLE));
         // New tenant reads the same GPA: zeros, never the secret.
@@ -891,7 +891,7 @@ mod tests {
         vm.vm().read_gpa(gpa, &mut b).unwrap();
         let hpa = vm.vm().ept_resolve(gpa).unwrap();
         assert!(!host.fastiovd.is_tracked(31, hpa));
-        let mut log = StageLog::begin(host.clock.clone());
+        let mut log = StageLog::begin(&host.tracer);
         vm.recycle(&mut log).unwrap();
         assert!(host.fastiovd.is_tracked(31, hpa));
         assert!(

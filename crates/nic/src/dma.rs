@@ -148,7 +148,7 @@ impl DmaEngine {
         let written = data.len().min(buffer.len);
         let payload = &data[..written];
         // Move the bytes at line rate, translating page by page.
-        self.line.transfer_with(written as u64, || -> Result<()> {
+        let moved = self.line.transfer_with(written as u64, || -> Result<()> {
             let page = att.domain.page_size().bytes();
             let mut cursor = 0usize;
             while cursor < written {
@@ -167,7 +167,11 @@ impl DmaEngine {
                 cursor += chunk;
             }
             Ok(())
-        })?;
+        });
+        if moved.is_err() {
+            self.faults.fetch_add(1, Ordering::Relaxed);
+        }
+        moved?;
         let completion = RxCompletion { buffer, written };
         {
             let mut ring = att.ring.lock();
@@ -214,11 +218,6 @@ impl DmaEngine {
             self.rx_bytes.load(Ordering::Relaxed),
             self.faults.load(Ordering::Relaxed),
         )
-    }
-
-    /// Records a DMA fault observed by a caller (kept with engine stats).
-    pub fn note_fault(&self) {
-        self.faults.fetch_add(1, Ordering::Relaxed);
     }
 }
 
@@ -291,6 +290,7 @@ mod tests {
         engine.post_rx_buffer(VfId(0), Iova(0), 1500).unwrap();
         let e = engine.deliver(VfId(0), &[1, 2, 3]).unwrap_err();
         assert!(matches!(e, NicError::DmaFault { vf: 0, .. }));
+        assert_eq!(engine.stats().2, 1);
     }
 
     #[test]

@@ -215,7 +215,7 @@ impl Shared {
             // Traced without a VM scope: provisioning is background (vm 0)
             // work in the timeline, grouped under one root span.
             let _span = self.host.tracer.span("pool.provision");
-            let mut log = StageLog::begin_traced(self.host.clock.clone(), self.host.tracer.clone());
+            let mut log = StageLog::begin(&self.host.tracer);
             let vm = Microvm::launch(
                 &self.host,
                 cfg,
@@ -264,8 +264,7 @@ fn replenisher(shared: Arc<Shared>, rx: Receiver<Cmd>) {
             }
             Cmd::Recycle(warm) => {
                 let _span = shared.host.tracer.span("pool.recycle");
-                let mut log =
-                    StageLog::begin_traced(shared.host.clock.clone(), shared.host.tracer.clone());
+                let mut log = StageLog::begin(&shared.host.tracer);
                 let key = warm.tenant.unwrap_or(warm.pool_pid);
                 match warm.vm.recycle_keyed(&mut log, key) {
                     Ok(()) => {

@@ -30,7 +30,7 @@ pub use lockdep::{
     LockClass, LockSnapshot, LockdepReport, TrackedCondvar, TrackedMutex, TrackedMutexGuard,
     TrackedReadGuard, TrackedRwLock, TrackedWriteGuard,
 };
-pub use resources::{BandwidthResource, CpuPool, FairShareBandwidth, ResourceStats};
+pub use resources::{CpuPool, FairShareBandwidth, ResourceStats};
 pub use semaphore::FairSemaphore;
 pub use timeline::{StageLog, StageRecord};
 pub use tracer::{Span, SpanGuard, Tracer, VmScope};

@@ -30,7 +30,7 @@
 //!
 //! The witness is **disabled by default** and costs exactly one relaxed
 //! atomic load per acquisition in that state. It is enabled in tests and
-//! by `fastiovctl lockdep`, either explicitly ([`enable`]) or via the
+//! by `fastiovctl observe`, either explicitly ([`enable`]) or via the
 //! `FASTIOV_LOCKDEP=1` environment variable (checked once, on first use).
 //!
 //! **Lock statistics** sit on the same classes, the way Linux lock_stat
@@ -653,8 +653,8 @@ pub fn graph_dot() -> String {
     out
 }
 
-/// JSON rendering of the graph plus all reports (machine-readable export
-/// of `fastiovctl lockdep`).
+/// JSON rendering of the graph plus all reports (the `lockgraph.json`
+/// of `fastiovctl observe`).
 pub fn graph_json() -> String {
     let graph = GRAPH.lock();
     let mut edges: Vec<(&(usize, usize), &EdgeInfo)> = graph.edges.iter().collect();

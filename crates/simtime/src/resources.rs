@@ -65,93 +65,6 @@ impl CpuPool {
         self.clock.sleep(sim);
     }
 
-    /// Like [`CpuPool::run`] but also runs `f` while holding the core, for
-    /// work that must be performed (e.g. real algorithm execution in the
-    /// workload crates) in addition to being charged.
-    pub fn run_with<R>(&self, sim: Duration, f: impl FnOnce() -> R) -> R {
-        let _g = self.sem.acquire();
-        let r = f();
-        self.clock.sleep(sim);
-        r
-    }
-
-    /// Usage statistics.
-    pub fn stats(&self) -> ResourceStats {
-        let (operations, max_queue) = self.sem.stats();
-        ResourceStats {
-            operations,
-            max_queue,
-        }
-    }
-}
-
-/// A shared bandwidth ceiling (memory bandwidth, NIC line rate, storage
-/// link), modelled as `slots` concurrent streams of `bytes_per_sec` each.
-///
-/// With the default memory model (§3.2.3 of the paper), page zeroing runs
-/// at a few GB/s per thread but saturates the socket's aggregate bandwidth
-/// when many containers zero at once; a slot-limited resource reproduces
-/// that saturation: up to `slots` transfers progress at full per-stream
-/// rate, later arrivals queue FIFO.
-pub struct BandwidthResource {
-    clock: Clock,
-    sem: Arc<FairSemaphore>,
-    bytes_per_sec: f64,
-}
-
-impl BandwidthResource {
-    /// Creates a resource with `slots` concurrent streams of
-    /// `bytes_per_sec` each (aggregate ceiling = `slots * bytes_per_sec`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bytes_per_sec` is not finite and positive.
-    pub fn new(clock: Clock, slots: usize, bytes_per_sec: f64) -> Arc<Self> {
-        assert!(
-            bytes_per_sec.is_finite() && bytes_per_sec > 0.0,
-            "bandwidth must be finite and positive"
-        );
-        Arc::new(BandwidthResource {
-            clock,
-            sem: FairSemaphore::new(slots),
-            bytes_per_sec,
-        })
-    }
-
-    /// Per-stream rate in bytes per simulated second.
-    pub fn bytes_per_sec(&self) -> f64 {
-        self.bytes_per_sec
-    }
-
-    /// Aggregate ceiling in bytes per simulated second.
-    pub fn aggregate_bytes_per_sec(&self) -> f64 {
-        self.bytes_per_sec * self.sem.permits() as f64
-    }
-
-    /// Simulated service time for `bytes` on one stream, excluding queueing.
-    pub fn service_time(&self, bytes: u64) -> Duration {
-        Duration::from_secs_f64(bytes as f64 / self.bytes_per_sec)
-    }
-
-    /// Moves `bytes` through the resource, blocking for queueing plus
-    /// service time.
-    pub fn transfer(&self, bytes: u64) {
-        if bytes == 0 {
-            return;
-        }
-        let _g = self.sem.acquire();
-        self.clock.sleep(self.service_time(bytes));
-    }
-
-    /// Like [`BandwidthResource::transfer`] but runs `f` while holding the
-    /// stream slot (e.g. to actually move modelled page contents).
-    pub fn transfer_with<R>(&self, bytes: u64, f: impl FnOnce() -> R) -> R {
-        let _g = self.sem.acquire();
-        let r = f();
-        self.clock.sleep(self.service_time(bytes));
-        r
-    }
-
     /// Usage statistics.
     pub fn stats(&self) -> ResourceStats {
         let (operations, max_queue) = self.sem.stats();
@@ -164,8 +77,7 @@ impl BandwidthResource {
 
 /// A processor-sharing bandwidth ceiling.
 ///
-/// Unlike [`BandwidthResource`] (FIFO slots), all active transfers
-/// progress simultaneously: each gets `min(per_stream_cap,
+/// All active transfers progress simultaneously: each gets `min(per_stream_cap,
 /// total / active)` of bandwidth. This is how memory bandwidth actually
 /// degrades — 200 concurrent page-zeroing loops all slow down together
 /// and finish together, which is what keeps the concurrent-startup
@@ -203,11 +115,6 @@ impl FairShareBandwidth {
             operations: std::sync::atomic::AtomicU64::new(0),
             max_active: std::sync::atomic::AtomicUsize::new(0),
         })
-    }
-
-    /// Aggregate bandwidth in bytes per simulated second.
-    pub fn total_bytes_per_sec(&self) -> f64 {
-        self.total
     }
 
     /// Current rate for one transfer with `n` active.
@@ -302,40 +209,6 @@ mod tests {
         let pool = CpuPool::new(fast_clock(), 1);
         pool.run(Duration::ZERO);
         assert_eq!(pool.stats().operations, 0);
-    }
-
-    #[test]
-    fn bandwidth_service_time_is_linear() {
-        let bw = BandwidthResource::new(fast_clock(), 4, 1e9);
-        assert_eq!(bw.service_time(1_000_000_000), Duration::from_secs(1));
-        assert_eq!(bw.service_time(500_000_000), Duration::from_millis(500));
-        assert_eq!(bw.aggregate_bytes_per_sec(), 4e9);
-    }
-
-    #[test]
-    fn bandwidth_transfers_queue_fifo() {
-        let clock = fast_clock();
-        let bw = BandwidthResource::new(clock.clone(), 1, 1e9);
-        let t0 = Instant::now();
-        let handles: Vec<_> = (0..4)
-            .map(|_| {
-                let bw = Arc::clone(&bw);
-                std::thread::spawn(move || bw.transfer(100_000_000))
-            })
-            .collect();
-        for h in handles {
-            h.join().unwrap();
-        }
-        // 4 x 100MB at 1GB/s on one slot = 400 sim-ms serialized.
-        let sim_elapsed = clock.to_sim(t0.elapsed());
-        assert!(sim_elapsed >= Duration::from_millis(300));
-    }
-
-    #[test]
-    fn run_with_returns_closure_value() {
-        let pool = CpuPool::new(fast_clock(), 1);
-        let v = pool.run_with(Duration::from_micros(10), || 42);
-        assert_eq!(v, 42);
     }
 
     #[test]

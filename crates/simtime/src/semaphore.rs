@@ -71,11 +71,6 @@ impl FairSemaphore {
         })
     }
 
-    /// Total permits this semaphore was created with.
-    pub fn permits(&self) -> usize {
-        self.permits
-    }
-
     /// Blocks until a permit is available and this caller is at the head of
     /// the FIFO queue, then returns a guard that releases on drop.
     pub fn acquire(self: &Arc<Self>) -> SemaphoreGuard {

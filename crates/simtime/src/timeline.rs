@@ -6,7 +6,7 @@
 //! each container thread owns one and records `(stage, start, end)`
 //! triples in simulated time.
 
-use crate::{Clock, SimInstant, Tracer};
+use crate::{SimInstant, Tracer};
 use std::time::Duration;
 
 /// One recorded stage interval.
@@ -28,35 +28,25 @@ impl StageRecord {
 }
 
 /// An append-only log of stage intervals for a single container startup.
+///
+/// Every stage is also opened as a span on the log's [`Tracer`]; while the
+/// tracer is disabled that costs one atomic load per stage.
 #[derive(Debug, Clone)]
 pub struct StageLog {
-    clock: Clock,
+    tracer: Tracer,
     records: Vec<StageRecord>,
     started: SimInstant,
-    tracer: Option<Tracer>,
 }
 
 impl StageLog {
-    /// Creates a log whose container start time is "now".
-    pub fn begin(clock: Clock) -> Self {
-        let started = clock.now();
+    /// Creates a log whose container start time is "now" on the tracer's
+    /// clock.
+    pub fn begin(tracer: &Tracer) -> Self {
         StageLog {
-            clock,
+            tracer: tracer.clone(),
             records: Vec::new(),
-            started,
-            tracer: None,
+            started: tracer.clock().now(),
         }
-    }
-
-    /// Creates a log that mirrors every stage into `tracer` as a span.
-    ///
-    /// The span and the [`StageRecord`] share the *same* clock readings,
-    /// so the trace timeline reconciles exactly with the stage-mean
-    /// aggregates computed from the records.
-    pub fn begin_traced(clock: Clock, tracer: Tracer) -> Self {
-        let mut log = Self::begin(clock);
-        log.tracer = Some(tracer);
-        log
     }
 
     /// Simulated time at which this container's startup began.
@@ -64,17 +54,18 @@ impl StageLog {
         self.started
     }
 
-    /// Times `f` and records it under `name`. When the log is traced, a
-    /// span with the identical interval is emitted; spans opened inside
-    /// `f` on the same thread nest under it.
+    /// Times `f` and records it under `name`, with a span of the identical
+    /// interval: the span and the [`StageRecord`] share the *same* clock
+    /// readings, so the trace reconciles exactly with the stage-mean
+    /// aggregates. Spans opened inside `f` on the same thread nest under
+    /// it.
     pub fn stage<R>(&mut self, name: &str, f: impl FnOnce() -> R) -> R {
-        let start = self.clock.now();
-        let guard = self.tracer.as_ref().map(|t| t.span_at(name, start));
+        let clock = self.tracer.clock();
+        let start = clock.now();
+        let guard = self.tracer.span_at(name, start);
         let r = f();
-        let end = self.clock.now();
-        if let Some(g) = guard {
-            g.finish_at(end);
-        }
+        let end = clock.now();
+        guard.finish_at(end);
         self.records.push(StageRecord {
             name: name.to_string(),
             start,
@@ -83,49 +74,26 @@ impl StageLog {
         r
     }
 
-    /// Records an externally measured interval.
-    pub fn record(&mut self, name: &str, start: SimInstant, end: SimInstant) {
-        self.records.push(StageRecord {
-            name: name.to_string(),
-            start,
-            end,
-        });
-    }
-
     /// All records, in insertion order.
     pub fn records(&self) -> &[StageRecord] {
         &self.records
     }
 
-    /// Total duration of all records with the given stage name.
-    pub fn total_for(&self, name: &str) -> Duration {
-        self.records
-            .iter()
-            .filter(|r| r.name == name)
-            .map(StageRecord::duration)
-            .sum()
-    }
-
     /// Simulated duration from startup begin until now.
     pub fn elapsed(&self) -> Duration {
-        self.clock.now().duration_since(self.started)
-    }
-
-    /// Merges the records of `other` into `self` (used when a sub-component
-    /// built its own log, e.g. the hypervisor attach path).
-    pub fn absorb(&mut self, other: StageLog) {
-        self.records.extend(other.records);
+        self.tracer.clock().now().duration_since(self.started)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Clock;
 
     #[test]
     fn stage_records_interval_and_result() {
         let clock = Clock::with_scale(0.0001);
-        let mut log = StageLog::begin(clock.clone());
+        let mut log = StageLog::begin(&Tracer::new(clock.clone()));
         let v = log.stage("0-cgroup", || {
             clock.sleep(Duration::from_millis(10));
             7
@@ -135,18 +103,19 @@ mod tests {
         let r = &log.records()[0];
         assert_eq!(r.name, "0-cgroup");
         assert!(r.duration() >= Duration::from_millis(8));
-        assert!(log.total_for("0-cgroup") >= Duration::from_millis(8));
-        assert_eq!(log.total_for("missing"), Duration::ZERO);
     }
 
     #[test]
-    fn total_sums_repeated_stages() {
+    fn untraced_stages_record_without_spans() {
         let clock = Clock::with_scale(0.001);
-        let mut log = StageLog::begin(clock.clone());
+        let tracer = Tracer::new(clock.clone());
+        let mut log = StageLog::begin(&tracer);
         for _ in 0..3 {
             log.stage("1-dma-ram", || clock.sleep(Duration::from_millis(5)));
         }
-        assert!(log.total_for("1-dma-ram") >= Duration::from_millis(12));
+        assert_eq!(log.records().len(), 3);
+        assert!(log.elapsed() >= Duration::from_millis(12));
+        assert!(tracer.spans().is_empty());
     }
 
     #[test]
@@ -154,7 +123,7 @@ mod tests {
         let clock = Clock::with_scale(0.0001);
         let tracer = Tracer::new(clock.clone());
         tracer.enable();
-        let mut log = StageLog::begin_traced(clock.clone(), tracer.clone());
+        let mut log = StageLog::begin(&tracer);
         log.stage("4-vfio-dev", || clock.sleep(Duration::from_millis(10)));
         let rec = &log.records()[0];
         let spans = tracer.spans();
@@ -170,23 +139,12 @@ mod tests {
         let clock = Clock::with_scale(0.0001);
         let tracer = Tracer::new(clock.clone());
         tracer.enable();
-        let mut log = StageLog::begin_traced(clock.clone(), tracer.clone());
+        let mut log = StageLog::begin(&tracer);
         log.stage("1-dma-ram", || tracer.span("iommu.map").finish());
         let spans = tracer.spans();
         let stage = spans.iter().find(|s| s.name == "1-dma-ram").unwrap();
         let inner = spans.iter().find(|s| s.name == "iommu.map").unwrap();
         assert_eq!(inner.parent, Some(stage.id));
         assert_eq!(inner.depth, stage.depth + 1);
-    }
-
-    #[test]
-    fn absorb_merges_records() {
-        let clock = Clock::with_scale(0.0001);
-        let mut a = StageLog::begin(clock.clone());
-        let mut b = StageLog::begin(clock.clone());
-        b.stage("x", || {});
-        a.absorb(b);
-        assert_eq!(a.records().len(), 1);
-        assert_eq!(a.records()[0].name, "x");
     }
 }

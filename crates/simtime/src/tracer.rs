@@ -1,10 +1,11 @@
 //! Per-launch span tracing.
 //!
 //! [`StageLog`](crate::StageLog) answers "how long did each stage of this
-//! container take" as flat per-container aggregates. The [`Tracer`] answers
-//! the question one level down: *when* did every stage of every container
-//! run, on which thread, nested under what — a complete timeline of a
-//! launch wave rather than a table of means.
+//! container take" as flat per-container aggregates, and opens every stage
+//! as a span on its tracer. The [`Tracer`] answers the question one level
+//! down: *when* did every stage of every container run, on which thread,
+//! nested under what — a complete timeline of a launch wave rather than a
+//! table of means.
 //!
 //! Design points:
 //!
@@ -25,8 +26,8 @@
 //!   replenishment) and a *track* (one per participating thread, assigned
 //!   on first use).
 //! - **Disabled by default, one atomic load when off.** Hosts carry a
-//!   tracer everywhere; only `fastiovctl trace` and tests turn it on, so
-//!   the instrumentation costs nothing on benchmark paths.
+//!   tracer everywhere; only `fastiovctl observe` and tests turn it on,
+//!   so the instrumentation costs nothing on benchmark paths.
 //!
 //! Two exports:
 //!
@@ -37,8 +38,7 @@
 //!   schedule-dependent and is **not** part of any determinism guarantee.
 //! - [`Tracer::canonical_json`] — a structural digest (per-VM span
 //!   name/depth counts, no timestamps, no track ids) that *is*
-//!   byte-identical across same-seed runs, following the same split the
-//!   contention bench uses for its deterministic section.
+//!   byte-identical across same-seed runs.
 
 use crate::{Clock, SimInstant};
 use parking_lot::Mutex;

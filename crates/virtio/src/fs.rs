@@ -74,11 +74,6 @@ impl VirtioFs {
         self.files.lock().insert(name.to_string(), Arc::new(data));
     }
 
-    /// Size of a shared file, if present.
-    pub fn file_len(&self, name: &str) -> Option<usize> {
-        self.files.lock().get(name).map(|d| d.len())
-    }
-
     /// Guest side: reads (a prefix of) `name` into guest memory at
     /// `buf_gpa`, returning the bytes transferred. This drives the full
     /// shared-buffer protocol, including the lazy-zeroing hazard.

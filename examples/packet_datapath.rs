@@ -19,7 +19,7 @@ fn main() {
 
     // Boot a FastIOV-configured microVM with VF 0 passed through.
     let cfg = MicrovmConfig::fastiov(1, 64 * 1024 * 1024, 32 * 1024 * 1024);
-    let mut log = StageLog::begin(host.clock.clone());
+    let mut log = StageLog::begin(&host.tracer);
     let vm = Microvm::launch(
         &host,
         cfg,

@@ -25,7 +25,7 @@ fn host() -> Arc<Host> {
 }
 
 fn launch(host: &Arc<Host>, cfg: MicrovmConfig, vf: VfId) -> Arc<Microvm> {
-    let mut log = StageLog::begin(host.clock.clone());
+    let mut log = StageLog::begin(&host.tracer);
     Microvm::launch(host, cfg, NetworkAttachment::Passthrough(vf), &mut log).expect("launch")
 }
 
@@ -72,7 +72,7 @@ fn disabling_instant_zero_list_crashes_the_guest() {
         },
         ..MicrovmConfig::fastiov(3, 64 * MB, 32 * MB)
     };
-    let mut log = StageLog::begin(host.clock.clone());
+    let mut log = StageLog::begin(&host.tracer);
     match Microvm::launch(
         &host,
         cfg,

@@ -17,7 +17,7 @@ fn host() -> Arc<Host> {
 }
 
 fn launch(host: &Arc<Host>, pid: u64, net: NetworkAttachment) -> Arc<Microvm> {
-    let mut log = StageLog::begin(host.clock.clone());
+    let mut log = StageLog::begin(&host.tracer);
     let vm = Microvm::launch(
         host,
         MicrovmConfig::fastiov(pid, 64 * MB, 32 * MB),

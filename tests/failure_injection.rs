@@ -59,7 +59,7 @@ fn host_memory_exhaustion_fails_launch_not_host() {
     assert_eq!(host.mem.stats().free_frames, free0, "failed launch leaked");
 
     // A guest that fits still launches afterwards.
-    let mut log = StageLog::begin(host.clock.clone());
+    let mut log = StageLog::begin(&host.tracer);
     let cfg = MicrovmConfig::vanilla(2, mib(64), mib(16));
     let vm = Microvm::launch(
         &host,
@@ -76,7 +76,7 @@ fn host_memory_exhaustion_fails_launch_not_host() {
 #[test]
 fn group_contention_two_guests_same_vf() {
     let host = host();
-    let mut log = StageLog::begin(host.clock.clone());
+    let mut log = StageLog::begin(&host.tracer);
     let a = Microvm::launch(
         &host,
         MicrovmConfig::fastiov(1, mib(64), mib(32)),
@@ -85,7 +85,7 @@ fn group_contention_two_guests_same_vf() {
     )
     .unwrap();
     // Second guest grabbing the same VF must be refused at the group.
-    let mut log2 = StageLog::begin(host.clock.clone());
+    let mut log2 = StageLog::begin(&host.tracer);
     let err = match Microvm::launch(
         &host,
         MicrovmConfig::fastiov(2, mib(64), mib(32)),
@@ -101,7 +101,7 @@ fn group_contention_two_guests_same_vf() {
     );
     a.shutdown().unwrap();
     // After shutdown the VF's group is free again.
-    let mut log3 = StageLog::begin(host.clock.clone());
+    let mut log3 = StageLog::begin(&host.tracer);
     let c = Microvm::launch(
         &host,
         MicrovmConfig::fastiov(3, mib(64), mib(32)),
@@ -125,7 +125,7 @@ fn open_without_group_attach_is_refused() {
 #[test]
 fn devset_reset_refused_while_guests_running_then_allowed() {
     let host = host();
-    let mut log = StageLog::begin(host.clock.clone());
+    let mut log = StageLog::begin(&host.tracer);
     let vm = Microvm::launch(
         &host,
         MicrovmConfig::fastiov(1, mib(64), mib(32)),
