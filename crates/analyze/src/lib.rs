@@ -19,9 +19,12 @@
 //!   outside test code. Remaining sites are budgeted per file by
 //!   `crates/analyze/allowlist.txt`; the budget must match exactly, so
 //!   it can only ever shrink.
-//! - **solo-clock** — `Clock::solo` (sleeps that advance the clock
-//!   instead of blocking) only in `crates/microvm/src/host.rs`, whose
-//!   boot work is single-threaded by construction. Test code is exempt.
+//! - **sim-thread** — no `std::thread::spawn`/`scope`, `thread::sleep`
+//!   or `crossbeam::channel` outside `crates/simtime`: simulation threads
+//!   start with `fastiov_simtime::spawn`, sleep on their `Clock` and talk
+//!   over `fastiov_simtime::channel`, so that every blocking point is one
+//!   the virtual clock's executor schedules. Test code and the frozen
+//!   `benchmark/` crate are exempt.
 //!
 //! An intentional exception is annotated at the violating line (or the
 //! line above) as `// analyze: allow(<rule>): <reason>` — the reason is
@@ -46,8 +49,8 @@ pub enum Rule {
     WallClock,
     /// `.unwrap()` / undocumented `.expect()` in a hot-path crate.
     UnwrapExpect,
-    /// `Clock::solo` outside the host's boot code.
-    SoloClock,
+    /// An OS thread, OS sleep or crossbeam channel outside `simtime`.
+    SimThread,
 }
 
 impl Rule {
@@ -57,7 +60,7 @@ impl Rule {
             Rule::RawLock => "raw-lock",
             Rule::WallClock => "wall-clock",
             Rule::UnwrapExpect => "unwrap-expect",
-            Rule::SoloClock => "solo-clock",
+            Rule::SimThread => "sim-thread",
         }
     }
 
@@ -66,7 +69,7 @@ impl Rule {
             "raw-lock" => Some(Rule::RawLock),
             "wall-clock" => Some(Rule::WallClock),
             "unwrap-expect" => Some(Rule::UnwrapExpect),
-            "solo-clock" => Some(Rule::SoloClock),
+            "sim-thread" => Some(Rule::SimThread),
             _ => None,
         }
     }
@@ -104,7 +107,7 @@ impl fmt::Display for Violation {
 /// Result of analysing a workspace tree.
 #[derive(Debug, Default)]
 pub struct Analysis {
-    /// Hard violations (raw-lock, wall-clock, solo-clock, malformed
+    /// Hard violations (raw-lock, wall-clock, sim-thread, malformed
     /// annotations).
     pub violations: Vec<Violation>,
     /// unwrap-expect sites per file (budgeted by the allowlist rather
@@ -119,8 +122,13 @@ pub struct Analysis {
 /// Hot-path crates covered by the unwrap-expect rule.
 pub const HOT_CRATES: [&str; 6] = ["vfio", "fastiovd", "iommu", "hostmem", "nic", "engine"];
 
-/// The one file allowed to enter a `Clock::solo` scope.
-pub const SOLO_CLOCK_HOME: &str = "crates/microvm/src/host.rs";
+/// Calls that block outside the simulation's executor.
+const SIM_THREAD_NEEDLES: [&str; 4] = [
+    "thread::spawn",
+    "thread::scope",
+    "thread::sleep",
+    "crossbeam::channel",
+];
 
 /// Masks comments, string literals and char literals in Rust source:
 /// their bytes become spaces, newlines survive, everything else is
@@ -297,8 +305,8 @@ pub struct FileRules {
     pub wall_clock: bool,
     /// unwrap-expect applies (hot-path crate src).
     pub unwrap_expect: bool,
-    /// solo-clock applies (production code outside the host's boot).
-    pub solo_clock: bool,
+    /// sim-thread applies (production code in this workspace).
+    pub sim_thread: bool,
 }
 
 /// Classifies `rel` (workspace-relative, `/`-separated). Returns `None`
@@ -326,7 +334,9 @@ pub fn classify(rel: &str) -> Option<FileRules> {
         raw_lock: !is_test_tree,
         wall_clock: true,
         unwrap_expect: hot && !is_test_tree,
-        solo_clock: !is_test_tree && rel != SOLO_CLOCK_HOME,
+        // The benchmark drives the simulator from its own threads until
+        // it moves onto the engine's concurrent calls.
+        sim_thread: !is_test_tree && !rel.starts_with("benchmark/"),
     })
 }
 
@@ -360,7 +370,7 @@ fn annotation_on(line: &str) -> Option<Result<(Rule, String), String>> {
     let Some(rule) = Rule::from_name(rule_name) else {
         return Some(Err(format!(
             "unknown rule {rule_name:?} \
-             (expected raw-lock, wall-clock, unwrap-expect or solo-clock)"
+             (expected raw-lock, wall-clock, unwrap-expect or sim-thread)"
         )));
     };
     let tail = rest[close + 1..].trim_start();
@@ -455,13 +465,13 @@ pub fn scan_source(rel: &str, src: &str, rules: FileRules, analysis: &mut Analys
             });
         }
 
-        if rules.solo_clock
+        if rules.sim_thread
             && !in_test
-            && (mline.contains(".solo(") || mline.contains("::solo("))
-            && !allowed(&original, i, Rule::SoloClock)
+            && SIM_THREAD_NEEDLES.iter().any(|n| ident_bounded(mline, n))
+            && !allowed(&original, i, Rule::SimThread)
         {
             analysis.violations.push(Violation {
-                rule: Rule::SoloClock,
+                rule: Rule::SimThread,
                 file: rel.to_string(),
                 line: i + 1,
                 snippet: original[i].trim().to_string(),
@@ -612,7 +622,7 @@ mod tests {
             raw_lock: true,
             wall_clock: true,
             unwrap_expect: true,
-            solo_clock: true,
+            sim_thread: true,
         }
     }
 
@@ -750,22 +760,42 @@ fn f() {
     }
 
     #[test]
-    fn solo_clock_only_in_host_boot() {
-        let src = "fn boot(&self) {\n    self.clock.solo(|| self.pf.create_vfs(n))?;\n}\n";
-        let host = classify(SOLO_CLOCK_HOME).unwrap();
-        assert!(scan(SOLO_CLOCK_HOME, src, host).violations.is_empty());
+    fn sim_thread_flags_os_threads_outside_the_executor() {
+        let src = "\
+use crossbeam::channel::unbounded;
+fn launch(clock: &Clock) {
+    let a = std::thread::spawn(|| work());
+    thread::scope(|s| { s.spawn(|| work()); });
+    std::thread::sleep(d);
+    let b = fastiov_simtime::spawn(clock, \"pod-0\", || work());
+    clock.sleep(d);
+}
+#[cfg(test)]
+mod tests {
+    fn t() {
+        std::thread::spawn(|| ()).join().unwrap();
+    }
+}
+";
         let pool = "crates/pool/src/pool.rs";
         let a = scan(pool, src, classify(pool).unwrap());
-        assert_eq!(a.violations.len(), 1, "{:?}", a.violations);
-        assert_eq!(a.violations[0].rule, Rule::SoloClock);
-        assert_eq!(a.violations[0].line, 2);
-        let annotated = "// analyze: allow(solo-clock): single-threaded by construction\n\
-                         clock.solo(|| clock.sleep(d));";
+        let lines: Vec<usize> = a.violations.iter().map(|v| v.line).collect();
+        assert_eq!(lines, [1, 3, 4, 5], "{:?}", a.violations);
+        assert!(a.violations.iter().all(|v| v.rule == Rule::SimThread));
+        let annotated = "// analyze: allow(sim-thread): a helper outside every clock\n\
+                         std::thread::spawn(|| ());";
         assert!(scan(pool, annotated, classify(pool).unwrap())
             .violations
             .is_empty());
-        let t = classify("tests/host.rs").unwrap();
-        assert!(!t.solo_clock);
+        for exempt in [
+            "tests/host.rs",
+            "crates/bench/benches/dma_map.rs",
+            "benchmark/src/workload.rs",
+        ] {
+            assert!(!classify(exempt).unwrap().sim_thread, "{exempt}");
+        }
+        assert!(classify("crates/simtime/src/exec.rs").is_none());
+        assert!(classify("examples/quickstart.rs").unwrap().sim_thread);
     }
 
     #[test]

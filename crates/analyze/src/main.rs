@@ -60,7 +60,7 @@ fn main() -> ExitCode {
         analysis.violations.len(),
         Rule::RawLock,
         Rule::WallClock,
-        Rule::SoloClock,
+        Rule::SimThread,
         unwrap_total,
         Rule::UnwrapExpect,
         allowlist_total(&allow),

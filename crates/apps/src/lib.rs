@@ -16,7 +16,8 @@
 //! the container's virtual NIC (the VF DMA data path, or virtio-net for
 //! software CNIs) before computing — exactly the SeBS flow the paper
 //! evaluates. [`runner::run_serverless_task`] measures the **task
-//! completion time**: startup command → application completion.
+//! completion time**: startup command → application completion;
+//! [`runner::run_serverless_concurrent`] runs many tasks at once.
 
 #![warn(missing_docs)]
 
@@ -24,7 +25,7 @@ pub mod runner;
 pub mod storage;
 pub mod workloads;
 
-pub use runner::{run_serverless_task, TaskResult};
+pub use runner::{run_serverless_concurrent, run_serverless_task, TaskResult};
 pub use storage::StorageServer;
 pub use workloads::{AppKind, Workload, WorkloadOutput};
 
@@ -43,6 +44,8 @@ pub enum AppError {
     NoSuchObject(String),
     /// Data-path failure during download.
     Download(String),
+    /// The task's thread panicked.
+    TaskPanic,
 }
 
 impl fmt::Display for AppError {
@@ -52,6 +55,7 @@ impl fmt::Display for AppError {
             AppError::Vmm(e) => write!(f, "vmm: {e}"),
             AppError::NoSuchObject(n) => write!(f, "no such object: {n}"),
             AppError::Download(d) => write!(f, "download failed: {d}"),
+            AppError::TaskPanic => f.write_str("task thread panicked"),
         }
     }
 }

@@ -147,7 +147,7 @@ pub fn run_serverless_task(
     // Compute: the execution time model at the allocated vCPUs covers
     // the computation's cost; the *real* algorithm run happens after the
     // timed window (it exists for output verification, and its host CPU
-    // time must not contaminate the scaled simulation clock).
+    // time is no modelled cost).
     {
         let _span = host.tracer.span("app.exec");
         clock.sleep(workload.exec_time(params.vcpus));
@@ -165,6 +165,32 @@ pub fn run_serverless_task(
         launch,
         output,
     })
+}
+
+/// Runs tasks `0..n` of `workload` at once, one simulation thread each,
+/// and returns their results in index order: the serverless counterpart
+/// of [`Engine::launch_concurrent`].
+pub fn run_serverless_concurrent(
+    engine: &Arc<Engine>,
+    n: u32,
+    workload: Arc<dyn Workload>,
+    storage: &Arc<StorageServer>,
+    params: &TaskParams,
+) -> Vec<Result<TaskResult>> {
+    let clock = &engine.host().clock;
+    let handles: Vec<_> = (0..n)
+        .map(|i| {
+            let (engine, workload) = (Arc::clone(engine), Arc::clone(&workload));
+            let (storage, params) = (Arc::clone(storage), *params);
+            fastiov_simtime::spawn(clock, format!("task-{i}"), move || {
+                run_serverless_task(&engine, i, workload.as_ref(), &storage, &params)
+            })
+        })
+        .collect();
+    handles
+        .into_iter()
+        .map(|h| h.join().unwrap_or(Err(AppError::TaskPanic)))
+        .collect()
 }
 
 /// Moves `total` bytes of `object` from the storage server into the
@@ -328,6 +354,29 @@ mod tests {
             } => assert!(compressed < original, "text-like input must compress"),
             other => panic!("unexpected {other:?}"),
         }
+    }
+
+    #[test]
+    fn concurrent_tasks_match_a_single_task_and_keep_the_clock_virtual() {
+        let storage = Arc::new(StorageServer::new());
+        let workload: Arc<dyn Workload> = AppKind::Image.workload().into();
+        let single = run_serverless_task(
+            &engine(true),
+            0,
+            workload.as_ref(),
+            &storage,
+            &small_params(),
+        )
+        .unwrap();
+        let engine = engine(true);
+        let results = run_serverless_concurrent(&engine, 8, workload, &storage, &small_params());
+        assert_eq!(results.len(), 8);
+        for (i, r) in results.into_iter().enumerate() {
+            let r = r.unwrap();
+            assert_eq!(r.index, i as u32);
+            assert_eq!(r.output, single.output, "task {i}");
+        }
+        assert!(engine.host().clock.is_virtual());
     }
 
     #[test]

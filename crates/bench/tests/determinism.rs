@@ -1,4 +1,4 @@
-//! The tracer's Chrome trace JSON carries wall-clock-backed timestamps
+//! The tracer's Chrome trace JSON carries each span's wall-clock time
 //! and is *not* reproducible, but its canonical structural digest — which
 //! VMs ran which spans at which depths, how many times — must be
 //! byte-identical across same-config runs.

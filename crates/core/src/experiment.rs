@@ -2,7 +2,7 @@
 
 use crate::baseline::Baseline;
 use crate::{Error, Result};
-use fastiov_apps::{run_serverless_task, AppKind, StorageServer, TaskResult};
+use fastiov_apps::{run_serverless_concurrent, AppKind, StorageServer, TaskResult};
 use fastiov_engine::{Engine, EngineParams, LaunchSummary, StartupReport, Summary};
 use fastiov_faults::FaultConfig;
 use fastiov_hostmem::addr::units::mib;
@@ -246,20 +246,16 @@ pub fn run_app_experiment(cfg: &ExperimentConfig, app: AppKind) -> Result<AppRun
         vcpus: cfg.vcpus,
         ..fastiov_apps::runner::TaskParams::paper()
     };
-    let handles: Vec<_> = (0..cfg.concurrency)
-        .map(|i| {
-            let engine = Arc::clone(&engine);
-            let storage = Arc::clone(&storage);
-            std::thread::spawn(move || {
-                let workload = app.workload();
-                run_serverless_task(&engine, i, workload.as_ref(), &storage, &params)
-            })
-        })
-        .collect();
-    let mut tasks = Vec::with_capacity(cfg.concurrency as usize);
-    for h in handles {
-        tasks.push(h.join().map_err(|_| Error::Empty)?.map_err(Error::App)?);
-    }
+    let tasks = run_serverless_concurrent(
+        &engine,
+        cfg.concurrency,
+        app.workload().into(),
+        &storage,
+        &params,
+    )
+    .into_iter()
+    .collect::<std::result::Result<Vec<_>, _>>()
+    .map_err(Error::App)?;
     if tasks.is_empty() {
         return Err(Error::Empty);
     }

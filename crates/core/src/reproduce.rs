@@ -9,10 +9,9 @@
 //! per claim ([`Record`]); every `<!-- results:<figure> -->` block of
 //! `EXPERIMENTS.md` is re-rendered from that file by [`render_blocks`].
 //!
-//! Rows run sequentially. The clock is wall-clock backed, so parallel
-//! rows would leak host CPU contention into simulated time. Rows with the
-//! same [`Run`] are measured once, so every figure that reads, say, the
-//! 200-way vanilla wave reads the same numbers.
+//! Rows run sequentially. Rows with the same [`Run`] are measured once,
+//! so every figure that reads, say, the 200-way vanilla wave reads the
+//! same numbers.
 
 use crate::{
     run_app_experiment, run_memperf, run_startup_experiment, Baseline, Error, ExperimentConfig,
@@ -642,7 +641,7 @@ pub fn claims() -> Vec<Claim> {
     let mut c = vec![
         claim("calibrate.no-net-avg", s, Near(4.0), vec![get(cal(NoNet), "avg")]),
         claim("calibrate.vanilla-avg", s, Near(16.2), vec![get(cal(Vanilla), "avg")]),
-        claim("calibrate.fastiov-avg", s, Near(5.6), vec![get(cal(FastIov), "avg")]).dev("D10"),
+        claim("calibrate.fastiov-avg", s, Near(5.6), vec![get(cal(FastIov), "avg")]).dev("D2"),
         claim("calibrate.vf-reduction", pct, Near(96.1), cal_red("vf")),
         claim("calibrate.avg-reduction", pct, Near(65.7), cal_red("avg")),
         claim("calibrate.p99-reduction", pct, Near(75.4), cal_red("p99")),
@@ -665,17 +664,17 @@ pub fn claims() -> Vec<Claim> {
     // Fig. 5: the fastest and slowest container of the 200-way wave.
     let f5 = || at("fig05", Vanilla, 200, "");
     c.extend([
-        claim("fig05.fastest", s, Near(3.8), vec![get(f5(), "min")]).dev("D10"),
-        claim("fig05.slowest", s, Near(20.0), vec![get(f5(), "max")]).paper("≈ 20").dev("D10"),
+        claim("fig05.fastest", s, Near(3.8), vec![get(f5(), "min")]).dev("D11"),
+        claim("fig05.slowest", s, Near(20.0), vec![get(f5(), "max")]).paper("≈ 20"),
     ]);
 
     // Tab. 1: stage shares of the average startup time.
     let t1 = |m: &str| vec![Expr::Share(at("tab1", Vanilla, 200, ""), m.into())];
     c.extend([
-        claim("tab1.0-cgroup", pct, Near(2.9), t1(&stage(stages::CGROUP))).dev("D10"),
+        claim("tab1.0-cgroup", pct, Near(2.9), t1(&stage(stages::CGROUP))),
         claim("tab1.1-dma-ram", pct, Near(13.0), t1(&stage(stages::DMA_RAM))).dev("D4"),
         claim("tab1.2-virtiofs", pct, Near(13.3), t1(&stage(stages::VIRTIOFS))).dev("D5"),
-        claim("tab1.3-dma-image", pct, Near(5.6), t1(&stage(stages::DMA_IMAGE))).dev("D4"),
+        claim("tab1.3-dma-image", pct, Near(5.6), t1(&stage(stages::DMA_IMAGE))),
         claim("tab1.4-vfio-dev", pct, Near(48.1), t1(&stage(stages::VFIO_DEV))),
         claim("tab1.5-vf-driver", pct, Near(3.4), t1(&stage(stages::VF_DRIVER))),
         claim("tab1.vf-related", pct, Near(70.1), t1("vf")),
@@ -686,14 +685,14 @@ pub fn claims() -> Vec<Claim> {
     let r11 = |b| cut(f11(b), f11(Vanilla), "avg");
     let ranking = [FastIovMinusL, FastIovMinusA, FastIovMinusD, FastIovMinusS, FastIov].map(r11).to_vec();
     c.extend([
-        claim("fig11.minus-l", pct, Near(21.8), vec![r11(FastIovMinusL)]).dev("D10"),
-        claim("fig11.minus-a", pct, Near(40.3), vec![r11(FastIovMinusA)]),
-        claim("fig11.minus-s", pct, Near(58.2), vec![r11(FastIovMinusS)]),
+        claim("fig11.minus-l", pct, Near(21.8), vec![r11(FastIovMinusL)]),
+        claim("fig11.minus-a", pct, Near(40.3), vec![r11(FastIovMinusA)]).dev("D11"),
+        claim("fig11.minus-s", pct, Near(58.2), vec![r11(FastIovMinusS)]).dev("D11"),
         claim("fig11.minus-d", pct, Near(43.7), vec![r11(FastIovMinusD)]).dev("D1"),
-        claim("fig11.order", pct, Order("L < A < D < S < FastIOV"), ranking).dev("D1"),
-        claim("fig11.vs-pre100", pct, Near(56.4), vec![cut(f11(FastIov), f11(Prezero(100)), "avg")]).dev("D10"),
+        claim("fig11.order", pct, Order("L < A < D < S < FastIOV"), ranking),
+        claim("fig11.vs-pre100", pct, Near(56.4), vec![cut(f11(FastIov), f11(Prezero(100)), "avg")]),
         claim("fig11.prezero", pct, AtMost(21.0), [10, 50, 100].map(|f| r11(Prezero(f))).to_vec())
-            .paper("≈ 13–21"),
+            .paper("≈ 13–21").dev("D4"),
     ]);
 
     // Fig. 12: tails against the no-network p99.
@@ -708,17 +707,17 @@ pub fn claims() -> Vec<Claim> {
     let r13 = |n, sfx| cut(at("fig13", FastIov, n, sfx), at("fig13", Vanilla, n, sfx), "avg");
     let growth = |b| vec![rise(at("fig13", b, 50, "/2gb"), at("fig13", b, 50, "/512mb"), "avg")];
     c.extend([
-        claim("fig13.a-reduction-10", pct, Near(46.7), vec![r13(10, "")]).dev("D10"),
+        claim("fig13.a-reduction-10", pct, Near(46.7), vec![r13(10, "")]),
         claim("fig13.a-reduction-200", pct, Near(65.6), vec![r13(200, "")]),
         claim("fig13.a-grows", pct, Order("10 < 50 < 100 < 200"), CONCS.map(|n| r13(n, "")).to_vec())
-            .paper("46.7 → 65.6, grows with concurrency").dev("D10"),
+            .paper("46.7 → 65.6, grows with concurrency"),
         claim("fig13.b-vanilla-growth", pct, Near(60.5), growth(Vanilla)),
         claim("fig13.b-fastiov-growth", pct, Near(21.5), growth(FastIov)).dev("D7"),
         claim("fig13.c-reduction-200", pct, Near(65.7), vec![r13(200, "/full")]),
         claim("fig13.c-reduction-10", pct, Near(79.5), vec![r13(10, "/full")]),
         claim("fig13.c-rises-as-conc-drops", pct, Order("200 < 100 < 50 < 10"),
               [200, 100, 50, 10].map(|n| r13(n, "/full")).to_vec())
-            .paper("65.7 → 79.5 as concurrency drops").dev("D10"),
+            .paper("65.7 → 79.5 as concurrency drops"),
     ]);
 
     // Fig. 14: software CNI. Every wave launches the same 200 containers,
@@ -751,30 +750,25 @@ pub fn claims() -> Vec<Claim> {
     };
     let shrinking = [Inference, Scientific, Compression, Image].map(|a| r15(a, "avg")).to_vec();
     c.extend([
-        claim("fig15.image-avg", pct, Near(53.5), vec![r15(Image, "avg")]).dev("D8"),
-        claim("fig15.inference-avg", pct, Near(12.1), vec![r15(Inference, "avg")]).dev("D8"),
-        claim("fig15.image-p99", pct, Near(53.7), vec![r15(Image, "p99")]).dev("D8"),
-        claim("fig15.inference-p99", pct, Near(20.3), vec![r15(Inference, "p99")]).dev("D8"),
+        claim("fig15.image-avg", pct, Near(53.5), vec![r15(Image, "avg")]),
+        claim("fig15.inference-avg", pct, Near(12.1), vec![r15(Inference, "avg")]),
+        claim("fig15.image-p99", pct, Near(53.7), vec![r15(Image, "p99")]),
+        claim("fig15.inference-p99", pct, Near(20.3), vec![r15(Inference, "p99")]),
         claim("fig15.decreasing", pct, Order("Inference < Scientific < Compression < Image"), shrinking)
-            .paper("shrinks Image → Inference").dev("D9"),
+            .paper("shrinks Image → Inference"),
     ]);
 
     // Fig. 16: per app, (a–d) R-ratio vs concurrency, (e–h) FastIOV with
     // 4× resources, (i–l) a fully loaded server.
-    for (app, conc_dev) in AppKind::ALL.into_iter().zip(["D9", "", "D10", "D10"]) {
+    for app in AppKind::ALL {
         let name = app_key(app);
         let cell = |b, n, sfx| at(&format!("fig16.{name}"), b, n, sfx);
         let r16 = |n, sfx| cut(cell(FastIov, n, sfx), cell(Vanilla, n, sfx), "avg");
         let full = vec![Expr::Max([50, 100, 200].map(|n| r16(n, "/full")).to_vec()), r16(10, "/full")];
         let resources = vec![get(cell(FastIov, 50, "/2gb"), "avg"), get(cell(FastIov, 50, "/512mb"), "avg")];
-        let mut conc = claim(&format!("fig16.{name}-conc"), pct, Order("10 < 50 < 100 < 200"),
-                             CONCS.map(|n| r16(n, "")).to_vec())
-            .paper("R-ratio grows with concurrency");
-        if !conc_dev.is_empty() {
-            conc = conc.dev(conc_dev);
-        }
         c.extend([
-            conc,
+            claim(&format!("fig16.{name}-conc"), pct, Order("10 < 50 < 100 < 200"), CONCS.map(|n| r16(n, "")).to_vec())
+                .paper("R-ratio grows with concurrency"),
             claim(&format!("fig16.{name}-resources"), s, Order("2GB/2c ≤ 512MB/0.5c"), resources)
                 .paper("FastIOV flat or ↓ with 4× resources"),
             claim(&format!("fig16.{name}-full"), pct, Order("others < 10"), full)

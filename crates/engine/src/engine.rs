@@ -675,15 +675,15 @@ impl Engine {
         Ok(())
     }
 
-    /// `crictl`-style concurrent startup of `n` pods, one thread each
-    /// (§3.1). Returns per-pod results in index order, classified in a
-    /// [`LaunchSummary`].
+    /// `crictl`-style concurrent startup of `n` pods, one simulation
+    /// thread each (§3.1). Returns per-pod results in index order,
+    /// classified in a [`LaunchSummary`].
     pub fn launch_concurrent(self: &Arc<Self>, n: u32) -> LaunchOutcome {
         let spread = self.params.launch_spread;
         let handles: Vec<_> = (0..n)
             .map(|i| {
                 let engine = Arc::clone(self);
-                std::thread::spawn(move || {
+                fastiov_simtime::spawn(&self.host.clock, format!("pod-{i}"), move || {
                     engine.host.clock.sleep(Duration::from_secs_f64(
                         spread.as_secs_f64() * f64::from(i) / f64::from(n.max(1)),
                     ));

@@ -59,9 +59,9 @@ impl Rng {
 impl Engine {
     /// Runs `cfg.total` pods arriving as a Poisson process at
     /// `cfg.rate_per_s`, each held for `cfg.hold` then torn down.
-    /// Inter-arrival gaps are exponential, slept on the scaled simulation
-    /// clock by the arrival thread; every pod then runs open-loop on its
-    /// own thread.
+    /// Inter-arrival gaps are exponential, slept on the simulation clock
+    /// by the arrival thread; every pod then runs open-loop on its own
+    /// simulation thread.
     pub fn run_sustained(self: &Arc<Self>, cfg: SustainedConfig) -> SustainedOutcome {
         let mut rng = Rng::new(cfg.seed);
         let mut workers = Vec::with_capacity(cfg.total as usize);
@@ -69,13 +69,18 @@ impl Engine {
             let gap = -rng.unit().ln() / cfg.rate_per_s.max(f64::MIN_POSITIVE);
             self.host().clock.sleep(Duration::from_secs_f64(gap));
             let engine = Arc::clone(self);
-            workers.push(std::thread::spawn(move || -> Result<StartupReport> {
+            let pod = move || -> Result<StartupReport> {
                 let pod = engine.run_pod(i)?;
                 let report = pod.report.clone();
                 engine.host().clock.sleep(cfg.hold);
                 engine.teardown_pod(&pod)?;
                 Ok(report)
-            }));
+            };
+            workers.push(fastiov_simtime::spawn(
+                &self.host().clock,
+                format!("pod-{i}"),
+                pod,
+            ));
         }
         let results: Vec<Result<StartupReport>> = workers
             .into_iter()

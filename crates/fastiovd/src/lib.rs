@@ -271,18 +271,25 @@ impl Fastiovd {
     }
 
     /// One scrubber sweep: zero up to `batch` tracked pages across all
-    /// VMs, oldest registration first within each VM (FIFO pop from the
-    /// registration-order queue — no per-sweep key sort). Returns pages
-    /// zeroed.
+    /// VMs in pid order, oldest registration first within each VM (FIFO
+    /// pop from the registration-order queue — no per-sweep key sort).
+    /// Returns pages zeroed.
     pub fn scrub_once(&self, batch: usize) -> usize {
         // Cheap idle check: the sweeping thread wakes often and usually
         // finds nothing; do not touch any table lock in that case.
         if self.tracked.load(Ordering::Relaxed) == 0 {
             return 0;
         }
-        let tables: Vec<Arc<TrackedMutex<VmTable>>> = self.tier1.read().values().cloned().collect();
+        let mut tables: Vec<(u64, Arc<TrackedMutex<VmTable>>)> = self
+            .tier1
+            .read()
+            .iter()
+            .map(|(&pid, t)| (pid, Arc::clone(t)))
+            .collect();
+        // The map's own order is random per instance; a run must repeat.
+        tables.sort_unstable_by_key(|&(pid, _)| pid);
         let mut done = 0;
-        for table in tables {
+        for (_, table) in tables {
             if done >= batch {
                 break;
             }
@@ -317,14 +324,15 @@ impl Fastiovd {
     }
 
     /// Starts the background scrubber thread: every `interval` of
-    /// simulated time it zeroes up to `batch` tracked pages. Returns a
-    /// handle that stops the thread when dropped.
+    /// simulated time it zeroes up to `batch` tracked pages. It is a
+    /// daemon of the clock: it never keeps the simulation going alone.
+    /// Returns a handle that stops the thread when dropped.
     pub fn start_scrubber(self: &Arc<Self>, interval: Duration, batch: usize) -> ScrubberHandle {
         self.scrub_running.store(true, Ordering::SeqCst);
         let me = Arc::clone(self);
         let stop = Arc::new(AtomicBool::new(false));
         let stop2 = Arc::clone(&stop);
-        let handle = std::thread::spawn(move || {
+        let handle = fastiov_simtime::spawn_daemon(&self.clock, "fastiovd-scrubber", move || {
             while !stop2.load(Ordering::SeqCst) {
                 me.clock.sleep(interval);
                 if stop2.load(Ordering::SeqCst) {
@@ -388,7 +396,7 @@ impl EptFaultHook for Fastiovd {
 /// RAII handle for the scrubber thread.
 pub struct ScrubberHandle {
     stop: Arc<AtomicBool>,
-    thread: Option<std::thread::JoinHandle<()>>,
+    thread: Option<fastiov_simtime::JoinHandle<()>>,
 }
 
 impl ScrubberHandle {

@@ -13,7 +13,7 @@ use crate::{MemError, Result};
 use fastiov_simtime::{Clock, CpuPool, FairShareBandwidth, LockClass, LockSnapshot, TrackedMutex};
 use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, LazyLock};
 use std::time::Duration;
 
 /// Index of a physical frame.
@@ -81,6 +81,46 @@ struct Frame {
     content: PageContent,
 }
 
+/// One metadata mutex per frame, indexed by frame number.
+type FrameTable = Vec<TrackedMutex<Frame>>;
+
+/// Frame `i` of a new memory: free, unpinned, full of residue.
+fn fresh_frame(page: PageSize, i: usize) -> TrackedMutex<Frame> {
+    TrackedMutex::new(
+        LockClass::PhysFrame,
+        Frame {
+            owner: None,
+            pins: 0,
+            clean: false,
+            content: PageContent::garbage(page.bytes(), i as u64),
+        },
+    )
+}
+
+/// The frame table of the last memory dropped, already reset to fresh
+/// frames, for the next memory of the same page size and frame count.
+///
+/// A host's table is one ~10 MB allocation. Freed back to `malloc`, it
+/// became a heap hole that later small allocations split, so after a
+/// hundred-odd hosts in one process the next table no longer fit and the
+/// heap grew by a whole table: resident memory stepped up by ~9 MB at a
+/// host count that varied run to run. Reusing the table keeps one host
+/// after another on the same pages.
+static SPARE_FRAMES: LazyLock<TrackedMutex<Option<(PageSize, FrameTable)>>> =
+    LazyLock::new(|| TrackedMutex::new(LockClass::PhysSpareFrames, None));
+
+/// Takes the spare table if it has `page`-sized frames and `total` of them.
+fn take_spare_frames(page: PageSize, total: usize) -> Option<FrameTable> {
+    let mut spare = SPARE_FRAMES.lock();
+    match spare.take() {
+        Some((p, frames)) if p == page && frames.len() == total => Some(frames),
+        other => {
+            *spare = other;
+            None
+        }
+    }
+}
+
 /// Counters exposed by [`PhysMemory::stats`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct AllocStats {
@@ -118,7 +158,7 @@ pub struct AllocStats {
 pub struct PhysMemory {
     costs: MemCosts,
     page: PageSize,
-    frames: Vec<TrackedMutex<Frame>>,
+    frames: FrameTable,
     /// Free frame indices, kept sorted (address order) for batched
     /// retrieval.
     free: TrackedMutex<BTreeSet<usize>>,
@@ -135,19 +175,8 @@ impl PhysMemory {
 
     /// Creates a memory of `total_frames` frames of size `page`, all free.
     pub fn new(costs: MemCosts, page: PageSize, total_frames: usize) -> Arc<Self> {
-        let frames = (0..total_frames)
-            .map(|i| {
-                TrackedMutex::new(
-                    LockClass::PhysFrame,
-                    Frame {
-                        owner: None,
-                        pins: 0,
-                        clean: false,
-                        content: PageContent::garbage(page.bytes(), i as u64),
-                    },
-                )
-            })
-            .collect();
+        let frames = take_spare_frames(page, total_frames)
+            .unwrap_or_else(|| (0..total_frames).map(|i| fresh_frame(page, i)).collect());
         Arc::new(PhysMemory {
             costs,
             page,
@@ -505,6 +534,20 @@ impl PhysMemory {
     }
 }
 
+impl Drop for PhysMemory {
+    /// Resets the frame table (dropping written contents, as freeing it
+    /// would) and keeps it as the spare, replacing any older one.
+    fn drop(&mut self) {
+        let mut frames = std::mem::take(&mut self.frames);
+        for (i, frame) in frames.iter_mut().enumerate() {
+            *frame = fresh_frame(self.page, i);
+        }
+        let old = SPARE_FRAMES.lock().replace((self.page, frames));
+        // Freed after the lock is released.
+        drop(old);
+    }
+}
+
 /// Groups sorted frame indices into contiguous [`FrameRange`]s.
 ///
 /// Exposed for other crates (the MMU, VFIO) that need to coalesce frame
@@ -721,6 +764,32 @@ mod tests {
         m.free_ranges(&r, 1).unwrap();
         let s = m.free_lock_stats();
         assert!(s.acquisitions >= 2);
+    }
+
+    #[test]
+    fn a_recycled_frame_table_comes_back_fresh() {
+        // 13 frames: a shape no other test builds, so the next memory
+        // normally takes the table this drop leaves as the spare.
+        let residue = |m: &PhysMemory| {
+            let mut buf = [0u8; 16];
+            m.read_phys(m.hpa_of(FrameId(5)), &mut buf).unwrap();
+            buf
+        };
+        let m = mem(13);
+        let expect = residue(&m);
+        let r = m.alloc_frames(13, 1).unwrap();
+        m.zero_ranges(&r).unwrap();
+        m.pin_ranges(&r).unwrap();
+        m.write_phys(m.hpa_of(FrameId(5)), &[9; 16]).unwrap();
+        drop(m);
+
+        let m = mem(13);
+        assert_eq!(m.stats().free_frames, 13);
+        assert!(m.leaks_residue(FrameId(5)).unwrap());
+        assert_eq!(residue(&m), expect);
+        // Unowned and unpinned: a new owner can take and free every frame.
+        let r = m.alloc_frames(13, 2).unwrap();
+        m.free_ranges(&r, 2).unwrap();
     }
 
     #[test]

@@ -63,8 +63,11 @@ impl Host {
 
     /// Builds the server with the given VFIO lock policy and pre-creates
     /// all VFs (the one-time boot-phase work of §2.3, excluded from
-    /// startup measurements). Boot is single-threaded, so it runs solo on
-    /// the clock: its simulated cost is charged in full without blocking.
+    /// startup measurements).
+    ///
+    /// The host runs on a virtual clock whose driver is the calling
+    /// thread: boot, like every later wave, costs only the simulator's CPU
+    /// time.
     pub fn new(params: HostParams, vfio_policy: LockPolicy) -> Result<Arc<Self>> {
         Self::with_faults(params, vfio_policy, FaultPlane::disabled())
     }
@@ -78,7 +81,7 @@ impl Host {
         vfio_policy: LockPolicy,
         faults: Arc<FaultPlane>,
     ) -> Result<Arc<Self>> {
-        let clock = Clock::with_scale(params.time_scale);
+        let clock = Clock::new_virtual(params.time_scale);
         let tracer = Tracer::new(clock.clone());
         let cpu = CpuPool::new(clock.clone(), params.host_cores);
         let membw =
@@ -126,7 +129,7 @@ impl Host {
         if faults.is_enabled() {
             pf.set_fault_plane(Arc::clone(&faults));
         }
-        clock.solo(|| pf.create_vfs(params.total_vfs))?;
+        pf.create_vfs(params.total_vfs)?;
         let line = FairShareBandwidth::new(
             clock.clone(),
             params.nic_line_total,
@@ -187,24 +190,21 @@ impl Host {
     /// Binds every VF to the VFIO driver and registers it with the devset
     /// manager — the one-time post-boot step of the fixed SR-IOV CNI (§5),
     /// which removes the per-launch bind/rebind churn of the original
-    /// plugin. Like VF pre-creation it is single-threaded boot work and
-    /// runs solo on the clock.
+    /// plugin.
     pub fn prebind_all_vfs(&self) -> Result<()> {
-        self.clock.solo(|| {
-            for i in 0..self.pf.vf_count() as u16 {
-                let vf = self
-                    .pf
-                    .vf(fastiov_nic::VfId(i))
-                    .map_err(crate::VmmError::Nic)?;
-                self.pf
-                    .bind_vfio(fastiov_nic::VfId(i))
-                    .map_err(crate::VmmError::Nic)?;
-                self.vfio
-                    .register(Arc::clone(vf.pci()))
-                    .map_err(crate::VmmError::Vfio)?;
-            }
-            Ok(())
-        })
+        for i in 0..self.pf.vf_count() as u16 {
+            let vf = self
+                .pf
+                .vf(fastiov_nic::VfId(i))
+                .map_err(crate::VmmError::Nic)?;
+            self.pf
+                .bind_vfio(fastiov_nic::VfId(i))
+                .map_err(crate::VmmError::Nic)?;
+            self.vfio
+                .register(Arc::clone(vf.pci()))
+                .map_err(crate::VmmError::Vfio)?;
+        }
+        Ok(())
     }
 }
 

@@ -1,7 +1,7 @@
 //! Host parameter set, calibrated against the paper's measurements.
 //!
 //! Every constant is a *simulated* duration or size; the [`crate::Host`]
-//! realizes them through the scaled clock. Calibration targets come from
+//! realizes them through its simulation clock. Calibration targets come from
 //! the paper's testbed (§3.1: 2×28-core Xeon, 256 GB DDR4, 25 GbE Intel
 //! E810 with 256 VFs) and measured proportions (Tab. 1 at concurrency
 //! 200): each field's comment states what it was fitted to. Absolute

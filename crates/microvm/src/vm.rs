@@ -169,7 +169,7 @@ pub struct Microvm {
     virtiofs: Arc<VirtioFs>,
     virtio_net: Option<Arc<VirtioNet>>,
     net_readiness: Option<Arc<NetReadiness>>,
-    init_thread: TrackedMutex<Option<std::thread::JoinHandle<()>>>,
+    init_thread: TrackedMutex<Option<fastiov_simtime::JoinHandle<()>>>,
 }
 
 impl Microvm {
@@ -425,7 +425,8 @@ impl Microvm {
             if cfg.async_vf_init {
                 let host2 = Arc::clone(host);
                 let pid = cfg.pid;
-                init_thread = Some(std::thread::spawn(move || {
+                let name = format!("vf-init-{pid}");
+                init_thread = Some(fastiov_simtime::spawn(&host.clock, name, move || {
                     // The init thread is off the launch thread's span
                     // stack: re-establish VM attribution and give the
                     // overlapped work its own root span on its own track.

@@ -1,16 +1,15 @@
 //! The warm pool proper: slots, watermarks, the replenisher thread.
 
-use crossbeam::channel::{self, Receiver, Sender};
 use fastiov_cni::{CniError, VfProvider};
 use fastiov_faults::sites;
 use fastiov_microvm::{Host, Microvm, MicrovmConfig, NetworkAttachment, VmmError};
 use fastiov_nic::{AdminCmd, MacAddr, NetdevName, NicError, VfId};
-use fastiov_simtime::StageLog;
-use fastiov_simtime::{LockClass, TrackedCondvar, TrackedMutex};
+use fastiov_simtime::{
+    JoinHandle, LockClass, Receiver, Sender, StageLog, TrackedCondvar, TrackedMutex,
+};
 use std::fmt;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::thread::JoinHandle;
 
 /// Pool microVMs use hypervisor PIDs from this base up, well clear of the
 /// engine's per-pod PIDs (1000 + index).
@@ -317,10 +316,10 @@ impl WarmPool {
             idle: TrackedCondvar::new(),
             live: AtomicUsize::new(0),
         });
-        let (tx, rx) = channel::unbounded();
+        let (tx, rx) = fastiov_simtime::channel();
         let thread = {
-            let shared = Arc::clone(&shared);
-            std::thread::spawn(move || replenisher(shared, rx))
+            let (clock, shared) = (shared.host.clock.clone(), Arc::clone(&shared));
+            fastiov_simtime::spawn(&clock, "pool-replenisher", move || replenisher(shared, rx))
         };
         Arc::new(WarmPool {
             shared,
@@ -347,14 +346,18 @@ impl WarmPool {
             if need == 0 {
                 break;
             }
-            std::thread::scope(|s| {
-                for _ in 0..need {
+            let provisions: Vec<_> = (0..need)
+                .map(|i| {
                     let shared = Arc::clone(&self.shared);
-                    s.spawn(move || {
+                    let clock = &self.shared.host.clock;
+                    fastiov_simtime::spawn(clock, format!("pool-prefill-{i}"), move || {
                         let _ = shared.provision_one();
-                    });
-                }
-            });
+                    })
+                })
+                .collect();
+            for p in provisions {
+                let _ = p.join();
+            }
             if self.shared.slots.lock().len() == before {
                 break;
             }

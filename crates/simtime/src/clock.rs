@@ -1,10 +1,10 @@
-//! The scaled simulation clock.
+//! The simulation clock.
 
-use std::cell::Cell;
+use crate::exec::Exec;
 use std::fmt;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::panic::Location;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// A point in simulated time, measured since the owning [`Clock`]'s origin.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
@@ -46,16 +46,24 @@ impl fmt::Display for SimInstant {
     }
 }
 
-/// A wall-clock-backed simulation clock with a configurable time scale
-/// and a simulated-time offset.
+/// A simulation clock: simulated time since its origin, plus the
+/// scheduler that decides when blocked simulation threads resume.
 ///
-/// `scale` is the ratio of real time to simulated time: at the paper
-/// scale of `0.02` (`HostParams::paper()`), one simulated second costs
-/// twenty real milliseconds. Simulated time is
-/// `now() = real_elapsed / scale + skipped`, where `skipped` is the
-/// simulated time charged by sleeps inside a [`Clock::solo`] scope
-/// without blocking. The clock is cheap to clone (it is an `Arc`
-/// internally) and is shared by every component of a simulated host.
+/// A *virtual* clock ([`Clock::new_virtual`], the clock of every host)
+/// owns a discrete-event executor (see [`spawn`](crate::spawn)). Its
+/// driver — the thread that created it — and the threads spawned on it
+/// take turns holding one baton; a sleep hands the baton on and, once no
+/// thread can run, time jumps straight to the earliest wake-up. A wave
+/// therefore costs its CPU time, not its simulated time, and every
+/// reading of [`Clock::now`] is exact.
+///
+/// A *wall* clock ([`Clock::with_scale`]) paces simulated time in real
+/// time: `scale` is the ratio of real to simulated time, so at `0.02` one
+/// simulated second blocks for twenty real milliseconds. A virtual clock
+/// becomes a wall clock, keeping the time it has reached, when a thread
+/// outside the simulation sleeps on it or spawns onto it. The clock is
+/// cheap to clone (an `Arc` internally) and is shared by every component
+/// of a simulated host.
 ///
 /// # Examples
 ///
@@ -63,153 +71,105 @@ impl fmt::Display for SimInstant {
 /// use fastiov_simtime::Clock;
 /// use std::time::Duration;
 ///
-/// let clock = Clock::with_scale(0.001);
-/// let t0 = clock.now();
-/// clock.sleep(Duration::from_millis(50)); // 50 simulated ms = 50 real us
-/// assert!(clock.now().duration_since(t0) >= Duration::from_millis(40));
+/// // A virtual clock jumps: an hour of sleep returns at once.
+/// let clock = Clock::new_virtual(1.0);
+/// clock.sleep(Duration::from_secs(3600));
+/// assert_eq!(clock.now().since_origin(), Duration::from_secs(3600));
 ///
-/// // A solo sleep is charged to the clock without blocking.
-/// let t1 = clock.now();
-/// clock.solo(|| clock.sleep(Duration::from_secs(3600)));
-/// assert!(clock.now().duration_since(t1) >= Duration::from_secs(3600));
+/// // A wall clock blocks for `sim × scale`.
+/// let wall = Clock::with_scale(0.001);
+/// wall.sleep(Duration::from_millis(50)); // 50 simulated ms = 50 real us
+/// assert!(wall.now().since_origin() >= Duration::from_millis(40));
+/// assert!(!wall.is_virtual());
 /// ```
 #[derive(Clone)]
 pub struct Clock {
-    inner: Arc<ClockInner>,
+    exec: Arc<Exec>,
 }
 
-struct ClockInner {
-    origin: Instant,
-    scale: f64,
-    /// Simulated nanoseconds charged by solo sleeps without blocking.
-    skipped_ns: AtomicU64,
-    /// Threads currently blocked in a real sleep on this clock.
-    sleepers: AtomicUsize,
-}
-
-thread_local! {
-    /// Address of the `ClockInner` the current thread is solo on (0 for
-    /// none).
-    static SOLO: Cell<usize> = const { Cell::new(0) };
+fn checked_scale(scale: f64) -> f64 {
+    assert!(
+        scale.is_finite() && scale > 0.0,
+        "time scale must be finite and positive, got {scale}"
+    );
+    scale
 }
 
 impl Clock {
-    /// Creates a clock with an explicit real/simulated time ratio.
+    /// Creates a wall clock with an explicit real/simulated time ratio.
     ///
     /// # Panics
     ///
     /// Panics if `scale` is not finite and positive.
     pub fn with_scale(scale: f64) -> Self {
-        assert!(
-            scale.is_finite() && scale > 0.0,
-            "time scale must be finite and positive, got {scale}"
-        );
-        minimize_timer_slack();
         Clock {
-            inner: Arc::new(ClockInner {
-                origin: Instant::now(),
-                scale,
-                skipped_ns: AtomicU64::new(0),
-                sleepers: AtomicUsize::new(0),
-            }),
+            exec: Exec::wall(checked_scale(scale)),
+        }
+    }
+
+    /// Creates a virtual clock driven by the calling thread, which leaves
+    /// the executor of any virtual clock it drove or ran on before.
+    /// `scale` is the pacing the clock falls back to (see the type docs).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `scale` is not finite and positive.
+    pub fn new_virtual(scale: f64) -> Self {
+        Clock {
+            exec: Exec::new_virtual(checked_scale(scale)),
         }
     }
 
     /// The real/simulated time ratio of this clock.
     pub fn scale(&self) -> f64 {
-        self.inner.scale
+        self.exec.scale()
+    }
+
+    /// True while simulated time is driven by the executor; false for a
+    /// wall clock and for a virtual clock that has fallen back.
+    pub fn is_virtual(&self) -> bool {
+        self.exec.is_virtual()
     }
 
     /// Current simulated time.
     pub fn now(&self) -> SimInstant {
-        let real = self.inner.origin.elapsed();
-        let skipped = Duration::from_nanos(self.inner.skipped_ns.load(Ordering::Acquire));
-        SimInstant(Duration::from_secs_f64(real.as_secs_f64() / self.inner.scale) + skipped)
+        SimInstant(self.exec.now())
     }
 
     /// Blocks the calling thread for `sim` of simulated time.
     ///
     /// This is the primitive every modelled hardware or kernel latency goes
-    /// through. Sub-microsecond real sleeps are skipped: at practical scales
-    /// they are below OS timer resolution and only add noise.
-    ///
-    /// Inside a [`Clock::solo`] scope on this clock the sleep does not
-    /// block: its full simulated duration, sub-microsecond ones included,
-    /// is added to the clock's offset. If another thread is sleeping on
-    /// this clock at that moment, the sleep blocks for real instead, so
-    /// the jump never shortens anyone else's sleep.
+    /// through. On a virtual clock a simulation thread is charged exactly
+    /// `sim`; any other thread switches the clock to wall pacing first.
+    /// On a wall clock sub-microsecond real sleeps are skipped: they are
+    /// below OS timer resolution and only add noise.
+    #[track_caller]
     pub fn sleep(&self, sim: Duration) {
-        if self.is_solo() && self.inner.sleepers.load(Ordering::Acquire) == 0 {
-            let ns = u64::try_from(sim.as_nanos()).unwrap_or(u64::MAX);
-            self.inner.skipped_ns.fetch_add(ns, Ordering::AcqRel);
-            return;
-        }
-        let real = Duration::from_secs_f64(sim.as_secs_f64() * self.inner.scale);
-        if real >= Duration::from_micros(1) {
-            self.inner.sleepers.fetch_add(1, Ordering::AcqRel);
-            std::thread::sleep(real);
-            self.inner.sleepers.fetch_sub(1, Ordering::AcqRel);
+        if !sim.is_zero() {
+            self.exec.sleep(sim, Location::caller());
         }
     }
 
-    /// Runs `f` with the calling thread solo on this clock: its sleeps on
-    /// this clock advance the clock's offset instead of blocking (see
-    /// [`Clock::sleep`]). Sleeps on other clocks, and other threads'
-    /// sleeps, are unaffected.
-    ///
-    /// The caller promises that no other thread makes progress on this
-    /// clock meanwhile, i.e. the work is single-threaded by construction.
-    /// Host boot (VF pre-creation and the VFIO prebind) is; the warm-pool
-    /// prefill, whose provisions run in parallel, is not. Only
-    /// `crates/microvm/src/host.rs` may call it (`fastiov-analyze` rule
-    /// `solo-clock`).
-    pub fn solo<R>(&self, f: impl FnOnce() -> R) -> R {
-        /// Restores the previous solo clock, also when `f` unwinds.
-        struct Restore(usize);
-        impl Drop for Restore {
-            fn drop(&mut self) {
-                SOLO.with(|s| s.set(self.0));
-            }
-        }
-        let _restore = Restore(SOLO.with(|s| s.replace(self.key())));
-        f()
-    }
-
-    fn key(&self) -> usize {
-        Arc::as_ptr(&self.inner) as usize
-    }
-
-    fn is_solo(&self) -> bool {
-        SOLO.with(|s| s.get() == self.key())
+    pub(crate) fn exec(&self) -> &Arc<Exec> {
+        &self.exec
     }
 
     /// Converts a simulated duration into the real duration it would block.
     pub fn to_real(&self, sim: Duration) -> Duration {
-        Duration::from_secs_f64(sim.as_secs_f64() * self.inner.scale)
+        Duration::from_secs_f64(sim.as_secs_f64() * self.scale())
     }
 
     /// Converts a measured real duration into simulated time.
     pub fn to_sim(&self, real: Duration) -> Duration {
-        Duration::from_secs_f64(real.as_secs_f64() / self.inner.scale)
+        Duration::from_secs_f64(real.as_secs_f64() / self.scale())
     }
-}
-
-/// Shrinks the kernel's nanosleep timer slack for this process (Linux
-/// default: 50 µs). Scaled sleeps are the simulation's unit of cost, so
-/// per-sleep overshoot would otherwise bias every measured stage upward.
-/// Best effort: failures (non-Linux, sandboxes) are ignored.
-fn minimize_timer_slack() {
-    use std::sync::Once;
-    static ONCE: Once = Once::new();
-    ONCE.call_once(|| {
-        let _ = std::fs::write("/proc/self/timerslack_ns", "1");
-    });
 }
 
 impl fmt::Debug for Clock {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("Clock")
-            .field("scale", &self.inner.scale)
+            .field("scale", &self.scale())
+            .field("virtual", &self.is_virtual())
             .field("now", &self.now())
             .finish()
     }
@@ -230,7 +190,7 @@ mod tests {
     }
 
     #[test]
-    fn clock_advances_in_sim_units() {
+    fn wall_clock_advances_in_sim_units() {
         let clock = Clock::with_scale(0.0001);
         let t0 = clock.now();
         clock.sleep(Duration::from_secs(1)); // 0.1 ms real
@@ -238,68 +198,87 @@ mod tests {
         assert!(dt >= Duration::from_millis(900), "sim dt {dt:?}");
     }
 
-    fn skipped(clock: &Clock) -> Duration {
-        Duration::from_nanos(clock.inner.skipped_ns.load(Ordering::Acquire))
-    }
-
     #[test]
-    fn solo_sleep_advances_by_exactly_the_slept_duration() {
-        // At this scale a real sleep of one simulated hour would block for
-        // 41 days, so returning at all proves the solo sleep did not block.
-        let clock = Clock::with_scale(1e3);
-        let t0 = clock.now();
+    fn an_hour_of_virtual_sleep_returns_at_once() {
+        // At this scale a paced hour would block for 41 days, so returning
+        // at all proves the sleep did not block.
+        let clock = Clock::new_virtual(1e3);
         let sims = [
             Duration::from_secs(3600),
             Duration::from_nanos(1), // sub-µs sleeps count too
             Duration::from_millis(30),
         ];
-        clock.solo(|| sims.iter().for_each(|&d| clock.sleep(d)));
-        let total: Duration = sims.iter().sum();
-        assert_eq!(skipped(&clock), total);
-        let dt = clock.now().duration_since(t0);
-        assert!(dt >= total, "sim dt {dt:?}");
-        // Only real elapsed time (µs here, 1 sim ms per real s) adds on top.
-        assert!(dt < total + Duration::from_secs(1), "sim dt {dt:?}");
-    }
-
-    #[test]
-    fn sleeps_outside_the_scope_or_on_another_clock_still_block() {
-        let clock = Clock::with_scale(1e-3);
-        let other = Clock::with_scale(1e-3);
-        let sim = Duration::from_secs(5); // 5 real ms
-        let sw = crate::WallStopwatch::start();
-        clock.sleep(sim);
-        assert!(sw.elapsed() >= clock.to_real(sim));
-        let sw = crate::WallStopwatch::start();
-        clock.solo(|| other.sleep(sim));
-        assert!(sw.elapsed() >= other.to_real(sim));
-        assert_eq!(skipped(&clock), Duration::ZERO);
-        assert_eq!(skipped(&other), Duration::ZERO);
-        // The scope ends with the closure.
-        clock.solo(|| {});
-        let sw = crate::WallStopwatch::start();
-        clock.sleep(sim);
-        assert!(sw.elapsed() >= clock.to_real(sim));
-        assert_eq!(skipped(&clock), Duration::ZERO);
-    }
-
-    #[test]
-    fn solo_sleep_beside_a_sleeping_thread_blocks_for_real() {
-        let clock = Clock::with_scale(1e-3);
-        let sleeper = {
-            let clock = clock.clone();
-            std::thread::spawn(move || clock.sleep(Duration::from_secs(1000))) // 1 real s
-        };
-        while clock.inner.sleepers.load(Ordering::Acquire) == 0 {
-            std::thread::yield_now();
+        for d in sims {
+            clock.sleep(d);
         }
-        let sim = Duration::from_secs(20); // 20 real ms
-        let sw = crate::WallStopwatch::start();
-        clock.solo(|| clock.sleep(sim));
-        assert!(sw.elapsed() >= clock.to_real(sim));
-        assert_eq!(skipped(&clock), Duration::ZERO);
-        sleeper.join().expect("sleeper thread");
-        assert_eq!(clock.inner.sleepers.load(Ordering::Acquire), 0);
+        assert_eq!(clock.now().since_origin(), sims.iter().sum());
+        assert!(clock.is_virtual());
+    }
+
+    #[test]
+    fn sleepers_wake_in_deadline_order_at_exact_times() {
+        let clock = Clock::new_virtual(1.0);
+        let woke = Arc::new(parking_lot::Mutex::new(Vec::new()));
+        let handles: Vec<_> = [2u64, 1]
+            .into_iter()
+            .map(|secs| {
+                let (clock2, woke) = (clock.clone(), Arc::clone(&woke));
+                crate::spawn(&clock, format!("sleep-{secs}s"), move || {
+                    clock2.sleep(Duration::from_secs(secs));
+                    woke.lock().push((secs, clock2.now().since_origin()));
+                })
+            })
+            .collect();
+        for h in handles {
+            h.join().expect("sleeper");
+        }
+        assert_eq!(
+            *woke.lock(),
+            [(1, Duration::from_secs(1)), (2, Duration::from_secs(2))]
+        );
+    }
+
+    #[test]
+    fn one_permit_serves_three_sleepers_back_to_back() {
+        let clock = Clock::new_virtual(1.0);
+        let sem = crate::FairSemaphore::new(1);
+        let d = Duration::from_millis(7);
+        let starts = Arc::new(parking_lot::Mutex::new(Vec::new()));
+        let handles: Vec<_> = (0..3)
+            .map(|i| {
+                let (clock2, sem, starts) = (clock.clone(), Arc::clone(&sem), Arc::clone(&starts));
+                crate::spawn(&clock, format!("holder-{i}"), move || {
+                    let _permit = sem.acquire();
+                    starts.lock().push(clock2.now().since_origin());
+                    clock2.sleep(d);
+                })
+            })
+            .collect();
+        for h in handles {
+            h.join().expect("holder");
+        }
+        assert_eq!(*starts.lock(), [Duration::ZERO, d, 2 * d]);
+        assert_eq!(clock.now().since_origin(), 3 * d);
+    }
+
+    #[test]
+    fn an_outside_thread_sleeping_switches_the_clock_to_wall_pacing() {
+        let clock = Clock::new_virtual(1e-3);
+        clock.sleep(Duration::from_secs(10));
+        let outside = {
+            let clock = clock.clone();
+            std::thread::spawn(move || {
+                let sim = Duration::from_secs(20); // 20 real ms
+                let sw = crate::WallStopwatch::start();
+                clock.sleep(sim);
+                (sw.elapsed(), clock.to_real(sim))
+            })
+        };
+        let (took, paced) = outside.join().expect("outside thread");
+        assert!(!clock.is_virtual());
+        assert!(took >= paced, "{took:?} < {paced:?}");
+        // The offset reached before the switch is kept.
+        assert!(clock.now().since_origin() >= Duration::from_secs(30));
     }
 
     #[test]

@@ -1,0 +1,703 @@
+//! The discrete-event executor behind every virtual [`Clock`].
+//!
+//! Each virtual clock owns one executor. The threads it schedules are the
+//! clock's *driver* (the thread that created the clock, usually by
+//! building a host) and every thread started on it with [`spawn`] or
+//! [`spawn_daemon`]. They take turns holding one baton: exactly one of
+//! them runs at a time. A thread hands the baton on only at a blocking
+//! point — [`Clock::sleep`], a wait on a tracked lock, condvar, or
+//! [`FairSemaphore`](crate::FairSemaphore), a
+//! [`Receiver::recv`](crate::Receiver::recv) or a [`JoinHandle::join`] —
+//! and it hands it through the executor's own queues, so no wake-up is
+//! ever in flight in the OS scheduler while simulated time moves. When no
+//! thread can run, time jumps to the earliest pending timer. Runnable
+//! threads are served in FIFO order and equal timers in the order they
+//! were set, so a run is a deterministic function of its inputs.
+//!
+//! A thread belongs to one executor at a time: creating a virtual clock
+//! leaves the executor the thread drove or ran on before.
+//!
+//! **Fallback.** A thread the simulation did not start (a plain
+//! `std::thread`) that sleeps on a virtual clock, or spawns onto it,
+//! cannot take part in the baton protocol. The clock then switches to
+//! wall pacing for good, keeping the simulated time it has reached: every
+//! later sleep blocks for `sim × scale` real seconds, as on a clock made
+//! with [`Clock::with_scale`], and every thread of the clock runs freely.
+//!
+//! **Deadlock report.** If every thread of a virtual clock is blocked, no
+//! timer is pending and the clock has not fallen back, the last thread to
+//! block waits [`DEADLOCK_GRACE`] of real time for a thread outside the
+//! simulation to wake one of them, then panics with one line per blocked
+//! thread: its name, what it waits on and the `file:line` of the wait.
+
+use crate::clock::Clock;
+use crate::lockdep::{LockClass, Mode};
+use parking_lot::Mutex;
+use std::cell::RefCell;
+use std::collections::{BTreeMap, VecDeque};
+use std::fmt;
+use std::panic::Location;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Condvar, OnceLock, PoisonError};
+use std::time::{Duration, Instant};
+
+/// Real time the last thread to block on a stuck virtual clock waits for
+/// an outside wake-up before it reports a deadlock.
+pub(crate) const DEADLOCK_GRACE: Duration = Duration::from_secs(2);
+
+/// What a blocked thread waits on, for the deadlock report.
+#[derive(Debug, Clone)]
+pub(crate) enum WaitOn {
+    Sleep,
+    Lock(LockClass, Mode),
+    Semaphore,
+    Condvar,
+    Join(Arc<str>),
+    Recv,
+}
+
+impl fmt::Display for WaitOn {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            WaitOn::Sleep => f.write_str("a timer"),
+            WaitOn::Lock(class, Mode::Exclusive) => write!(f, "lock {class}"),
+            WaitOn::Lock(class, Mode::Shared) => write!(f, "lock {class} (shared)"),
+            WaitOn::Semaphore => f.write_str("a semaphore"),
+            WaitOn::Condvar => f.write_str("a condvar"),
+            WaitOn::Join(name) => write!(f, "join of `{name}`"),
+            WaitOn::Recv => f.write_str("a channel receive"),
+        }
+    }
+}
+
+/// A blocking point: what is waited on, and where.
+#[derive(Debug, Clone)]
+pub(crate) struct Wait {
+    pub(crate) on: WaitOn,
+    pub(crate) site: &'static Location<'static>,
+}
+
+/// The parking place of one thread. A thread of a virtual clock has one
+/// per membership (its `exec` is that clock's executor); any other thread
+/// gets a standalone one on first use.
+pub(crate) struct Slot {
+    exec: Option<Arc<Exec>>,
+    id: u64,
+    ready: std::sync::Mutex<bool>,
+    cv: Condvar,
+}
+
+impl Slot {
+    fn new(exec: Option<Arc<Exec>>, id: u64) -> Arc<Slot> {
+        Arc::new(Slot {
+            exec,
+            id,
+            ready: std::sync::Mutex::new(false),
+            cv: Condvar::new(),
+        })
+    }
+
+    fn unpark(&self) {
+        *self.ready.lock().unwrap_or_else(PoisonError::into_inner) = true;
+        self.cv.notify_one();
+    }
+
+    fn park(&self) {
+        let mut ready = self.ready.lock().unwrap_or_else(PoisonError::into_inner);
+        while !*ready {
+            ready = self.cv.wait(ready).unwrap_or_else(PoisonError::into_inner);
+        }
+        *ready = false;
+    }
+
+    /// Parks for at most `timeout`; true if woken.
+    fn park_timeout(&self, timeout: Duration) -> bool {
+        let ready = self.ready.lock().unwrap_or_else(PoisonError::into_inner);
+        let (mut ready, _) = self
+            .cv
+            .wait_timeout_while(ready, timeout, |r| !*r)
+            .unwrap_or_else(PoisonError::into_inner);
+        std::mem::take(&mut *ready)
+    }
+
+    fn belongs_to(&self, exec: &Arc<Exec>) -> bool {
+        self.exec.as_ref().is_some_and(|e| Arc::ptr_eq(e, exec))
+    }
+
+    /// Blocks the calling thread, whose slot this is, until [`Slot::wake`].
+    /// The caller has already queued the slot on the primitive it waits
+    /// on. `cancel` takes it off that queue again and returns false if a
+    /// waker took it first; it runs only before a deadlock panic.
+    pub(crate) fn block(self: &Arc<Self>, wait: Wait, cancel: impl FnOnce() -> bool) {
+        match &self.exec {
+            Some(exec) => exec.block(self, wait, None, cancel),
+            None => self.park(),
+        }
+    }
+
+    /// Makes the thread parked in [`Slot::block`] runnable.
+    pub(crate) fn wake(self: &Arc<Self>) {
+        match &self.exec {
+            Some(exec) => exec.wake(self),
+            None => self.unpark(),
+        }
+    }
+}
+
+/// The calling thread's membership. Dropping it (thread exit, or the
+/// thread creating another virtual clock) leaves the executor.
+struct Member(Arc<Slot>);
+
+impl Drop for Member {
+    fn drop(&mut self) {
+        if let Some(exec) = &self.0.exec {
+            exec.exit(&self.0);
+        }
+    }
+}
+
+thread_local! {
+    static MEMBER: RefCell<Option<Member>> = const { RefCell::new(None) };
+}
+
+/// The calling thread's slot, created standalone on first use.
+pub(crate) fn current_slot() -> Arc<Slot> {
+    MEMBER
+        .try_with(|m| {
+            Arc::clone(
+                &m.borrow_mut()
+                    .get_or_insert_with(|| Member(Slot::new(None, 0)))
+                    .0,
+            )
+        })
+        .unwrap_or_else(|_| Slot::new(None, 0))
+}
+
+/// Makes `slot` the calling thread's membership, leaving the previous one.
+fn enter(slot: Arc<Slot>) {
+    let old = MEMBER.with(|m| m.borrow_mut().replace(Member(slot)));
+    drop(old);
+}
+
+/// Leaves the calling thread's membership, if any.
+fn leave() {
+    let old = MEMBER.try_with(|m| m.borrow_mut().take()).ok().flatten();
+    drop(old);
+}
+
+struct Task {
+    name: Arc<str>,
+    daemon: bool,
+    waiting: Option<Wait>,
+}
+
+#[derive(Default)]
+struct State {
+    /// The baton holder.
+    running: Option<u64>,
+    runnable: VecDeque<Arc<Slot>>,
+    /// Sleepers by (deadline in simulated ns, order set).
+    timers: BTreeMap<(u64, u64), Arc<Slot>>,
+    next_seq: u64,
+    next_id: u64,
+    tasks: BTreeMap<u64, Task>,
+    /// Registered threads that are not daemons.
+    live: usize,
+}
+
+/// One clock's time base and, while it is virtual, its scheduler.
+pub(crate) struct Exec {
+    scale: f64,
+    /// Simulated nanoseconds reached; only the baton holder advances it.
+    now_ns: AtomicU64,
+    /// Set once the clock paces in real time: the instant it switched and
+    /// the simulated nanoseconds it had reached then.
+    wall: OnceLock<(Instant, u64)>,
+    state: Mutex<State>,
+}
+
+impl Exec {
+    /// A wall-paced time base from simulated zero.
+    pub(crate) fn wall(scale: f64) -> Arc<Exec> {
+        let exec = Exec::new(scale);
+        let _ = exec.wall.set((Instant::now(), 0));
+        exec
+    }
+
+    /// A virtual time base whose driver is the calling thread.
+    pub(crate) fn new_virtual(scale: f64) -> Arc<Exec> {
+        let exec = Exec::new(scale);
+        let slot = exec
+            .register("driver".into(), false, true)
+            .expect("invariant: a new executor is virtual");
+        enter(slot);
+        exec
+    }
+
+    fn new(scale: f64) -> Arc<Exec> {
+        Arc::new(Exec {
+            scale,
+            now_ns: AtomicU64::new(0),
+            wall: OnceLock::new(),
+            state: Mutex::new(State::default()),
+        })
+    }
+
+    pub(crate) fn scale(&self) -> f64 {
+        self.scale
+    }
+
+    pub(crate) fn is_virtual(&self) -> bool {
+        self.wall.get().is_none()
+    }
+
+    pub(crate) fn now(&self) -> Duration {
+        match self.wall.get() {
+            Some(&(since, base)) => {
+                Duration::from_nanos(base)
+                    + Duration::from_secs_f64(since.elapsed().as_secs_f64() / self.scale)
+            }
+            None => Duration::from_nanos(self.now_ns.load(Ordering::Acquire)),
+        }
+    }
+
+    /// Sleeps the calling thread for `sim` of simulated time: on the
+    /// executor if it is a thread of this virtual clock, else in real time
+    /// (switching a virtual clock to wall pacing first).
+    pub(crate) fn sleep(self: &Arc<Self>, sim: Duration, site: &'static Location<'static>) {
+        if self.is_virtual() {
+            let me = current_slot();
+            if me.belongs_to(self) {
+                let at = self
+                    .now_ns
+                    .load(Ordering::Acquire)
+                    .saturating_add(u64::try_from(sim.as_nanos()).unwrap_or(u64::MAX));
+                let wait = Wait {
+                    on: WaitOn::Sleep,
+                    site,
+                };
+                self.block(&me, wait, Some(at), || true);
+                // Fell back mid-sleep: pace the rest in real time.
+                let rest = Duration::from_nanos(at).saturating_sub(self.now());
+                self.pace(rest);
+                return;
+            }
+            self.fall_back();
+        }
+        self.pace(sim);
+    }
+
+    /// Blocks for `sim × scale` of real time. Sub-microsecond real sleeps
+    /// are skipped: they are below OS timer resolution and only add noise.
+    fn pace(&self, sim: Duration) {
+        let real = Duration::from_secs_f64(sim.as_secs_f64() * self.scale);
+        if real >= Duration::from_micros(1) {
+            std::thread::sleep(real);
+        }
+    }
+
+    /// Switches the clock to wall pacing from its current simulated time
+    /// and lets every thread it holds back run freely.
+    pub(crate) fn fall_back(&self) {
+        let mut st = self.state.lock();
+        if self.wall.get().is_some() {
+            return;
+        }
+        let _ = self
+            .wall
+            .set((Instant::now(), self.now_ns.load(Ordering::Acquire)));
+        st.running = None;
+        let mut release: Vec<Arc<Slot>> = st.runnable.drain(..).collect();
+        release.extend(std::mem::take(&mut st.timers).into_values());
+        drop(st);
+        for slot in release {
+            slot.unpark();
+        }
+    }
+
+    /// Registers a thread; `None` once the clock paces in real time. The
+    /// driver starts with the baton, a spawned thread in the run queue.
+    fn register(self: &Arc<Self>, name: Arc<str>, daemon: bool, driver: bool) -> Option<Arc<Slot>> {
+        let mut st = self.state.lock();
+        if self.wall.get().is_some() {
+            return None;
+        }
+        let id = st.next_id;
+        st.next_id += 1;
+        st.tasks.insert(
+            id,
+            Task {
+                name,
+                daemon,
+                waiting: None,
+            },
+        );
+        if !daemon {
+            st.live += 1;
+        }
+        let slot = Slot::new(Some(Arc::clone(self)), id);
+        if driver {
+            st.running = Some(id);
+        } else {
+            self.make_runnable(st, &slot);
+        }
+        Some(slot)
+    }
+
+    fn make_runnable(&self, mut st: parking_lot::MutexGuard<'_, State>, slot: &Arc<Slot>) {
+        st.runnable.push_back(Arc::clone(slot));
+        let next = if st.running.is_none() {
+            self.dispatch(&mut st)
+        } else {
+            None
+        };
+        drop(st);
+        if let Some(next) = next {
+            next.unpark();
+        }
+    }
+
+    /// Passes the baton to the next runnable thread, advancing time to
+    /// the earliest timer if nothing else can run. Daemons alone do not
+    /// keep the clock going.
+    fn dispatch(&self, st: &mut State) -> Option<Arc<Slot>> {
+        let next = match st.runnable.pop_front() {
+            Some(slot) => slot,
+            None if st.live == 0 => return None,
+            None => {
+                let ((at, _), slot) = st.timers.pop_first()?;
+                self.now_ns.fetch_max(at, Ordering::AcqRel);
+                slot
+            }
+        };
+        st.running = Some(next.id);
+        if let Some(task) = st.tasks.get_mut(&next.id) {
+            task.waiting = None;
+        }
+        Some(next)
+    }
+
+    fn block(&self, me: &Arc<Slot>, wait: Wait, timer: Option<u64>, cancel: impl FnOnce() -> bool) {
+        let mut st = self.state.lock();
+        if self.wall.get().is_some() {
+            drop(st);
+            // A sleeper paces itself; a queued waiter waits for its waker.
+            if timer.is_none() {
+                me.park();
+            }
+            return;
+        }
+        debug_assert_eq!(st.running, Some(me.id), "blocked without the baton");
+        if let Some(at) = timer {
+            let seq = st.next_seq;
+            st.next_seq += 1;
+            st.timers.insert((at, seq), Arc::clone(me));
+        }
+        if let Some(task) = st.tasks.get_mut(&me.id) {
+            task.waiting = Some(wait);
+        }
+        st.running = None;
+        let next = self.dispatch(&mut st);
+        drop(st);
+        match next {
+            Some(next) if Arc::ptr_eq(&next, me) => {}
+            Some(next) => {
+                next.unpark();
+                me.park();
+            }
+            None => self.stuck(me, cancel),
+        }
+    }
+
+    /// The calling thread blocked and nothing can run: wait for a wake-up
+    /// from outside the simulation, then report the deadlock.
+    fn stuck(&self, me: &Arc<Slot>, cancel: impl FnOnce() -> bool) {
+        if me.park_timeout(DEADLOCK_GRACE) {
+            return;
+        }
+        let mut st = self.state.lock();
+        let deadlocked = self.wall.get().is_none()
+            && st.running.is_none()
+            && st.runnable.is_empty()
+            && st.timers.is_empty()
+            && st.tasks.get(&me.id).is_some_and(|t| !t.daemon);
+        if deadlocked && cancel() {
+            // Keep the baton while unwinding, so that the guards this
+            // thread drops hand their locks on in order.
+            st.running = Some(me.id);
+            let report = self.deadlock_report(&st);
+            if let Some(task) = st.tasks.get_mut(&me.id) {
+                task.waiting = None;
+            }
+            drop(st);
+            panic!("{report}");
+        }
+        drop(st);
+        me.park();
+    }
+
+    fn deadlock_report(&self, st: &State) -> String {
+        let mut out = format!(
+            "simtime deadlock at {:.6}s: every simulation thread is blocked and no timer is pending",
+            self.now().as_secs_f64()
+        );
+        for task in st.tasks.values() {
+            if let Some(w) = &task.waiting {
+                out.push_str(&format!(
+                    "\n  {} waits on {} at {}:{}",
+                    task.name,
+                    w.on,
+                    w.site.file(),
+                    w.site.line()
+                ));
+            }
+        }
+        out
+    }
+
+    fn wake(&self, slot: &Arc<Slot>) {
+        let st = self.state.lock();
+        if self.wall.get().is_some() {
+            drop(st);
+            slot.unpark();
+            return;
+        }
+        self.make_runnable(st, slot);
+    }
+
+    /// Unregisters a thread; if it held the baton, passes it on.
+    fn exit(&self, me: &Slot) {
+        let mut st = self.state.lock();
+        let Some(task) = st.tasks.remove(&me.id) else {
+            return;
+        };
+        if !task.daemon {
+            st.live -= 1;
+        }
+        let next = if self.wall.get().is_none() && st.running == Some(me.id) {
+            st.running = None;
+            self.dispatch(&mut st)
+        } else {
+            None
+        };
+        drop(st);
+        if let Some(next) = next {
+            next.unpark();
+        }
+    }
+}
+
+/// Completion of a spawned thread, which joiners wait on.
+#[derive(Default)]
+struct Done {
+    state: Mutex<(bool, Vec<Arc<Slot>>)>,
+}
+
+impl Done {
+    fn finish(&self) {
+        let joiners = {
+            let mut st = self.state.lock();
+            st.0 = true;
+            std::mem::take(&mut st.1)
+        };
+        for j in joiners {
+            j.wake();
+        }
+    }
+
+    fn wait(&self, name: &Arc<str>, site: &'static Location<'static>) {
+        let me = current_slot();
+        {
+            let mut st = self.state.lock();
+            if st.0 {
+                return;
+            }
+            st.1.push(Arc::clone(&me));
+        }
+        let wait = Wait {
+            on: WaitOn::Join(Arc::clone(name)),
+            site,
+        };
+        me.block(wait, || {
+            let mut st = self.state.lock();
+            let before = st.1.len();
+            st.1.retain(|s| !Arc::ptr_eq(s, &me));
+            st.1.len() < before
+        });
+    }
+}
+
+/// Handle of a thread started with [`spawn`] or [`spawn_daemon`].
+pub struct JoinHandle<T> {
+    thread: std::thread::JoinHandle<T>,
+    done: Arc<Done>,
+    name: Arc<str>,
+}
+
+impl<T> JoinHandle<T> {
+    /// Waits for the thread to finish (a blocking point of its clock) and
+    /// returns its result, or the payload it panicked with.
+    #[track_caller]
+    pub fn join(self) -> std::thread::Result<T> {
+        self.done.wait(&self.name, Location::caller());
+        self.thread.join()
+    }
+}
+
+impl<T> fmt::Debug for JoinHandle<T> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("JoinHandle")
+            .field("name", &self.name)
+            .finish()
+    }
+}
+
+/// Starts a simulation thread on `clock`. While the clock is virtual the
+/// thread joins its executor: it runs only while it holds the baton, and
+/// it keeps the simulation alive until it finishes. `name` appears in
+/// deadlock reports and as the OS thread name.
+///
+/// Spawning from a thread outside the simulation switches a virtual
+/// clock to wall pacing (see the module docs).
+///
+/// # Examples
+///
+/// ```
+/// use fastiov_simtime::Clock;
+/// use std::time::Duration;
+///
+/// let clock = Clock::new_virtual(1.0);
+/// let c = clock.clone();
+/// let t = fastiov_simtime::spawn(&clock, "sleeper", move || c.sleep(Duration::from_secs(60)));
+/// t.join().unwrap();
+/// assert_eq!(clock.now().since_origin(), Duration::from_secs(60));
+/// ```
+pub fn spawn<F, T>(clock: &Clock, name: impl Into<String>, f: F) -> JoinHandle<T>
+where
+    F: FnOnce() -> T + Send + 'static,
+    T: Send + 'static,
+{
+    spawn_task(clock, name.into(), false, f)
+}
+
+/// Like [`spawn`], for a background thread that never finishes on its
+/// own (a periodic scrubber): it runs while other threads of the clock
+/// are alive but does not keep the simulation going by itself.
+pub fn spawn_daemon<F, T>(clock: &Clock, name: impl Into<String>, f: F) -> JoinHandle<T>
+where
+    F: FnOnce() -> T + Send + 'static,
+    T: Send + 'static,
+{
+    spawn_task(clock, name.into(), true, f)
+}
+
+fn spawn_task<F, T>(clock: &Clock, name: String, daemon: bool, f: F) -> JoinHandle<T>
+where
+    F: FnOnce() -> T + Send + 'static,
+    T: Send + 'static,
+{
+    let exec = clock.exec();
+    if exec.is_virtual() && !current_slot().belongs_to(exec) {
+        exec.fall_back();
+    }
+    let name: Arc<str> = name.into();
+    let slot = exec.register(Arc::clone(&name), daemon, false);
+    let done = Arc::new(Done::default());
+    let finish = Arc::clone(&done);
+    let thread = std::thread::Builder::new()
+        .name(name.to_string())
+        .spawn(move || {
+            /// Signals joiners and leaves the executor, also on unwind.
+            struct End(Arc<Done>);
+            impl Drop for End {
+                fn drop(&mut self) {
+                    self.0.finish();
+                    leave();
+                }
+            }
+            let _end = End(finish);
+            if let Some(slot) = slot {
+                enter(Arc::clone(&slot));
+                slot.park();
+            }
+            f()
+        })
+        .expect("the OS refused to start a simulation thread");
+    JoinHandle { thread, done, name }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::{channel, TrackedMutex, WallStopwatch};
+    use std::sync::atomic::AtomicU64;
+
+    #[test]
+    fn lock_order_cycle_panics_naming_both_classes_instead_of_hanging() {
+        let _gate = crate::lockdep::TEST_GATE.lock();
+        let clock = Clock::new_virtual(1.0);
+        let a = Arc::new(TrackedMutex::new(LockClass::IommuRegistry, ()));
+        let b = Arc::new(TrackedMutex::new(LockClass::HostMmu, ()));
+        let cross = |first: &Arc<TrackedMutex<()>>, second: &Arc<TrackedMutex<()>>, name| {
+            let (c, first, second) = (clock.clone(), Arc::clone(first), Arc::clone(second));
+            spawn(&clock, name, move || {
+                let _first = first.lock();
+                c.sleep(Duration::from_millis(1));
+                let _second = second.lock();
+            })
+        };
+        let (ab, ba) = (cross(&a, &b, "ab"), cross(&b, &a, "ba"));
+        let sw = WallStopwatch::start();
+        let results = [ab.join(), ba.join()];
+        let msg = results
+            .iter()
+            .find_map(|r| r.as_ref().err())
+            .and_then(|p| p.downcast_ref::<String>())
+            .unwrap_or_else(|| panic!("no deadlock report: {results:?}"));
+        assert!(msg.contains("simtime deadlock"), "{msg}");
+        assert!(msg.contains("lock iommu-registry at"), "{msg}");
+        assert!(msg.contains("lock host-mmu at"), "{msg}");
+        assert!(msg.contains("src/exec.rs:"), "{msg}");
+        assert!(results.iter().any(|r| r.is_ok()), "the survivor finishes");
+        assert!(sw.elapsed() < 5 * DEADLOCK_GRACE);
+    }
+
+    #[test]
+    fn a_daemon_does_not_keep_the_clock_going_alone() {
+        let ticks = Arc::new(AtomicU64::new(0));
+        let t = Arc::clone(&ticks);
+        // The driver thread exits after its sleep, leaving the daemon.
+        let clock = std::thread::spawn(move || {
+            let clock = Clock::new_virtual(1.0);
+            let c = clock.clone();
+            spawn_daemon(&clock, "ticker", move || loop {
+                c.sleep(Duration::from_millis(1));
+                t.fetch_add(1, Ordering::Relaxed);
+            });
+            clock.sleep(Duration::from_millis(10));
+            clock
+        })
+        .join()
+        .expect("driver");
+        std::thread::sleep(Duration::from_millis(20));
+        assert_eq!(clock.now().since_origin(), Duration::from_millis(10));
+        assert_eq!(ticks.load(Ordering::Relaxed), 9);
+        assert!(clock.is_virtual());
+    }
+
+    #[test]
+    fn recv_waits_for_a_send_at_its_simulated_time() {
+        let clock = Clock::new_virtual(1.0);
+        let (tx, rx) = channel();
+        let c = clock.clone();
+        let sender = spawn(&clock, "sender", move || {
+            c.sleep(Duration::from_millis(5));
+            tx.send(7).expect("receiver alive");
+        });
+        assert_eq!(rx.recv(), Ok(7));
+        assert_eq!(clock.now().since_origin(), Duration::from_millis(5));
+        // The sender is dropped when its thread ends.
+        assert!(rx.recv().is_err());
+        sender.join().expect("sender");
+    }
+}

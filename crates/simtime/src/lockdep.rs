@@ -34,23 +34,27 @@
 //! `FASTIOV_LOCKDEP=1` environment variable (checked once, on first use).
 //!
 //! **Lock statistics** sit on the same classes, the way Linux lock_stat
-//! sits on lockdep's: every acquisition through the tracked wrappers (and
-//! the devset framework, via [`contend`]) is counted per class, always on.
+//! sits on lockdep's: every acquisition through the tracked wrappers is
+//! counted per class, always on.
 //! Wait time is measured only when the try-lock fast path fails; hold
 //! time runs from acquisition to release, minus time parked in
 //! [`TrackedCondvar::wait`]. Both are **real** nanoseconds — a ranking of
-//! where threads queue, not a modelled cost. The counters live in one
+//! where threads queue, not a modelled cost; on a virtual clock they
+//! measure baton hand-offs, not simulated waiting. The counters live in one
 //! static, cache-line-padded array indexed by class, so a lock carries no
 //! memory for them ([`LockClass::stats`]).
 
-use parking_lot::{Condvar, Mutex, MutexGuard, RwLock, RwLockReadGuard, RwLockWriteGuard};
-use std::cell::RefCell;
-use std::collections::HashMap;
+use parking_lot::Mutex;
+use std::cell::{RefCell, UnsafeCell};
+use std::collections::{HashMap, VecDeque};
 use std::fmt;
 use std::ops::{Deref, DerefMut};
 use std::panic::Location;
 use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
+use std::sync::Arc;
 
+use crate::exec::{current_slot, Slot, Wait, WaitOn};
+use crate::rawlock::RawLock;
 use crate::WallStopwatch;
 
 /// The class of an instrumented lock. One class per *role*, not per
@@ -89,6 +93,8 @@ pub enum LockClass {
     PhysFreeList,
     /// Per-frame metadata mutex.
     PhysFrame,
+    /// The spare frame table a dropped physical memory leaves behind.
+    PhysSpareFrames,
     /// Host MMU region table.
     HostMmu,
     /// Warm-pool slot list.
@@ -166,6 +172,7 @@ impl LockClass {
         LockClass::IommuTlb,
         LockClass::PhysFreeList,
         LockClass::PhysFrame,
+        LockClass::PhysSpareFrames,
         LockClass::HostMmu,
         LockClass::PoolSlots,
         LockClass::PoolWorker,
@@ -212,6 +219,7 @@ impl LockClass {
             LockClass::IommuTlb => "iommu-tlb",
             LockClass::PhysFreeList => "phys-free-list",
             LockClass::PhysFrame => "phys-frame",
+            LockClass::PhysSpareFrames => "phys-spare-frames",
             LockClass::HostMmu => "host-mmu",
             LockClass::PoolSlots => "pool-slots",
             LockClass::PoolWorker => "pool-worker",
@@ -752,38 +760,10 @@ impl LockClass {
     }
 }
 
-/// Takes a lock of `class` for the statistics: `try_acquire` first, and
-/// only if that fails the blocking `acquire`, with the wait timed. Counts
-/// the acquisition and returns the guard with a [`HoldTimer`] that
-/// records the hold when dropped. Wrappers built outside this module
-/// (the devset parent–child framework) report through this same hook.
-#[inline]
-pub fn contend<G>(
-    class: LockClass,
-    try_acquire: impl FnOnce() -> Option<G>,
-    acquire: impl FnOnce() -> G,
-) -> (G, HoldTimer) {
-    let stat = &CLASS_STATS[class.index()];
-    stat.acquisitions.fetch_add(1, Ordering::Relaxed);
-    let guard = try_acquire().unwrap_or_else(|| {
-        let waited = WallStopwatch::start();
-        let guard = acquire();
-        stat.contended.fetch_add(1, Ordering::Relaxed);
-        stat.wait_ns
-            .fetch_add(waited.elapsed_ns(), Ordering::Relaxed);
-        guard
-    });
-    let hold = HoldTimer {
-        class,
-        since: WallStopwatch::start(),
-    };
-    (guard, hold)
-}
-
 /// The running hold time of one acquisition; adds it to its class's
-/// `hold_ns` when dropped. Declare it before the lock guard it times, so
+/// `hold_ns` when dropped. Declared before the lock hold it times, so
 /// that it stops just before the lock is released.
-pub struct HoldTimer {
+struct HoldTimer {
     class: LockClass,
     since: WallStopwatch,
 }
@@ -802,24 +782,67 @@ impl Drop for HoldTimer {
     }
 }
 
-/// A mutex that declares a [`LockClass`] and reports every acquisition to
-/// the witness. Drop-in for the `parking_lot` shim's `Mutex` at every
-/// call site that only uses `lock()`.
+/// Releases one hold of a [`RawLock`] when dropped.
+struct RawHold<'a> {
+    lock: &'a RawLock,
+    mode: Mode,
+}
+
+impl Drop for RawHold<'_> {
+    fn drop(&mut self) {
+        self.lock.unlock(self.mode);
+    }
+}
+
+/// Takes `lock` in `mode` for a wrapper of `class`, counting the
+/// acquisition. Only if the fast path fails does it wait, at `site` (the
+/// wrapper's caller), with the wait timed.
+fn take<'a>(
+    lock: &'a RawLock,
+    class: LockClass,
+    mode: Mode,
+    site: &'static Location<'static>,
+) -> (RawHold<'a>, HoldTimer) {
+    let stat = &CLASS_STATS[class.index()];
+    stat.acquisitions.fetch_add(1, Ordering::Relaxed);
+    if !lock.try_lock(mode) {
+        let waited = WallStopwatch::start();
+        lock.lock(mode, class, site);
+        stat.contended.fetch_add(1, Ordering::Relaxed);
+        stat.wait_ns
+            .fetch_add(waited.elapsed_ns(), Ordering::Relaxed);
+    }
+    let hold = HoldTimer {
+        class,
+        since: WallStopwatch::start(),
+    };
+    (RawHold { lock, mode }, hold)
+}
+
+/// A FIFO mutex that declares a [`LockClass`] and reports every
+/// acquisition to the witness. Waiting on it is a blocking point of a
+/// virtual clock's executor.
 pub struct TrackedMutex<T: ?Sized> {
     class: LockClass,
-    inner: Mutex<T>,
+    raw: RawLock,
+    data: UnsafeCell<T>,
 }
+
+// SAFETY: the raw lock grants `data` to one guard at a time, so shared
+// access only ever yields one `&mut T`.
+unsafe impl<T: ?Sized + Send> Sync for TrackedMutex<T> {}
 
 /// Guard of [`TrackedMutex::lock`].
 pub struct TrackedMutexGuard<'a, T: ?Sized> {
-    // Declared before `inner` so the held-stack pop happens while the
+    // Declared before `raw` so the held-stack pop happens while the
     // lock is still held (drop order is declaration order) — a release
     // interleaving the other way could let a sibling acquisition observe
-    // a stale "held" entry that the OS lock has already released. The
-    // hold timer likewise stops before the release.
+    // a stale "held" entry that the lock has already released. The hold
+    // timer likewise stops before the release.
     _dep: Option<HeldToken>,
     hold: HoldTimer,
-    inner: MutexGuard<'a, T>,
+    raw: RawHold<'a>,
+    data: &'a UnsafeCell<T>,
 }
 
 impl<T> TrackedMutex<T> {
@@ -827,13 +850,14 @@ impl<T> TrackedMutex<T> {
     pub fn new(class: LockClass, value: T) -> Self {
         TrackedMutex {
             class,
-            inner: Mutex::new(value),
+            raw: RawLock::default(),
+            data: UnsafeCell::new(value),
         }
     }
 
     /// Consumes the mutex, returning the inner value.
     pub fn into_inner(self) -> T {
-        self.inner.into_inner()
+        self.data.into_inner()
     }
 }
 
@@ -842,9 +866,15 @@ impl<T: ?Sized> TrackedMutex<T> {
     /// recording it when the witness is enabled.
     #[track_caller]
     pub fn lock(&self) -> TrackedMutexGuard<'_, T> {
+        let site = Location::caller();
         let _dep = acquire(self.class, Mode::Exclusive);
-        let (inner, hold) = contend(self.class, || self.inner.try_lock(), || self.inner.lock());
-        TrackedMutexGuard { _dep, hold, inner }
+        let (raw, hold) = take(&self.raw, self.class, Mode::Exclusive, site);
+        TrackedMutexGuard {
+            _dep,
+            hold,
+            raw,
+            data: &self.data,
+        }
     }
 
     /// The class this lock was declared with.
@@ -853,46 +883,75 @@ impl<T: ?Sized> TrackedMutex<T> {
     }
 }
 
+/// The Debug view of both wrappers: the data, if the lock is free.
+fn fmt_wrapper<T: ?Sized + fmt::Debug>(
+    f: &mut fmt::Formatter<'_>,
+    name: &str,
+    class: LockClass,
+    raw: &RawLock,
+    data: &UnsafeCell<T>,
+) -> fmt::Result {
+    let mut d = f.debug_struct(name);
+    d.field("class", &class.name());
+    if raw.try_lock(Mode::Shared) {
+        let _hold = RawHold {
+            lock: raw,
+            mode: Mode::Shared,
+        };
+        // SAFETY: `_hold` keeps writers out while the data is read.
+        d.field("data", &unsafe { &*data.get() });
+    } else {
+        d.field("data", &format_args!("<locked>"));
+    }
+    d.finish()
+}
+
 impl<T: ?Sized + fmt::Debug> fmt::Debug for TrackedMutex<T> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("TrackedMutex")
-            .field("class", &self.class.name())
-            .field("data", &&self.inner)
-            .finish()
+        fmt_wrapper(f, "TrackedMutex", self.class, &self.raw, &self.data)
     }
 }
 
 impl<T: ?Sized> Deref for TrackedMutexGuard<'_, T> {
     type Target = T;
     fn deref(&self) -> &T {
-        &self.inner
+        // SAFETY: this guard holds the lock exclusively.
+        unsafe { &*self.data.get() }
     }
 }
 
 impl<T: ?Sized> DerefMut for TrackedMutexGuard<'_, T> {
     fn deref_mut(&mut self) -> &mut T {
-        &mut self.inner
+        // SAFETY: this guard holds the lock exclusively.
+        unsafe { &mut *self.data.get() }
     }
 }
 
-/// A rwlock that declares a [`LockClass`]; see [`TrackedMutex`].
+/// A FIFO rwlock that declares a [`LockClass`]; see [`TrackedMutex`].
 pub struct TrackedRwLock<T: ?Sized> {
     class: LockClass,
-    inner: RwLock<T>,
+    raw: RawLock,
+    data: UnsafeCell<T>,
 }
+
+// SAFETY: the raw lock grants either one writer or shared readers, and
+// readers share `&T`, so `T` must be `Sync` too.
+unsafe impl<T: ?Sized + Send + Sync> Sync for TrackedRwLock<T> {}
 
 /// Guard of [`TrackedRwLock::read`].
 pub struct TrackedReadGuard<'a, T: ?Sized> {
     _dep: Option<HeldToken>,
     _hold: HoldTimer,
-    inner: RwLockReadGuard<'a, T>,
+    _raw: RawHold<'a>,
+    data: &'a UnsafeCell<T>,
 }
 
 /// Guard of [`TrackedRwLock::write`].
 pub struct TrackedWriteGuard<'a, T: ?Sized> {
     _dep: Option<HeldToken>,
     _hold: HoldTimer,
-    inner: RwLockWriteGuard<'a, T>,
+    _raw: RawHold<'a>,
+    data: &'a UnsafeCell<T>,
 }
 
 impl<T> TrackedRwLock<T> {
@@ -900,7 +959,8 @@ impl<T> TrackedRwLock<T> {
     pub fn new(class: LockClass, value: T) -> Self {
         TrackedRwLock {
             class,
-            inner: RwLock::new(value),
+            raw: RawLock::default(),
+            data: UnsafeCell::new(value),
         }
     }
 }
@@ -909,17 +969,29 @@ impl<T: ?Sized> TrackedRwLock<T> {
     /// Shared acquisition (recorded as a non-blocking edge).
     #[track_caller]
     pub fn read(&self) -> TrackedReadGuard<'_, T> {
+        let site = Location::caller();
         let _dep = acquire(self.class, Mode::Shared);
-        let (inner, _hold) = contend(self.class, || self.inner.try_read(), || self.inner.read());
-        TrackedReadGuard { _dep, _hold, inner }
+        let (_raw, _hold) = take(&self.raw, self.class, Mode::Shared, site);
+        TrackedReadGuard {
+            _dep,
+            _hold,
+            _raw,
+            data: &self.data,
+        }
     }
 
     /// Exclusive acquisition.
     #[track_caller]
     pub fn write(&self) -> TrackedWriteGuard<'_, T> {
+        let site = Location::caller();
         let _dep = acquire(self.class, Mode::Exclusive);
-        let (inner, _hold) = contend(self.class, || self.inner.try_write(), || self.inner.write());
-        TrackedWriteGuard { _dep, _hold, inner }
+        let (_raw, _hold) = take(&self.raw, self.class, Mode::Exclusive, site);
+        TrackedWriteGuard {
+            _dep,
+            _hold,
+            _raw,
+            data: &self.data,
+        }
     }
 
     /// The class this lock was declared with.
@@ -930,30 +1002,30 @@ impl<T: ?Sized> TrackedRwLock<T> {
 
 impl<T: ?Sized + fmt::Debug> fmt::Debug for TrackedRwLock<T> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("TrackedRwLock")
-            .field("class", &self.class.name())
-            .field("data", &&self.inner)
-            .finish()
+        fmt_wrapper(f, "TrackedRwLock", self.class, &self.raw, &self.data)
     }
 }
 
 impl<T: ?Sized> Deref for TrackedReadGuard<'_, T> {
     type Target = T;
     fn deref(&self) -> &T {
-        &self.inner
+        // SAFETY: this guard holds a shared lock; no writer exists.
+        unsafe { &*self.data.get() }
     }
 }
 
 impl<T: ?Sized> Deref for TrackedWriteGuard<'_, T> {
     type Target = T;
     fn deref(&self) -> &T {
-        &self.inner
+        // SAFETY: this guard holds the lock exclusively.
+        unsafe { &*self.data.get() }
     }
 }
 
 impl<T: ?Sized> DerefMut for TrackedWriteGuard<'_, T> {
     fn deref_mut(&mut self) -> &mut T {
-        &mut self.inner
+        // SAFETY: this guard holds the lock exclusively.
+        unsafe { &mut *self.data.get() }
     }
 }
 
@@ -961,49 +1033,66 @@ impl<T: ?Sized> DerefMut for TrackedWriteGuard<'_, T> {
 /// is deliberately kept across `wait` (the thread acquires nothing while
 /// parked, so no false edges can form), matching how lockdep treats
 /// condvar sleeps. The hold time, however, pauses while parked.
+#[derive(Default)]
 pub struct TrackedCondvar {
-    inner: Condvar,
+    waiters: Mutex<VecDeque<Arc<Slot>>>,
 }
 
 impl TrackedCondvar {
     /// Creates a condition variable.
     pub fn new() -> Self {
-        TrackedCondvar {
-            inner: Condvar::new(),
-        }
+        TrackedCondvar::default()
     }
 
     /// Blocks until notified, releasing the mutex while parked.
-    pub fn wait<T>(&self, guard: &mut TrackedMutexGuard<'_, T>) {
+    #[track_caller]
+    pub fn wait<T: ?Sized>(&self, guard: &mut TrackedMutexGuard<'_, T>) {
+        let site = Location::caller();
+        let me = current_slot();
+        // Queued before the mutex is released, so no notify is lost.
+        self.waiters.lock().push_back(Arc::clone(&me));
         guard.hold.record();
-        self.inner.wait(&mut guard.inner);
+        guard.raw.lock.unlock(Mode::Exclusive);
+        let wait = Wait {
+            on: WaitOn::Condvar,
+            site,
+        };
+        me.block(wait, || {
+            let mut waiters = self.waiters.lock();
+            let before = waiters.len();
+            waiters.retain(|s| !Arc::ptr_eq(s, &me));
+            waiters.len() < before
+        });
+        guard.raw.lock.lock(Mode::Exclusive, guard.hold.class, site);
         guard.hold.since = WallStopwatch::start();
     }
 
     /// Wakes one waiter.
     pub fn notify_one(&self) {
-        self.inner.notify_one();
+        let next = self.waiters.lock().pop_front();
+        if let Some(slot) = next {
+            slot.wake();
+        }
     }
 
     /// Wakes all waiters.
     pub fn notify_all(&self) {
-        self.inner.notify_all();
+        let all = std::mem::take(&mut *self.waiters.lock());
+        for slot in all {
+            slot.wake();
+        }
     }
 }
 
-impl Default for TrackedCondvar {
-    fn default() -> Self {
-        TrackedCondvar::new()
-    }
-}
+/// Global witness state is process-wide; serializes the tests that reset
+/// it, inspect it, or record known-bad orders.
+#[cfg(test)]
+pub(crate) static TEST_GATE: Mutex<()> = Mutex::new(());
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    /// Global witness state is process-wide; serialize the tests that
-    /// reset and inspect it.
-    static TEST_GATE: Mutex<()> = Mutex::new(());
+    use parking_lot::MutexGuard;
 
     fn fresh() -> MutexGuard<'static, ()> {
         let g = TEST_GATE.lock();

@@ -15,10 +15,10 @@ pub struct ResourceStats {
 
 /// A pool of modelled CPU cores.
 ///
-/// The reproduction host has a single real core; the paper's testbed has 56
+/// The reproduction host has two real cores; the paper's testbed has 56
 /// physical cores. Charging CPU-bound work through this pool (a FIFO
 /// semaphore with one permit per modelled core, holding the permit for the
-/// scaled duration of the work) makes 200 concurrent container startups
+/// simulated duration of the work) makes 200 concurrent container startups
 /// queue for cores exactly as they would on the modelled server, without
 /// burning host CPU.
 ///

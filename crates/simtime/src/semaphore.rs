@@ -1,31 +1,25 @@
 //! A FIFO-fair counting semaphore with targeted handoff.
 //!
-//! `std` has no semaphore and `parking_lot`'s primitives are not FIFO under
-//! contention. Queueing fairness matters here: the paper's serialization
-//! bottlenecks (the VFIO devset mutex, the PF admin queue, the memory
-//! bandwidth ceiling) produce the characteristic *linear ramp* of Fig. 5
-//! precisely because waiters are served roughly in arrival order.
+//! `std` has no semaphore. Queueing fairness matters here: the paper's
+//! serialization bottlenecks (the VFIO devset mutex, the PF admin queue,
+//! the memory bandwidth ceiling) produce the characteristic *linear ramp*
+//! of Fig. 5 precisely because waiters are served in arrival order.
 //!
-//! The implementation hands permits directly to the queue head (one
-//! condvar per waiter), so a release wakes exactly one thread. With 200
-//! simulation threads sharing one physical core, a broadcast design would
-//! burn real CPU on spurious wakeups — real time that would contaminate
-//! the scaled simulation clock.
+//! A release hands the permit directly to the queue head, so it wakes
+//! exactly one thread, and waiting is a blocking point of a virtual
+//! clock's executor.
 
-use parking_lot::{Condvar, Mutex};
+use crate::exec::{current_slot, Slot, Wait, WaitOn};
+use parking_lot::Mutex;
 use std::collections::VecDeque;
+use std::panic::Location;
 use std::sync::Arc;
-
-struct Waiter {
-    granted: Mutex<bool>,
-    cv: Condvar,
-}
 
 struct State {
     /// Permits currently available.
     available: usize,
     /// Waiting threads, in arrival order.
-    queue: VecDeque<Arc<Waiter>>,
+    queue: VecDeque<Arc<Slot>>,
     /// Total acquisitions served, for stats.
     served: u64,
     /// High-water mark of queue length, for stats.
@@ -73,8 +67,10 @@ impl FairSemaphore {
 
     /// Blocks until a permit is available and this caller is at the head of
     /// the FIFO queue, then returns a guard that releases on drop.
+    #[track_caller]
     pub fn acquire(self: &Arc<Self>) -> SemaphoreGuard {
-        let waiter = {
+        let me = current_slot();
+        {
             let mut st = self.state.lock();
             if st.available > 0 && st.queue.is_empty() {
                 st.available -= 1;
@@ -83,21 +79,20 @@ impl FairSemaphore {
                     sem: Arc::clone(self),
                 };
             }
-            let w = Arc::new(Waiter {
-                granted: Mutex::new(false),
-                cv: Condvar::new(),
-            });
-            st.queue.push_back(Arc::clone(&w));
-            if st.queue.len() > st.max_queue {
-                st.max_queue = st.queue.len();
-            }
-            w
-        };
-        // Wait for a releaser to hand us the permit directly.
-        let mut granted = waiter.granted.lock();
-        while !*granted {
-            waiter.cv.wait(&mut granted);
+            st.queue.push_back(Arc::clone(&me));
+            st.max_queue = st.max_queue.max(st.queue.len());
         }
+        let wait = Wait {
+            on: WaitOn::Semaphore,
+            site: Location::caller(),
+        };
+        // Woken only once a releaser has handed us its permit.
+        me.block(wait, || {
+            let mut st = self.state.lock();
+            let before = st.queue.len();
+            st.queue.retain(|s| !Arc::ptr_eq(s, &me));
+            st.queue.len() < before
+        });
         SemaphoreGuard {
             sem: Arc::clone(self),
         }
@@ -145,9 +140,7 @@ impl FairSemaphore {
             }
         };
         if let Some(w) = next {
-            let mut granted = w.granted.lock();
-            *granted = true;
-            w.cv.notify_one();
+            w.wake();
         }
     }
 }

@@ -2,7 +2,7 @@
 //!
 //! Everything outside `crates/simtime` is forbidden (by `fastiov-analyze`)
 //! from touching `std::time::Instant`/`SystemTime` directly: mixing raw
-//! wall-clock reads with the scaled simulation clock is how a test ends up
+//! wall-clock reads with the simulation clock is how a test ends up
 //! asserting on real time where it meant simulated time, and vice versa.
 //! Code that legitimately needs real elapsed time — guard hold/wait
 //! accounting, test deadlines, serialization checks — uses a

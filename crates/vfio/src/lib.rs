@@ -30,10 +30,7 @@ pub mod locking;
 pub use container::{DmaMapping, DmaZeroMode, VfioContainer};
 pub use devset::{DevSet, DevsetManager, VfioDevice, VfioDeviceFd, VfioStats};
 pub use group::VfioGroup;
-pub use locking::{
-    ChildGuard, ChildLock, DirectChildGuard, LockPolicy, ParentChildLock, ParentGuard,
-    ParentWitness,
-};
+pub use locking::{ChildGuard, ChildLock, LockPolicy, ParentChildLock, ParentGuard, ParentWitness};
 
 use fastiov_faults::FaultError;
 use fastiov_hostmem::MemError;

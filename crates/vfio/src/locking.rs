@@ -22,15 +22,15 @@
 //! (the paper argues it "can be promoted to other scenarios"): see
 //! `examples/lock_framework.rs` for a non-VFIO use.
 //!
-//! The framework is itself an instrumented wrapper: acquisitions report
+//! The framework is built from the tracked wrappers: acquisitions report
 //! to the lockdep witness and the lock statistics under
 //! [`LockClass::DevsetParent`], [`LockClass::DevsetChild`] and
-//! [`LockClass::DevsetState`], so the rwlock/mutex internals below are
-//! the sanctioned raw-lock exception.
+//! [`LockClass::DevsetState`], and every wait is a blocking point of the
+//! simulation clock's executor.
 
-use fastiov_simtime::lockdep::{self, contend, HeldToken, HoldTimer, Mode};
-use fastiov_simtime::LockClass;
-use parking_lot::{Mutex, MutexGuard, RwLock, RwLockReadGuard, RwLockWriteGuard};
+use fastiov_simtime::{
+    LockClass, TrackedMutex, TrackedMutexGuard, TrackedReadGuard, TrackedRwLock, TrackedWriteGuard,
+};
 use std::marker::PhantomData;
 
 /// Which lock design guards a parent–child structure.
@@ -50,16 +50,14 @@ pub enum LockPolicy {
 /// child state.
 #[derive(Debug)]
 pub struct ChildLock<T> {
-    // analyze: allow(raw-lock): framework internal; acquisitions report as DevsetChild
-    mutex: Mutex<T>,
+    mutex: TrackedMutex<T>,
 }
 
 impl<T> ChildLock<T> {
     /// Wraps `state` in a child lock.
     pub fn new(state: T) -> Self {
         ChildLock {
-            // analyze: allow(raw-lock): framework internal; acquisitions report as DevsetChild
-            mutex: Mutex::new(state),
+            mutex: TrackedMutex::new(LockClass::DevsetChild, state),
         }
     }
 
@@ -72,18 +70,8 @@ impl<T> ChildLock<T> {
     /// time: it can only be derived from a live [`ParentGuard`] (via
     /// [`ParentGuard::witness`]) and cannot outlive it.
     #[track_caller]
-    pub fn lock_direct<'a>(&'a self, _proof: ParentWitness<'a>) -> DirectChildGuard<'a, T> {
-        let _dep = lockdep::acquire(LockClass::DevsetChild, Mode::Exclusive);
-        let (inner, _hold) = self.contend();
-        DirectChildGuard { _dep, _hold, inner }
-    }
-
-    fn contend(&self) -> (MutexGuard<'_, T>, HoldTimer) {
-        contend(
-            LockClass::DevsetChild,
-            || self.mutex.try_lock(),
-            || self.mutex.lock(),
-        )
+    pub fn lock_direct<'a>(&'a self, _proof: ParentWitness<'a>) -> TrackedMutexGuard<'a, T> {
+        self.mutex.lock()
     }
 }
 
@@ -93,27 +81,6 @@ impl<T> ChildLock<T> {
 #[derive(Clone, Copy)]
 pub struct ParentWitness<'a> {
     _guard: PhantomData<&'a ()>,
-}
-
-/// Guard of [`ChildLock::lock_direct`]; dereferences to the child state.
-pub struct DirectChildGuard<'a, T> {
-    _dep: Option<HeldToken>,
-    _hold: HoldTimer,
-    inner: MutexGuard<'a, T>,
-}
-
-impl<T> std::ops::Deref for DirectChildGuard<'_, T> {
-    type Target = T;
-
-    fn deref(&self) -> &T {
-        &self.inner
-    }
-}
-
-impl<T> std::ops::DerefMut for DirectChildGuard<'_, T> {
-    fn deref_mut(&mut self) -> &mut T {
-        &mut self.inner
-    }
 }
 
 /// The parent-side lock pair implementing the framework.
@@ -141,40 +108,28 @@ impl<T> std::ops::DerefMut for DirectChildGuard<'_, T> {
 pub struct ParentChildLock<P> {
     policy: LockPolicy,
     /// Used only under [`LockPolicy::Coarse`].
-    // analyze: allow(raw-lock): framework internal; acquisitions report as DevsetParent
-    coarse: Mutex<()>,
+    coarse: TrackedMutex<()>,
     /// Used only under [`LockPolicy::Hierarchical`].
-    // analyze: allow(raw-lock): framework internal; acquisitions report as DevsetParent
-    rw: RwLock<()>,
+    rw: TrackedRwLock<()>,
     /// The parent's global state. Access is legal only through guards, so
     /// it sits in its own mutex; under either policy that mutex is
     /// uncontended by construction (parent access is already exclusive).
-    // analyze: allow(raw-lock): framework internal; acquisitions report as DevsetState
-    parent_state: Mutex<P>,
+    parent_state: TrackedMutex<P>,
 }
 
 /// Guard for a child operation; dereferences to the child state.
 ///
-/// Field order is load-bearing: lockdep tokens drop (popping the
-/// per-thread held stack) and hold timers stop before the locks they
-/// describe are released.
+/// Field order is load-bearing: the child mutex is released before the
+/// parent-side lock it was taken under.
 pub struct ChildGuard<'a, T> {
-    _child_dep: Option<HeldToken>,
-    _outer_dep: Option<HeldToken>,
-    _child_hold: HoldTimer,
-    _outer_hold: HoldTimer,
+    child: TrackedMutexGuard<'a, T>,
     _outer: OuterGuard<'a>,
-    child: MutexGuard<'a, T>,
 }
 
 /// Guard for a parent operation; dereferences to the parent state.
 pub struct ParentGuard<'a, P> {
-    _state_dep: Option<HeldToken>,
-    _outer_dep: Option<HeldToken>,
-    _state_hold: HoldTimer,
-    _outer_hold: HoldTimer,
+    parent: TrackedMutexGuard<'a, P>,
     _outer: OuterParentGuard<'a>,
-    parent: MutexGuard<'a, P>,
 }
 
 impl<P> ParentGuard<'_, P> {
@@ -190,14 +145,14 @@ impl<P> ParentGuard<'_, P> {
 // The guards are held purely for their Drop impls (RAII release).
 #[allow(dead_code)]
 enum OuterGuard<'a> {
-    Coarse(MutexGuard<'a, ()>),
-    Read(RwLockReadGuard<'a, ()>),
+    Coarse(TrackedMutexGuard<'a, ()>),
+    Read(TrackedReadGuard<'a, ()>),
 }
 
 #[allow(dead_code)]
 enum OuterParentGuard<'a> {
-    Coarse(MutexGuard<'a, ()>),
-    Write(RwLockWriteGuard<'a, ()>),
+    Coarse(TrackedMutexGuard<'a, ()>),
+    Write(TrackedWriteGuard<'a, ()>),
 }
 
 impl<P> ParentChildLock<P> {
@@ -205,12 +160,9 @@ impl<P> ParentChildLock<P> {
     pub fn new(policy: LockPolicy, parent_state: P) -> Self {
         ParentChildLock {
             policy,
-            // analyze: allow(raw-lock): framework internal; acquisitions report as DevsetParent
-            coarse: Mutex::new(()),
-            // analyze: allow(raw-lock): framework internal; acquisitions report as DevsetParent
-            rw: RwLock::new(()),
-            // analyze: allow(raw-lock): framework internal; acquisitions report as DevsetState
-            parent_state: Mutex::new(parent_state),
+            coarse: TrackedMutex::new(LockClass::DevsetParent, ()),
+            rw: TrackedRwLock::new(LockClass::DevsetParent, ()),
+            parent_state: TrackedMutex::new(LockClass::DevsetState, parent_state),
         }
     }
 
@@ -230,33 +182,13 @@ impl<P> ParentChildLock<P> {
     pub fn lock_child<'a, T>(&'a self, child: &'a ChildLock<T>) -> ChildGuard<'a, T> {
         // Coarse mode's single mutex plays the parent-lock role but in
         // exclusive mode; hierarchical child ops share the read side.
-        let (_outer_dep, (_outer, _outer_hold)) = match self.policy {
-            LockPolicy::Coarse => (
-                lockdep::acquire(LockClass::DevsetParent, Mode::Exclusive),
-                contend(
-                    LockClass::DevsetParent,
-                    || self.coarse.try_lock().map(OuterGuard::Coarse),
-                    || OuterGuard::Coarse(self.coarse.lock()),
-                ),
-            ),
-            LockPolicy::Hierarchical => (
-                lockdep::acquire(LockClass::DevsetParent, Mode::Shared),
-                contend(
-                    LockClass::DevsetParent,
-                    || self.rw.try_read().map(OuterGuard::Read),
-                    || OuterGuard::Read(self.rw.read()),
-                ),
-            ),
+        let _outer = match self.policy {
+            LockPolicy::Coarse => OuterGuard::Coarse(self.coarse.lock()),
+            LockPolicy::Hierarchical => OuterGuard::Read(self.rw.read()),
         };
-        let _child_dep = lockdep::acquire(LockClass::DevsetChild, Mode::Exclusive);
-        let (child, _child_hold) = child.contend();
         ChildGuard {
-            _child_dep,
-            _outer_dep,
-            _child_hold,
-            _outer_hold,
+            child: child.mutex.lock(),
             _outer,
-            child,
         }
     }
 
@@ -264,32 +196,13 @@ impl<P> ParentChildLock<P> {
     /// Excludes every other operation under either policy.
     #[track_caller]
     pub fn lock_parent(&self) -> ParentGuard<'_, P> {
-        let _outer_dep = lockdep::acquire(LockClass::DevsetParent, Mode::Exclusive);
-        let (_outer, _outer_hold) = match self.policy {
-            LockPolicy::Coarse => contend(
-                LockClass::DevsetParent,
-                || self.coarse.try_lock().map(OuterParentGuard::Coarse),
-                || OuterParentGuard::Coarse(self.coarse.lock()),
-            ),
-            LockPolicy::Hierarchical => contend(
-                LockClass::DevsetParent,
-                || self.rw.try_write().map(OuterParentGuard::Write),
-                || OuterParentGuard::Write(self.rw.write()),
-            ),
+        let _outer = match self.policy {
+            LockPolicy::Coarse => OuterParentGuard::Coarse(self.coarse.lock()),
+            LockPolicy::Hierarchical => OuterParentGuard::Write(self.rw.write()),
         };
-        let _state_dep = lockdep::acquire(LockClass::DevsetState, Mode::Exclusive);
-        let (parent, _state_hold) = contend(
-            LockClass::DevsetState,
-            || self.parent_state.try_lock(),
-            || self.parent_state.lock(),
-        );
         ParentGuard {
-            _state_dep,
-            _outer_dep,
-            _state_hold,
-            _outer_hold,
+            parent: self.parent_state.lock(),
             _outer,
-            parent,
         }
     }
 }

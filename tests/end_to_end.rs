@@ -4,14 +4,9 @@
 //! fastiovd → NIC) at a small scale and assert the *orderings* the paper
 //! establishes, which must hold at any scale.
 //!
-//! Flakiness audit: the simulated clock is wall-clock backed, so every
-//! measured duration carries strictly *additive* scheduler noise. Any
-//! assertion comparing two measured durations therefore takes the
-//! minimum over [`RUNS`] runs per side first — the minimum converges on
-//! the modelled cost, which is what the orderings are about. Assertions
-//! on structure (zero vs non-zero stages, record consistency, byte
-//! counts) are noise-free and run once. `tests/concurrency.rs` is
-//! all-structural and needs no such treatment.
+//! Every host runs on a virtual clock, so each measured duration is the
+//! modelled cost exactly, with no scheduler noise: a timing comparison
+//! runs once per side.
 
 use fastiov_repro::apps::AppKind;
 use fastiov_repro::microvm::stages;
@@ -20,40 +15,14 @@ use fastiov_repro::{
 };
 use std::time::Duration;
 
-/// Runs per side of a timing comparison; the min over them is compared.
-const RUNS: usize = 3;
-
 fn smoke(baseline: Baseline, conc: u32) -> StartupRunResult {
     run_startup_experiment(&ExperimentConfig::smoke(baseline, conc)).expect("startup run")
 }
 
-/// Like `smoke` but at a coarser time scale, so modelled costs dominate
-/// scheduling noise and ordering assertions are stable.
-fn timed(baseline: Baseline, conc: u32) -> StartupRunResult {
-    let mut cfg = ExperimentConfig::smoke(baseline, conc);
-    cfg.host.time_scale = 1e-2;
-    run_startup_experiment(&cfg).expect("startup run")
-}
-
-/// [`RUNS`] timed runs of one baseline, for min-over-runs comparisons.
-fn timed_runs(baseline: Baseline, conc: u32) -> Vec<StartupRunResult> {
-    (0..RUNS).map(|_| timed(baseline, conc)).collect()
-}
-
-/// Minimum of a per-run metric: the run least inflated by scheduling
-/// noise, i.e. the closest observation of the modelled cost.
-fn min_of(runs: &[StartupRunResult], metric: impl Fn(&StartupRunResult) -> Duration) -> Duration {
-    runs.iter().map(metric).min().expect("at least one run")
-}
-
 #[test]
 fn fastiov_beats_vanilla_on_vf_related_time() {
-    let vanilla = timed_runs(Baseline::Vanilla, 8);
-    let fast = timed_runs(Baseline::FastIov, 8);
-    let (v_vf, f_vf) = (
-        min_of(&vanilla, |r| r.vf_related.mean),
-        min_of(&fast, |r| r.vf_related.mean),
-    );
+    let v_vf = smoke(Baseline::Vanilla, 8).vf_related.mean;
+    let f_vf = smoke(Baseline::FastIov, 8).vf_related.mean;
     assert!(
         f_vf < v_vf,
         "FastIOV vf-related {f_vf:?} must beat vanilla {v_vf:?}"
@@ -62,46 +31,38 @@ fn fastiov_beats_vanilla_on_vf_related_time() {
 
 #[test]
 fn no_net_has_zero_vf_time_and_fastiov_approaches_it() {
-    let nonet = timed_runs(Baseline::NoNet, 6);
-    let fast = timed_runs(Baseline::FastIov, 6);
-    let vanilla = timed_runs(Baseline::Vanilla, 6);
-    // Structural: no-net has no VF-related stages at all, in every run.
-    for run in &nonet {
-        assert_eq!(run.vf_related.mean, Duration::ZERO);
-    }
+    let nonet = smoke(Baseline::NoNet, 6);
+    let fast = smoke(Baseline::FastIov, 6);
+    let vanilla = smoke(Baseline::Vanilla, 6);
+    // Structural: no-net has no VF-related stages at all.
+    assert_eq!(nonet.vf_related.mean, Duration::ZERO);
     // FastIOV's distance to no-net must be smaller than vanilla's, and
-    // its VF-related time a small fraction of vanilla's (the noise-free
-    // signal: VF-related time excludes the shared startup stages).
-    let nonet_total = min_of(&nonet, |r| r.total.mean);
-    let fast_gap = min_of(&fast, |r| r.total.mean).saturating_sub(nonet_total);
-    let vanilla_gap = min_of(&vanilla, |r| r.total.mean).saturating_sub(nonet_total);
+    // its VF-related time a small fraction of vanilla's.
+    let fast_gap = fast.total.mean.saturating_sub(nonet.total.mean);
+    let vanilla_gap = vanilla.total.mean.saturating_sub(nonet.total.mean);
     assert!(
         fast_gap < vanilla_gap,
         "fast gap {fast_gap:?} vs vanilla gap {vanilla_gap:?}"
     );
-    let (f_vf, v_vf) = (
-        min_of(&fast, |r| r.vf_related.mean),
-        min_of(&vanilla, |r| r.vf_related.mean),
-    );
+    let (f_vf, v_vf) = (fast.vf_related.mean, vanilla.vf_related.mean);
     assert!(f_vf * 2 < v_vf, "fast vf {f_vf:?} vs vanilla vf {v_vf:?}");
 }
 
 #[test]
 fn every_ablation_variant_lands_between_vanilla_and_fastiov() {
-    let vanilla = min_of(&timed_runs(Baseline::Vanilla, 8), |r| r.total.mean);
-    let fast = min_of(&timed_runs(Baseline::FastIov, 8), |r| r.total.mean);
+    let vanilla = smoke(Baseline::Vanilla, 8).total.mean;
+    let fast = smoke(Baseline::FastIov, 8).total.mean;
     for variant in [
         Baseline::FastIovMinusL,
         Baseline::FastIovMinusA,
         Baseline::FastIovMinusS,
         Baseline::FastIovMinusD,
     ] {
-        let run = min_of(&timed_runs(variant, 8), |r| r.total.mean);
+        let run = smoke(variant, 8).total.mean;
         // Each variant is missing one optimization: no better than full
-        // FastIOV (small tolerance for residual noise in the minima), no
-        // worse than 1.2x vanilla.
+        // FastIOV, no worse than 1.2x vanilla.
         assert!(
-            run.as_secs_f64() >= fast.as_secs_f64() * 0.8,
+            run >= fast,
             "{variant} unexpectedly faster than FastIOV ({run:?} vs {fast:?})"
         );
         assert!(
@@ -113,14 +74,7 @@ fn every_ablation_variant_lands_between_vanilla_and_fastiov() {
 
 #[test]
 fn prezero_improves_vanilla_dma_stage() {
-    // Stage means at the fine smoke scale carry proportionally more
-    // noise, so this comparison is min-over-runs too.
-    let dma = |b: Baseline| {
-        (0..RUNS)
-            .map(|_| smoke(b, 8).stage_means[stages::DMA_RAM])
-            .min()
-            .expect("runs")
-    };
+    let dma = |b: Baseline| smoke(b, 8).stage_means[stages::DMA_RAM];
     let v_dma = dma(Baseline::Vanilla);
     let p_dma = dma(Baseline::Prezero(100));
     assert!(
@@ -149,10 +103,8 @@ fn ipvtap_records_addcni_and_no_vf_stages() {
 
 #[test]
 fn original_cni_is_slower_than_fixed_cni() {
-    // Scheduling noise under load is strictly additive on the scaled
-    // clock, so the minimum over a few runs isolates the modelled cost.
-    let original = min_of(&timed_runs(Baseline::VanillaOriginal, 6), |r| r.total.mean);
-    let fixed = min_of(&timed_runs(Baseline::Vanilla, 6), |r| r.total.mean);
+    let original = smoke(Baseline::VanillaOriginal, 6).total.mean;
+    let fixed = smoke(Baseline::Vanilla, 6).total.mean;
     // Binding to the host driver and rebinding to VFIO every launch costs
     // strictly more than the pre-bound flow (§5).
     assert!(original > fixed, "original {original:?} vs fixed {fixed:?}");
@@ -160,36 +112,19 @@ fn original_cni_is_slower_than_fixed_cni() {
 
 #[test]
 fn serverless_tasks_complete_and_fastiov_wins() {
-    // One run per side used to flake here: completions mix identical
-    // modelled execution/download time with scheduling jitter, and a
-    // single noisy FastIOV run could blow the 1.05x margin. Structural
-    // checks run on every run; the timing comparison takes the minimum
-    // per metric over RUNS runs per baseline, the same idiom as
-    // `original_cni_is_slower_than_fixed_cni`.
-    let best = |b: Baseline| {
-        let per_run: Vec<(Duration, Duration)> = (0..RUNS)
-            .map(|_| {
-                let mut cfg = ExperimentConfig::smoke(b, 4);
-                cfg.host.time_scale = 1e-2;
-                let run = run_app_experiment(&cfg, AppKind::Image).expect("tasks");
-                assert_eq!(run.tasks.len(), 4);
-                for t in &run.tasks {
-                    assert!(t.completion >= t.startup);
-                    assert_eq!(t.downloaded, 2 * 1024 * 1024);
-                }
-                let startup: Duration = run.tasks.iter().map(|t| t.startup).sum();
-                (startup, run.completion.mean)
-            })
-            .collect();
-        // Minimum per metric, not per run: the least-noisy observation of
-        // each, which need not come from the same run.
-        (
-            per_run.iter().map(|r| r.0).min().expect("runs"),
-            per_run.iter().map(|r| r.1).min().expect("runs"),
-        )
+    let run = |b: Baseline| {
+        let run =
+            run_app_experiment(&ExperimentConfig::smoke(b, 4), AppKind::Image).expect("tasks");
+        assert_eq!(run.tasks.len(), 4);
+        for t in &run.tasks {
+            assert!(t.completion >= t.startup);
+            assert_eq!(t.downloaded, 2 * 1024 * 1024);
+        }
+        let startup: Duration = run.tasks.iter().map(|t| t.startup).sum();
+        (startup, run.completion.mean)
     };
-    let (van_startup, van_completion) = best(Baseline::Vanilla);
-    let (fast_startup, fast_completion) = best(Baseline::FastIov);
+    let (van_startup, van_completion) = run(Baseline::Vanilla);
+    let (fast_startup, fast_completion) = run(Baseline::FastIov);
     assert!(
         fast_startup < van_startup,
         "fastiov startup {fast_startup:?} vs vanilla {van_startup:?}"

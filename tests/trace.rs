@@ -158,3 +158,19 @@ fn chrome_trace_shape_is_loadable() {
     assert!(json.contains("\"wall_us\""), "{json}");
     assert!(!json.contains(",]") && !json.contains(",}"), "{json}");
 }
+
+#[test]
+fn two_fresh_hosts_run_the_same_wave_to_identical_spans() {
+    // The host clock is virtual: the executor, not the OS scheduler,
+    // decides every interleaving, so a wave repeats exactly.
+    let timeline = |spans: Vec<Span>| -> Vec<_> {
+        spans
+            .into_iter()
+            .map(|s| (s.name, s.vm, s.depth, s.sim_start, s.sim_end))
+            .collect()
+    };
+    let (first, _) = traced_wave(8);
+    let (second, _) = traced_wave(8);
+    assert!(first.len() > 8 * 9, "{} spans", first.len());
+    assert_eq!(timeline(first), timeline(second));
+}
