@@ -8,15 +8,15 @@ use fastiov::simtime::Clock;
 use std::sync::Arc;
 use std::time::Duration;
 
-fn build(n_vfs: u16) -> Arc<PfDriver> {
-    let clock = Clock::with_scale(1e-4);
+fn build(n_vfs: u16) -> (Clock, Arc<PfDriver>) {
+    let clock = Clock::new_virtual(1e-4);
     let bus = PciBus::new(
         clock.clone(),
         Duration::from_micros(10),
         Duration::from_millis(1),
     );
     let pf = PfDriver::new(
-        clock,
+        clock.clone(),
         bus,
         3,
         256,
@@ -27,7 +27,7 @@ fn build(n_vfs: u16) -> Arc<PfDriver> {
     )
     .unwrap();
     pf.create_vfs(n_vfs).unwrap();
-    pf
+    (clock, pf)
 }
 
 fn admin_queue(c: &mut Criterion) {
@@ -37,11 +37,11 @@ fn admin_queue(c: &mut Criterion) {
         group.bench_function(BenchmarkId::new("simultaneous", workers), |b| {
             b.iter_batched(
                 || build(workers),
-                |pf| {
+                |(clock, pf)| {
                     let handles: Vec<_> = (0..workers)
                         .map(|i| {
                             let pf = Arc::clone(&pf);
-                            std::thread::spawn(move || {
+                            fastiov::simtime::spawn(&clock, "submitter", move || {
                                 let vf = pf.vf(VfId(i)).unwrap();
                                 pf.admin().submit(&vf, AdminCmd::EnableQueues);
                                 pf.admin().submit(&vf, AdminCmd::QueryLink);

@@ -8,9 +8,13 @@ use fastiov::vfio::{DevsetManager, LockPolicy};
 use std::sync::Arc;
 use std::time::Duration;
 
-fn build(policy: LockPolicy, vfs: u8) -> Arc<DevsetManager> {
-    let clock = Clock::with_scale(1e-3);
-    let bus = PciBus::new(clock, Duration::from_micros(20), Duration::from_millis(1));
+fn build(policy: LockPolicy, vfs: u8) -> (Clock, Arc<DevsetManager>) {
+    let clock = Clock::new_virtual(1e-3);
+    let bus = PciBus::new(
+        clock.clone(),
+        Duration::from_micros(20),
+        Duration::from_millis(1),
+    );
     let mgr = DevsetManager::new(Arc::clone(&bus), policy, Duration::from_millis(5));
     for i in 0..vfs {
         let dev = PciDevice::new(
@@ -24,7 +28,7 @@ fn build(policy: LockPolicy, vfs: u8) -> Arc<DevsetManager> {
         mgr.register(dev).unwrap();
         mgr.group(Bdf::new(3, i, 0)).unwrap().attach(1).unwrap();
     }
-    mgr
+    (clock, mgr)
 }
 
 fn concurrent_opens(c: &mut Criterion) {
@@ -37,11 +41,11 @@ fn concurrent_opens(c: &mut Criterion) {
         group.bench_function(BenchmarkId::new(name, 16), |b| {
             b.iter_batched(
                 || build(policy, 16),
-                |mgr| {
+                |(clock, mgr)| {
                     let handles: Vec<_> = (0..16u8)
                         .map(|i| {
                             let mgr = Arc::clone(&mgr);
-                            std::thread::spawn(move || {
+                            fastiov::simtime::spawn(&clock, "opener", move || {
                                 let _fd = mgr.open(Bdf::new(3, i, 0)).unwrap();
                             })
                         })

@@ -12,13 +12,14 @@ use std::time::Duration;
 const PAGE: u64 = 2 * 1024 * 1024;
 
 fn setup(fragment: bool) -> (Arc<PhysMemory>, Arc<VfioContainer>) {
-    let mem = PhysMemory::new(MemCosts::for_tests(), PageSize::Size2M, 2048);
+    let clock = Clock::new_virtual(1e-5);
+    let mem = PhysMemory::new(MemCosts::for_tests(clock.clone()), PageSize::Size2M, 2048);
     if fragment {
         mem.inject_fragmentation(2);
     }
     let aspace = AddressSpace::new(1, Arc::clone(&mem));
     let iommu = Iommu::new(
-        Clock::with_scale(1e-5),
+        clock,
         Duration::from_nanos(100),
         Duration::from_nanos(300),
         64,

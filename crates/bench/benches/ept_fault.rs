@@ -13,8 +13,9 @@ const PAGE: u64 = 2 * 1024 * 1024;
 const PAGES: u64 = 64;
 
 fn build(hook: bool) -> Arc<Vm> {
-    let clock = Clock::with_scale(1e-6);
-    let mem = PhysMemory::new(MemCosts::for_tests(), PageSize::Size2M, PAGES as usize * 2);
+    let clock = Clock::new_virtual(1e-6);
+    let costs = MemCosts::for_tests(clock.clone());
+    let mem = PhysMemory::new(costs, PageSize::Size2M, PAGES as usize * 2);
     let aspace = AddressSpace::new(1, Arc::clone(&mem));
     let vm = Vm::new(
         clock.clone(),

@@ -32,8 +32,8 @@ fn page_table(c: &mut Criterion) {
 }
 
 fn domain_translate(c: &mut Criterion) {
-    let clock = Clock::with_scale(1e-6);
-    let mem = PhysMemory::new(MemCosts::for_tests(), PageSize::Size2M, 512);
+    let clock = Clock::new_virtual(1e-6);
+    let mem = PhysMemory::new(MemCosts::for_tests(clock.clone()), PageSize::Size2M, 512);
     let iommu = Iommu::new(
         clock,
         Duration::from_nanos(100),

@@ -175,10 +175,9 @@ impl NnsRegistry {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fastiov_simtime::WallStopwatch;
 
     fn registry() -> Arc<NnsRegistry> {
-        let clock = Clock::with_scale(1e-5);
+        let clock = Clock::new_virtual(1e-5);
         let rtnl = RtnlLock::new(clock.clone());
         NnsRegistry::new(
             clock,
@@ -206,20 +205,22 @@ mod tests {
 
     #[test]
     fn rtnl_serializes_holders() {
-        let clock = Clock::with_scale(1e-3);
-        let rtnl = RtnlLock::new(clock);
-        let t0 = WallStopwatch::start();
+        let clock = Clock::new_virtual(1e-3);
+        let rtnl = RtnlLock::new(clock.clone());
         let handles: Vec<_> = (0..4)
-            .map(|_| {
+            .map(|i| {
                 let rtnl = Arc::clone(&rtnl);
-                std::thread::spawn(move || rtnl.with(Duration::from_millis(2000), || ()))
+                fastiov_simtime::spawn(&clock, format!("holder-{i}"), move || {
+                    rtnl.with(Duration::from_millis(2000), || ())
+                })
             })
             .collect();
         for h in handles {
             h.join().unwrap();
         }
-        // 4 × 2 sim-s serialized = 8 sim-s = 8 real ms.
-        assert!(t0.elapsed() >= Duration::from_millis(6));
+        // 4 × 2 s, one holder at a time.
+        assert_eq!(clock.now().since_origin(), Duration::from_secs(8));
+        assert!(clock.is_virtual());
     }
 
     #[test]

@@ -204,7 +204,7 @@ mod tests {
     use std::time::Duration;
 
     fn plugin(vfs: u16) -> Arc<DevicePlugin> {
-        let clock = Clock::with_scale(1e-5);
+        let clock = Clock::new_virtual(1e-5);
         let bus = PciBus::new(
             clock.clone(),
             Duration::from_micros(10),

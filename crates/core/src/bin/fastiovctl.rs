@@ -2,19 +2,18 @@
 //!
 //! ```text
 //! fastiovctl baselines
-//! fastiovctl startup --baseline fastiov --conc 200 [--scale 0.02]
-//!                    [--ram-mb 512] [--image-mb 256]
+//! fastiovctl startup --baseline fastiov --conc 200 [--ram-mb 512] [--image-mb 256]
 //! fastiovctl app --app image --baseline vanilla --conc 50
-//! fastiovctl pool --capacity 16 --pods 32 [--rate 20] [--scale 0.002]
+//! fastiovctl pool --capacity 16 --pods 32 [--rate 20]
 //! fastiovctl faults --baseline pool16 --conc 50 [--rate 0.01] [--seed 1]
-//! fastiovctl observe [--baseline fastiov] [--conc 200] [--scale 0.02] [--smoke]
-//!                    [--out observe/]
-//! fastiovctl reproduce [--only <claim-id-prefix>] [--scale 0.02]
+//! fastiovctl observe [--baseline fastiov] [--conc 200] [--smoke] [--out observe/]
+//! fastiovctl reproduce [--only <claim-id-prefix>]
 //! ```
 //!
 //! Failed experiments exit with the stable code of their error class
 //! (see [`fastiov::Error::exit_code`]); `0` always means success. A
-//! malformed flag prints the reason and the usage and exits with `1`.
+//! malformed flag, or one the subcommand does not take, prints the
+//! reason and the usage and exits with `1`.
 
 use fastiov::apps::AppKind;
 use fastiov::engine::cdf_points;
@@ -27,11 +26,15 @@ use std::collections::HashMap;
 use std::process::ExitCode;
 use std::str::FromStr;
 
-fn parse_flags(args: &[String]) -> HashMap<String, String> {
+/// Parses `--name [value]` pairs, rejecting any flag not in `takes`.
+fn parse_flags(args: &[String], takes: &[&str]) -> HashMap<String, String> {
     let mut flags = HashMap::new();
     let mut i = 0;
     while i < args.len() {
         if let Some(key) = args[i].strip_prefix("--") {
+            if !takes.contains(&key) {
+                bad_flag(key, "unknown flag");
+            }
             if i + 1 < args.len() && !args[i + 1].starts_with("--") {
                 flags.insert(key.to_string(), args[i + 1].clone());
                 i += 2;
@@ -121,17 +124,8 @@ where
     }
 }
 
-/// `--scale`: real seconds per simulated second, finite and positive.
-fn scale(flags: &HashMap<String, String>) -> f64 {
-    let scale: f64 = flag(flags, "scale", reproduce::DEFAULT_SCALE);
-    if !(scale.is_finite() && scale > 0.0) {
-        bad_flag("scale", format!("{scale} is not a finite positive number"));
-    }
-    scale
-}
-
 fn config(flags: &HashMap<String, String>, baseline: Baseline) -> ExperimentConfig {
-    let mut cfg = ExperimentConfig::paper_scaled(baseline, flag(flags, "conc", 50), scale(flags));
+    let mut cfg = ExperimentConfig::paper(baseline, flag(flags, "conc", 50));
     cfg.ram_bytes = mib(flag(flags, "ram-mb", 512));
     cfg.image_bytes = mib(flag(flags, "image-mb", 256));
     cfg.vcpus = flag(flags, "vcpus", cfg.vcpus);
@@ -190,12 +184,14 @@ fn print_startup(cfg: &ExperimentConfig, cdf: bool) -> ExitCode {
 
 fn usage() -> ExitCode {
     eprintln!(
-        "usage:\n  fastiovctl baselines\n  fastiovctl startup --baseline <name> [--conc N] \
-         [--scale F] [--ram-mb M] [--image-mb M] [--cdf]\n  fastiovctl app \
-         --app <image|compression|scientific|inference> --baseline <name> [--conc N]\n  fastiovctl pool [--capacity N] [--pods N] \
-         [--rate F] [--hold-ms M] [--scale F]\n  fastiovctl faults [--baseline <name>] \
-         [--conc N] [--rate F] [--seed N] [--scale F]\n  fastiovctl observe \
-         [--baseline <name>] [--conc N] [--scale F] [--smoke] [--out DIR]\n  fastiovctl reproduce [--only <claim-id-prefix>] [--scale F]"
+        "usage:\n  fastiovctl baselines\n  fastiovctl startup --baseline <name> [--cdf]\n  \
+         fastiovctl app --app <image|compression|scientific|inference> --baseline <name>\n  \
+         fastiovctl pool [--capacity N] [--pods N] [--rate F] [--hold-ms M]\n  \
+         fastiovctl faults [--baseline <name>] [--rate F] [--seed N]\n  \
+         fastiovctl observe [--baseline <name>] [--smoke] [--out DIR]\n  \
+         fastiovctl reproduce [--only <claim-id-prefix>]\n\
+         startup, app, pool, faults and observe also take \
+         [--conc N] [--ram-mb M] [--image-mb M] [--vcpus F]"
     );
     ExitCode::FAILURE
 }
@@ -205,7 +201,20 @@ fn main() -> ExitCode {
     let Some(cmd) = args.first() else {
         return usage();
     };
-    let flags = parse_flags(&args[1..]);
+    // Every experiment subcommand takes the flags `config` reads.
+    let with_config =
+        |own: &[&'static str]| [own, &["conc", "ram-mb", "image-mb", "vcpus"]].concat();
+    let takes = match cmd.as_str() {
+        "baselines" => vec![],
+        "reproduce" => vec!["only"],
+        "startup" => with_config(&["baseline", "cdf"]),
+        "app" => with_config(&["app", "baseline"]),
+        "pool" => with_config(&["capacity", "pods", "rate", "hold-ms"]),
+        "faults" => with_config(&["baseline", "rate", "seed"]),
+        "observe" => with_config(&["baseline", "smoke", "out"]),
+        _ => return usage(),
+    };
+    let flags = parse_flags(&args[1..], &takes);
     match cmd.as_str() {
         "baselines" => {
             let mut t = Table::new(vec!["name", "label"]);
@@ -248,12 +257,7 @@ fn main() -> ExitCode {
             let pods: u32 = flag(&flags, "pods", 2 * u32::from(capacity));
             let rate: f64 = flag(&flags, "rate", 20.0);
             let hold_ms: u64 = flag(&flags, "hold-ms", 500);
-            let mut cfg = config(&flags, Baseline::WarmPool(capacity));
-            if !flags.contains_key("scale") {
-                // Sustained runs sleep through pod lifetimes too; default
-                // to a finer scale than burst measurements.
-                cfg.host = fastiov::microvm::HostParams::paper_scaled(0.002);
-            }
+            let cfg = config(&flags, Baseline::WarmPool(capacity));
             let (_host, engine) = match cfg.build() {
                 Ok(built) => built,
                 Err(e) => return fail(&e),
@@ -356,7 +360,7 @@ fn main() -> ExitCode {
             ExitCode::SUCCESS
         }
         "observe" => observe(&flags),
-        "reproduce" => reproduce_cmd(flags.get("only").map_or("", String::as_str), scale(&flags)),
+        "reproduce" => reproduce_cmd(flags.get("only").map_or("", String::as_str)),
         _ => usage(),
     }
 }
@@ -521,9 +525,9 @@ fn observe(flags: &HashMap<String, String>) -> ExitCode {
 /// (or rewrites it without `--only`), re-renders the `EXPERIMENTS.md`
 /// blocks from it, and fails on any ❌. Both files are read from and
 /// written to the current directory.
-fn reproduce_cmd(only: &str, scale: f64) -> ExitCode {
+fn reproduce_cmd(only: &str) -> ExitCode {
     let t0 = fastiov::simtime::WallStopwatch::start();
-    let fresh = match reproduce::reproduce(only, scale) {
+    let fresh = match reproduce::reproduce(only) {
         Ok(records) => records,
         Err(fastiov::Error::Empty) => {
             eprintln!("fastiovctl: no claim id starts with {only:?}");
@@ -557,7 +561,7 @@ fn reproduce_cmd(only: &str, scale: f64) -> ExitCode {
     }
     let failed = fresh.iter().filter(|r| r.status == "❌").count();
     println!(
-        "{} claims ({failed} failed) at scale {scale} in {:.0}s -> RESULTS.json, EXPERIMENTS.md",
+        "{} claims ({failed} failed) in {:.0}s -> RESULTS.json, EXPERIMENTS.md",
         fresh.len(),
         t0.elapsed().as_secs_f64()
     );

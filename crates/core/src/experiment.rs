@@ -56,17 +56,8 @@ impl ExperimentConfig {
         }
     }
 
-    /// Like [`ExperimentConfig::paper`] but at a custom time scale
-    /// (smaller = faster wall clock).
-    pub fn paper_scaled(baseline: Baseline, concurrency: u32, time_scale: f64) -> Self {
-        ExperimentConfig {
-            host: HostParams::paper_scaled(time_scale),
-            ..Self::paper(baseline, concurrency)
-        }
-    }
-
     /// A tiny configuration for tests and doc examples: few containers,
-    /// small guests, microscopic time scale.
+    /// small guests, the small test host.
     pub fn smoke(baseline: Baseline, concurrency: u32) -> Self {
         ExperimentConfig {
             baseline,

@@ -34,17 +34,12 @@ use std::time::Duration;
 /// Relative band shared by every [`Pred::Near`] claim.
 pub const BAND: f64 = 0.25;
 
-/// Time scale the model constants were fitted at, and the scale of the
-/// checked-in `RESULTS.json`.
-pub const DEFAULT_SCALE: f64 = 0.02;
-
 /// Seed of the fault plane in fault rows and of the arrival process in
 /// sustained rows.
 const SEED: u64 = 11;
 
 /// What a row measures, under the paper's §3.1 configuration plus the
-/// row's overrides. The configuration's time scale is replaced by the
-/// run's.
+/// row's overrides.
 #[derive(Debug, Clone)]
 pub enum Run {
     /// One simultaneous launch wave.
@@ -79,23 +74,20 @@ impl Run {
         }
     }
 
-    /// Runs the row at `scale`.
-    pub fn measure(&self, scale: f64) -> Result<Metrics> {
+    /// Runs the row.
+    pub fn measure(&self) -> Result<Metrics> {
         if let Run::Fragmentation(page, stride) = self {
-            // A standalone allocator at its own fixed scale.
             let batches = fragmentation_case(*page, *stride, mib(512))?;
             return Ok(Metrics::from([("batches".into(), batches as f64)]));
         }
-        let mut cfg = self
+        let cfg = self
             .config()
-            .cloned()
             .expect("invariant: only fragmentation has no config");
-        cfg.host.time_scale = scale;
         let mut m = Metrics::new();
         let mut put = |k: &str, v: f64| m.insert(k.to_string(), v);
         match self {
             Run::Startup(_) => {
-                let r = run_startup_experiment(&cfg)?;
+                let r = run_startup_experiment(cfg)?;
                 put("avg", r.total.mean_secs());
                 put("p99", r.total.p99_secs());
                 put("min", r.total.min.as_secs_f64());
@@ -106,7 +98,7 @@ impl Run {
                 }
             }
             Run::App(_, app) => {
-                let r = run_app_experiment(&cfg, *app)?;
+                let r = run_app_experiment(cfg, *app)?;
                 put("avg", r.completion.mean_secs());
                 put("p99", r.completion.p99_secs());
             }
@@ -128,7 +120,7 @@ impl Run {
                 put("p99", r.total.p99_secs());
             }
             Run::Faults(_) => {
-                let (host, sum) = crate::run_wave(&cfg, |_| {})?;
+                let (host, sum) = crate::run_wave(cfg, |_| {})?;
                 put("goodput", sum.succeeded as f64 / sum.total().max(1) as f64);
                 put("failed", sum.failed as f64);
                 let panics = sum.classes.iter().find(|(c, _)| *c == "launch-panic");
@@ -142,13 +134,13 @@ impl Run {
                 }
             }
             Run::MemPerf(_) => {
-                let r = run_memperf(cfg.baseline, &cfg, mib(32), 3, 5_000)?;
+                let r = run_memperf(cfg.baseline, cfg, mib(32), 3, 5_000)?;
                 put("steady_ms", r.steady_sweep.as_secs_f64() * 1e3);
                 put("random_ms", r.random_reads.as_secs_f64() * 1e3);
                 put("lazily_zeroed", r.lazily_zeroed as f64);
             }
             Run::Scrubber(_, scrub) => {
-                let (lazy, background) = scrubber_case(&cfg, *scrub)?;
+                let (lazy, background) = scrubber_case(cfg, *scrub)?;
                 put("lazy", lazy as f64);
                 put("background", background as f64);
             }
@@ -201,7 +193,7 @@ fn scrubber_case(cfg: &ExperimentConfig, scrub: bool) -> Result<(u64, u64)> {
 /// container on a standalone allocator with every `frag_stride`-th frame
 /// punched out. Returns the batches the retrieval loop collected.
 fn fragmentation_case(page: PageSize, frag_stride: Option<usize>, guest_bytes: u64) -> Result<u64> {
-    let clock = Clock::with_scale(5e-3);
+    let clock = Clock::new_virtual(5e-3);
     let cpu = CpuPool::new(clock.clone(), 56);
     let membw = FairShareBandwidth::new(clock.clone(), 24.0e9, 0.6e9);
     let (retrieval_per_batch, pin_per_page) = (Duration::from_micros(30), Duration::from_micros(2));
@@ -601,7 +593,7 @@ impl Claim {
     }
 
     /// Evaluates the claim on `results`, which must hold its rows.
-    pub fn evaluate(&self, results: &Results, scale: f64) -> Record {
+    pub fn evaluate(&self, results: &Results) -> Record {
         let model: Vec<f64> = self.model.iter().map(|e| e.eval(results)).collect();
         let status = status(self.pred.holds(&model), self.basis);
         let shown: Vec<String> = model.iter().map(|&v| fmt(v, self.unit)).collect();
@@ -617,7 +609,6 @@ impl Claim {
                 ("🔶", Basis::Paper(d)) => d.map(String::from),
                 _ => None,
             },
-            scale,
         }
     }
 }
@@ -853,8 +844,6 @@ pub struct Record {
     pub status: String,
     /// Cited DESIGN.md §8 deviation, when the status is 🔶.
     pub deviation: Option<String>,
-    /// Time scale of the run.
-    pub scale: f64,
 }
 
 fn json_str(s: &str) -> String {
@@ -882,7 +871,7 @@ impl Record {
     pub fn to_json(&self) -> String {
         format!(
             "{{\"id\":{},\"figure\":{},\"paper\":{},\"model\":{},\"unit\":{},\"predicate\":{},\
-             \"status\":{},\"deviation\":{},\"scale\":{}}}",
+             \"status\":{},\"deviation\":{}}}",
             json_str(&self.id),
             json_str(&self.figure),
             json_value(&self.paper),
@@ -891,7 +880,6 @@ impl Record {
             json_str(&self.predicate),
             json_str(&self.status),
             self.deviation.as_deref().map_or("null".into(), json_str),
-            self.scale,
         )
     }
 
@@ -913,7 +901,6 @@ impl Record {
             predicate: get("predicate")??,
             status: get("status")??,
             deviation: get("deviation")?,
-            scale: get("scale")??.parse().ok()?,
         })
     }
 }
@@ -1047,7 +1034,7 @@ pub fn block_figures(md: &str) -> Vec<&str> {
 /// Runs every row the claims whose id starts with `only` read, in table
 /// order and one at a time, then evaluates those claims. Progress goes to
 /// stderr. Identical runs are measured once.
-pub fn reproduce(only: &str, scale: f64) -> Result<Vec<Record>> {
+pub fn reproduce(only: &str) -> Result<Vec<Record>> {
     let claims: Vec<Claim> = claims()
         .into_iter()
         .filter(|c| c.id.starts_with(only))
@@ -1067,7 +1054,7 @@ pub fn reproduce(only: &str, scale: f64) -> Result<Vec<Record>> {
             Some((_, m)) => m.clone(),
             None => {
                 let t0 = WallStopwatch::start();
-                let m = row.run.measure(scale)?;
+                let m = row.run.measure()?;
                 eprintln!("{:<48} {:>6.1}s", row.id, t0.elapsed().as_secs_f64());
                 measured.push((run, m.clone()));
                 m
@@ -1075,7 +1062,7 @@ pub fn reproduce(only: &str, scale: f64) -> Result<Vec<Record>> {
         };
         results.insert(row.id, metrics);
     }
-    Ok(claims.iter().map(|c| c.evaluate(&results, scale)).collect())
+    Ok(claims.iter().map(|c| c.evaluate(&results)).collect())
 }
 
 #[cfg(test)]
@@ -1092,7 +1079,6 @@ mod tests {
             predicate: "within 25 % of 65.7".into(),
             status: status.into(),
             deviation: None,
-            scale: DEFAULT_SCALE,
         }
     }
 
@@ -1127,8 +1113,8 @@ mod tests {
         let row = || "x.row".to_string();
         let cl = claim("x.y", "%", Pred::AtLeast(1.0), vec![get(row(), "v")]).dev("D1");
         let results = Results::from([(row(), Metrics::from([("v".to_string(), 0.0)]))]);
-        assert_eq!(cl.evaluate(&results, DEFAULT_SCALE).status, "🔶");
-        let r = cl.acceptance().evaluate(&results, DEFAULT_SCALE);
+        assert_eq!(cl.evaluate(&results).status, "🔶");
+        let r = cl.acceptance().evaluate(&results);
         assert_eq!((r.status.as_str(), r.deviation), ("❌", None));
         for c in claims() {
             if c.id.starts_with("ext_faults.") || c.id.starts_with("ext_warmpool.") {
@@ -1185,10 +1171,7 @@ mod tests {
             let id = &row.id;
             assert!(cfg.concurrency >= 1 && cfg.vcpus > 0.0, "{id}");
             assert!((mib(64)..=gib(8)).contains(&cfg.ram_bytes), "{id}");
-            assert!(
-                cfg.image_bytes > 0 && cfg.host.time_scale == DEFAULT_SCALE,
-                "{id}"
-            );
+            assert!(cfg.image_bytes > 0, "{id}");
             let faulted = id.starts_with("ext_faults.") && !id.ends_with("/0pct");
             assert_eq!(!cfg.faults.is_disabled(), faulted, "{id}");
         }
@@ -1215,7 +1198,7 @@ mod tests {
                 fake.insert(id.to_string(), metrics.clone());
             }
             // Panics on a metric no row kind produces.
-            c.evaluate(&fake, DEFAULT_SCALE);
+            c.evaluate(&fake);
         }
     }
 }

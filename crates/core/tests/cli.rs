@@ -1,6 +1,6 @@
-//! `fastiovctl` as a process: malformed flags and unknown baselines are
-//! usage errors (exit 1 naming the flag or the name), never panics, and
-//! `observe` writes its three run files.
+//! `fastiovctl` as a process: malformed or unknown flags and unknown
+//! baselines are usage errors (exit 1 naming the flag or the name), never
+//! panics, and `observe` writes its three run files.
 
 use std::process::Command;
 
@@ -24,10 +24,16 @@ fn unparsable_rate_is_a_usage_error() {
 }
 
 #[test]
-fn zero_scale_is_a_usage_error() {
-    let (code, stderr) = run(&["startup", "--baseline", "fastiov", "--scale", "0"]);
-    assert_eq!(code, Some(1), "{stderr}");
-    assert!(stderr.contains("--scale"), "{stderr}");
+fn a_flag_the_subcommand_does_not_take_is_a_usage_error() {
+    // A removed flag and a misspelt one.
+    for (name, value) in [("scale", "0.02"), ("concurency", "8")] {
+        let flag = format!("--{name}");
+        let (code, stderr) = run(&["startup", "--baseline", "fastiov", &flag, value]);
+        assert_eq!(code, Some(1), "{flag}: {stderr}");
+        let named = stderr.contains(&format!("{flag}: unknown flag"));
+        assert!(named, "{stderr}");
+        assert!(stderr.contains("usage:"), "{stderr}");
+    }
 }
 
 #[test]
@@ -50,7 +56,7 @@ fn unknown_baseline_is_named() {
 fn observe_smoke_writes_trace_and_lock_graph() {
     let dir = std::env::temp_dir().join(format!("fastiovctl-observe-{}", std::process::id()));
     let out = dir.to_str().expect("utf-8 temp dir");
-    let (code, stderr) = run(&["observe", "--smoke", "--scale", "0.002", "--out", out]);
+    let (code, stderr) = run(&["observe", "--smoke", "--out", out]);
     assert_eq!(code, Some(0), "{stderr}");
     for name in ["trace.json", "lockgraph.dot", "lockgraph.json"] {
         let body = std::fs::read_to_string(dir.join(name)).expect(name);

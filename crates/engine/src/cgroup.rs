@@ -63,12 +63,11 @@ impl CgroupManager {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fastiov_simtime::WallStopwatch;
 
     #[test]
     fn create_and_remove() {
         let m = CgroupManager::new(
-            Clock::with_scale(1e-5),
+            Clock::new_virtual(1e-5),
             Duration::from_micros(10),
             Duration::from_micros(5),
         );
@@ -82,21 +81,20 @@ mod tests {
 
     #[test]
     fn creation_serializes_on_global_lock() {
-        let m = CgroupManager::new(
-            Clock::with_scale(1e-3),
-            Duration::ZERO,
-            Duration::from_millis(2000),
-        );
-        let t0 = WallStopwatch::start();
+        let clock = Clock::new_virtual(1e-3);
+        let hold = Duration::from_millis(2000);
+        let m = CgroupManager::new(clock.clone(), Duration::ZERO, hold);
+        let t0 = clock.now();
         let handles: Vec<_> = (0..4)
             .map(|i| {
                 let m = Arc::clone(&m);
-                std::thread::spawn(move || m.create(i))
+                fastiov_simtime::spawn(&clock, format!("create-{i}"), move || m.create(i))
             })
             .collect();
         for h in handles {
             h.join().unwrap();
         }
-        assert!(t0.elapsed() >= Duration::from_millis(6));
+        assert_eq!(clock.now().duration_since(t0), hold * 4);
+        assert!(clock.is_virtual());
     }
 }

@@ -30,8 +30,7 @@ pub struct EngineParams {
     pub sandbox_overhead: Duration,
     /// Arrival jitter of the concurrent launcher: request `i` of `n`
     /// starts after `i * launch_spread / n`. Models the "nearly
-    /// simultaneous" arrivals of §3.1 (and keeps 200 simulation threads
-    /// from herding on one physical core).
+    /// simultaneous" arrivals of §3.1.
     pub launch_spread: Duration,
     /// Retry, backoff, and stage-timeout policy of the recovery layer.
     pub recovery: RecoveryPolicy,
@@ -887,21 +886,30 @@ mod tests {
 
     #[test]
     fn warm_claim_is_much_faster_than_cold_launch() {
-        let warm_host = host(LockPolicy::Hierarchical);
-        let engine = pooled_engine(&warm_host, 2);
-        let warm = engine.run_pod(0).unwrap();
-        // A pool-less engine on an identical second host.
-        let cold_host = host(LockPolicy::Hierarchical);
-        let cold_engine = sriov_engine(&cold_host, true);
-        let cold = cold_engine.run_pod(1).unwrap();
+        // Each host on its own driver thread: building a second host on a
+        // thread leaves the first one's clock without a driver.
+        let warm = std::thread::spawn(|| {
+            let host = host(LockPolicy::Hierarchical);
+            let engine = pooled_engine(&host, 2);
+            let pod = engine.run_pod(0).unwrap();
+            engine.teardown_pod(&pod).unwrap();
+            engine.pool().unwrap().wait_idle();
+            assert!(host.clock.is_virtual());
+            pod.report.total
+        })
+        .join()
+        .unwrap();
+        // A pool-less engine on an identical host.
+        let host = host(LockPolicy::Hierarchical);
+        let engine = sriov_engine(&host, true);
+        let cold = engine.run_pod(1).unwrap();
+        engine.teardown_pod(&cold).unwrap();
+        assert!(host.clock.is_virtual());
         assert!(
-            warm.report.total * 2 < cold.report.total,
-            "warm {:?} vs cold {:?}",
-            warm.report.total,
+            warm * 2 < cold.report.total,
+            "warm {warm:?} vs cold {:?}",
             cold.report.total
         );
-        engine.teardown_pod(&warm).unwrap();
-        cold_engine.teardown_pod(&cold).unwrap();
     }
 
     #[test]

@@ -425,8 +425,8 @@ mod tests {
     use fastiov_hostmem::{MemCosts, PageSize};
 
     fn setup() -> (Arc<PhysMemory>, Arc<Fastiovd>) {
-        let mem = PhysMemory::new(MemCosts::for_tests(), PageSize::Size2M, 64);
-        let clock = Clock::with_scale(1e-5);
+        let clock = Clock::new_virtual(1e-5);
+        let mem = PhysMemory::new(MemCosts::for_tests(clock.clone()), PageSize::Size2M, 64);
         let d = Fastiovd::new(clock, Arc::clone(&mem));
         (mem, d)
     }
@@ -533,15 +533,13 @@ mod tests {
         let ranges = mem.alloc_frames(8, 1).unwrap();
         d.register_pages(1, &ranges);
         let handle = d.start_scrubber(Duration::from_millis(1), 4);
-        // At 1e-5 scale the interval is sub-microsecond real; give the
-        // thread a moment.
-        let sw = fastiov_simtime::WallStopwatch::start();
-        while d.stats().tracked > 0 && sw.elapsed() < Duration::from_secs(2) {
-            std::thread::sleep(Duration::from_millis(5));
-        }
+        // Two 1 ms sweeps of 4 pages each, then zeroing costs: the table
+        // is empty within 3 ms of simulated time.
+        d.clock().sleep(Duration::from_millis(3));
         handle.stop();
         assert_eq!(d.stats().tracked, 0);
         assert_eq!(d.stats().background_zeroed, 8);
+        assert!(d.clock().is_virtual());
     }
 
     #[test]

@@ -57,10 +57,9 @@ pub struct MemCosts {
 }
 
 impl MemCosts {
-    /// A cost model suitable for functional tests: microscopic time scale,
-    /// plentiful resources.
-    pub fn for_tests() -> Self {
-        let clock = Clock::with_scale(1e-5);
+    /// A cost model suitable for functional tests: plentiful resources
+    /// on the test's own `clock`.
+    pub fn for_tests(clock: Clock) -> Self {
         MemCosts {
             cpu: CpuPool::new(clock.clone(), 64),
             membw: FairShareBandwidth::new(clock.clone(), 4096e9, 64e9),
@@ -148,8 +147,9 @@ pub struct AllocStats {
 ///
 /// ```
 /// use fastiov_hostmem::{MemCosts, PageSize, PhysMemory};
+/// use fastiov_simtime::Clock;
 ///
-/// let mem = PhysMemory::new(MemCosts::for_tests(), PageSize::Size2M, 64);
+/// let mem = PhysMemory::new(MemCosts::for_tests(Clock::new_virtual(1.0)), PageSize::Size2M, 64);
 /// let ranges = mem.alloc_frames(8, 1).unwrap();
 /// assert_eq!(ranges.iter().map(|r| r.count).sum::<usize>(), 8);
 /// mem.zero_ranges(&ranges).unwrap();
@@ -589,7 +589,8 @@ mod tests {
     use super::*;
 
     fn mem(frames: usize) -> Arc<PhysMemory> {
-        PhysMemory::new(MemCosts::for_tests(), PageSize::Size2M, frames)
+        let costs = MemCosts::for_tests(Clock::new_virtual(1.0));
+        PhysMemory::new(costs, PageSize::Size2M, frames)
     }
 
     #[test]

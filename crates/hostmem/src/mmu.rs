@@ -281,7 +281,8 @@ mod tests {
     use crate::alloc::MemCosts;
 
     fn setup() -> (Arc<PhysMemory>, Arc<AddressSpace>) {
-        let mem = PhysMemory::new(MemCosts::for_tests(), PageSize::Size2M, 128);
+        let costs = MemCosts::for_tests(fastiov_simtime::Clock::new_virtual(1.0));
+        let mem = PhysMemory::new(costs, PageSize::Size2M, 128);
         let aspace = AddressSpace::new(1, Arc::clone(&mem));
         (mem, aspace)
     }

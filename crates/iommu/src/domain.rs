@@ -275,9 +275,10 @@ mod tests {
     use fastiov_hostmem::MemCosts;
 
     fn setup() -> (Arc<PhysMemory>, Arc<IommuDomain>) {
-        let mem = PhysMemory::new(MemCosts::for_tests(), PageSize::Size2M, 64);
+        let clock = Clock::new_virtual(1e-5);
+        let mem = PhysMemory::new(MemCosts::for_tests(clock.clone()), PageSize::Size2M, 64);
         let iommu = Iommu::new(
-            Clock::with_scale(1e-5),
+            clock,
             Duration::from_nanos(200),
             Duration::from_nanos(500),
             64,
@@ -428,7 +429,7 @@ mod tests {
     #[test]
     fn iommu_domain_registry() {
         let iommu = Iommu::new(
-            Clock::with_scale(1e-5),
+            Clock::new_virtual(1e-5),
             Duration::from_nanos(200),
             Duration::from_nanos(500),
             16,

@@ -293,13 +293,10 @@ mod tests {
     const PAGE: u64 = 2 * 1024 * 1024;
 
     fn setup() -> (Arc<PhysMemory>, Arc<AddressSpace>, Arc<Vm>) {
-        let mem = PhysMemory::new(MemCosts::for_tests(), PageSize::Size2M, 128);
+        let clock = Clock::new_virtual(1e-5);
+        let mem = PhysMemory::new(MemCosts::for_tests(clock.clone()), PageSize::Size2M, 128);
         let aspace = AddressSpace::new(11, Arc::clone(&mem));
-        let vm = Vm::new(
-            Clock::with_scale(1e-5),
-            Arc::clone(&aspace),
-            Duration::from_micros(20),
-        );
+        let vm = Vm::new(clock, Arc::clone(&aspace), Duration::from_micros(20));
         (mem, aspace, vm)
     }
 

@@ -194,11 +194,13 @@ mod tests {
 
     #[test]
     fn readiness_transitions() {
+        let clock = Clock::new_virtual(1.0);
         let r = NetReadiness::new();
         assert_eq!(r.state(), GuestNetState::Initializing);
         let r2 = Arc::clone(&r);
-        let waiter = std::thread::spawn(move || r2.wait());
-        std::thread::sleep(std::time::Duration::from_millis(5));
+        let waiter = fastiov_simtime::spawn(&clock, "waiter", move || r2.wait());
+        // The waiter runs while this thread sleeps, and blocks.
+        clock.sleep(std::time::Duration::from_millis(5));
         r.set_ready();
         waiter.join().unwrap().unwrap();
         assert_eq!(r.state(), GuestNetState::Ready);

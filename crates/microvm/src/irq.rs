@@ -71,7 +71,7 @@ mod tests {
 
     #[test]
     fn router_counts_by_vector() {
-        let r = IrqRouter::new(Clock::with_scale(1e-5), Duration::from_micros(12));
+        let r = IrqRouter::new(Clock::new_virtual(1e-5), Duration::from_micros(12));
         r.raise(VfId(0), fastiov_nic::msix::RX_VECTOR);
         r.raise(VfId(0), fastiov_nic::msix::RX_VECTOR);
         r.raise(VfId(1), fastiov_nic::msix::TX_VECTOR);

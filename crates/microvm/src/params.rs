@@ -16,7 +16,9 @@ use std::time::Duration;
 /// Complete parameter set for one modelled host.
 #[derive(Debug, Clone)]
 pub struct HostParams {
-    /// Real/simulated time ratio (see [`fastiov_simtime::Clock`]).
+    /// Real seconds per simulated second if the host's virtual clock
+    /// falls back to wall pacing (a thread outside the simulation blocking
+    /// on it; see [`fastiov_simtime::Clock`]). No virtual run reads it.
     pub time_scale: f64,
     /// Modelled CPU cores (2×28 in the testbed).
     pub host_cores: usize,
@@ -144,10 +146,9 @@ pub struct HostParams {
 }
 
 impl HostParams {
-    /// Paper-calibrated parameters at the default experiment time scale
-    /// (1 simulated second = 20 real ms, the scale the calibration pass
-    /// was run at; the `calibrate.*` and `tab1.*` claims of
-    /// `fastiovctl reproduce` check the targets).
+    /// Paper-calibrated parameters (the `calibrate.*` and `tab1.*` claims
+    /// of `fastiovctl reproduce` check the targets). A fallback paces one
+    /// simulated second in 20 real ms.
     pub fn paper() -> Self {
         HostParams {
             time_scale: 0.02,
@@ -206,17 +207,8 @@ impl HostParams {
         }
     }
 
-    /// Paper parameters at a custom time scale (smaller scale = faster
-    /// wall-clock experiments).
-    pub fn paper_scaled(time_scale: f64) -> Self {
-        HostParams {
-            time_scale,
-            ..Self::paper()
-        }
-    }
-
-    /// A small, fast host for functional tests: few VFs, little memory,
-    /// microscopic time scale.
+    /// A small host for functional tests: few VFs, little memory, and a
+    /// fine fallback pacing, so a stray wall-paced test still ends soon.
     pub fn for_tests() -> Self {
         HostParams {
             time_scale: 2e-4,

@@ -9,12 +9,35 @@
 use crate::msix::{InterruptSink, MsixVector, RX_VECTOR};
 use crate::vf::VfId;
 use crate::{NicError, Result};
-use fastiov_hostmem::{Iova, PhysMemory};
+use fastiov_hostmem::{Hpa, Iova, PhysMemory};
 use fastiov_iommu::IommuDomain;
 use fastiov_simtime::{FairShareBandwidth, LockClass, TrackedCondvar, TrackedMutex, TrackedRwLock};
 use std::collections::{HashMap, VecDeque};
+use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+
+/// Walks `len` bytes at `iova` page by page through `domain`, handing
+/// `access` each chunk's host address and buffer range; failures fault `vf`.
+pub(crate) fn dma_chunks(
+    domain: &IommuDomain,
+    vf: VfId,
+    iova: Iova,
+    len: usize,
+    mut access: impl FnMut(Hpa, Range<usize>) -> fastiov_hostmem::Result<()>,
+) -> Result<()> {
+    let fault = |detail: String| NicError::DmaFault { vf: vf.0, detail };
+    let page = domain.page_size().bytes();
+    let mut cursor = 0usize;
+    while cursor < len {
+        let at = Iova(iova.raw() + cursor as u64);
+        let hpa = domain.translate(at).map_err(|e| fault(e.to_string()))?;
+        let chunk = ((page - at.page_offset(page)) as usize).min(len - cursor);
+        access(hpa, cursor..cursor + chunk).map_err(|e| fault(e.to_string()))?;
+        cursor += chunk;
+    }
+    Ok(())
+}
 
 /// A buffer the guest driver posted for receive.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -147,27 +170,11 @@ impl DmaEngine {
         }
         let written = data.len().min(buffer.len);
         let payload = &data[..written];
-        // Move the bytes at line rate, translating page by page.
-        let moved = self.line.transfer_with(written as u64, || -> Result<()> {
-            let page = att.domain.page_size().bytes();
-            let mut cursor = 0usize;
-            while cursor < written {
-                let iova = Iova(buffer.iova.raw() + cursor as u64);
-                let hpa = att.domain.translate(iova).map_err(|e| NicError::DmaFault {
-                    vf: vf.0,
-                    detail: e.to_string(),
-                })?;
-                let chunk = ((page - iova.page_offset(page)) as usize).min(written - cursor);
-                self.mem
-                    .write_phys(hpa, &payload[cursor..cursor + chunk])
-                    .map_err(|e| NicError::DmaFault {
-                        vf: vf.0,
-                        detail: e.to_string(),
-                    })?;
-                cursor += chunk;
-            }
-            Ok(())
+        // Move the bytes, translating page by page, then charge line rate.
+        let moved = dma_chunks(&att.domain, vf, buffer.iova, written, |hpa, bytes| {
+            self.mem.write_phys(hpa, &payload[bytes])
         });
+        self.line.transfer(written as u64);
         if moved.is_err() {
             self.faults.fetch_add(1, Ordering::Relaxed);
         }
@@ -232,8 +239,8 @@ mod tests {
     const PAGE: u64 = 2 * 1024 * 1024;
 
     fn setup() -> (Arc<PhysMemory>, Arc<IommuDomain>, Arc<DmaEngine>) {
-        let clock = Clock::with_scale(1e-5);
-        let mem = PhysMemory::new(MemCosts::for_tests(), PageSize::Size2M, 64);
+        let clock = Clock::new_virtual(1e-5);
+        let mem = PhysMemory::new(MemCosts::for_tests(clock.clone()), PageSize::Size2M, 64);
         let iommu = Iommu::new(
             clock.clone(),
             Duration::from_nanos(100),
@@ -322,8 +329,10 @@ mod tests {
         map_guest_ram(&mem, &domain, 1);
         engine.post_rx_buffer(VfId(0), Iova(0), 1500).unwrap();
         let e2 = Arc::clone(&engine);
-        let waiter = std::thread::spawn(move || e2.wait_rx(VfId(0)).unwrap());
-        std::thread::sleep(Duration::from_millis(10));
+        let clock = mem.costs().clock.clone();
+        let waiter = fastiov_simtime::spawn(&clock, "waiter", move || e2.wait_rx(VfId(0)).unwrap());
+        // The waiter runs while this thread sleeps, and blocks.
+        clock.sleep(Duration::from_millis(10));
         engine.deliver(VfId(0), &[9u8; 10]).unwrap();
         let c = waiter.join().unwrap();
         assert_eq!(c.written, 10);

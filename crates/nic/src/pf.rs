@@ -398,10 +398,9 @@ impl PfDriver {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fastiov_simtime::WallStopwatch;
 
     fn setup(total: u16) -> Arc<PfDriver> {
-        let clock = Clock::with_scale(1e-5);
+        let clock = Clock::new_virtual(1e-5);
         let bus = PciBus::new(
             clock.clone(),
             Duration::from_micros(10),
@@ -470,7 +469,7 @@ mod tests {
 
     #[test]
     fn admin_queue_serializes_concurrent_submitters() {
-        let clock = Clock::with_scale(1e-3);
+        let clock = Clock::new_virtual(1e-3);
         let bus = PciBus::new(
             clock.clone(),
             Duration::from_micros(10),
@@ -489,11 +488,11 @@ mod tests {
         )
         .unwrap();
         pf.create_vfs(8).unwrap();
-        let t0 = WallStopwatch::start();
+        let t0 = clock.now();
         let handles: Vec<_> = (0..8u16)
             .map(|i| {
                 let pf = Arc::clone(&pf);
-                std::thread::spawn(move || {
+                fastiov_simtime::spawn(&clock, format!("submit-{i}"), move || {
                     let vf = pf.vf(VfId(i)).unwrap();
                     pf.admin().submit(&vf, AdminCmd::EnableQueues);
                 })
@@ -502,7 +501,8 @@ mod tests {
         for h in handles {
             h.join().unwrap();
         }
-        // 8 commands of 1 sim-second each serialized = 8 sim-s = 8 real ms.
-        assert!(t0.elapsed() >= Duration::from_millis(6));
+        // 8 commands of 1 s each, one at a time.
+        assert_eq!(clock.now().duration_since(t0), Duration::from_secs(8));
+        assert!(clock.is_virtual());
     }
 }

@@ -7,9 +7,9 @@
 //! server pair (§6.1): frames delivered to it are handed to a sink
 //! (the storage server's NIC, in the application experiments).
 
-use crate::dma::DmaEngine;
+use crate::dma::{dma_chunks, DmaEngine};
 use crate::vf::VfId;
-use crate::{NicError, Result};
+use crate::Result;
 use fastiov_hostmem::Iova;
 use fastiov_simtime::{LockClass, TrackedMutex};
 use std::collections::VecDeque;
@@ -135,26 +135,11 @@ impl DmaEngine {
     pub fn transmit(&self, vf: VfId, iova: Iova, len: usize, wire: &Wire) -> Result<Frame> {
         let domain = self.domain_of(vf)?;
         let mut payload = vec![0u8; len];
-        self.line().transfer_with(len as u64, || -> Result<()> {
-            let page = domain.page_size().bytes();
-            let mut cursor = 0usize;
-            while cursor < len {
-                let at = Iova(iova.raw() + cursor as u64);
-                let hpa = domain.translate(at).map_err(|e| NicError::DmaFault {
-                    vf: vf.0,
-                    detail: e.to_string(),
-                })?;
-                let chunk = ((page - at.page_offset(page)) as usize).min(len - cursor);
-                self.memory()
-                    .read_phys(hpa, &mut payload[cursor..cursor + chunk])
-                    .map_err(|e| NicError::DmaFault {
-                        vf: vf.0,
-                        detail: e.to_string(),
-                    })?;
-                cursor += chunk;
-            }
-            Ok(())
-        })?;
+        let read = dma_chunks(&domain, vf, iova, len, |hpa, bytes| {
+            self.memory().read_phys(hpa, &mut payload[bytes])
+        });
+        self.line().transfer(len as u64);
+        read?;
         let frame = Frame { src: vf, payload };
         wire.send(frame.clone());
         self.raise_tx_irq(vf);
@@ -165,6 +150,7 @@ impl DmaEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::NicError;
     use fastiov_hostmem::{MemCosts, PageSize, PhysMemory};
     use fastiov_iommu::Iommu;
     use fastiov_simtime::{Clock, FairShareBandwidth};
@@ -173,8 +159,8 @@ mod tests {
     const PAGE: u64 = 2 * 1024 * 1024;
 
     fn setup() -> (Arc<PhysMemory>, Arc<DmaEngine>, Arc<Wire>) {
-        let clock = Clock::with_scale(1e-5);
-        let mem = PhysMemory::new(MemCosts::for_tests(), PageSize::Size2M, 64);
+        let clock = Clock::new_virtual(1e-5);
+        let mem = PhysMemory::new(MemCosts::for_tests(clock.clone()), PageSize::Size2M, 64);
         let iommu = Iommu::new(
             clock.clone(),
             Duration::from_nanos(100),

@@ -125,7 +125,7 @@ mod tests {
 
     fn bus() -> Arc<PciBus> {
         PciBus::new(
-            Clock::with_scale(1e-5),
+            Clock::new_virtual(1e-5),
             Duration::from_micros(100),
             Duration::from_millis(1),
         )

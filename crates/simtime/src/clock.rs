@@ -96,7 +96,9 @@ fn checked_scale(scale: f64) -> f64 {
 }
 
 impl Clock {
-    /// Creates a wall clock with an explicit real/simulated time ratio.
+    /// Creates a wall clock with an explicit real/simulated time ratio,
+    /// for stress tests whose plain threads race in real time. A test
+    /// that asserts a modelled duration or order uses a virtual clock.
     ///
     /// # Panics
     ///
@@ -120,7 +122,9 @@ impl Clock {
         }
     }
 
-    /// The real/simulated time ratio of this clock.
+    /// The real/simulated time ratio of this clock: its pacing if it is
+    /// a wall clock, and its fallback pacing if it is virtual. No
+    /// [`Clock::now`] of a virtual clock depends on it.
     pub fn scale(&self) -> f64 {
         self.exec.scale()
     }
@@ -154,12 +158,8 @@ impl Clock {
         &self.exec
     }
 
-    /// Converts a simulated duration into the real duration it would block.
-    pub fn to_real(&self, sim: Duration) -> Duration {
-        Duration::from_secs_f64(sim.as_secs_f64() * self.scale())
-    }
-
-    /// Converts a measured real duration into simulated time.
+    /// Converts a measured real duration into simulated time at this
+    /// clock's scale.
     pub fn to_sim(&self, real: Duration) -> Duration {
         Duration::from_secs_f64(real.as_secs_f64() / self.scale())
     }
@@ -271,7 +271,7 @@ mod tests {
                 let sim = Duration::from_secs(20); // 20 real ms
                 let sw = crate::WallStopwatch::start();
                 clock.sleep(sim);
-                (sw.elapsed(), clock.to_real(sim))
+                (sw.elapsed(), sim.mul_f64(clock.scale()))
             })
         };
         let (took, paced) = outside.join().expect("outside thread");
@@ -282,12 +282,12 @@ mod tests {
     }
 
     #[test]
-    fn conversions_round_trip() {
+    fn to_sim_divides_by_the_scale() {
         let clock = Clock::with_scale(0.5);
-        let sim = Duration::from_millis(100);
-        let real = clock.to_real(sim);
-        assert_eq!(real, Duration::from_millis(50));
-        assert_eq!(clock.to_sim(real), sim);
+        assert_eq!(
+            clock.to_sim(Duration::from_millis(50)),
+            Duration::from_millis(100)
+        );
     }
 
     #[test]

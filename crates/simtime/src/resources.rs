@@ -28,9 +28,10 @@ pub struct ResourceStats {
 /// use fastiov_simtime::{Clock, CpuPool};
 /// use std::time::Duration;
 ///
-/// let clock = Clock::with_scale(0.0001);
+/// let clock = Clock::new_virtual(1.0);
 /// let pool = CpuPool::new(clock.clone(), 4);
 /// pool.run(Duration::from_millis(10)); // 10 simulated ms of CPU work
+/// assert_eq!(clock.now().since_origin(), Duration::from_millis(10));
 /// assert_eq!(pool.stats().operations, 1);
 /// ```
 pub struct CpuPool {
@@ -75,6 +76,12 @@ impl CpuPool {
     }
 }
 
+/// Slices of a [`FairShareBandwidth`] transfer long enough to be sliced.
+const INSTALLMENTS: u32 = 4;
+
+/// Solo duration from which a [`FairShareBandwidth`] transfer is sliced.
+const SLICED_FROM: Duration = Duration::from_millis(5);
+
 /// A processor-sharing bandwidth ceiling.
 ///
 /// All active transfers progress simultaneously: each gets `min(per_stream_cap,
@@ -84,13 +91,15 @@ impl CpuPool {
 /// arrivals at the next serialization point (the VFIO devset lock)
 /// compressed (§3.2).
 ///
-/// Transfers are timed in `installments` slices; each slice re-samples
-/// the active count, so rates adapt as transfers join and leave.
+/// A transfer whose solo duration reaches 5 simulated ms is timed in 4
+/// equal slices; each slice re-samples the active count, so rates adapt
+/// as transfers join and leave. Shorter transfers sleep once at the rate
+/// they start with. Both rules are in simulated time, so a run slices the
+/// same way whatever its clock's pacing scale.
 pub struct FairShareBandwidth {
     clock: Clock,
     total: f64,
     per_stream_cap: f64,
-    installments: u32,
     active: std::sync::atomic::AtomicUsize,
     operations: std::sync::atomic::AtomicU64,
     max_active: std::sync::atomic::AtomicUsize,
@@ -110,7 +119,6 @@ impl FairShareBandwidth {
             clock,
             total,
             per_stream_cap,
-            installments: 4,
             active: std::sync::atomic::AtomicUsize::new(0),
             operations: std::sync::atomic::AtomicU64::new(0),
             max_active: std::sync::atomic::AtomicUsize::new(0),
@@ -131,18 +139,8 @@ impl FairShareBandwidth {
         }
         let n = self.active.fetch_add(1, Ordering::SeqCst) + 1;
         self.max_active.fetch_max(n, Ordering::SeqCst);
-        // Small transfers sleep once; only transfers long enough for the
-        // active set to change meaningfully are re-sampled. This keeps the
-        // number of real sleeps (and hence host timer churn) low.
-        let installments = if self
-            .clock
-            .to_real(Duration::from_secs_f64(bytes as f64 / self.per_stream_cap))
-            >= Duration::from_millis(2)
-        {
-            self.installments
-        } else {
-            1
-        };
+        let solo = Duration::from_secs_f64(bytes as f64 / self.per_stream_cap);
+        let installments = if solo >= SLICED_FROM { INSTALLMENTS } else { 1 };
         let slice = bytes as f64 / f64::from(installments);
         for _ in 0..installments {
             let n = self.active.load(Ordering::SeqCst);
@@ -151,14 +149,6 @@ impl FairShareBandwidth {
         }
         self.active.fetch_sub(1, Ordering::SeqCst);
         self.operations.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Like [`FairShareBandwidth::transfer`] but runs `f` first while the
-    /// transfer is registered (e.g. to move modelled bytes).
-    pub fn transfer_with<R>(&self, bytes: u64, f: impl FnOnce() -> R) -> R {
-        let r = f();
-        self.transfer(bytes);
-        r
     }
 
     /// Usage statistics.
@@ -174,82 +164,99 @@ impl FairShareBandwidth {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::time::Instant;
 
-    fn fast_clock() -> Clock {
-        Clock::with_scale(0.0001)
+    /// Runs `job` on `n` simulation threads of `clock` and returns the
+    /// simulated instant each one finished at, in spawn order.
+    fn finish_times(
+        clock: &Clock,
+        n: usize,
+        job: impl Fn(usize) + Send + Sync + 'static,
+    ) -> Vec<Duration> {
+        let job = Arc::new(job);
+        let handles: Vec<_> = (0..n)
+            .map(|i| {
+                let (clock2, job) = (clock.clone(), Arc::clone(&job));
+                crate::spawn(clock, format!("job-{i}"), move || {
+                    job(i);
+                    clock2.now().since_origin()
+                })
+            })
+            .collect();
+        handles.into_iter().map(|h| h.join().unwrap()).collect()
     }
 
     #[test]
     fn cpu_pool_serializes_beyond_core_count() {
-        let clock = fast_clock();
+        let clock = Clock::new_virtual(1.0);
         let pool = CpuPool::new(clock.clone(), 2);
-        let t0 = Instant::now();
-        let handles: Vec<_> = (0..8)
-            .map(|_| {
-                let pool = Arc::clone(&pool);
-                std::thread::spawn(move || pool.run(Duration::from_millis(100)))
-            })
+        let p = Arc::clone(&pool);
+        let ends = finish_times(&clock, 8, move |_| p.run(Duration::from_millis(100)));
+        // 8 jobs of 100 ms on 2 cores: four rounds of two, done at 400 ms.
+        let rounds: Vec<_> = (1..=8)
+            .map(|k| Duration::from_millis(50 * (k + k % 2)))
             .collect();
-        for h in handles {
-            h.join().unwrap();
-        }
-        // 8 jobs of 100 sim-ms on 2 cores: >= 4 rounds = 400 sim-ms
-        // = 40 real us at this scale. Allow generous slack below.
-        let sim_elapsed = clock.to_sim(t0.elapsed());
-        assert!(
-            sim_elapsed >= Duration::from_millis(300),
-            "expected serialization, elapsed {sim_elapsed:?}"
-        );
+        assert_eq!(ends, rounds);
+        assert_eq!(clock.now().since_origin(), Duration::from_millis(400));
         assert_eq!(pool.stats().operations, 8);
+        assert!(clock.is_virtual());
     }
 
     #[test]
-    fn zero_duration_work_is_free() {
-        let pool = CpuPool::new(fast_clock(), 1);
+    fn zero_work_is_free() {
+        let clock = Clock::new_virtual(1.0);
+        let pool = CpuPool::new(clock.clone(), 1);
+        let bw = FairShareBandwidth::new(clock.clone(), 1e9, 1e9);
         pool.run(Duration::ZERO);
-        assert_eq!(pool.stats().operations, 0);
+        bw.transfer(0);
+        assert_eq!((pool.stats().operations, bw.stats().operations), (0, 0));
+        assert_eq!(clock.now().since_origin(), Duration::ZERO);
     }
 
     #[test]
     fn fair_share_solo_runs_at_cap() {
-        let clock = Clock::with_scale(0.001);
+        let clock = Clock::new_virtual(1.0);
         let bw = FairShareBandwidth::new(clock.clone(), 10e9, 1e9);
-        let t0 = Instant::now();
-        bw.transfer(1_000_000_000); // 1 GB at 1 GB/s cap = 1 sim s
-        let sim = clock.to_sim(t0.elapsed());
-        assert!(sim >= Duration::from_millis(900), "{sim:?}");
-        assert!(sim < Duration::from_millis(2500), "{sim:?}");
+        bw.transfer(1_000_000_000); // 1 GB at the 1 GB/s cap
+        assert_eq!(clock.now().since_origin(), Duration::from_secs(1));
+        assert!(clock.is_virtual());
     }
 
     #[test]
     fn fair_share_contention_divides_bandwidth() {
-        let clock = Clock::with_scale(0.001);
-        // Aggregate 4 GB/s, cap 4 GB/s: 8 transfers of 1 GB share fairly
-        // -> each effectively 0.5 GB/s -> ~2 sim s each, ~2 s total (not
-        // 8 x 0.25 s serialized, not 0.25 s uncontended).
+        // Aggregate 4 GB/s, cap 4 GB/s, eight 1 GB transfers. The threads
+        // join the active set one at a time, in spawn order, so thread k's
+        // first 250 MB quarter runs at the 4/(k+1) GB/s share it saw on
+        // arrival (62.5 ms × (k+1)); its other three quarters run with all
+        // eight active, at 0.5 GB/s (1.5 s). The last ends at 2 s, the
+        // time 8 GB takes at 4 GB/s.
+        let clock = Clock::new_virtual(1.0);
         let bw = FairShareBandwidth::new(clock.clone(), 4e9, 4e9);
-        let t0 = Instant::now();
-        let handles: Vec<_> = (0..8)
-            .map(|_| {
-                let bw = Arc::clone(&bw);
-                std::thread::spawn(move || bw.transfer(1_000_000_000))
-            })
+        let b = Arc::clone(&bw);
+        let ends = finish_times(&clock, 8, move |_| b.transfer(1_000_000_000));
+        let expect: Vec<Duration> = (1..=8u32)
+            .map(|k| Duration::from_millis(1500) + Duration::from_micros(62_500) * k)
             .collect();
-        for h in handles {
-            h.join().unwrap();
-        }
-        let sim = clock.to_sim(t0.elapsed());
-        assert!(sim >= Duration::from_millis(1200), "too fast: {sim:?}");
-        assert!(sim <= Duration::from_millis(3500), "too slow: {sim:?}");
+        assert_eq!(ends, expect);
         assert_eq!(bw.stats().operations, 8);
-        assert!(bw.stats().max_queue >= 4);
+        assert_eq!(bw.stats().max_queue, 8);
+        assert!(clock.is_virtual());
     }
 
     #[test]
-    fn fair_share_zero_bytes_free() {
-        let bw = FairShareBandwidth::new(fast_clock(), 1e9, 1e9);
-        bw.transfer(0);
-        assert_eq!(bw.stats().operations, 0);
+    fn slicing_does_not_depend_on_the_clock_scale() {
+        // A 50 MB transfer at 1 GB/s (50 ms solo, so sliced in four) is
+        // joined 10 ms in by a second one: its first 12.5 ms quarter runs
+        // alone, the other three at half rate beside the newcomer.
+        for scale in [0.02, 0.4] {
+            let clock = Clock::new_virtual(scale);
+            let bw = FairShareBandwidth::new(clock.clone(), 1e9, 1e9);
+            let c = clock.clone();
+            let ends = finish_times(&clock, 2, move |i| {
+                c.sleep(Duration::from_millis(10) * i as u32);
+                bw.transfer(50_000_000);
+            });
+            assert_eq!(ends[0], Duration::from_micros(87_500), "scale {scale}");
+            assert!(clock.is_virtual());
+        }
     }
 }

@@ -190,23 +190,23 @@ mod tests {
 
     #[test]
     fn fifo_order_is_respected() {
-        // One permit; spawn workers that record their completion order.
+        // One permit, held while eight workers queue in spawn order (a
+        // virtual clock runs them one at a time, in that order).
+        let clock = crate::Clock::new_virtual(1.0);
         let sem = FairSemaphore::new(1);
         let order = Arc::new(Mutex::new(Vec::new()));
         let first = sem.acquire();
         let handles: Vec<_> = (0..8)
             .map(|i| {
-                let sem = Arc::clone(&sem);
-                let order = Arc::clone(&order);
-                // Stagger arrival so queue positions follow index order.
-                std::thread::sleep(Duration::from_millis(2));
-                std::thread::spawn(move || {
+                let (sem, order) = (Arc::clone(&sem), Arc::clone(&order));
+                crate::spawn(&clock, format!("worker-{i}"), move || {
                     let _g = sem.acquire();
                     order.lock().push(i);
                 })
             })
             .collect();
-        std::thread::sleep(Duration::from_millis(30));
+        clock.sleep(Duration::from_millis(1));
+        assert_eq!(sem.queue_len(), 8);
         drop(first);
         for h in handles {
             h.join().unwrap();

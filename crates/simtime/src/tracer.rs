@@ -461,14 +461,14 @@ mod tests {
     use crate::DurationExt;
 
     fn tracer() -> Tracer {
-        let t = Tracer::new(Clock::with_scale(0.0001));
+        let t = Tracer::new(Clock::new_virtual(1.0));
         t.enable();
         t
     }
 
     #[test]
     fn disabled_tracer_records_nothing() {
-        let t = Tracer::new(Clock::with_scale(0.0001));
+        let t = Tracer::new(Clock::new_virtual(1.0));
         let _vm = t.vm_scope(7);
         t.span("x").finish();
         assert!(t.spans().is_empty());
@@ -493,10 +493,11 @@ mod tests {
         assert_eq!(outer.depth, 0);
         assert_eq!(outer.parent, None);
         // The child interval lies within the parent's.
-        assert!(inner.sim_start >= outer.sim_start);
-        assert!(inner.sim_end <= outer.sim_end);
-        assert!(inner.sim_duration() <= outer.sim_duration());
+        let at = |ms: u64| SimInstant::from_origin(ms.sim_ms());
+        assert_eq!((outer.sim_start, outer.sim_end), (at(0), at(10)));
+        assert_eq!((inner.sim_start, inner.sim_end), (at(5), at(10)));
         assert!(inner.wall_duration() <= outer.wall_duration());
+        assert!(clock.is_virtual());
     }
 
     #[test]
@@ -526,7 +527,7 @@ mod tests {
         let t = tracer();
         let main = t.span("main-root");
         let t2 = t.clone();
-        std::thread::spawn(move || {
+        crate::spawn(t.clock(), "other", move || {
             t2.span("thread-root").finish();
         })
         .join()

@@ -194,10 +194,11 @@ mod tests {
     const PAGE: u64 = 2 * 1024 * 1024;
 
     fn setup() -> (Arc<PhysMemory>, Arc<AddressSpace>, Arc<VfioContainer>) {
-        let mem = PhysMemory::new(MemCosts::for_tests(), PageSize::Size2M, 256);
+        let clock = Clock::new_virtual(1e-5);
+        let mem = PhysMemory::new(MemCosts::for_tests(clock.clone()), PageSize::Size2M, 256);
         let aspace = AddressSpace::new(7, Arc::clone(&mem));
         let iommu = fastiov_iommu::Iommu::new(
-            Clock::with_scale(1e-5),
+            clock.clone(),
             Duration::from_nanos(100),
             Duration::from_nanos(300),
             64,
@@ -291,10 +292,11 @@ mod tests {
     #[test]
     fn injected_pin_fault_fails_map_cleanly() {
         use fastiov_faults::{Effect, FaultPoint, Trigger};
-        let mem = PhysMemory::new(MemCosts::for_tests(), PageSize::Size2M, 256);
+        let clock = Clock::new_virtual(1e-5);
+        let mem = PhysMemory::new(MemCosts::for_tests(clock.clone()), PageSize::Size2M, 256);
         let aspace = AddressSpace::new(7, Arc::clone(&mem));
         let iommu = fastiov_iommu::Iommu::new(
-            Clock::with_scale(1e-5),
+            clock.clone(),
             Duration::from_nanos(100),
             Duration::from_nanos(300),
             64,
@@ -311,7 +313,7 @@ mod tests {
             iommu.create_domain(PageSize::Size2M),
             Arc::clone(&aspace),
             plane,
-            Clock::with_scale(1e-5),
+            clock,
         );
         let hva = aspace.mmap("ram", 2 * PAGE).unwrap();
         let e = c

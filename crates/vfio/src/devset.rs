@@ -424,10 +424,10 @@ impl DevsetManager {
 mod tests {
     use super::*;
     use fastiov_pci::DeviceClass;
-    use fastiov_simtime::{Clock, WallStopwatch};
+    use fastiov_simtime::Clock;
 
     fn setup(policy: LockPolicy, n_vfs: u8) -> (Arc<PciBus>, Arc<DevsetManager>) {
-        let clock = Clock::with_scale(1e-4);
+        let clock = Clock::new_virtual(1e-4);
         let bus = PciBus::new(clock, Duration::from_micros(50), Duration::from_millis(1));
         let mgr = DevsetManager::new(Arc::clone(&bus), policy, Duration::from_micros(100));
         for i in 0..n_vfs {
@@ -458,7 +458,7 @@ mod tests {
 
     #[test]
     fn slot_reset_devices_get_singleton_devsets() {
-        let clock = Clock::with_scale(1e-4);
+        let clock = Clock::new_virtual(1e-4);
         let bus = PciBus::new(clock, Duration::from_micros(10), Duration::from_millis(1));
         let mgr = DevsetManager::new(Arc::clone(&bus), LockPolicy::Coarse, Duration::ZERO);
         for i in 0..2 {
@@ -480,7 +480,7 @@ mod tests {
 
     #[test]
     fn unbound_device_rejected() {
-        let clock = Clock::with_scale(1e-4);
+        let clock = Clock::new_virtual(1e-4);
         let bus = PciBus::new(clock, Duration::from_micros(10), Duration::from_millis(1));
         let mgr = DevsetManager::new(bus, LockPolicy::Coarse, Duration::ZERO);
         let dev = PciDevice::new(
@@ -551,10 +551,12 @@ mod tests {
     #[test]
     fn concurrent_opens_faster_under_hierarchical_lock() {
         fn run(policy: LockPolicy) -> Duration {
-            // Chunky per-open cost (2 ms real) so serialization dominates
-            // thread-spawn noise.
-            let clock = Clock::with_scale(1e-3);
-            let bus = PciBus::new(clock, Duration::from_micros(100), Duration::from_millis(1));
+            let clock = Clock::new_virtual(1e-3);
+            let bus = PciBus::new(
+                clock.clone(),
+                Duration::from_micros(100),
+                Duration::from_millis(1),
+            );
             let mgr = DevsetManager::new(Arc::clone(&bus), policy, Duration::from_millis(2000));
             for i in 0..16 {
                 let dev = PciDevice::new(
@@ -568,11 +570,11 @@ mod tests {
                 mgr.register(dev).unwrap();
                 mgr.group(Bdf::new(3, i, 0)).unwrap().attach(1).unwrap();
             }
-            let t0 = WallStopwatch::start();
+            let t0 = clock.now();
             let handles: Vec<_> = (0..16u8)
                 .map(|i| {
                     let mgr = Arc::clone(&mgr);
-                    std::thread::spawn(move || {
+                    fastiov_simtime::spawn(&clock, format!("open-{i}"), move || {
                         let fd = mgr.open(Bdf::new(3, i, 0)).unwrap();
                         std::mem::forget(fd); // keep open; leak is test-local
                     })
@@ -581,14 +583,14 @@ mod tests {
             for h in handles {
                 h.join().unwrap();
             }
-            drop(bus);
-            t0.elapsed()
+            assert!(clock.is_virtual());
+            clock.now().duration_since(t0)
         }
         let coarse = run(LockPolicy::Coarse);
         let hier = run(LockPolicy::Hierarchical);
-        assert!(
-            coarse > hier * 2,
-            "coarse {coarse:?} vs hierarchical {hier:?}"
-        );
+        // One open: 2 s overhead plus a config scan of 16 devices × 100 µs.
+        let open = Duration::from_millis(2000) + Duration::from_micros(100) * 16;
+        assert_eq!(coarse, open * 16);
+        assert_eq!(hier, open);
     }
 }

@@ -238,25 +238,24 @@ impl<P> std::ops::DerefMut for ParentGuard<'_, P> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fastiov_simtime::WallStopwatch;
+    use fastiov_simtime::Clock;
     use std::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::Arc;
     use std::time::Duration;
 
-    /// Measures wall time of `n` concurrent child ops each holding the
+    /// Simulated time `n` concurrent child ops take, each holding the
     /// lock for `hold`.
     fn run_children(policy: LockPolicy, n: usize, hold: Duration) -> Duration {
+        let clock = Clock::new_virtual(1.0);
         let lock = Arc::new(ParentChildLock::new(policy, 0u32));
         let children: Arc<Vec<ChildLock<u32>>> =
             Arc::new((0..n).map(|_| ChildLock::new(0)).collect());
-        let t0 = WallStopwatch::start();
         let handles: Vec<_> = (0..n)
             .map(|i| {
-                let lock = Arc::clone(&lock);
-                let children = Arc::clone(&children);
-                std::thread::spawn(move || {
+                let (lock, children, c) = (Arc::clone(&lock), Arc::clone(&children), clock.clone());
+                fastiov_simtime::spawn(&clock, format!("child-{i}"), move || {
                     let mut g = lock.lock_child(&children[i]);
-                    std::thread::sleep(hold);
+                    c.sleep(hold);
                     *g += 1;
                 })
             })
@@ -264,49 +263,46 @@ mod tests {
         for h in handles {
             h.join().unwrap();
         }
-        t0.elapsed()
+        assert!(clock.is_virtual());
+        clock.now().since_origin()
     }
 
     #[test]
     fn coarse_serializes_hierarchical_parallelizes() {
         let hold = Duration::from_millis(5);
-        let n = 8;
-        let coarse = run_children(LockPolicy::Coarse, n, hold);
-        let hier = run_children(LockPolicy::Hierarchical, n, hold);
-        // Coarse must take ~n*hold, hierarchical ~hold. Use a conservative
-        // 2x separation to stay robust under scheduler noise.
-        assert!(
-            coarse > hier * 2,
-            "coarse {coarse:?} should be much slower than hierarchical {hier:?}"
-        );
-        assert!(coarse >= hold * (n as u32 - 1));
+        assert_eq!(run_children(LockPolicy::Coarse, 8, hold), hold * 8);
+        assert_eq!(run_children(LockPolicy::Hierarchical, 8, hold), hold);
     }
 
     #[test]
     fn parent_op_excludes_child_ops() {
         for policy in [LockPolicy::Coarse, LockPolicy::Hierarchical] {
+            let clock = Clock::new_virtual(1.0);
             let lock = Arc::new(ParentChildLock::new(policy, 0u32));
             let child = Arc::new(ChildLock::new(0u32));
             let in_parent = Arc::new(AtomicUsize::new(0));
 
-            let l2 = Arc::clone(&lock);
-            let flag = Arc::clone(&in_parent);
-            let parent_thread = std::thread::spawn(move || {
+            let (l2, flag, c) = (Arc::clone(&lock), Arc::clone(&in_parent), clock.clone());
+            let parent_thread = fastiov_simtime::spawn(&clock, "parent", move || {
                 let mut g = l2.lock_parent();
                 flag.store(1, Ordering::SeqCst);
-                std::thread::sleep(Duration::from_millis(20));
+                c.sleep(Duration::from_millis(20));
                 *g += 1;
                 flag.store(0, Ordering::SeqCst);
             });
-            // Give the parent thread time to take the lock.
-            std::thread::sleep(Duration::from_millis(5));
-            let flag = Arc::clone(&in_parent);
-            let l3 = Arc::clone(&lock);
-            let c2 = Arc::clone(&child);
-            let child_thread = std::thread::spawn(move || {
+            // The parent thread takes the lock while this one sleeps.
+            clock.sleep(Duration::from_millis(5));
+            let (l3, flag, c2, c) = (
+                Arc::clone(&lock),
+                Arc::clone(&in_parent),
+                Arc::clone(&child),
+                clock.clone(),
+            );
+            let child_thread = fastiov_simtime::spawn(&clock, "child", move || {
                 let _g = l3.lock_child(&c2);
-                // If exclusion works, the parent has finished by now.
+                // Exclusion: the child gets in when the parent leaves.
                 assert_eq!(flag.load(Ordering::SeqCst), 0, "policy {policy:?}");
+                assert_eq!(c.now().since_origin(), Duration::from_millis(20));
             });
             parent_thread.join().unwrap();
             child_thread.join().unwrap();

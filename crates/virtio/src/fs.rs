@@ -104,8 +104,9 @@ impl VirtioFs {
         let desc = self.ring.host_peek()?;
         let hva = self.vm.gpa_to_hva(desc.gpa)?;
         let aspace = self.vm.address_space();
-        self.bw
-            .transfer_with(n as u64, || aspace.write(hva, &data[..n]))?;
+        let written = aspace.write(hva, &data[..n]);
+        self.bw.transfer(n as u64);
+        written?;
         self.ring.host_complete()?;
 
         self.reads.fetch_add(1, Ordering::Relaxed);
@@ -198,8 +199,8 @@ mod tests {
     }
 
     fn setup() -> Setup {
-        let clock = Clock::with_scale(1e-5);
-        let mem = PhysMemory::new(MemCosts::for_tests(), PageSize::Size2M, 64);
+        let clock = Clock::new_virtual(1e-5);
+        let mem = PhysMemory::new(MemCosts::for_tests(clock.clone()), PageSize::Size2M, 64);
         let aspace = AddressSpace::new(9, Arc::clone(&mem));
         let vm = Vm::new(clock, Arc::clone(&aspace), Duration::from_micros(10));
         let ram_hva = aspace.mmap("ram", 16 * PAGE).unwrap();
@@ -221,7 +222,7 @@ mod tests {
     const _: () = assert!(VRING_BYTES <= PAGE);
 
     fn make_fs(s: &Setup, proactive: bool) -> VirtioFs {
-        let bw = FairShareBandwidth::new(Clock::with_scale(1e-5), 64e9, 8e9);
+        let bw = FairShareBandwidth::new(s.mem.costs().clock.clone(), 64e9, 8e9);
         VirtioFs::new(Arc::clone(&s.vm), Gpa(0), s.ram_hva, bw, proactive)
     }
 

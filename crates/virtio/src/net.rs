@@ -66,8 +66,9 @@ impl VirtioNet {
         let n = data.len().min(desc.len as usize);
         let hva = self.vm.gpa_to_hva(desc.gpa)?;
         let aspace = self.vm.address_space();
-        self.bw
-            .transfer_with(n as u64, || aspace.write(hva, &data[..n]))?;
+        let written = aspace.write(hva, &data[..n]);
+        self.bw.transfer(n as u64);
+        written?;
         self.ring.host_complete()?;
         self.completions.lock().push_back((desc.gpa, n));
         self.cv.notify_all();
@@ -109,8 +110,8 @@ mod tests {
     const PAGE: u64 = 2 * 1024 * 1024;
 
     fn setup() -> (Arc<Vm>, VirtioNet) {
-        let clock = Clock::with_scale(1e-5);
-        let mem = PhysMemory::new(MemCosts::for_tests(), PageSize::Size2M, 64);
+        let clock = Clock::new_virtual(1e-5);
+        let mem = PhysMemory::new(MemCosts::for_tests(clock.clone()), PageSize::Size2M, 64);
         let aspace = AddressSpace::new(3, mem);
         let vm = Vm::new(
             clock.clone(),

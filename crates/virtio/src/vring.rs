@@ -152,13 +152,10 @@ mod tests {
     const PAGE: u64 = 2 * 1024 * 1024;
 
     fn setup() -> (Arc<Vm>, Vring) {
-        let mem = PhysMemory::new(MemCosts::for_tests(), PageSize::Size2M, 64);
+        let clock = Clock::new_virtual(1e-5);
+        let mem = PhysMemory::new(MemCosts::for_tests(clock.clone()), PageSize::Size2M, 64);
         let aspace = AddressSpace::new(5, mem);
-        let vm = Vm::new(
-            Clock::with_scale(1e-5),
-            Arc::clone(&aspace),
-            Duration::from_micros(10),
-        );
+        let vm = Vm::new(clock, Arc::clone(&aspace), Duration::from_micros(10));
         let hva = aspace.mmap("ram", 8 * PAGE).unwrap();
         vm.set_memslot(Memslot {
             gpa: Gpa(0),

@@ -8,14 +8,13 @@
 use fastiov_repro::{run_startup_experiment, Baseline, ExperimentConfig};
 
 fn main() {
-    // 24 concurrent containers at a fast time scale; switch to
-    // `ExperimentConfig::paper(...)` for the full calibrated setting.
+    // 24 concurrent containers on the paper's calibrated host; the
+    // paper's headline burst is 200.
     let conc = 24;
-    let scale = 0.005;
 
     println!("launching {conc} secure containers per baseline ...\n");
     for baseline in [Baseline::NoNet, Baseline::Vanilla, Baseline::FastIov] {
-        let cfg = ExperimentConfig::paper_scaled(baseline, conc, scale);
+        let cfg = ExperimentConfig::paper(baseline, conc);
         let run = run_startup_experiment(&cfg).expect("experiment");
         println!(
             "{:<10} avg {:>6.2}s  p99 {:>6.2}s  (VF-related {:>5.2}s)",

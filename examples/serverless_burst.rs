@@ -14,11 +14,10 @@ use fastiov_repro::{run_app_experiment, Baseline, ExperimentConfig};
 
 fn main() {
     let conc = 16;
-    let scale = 0.005;
     let app = AppKind::Image;
 
     for baseline in [Baseline::Vanilla, Baseline::FastIov] {
-        let cfg = ExperimentConfig::paper_scaled(baseline, conc, scale);
+        let cfg = ExperimentConfig::paper(baseline, conc);
         let run = run_app_experiment(&cfg, app).expect("app experiment");
         println!(
             "{} × {conc} tasks on {:<8}: avg completion {:.2}s (startup portion {:.2}s avg)",

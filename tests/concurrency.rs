@@ -1,9 +1,6 @@
 //! Concurrency stress: waves of launches, VF reuse, mixed baselines on
-//! one host, and teardown under load.
-//!
-//! Flakiness audit: every assertion here is structural (resource counts,
-//! VF uniqueness, launch success) — nothing compares measured durations,
-//! so no min-over-runs treatment is needed (see `tests/end_to_end.rs`).
+//! one host, and teardown under load. Every assertion here is structural
+//! (resource counts, VF uniqueness, launch success).
 
 use fastiov_repro::cni::{FastIovCni, SriovCniFixed, VfAllocator};
 use fastiov_repro::engine::{Engine, EngineParams, PodNetworking, VmOptions};

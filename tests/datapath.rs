@@ -4,7 +4,7 @@
 use fastiov_repro::hostmem::{Gpa, Iova};
 use fastiov_repro::microvm::{Host, HostParams, Microvm, MicrovmConfig, NetworkAttachment};
 use fastiov_repro::nic::VfId;
-use fastiov_repro::simtime::StageLog;
+use fastiov_repro::simtime::{self, StageLog};
 use fastiov_repro::vfio::LockPolicy;
 use std::sync::Arc;
 
@@ -141,10 +141,9 @@ fn concurrent_packet_streams_do_not_interleave_wrongly() {
         .iter()
         .enumerate()
         .map(|(i, vm)| {
-            let host = Arc::clone(&host);
-            let vm = Arc::clone(vm);
-            std::thread::spawn(move || {
-                let vf = VfId(6 + i as u16);
+            let (h, vm) = (Arc::clone(&host), Arc::clone(vm));
+            simtime::spawn(&host.clock, format!("stream-{i}"), move || {
+                let (host, vf) = (h, VfId(6 + i as u16));
                 for round in 0..8u8 {
                     let marker = (i as u8) << 4 | round;
                     let pkt = vec![marker; 100];
@@ -168,4 +167,5 @@ fn concurrent_packet_streams_do_not_interleave_wrongly() {
     for vm in &vms {
         vm.shutdown().unwrap();
     }
+    assert!(host.clock.is_virtual());
 }

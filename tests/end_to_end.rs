@@ -149,3 +149,22 @@ fn startup_reports_are_internally_consistent() {
     assert!(run.total.max >= run.total.p99);
     assert!(run.total.min <= run.total.p50);
 }
+
+/// The fallback pacing ratio is the only use of `time_scale`: a wave that
+/// stays virtual records the same stages to the nanosecond at any value.
+#[test]
+fn startup_reports_do_not_depend_on_the_time_scale() {
+    let reports = |baseline, scale| {
+        let mut cfg = ExperimentConfig::smoke(baseline, 8);
+        cfg.host.time_scale = scale;
+        let run = run_startup_experiment(&cfg).expect("startup run");
+        let each = run.reports.into_iter();
+        each.map(|r| (r.index, r.started, r.total, r.records))
+            .collect::<Vec<_>>()
+    };
+    for baseline in [Baseline::Vanilla, Baseline::FastIov] {
+        let fine = reports(baseline, 2e-4);
+        assert_eq!(fine.len(), 8);
+        assert_eq!(fine, reports(baseline, 0.4), "{baseline:?}");
+    }
+}

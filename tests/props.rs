@@ -10,6 +10,7 @@ use fastiov_repro::hostmem::content::PageContent;
 use fastiov_repro::hostmem::Hpa;
 use fastiov_repro::hostmem::{MemCosts, PageSize, PhysMemory};
 use fastiov_repro::iommu::IoPageTable;
+use fastiov_repro::simtime::Clock;
 
 /// xorshift64* — deterministic input generator for the properties below.
 struct Rng(u64);
@@ -136,7 +137,8 @@ fn allocator_conserves_frames() {
     let mut rng = Rng::new(0xaabb_ccdd);
     for _ in 0..20 {
         let total = 64;
-        let mem = PhysMemory::new(MemCosts::for_tests(), PageSize::Size2M, total);
+        let costs = MemCosts::for_tests(Clock::new_virtual(1e-6));
+        let mem = PhysMemory::new(costs, PageSize::Size2M, total);
         let mut live = Vec::new();
         let mut owner = 0u64;
         let requests = 1 + rng.below(20);
@@ -259,17 +261,17 @@ fn summary_quantiles_are_order_statistics() {
 fn vring_is_fifo() {
     use fastiov_repro::hostmem::{AddressSpace, Gpa, MemCosts, PageSize, PhysMemory};
     use fastiov_repro::kvm::{Memslot, Vm};
-    use fastiov_repro::simtime::Clock;
     use fastiov_repro::virtio::{Descriptor, Vring};
     use std::time::Duration;
 
     const PAGE: u64 = 2 * 1024 * 1024;
     let mut rng = Rng::new(0xfeed_f00d);
     for _ in 0..16 {
-        let mem = PhysMemory::new(MemCosts::for_tests(), PageSize::Size2M, 16);
+        let clock = Clock::new_virtual(1e-6);
+        let mem = PhysMemory::new(MemCosts::for_tests(clock.clone()), PageSize::Size2M, 16);
         let aspace = AddressSpace::new(1, mem);
         let vm = Vm::new(
-            Clock::with_scale(1e-6),
+            clock,
             std::sync::Arc::clone(&aspace),
             Duration::from_micros(1),
         );

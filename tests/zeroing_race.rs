@@ -30,8 +30,9 @@ const TOTAL_FRAMES: usize = (WORKERS as usize) * ROUNDS * PAGES_PER_ROUND;
 ///   the free list at the end.
 #[test]
 fn register_fault_scrub_unregister_race() {
-    let mem = PhysMemory::new(MemCosts::for_tests(), PageSize::Size2M, TOTAL_FRAMES);
     let clock = Clock::with_scale(1e-5);
+    let costs = MemCosts::for_tests(clock.clone());
+    let mem = PhysMemory::new(costs, PageSize::Size2M, TOTAL_FRAMES);
     let d = Fastiovd::new(clock, Arc::clone(&mem));
 
     let stop = Arc::new(AtomicBool::new(false));
