@@ -5,14 +5,14 @@
 //! frames into batches (cost per batch — fragmentation hurts, hugepages
 //! help); *zeroing* moves whole pages through the shared memory-bandwidth
 //! resource (the dominant cost); *pinning* bumps per-frame reference
-//! counts so HPAs stay valid for DMA.
+//! counts so HPAs stay valid for DMA. Each of those is charged once per
+//! call, and the bookkeeping behind it is done under one lock per call.
 
 use crate::addr::{Hpa, PageSize};
 use crate::content::PageContent;
 use crate::{MemError, Result};
 use fastiov_simtime::{Clock, CpuPool, FairShareBandwidth, LockClass, LockSnapshot, TrackedMutex};
-use std::collections::BTreeSet;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::collections::BTreeMap;
 use std::sync::{Arc, LazyLock};
 use std::time::Duration;
 
@@ -80,20 +80,17 @@ struct Frame {
     content: PageContent,
 }
 
-/// One metadata mutex per frame, indexed by frame number.
-type FrameTable = Vec<TrackedMutex<Frame>>;
+/// A memory's frames, indexed by frame number.
+type FrameTable = Vec<Frame>;
 
 /// Frame `i` of a new memory: free, unpinned, full of residue.
-fn fresh_frame(page: PageSize, i: usize) -> TrackedMutex<Frame> {
-    TrackedMutex::new(
-        LockClass::PhysFrame,
-        Frame {
-            owner: None,
-            pins: 0,
-            clean: false,
-            content: PageContent::garbage(page.bytes(), i as u64),
-        },
-    )
+fn fresh_frame(page: PageSize, i: usize) -> Frame {
+    Frame {
+        owner: None,
+        pins: 0,
+        clean: false,
+        content: PageContent::garbage(page.bytes(), i as u64),
+    }
 }
 
 /// The frame table of the last memory dropped, already reset to fresh
@@ -120,6 +117,115 @@ fn take_spare_frames(page: PageSize, total: usize) -> Option<FrameTable> {
     }
 }
 
+/// The free frames as maximal runs of contiguous frames: start → length.
+/// Runs never overlap and never touch, so the runs taken from the front
+/// are exactly the batches an address-ordered walk would coalesce.
+#[derive(Debug, Default)]
+struct FreeRuns {
+    runs: BTreeMap<usize, usize>,
+    frames: usize,
+}
+
+impl FreeRuns {
+    /// Every frame of `0..total` free.
+    fn all(total: usize) -> Self {
+        let mut free = FreeRuns::default();
+        free.insert(0, total);
+        free
+    }
+
+    /// Returns `start..start + count` (not free before) to the list,
+    /// merging it with the runs it touches.
+    fn insert(&mut self, mut start: usize, count: usize) {
+        if count == 0 {
+            return;
+        }
+        let end = start + count;
+        if let Some((&s, &n)) = self.runs.range(..start).next_back() {
+            debug_assert!(s + n <= start, "freeing a free frame");
+            if s + n == start {
+                self.runs.remove(&s);
+                start = s;
+            }
+        }
+        let end = end + self.runs.remove(&end).unwrap_or(0);
+        debug_assert!(
+            self.runs.range(start..end).next().is_none(),
+            "freeing a free frame"
+        );
+        self.runs.insert(start, end - start);
+        self.frames += count;
+    }
+
+    /// Takes the lowest `count` free frames (at most [`FreeRuns::frames`]),
+    /// one range per run they come from, in address order.
+    fn take_lowest(&mut self, count: usize) -> Vec<FrameRange> {
+        let mut out = Vec::new();
+        let mut need = count.min(self.frames);
+        while need > 0 {
+            let Some((start, len)) = self.runs.pop_first() else {
+                break;
+            };
+            let take = len.min(need);
+            if take < len {
+                self.runs.insert(start + take, len - take);
+            }
+            out.push(FrameRange {
+                start: FrameId(start),
+                count: take,
+            });
+            need -= take;
+        }
+        self.frames -= out.iter().map(|r| r.count).sum::<usize>();
+        out
+    }
+
+    /// Free frame indices in address order.
+    fn iter(&self) -> impl Iterator<Item = usize> + '_ {
+        self.runs.iter().flat_map(|(&s, &n)| s..s + n)
+    }
+}
+
+/// Everything behind the memory's one lock.
+struct State {
+    frames: FrameTable,
+    free: FreeRuns,
+    /// Nonce of the residue the next freed frame reads as.
+    nonce: u64,
+    /// The counters of [`AllocStats`]; its two sizes are filled on read.
+    counts: AllocStats,
+}
+
+impl State {
+    /// Fails with [`MemError::BadFrame`] (the first frame past the end)
+    /// unless every range lies inside the table.
+    fn check_bounds(&self, ranges: &[FrameRange]) -> Result<()> {
+        let total = self.frames.len();
+        match ranges
+            .iter()
+            .find(|r| r.count > 0 && r.start.0 + r.count > total)
+        {
+            Some(r) => Err(MemError::BadFrame(r.start.0.max(total))),
+            None => Ok(()),
+        }
+    }
+
+    /// Turns a freed or released frame back into fresh residue.
+    fn invalidate(&mut self, i: usize) {
+        let f = &mut self.frames[i];
+        f.owner = None;
+        f.pins = 0;
+        f.clean = false;
+        f.content.invalidate(self.nonce);
+        self.nonce += 1;
+    }
+}
+
+/// Frame indices of `ranges`, in order.
+fn frame_indices(ranges: &[FrameRange]) -> impl Iterator<Item = usize> + '_ {
+    ranges.iter().flat_map(|r| r.start.0..r.start.0 + r.count)
+}
+
 /// Counters exposed by [`PhysMemory::stats`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct AllocStats {
@@ -143,6 +249,11 @@ pub struct AllocStats {
 
 /// The host's physical memory: a fixed array of frames of one page size.
 ///
+/// One lock guards the frame table and the free runs, and every call takes
+/// it once. The modelled charges (CPU for retrieval and pinning, memory
+/// bandwidth for zeroing) are paid after it is released, so no simulated
+/// wait ever happens under it.
+///
 /// # Examples
 ///
 /// ```
@@ -158,15 +269,8 @@ pub struct AllocStats {
 pub struct PhysMemory {
     costs: MemCosts,
     page: PageSize,
-    frames: FrameTable,
-    /// Free frame indices, kept sorted (address order) for batched
-    /// retrieval.
-    free: TrackedMutex<BTreeSet<usize>>,
-    nonce: AtomicU64,
-    allocations: AtomicU64,
-    batches: AtomicU64,
-    zeroed_charged: AtomicU64,
-    prezeroed: AtomicU64,
+    total: usize,
+    state: TrackedMutex<State>,
 }
 
 impl PhysMemory {
@@ -180,19 +284,23 @@ impl PhysMemory {
         Arc::new(PhysMemory {
             costs,
             page,
-            frames,
-            free: TrackedMutex::new(LockClass::PhysFreeList, (0..total_frames).collect()),
-            nonce: AtomicU64::new(total_frames as u64),
-            allocations: AtomicU64::new(0),
-            batches: AtomicU64::new(0),
-            zeroed_charged: AtomicU64::new(0),
-            prezeroed: AtomicU64::new(0),
+            total: total_frames,
+            state: TrackedMutex::new(
+                LockClass::PhysMemory,
+                State {
+                    frames,
+                    free: FreeRuns::all(total_frames),
+                    nonce: total_frames as u64,
+                    counts: AllocStats::default(),
+                },
+            ),
         })
     }
 
-    /// Wait/hold totals of the free-list lock class.
+    /// Wait/hold totals of the lock the frame table and free list live
+    /// under.
     pub fn free_lock_stats(&self) -> LockSnapshot {
-        LockClass::PhysFreeList.stats()
+        LockClass::PhysMemory.stats()
     }
 
     /// The page size of every frame.
@@ -213,7 +321,7 @@ impl PhysMemory {
     /// Frame containing `hpa`, if in range.
     pub fn frame_of(&self, hpa: Hpa) -> Result<FrameId> {
         let idx = (hpa.raw() / self.page.bytes()) as usize;
-        if idx < self.frames.len() {
+        if idx < self.total {
             Ok(FrameId(idx))
         } else {
             Err(MemError::NotMapped(hpa.raw()))
@@ -227,99 +335,90 @@ impl PhysMemory {
         if count == 0 {
             return Ok(Vec::new());
         }
-        let picked: Vec<usize> = {
-            let mut free = self.free.lock();
-            if free.len() < count {
+        let ranges = {
+            let mut s = self.state.lock();
+            if s.free.frames < count {
                 return Err(MemError::OutOfMemory {
                     requested: count,
-                    available: free.len(),
+                    available: s.free.frames,
                 });
             }
-            let picked: Vec<usize> = free.iter().take(count).copied().collect();
-            for i in &picked {
-                free.remove(i);
-            }
-            picked
-        };
-        let ranges = coalesce(&picked);
-        for r in &ranges {
-            for id in r.iter() {
-                let mut f = self.frames[id.0].lock();
+            let ranges = s.free.take_lowest(count);
+            for i in frame_indices(&ranges) {
+                let f = &mut s.frames[i];
                 debug_assert!(f.owner.is_none(), "allocating an owned frame");
                 f.owner = Some(owner);
             }
-        }
-        // Charge retrieval per batch outside the free-list lock: the walk
-        // itself is concurrent in the kernel; only the list pop is locked.
-        self.batches
-            .fetch_add(ranges.len() as u64, Ordering::Relaxed);
-        self.allocations.fetch_add(1, Ordering::Relaxed);
+            s.counts.batches_retrieved += ranges.len() as u64;
+            s.counts.allocations += 1;
+            ranges
+        };
+        // Charge retrieval per batch outside the lock: the walk itself is
+        // concurrent in the kernel; only the list pop is locked.
         self.costs
             .cpu
             .run(self.costs.retrieval_per_batch * ranges.len() as u32);
         Ok(ranges)
     }
 
-    /// Returns frame indices to the free list.
-    fn reinsert_free(&self, indices: &[usize]) {
-        self.free.lock().extend(indices);
-    }
-
     /// Frees previously allocated ranges. Frames must belong to `owner` and
     /// be unpinned; their contents revert to garbage (next tenant residue).
+    /// Every frame is checked before any is freed, so a failed call changes
+    /// nothing.
     pub fn free_ranges(&self, ranges: &[FrameRange], owner: u64) -> Result<()> {
-        for r in ranges {
-            for id in r.iter() {
-                let mut f = self
-                    .frames
-                    .get(id.0)
-                    .ok_or(MemError::BadFrame(id.0))?
-                    .lock();
-                if f.owner != Some(owner) {
-                    return Err(MemError::NotOwner {
-                        frame: id.0,
-                        owner: f.owner,
-                    });
+        let mut s = self.state.lock();
+        s.check_bounds(ranges)?;
+        // Claim each frame by clearing its owner. A frame named twice then
+        // reads as unowned, as a double free would; on any failure the
+        // claims made so far are handed back.
+        for (n, i) in frame_indices(ranges).enumerate() {
+            let f = &mut s.frames[i];
+            let err = if f.owner != Some(owner) {
+                Some(MemError::NotOwner {
+                    frame: i,
+                    owner: f.owner,
+                })
+            } else if f.pins > 0 {
+                Some(MemError::Pinned(i))
+            } else {
+                None
+            };
+            if let Some(e) = err {
+                for j in frame_indices(ranges).take(n) {
+                    s.frames[j].owner = Some(owner);
                 }
-                if f.pins > 0 {
-                    return Err(MemError::PinUnderflow(id.0));
-                }
-                f.owner = None;
-                f.clean = false;
-                let nonce = self.nonce.fetch_add(1, Ordering::Relaxed);
-                f.content.invalidate(nonce);
+                return Err(e);
             }
+            f.owner = None;
         }
-        let indices: Vec<usize> = ranges
-            .iter()
-            .flat_map(|r| r.iter().map(|id| id.0))
-            .collect();
-        self.reinsert_free(&indices);
+        for i in frame_indices(ranges) {
+            s.invalidate(i);
+        }
+        for r in ranges {
+            s.free.insert(r.start.0, r.count);
+        }
         Ok(())
     }
 
     /// Zeroes every frame in `ranges`, charging memory bandwidth for the
     /// frames that are not already pre-zeroed clean.
     pub fn zero_ranges(&self, ranges: &[FrameRange]) -> Result<()> {
-        let mut dirty_bytes = 0u64;
-        let mut dirty = 0u64;
-        for r in ranges {
-            for id in r.iter() {
-                let mut f = self
-                    .frames
-                    .get(id.0)
-                    .ok_or(MemError::BadFrame(id.0))?
-                    .lock();
+        let dirty = {
+            let mut s = self.state.lock();
+            s.check_bounds(ranges)?;
+            let mut dirty = 0u64;
+            for i in frame_indices(ranges) {
+                let f = &mut s.frames[i];
                 if !f.clean {
                     f.content.zero();
                     f.clean = true;
-                    dirty_bytes += self.page.bytes();
                     dirty += 1;
                 }
             }
-        }
-        self.zeroed_charged.fetch_add(dirty, Ordering::Relaxed);
-        self.costs.membw.transfer(dirty_bytes);
+            s.counts.frames_zeroed_charged += dirty;
+            dirty
+        };
+        self.costs.membw.transfer(dirty * self.page.bytes());
         Ok(())
     }
 
@@ -328,21 +427,17 @@ impl PhysMemory {
     /// needed zeroing.
     pub fn zero_frame(&self, id: FrameId) -> Result<bool> {
         let needed = {
-            let mut f = self
-                .frames
-                .get(id.0)
-                .ok_or(MemError::BadFrame(id.0))?
-                .lock();
-            if f.clean {
-                false
-            } else {
+            let mut s = self.state.lock();
+            let f = s.frames.get_mut(id.0).ok_or(MemError::BadFrame(id.0))?;
+            let needed = !f.clean;
+            if needed {
                 f.content.zero();
                 f.clean = true;
-                true
+                s.counts.frames_zeroed_charged += 1;
             }
+            needed
         };
         if needed {
-            self.zeroed_charged.fetch_add(1, Ordering::Relaxed);
             self.costs.membw.transfer(self.page.bytes());
         }
         Ok(needed)
@@ -350,106 +445,99 @@ impl PhysMemory {
 
     /// Pins every frame in `ranges` (refcount++), charging per-page CPU.
     pub fn pin_ranges(&self, ranges: &[FrameRange]) -> Result<()> {
-        let mut pages = 0u32;
-        for r in ranges {
-            for id in r.iter() {
-                let mut f = self
-                    .frames
-                    .get(id.0)
-                    .ok_or(MemError::BadFrame(id.0))?
-                    .lock();
-                f.pins += 1;
+        let pages = {
+            let mut s = self.state.lock();
+            s.check_bounds(ranges)?;
+            let mut pages = 0u32;
+            for i in frame_indices(ranges) {
+                s.frames[i].pins += 1;
                 pages += 1;
             }
-        }
+            pages
+        };
         self.costs.cpu.run(self.costs.pin_per_page * pages);
         Ok(())
     }
 
-    /// Unpins every frame in `ranges`.
+    /// Unpins every frame in `ranges`. Every frame is checked before any
+    /// count changes, so a failed call changes nothing.
     pub fn unpin_ranges(&self, ranges: &[FrameRange]) -> Result<()> {
-        for r in ranges {
-            for id in r.iter() {
-                let mut f = self
-                    .frames
-                    .get(id.0)
-                    .ok_or(MemError::BadFrame(id.0))?
-                    .lock();
-                if f.pins == 0 {
-                    return Err(MemError::PinUnderflow(id.0));
+        let mut s = self.state.lock();
+        s.check_bounds(ranges)?;
+        // Unpin in order; a frame named more often than it is pinned
+        // underflows, and then the unpins made so far are undone.
+        for (n, i) in frame_indices(ranges).enumerate() {
+            if s.frames[i].pins == 0 {
+                for j in frame_indices(ranges).take(n) {
+                    s.frames[j].pins += 1;
                 }
-                f.pins -= 1;
+                return Err(MemError::PinUnderflow(i));
             }
+            s.frames[i].pins -= 1;
         }
         Ok(())
     }
 
+    /// Runs `f` on frame `id` under the lock (test/diagnostic accessors).
+    fn with_frame<T>(&self, id: FrameId, f: impl FnOnce(&Frame) -> T) -> Result<T> {
+        let s = self.state.lock();
+        s.frames.get(id.0).map(f).ok_or(MemError::BadFrame(id.0))
+    }
+
     /// Pin count of a frame (test/diagnostic).
     pub fn pin_count(&self, id: FrameId) -> Result<u32> {
-        Ok(self
-            .frames
-            .get(id.0)
-            .ok_or(MemError::BadFrame(id.0))?
-            .lock()
-            .pins)
+        self.with_frame(id, |f| f.pins)
     }
 
     /// Owner of a frame (test/diagnostic).
     pub fn owner_of(&self, id: FrameId) -> Result<Option<u64>> {
-        Ok(self
-            .frames
-            .get(id.0)
-            .ok_or(MemError::BadFrame(id.0))?
-            .lock()
-            .owner)
+        self.with_frame(id, |f| f.owner)
     }
 
     /// True if the frame still exposes previous-owner residue.
     pub fn leaks_residue(&self, id: FrameId) -> Result<bool> {
-        Ok(self
-            .frames
-            .get(id.0)
-            .ok_or(MemError::BadFrame(id.0))?
-            .lock()
-            .content
-            .leaks_residue())
+        self.with_frame(id, |f| f.content.leaks_residue())
     }
 
     /// Reads physical memory at `hpa`, possibly crossing frame boundaries.
     pub fn read_phys(&self, hpa: Hpa, buf: &mut [u8]) -> Result<()> {
-        self.walk(hpa, buf.len() as u64, |frame, off, lo, hi, this| {
-            let f = this.frames[frame].lock();
-            f.content.read(off, &mut buf[lo..hi])
+        let s = self.state.lock();
+        self.walk(hpa, buf.len() as u64, |frame, off, lo, hi| {
+            s.frames[frame].content.read(off, &mut buf[lo..hi])
         })
     }
 
     /// Writes physical memory at `hpa`, possibly crossing frame boundaries.
     /// Marks touched frames dirty (not pre-zero clean).
     pub fn write_phys(&self, hpa: Hpa, data: &[u8]) -> Result<()> {
-        self.walk(hpa, data.len() as u64, |frame, off, lo, hi, this| {
-            let mut f = this.frames[frame].lock();
+        let mut s = self.state.lock();
+        self.walk(hpa, data.len() as u64, |frame, off, lo, hi| {
+            let f = &mut s.frames[frame];
             f.clean = false;
             f.content.write(off, &data[lo..hi])
         })
     }
 
+    /// Calls `f(frame, offset, lo, hi)` for each frame-sized piece of
+    /// `[hpa, hpa + len)`, where `lo..hi` is the piece's span in the
+    /// caller's buffer.
     fn walk(
         &self,
         hpa: Hpa,
         len: u64,
-        mut f: impl FnMut(usize, u64, usize, usize, &Self) -> Result<()>,
+        mut f: impl FnMut(usize, u64, usize, usize) -> Result<()>,
     ) -> Result<()> {
         let page = self.page.bytes();
         let mut cursor = 0u64;
         while cursor < len {
             let addr = hpa.raw() + cursor;
             let frame = (addr / page) as usize;
-            if frame >= self.frames.len() {
+            if frame >= self.total {
                 return Err(MemError::NotMapped(addr));
             }
             let off = addr % page;
             let chunk = (page - off).min(len - cursor);
-            f(frame, off, cursor as usize, (cursor + chunk) as usize, self)?;
+            f(frame, off, cursor as usize, (cursor + chunk) as usize)?;
             cursor += chunk;
         }
         Ok(())
@@ -460,19 +548,16 @@ impl PhysMemory {
     /// path of a failed microVM launch uses this to guarantee nothing is
     /// stranded. Returns the number of frames released.
     pub fn release_owner(&self, owner: u64) -> usize {
-        let mut released = Vec::new();
-        for (i, frame) in self.frames.iter().enumerate() {
-            let mut f = frame.lock();
-            if f.owner == Some(owner) {
-                f.owner = None;
-                f.pins = 0;
-                f.clean = false;
-                let nonce = self.nonce.fetch_add(1, Ordering::Relaxed);
-                f.content.invalidate(nonce);
-                released.push(i);
-            }
+        let mut s = self.state.lock();
+        let released: Vec<usize> = (0..s.frames.len())
+            .filter(|&i| s.frames[i].owner == Some(owner))
+            .collect();
+        for &i in &released {
+            s.invalidate(i);
         }
-        self.reinsert_free(&released);
+        for r in coalesce(&released) {
+            s.free.insert(r.start.0, r.count);
+        }
         released.len()
     }
 
@@ -481,23 +566,20 @@ impl PhysMemory {
     /// happens during idle time, before the measured startup window).
     /// Returns the number of frames pre-zeroed.
     pub fn prezero_pass(&self, fraction: f64) -> usize {
-        let targets: Vec<usize> = {
-            let free = self.free.lock();
-            let n = (free.len() as f64 * fraction.clamp(0.0, 1.0)).round() as usize;
-            free.iter().take(n).copied().collect()
-        };
+        let mut s = self.state.lock();
+        let s = &mut *s;
+        let n = (s.free.frames as f64 * fraction.clamp(0.0, 1.0)).round() as usize;
         let mut done = 0;
-        for i in &targets {
-            let mut f = self.frames[*i].lock();
-            // Only frames still free (owner none) are eligible; a racing
-            // allocation may have grabbed one.
-            if f.owner.is_none() && !f.clean {
+        for i in s.free.iter().take(n) {
+            let f = &mut s.frames[i];
+            debug_assert!(f.owner.is_none(), "a free frame has an owner");
+            if !f.clean {
                 f.content.zero();
                 f.clean = true;
                 done += 1;
             }
         }
-        self.prezeroed.fetch_add(done as u64, Ordering::Relaxed);
+        s.counts.frames_prezeroed += done as u64;
         done
     }
 
@@ -506,30 +588,33 @@ impl PhysMemory {
     /// `stride`-th free frame is taken. Returns how many were taken.
     pub fn inject_fragmentation(&self, stride: usize) -> usize {
         assert!(stride >= 2, "stride < 2 would exhaust memory");
-        let taken: Vec<usize> = {
-            let mut free = self.free.lock();
-            let taken: Vec<usize> = free.iter().step_by(stride).copied().collect();
-            for i in &taken {
-                free.remove(i);
+        let mut s = self.state.lock();
+        let mut taken = Vec::new();
+        let mut kept = Vec::new();
+        for (n, i) in s.free.iter().enumerate() {
+            if n % stride == 0 {
+                taken.push(i);
+            } else {
+                kept.push(i);
             }
-            taken
-        };
+        }
+        s.free = FreeRuns::default();
+        for r in coalesce(&kept) {
+            s.free.insert(r.start.0, r.count);
+        }
         for &i in &taken {
-            self.frames[i].lock().owner = Some(Self::OWNER_FRAG);
+            s.frames[i].owner = Some(Self::OWNER_FRAG);
         }
         taken.len()
     }
 
     /// Current statistics.
     pub fn stats(&self) -> AllocStats {
+        let s = self.state.lock();
         AllocStats {
-            free_frames: self.free.lock().len(),
-            total_frames: self.frames.len(),
-            allocations: self.allocations.load(Ordering::Relaxed),
-            batches_retrieved: self.batches.load(Ordering::Relaxed),
-            frames_zeroed_charged: self.zeroed_charged.load(Ordering::Relaxed),
-            frames_prezeroed: self.prezeroed.load(Ordering::Relaxed),
-            frames_stolen: 0,
+            free_frames: s.free.frames,
+            total_frames: s.frames.len(),
+            ..s.counts
         }
     }
 }
@@ -538,7 +623,7 @@ impl Drop for PhysMemory {
     /// Resets the frame table (dropping written contents, as freeing it
     /// would) and keeps it as the spare, replacing any older one.
     fn drop(&mut self) {
-        let mut frames = std::mem::take(&mut self.frames);
+        let mut frames = std::mem::take(&mut self.state.lock().frames);
         for (i, frame) in frames.iter_mut().enumerate() {
             *frame = fresh_frame(self.page, i);
         }
@@ -587,6 +672,7 @@ fn coalesce(sorted: &[usize]) -> Vec<FrameRange> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BTreeSet;
 
     fn mem(frames: usize) -> Arc<PhysMemory> {
         let costs = MemCosts::for_tests(Clock::new_virtual(1.0));
@@ -799,5 +885,215 @@ mod tests {
         let id = FrameId(3);
         assert_eq!(m.frame_of(m.hpa_of(id)).unwrap(), id);
         assert!(m.frame_of(Hpa(100 * PageSize::Size2M.bytes())).is_err());
+    }
+
+    /// Every frame's owner and pin count, plus the free-frame count.
+    fn snapshot(m: &PhysMemory) -> (Vec<(Option<u64>, u32)>, usize) {
+        let frames = (0..m.stats().total_frames)
+            .map(|i| {
+                let id = FrameId(i);
+                (m.owner_of(id).unwrap(), m.pin_count(id).unwrap())
+            })
+            .collect();
+        (frames, m.stats().free_frames)
+    }
+
+    fn range(start: usize, count: usize) -> FrameRange {
+        FrameRange {
+            start: FrameId(start),
+            count,
+        }
+    }
+
+    #[test]
+    fn freeing_a_pinned_frame_fails_and_changes_nothing() {
+        let m = mem(16);
+        let r = m.alloc_frames(4, 1).unwrap();
+        m.pin_ranges(&[range(3, 1)]).unwrap();
+        let before = snapshot(&m);
+        assert_eq!(m.free_ranges(&r, 1), Err(MemError::Pinned(3)));
+        assert_eq!(snapshot(&m), before);
+        assert_eq!(m.stats().free_frames, 12);
+        m.unpin_ranges(&[range(3, 1)]).unwrap();
+        m.free_ranges(&r, 1).unwrap();
+        assert_eq!(m.stats().free_frames, 16);
+    }
+
+    #[test]
+    fn freeing_another_owners_frame_fails_and_changes_nothing() {
+        let m = mem(16);
+        m.alloc_frames(4, 1).unwrap();
+        m.alloc_frames(4, 2).unwrap();
+        let before = snapshot(&m);
+        assert_eq!(
+            m.free_ranges(&[range(0, 8)], 1),
+            Err(MemError::NotOwner {
+                frame: 4,
+                owner: Some(2)
+            })
+        );
+        assert_eq!(snapshot(&m), before);
+    }
+
+    #[test]
+    fn freeing_a_frame_twice_in_one_call_fails_and_changes_nothing() {
+        let m = mem(16);
+        m.alloc_frames(4, 1).unwrap();
+        let before = snapshot(&m);
+        assert_eq!(
+            m.free_ranges(&[range(0, 2), range(1, 2)], 1),
+            Err(MemError::NotOwner {
+                frame: 1,
+                owner: None
+            })
+        );
+        assert_eq!(snapshot(&m), before);
+    }
+
+    #[test]
+    fn freeing_past_the_end_fails_and_changes_nothing() {
+        let m = mem(16);
+        m.alloc_frames(16, 1).unwrap();
+        let before = snapshot(&m);
+        assert_eq!(
+            m.free_ranges(&[range(0, 4), range(14, 4)], 1),
+            Err(MemError::BadFrame(16))
+        );
+        assert_eq!(snapshot(&m), before);
+    }
+
+    #[test]
+    fn unpinning_an_unpinned_frame_fails_and_changes_nothing() {
+        let m = mem(16);
+        let r = m.alloc_frames(4, 1).unwrap();
+        m.pin_ranges(&[range(0, 2)]).unwrap();
+        let before = snapshot(&m);
+        assert_eq!(m.unpin_ranges(&r), Err(MemError::PinUnderflow(2)));
+        assert_eq!(snapshot(&m), before);
+        // Named twice but pinned once: the second unpin underflows.
+        assert_eq!(
+            m.unpin_ranges(&[range(1, 1), range(1, 1)]),
+            Err(MemError::PinUnderflow(1))
+        );
+        assert_eq!(snapshot(&m), before);
+    }
+
+    /// The address-ordered `BTreeSet` allocator the free runs replaced.
+    struct Reference {
+        free: BTreeSet<usize>,
+        owner: Vec<Option<u64>>,
+        clean: Vec<bool>,
+        batches: u64,
+    }
+
+    impl Reference {
+        fn new(total: usize) -> Self {
+            Reference {
+                free: (0..total).collect(),
+                owner: vec![None; total],
+                clean: vec![false; total],
+                batches: 0,
+            }
+        }
+
+        fn alloc(&mut self, count: usize, owner: u64) -> Result<Vec<FrameRange>> {
+            if self.free.len() < count {
+                return Err(MemError::OutOfMemory {
+                    requested: count,
+                    available: self.free.len(),
+                });
+            }
+            let picked: Vec<usize> = self.free.iter().take(count).copied().collect();
+            for &i in &picked {
+                self.free.remove(&i);
+                self.owner[i] = Some(owner);
+            }
+            let ranges = coalesce(&picked);
+            self.batches += ranges.len() as u64;
+            Ok(ranges)
+        }
+
+        fn release(&mut self, i: usize) {
+            self.owner[i] = None;
+            self.clean[i] = false;
+            self.free.insert(i);
+        }
+    }
+
+    /// A seeded mix of every call that moves frames on or off the free
+    /// list, against the reference: same ranges, batches and free count
+    /// after every step.
+    #[test]
+    fn free_runs_match_a_frame_set() {
+        const TOTAL: usize = 256;
+        for seed in 0..6 {
+            let mut rng = crate::TestRng(seed);
+            let m = mem(TOTAL);
+            let mut r = Reference::new(TOTAL);
+            let mut live: Vec<(u64, Vec<FrameRange>)> = Vec::new();
+            for step in 0..600 {
+                match rng.below(16) {
+                    0..=6 => {
+                        let count = 1 + rng.below(24) as usize;
+                        let owner = 1 + rng.below(4);
+                        let got = m.alloc_frames(count, owner);
+                        assert_eq!(got, r.alloc(count, owner), "seed {seed} step {step}");
+                        if let Ok(ranges) = got {
+                            live.push((owner, ranges));
+                        }
+                    }
+                    7..=11 if !live.is_empty() => {
+                        let (owner, ranges) =
+                            live.swap_remove(rng.below(live.len() as u64) as usize);
+                        m.free_ranges(&ranges, owner).unwrap();
+                        frame_indices(&ranges).for_each(|i| r.release(i));
+                    }
+                    12 => {
+                        let stride = 2 + rng.below(6) as usize;
+                        let taken: Vec<usize> = r.free.iter().copied().step_by(stride).collect();
+                        for &i in &taken {
+                            r.free.remove(&i);
+                            r.owner[i] = Some(PhysMemory::OWNER_FRAG);
+                        }
+                        assert_eq!(m.inject_fragmentation(stride), taken.len());
+                    }
+                    13 => {
+                        let fraction = rng.below(5) as f64 / 4.0;
+                        let n = (r.free.len() as f64 * fraction).round() as usize;
+                        let dirty: Vec<usize> = r
+                            .free
+                            .iter()
+                            .take(n)
+                            .copied()
+                            .filter(|&i| !r.clean[i])
+                            .collect();
+                        dirty.iter().for_each(|&i| r.clean[i] = true);
+                        assert_eq!(m.prezero_pass(fraction), dirty.len());
+                    }
+                    _ => {
+                        let owner = if rng.below(4) == 0 {
+                            PhysMemory::OWNER_FRAG
+                        } else {
+                            1 + rng.below(4)
+                        };
+                        let owned: Vec<usize> =
+                            (0..TOTAL).filter(|&i| r.owner[i] == Some(owner)).collect();
+                        owned.iter().for_each(|&i| r.release(i));
+                        live.retain(|(o, _)| *o != owner);
+                        assert_eq!(m.release_owner(owner), owned.len());
+                    }
+                }
+                let stats = m.stats();
+                assert_eq!(stats.free_frames, r.free.len(), "seed {seed} step {step}");
+                assert_eq!(
+                    stats.batches_retrieved, r.batches,
+                    "seed {seed} step {step}"
+                );
+                let owners: Vec<Option<u64>> = (0..TOTAL)
+                    .map(|i| m.owner_of(FrameId(i)).unwrap())
+                    .collect();
+                assert_eq!(owners, r.owner, "seed {seed} step {step}");
+            }
+        }
     }
 }

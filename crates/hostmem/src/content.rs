@@ -183,25 +183,45 @@ impl PageContent {
         if data.is_empty() {
             return Ok(());
         }
+        let end = offset + len;
+        // The extent starting at or before `offset`, if the write starts
+        // inside it or right at its end.
+        let prev = self
+            .writes
+            .range(..=offset)
+            .next_back()
+            .map(|(&k, v)| (k, k + v.len() as u64))
+            .filter(|&(_, vend)| vend >= offset);
+        if let Some((k, vend)) = prev {
+            // Inside one extent: overwrite in place. Past its end, with no
+            // other extent starting up to the new end: extend in place.
+            // Either way no extent is merged, so the invariant holds.
+            let fits = end <= vend;
+            if fits || self.writes.range(offset + 1..=end).next().is_none() {
+                if let Some(v) = self.writes.get_mut(&k) {
+                    let at = (offset - k) as usize;
+                    if fits {
+                        v[at..at + data.len()].copy_from_slice(data);
+                    } else {
+                        v.truncate(at);
+                        v.extend_from_slice(data);
+                    }
+                    return Ok(());
+                }
+            }
+        }
         let mut new_off = offset;
         let mut new_data = data.to_vec();
-        // Collect extents overlapping or adjacent to the new write.
-        let keys: Vec<u64> = self
-            .writes
-            .range(..=offset + len)
-            .map(|(&k, _)| k)
-            .collect();
+        // Merge every extent overlapping or adjacent to the new write: they
+        // start no earlier than `prev` and no later than `end`.
+        let from = prev.map_or(offset, |(k, _)| k);
+        let keys: Vec<u64> = self.writes.range(from..=end).map(|(&k, _)| k).collect();
         for k in keys {
-            let v = &self.writes[&k];
-            let vend = k + v.len() as u64;
-            if vend < new_off {
+            let Some(v) = self.writes.remove(&k) else {
                 continue;
-            }
+            };
+            let vend = k + v.len() as u64;
             // Overlapping or adjacent: merge.
-            let v = self
-                .writes
-                .remove(&k)
-                .expect("invariant: k was read from self.writes keys above");
             let merged_start = k.min(new_off);
             let merged_end = vend.max(new_off + new_data.len() as u64);
             let mut merged = vec![0u8; (merged_end - merged_start) as usize];
@@ -318,5 +338,72 @@ mod tests {
         c.invalidate(99);
         assert!(c.leaks_residue());
         assert!(!c.is_all_zero());
+    }
+
+    /// Asserts the extent invariant: non-empty, in bounds, and neither
+    /// overlapping nor touching.
+    fn assert_extents(c: &PageContent) {
+        let mut prev_end = None;
+        for (&k, v) in &c.writes {
+            assert!(!v.is_empty(), "empty extent at {k}");
+            if let Some(e) = prev_end {
+                assert!(e < k, "extent at {k} touches or overlaps one ending at {e}");
+            }
+            prev_end = Some(k + v.len() as u64);
+        }
+        assert!(prev_end.unwrap_or(0) <= c.size);
+    }
+
+    /// Random overlapping, adjacent and appending writes, checked byte for
+    /// byte against a flat buffer after every write.
+    #[test]
+    fn writes_match_a_flat_buffer() {
+        const SIZE: u64 = 512;
+        for seed in 0..8 {
+            let mut rng = crate::TestRng(seed);
+            let mut c = PageContent::garbage(SIZE, seed);
+            let mut model = read_vec(&c, 0, SIZE as usize);
+            let mut last_end = 0u64;
+            for step in 0..400 {
+                let extents: Vec<(u64, u64)> = c
+                    .writes
+                    .iter()
+                    .map(|(&k, v)| (k, k + v.len() as u64))
+                    .collect();
+                let pick =
+                    |rng: &mut crate::TestRng| extents[rng.below(extents.len() as u64) as usize];
+                let len = 1 + rng.below(48);
+                let offset = match rng.below(6) {
+                    // Append where the last write ended.
+                    0 => last_end,
+                    // Start right after an extent.
+                    1 if !extents.is_empty() => pick(&mut rng).1,
+                    // End right before an extent.
+                    2 if !extents.is_empty() => pick(&mut rng).0.saturating_sub(len),
+                    // Start inside an extent.
+                    3 if !extents.is_empty() => {
+                        let (s, e) = pick(&mut rng);
+                        s + rng.below(e - s)
+                    }
+                    _ => rng.below(SIZE),
+                };
+                let len = len.min(SIZE - offset.min(SIZE));
+                if len == 0 {
+                    last_end = 0;
+                    continue;
+                }
+                let data: Vec<u8> = (0..len).map(|_| rng.below(256) as u8).collect();
+                c.write(offset, &data).unwrap();
+                model[offset as usize..(offset + len) as usize].copy_from_slice(&data);
+                last_end = offset + len;
+                assert_extents(&c);
+                assert_eq!(
+                    read_vec(&c, 0, SIZE as usize),
+                    model,
+                    "seed {seed} step {step}"
+                );
+                assert_eq!(c.is_all_zero(), model.iter().all(|&b| b == 0));
+            }
+        }
     }
 }

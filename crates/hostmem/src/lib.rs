@@ -53,6 +53,8 @@ pub enum MemError {
     BadFrame(usize),
     /// Unpin called on a frame with zero pin count.
     PinUnderflow(usize),
+    /// Free called on a frame that is still pinned.
+    Pinned(usize),
     /// Operation on a frame not owned by the caller.
     NotOwner {
         /// The frame in question.
@@ -86,6 +88,7 @@ impl fmt::Display for MemError {
             MemError::NotMapped(a) => write!(f, "address {a:#x} is not mapped"),
             MemError::BadFrame(i) => write!(f, "frame index {i} out of range"),
             MemError::PinUnderflow(i) => write!(f, "unpin of unpinned frame {i}"),
+            MemError::Pinned(i) => write!(f, "free of pinned frame {i}"),
             MemError::NotOwner { frame, owner } => {
                 write!(f, "frame {frame} not owned by caller (owner {owner:?})")
             }
@@ -101,3 +104,19 @@ impl std::error::Error for MemError {}
 
 /// Convenience result alias.
 pub type Result<T> = std::result::Result<T, MemError>;
+
+/// A seeded SplitMix64 stream for the differential tests.
+#[cfg(test)]
+pub(crate) struct TestRng(pub u64);
+
+#[cfg(test)]
+impl TestRng {
+    /// The next value in `0..n` (`n > 0`).
+    pub(crate) fn below(&mut self, n: u64) -> u64 {
+        self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        (z ^ (z >> 31)) % n
+    }
+}

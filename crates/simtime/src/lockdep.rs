@@ -59,8 +59,9 @@ use crate::WallStopwatch;
 
 /// The class of an instrumented lock. One class per *role*, not per
 /// instance: all per-device child mutexes share [`LockClass::DevsetChild`],
-/// all per-frame mutexes share [`LockClass::PhysFrame`], and so on. The
-/// acquired-while-held graph and the lock statistics are kept per class.
+/// all per-VM fastiovd tables share [`LockClass::FastiovdVmTable`], and so
+/// on. The acquired-while-held graph and the lock statistics are kept per
+/// class.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[repr(u8)]
 #[allow(missing_docs)] // Names mirror the lock they label; see DESIGN.md §7.5.
@@ -89,10 +90,8 @@ pub enum LockClass {
     IommuTable,
     /// IOMMU domain IOTLB.
     IommuTlb,
-    /// Physical frame free list.
-    PhysFreeList,
-    /// Per-frame metadata mutex.
-    PhysFrame,
+    /// Physical memory: the frame table and its free runs.
+    PhysMemory,
     /// The spare frame table a dropped physical memory leaves behind.
     PhysSpareFrames,
     /// Host MMU region table.
@@ -152,7 +151,6 @@ enum Domain {
     Devset,
     Fastiovd,
     Iommu,
-    Hostmem,
 }
 
 impl LockClass {
@@ -170,8 +168,7 @@ impl LockClass {
         LockClass::IommuRegistry,
         LockClass::IommuTable,
         LockClass::IommuTlb,
-        LockClass::PhysFreeList,
-        LockClass::PhysFrame,
+        LockClass::PhysMemory,
         LockClass::PhysSpareFrames,
         LockClass::HostMmu,
         LockClass::PoolSlots,
@@ -217,8 +214,7 @@ impl LockClass {
             LockClass::IommuRegistry => "iommu-registry",
             LockClass::IommuTable => "iommu-table",
             LockClass::IommuTlb => "iommu-tlb",
-            LockClass::PhysFreeList => "phys-free-list",
-            LockClass::PhysFrame => "phys-frame",
+            LockClass::PhysMemory => "phys-memory",
             LockClass::PhysSpareFrames => "phys-spare-frames",
             LockClass::HostMmu => "host-mmu",
             LockClass::PoolSlots => "pool-slots",
@@ -258,8 +254,6 @@ impl LockClass {
             LockClass::FastiovdVmTable => Some((Domain::Fastiovd, 1)),
             LockClass::IommuTable => Some((Domain::Iommu, 0)),
             LockClass::IommuTlb => Some((Domain::Iommu, 1)),
-            LockClass::PhysFreeList => Some((Domain::Hostmem, 0)),
-            LockClass::PhysFrame => Some((Domain::Hostmem, 1)),
             _ => None,
         }
     }

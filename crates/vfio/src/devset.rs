@@ -13,7 +13,7 @@ use crate::{Result, VfioError};
 use fastiov_faults::{sites, FaultPlane};
 use fastiov_pci::{Bdf, DriverBinding, PciBus, PciDevice, ResetCapability};
 use fastiov_simtime::{LockClass, TrackedMutex, TrackedRwLock};
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Weak};
 use std::time::Duration;
@@ -76,7 +76,8 @@ impl VfioDevice {
 pub struct DevSet {
     key: DevsetKey,
     lock: ParentChildLock<DevsetState>,
-    devices: TrackedRwLock<Vec<Arc<VfioDevice>>>,
+    /// Members keyed by address, so a membership check is a lookup.
+    devices: TrackedRwLock<BTreeMap<Bdf, Arc<VfioDevice>>>,
     bus: Arc<PciBus>,
     /// Devset bookkeeping charged inside the lock on every open, on top of
     /// the PCI bus scan.
@@ -114,14 +115,15 @@ impl DevSet {
         // Membership validation: every VFIO-bound bus-reset device on our
         // bus must be in this devset (§3.2.2); devices owned by other
         // drivers (e.g. the PF) are outside VFIO's reset domain. The scan
-        // itself is the charged cost.
+        // itself is the charged cost; members are skipped before their
+        // driver binding is read.
         let on_bus = self.bus.scan_bus(self.bus_no());
         if matches!(self.key, DevsetKey::Bus(_)) {
             let members = self.devices.read();
             for d in on_bus {
-                if d.driver() == DriverBinding::Vfio
+                if !members.contains_key(&d.bdf())
                     && d.reset_capability() == ResetCapability::BusReset
-                    && !members.iter().any(|m| m.bdf() == d.bdf())
+                    && d.driver() == DriverBinding::Vfio
                 {
                     return Err(VfioError::Unregistered(d.bdf()));
                 }
@@ -158,7 +160,7 @@ impl DevSet {
                 let others_open: u32 = {
                     let members = self.devices.read();
                     members
-                        .iter()
+                        .values()
                         .filter(|m| m.bdf() != dev.bdf())
                         // The parent-mode witness proves all child
                         // operations are excluded, so direct child-state
@@ -294,7 +296,7 @@ impl DevsetManager {
                 Arc::new(DevSet {
                     key,
                     lock: ParentChildLock::new(self.policy, DevsetState::default()),
-                    devices: TrackedRwLock::new(LockClass::DevsetMembers, Vec::new()),
+                    devices: TrackedRwLock::new(LockClass::DevsetMembers, BTreeMap::new()),
                     bus: Arc::clone(&self.bus),
                     open_overhead: self.open_overhead,
                 })
@@ -305,7 +307,7 @@ impl DevsetManager {
             devset: Arc::downgrade(&devset),
             state: ChildLock::new(DeviceState::default()),
         });
-        devset.devices.write().push(Arc::clone(&dev));
+        devset.devices.write().insert(dev.bdf(), Arc::clone(&dev));
         self.devices.lock().insert(dev.bdf(), Arc::clone(&dev));
         // Every function gets its own IOMMU group (ACS topology).
         let gid = self.next_group.fetch_add(1, Ordering::Relaxed) as u32;
@@ -337,7 +339,7 @@ impl DevsetManager {
             });
         }
         let devset = dev.devset();
-        devset.devices.write().retain(|d| d.bdf() != bdf);
+        devset.devices.write().remove(&bdf);
         self.groups.lock().remove(&bdf);
         Ok(())
     }
@@ -544,6 +546,35 @@ mod tests {
         drop(fd);
         mgr.unregister(bdf).unwrap();
         assert!(mgr.device(bdf).is_err());
+    }
+
+    #[test]
+    fn open_fails_while_a_vfio_bus_peer_is_unregistered() {
+        let (bus, mgr) = setup(LockPolicy::Coarse, 4);
+        // A bus peer bound to another driver is outside the reset domain.
+        let pf = PciDevice::new(
+            Bdf::new(3, 9, 0),
+            DeviceClass::NetworkPf,
+            ResetCapability::BusReset,
+            None,
+        );
+        bus.add_device(Arc::clone(&pf)).unwrap();
+        drop(mgr.open(Bdf::new(3, 0, 0)).unwrap());
+        // Bound to VFIO but never registered: every open on the bus fails.
+        pf.bind_driver(DriverBinding::Vfio);
+        for i in 0..4 {
+            assert!(matches!(
+                mgr.open(Bdf::new(3, i, 0)),
+                Err(VfioError::Unregistered(b)) if b == Bdf::new(3, 9, 0)
+            ));
+        }
+        // Unregistering a member makes it the device that fails the check.
+        mgr.register(pf).unwrap();
+        mgr.unregister(Bdf::new(3, 2, 0)).unwrap();
+        assert!(matches!(
+            mgr.open(Bdf::new(3, 0, 0)),
+            Err(VfioError::Unregistered(b)) if b == Bdf::new(3, 2, 0)
+        ));
     }
 
     /// The headline behaviour: concurrent opens serialize under the coarse
