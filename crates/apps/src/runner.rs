@@ -12,7 +12,9 @@ use crate::workloads::{Workload, WorkloadOutput};
 use crate::{AppError, Result};
 use fastiov_engine::{Engine, PodHandle};
 use fastiov_hostmem::Gpa;
-use std::sync::Arc;
+use fastiov_simtime::{LockClass, TrackedMutex};
+use std::collections::HashMap;
+use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 
 /// Cost parameters of the application launch phase.
@@ -154,7 +156,7 @@ pub fn run_serverless_task(
     }
 
     let completion = clock.now().duration_since(t0);
-    let output = workload.compute(&sample);
+    let output = compute_once(workload, &sample);
     engine.teardown_pod(&pod)?;
     Ok(TaskResult {
         index,
@@ -165,6 +167,25 @@ pub fn run_serverless_task(
         launch,
         output,
     })
+}
+
+/// `workload.compute(sample)`, run once per distinct (workload, sample)
+/// in the process. Every task of a row downloads the same seeded object,
+/// so all but the first get the output from memory; keying by the sample
+/// bytes still gives each task the output of its own input. The real
+/// computation is pure and sits after the timed window, so this changes
+/// no modelled number, only the simulator's CPU time.
+fn compute_once(workload: &dyn Workload, sample: &[u8]) -> WorkloadOutput {
+    type Memo = HashMap<(&'static str, Vec<u8>), WorkloadOutput>;
+    static MEMO: OnceLock<TrackedMutex<Memo>> = OnceLock::new();
+    let memo = MEMO.get_or_init(|| TrackedMutex::new(LockClass::AppComputeMemo, HashMap::new()));
+    let key = (workload.name(), sample.to_vec());
+    if let Some(output) = memo.lock().get(&key) {
+        return output.clone();
+    }
+    let output = workload.compute(sample);
+    memo.lock().insert(key, output.clone());
+    output
 }
 
 /// Runs tasks `0..n` of `workload` at once, one simulation thread each,
@@ -377,6 +398,19 @@ mod tests {
             assert_eq!(r.output, single.output, "task {i}");
         }
         assert!(engine.host().clock.is_virtual());
+    }
+
+    #[test]
+    fn compute_once_gives_each_sample_its_own_output() {
+        let w = AppKind::Compression.workload();
+        let a: Vec<u8> = (0..4096u32).map(|i| (i % 7) as u8).collect();
+        let b: Vec<u8> = (0..4096u32)
+            .map(|i| (i.wrapping_mul(2_654_435_761) >> 24) as u8)
+            .collect();
+        assert_ne!(w.compute(&a), w.compute(&b));
+        for sample in [&a, &b, &a] {
+            assert_eq!(compute_once(w.as_ref(), sample), w.compute(sample));
+        }
     }
 
     #[test]

@@ -367,8 +367,8 @@ fn main() -> ExitCode {
 
 /// One observed launch wave: the lockdep witness and the host tracer
 /// record together, and the run prints the wave summary, the per-stage
-/// table reconciled against the trace, the per-class lock statistics and
-/// the lockdep verdict, writing `trace.json`, `lockgraph.dot` and
+/// table reconciled against the trace, the executor's baton counts, the
+/// per-class lock statistics and the lockdep verdict, writing `trace.json`, `lockgraph.dot` and
 /// `lockgraph.json` into `--out` (default `observe/`). Fails if the trace
 /// and the stage summary diverge by more than 1 % or on any lockdep
 /// report.
@@ -473,6 +473,13 @@ fn observe(flags: &HashMap<String, String>) -> ExitCode {
         "trace/summary reconciliation: max divergence {:.4}% over {} stages",
         worst * 100.0,
         summary.stage_percentiles.len(),
+    );
+    // Exact, like the simulated times: the baton traffic behind the
+    // wave's wall time (host build included).
+    let exec = host.clock.exec_stats();
+    println!(
+        "executor: {} hand-offs, {} self-resumes, {} timer jumps",
+        exec.handoffs, exec.self_resumes, exec.timer_jumps,
     );
 
     let mut t = Table::new(vec![

@@ -1,6 +1,6 @@
 //! The simulation clock.
 
-use crate::exec::Exec;
+use crate::exec::{Exec, ExecStats};
 use std::fmt;
 use std::panic::Location;
 use std::sync::Arc;
@@ -152,6 +152,12 @@ impl Clock {
         if !sim.is_zero() {
             self.exec.sleep(sim, Location::caller());
         }
+    }
+
+    /// Baton traffic of this clock's executor since the clock was created:
+    /// hand-offs, self-resumes and timer jumps. All zero for a wall clock.
+    pub fn exec_stats(&self) -> ExecStats {
+        self.exec.stats()
     }
 
     pub(crate) fn exec(&self) -> &Arc<Exec> {

@@ -17,12 +17,29 @@
 //! A thread belongs to one executor at a time: creating a virtual clock
 //! leaves the executor the thread drove or ran on before.
 //!
+//! **One core per clock.** Since only the baton holder runs, a virtual
+//! clock's threads are pinned to one CPU (on Linux; elsewhere this is a
+//! no-op), so a hand-off is a same-core switch rather than a wake-up sent
+//! to another, idle core. CPUs come from the *allowed set*: the affinity
+//! of the first thread in the process to create a virtual clock, read
+//! before any pinning. A thread's first clock takes the next allowed CPU
+//! round-robin, and the clocks it creates later keep that CPU: clocks
+//! driven from different threads spread over the cores, and a driver
+//! that builds host after host is never migrated. The driver is pinned
+//! when it creates the clock and gets the allowed set back when its
+//! membership ends; a spawned thread inherits the pin from the member
+//! that spawned it. With a single allowed CPU nothing is pinned.
+//!
 //! **Fallback.** A thread the simulation did not start (a plain
 //! `std::thread`) that sleeps on a virtual clock, or spawns onto it,
 //! cannot take part in the baton protocol. The clock then switches to
 //! wall pacing for good, keeping the simulated time it has reached: every
 //! later sleep blocks for `sim × scale` real seconds, as on a clock made
 //! with [`Clock::with_scale`], and every thread of the clock runs freely.
+//! Every member gets the allowed set back at the switch, and so does each
+//! outside thread that carries the clock's pin (a plain thread started by
+//! a member inherits it) when it first sleeps on or spawns onto the
+//! clock, so no wall-paced work stays confined to one core.
 //!
 //! **Deadlock report.** If every thread of a virtual clock is blocked, no
 //! timer is pending and the clock has not fallen back, the last thread to
@@ -44,6 +61,132 @@ use std::time::{Duration, Instant};
 /// Real time the last thread to block on a stuck virtual clock waits for
 /// an outside wake-up before it reports a deadlock.
 pub(crate) const DEADLOCK_GRACE: Duration = Duration::from_secs(2);
+
+/// CPU affinity of the threads of virtual clocks (see the module docs),
+/// through the `sched_{get,set}affinity` of the C library std links.
+#[cfg(target_os = "linux")]
+mod affinity {
+    use std::cell::Cell;
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::OnceLock;
+
+    /// A kernel thread id.
+    pub(super) type Tid = i32;
+
+    /// The C library's `cpu_set_t`: one bit per CPU, for 1024 CPUs.
+    #[repr(C)]
+    #[derive(Clone, Copy, PartialEq, Eq)]
+    pub(crate) struct CpuSet([u64; 16]);
+
+    extern "C" {
+        fn gettid() -> Tid;
+        fn sched_getaffinity(tid: Tid, size: usize, set: *mut CpuSet) -> i32;
+        fn sched_setaffinity(tid: Tid, size: usize, set: *const CpuSet) -> i32;
+    }
+
+    impl CpuSet {
+        /// The affinity of the calling thread.
+        pub(crate) fn current() -> Option<CpuSet> {
+            let mut set = CpuSet([0; 16]);
+            // SAFETY: `set` is a writable `cpu_set_t` of the size passed;
+            // tid 0 names the calling thread.
+            let rc = unsafe { sched_getaffinity(0, std::mem::size_of::<CpuSet>(), &mut set) };
+            (rc == 0).then_some(set)
+        }
+
+        /// Applies the set to thread `tid` (the calling thread if `None`);
+        /// false if the kernel refused.
+        fn apply(&self, tid: Option<Tid>) -> bool {
+            // SAFETY: `self` is a `cpu_set_t` of the size passed, only read.
+            unsafe { sched_setaffinity(tid.unwrap_or(0), std::mem::size_of::<CpuSet>(), self) == 0 }
+        }
+
+        /// The CPUs in the set, in ascending order.
+        pub(crate) fn cpus(&self) -> impl Iterator<Item = usize> + '_ {
+            (0..self.0.len() * 64).filter(|&c| self.0[c / 64] >> (c % 64) & 1 == 1)
+        }
+    }
+
+    /// The allowed set: the affinity of the first thread to ask, which is
+    /// the first to create a virtual clock, before any pinning.
+    pub(crate) fn allowed() -> Option<&'static CpuSet> {
+        static ALLOWED: OnceLock<Option<CpuSet>> = OnceLock::new();
+        ALLOWED.get_or_init(CpuSet::current).as_ref()
+    }
+
+    /// Pins the calling thread to its CPU and returns the pin; `None` if
+    /// there is only one CPU to run on or the kernel refused. A thread's
+    /// first clock takes the next allowed CPU round-robin, and its later
+    /// clocks keep that CPU, so a driver that builds host after host is
+    /// never migrated.
+    pub(super) fn pin_next() -> Option<CpuSet> {
+        static NEXT: AtomicUsize = AtomicUsize::new(0);
+        thread_local! {
+            static CPU: Cell<Option<usize>> = const { Cell::new(None) };
+        }
+        let allowed = allowed()?;
+        let n = allowed.cpus().count();
+        if n < 2 {
+            return None;
+        }
+        let cpu = match CPU.get() {
+            Some(cpu) => cpu,
+            None => allowed
+                .cpus()
+                .nth(NEXT.fetch_add(1, Ordering::Relaxed) % n)?,
+        };
+        CPU.set(Some(cpu));
+        let mut pin = CpuSet([0; 16]);
+        pin.0[cpu / 64] = 1 << (cpu % 64);
+        pin.apply(None).then_some(pin)
+    }
+
+    /// The calling thread's kernel id.
+    pub(super) fn tid() -> Tid {
+        // SAFETY: gettid has no preconditions.
+        unsafe { gettid() }
+    }
+
+    /// Gives thread `tid` (the calling thread if `None`) the allowed set.
+    pub(super) fn unpin(tid: Option<Tid>) {
+        if let Some(allowed) = allowed() {
+            allowed.apply(tid);
+        }
+    }
+
+    /// Gives the calling thread the allowed set if it runs on `pin` alone.
+    /// Checked once per thread: a thread not started by a member never
+    /// carries a pin, and a member's own pin is undone when it leaves.
+    pub(super) fn release_inherited(pin: &CpuSet) {
+        thread_local! {
+            static CHECKED: Cell<bool> = const { Cell::new(false) };
+        }
+        if !CHECKED.replace(true) && CpuSet::current().as_ref() == Some(pin) {
+            unpin(None);
+        }
+    }
+}
+
+/// Off Linux no thread is pinned: a clock's pin is always `None`.
+#[cfg(not(target_os = "linux"))]
+mod affinity {
+    pub(super) type Tid = i32;
+
+    #[derive(Clone, Copy, PartialEq, Eq)]
+    pub(super) enum CpuSet {}
+
+    pub(super) fn pin_next() -> Option<CpuSet> {
+        None
+    }
+
+    pub(super) fn tid() -> Tid {
+        0
+    }
+
+    pub(super) fn unpin(_: Option<Tid>) {}
+
+    pub(super) fn release_inherited(_: &CpuSet) {}
+}
 
 /// What a blocked thread waits on, for the deadlock report.
 #[derive(Debug, Clone)]
@@ -146,12 +289,20 @@ impl Slot {
 
 /// The calling thread's membership. Dropping it (thread exit, or the
 /// thread creating another virtual clock) leaves the executor.
-struct Member(Arc<Slot>);
+struct Member {
+    slot: Arc<Slot>,
+    /// A driver this membership pinned: it gets the allowed set back on
+    /// leaving.
+    pinned: bool,
+}
 
 impl Drop for Member {
     fn drop(&mut self) {
-        if let Some(exec) = &self.0.exec {
-            exec.exit(&self.0);
+        if let Some(exec) = &self.slot.exec {
+            exec.exit(&self.slot);
+        }
+        if self.pinned {
+            affinity::unpin(None);
         }
     }
 }
@@ -166,16 +317,19 @@ pub(crate) fn current_slot() -> Arc<Slot> {
         .try_with(|m| {
             Arc::clone(
                 &m.borrow_mut()
-                    .get_or_insert_with(|| Member(Slot::new(None, 0)))
-                    .0,
+                    .get_or_insert_with(|| Member {
+                        slot: Slot::new(None, 0),
+                        pinned: false,
+                    })
+                    .slot,
             )
         })
         .unwrap_or_else(|_| Slot::new(None, 0))
 }
 
 /// Makes `slot` the calling thread's membership, leaving the previous one.
-fn enter(slot: Arc<Slot>) {
-    let old = MEMBER.with(|m| m.borrow_mut().replace(Member(slot)));
+fn enter(slot: Arc<Slot>, pinned: bool) {
+    let old = MEMBER.with(|m| m.borrow_mut().replace(Member { slot, pinned }));
     drop(old);
 }
 
@@ -189,6 +343,25 @@ struct Task {
     name: Arc<str>,
     daemon: bool,
     waiting: Option<Wait>,
+    /// The OS thread, once known, on a pinned clock: a fallback gives it
+    /// the allowed set back.
+    tid: Option<affinity::Tid>,
+}
+
+/// Baton traffic of a virtual clock's executor since the clock was
+/// created ([`Clock::exec_stats`]). Every count is a deterministic
+/// function of the run, like its simulated times.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct ExecStats {
+    /// Dispatches that gave the baton to another thread than the one
+    /// giving it up: each costs an OS wake-up and a context switch.
+    pub handoffs: u64,
+    /// Dispatches that gave the baton straight back to the thread that
+    /// blocked (it was next to run), with no OS switch at all.
+    pub self_resumes: u64,
+    /// Dispatches that found no thread runnable and took the earliest
+    /// timer, moving simulated time to its deadline.
+    pub timer_jumps: u64,
 }
 
 #[derive(Default)]
@@ -203,6 +376,7 @@ struct State {
     tasks: BTreeMap<u64, Task>,
     /// Registered threads that are not daemons.
     live: usize,
+    stats: ExecStats,
 }
 
 /// One clock's time base and, while it is virtual, its scheduler.
@@ -214,33 +388,43 @@ pub(crate) struct Exec {
     /// the simulated nanoseconds it had reached then.
     wall: OnceLock<(Instant, u64)>,
     state: Mutex<State>,
+    /// The one CPU the clock's threads run on while it is virtual; `None`
+    /// if nothing was pinned.
+    pin: Option<affinity::CpuSet>,
 }
 
 impl Exec {
     /// A wall-paced time base from simulated zero.
     pub(crate) fn wall(scale: f64) -> Arc<Exec> {
-        let exec = Exec::new(scale);
+        let exec = Exec::new(scale, None);
         let _ = exec.wall.set((Instant::now(), 0));
         exec
     }
 
-    /// A virtual time base whose driver is the calling thread.
+    /// A virtual time base whose driver is the calling thread, pinned to
+    /// the clock's CPU.
     pub(crate) fn new_virtual(scale: f64) -> Arc<Exec> {
-        let exec = Exec::new(scale);
+        leave();
+        let exec = Exec::new(scale, affinity::pin_next());
         let slot = exec
             .register("driver".into(), false, true)
             .expect("invariant: a new executor is virtual");
-        enter(slot);
+        enter(slot, exec.pin.is_some());
         exec
     }
 
-    fn new(scale: f64) -> Arc<Exec> {
+    fn new(scale: f64, pin: Option<affinity::CpuSet>) -> Arc<Exec> {
         Arc::new(Exec {
             scale,
             now_ns: AtomicU64::new(0),
             wall: OnceLock::new(),
             state: Mutex::new(State::default()),
+            pin,
         })
+    }
+
+    pub(crate) fn stats(&self) -> ExecStats {
+        self.state.lock().stats
     }
 
     pub(crate) fn scale(&self) -> f64 {
@@ -284,6 +468,7 @@ impl Exec {
             }
             self.fall_back();
         }
+        self.release_outsider();
         self.pace(sim);
     }
 
@@ -297,7 +482,8 @@ impl Exec {
     }
 
     /// Switches the clock to wall pacing from its current simulated time
-    /// and lets every thread it holds back run freely.
+    /// and lets every thread it holds back run freely, on every allowed
+    /// CPU.
     pub(crate) fn fall_back(&self) {
         let mut st = self.state.lock();
         if self.wall.get().is_some() {
@@ -306,12 +492,30 @@ impl Exec {
         let _ = self
             .wall
             .set((Instant::now(), self.now_ns.load(Ordering::Acquire)));
+        // Under the lock: a member leaves only through `exit`, so every
+        // recorded thread is still alive.
+        for tid in st.tasks.values().filter_map(|t| t.tid) {
+            affinity::unpin(Some(tid));
+        }
         st.running = None;
         let mut release: Vec<Arc<Slot>> = st.runnable.drain(..).collect();
         release.extend(std::mem::take(&mut st.timers).into_values());
         drop(st);
         for slot in release {
             slot.unpark();
+        }
+    }
+
+    /// A thread outside this clock sleeps on it or spawns onto it after
+    /// the fallback: if it carries the clock's pin, inherited from the
+    /// member that started it, it gets the allowed set back. A member of
+    /// another virtual clock keeps that clock's pin.
+    fn release_outsider(&self) {
+        if let Some(pin) = &self.pin {
+            let member_elsewhere = current_slot().exec.as_ref().is_some_and(|e| e.is_virtual());
+            if !member_elsewhere {
+                affinity::release_inherited(pin);
+            }
         }
     }
 
@@ -330,6 +534,7 @@ impl Exec {
                 name,
                 daemon,
                 waiting: None,
+                tid: (driver && self.pin.is_some()).then(affinity::tid),
             },
         );
         if !daemon {
@@ -344,10 +549,26 @@ impl Exec {
         Some(slot)
     }
 
+    /// Records the OS thread of a spawned member of a pinned clock, which
+    /// runs on the pin it inherited, so that a fallback can release it; if
+    /// the clock has fallen back already, releases it now.
+    fn attach(&self, me: &Slot) {
+        if self.pin.is_none() {
+            return;
+        }
+        let mut st = self.state.lock();
+        if self.wall.get().is_some() {
+            drop(st);
+            affinity::unpin(None);
+        } else if let Some(task) = st.tasks.get_mut(&me.id) {
+            task.tid = Some(affinity::tid());
+        }
+    }
+
     fn make_runnable(&self, mut st: parking_lot::MutexGuard<'_, State>, slot: &Arc<Slot>) {
         st.runnable.push_back(Arc::clone(slot));
         let next = if st.running.is_none() {
-            self.dispatch(&mut st)
+            self.dispatch(&mut st, None)
         } else {
             None
         };
@@ -357,19 +578,25 @@ impl Exec {
         }
     }
 
-    /// Passes the baton to the next runnable thread, advancing time to
-    /// the earliest timer if nothing else can run. Daemons alone do not
-    /// keep the clock going.
-    fn dispatch(&self, st: &mut State) -> Option<Arc<Slot>> {
+    /// Passes the baton, given up by thread `from` if any, to the next
+    /// runnable thread, advancing time to the earliest timer if nothing
+    /// else can run. Daemons alone do not keep the clock going.
+    fn dispatch(&self, st: &mut State, from: Option<u64>) -> Option<Arc<Slot>> {
         let next = match st.runnable.pop_front() {
             Some(slot) => slot,
             None if st.live == 0 => return None,
             None => {
                 let ((at, _), slot) = st.timers.pop_first()?;
                 self.now_ns.fetch_max(at, Ordering::AcqRel);
+                st.stats.timer_jumps += 1;
                 slot
             }
         };
+        if from == Some(next.id) {
+            st.stats.self_resumes += 1;
+        } else {
+            st.stats.handoffs += 1;
+        }
         st.running = Some(next.id);
         if let Some(task) = st.tasks.get_mut(&next.id) {
             task.waiting = None;
@@ -397,7 +624,7 @@ impl Exec {
             task.waiting = Some(wait);
         }
         st.running = None;
-        let next = self.dispatch(&mut st);
+        let next = self.dispatch(&mut st, Some(me.id));
         drop(st);
         match next {
             Some(next) if Arc::ptr_eq(&next, me) => {}
@@ -476,7 +703,7 @@ impl Exec {
         }
         let next = if self.wall.get().is_none() && st.running == Some(me.id) {
             st.running = None;
-            self.dispatch(&mut st)
+            self.dispatch(&mut st, Some(me.id))
         } else {
             None
         };
@@ -597,8 +824,11 @@ where
     T: Send + 'static,
 {
     let exec = clock.exec();
-    if exec.is_virtual() && !current_slot().belongs_to(exec) {
-        exec.fall_back();
+    if !current_slot().belongs_to(exec) {
+        if exec.is_virtual() {
+            exec.fall_back();
+        }
+        exec.release_outsider();
     }
     let name: Arc<str> = name.into();
     let slot = exec.register(Arc::clone(&name), daemon, false);
@@ -617,7 +847,10 @@ where
             }
             let _end = End(finish);
             if let Some(slot) = slot {
-                enter(Arc::clone(&slot));
+                enter(Arc::clone(&slot), false);
+                if let Some(exec) = &slot.exec {
+                    exec.attach(&slot);
+                }
                 slot.park();
             }
             f()
@@ -686,6 +919,25 @@ mod tests {
     }
 
     #[test]
+    fn the_executor_counts_its_baton_traffic() {
+        let clock = Clock::new_virtual(1.0);
+        let c = clock.clone();
+        let sleeper = spawn(&clock, "sleeper", move || c.sleep(Duration::from_millis(2)));
+        // The joining driver hands the baton to the sleeper, whose timer
+        // resumes it at once; its exit hands the baton back. The driver's
+        // own timer then resumes the driver.
+        sleeper.join().expect("sleeper");
+        clock.sleep(Duration::from_millis(1));
+        let stats = ExecStats {
+            handoffs: 2,
+            self_resumes: 2,
+            timer_jumps: 2,
+        };
+        assert_eq!(clock.exec_stats(), stats);
+        assert_eq!(Clock::with_scale(1.0).exec_stats(), ExecStats::default());
+    }
+
+    #[test]
     fn recv_waits_for_a_send_at_its_simulated_time() {
         let clock = Clock::new_virtual(1.0);
         let (tx, rx) = channel();
@@ -699,5 +951,82 @@ mod tests {
         // The sender is dropped when its thread ends.
         assert!(rx.recv().is_err());
         sender.join().expect("sender");
+    }
+
+    #[cfg(target_os = "linux")]
+    mod pinning {
+        use super::*;
+
+        fn cpus() -> Vec<usize> {
+            let set = affinity::CpuSet::current().expect("sched_getaffinity");
+            set.cpus().collect()
+        }
+
+        fn allowed() -> Vec<usize> {
+            affinity::allowed().expect("allowed set").cpus().collect()
+        }
+
+        #[test]
+        fn a_clocks_driver_and_its_spawned_threads_share_exactly_one_cpu() {
+            let clock = Clock::new_virtual(1.0);
+            let driver = cpus();
+            let threads: Vec<_> = (0..3)
+                .map(|i| {
+                    let c = clock.clone();
+                    let f = move || {
+                        c.sleep(Duration::from_millis(i));
+                        cpus()
+                    };
+                    match i {
+                        0 => spawn_daemon(&clock, "daemon", f),
+                        _ => spawn(&clock, format!("member-{i}"), f),
+                    }
+                })
+                .collect();
+            for t in threads {
+                assert_eq!(t.join().expect("member"), driver);
+            }
+            let expected = if allowed().len() > 1 {
+                1
+            } else {
+                allowed().len()
+            };
+            assert_eq!(driver.len(), expected, "{driver:?}");
+        }
+
+        #[test]
+        fn the_driver_gets_the_allowed_set_back_when_its_membership_ends() {
+            let _clock = Clock::new_virtual(1.0);
+            if allowed().len() > 1 {
+                assert_eq!(cpus().len(), 1);
+            }
+            leave();
+            assert_eq!(cpus(), allowed());
+        }
+
+        #[test]
+        fn a_fallback_gives_members_and_the_outside_thread_the_allowed_set_back() {
+            let clock = Clock::new_virtual(1e-3);
+            let pin = cpus();
+            let c = clock.clone();
+            // Queued behind the driver, so it runs only after the fallback.
+            let member = spawn(&clock, "member", move || {
+                c.sleep(Duration::from_millis(1));
+                cpus()
+            });
+            let c = clock.clone();
+            // A plain thread started by the driver inherits its pin.
+            let outside = std::thread::spawn(move || {
+                let inherited = cpus();
+                c.sleep(Duration::from_millis(1));
+                (inherited, cpus())
+            });
+            let (inherited, after) = outside.join().expect("outside thread");
+            assert!(!clock.is_virtual());
+            assert_eq!(inherited, pin);
+            assert_eq!(after, allowed(), "the outside thread");
+            assert_eq!(cpus(), allowed(), "the driver");
+            assert_eq!(member.join().expect("member"), allowed(), "the member");
+        }
     }
 }

@@ -136,6 +136,8 @@ pub enum LockClass {
     CgroupRegistry,
     /// Application object storage.
     AppStorage,
+    /// Memoized outputs of the serverless tasks' real computations.
+    AppComputeMemo,
     /// Example code (`examples/`).
     Example,
     /// Ad-hoc locks in test fixtures.
@@ -191,6 +193,7 @@ impl LockClass {
         LockClass::TracerSlot,
         LockClass::CgroupRegistry,
         LockClass::AppStorage,
+        LockClass::AppComputeMemo,
         LockClass::Example,
         LockClass::Test,
     ];
@@ -237,6 +240,7 @@ impl LockClass {
             LockClass::TracerSlot => "tracer-slot",
             LockClass::CgroupRegistry => "cgroup-registry",
             LockClass::AppStorage => "app-storage",
+            LockClass::AppComputeMemo => "app-compute-memo",
             LockClass::Example => "example",
             LockClass::Test => "test",
         }

@@ -1,6 +1,6 @@
 //! Concurrency stress: waves of launches, VF reuse, mixed baselines on
 //! one host, and teardown under load. Every assertion here is structural
-//! (resource counts, VF uniqueness, launch success).
+//! (resource counts, VF uniqueness, launch success, executor counts).
 
 use fastiov_repro::cni::{FastIovCni, SriovCniFixed, VfAllocator};
 use fastiov_repro::engine::{Engine, EngineParams, PodNetworking, VmOptions};
@@ -120,4 +120,22 @@ fn teardown_while_async_init_in_flight_is_safe() {
         let pod = engine.run_pod(0).unwrap();
         engine.teardown_pod(&pod).unwrap();
     }
+}
+
+#[test]
+fn two_fresh_hosts_make_the_same_baton_traffic_for_the_same_wave() {
+    // The executor's counts are the simulator-cost measure that does not
+    // depend on the machine: same wave, same hand-offs.
+    let wave = || {
+        let host = Host::new(HostParams::for_tests(), LockPolicy::Coarse).unwrap();
+        host.prebind_all_vfs().unwrap();
+        let engine = engine_on(&host, false);
+        for pod in engine.launch_concurrent(8).pods {
+            engine.teardown_pod(&pod.unwrap()).unwrap();
+        }
+        host.clock.exec_stats()
+    };
+    let first = wave();
+    assert!(first.handoffs > 0 && first.timer_jumps > 0, "{first:?}");
+    assert_eq!(wave(), first);
 }
