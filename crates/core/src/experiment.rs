@@ -134,11 +134,6 @@ pub struct StartupRunResult {
 }
 
 impl StartupRunResult {
-    /// All end-to-end durations (CDF plotting).
-    pub fn totals(&self) -> Vec<Duration> {
-        self.reports.iter().map(|r| r.total).collect()
-    }
-
     /// Mean share of a stage in the mean total time.
     pub fn stage_share(&self, stage: &str) -> f64 {
         let t = self.total.mean.as_secs_f64();

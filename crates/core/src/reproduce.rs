@@ -49,7 +49,10 @@ pub enum Run {
     /// `concurrency` pods arriving as a Poisson stream at this rate (pods
     /// per simulated second), each held for 2 s.
     Sustained(ExperimentConfig, f64),
-    /// One launch wave under the fault plane, counted, not timed.
+    /// One launch wave under the fault plane, counted, not timed: the
+    /// wave's goodput and failures, and each fault site's `checks`,
+    /// `errors`, `delays`, `retries` and `fallbacks`
+    /// (`site.<site>.<count>`).
     Faults(ExperimentConfig),
     /// The §6.5 in-guest memory probe.
     MemPerf(ExperimentConfig),
@@ -127,10 +130,16 @@ impl Run {
                 put("panics", panics.map_or(0, |&(_, n)| n) as f64);
                 put("injected", host.faults.total_errors() as f64);
                 for (site, st) in host.faults.report() {
-                    put(
-                        &format!("recovery.{site}"),
-                        (st.retries + st.fallbacks) as f64,
-                    );
+                    let counts = [
+                        ("checks", st.checks),
+                        ("errors", st.errors),
+                        ("delays", st.delays),
+                        ("retries", st.retries),
+                        ("fallbacks", st.fallbacks),
+                    ];
+                    for (name, n) in counts {
+                        put(&format!("site.{site}.{name}"), n as f64);
+                    }
                 }
             }
             Run::MemPerf(_) => {
@@ -496,7 +505,10 @@ impl Expr {
                 let mut sites = BTreeMap::<&str, f64>::new();
                 for row in rows {
                     for (k, v) in r.get(row).into_iter().flatten() {
-                        if let Some(site) = k.strip_prefix("recovery.") {
+                        let site = k.strip_prefix("site.").and_then(|k| {
+                            k.strip_suffix(".retries").or(k.strip_suffix(".fallbacks"))
+                        });
+                        if let Some(site) = site {
                             *sites.entry(site).or_default() += v;
                         }
                     }

@@ -27,7 +27,7 @@ pub use engine::{
     VmOptions,
 };
 pub use recovery::RecoveryPolicy;
-pub use stats::{cdf_points, Summary};
+pub use stats::Summary;
 pub use sustain::{SustainedConfig, SustainedOutcome};
 
 use fastiov_cni::CniError;

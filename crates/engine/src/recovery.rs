@@ -9,7 +9,7 @@
 //! a timeout. Everything here is a pure function of `(seed, pod index,
 //! attempt)`, so two runs with the same seed heal identically.
 
-use fastiov_faults::mix;
+use fastiov_simtime::rng::mix64;
 use std::time::Duration;
 
 /// Policy knobs of the engine's recovery layer.
@@ -65,7 +65,7 @@ impl RecoveryPolicy {
         let exp =
             self.backoff_base.as_secs_f64() * f64::from(1u32 << attempt.min(20).saturating_sub(1));
         let capped = exp.min(self.backoff_max.as_secs_f64());
-        let h = mix(self.seed ^ (u64::from(index) << 32) ^ u64::from(attempt));
+        let h = mix64(self.seed ^ (u64::from(index) << 32) ^ u64::from(attempt));
         let unit = (h >> 11) as f64 / (1u64 << 53) as f64; // [0, 1)
         let factor = 1.0 + self.jitter_frac * (2.0 * unit - 1.0);
         Duration::from_secs_f64((capped * factor).max(0.0))

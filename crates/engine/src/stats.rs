@@ -66,19 +66,6 @@ pub fn percentile(sorted: &[Duration], q: f64) -> Duration {
     sorted[rank - 1]
 }
 
-/// Empirical CDF points `(value_secs, fraction ≤ value)` for plotting
-/// (Fig. 12/13/15).
-pub fn cdf_points(sample: &[Duration]) -> Vec<(f64, f64)> {
-    let mut sorted = sample.to_vec();
-    sorted.sort_unstable();
-    let n = sorted.len() as f64;
-    sorted
-        .iter()
-        .enumerate()
-        .map(|(i, d)| (d.as_secs_f64(), (i + 1) as f64 / n))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -110,15 +97,6 @@ mod tests {
         assert_eq!(percentile(&sorted, 0.5), Duration::from_millis(5));
         assert_eq!(percentile(&sorted, 0.99), Duration::from_millis(10));
         assert_eq!(percentile(&sorted, 1.0), Duration::from_millis(10));
-    }
-
-    #[test]
-    fn cdf_is_monotone_and_complete() {
-        let pts = cdf_points(&ms(&[30, 10, 20]));
-        assert_eq!(pts.len(), 3);
-        assert_eq!(pts[0], (0.01, 1.0 / 3.0));
-        assert_eq!(pts[2].1, 1.0);
-        assert!(pts.windows(2).all(|w| w[0].0 <= w[1].0 && w[0].1 <= w[1].1));
     }
 
     #[test]

@@ -9,6 +9,7 @@
 
 use crate::engine::{Engine, LaunchSummary, StartupReport};
 use crate::Result;
+use fastiov_simtime::rng::Rng;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -31,29 +32,6 @@ pub struct SustainedOutcome {
     pub reports: Vec<StartupReport>,
     /// Success/failure classification of the whole stream.
     pub summary: LaunchSummary,
-}
-
-/// xorshift64* — deterministic arrival-jitter source.
-struct Rng(u64);
-
-impl Rng {
-    fn new(seed: u64) -> Self {
-        Rng(seed.max(1))
-    }
-
-    fn next(&mut self) -> u64 {
-        let mut x = self.0;
-        x ^= x << 13;
-        x ^= x >> 7;
-        x ^= x << 17;
-        self.0 = x;
-        x.wrapping_mul(0x2545_f491_4f6c_dd1d)
-    }
-
-    /// Uniform in `(0, 1]` — never zero, so `ln` is always finite.
-    fn unit(&mut self) -> f64 {
-        ((self.next() >> 11) + 1) as f64 / (1u64 << 53) as f64
-    }
 }
 
 impl Engine {
@@ -126,16 +104,5 @@ mod tests {
         // Every pod was torn down: namespaces empty, all VFs back.
         assert!(engine.nns().is_empty());
         assert_eq!(fastiov_cni::VfProvider::available(&*vfs), 16);
-    }
-
-    #[test]
-    fn arrival_gaps_are_deterministic_for_a_seed() {
-        let mut a = Rng::new(7);
-        let mut b = Rng::new(7);
-        for _ in 0..32 {
-            let (ua, ub) = (a.unit(), b.unit());
-            assert_eq!(ua, ub);
-            assert!(ua > 0.0 && ua <= 1.0);
-        }
     }
 }

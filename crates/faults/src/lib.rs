@@ -20,6 +20,7 @@
 
 #![warn(missing_docs)]
 
+use fastiov_simtime::rng::mix64;
 use fastiov_simtime::Clock;
 use fastiov_simtime::{LockClass, TrackedMutex};
 use std::collections::BTreeMap;
@@ -147,15 +148,6 @@ pub struct SiteStats {
     pub fallbacks: u64,
 }
 
-/// splitmix64 finalizer — the per-decision hash. Public so recovery
-/// layers can derive deterministic jitter from the same primitive.
-pub fn mix(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
-}
-
 /// FNV-1a over the site name, so sites salt the hash stably.
 fn site_hash(site: &str) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
@@ -266,12 +258,13 @@ impl FaultPlane {
         for (idx, p) in points.iter().enumerate() {
             let fired = match p.trigger {
                 Trigger::Probability(rate) => {
-                    let h = mix(self
-                        .seed
-                        .wrapping_add(mix(sh))
-                        .wrapping_add(mix(key.wrapping_mul(0x9e37_79b9_7f4a_7c15)))
-                        .wrapping_add(mix(count))
-                        .wrapping_add(idx as u64));
+                    let h = mix64(
+                        self.seed
+                            .wrapping_add(mix64(sh))
+                            .wrapping_add(mix64(key.wrapping_mul(0x9e37_79b9_7f4a_7c15)))
+                            .wrapping_add(mix64(count))
+                            .wrapping_add(idx as u64),
+                    );
                     // Map the hash to [0, 1) and compare against the rate.
                     ((h >> 11) as f64 / (1u64 << 53) as f64) < rate
                 }

@@ -14,6 +14,7 @@
 //! transfer in the workspace while storing only what was actually written.
 
 use crate::MemError;
+use fastiov_simtime::rng::mix64;
 use std::collections::BTreeMap;
 
 /// The background state of bytes not covered by any written extent.
@@ -27,15 +28,10 @@ pub enum BaseState {
 
 /// Deterministic residue byte for `(nonce, offset)`.
 ///
-/// A cheap 64-bit mix (SplitMix64 finalizer); the only requirements are
-/// determinism and "almost never zero".
+/// A cheap 64-bit mix ([`mix64`]); the only requirements are determinism
+/// and "almost never zero".
 pub fn garbage_byte(nonce: u64, offset: u64) -> u8 {
-    let mut z = nonce
-        .wrapping_add(0x9e37_79b9_7f4a_7c15)
-        .wrapping_add(offset.wrapping_mul(0xbf58_476d_1ce4_e5b9));
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^= z >> 31;
+    let z = mix64(nonce.wrapping_add(offset.wrapping_mul(0xbf58_476d_1ce4_e5b9)));
     // Bias away from zero so residue is visibly nonzero.
     (z as u8) | 0x01
 }
@@ -246,6 +242,7 @@ impl PageContent {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fastiov_simtime::rng::Rng;
 
     fn read_vec(c: &PageContent, off: u64, len: usize) -> Vec<u8> {
         let mut buf = vec![0u8; len];
@@ -359,8 +356,8 @@ mod tests {
     #[test]
     fn writes_match_a_flat_buffer() {
         const SIZE: u64 = 512;
-        for seed in 0..8 {
-            let mut rng = crate::TestRng(seed);
+        for seed in 1..=8 {
+            let mut rng = Rng::new(seed);
             let mut c = PageContent::garbage(SIZE, seed);
             let mut model = read_vec(&c, 0, SIZE as usize);
             let mut last_end = 0u64;
@@ -370,8 +367,7 @@ mod tests {
                     .iter()
                     .map(|(&k, v)| (k, k + v.len() as u64))
                     .collect();
-                let pick =
-                    |rng: &mut crate::TestRng| extents[rng.below(extents.len() as u64) as usize];
+                let pick = |rng: &mut Rng| extents[rng.below(extents.len() as u64) as usize];
                 let len = 1 + rng.below(48);
                 let offset = match rng.below(6) {
                     // Append where the last write ended.

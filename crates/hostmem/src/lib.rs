@@ -104,19 +104,3 @@ impl std::error::Error for MemError {}
 
 /// Convenience result alias.
 pub type Result<T> = std::result::Result<T, MemError>;
-
-/// A seeded SplitMix64 stream for the differential tests.
-#[cfg(test)]
-pub(crate) struct TestRng(pub u64);
-
-#[cfg(test)]
-impl TestRng {
-    /// The next value in `0..n` (`n > 0`).
-    pub(crate) fn below(&mut self, n: u64) -> u64 {
-        self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        (z ^ (z >> 31)) % n
-    }
-}

@@ -36,6 +36,7 @@ mod exec;
 pub mod lockdep;
 mod rawlock;
 mod resources;
+pub mod rng;
 mod semaphore;
 mod timeline;
 mod tracer;

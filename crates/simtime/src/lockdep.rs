@@ -712,17 +712,6 @@ pub struct LockSnapshot {
     pub contended: u64,
 }
 
-impl LockSnapshot {
-    /// Mean wait per acquisition in nanoseconds.
-    pub fn mean_wait_ns(&self) -> f64 {
-        if self.acquisitions == 0 {
-            0.0
-        } else {
-            self.wait_ns as f64 / self.acquisitions as f64
-        }
-    }
-}
-
 /// One class's counters, alone on a cache line so that hot classes do
 /// not false-share.
 #[repr(align(64))]
@@ -1200,11 +1189,6 @@ mod tests {
     // The lock-statistics tests below each use a class that no other test
     // in this binary takes, so their exact counts hold under parallel
     // test threads.
-
-    #[test]
-    fn empty_snapshot_mean_wait_is_zero() {
-        assert_eq!(LockSnapshot::default().mean_wait_ns(), 0.0);
-    }
 
     #[test]
     fn uncontended_acquisitions_count_without_wait() {

@@ -282,9 +282,8 @@ impl Tracer {
     ///
     /// Events are complete-phase (`"ph":"X"`); `pid` is the vm id, `tid`
     /// the track, `ts`/`dur` are simulated microseconds, and each event's
-    /// `args` carries the wall-clock microseconds and nesting depth.
-    /// Timestamped output is schedule-dependent — never assert on its
-    /// bytes.
+    /// `args` carries its nesting depth. Every figure is simulated, so the
+    /// same wave on a fresh host renders the same bytes.
     pub fn chrome_trace_json(&self) -> String {
         let spans = self.sorted_spans();
         let mut out = String::with_capacity(128 + spans.len() * 160);
@@ -316,12 +315,10 @@ impl Tracer {
             first = false;
             let ts = s.sim_start.since_origin().as_secs_f64() * 1e6;
             let dur = s.sim_duration().as_secs_f64() * 1e6;
-            let wall = s.wall_duration().as_secs_f64() * 1e6;
             let _ = write!(
                 out,
                 "{{\"name\":\"{}\",\"ph\":\"X\",\"pid\":{},\"tid\":{},\
-                 \"ts\":{ts:.3},\"dur\":{dur:.3},\
-                 \"args\":{{\"wall_us\":{wall:.3},\"depth\":{}}}}}",
+                 \"ts\":{ts:.3},\"dur\":{dur:.3},\"args\":{{\"depth\":{}}}}}",
                 escape(&s.name),
                 s.vm,
                 s.track,

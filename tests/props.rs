@@ -2,45 +2,25 @@
 //!
 //! The build environment is offline, so instead of proptest these run
 //! each property against many inputs drawn from a small deterministic
-//! xorshift PRNG — same failure-finding spirit, fully reproducible, and
-//! no external dependency.
+//! xorshift PRNG (`simtime::rng::Rng`) — same failure-finding spirit,
+//! fully reproducible, and no external dependency.
 
 use fastiov_repro::apps::workloads::compress::{compress, decompress};
 use fastiov_repro::hostmem::content::PageContent;
 use fastiov_repro::hostmem::Hpa;
 use fastiov_repro::hostmem::{MemCosts, PageSize, PhysMemory};
 use fastiov_repro::iommu::IoPageTable;
+use fastiov_repro::simtime::rng::Rng;
 use fastiov_repro::simtime::Clock;
 
-/// xorshift64* — deterministic input generator for the properties below.
-struct Rng(u64);
+/// `len` bytes from the stream.
+fn bytes(rng: &mut Rng, len: usize) -> Vec<u8> {
+    (0..len).map(|_| rng.next() as u8).collect()
+}
 
-impl Rng {
-    fn new(seed: u64) -> Self {
-        Rng(seed.max(1))
-    }
-
-    fn next(&mut self) -> u64 {
-        let mut x = self.0;
-        x ^= x << 13;
-        x ^= x >> 7;
-        x ^= x << 17;
-        self.0 = x;
-        x.wrapping_mul(0x2545_f491_4f6c_dd1d)
-    }
-
-    /// Uniform in `[0, bound)`.
-    fn below(&mut self, bound: u64) -> u64 {
-        self.next() % bound
-    }
-
-    fn bytes(&mut self, len: usize) -> Vec<u8> {
-        (0..len).map(|_| self.next() as u8).collect()
-    }
-
-    fn bool(&mut self) -> bool {
-        self.next() & 1 == 1
-    }
+/// A fair coin from the stream.
+fn coin(rng: &mut Rng) -> bool {
+    rng.next() & 1 == 1
 }
 
 /// The LZ77 compressor is lossless on arbitrary byte strings.
@@ -52,10 +32,10 @@ fn lz_round_trips() {
         // Mix incompressible noise with repetitive runs so both the
         // literal and match paths are exercised.
         let data = if case % 2 == 0 {
-            rng.bytes(len)
+            bytes(&mut rng, len)
         } else {
             let unit_len = 1 + rng.below(64) as usize;
-            let unit = rng.bytes(unit_len);
+            let unit = bytes(&mut rng, unit_len);
             unit.iter().copied().cycle().take(len).collect()
         };
         let compressed = compress(&data);
@@ -79,12 +59,12 @@ fn page_content_matches_reference_model() {
         };
         let ops = 1 + rng.below(40);
         for _ in 0..ops {
-            if rng.bool() {
+            if coin(&mut rng) {
                 content.zero();
                 reference.fill(0);
             }
             let data_len = 1 + rng.below(63) as usize;
-            let data = rng.bytes(data_len);
+            let data = bytes(&mut rng, data_len);
             let off = rng.below(size).min(size - data.len() as u64);
             content.write(off, &data).unwrap();
             reference[off as usize..off as usize + data.len()].copy_from_slice(&data);
@@ -210,7 +190,7 @@ fn iotlb_matches_lru_model() {
         let ops = 1 + rng.below(100);
         for _ in 0..ops {
             let page = rng.below(16);
-            if rng.bool() {
+            if coin(&mut rng) {
                 let hpa = Hpa(page << 21);
                 tlb.insert(page, hpa);
                 model.retain(|&(p, _)| p != page);
