@@ -144,7 +144,7 @@ fn run(id: &str) -> ExitCode {
 }
 
 /// One observed launch wave of a launch-wave or fault-plane row: the
-/// lockdep witness and the host tracer record together, and the run
+/// host tracer records beside the host's lockdep witness, and the run
 /// prints the wave summary, the per-stage table reconciled against the
 /// trace, the executor's baton counts, the per-class lock counts and the
 /// lockdep verdict, writing `trace.json`, `lockgraph.dot` and
@@ -167,12 +167,10 @@ fn observe(id: &str, out: &str) -> ExitCode {
         eprintln!("fastiovctl: cannot create {}: {e}", dir.display());
         return ExitCode::FAILURE;
     }
-    lockdep::enable();
-    lockdep::reset();
     // Must happen before the wave: spans are only recorded while the
     // tracer is enabled, and it starts disabled so untraced runs pay a
     // single atomic load per would-be span.
-    let (host, summary) = match run_wave(cfg, |host| host.tracer.enable()) {
+    let (host, summary, started) = match run_wave(cfg, |host| host.tracer.enable()) {
         Ok(done) => done,
         Err(e) => return fail(&e),
     };
@@ -213,12 +211,15 @@ fn observe(id: &str, out: &str) -> ExitCode {
     ]);
     let mut worst: f64 = 0.0;
     for (stage, s) in &summary.stage_percentiles {
-        // Each VM's last span of the stage: a retried launch runs its
-        // stages again, and the stage log keeps the attempt that started
-        // the pod. Summed in VM order, so the float sum is the same every
-        // run.
+        // Each started VM's last span of the stage: a retried launch runs
+        // its stages again, and the stage log keeps the attempt that
+        // started the pod; a pod that never started has no stage record.
+        // Summed in VM order, so the float sum is the same every run.
         let mut per_vm: BTreeMap<u64, Duration> = BTreeMap::new();
-        for sp in spans.iter().filter(|sp| sp.vm != 0 && sp.name == *stage) {
+        for sp in spans
+            .iter()
+            .filter(|sp| sp.name == *stage && started.binary_search(&sp.vm).is_ok())
+        {
             per_vm.insert(sp.vm, sp.sim_duration());
         }
         let n = per_vm.len().max(1) as f64;
@@ -256,7 +257,7 @@ fn observe(id: &str, out: &str) -> ExitCode {
         exec.handoffs, exec.self_resumes, exec.timer_jumps,
     );
 
-    // Counted since process start, host build included; the executor
+    // Counted on this host's clock, host build included; the executor
     // decides every interleaving, so the counts repeat exactly.
     let mut t = Table::new(vec!["lock class", "acquisitions", "contended"]);
     let mut classes: Vec<(LockClass, _)> = LockClass::ALL

@@ -162,21 +162,25 @@ pub fn run_startup_experiment(cfg: &ExperimentConfig) -> Result<StartupRunResult
 
 /// Runs one launch wave on a fresh host: `prepare` sees the host first,
 /// every started pod is torn down, and the warm pool (if any) is drained
-/// before returning the host and the wave's summary.
+/// before returning the host, the wave's summary and the VM ids of the
+/// pods that started (`1000 + launch index`, the id their spans carry),
+/// in ascending order.
 pub fn run_wave(
     cfg: &ExperimentConfig,
     prepare: impl FnOnce(&Host),
-) -> Result<(Arc<Host>, LaunchSummary)> {
+) -> Result<(Arc<Host>, LaunchSummary, Vec<u64>)> {
     let (host, engine) = cfg.build()?;
     prepare(&host);
     let outcome = engine.launch_concurrent(cfg.concurrency);
+    let mut started = Vec::new();
     for pod in outcome.pods.iter().flatten() {
+        started.push(1000 + u64::from(pod.index));
         let _ = engine.teardown_pod(pod);
     }
     if let Some(pool) = engine.pool() {
         pool.wait_idle();
     }
-    Ok((host, outcome.summary))
+    Ok((host, outcome.summary, started))
 }
 
 /// Builds the result summary from raw reports.

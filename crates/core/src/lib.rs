@@ -78,6 +78,8 @@ pub enum Error {
     App(fastiov_apps::AppError),
     /// The run produced no samples.
     Empty,
+    /// The run's lock witness holds lock-discipline reports.
+    Lockdep(Vec<fastiov_simtime::LockdepReport>),
 }
 
 impl Error {
@@ -90,6 +92,7 @@ impl Error {
             Error::Host(_) => 21,
             Error::App(_) => 22,
             Error::Empty => 23,
+            Error::Lockdep(_) => 24,
         }
     }
 }
@@ -101,6 +104,10 @@ impl fmt::Display for Error {
             Error::Startup(e) => write!(f, "startup: {e}"),
             Error::App(e) => write!(f, "app: {e}"),
             Error::Empty => write!(f, "experiment produced no samples"),
+            Error::Lockdep(reports) => {
+                write!(f, "{} lock-discipline report(s)", reports.len())?;
+                reports.iter().try_for_each(|r| write!(f, "\n  {r}"))
+            }
         }
     }
 }

@@ -24,7 +24,7 @@ use fastiov_hostmem::addr::units::{gib, mib};
 use fastiov_hostmem::{AddressSpace, Gpa, Iova, MemCosts, PageSize, PhysMemory};
 use fastiov_iommu::Iommu;
 use fastiov_microvm::stages;
-use fastiov_simtime::{Clock, CpuPool, FairShareBandwidth, WallStopwatch};
+use fastiov_simtime::{lockdep, Clock, CpuPool, FairShareBandwidth, WallStopwatch};
 use fastiov_vfio::{DmaZeroMode, VfioContainer};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -77,8 +77,20 @@ impl Run {
         }
     }
 
-    /// Runs the row.
+    /// Runs the row. Fails if the row's lock witness holds any report:
+    /// every row builds its clock on the calling thread, so the witness
+    /// read afterwards is the row's own.
     pub fn measure(&self) -> Result<Metrics> {
+        let m = self.metrics()?;
+        let reports = lockdep::reports();
+        if reports.is_empty() {
+            Ok(m)
+        } else {
+            Err(Error::Lockdep(reports))
+        }
+    }
+
+    fn metrics(&self) -> Result<Metrics> {
         if let Run::Fragmentation(page, stride) = self {
             let batches = fragmentation_case(*page, *stride, mib(512))?;
             return Ok(Metrics::from([("batches".into(), batches as f64)]));
@@ -123,7 +135,7 @@ impl Run {
                 put("p99", r.total.p99_secs());
             }
             Run::Faults(_) => {
-                let (host, sum) = crate::run_wave(cfg, |_| {})?;
+                let (host, sum, _) = crate::run_wave(cfg, |_| {})?;
                 put("goodput", sum.succeeded as f64 / sum.total().max(1) as f64);
                 put("failed", sum.failed as f64);
                 let panics = sum.classes.iter().find(|(c, _)| *c == "launch-panic");

@@ -1,7 +1,8 @@
 //! `fastiovctl` as a process: a missing or extra argument, an unknown
 //! flag and a flag without its value are usage errors (exit 1 with the
 //! usage), never panics; an unknown row id is named; `run` prints a
-//! row's metrics; and two `observe` runs of a row write the same bytes.
+//! row's metrics; two `observe` runs of a row write the same bytes; and
+//! `observe` on a fault row reconciles the pods that started.
 
 use std::path::PathBuf;
 use std::process::Command;
@@ -118,4 +119,16 @@ fn two_observe_runs_of_a_row_write_the_same_bytes() {
     for dir in [a, b] {
         let _ = std::fs::remove_dir_all(dir);
     }
+}
+
+#[test]
+fn observe_on_a_fault_row_reconciles_only_the_pods_that_started() {
+    let out =
+        std::env::temp_dir().join(format!("fastiovctl-observe-{}-faults", std::process::id()));
+    let out = out.to_str().expect("utf-8 temp path");
+    let (code, stdout, stderr) =
+        fastiovctl(&["observe", "ext_faults.fastiov@200/5pct", "--out", out]);
+    let _ = std::fs::remove_dir_all(out);
+    assert_eq!(code, Some(0), "{stderr}");
+    assert!(stdout.contains("max divergence 0.0000%"), "{stdout}");
 }

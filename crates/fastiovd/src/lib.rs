@@ -133,7 +133,8 @@ impl Fastiovd {
         &self.clock
     }
 
-    /// Wait/hold totals of the tier-1 lock class.
+    /// Wait/hold totals of the tier-1 lock class on the calling thread's
+    /// clock.
     pub fn tier1_lock_stats(&self) -> LockSnapshot {
         LockClass::FastiovdTier1.stats()
     }

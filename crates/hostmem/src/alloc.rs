@@ -12,8 +12,9 @@ use crate::addr::{Hpa, PageSize};
 use crate::content::PageContent;
 use crate::{MemError, Result};
 use fastiov_simtime::{Clock, CpuPool, FairShareBandwidth, LockClass, LockSnapshot, TrackedMutex};
+use std::cell::RefCell;
 use std::collections::BTreeMap;
-use std::sync::{Arc, LazyLock};
+use std::sync::Arc;
 use std::time::Duration;
 
 /// Index of a physical frame.
@@ -93,28 +94,32 @@ fn fresh_frame(page: PageSize, i: usize) -> Frame {
     }
 }
 
-/// The frame table of the last memory dropped, already reset to fresh
-/// frames, for the next memory of the same page size and frame count.
-///
-/// A host's table is one ~10 MB allocation. Freed back to `malloc`, it
-/// became a heap hole that later small allocations split, so after a
-/// hundred-odd hosts in one process the next table no longer fit and the
-/// heap grew by a whole table: resident memory stepped up by ~9 MB at a
-/// host count that varied run to run. Reusing the table keeps one host
-/// after another on the same pages.
-static SPARE_FRAMES: LazyLock<TrackedMutex<Option<(PageSize, FrameTable)>>> =
-    LazyLock::new(|| TrackedMutex::new(LockClass::PhysSpareFrames, None));
+std::thread_local! {
+    /// The frame table of the last memory this thread dropped, already
+    /// reset to fresh frames, for the next memory of the same page size
+    /// and frame count.
+    ///
+    /// A host's table is one ~10 MB allocation. Freed back to `malloc`,
+    /// it became a heap hole that later small allocations split, so after
+    /// a hundred-odd hosts in one process the next table no longer fit
+    /// and the heap grew by a whole table: resident memory stepped up by
+    /// ~9 MB at a host count that varied run to run. Reusing the table
+    /// keeps one host after another on the same pages. It is kept per
+    /// thread, as the thread that builds hosts one after another also
+    /// drops them, so hosts on different threads (and clocks) share no
+    /// lock.
+    static SPARE_FRAMES: RefCell<Option<(PageSize, FrameTable)>> = const { RefCell::new(None) };
+}
 
 /// Takes the spare table if it has `page`-sized frames and `total` of them.
 fn take_spare_frames(page: PageSize, total: usize) -> Option<FrameTable> {
-    let mut spare = SPARE_FRAMES.lock();
-    match spare.take() {
+    SPARE_FRAMES.with_borrow_mut(|spare| match spare.take() {
         Some((p, frames)) if p == page && frames.len() == total => Some(frames),
         other => {
             *spare = other;
             None
         }
-    }
+    })
 }
 
 /// The free frames as maximal runs of contiguous frames: start → length.
@@ -297,8 +302,8 @@ impl PhysMemory {
         })
     }
 
-    /// Wait/hold totals of the lock the frame table and free list live
-    /// under.
+    /// Wait/hold totals of the lock class the frame table and free list
+    /// live under, on the calling thread's clock.
     pub fn free_lock_stats(&self) -> LockSnapshot {
         LockClass::PhysMemory.stats()
     }
@@ -627,9 +632,8 @@ impl Drop for PhysMemory {
         for (i, frame) in frames.iter_mut().enumerate() {
             *frame = fresh_frame(self.page, i);
         }
-        let old = SPARE_FRAMES.lock().replace((self.page, frames));
-        // Freed after the lock is released.
-        drop(old);
+        // A thread past its thread-locals frees the table instead.
+        let _ = SPARE_FRAMES.try_with(|spare| spare.replace(Some((self.page, frames))));
     }
 }
 
@@ -856,8 +860,8 @@ mod tests {
 
     #[test]
     fn a_recycled_frame_table_comes_back_fresh() {
-        // 13 frames: a shape no other test builds, so the next memory
-        // normally takes the table this drop leaves as the spare.
+        // The next 13-frame memory this thread builds takes the table
+        // this drop leaves as its spare.
         let residue = |m: &PhysMemory| {
             let mut buf = [0u8; 16];
             m.read_phys(m.hpa_of(FrameId(5)), &mut buf).unwrap();

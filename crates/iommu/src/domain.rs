@@ -131,7 +131,8 @@ impl IommuDomain {
         Ok(())
     }
 
-    /// Wait/hold totals of the I/O page-table lock class.
+    /// Wait/hold totals of the I/O page-table lock class on the calling
+    /// thread's clock.
     pub fn table_lock_stats(&self) -> LockSnapshot {
         LockClass::IommuTable.stats()
     }
@@ -215,7 +216,7 @@ impl Iommu {
     }
 
     /// Wait/hold totals of the I/O page-table lock class, across every
-    /// domain.
+    /// domain of the calling thread's clock.
     pub fn table_lock_stats(&self) -> LockSnapshot {
         LockClass::IommuTable.stats()
     }

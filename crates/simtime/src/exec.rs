@@ -15,7 +15,12 @@
 //! were set, so a run is a deterministic function of its inputs.
 //!
 //! A thread belongs to one executor at a time: creating a virtual clock
-//! leaves the executor the thread drove or ran on before.
+//! leaves the executor the thread drove or ran on before. Each executor
+//! also owns its clock's lock witness and lock statistics
+//! ([`lockdep`](crate::lockdep)), and a thread records its lock
+//! acquisitions into the executor it belongs to. A thread started on a
+//! clock that paces in real time still belongs to it for that purpose,
+//! though it is never scheduled.
 //!
 //! **One core per clock.** Since only the baton holder runs, a virtual
 //! clock's threads are pinned to one CPU (on Linux; elsewhere this is a
@@ -48,7 +53,7 @@
 //! thread: its name, what it waits on and the `file:line` of the wait.
 
 use crate::clock::Clock;
-use crate::lockdep::{LockClass, Mode};
+use crate::lockdep::{LockClass, Mode, Witness};
 use parking_lot::Mutex;
 use std::cell::RefCell;
 use std::collections::{BTreeMap, VecDeque};
@@ -57,6 +62,10 @@ use std::panic::Location;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, OnceLock, PoisonError};
 use std::time::{Duration, Instant};
+
+/// The slot id of a thread started on a clock that paces in real time: a
+/// member for the lock witness, never a task of the scheduler.
+const UNSCHEDULED: u64 = u64::MAX;
 
 /// Real time the last thread to block on a stuck virtual clock waits for
 /// an outside wake-up before it reports a deadlock.
@@ -311,6 +320,15 @@ thread_local! {
     static MEMBER: RefCell<Option<Member>> = const { RefCell::new(None) };
 }
 
+/// Runs `f` on the lock witness of the calling thread's executor; `None`
+/// for a thread in no executor.
+pub(crate) fn with_witness<R>(f: impl FnOnce(&Witness) -> R) -> Option<R> {
+    MEMBER
+        .try_with(|m| Some(f(&m.borrow().as_ref()?.slot.exec.as_ref()?.witness)))
+        .ok()
+        .flatten()
+}
+
 /// The calling thread's slot, created standalone on first use.
 pub(crate) fn current_slot() -> Arc<Slot> {
     MEMBER
@@ -391,6 +409,8 @@ pub(crate) struct Exec {
     /// The one CPU the clock's threads run on while it is virtual; `None`
     /// if nothing was pinned.
     pin: Option<affinity::CpuSet>,
+    /// The lock witness and lock statistics of the clock's threads.
+    witness: Witness,
 }
 
 impl Exec {
@@ -420,6 +440,7 @@ impl Exec {
             wall: OnceLock::new(),
             state: Mutex::new(State::default()),
             pin,
+            witness: Witness::default(),
         })
     }
 
@@ -823,8 +844,8 @@ where
     F: FnOnce() -> T + Send + 'static,
     T: Send + 'static,
 {
-    let exec = clock.exec();
-    if !current_slot().belongs_to(exec) {
+    let exec = Arc::clone(clock.exec());
+    if !current_slot().belongs_to(&exec) {
         if exec.is_virtual() {
             exec.fall_back();
         }
@@ -846,12 +867,15 @@ where
                 }
             }
             let _end = End(finish);
-            if let Some(slot) = slot {
-                enter(Arc::clone(&slot), false);
-                if let Some(exec) = &slot.exec {
+            match slot {
+                Some(slot) => {
+                    enter(Arc::clone(&slot), false);
                     exec.attach(&slot);
+                    slot.park();
                 }
-                slot.park();
+                // A clock pacing in real time schedules no thread, but
+                // its threads still record into its lock witness.
+                None => enter(Slot::new(Some(exec), UNSCHEDULED), false),
             }
             f()
         })
@@ -867,7 +891,6 @@ mod tests {
 
     #[test]
     fn lock_order_cycle_panics_naming_both_classes_instead_of_hanging() {
-        let _gate = crate::lockdep::TEST_GATE.lock();
         let clock = Clock::new_virtual(1.0);
         let a = Arc::new(TrackedMutex::new(LockClass::IommuRegistry, ()));
         let b = Arc::new(TrackedMutex::new(LockClass::HostMmu, ()));
@@ -916,6 +939,16 @@ mod tests {
         assert_eq!(clock.now().since_origin(), Duration::from_millis(10));
         assert_eq!(ticks.load(Ordering::Relaxed), 9);
         assert!(clock.is_virtual());
+    }
+
+    #[test]
+    fn a_thread_started_on_a_wall_paced_clock_records_into_its_witness() {
+        let clock = Clock::with_scale(1e-3);
+        let member = spawn(&clock, "member", || {
+            drop(TrackedMutex::new(LockClass::Test, ()).lock());
+            LockClass::Test.stats().acquisitions
+        });
+        assert_eq!(member.join().expect("member"), 1);
     }
 
     #[test]

@@ -28,124 +28,148 @@
 //! a queued writer can still deadlock; the static pass plus the hierarchy
 //! rules cover the instances of that shape we actually have).
 //!
-//! The witness is **disabled by default** and costs exactly one relaxed
-//! atomic load per acquisition in that state. It is enabled in tests and
-//! by `fastiovctl observe`, either explicitly ([`enable`]) or via the
-//! `FASTIOV_LOCKDEP=1` environment variable (checked once, on first use).
+//! **One instrument per clock.** The witness is always on. Its graph and
+//! reports and the lock statistics belong to the executor of a clock
+//! (`Witness`): an acquisition records into the executor of the
+//! acquiring thread, and the readers ([`reports`], [`graph_dot`],
+//! [`graph_json`], [`LockClass::stats`]) read the calling thread's. A
+//! thread in no executor records nothing. The held stack is per thread,
+//! since a thread belongs to one executor at a time.
 //!
 //! **Lock statistics** sit on the same classes, the way Linux lock_stat
 //! sits on lockdep's: every acquisition through the tracked wrappers is
-//! counted per class, always on.
+//! counted per class.
 //! Wait time is measured only when the try-lock fast path fails; hold
 //! time runs from acquisition to release, minus time parked in
 //! [`TrackedCondvar::wait`]. Both are **real** nanoseconds — a ranking of
 //! where threads queue, not a modelled cost; on a virtual clock they
-//! measure baton hand-offs, not simulated waiting. The counters live in one
-//! static, cache-line-padded array indexed by class, so a lock carries no
-//! memory for them ([`LockClass::stats`]).
+//! measure baton hand-offs, not simulated waiting. A lock carries no
+//! memory for them.
 
 use parking_lot::Mutex;
 use std::cell::{RefCell, UnsafeCell};
-use std::collections::{HashMap, VecDeque};
+use std::collections::btree_map::Entry;
+use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
 use std::ops::{Deref, DerefMut};
 use std::panic::Location;
-use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use crate::exec::{current_slot, Slot, Wait, WaitOn};
+use crate::exec::{current_slot, with_witness, Slot, Wait, WaitOn};
 use crate::rawlock::RawLock;
 use crate::WallStopwatch;
 
-/// The class of an instrumented lock. One class per *role*, not per
-/// instance: all per-device child mutexes share [`LockClass::DevsetChild`],
-/// all per-VM fastiovd tables share [`LockClass::FastiovdVmTable`], and so
-/// on. The acquired-while-held graph and the lock statistics are kept per
-/// class.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[repr(u8)]
-#[allow(missing_docs)] // Names mirror the lock they label; see DESIGN.md §7.5.
-pub enum LockClass {
-    /// Devset parent rwlock (or the coarse mutex standing in for it).
-    DevsetParent,
-    /// Per-device child mutex inside a devset.
-    DevsetChild,
-    /// Devset global (parent-mode) state mutex.
-    DevsetState,
-    /// DevsetManager registries (devsets/devices/groups maps).
-    DevsetRegistry,
-    /// Devset membership list (`DevSet::devices`).
-    DevsetMembers,
-    /// VFIO container DMA-mapping list.
-    VfioContainer,
-    /// VFIO group attachment slot.
-    VfioGroup,
-    /// fastiovd tier-1 table (PID → VM table).
-    FastiovdTier1,
-    /// fastiovd tier-2 per-VM page table.
-    FastiovdVmTable,
-    /// IOMMU domain registry.
-    IommuRegistry,
-    /// IOMMU domain I/O page table.
-    IommuTable,
-    /// IOMMU domain IOTLB.
-    IommuTlb,
-    /// Physical memory: the frame table and its free runs.
-    PhysMemory,
-    /// The spare frame table a dropped physical memory leaves behind.
-    PhysSpareFrames,
-    /// Host MMU region table.
-    HostMmu,
-    /// Warm-pool slot list.
-    PoolSlots,
-    /// Warm-pool worker channel/handle slots and replenisher backlog.
-    PoolWorker,
-    /// NIC PF admin mailbox (strictly serialized command channel).
-    NicMailbox,
-    /// PF driver registries (VF list, fault-plane slot).
-    NicPf,
-    /// NIC DMA engine state (rings, attachments, irq sink).
-    NicDma,
-    /// NIC TX queue / wire sink.
-    NicTx,
-    /// Per-VF configuration state.
-    NicVf,
-    /// KVM VM state (memslots, EPT, fault hook).
-    KvmVm,
-    /// PCI bus device map.
-    PciBus,
-    /// Per-PCI-device state (driver binding, SR-IOV cap).
-    PciDevice,
-    /// PCI config space registers.
-    PciConfig,
-    /// CNI registries (namespaces, device plugin, VF pool).
-    CniRegistry,
-    /// Per-network-namespace state.
-    CniNns,
-    /// MicroVM per-instance state (vfio fd, init thread).
-    MicrovmState,
-    /// Guest network readiness flag.
-    GuestNet,
-    /// virtio-fs / virtio-net shared state.
-    Virtio,
-    /// Fault-plane counters and installed-plane slots.
-    FaultPlane,
-    /// Tracer installation slots (`RwLock<Option<Tracer>>`).
-    TracerSlot,
-    /// Cgroup registry.
-    CgroupRegistry,
-    /// Application object storage.
-    AppStorage,
-    /// Memoized outputs of the serverless tasks' real computations.
-    AppComputeMemo,
-    /// Example code (`examples/`).
-    Example,
-    /// Ad-hoc locks in test fixtures.
-    Test,
+/// Declares [`LockClass`] from one list: each class's doc, variant and
+/// display name, in index order.
+macro_rules! lock_classes {
+    ($($(#[$doc:meta])* $class:ident => $name:literal,)*) => {
+        /// The class of an instrumented lock. One class per *role*, not per
+        /// instance: all per-device child mutexes share [`LockClass::DevsetChild`],
+        /// all per-VM fastiovd tables share [`LockClass::FastiovdVmTable`], and so
+        /// on. The acquired-while-held graph and the lock statistics are kept per
+        /// class.
+        #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+        #[repr(u8)]
+        pub enum LockClass {
+            $($(#[$doc])* $class,)*
+        }
+
+        impl LockClass {
+            /// Every class, in declaration (index) order.
+            pub const ALL: [LockClass; NCLASS] = [$(LockClass::$class),*];
+
+            /// Stable display name (also the DOT/JSON node label).
+            pub fn name(self) -> &'static str {
+                match self {
+                    $(LockClass::$class => $name,)*
+                }
+            }
+        }
+    };
 }
 
-/// Number of lock classes (adjacency matrices are `NCLASS × NCLASS`).
+lock_classes! {
+    /// Devset parent rwlock (or the coarse mutex standing in for it).
+    DevsetParent => "devset-parent",
+    /// Per-device child mutex inside a devset.
+    DevsetChild => "devset-child",
+    /// Devset global (parent-mode) state mutex.
+    DevsetState => "devset-state",
+    /// DevsetManager registries (devsets/devices/groups maps).
+    DevsetRegistry => "devset-registry",
+    /// Devset membership list (`DevSet::devices`).
+    DevsetMembers => "devset-members",
+    /// VFIO container DMA-mapping list.
+    VfioContainer => "vfio-container",
+    /// VFIO group attachment slot.
+    VfioGroup => "vfio-group",
+    /// fastiovd tier-1 table (PID → VM table).
+    FastiovdTier1 => "fastiovd-tier1",
+    /// fastiovd tier-2 per-VM page table.
+    FastiovdVmTable => "fastiovd-vm-table",
+    /// IOMMU domain registry.
+    IommuRegistry => "iommu-registry",
+    /// IOMMU domain I/O page table.
+    IommuTable => "iommu-table",
+    /// IOMMU domain IOTLB.
+    IommuTlb => "iommu-tlb",
+    /// Physical memory: the frame table and its free runs.
+    PhysMemory => "phys-memory",
+    /// Host MMU region table.
+    HostMmu => "host-mmu",
+    /// Warm-pool slot list.
+    PoolSlots => "pool-slots",
+    /// Warm-pool worker channel/handle slots and replenisher backlog.
+    PoolWorker => "pool-worker",
+    /// NIC PF admin mailbox (strictly serialized command channel).
+    NicMailbox => "nic-mailbox",
+    /// PF driver registries (VF list, fault-plane slot).
+    NicPf => "nic-pf",
+    /// NIC DMA engine state (rings, attachments, irq sink).
+    NicDma => "nic-dma",
+    /// NIC TX queue / wire sink.
+    NicTx => "nic-tx",
+    /// Per-VF configuration state.
+    NicVf => "nic-vf",
+    /// KVM VM state (memslots, EPT, fault hook).
+    KvmVm => "kvm-vm",
+    /// PCI bus device map.
+    PciBus => "pci-bus",
+    /// Per-PCI-device state (driver binding, SR-IOV cap).
+    PciDevice => "pci-device",
+    /// PCI config space registers.
+    PciConfig => "pci-config",
+    /// CNI registries (namespaces, device plugin, VF pool).
+    CniRegistry => "cni-registry",
+    /// Per-network-namespace state.
+    CniNns => "cni-nns",
+    /// MicroVM per-instance state (vfio fd, init thread).
+    MicrovmState => "microvm-state",
+    /// Guest network readiness flag.
+    GuestNet => "guest-net",
+    /// virtio-fs / virtio-net shared state.
+    Virtio => "virtio",
+    /// Fault-plane counters and installed-plane slots.
+    FaultPlane => "fault-plane",
+    /// Tracer installation slots (`RwLock<Option<Tracer>>`).
+    TracerSlot => "tracer-slot",
+    /// Cgroup registry.
+    CgroupRegistry => "cgroup-registry",
+    /// Application object storage.
+    AppStorage => "app-storage",
+    /// Memoized outputs of the serverless tasks' real computations.
+    AppComputeMemo => "app-compute-memo",
+    /// Example code (`examples/`).
+    Example => "example",
+    /// Ad-hoc locks in test fixtures.
+    Test => "test",
+}
+
+/// Number of lock classes; the blocking-edge adjacency keeps one bit
+/// per class in a `u64`.
 const NCLASS: usize = LockClass::Test as usize + 1;
+const _: () = assert!(NCLASS <= 64);
 
 /// Lock-ordering domains for the hierarchy rule.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -156,94 +180,8 @@ enum Domain {
 }
 
 impl LockClass {
-    /// Every class, in declaration (index) order.
-    pub const ALL: [LockClass; NCLASS] = [
-        LockClass::DevsetParent,
-        LockClass::DevsetChild,
-        LockClass::DevsetState,
-        LockClass::DevsetRegistry,
-        LockClass::DevsetMembers,
-        LockClass::VfioContainer,
-        LockClass::VfioGroup,
-        LockClass::FastiovdTier1,
-        LockClass::FastiovdVmTable,
-        LockClass::IommuRegistry,
-        LockClass::IommuTable,
-        LockClass::IommuTlb,
-        LockClass::PhysMemory,
-        LockClass::PhysSpareFrames,
-        LockClass::HostMmu,
-        LockClass::PoolSlots,
-        LockClass::PoolWorker,
-        LockClass::NicMailbox,
-        LockClass::NicPf,
-        LockClass::NicDma,
-        LockClass::NicTx,
-        LockClass::NicVf,
-        LockClass::KvmVm,
-        LockClass::PciBus,
-        LockClass::PciDevice,
-        LockClass::PciConfig,
-        LockClass::CniRegistry,
-        LockClass::CniNns,
-        LockClass::MicrovmState,
-        LockClass::GuestNet,
-        LockClass::Virtio,
-        LockClass::FaultPlane,
-        LockClass::TracerSlot,
-        LockClass::CgroupRegistry,
-        LockClass::AppStorage,
-        LockClass::AppComputeMemo,
-        LockClass::Example,
-        LockClass::Test,
-    ];
-
     fn index(self) -> usize {
         self as usize
-    }
-
-    /// Stable display name (also the DOT/JSON node label).
-    pub fn name(self) -> &'static str {
-        match self {
-            LockClass::DevsetParent => "devset-parent",
-            LockClass::DevsetChild => "devset-child",
-            LockClass::DevsetState => "devset-state",
-            LockClass::DevsetRegistry => "devset-registry",
-            LockClass::DevsetMembers => "devset-members",
-            LockClass::VfioContainer => "vfio-container",
-            LockClass::VfioGroup => "vfio-group",
-            LockClass::FastiovdTier1 => "fastiovd-tier1",
-            LockClass::FastiovdVmTable => "fastiovd-vm-table",
-            LockClass::IommuRegistry => "iommu-registry",
-            LockClass::IommuTable => "iommu-table",
-            LockClass::IommuTlb => "iommu-tlb",
-            LockClass::PhysMemory => "phys-memory",
-            LockClass::PhysSpareFrames => "phys-spare-frames",
-            LockClass::HostMmu => "host-mmu",
-            LockClass::PoolSlots => "pool-slots",
-            LockClass::PoolWorker => "pool-worker",
-            LockClass::NicMailbox => "nic-mailbox",
-            LockClass::NicPf => "nic-pf",
-            LockClass::NicDma => "nic-dma",
-            LockClass::NicTx => "nic-tx",
-            LockClass::NicVf => "nic-vf",
-            LockClass::KvmVm => "kvm-vm",
-            LockClass::PciBus => "pci-bus",
-            LockClass::PciDevice => "pci-device",
-            LockClass::PciConfig => "pci-config",
-            LockClass::CniRegistry => "cni-registry",
-            LockClass::CniNns => "cni-nns",
-            LockClass::MicrovmState => "microvm-state",
-            LockClass::GuestNet => "guest-net",
-            LockClass::Virtio => "virtio",
-            LockClass::FaultPlane => "fault-plane",
-            LockClass::TracerSlot => "tracer-slot",
-            LockClass::CgroupRegistry => "cgroup-registry",
-            LockClass::AppStorage => "app-storage",
-            LockClass::AppComputeMemo => "app-compute-memo",
-            LockClass::Example => "example",
-            LockClass::Test => "test",
-        }
     }
 
     /// Hierarchy position: `(domain, level)`. Acquiring a *lower* level
@@ -332,7 +270,7 @@ impl fmt::Display for LockdepReport {
 }
 
 /// A recorded acquired-while-held edge (first witness kept).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 struct EdgeInfo {
     count: u64,
     blocking: bool,
@@ -342,81 +280,12 @@ struct EdgeInfo {
 
 struct Graph {
     /// `(held_class, acquired_class)` → first witness + count.
-    edges: HashMap<(usize, usize), EdgeInfo>,
-    /// Blocking-edge adjacency for cycle detection.
-    adj: [[bool; NCLASS]; NCLASS],
+    edges: BTreeMap<(usize, usize), EdgeInfo>,
+    /// Blocking-edge adjacency for cycle detection: bit `b` of `adj[a]`
+    /// is the edge `a → b`.
+    adj: [u64; NCLASS],
+    reports: Vec<LockdepReport>,
 }
-
-impl Graph {
-    fn new() -> Self {
-        Graph {
-            edges: HashMap::new(),
-            adj: [[false; NCLASS]; NCLASS],
-        }
-    }
-
-    /// Is `to` reachable from `from` over blocking edges?
-    fn reaches(&self, from: usize, to: usize) -> bool {
-        let mut seen = [false; NCLASS];
-        let mut stack = vec![from];
-        while let Some(n) = stack.pop() {
-            if n == to {
-                return true;
-            }
-            if seen[n] {
-                continue;
-            }
-            seen[n] = true;
-            for (m, &edge) in self.adj[n].iter().enumerate() {
-                if edge && !seen[m] {
-                    stack.push(m);
-                }
-            }
-        }
-        false
-    }
-
-    /// One blocking path `from → … → to` as class names, for report text.
-    fn path(&self, from: usize, to: usize) -> Vec<usize> {
-        let mut prev = [usize::MAX; NCLASS];
-        let mut stack = vec![from];
-        let mut seen = [false; NCLASS];
-        seen[from] = true;
-        while let Some(n) = stack.pop() {
-            if n == to {
-                break;
-            }
-            for (m, &edge) in self.adj[n].iter().enumerate() {
-                if edge && !seen[m] {
-                    seen[m] = true;
-                    prev[m] = n;
-                    stack.push(m);
-                }
-            }
-        }
-        let mut path = vec![to];
-        let mut cur = to;
-        while prev[cur] != usize::MAX && prev[cur] != from {
-            cur = prev[cur];
-            path.push(cur);
-        }
-        if cur != from {
-            path.push(from);
-        }
-        path.reverse();
-        path
-    }
-}
-
-const STATE_UNINIT: u8 = 0;
-const STATE_OFF: u8 = 1;
-const STATE_ON: u8 = 2;
-
-static STATE: AtomicU8 = AtomicU8::new(STATE_UNINIT);
-static NEXT_ACQ_ID: AtomicU64 = AtomicU64::new(1);
-static GRAPH: std::sync::LazyLock<Mutex<Graph>> =
-    std::sync::LazyLock::new(|| Mutex::new(Graph::new()));
-static REPORTS: Mutex<Vec<LockdepReport>> = Mutex::new(Vec::new());
 
 std::thread_local! {
     static HELD: RefCell<Vec<HeldEntry>> = const { RefCell::new(Vec::new()) };
@@ -425,197 +294,204 @@ std::thread_local! {
 #[derive(Clone, Copy)]
 struct HeldEntry {
     class: LockClass,
-    #[allow(dead_code)] // Kept for future read/write cycle semantics.
     mode: Mode,
     site: &'static Location<'static>,
-    acq_id: u64,
 }
 
-/// Enables the witness for the whole process.
-pub fn enable() {
-    STATE.store(STATE_ON, Ordering::SeqCst);
-}
-
-/// Disables the witness (acquisitions go back to one atomic load).
-pub fn disable() {
-    STATE.store(STATE_OFF, Ordering::SeqCst);
-}
-
-/// Whether the witness is recording. The first call resolves the
-/// `FASTIOV_LOCKDEP` environment variable; after that this is a single
-/// relaxed atomic load.
-#[inline]
-pub fn is_enabled() -> bool {
-    match STATE.load(Ordering::Relaxed) {
-        STATE_ON => true,
-        STATE_OFF => false,
-        _ => init_from_env(),
+impl HeldEntry {
+    /// Same lock class, mode and site. Entries that agree on all three
+    /// are interchangeable, so a release may pop any one of them.
+    fn same(&self, other: &HeldEntry) -> bool {
+        self.class == other.class && self.mode == other.mode && std::ptr::eq(self.site, other.site)
     }
 }
 
-#[cold]
-fn init_from_env() -> bool {
-    let on = std::env::var("FASTIOV_LOCKDEP").is_ok_and(|v| v == "1" || v == "true");
-    let state = if on { STATE_ON } else { STATE_OFF };
-    // A racing enable()/disable() wins over env resolution.
-    let _ = STATE.compare_exchange(STATE_UNINIT, state, Ordering::SeqCst, Ordering::SeqCst);
-    STATE.load(Ordering::Relaxed) == STATE_ON
+/// One clock's lock instrument: the acquired-while-held class graph,
+/// its reports and the per-class counters. Every executor owns one, and
+/// an acquisition records into the executor of the acquiring thread.
+pub(crate) struct Witness {
+    graph: Mutex<Graph>,
+    stats: [ClassStat; NCLASS],
 }
 
-/// Clears the graph and the report list (tests; the held stacks are
-/// per-thread and drain naturally as guards drop).
-pub fn reset() {
-    let mut g = GRAPH.lock();
-    g.edges.clear();
-    g.adj = [[false; NCLASS]; NCLASS];
-    drop(g);
-    REPORTS.lock().clear();
+impl Default for Witness {
+    fn default() -> Self {
+        Witness {
+            graph: Mutex::new(Graph::new()),
+            stats: std::array::from_fn(|_| ClassStat::default()),
+        }
+    }
 }
 
-/// Snapshot of all reports so far.
+/// Snapshot of the reports of the calling thread's executor (none for a
+/// thread in no executor).
 pub fn reports() -> Vec<LockdepReport> {
-    REPORTS.lock().clone()
-}
-
-fn push_report(report: LockdepReport) {
-    let mut reports = REPORTS.lock();
-    // Dedupe on (kind, class pair): one witness per rule violation keeps
-    // a 200-way wave's report readable.
-    if reports.iter().any(|r| {
-        r.kind == report.kind
-            && r.held_class == report.held_class
-            && r.acquired_class == report.acquired_class
-    }) {
-        return;
-    }
-    reports.push(report);
+    with_witness(|w| w.graph.lock().reports.clone()).unwrap_or_default()
 }
 
 fn site_str(loc: &'static Location<'static>) -> String {
     format!("{}:{}", loc.file(), loc.line())
 }
 
-/// Records an acquisition of `class` in `mode` at the caller's
-/// source location. Returns a token that must live for the duration of
-/// the hold; dropping it pops the per-thread held stack. Returns `None`
-/// (and does nothing) while the witness is disabled.
+/// Records an acquisition of `class` in `mode` at the caller's source
+/// location into the witness of the calling thread's executor. Returns a
+/// token that must live for the duration of the hold; dropping it pops
+/// the per-thread held stack.
 #[track_caller]
 #[inline]
-pub fn acquire(class: LockClass, mode: Mode) -> Option<HeldToken> {
-    if !is_enabled() {
-        return None;
-    }
-    Some(acquire_slow(class, mode, Location::caller()))
-}
-
-fn acquire_slow(class: LockClass, mode: Mode, site: &'static Location<'static>) -> HeldToken {
+pub fn acquire(class: LockClass, mode: Mode) -> HeldToken {
+    let entry = HeldEntry {
+        class,
+        mode,
+        site: Location::caller(),
+    };
     HELD.with(|held| {
         let mut held = held.borrow_mut();
-        check_hierarchy(&held, class, site);
-        record_edges(&held, class, mode, site);
-        let acq_id = NEXT_ACQ_ID.fetch_add(1, Ordering::Relaxed);
-        held.push(HeldEntry {
-            class,
-            mode,
-            site,
-            acq_id,
-        });
-        HeldToken {
-            acq_id,
-            _not_send: std::marker::PhantomData,
+        // A first lock has nothing to be ordered against.
+        if !held.is_empty() {
+            with_witness(|w| w.graph.lock().record(&held, entry));
         }
-    })
+        held.push(entry);
+    });
+    HeldToken {
+        entry,
+        _not_send: std::marker::PhantomData,
+    }
 }
 
-/// Hierarchy check against the current held stack.
-fn check_hierarchy(held: &[HeldEntry], class: LockClass, site: &'static Location) {
-    for h in held {
-        if let (Some((hd, hl)), Some((nd, nl))) = (h.class.hierarchy(), class.hierarchy()) {
-            if hd == nd && nl < hl {
-                push_report(LockdepReport {
-                    kind: ReportKind::HierarchyViolation,
-                    held_class: h.class,
-                    acquired_class: class,
-                    held_site: site_str(h.site),
-                    acquire_site: site_str(site),
-                    detail: format!(
-                        "{} is level {} of its domain but level-{} {} is already held \
-                         (child-before-parent inversion)",
-                        class, nl, hl, h.class
-                    ),
-                });
+impl Graph {
+    fn new() -> Self {
+        Graph {
+            edges: BTreeMap::new(),
+            adj: [0; NCLASS],
+            reports: Vec::new(),
+        }
+    }
+
+    /// One blocking path `from → … → to`, if `to` is reachable from
+    /// `from` over blocking edges.
+    fn path(&self, from: usize, to: usize) -> Option<Vec<usize>> {
+        // `prev[m]` is the node `m` was reached from.
+        let mut prev = [from; NCLASS];
+        let mut seen = 1u64 << from;
+        let mut stack = vec![from];
+        while let Some(n) = stack.pop() {
+            if n == to {
+                let mut path = vec![to];
+                while path[path.len() - 1] != from {
+                    path.push(prev[path[path.len() - 1]]);
+                }
+                path.reverse();
+                return Some(path);
+            }
+            let mut next = self.adj[n] & !seen;
+            seen |= next;
+            while next != 0 {
+                let m = next.trailing_zeros() as usize;
+                next &= next - 1;
+                prev[m] = n;
+                stack.push(m);
             }
         }
+        None
     }
-}
 
-/// Adds acquired-while-held edges and runs cycle detection on new
-/// blocking edges.
-fn record_edges(held: &[HeldEntry], class: LockClass, mode: Mode, site: &'static Location) {
-    if held.is_empty() {
-        return;
-    }
-    let blocking = mode == Mode::Exclusive;
-    let to = class.index();
-    let mut graph = GRAPH.lock();
-    for h in held {
-        let from = h.class.index();
-        if from == to {
-            // Same-class nesting (e.g. parent state under the parent
-            // rwlock wrapper, per-frame sequences) carries no class-level
-            // ordering information.
-            continue;
+    /// Checks a new acquisition against the held stack: the hierarchy
+    /// rule, then acquired-while-held edges with cycle detection on new
+    /// blocking ones.
+    fn record(&mut self, held: &[HeldEntry], new: HeldEntry) {
+        for h in held {
+            self.check_hierarchy(h, new);
         }
-        let entry = graph.edges.entry((from, to));
-        match entry {
-            std::collections::hash_map::Entry::Occupied(mut e) => {
-                e.get_mut().count += 1;
-                if blocking && !e.get().blocking {
-                    e.get_mut().blocking = true;
-                } else {
-                    continue;
+        let blocking = new.mode == Mode::Exclusive;
+        let to = new.class.index();
+        for h in held {
+            let from = h.class.index();
+            if from == to {
+                // Same-class nesting (e.g. parent state under the parent
+                // rwlock wrapper, per-frame sequences) carries no
+                // class-level ordering information.
+                continue;
+            }
+            match self.edges.entry((from, to)) {
+                Entry::Occupied(mut e) => {
+                    let e = e.get_mut();
+                    e.count += 1;
+                    if !blocking || e.blocking {
+                        continue;
+                    }
+                    e.blocking = true;
+                }
+                Entry::Vacant(e) => {
+                    e.insert(EdgeInfo {
+                        count: 1,
+                        blocking,
+                        holder_site: h.site,
+                        acquire_site: new.site,
+                    });
+                    if !blocking {
+                        continue;
+                    }
                 }
             }
-            std::collections::hash_map::Entry::Vacant(e) => {
-                e.insert(EdgeInfo {
-                    count: 1,
-                    blocking,
-                    holder_site: h.site,
-                    acquire_site: site,
-                });
+            // New blocking edge from → to: a path to → … → from means a
+            // cycle.
+            if let Some(path) = self.path(to, from) {
+                let back_witness = path
+                    .windows(2)
+                    .next()
+                    .and_then(|w| self.edges.get(&(w[0], w[1])))
+                    .map(|e| {
+                        format!(
+                            " (return edge held at {}, acquired at {})",
+                            site_str(e.holder_site),
+                            site_str(e.acquire_site)
+                        )
+                    })
+                    .unwrap_or_default();
+                let cycle: Vec<&str> = std::iter::once(h.class.name())
+                    .chain(path.iter().map(|&i| LockClass::ALL[i].name()))
+                    .collect();
+                let detail = format!("lock-order cycle {}{}", cycle.join(" -> "), back_witness);
+                self.report(ReportKind::PotentialDeadlock, h, new, detail);
+            }
+            self.adj[from] |= 1 << to;
+        }
+    }
+
+    /// Acquiring a lower level while a deeper one of the same domain is
+    /// held is a child-before-parent inversion.
+    fn check_hierarchy(&mut self, h: &HeldEntry, new: HeldEntry) {
+        if let (Some((hd, hl)), Some((nd, nl))) = (h.class.hierarchy(), new.class.hierarchy()) {
+            if hd == nd && nl < hl {
+                let detail = format!(
+                    "{} is level {} of its domain but level-{} {} is already held \
+                     (child-before-parent inversion)",
+                    new.class, nl, hl, h.class
+                );
+                self.report(ReportKind::HierarchyViolation, h, new, detail);
             }
         }
-        if !blocking {
-            continue;
+    }
+
+    fn report(&mut self, kind: ReportKind, h: &HeldEntry, new: HeldEntry, detail: String) {
+        // Dedupe on (kind, class pair): one witness per rule violation
+        // keeps a 200-way wave's report readable.
+        if self
+            .reports
+            .iter()
+            .any(|r| r.kind == kind && r.held_class == h.class && r.acquired_class == new.class)
+        {
+            return;
         }
-        // New blocking edge from → to: a path to → … → from means a cycle.
-        if graph.reaches(to, from) {
-            let path = graph.path(to, from);
-            let back_witness = path
-                .windows(2)
-                .next()
-                .and_then(|w| graph.edges.get(&(w[0], w[1])))
-                .map(|e| {
-                    format!(
-                        " (return edge held at {}, acquired at {})",
-                        site_str(e.holder_site),
-                        site_str(e.acquire_site)
-                    )
-                })
-                .unwrap_or_default();
-            let cycle: Vec<&str> = std::iter::once(h.class.name())
-                .chain(path.iter().map(|&i| LockClass::ALL[i].name()))
-                .collect();
-            push_report(LockdepReport {
-                kind: ReportKind::PotentialDeadlock,
-                held_class: h.class,
-                acquired_class: class,
-                held_site: site_str(h.site),
-                acquire_site: site_str(site),
-                detail: format!("lock-order cycle {}{}", cycle.join(" -> "), back_witness),
-            });
-        }
-        graph.adj[from][to] = true;
+        self.reports.push(LockdepReport {
+            kind,
+            held_class: h.class,
+            acquired_class: new.class,
+            held_site: site_str(h.site),
+            acquire_site: site_str(new.site),
+            detail,
+        });
     }
 }
 
@@ -623,7 +499,7 @@ fn record_edges(held: &[HeldEntry], class: LockClass, mode: Mode, site: &'static
 /// Must be dropped on the acquiring thread (it is `!Send`); guards of the
 /// instrumented wrappers carry it automatically.
 pub struct HeldToken {
-    acq_id: u64,
+    entry: HeldEntry,
     _not_send: std::marker::PhantomData<*const ()>,
 }
 
@@ -632,21 +508,30 @@ impl Drop for HeldToken {
         HELD.with(|held| {
             let mut held = held.borrow_mut();
             // Guards may drop out of LIFO order; search from the top.
-            if let Some(pos) = held.iter().rposition(|h| h.acq_id == self.acq_id) {
+            if let Some(pos) = held.iter().rposition(|h| h.same(&self.entry)) {
                 held.remove(pos);
             }
         });
     }
 }
 
-/// DOT rendering of the acquired-while-held class graph. Blocking edges
-/// are solid, shared-acquisition edges dashed; labels carry counts.
+/// The graph edges and the reports of the calling thread's executor.
+type Snapshot = (BTreeMap<(usize, usize), EdgeInfo>, Vec<LockdepReport>);
+
+fn snapshot() -> Snapshot {
+    with_witness(|w| {
+        let g = w.graph.lock();
+        (g.edges.clone(), g.reports.clone())
+    })
+    .unwrap_or_default()
+}
+
+/// DOT rendering of the acquired-while-held class graph of the calling
+/// thread's executor. Blocking edges are solid, shared-acquisition edges
+/// dashed; labels carry counts.
 pub fn graph_dot() -> String {
-    let graph = GRAPH.lock();
     let mut out = String::from("digraph lockdep {\n  rankdir=LR;\n  node [shape=box];\n");
-    let mut edges: Vec<(&(usize, usize), &EdgeInfo)> = graph.edges.iter().collect();
-    edges.sort_by_key(|(k, _)| **k);
-    for (&(from, to), info) in edges {
+    for ((from, to), info) in snapshot().0 {
         out.push_str(&format!(
             "  \"{}\" -> \"{}\" [label=\"{}\"{}];\n",
             LockClass::ALL[from].name(),
@@ -659,12 +544,10 @@ pub fn graph_dot() -> String {
     out
 }
 
-/// JSON rendering of the graph plus all reports (the `lockgraph.json`
-/// of `fastiovctl observe`).
+/// JSON rendering of the graph plus all reports of the calling thread's
+/// executor (the `lockgraph.json` of `fastiovctl observe`).
 pub fn graph_json() -> String {
-    let graph = GRAPH.lock();
-    let mut edges: Vec<(&(usize, usize), &EdgeInfo)> = graph.edges.iter().collect();
-    edges.sort_by_key(|(k, _)| **k);
+    let (edges, reports) = snapshot();
     let mut out = String::from("{\n  \"edges\": [\n");
     for (i, (&(from, to), info)) in edges.iter().enumerate() {
         out.push_str(&format!(
@@ -679,9 +562,7 @@ pub fn graph_json() -> String {
             if i + 1 == edges.len() { "" } else { "," }
         ));
     }
-    drop(graph);
     out.push_str("  ],\n  \"reports\": [\n");
-    let reports = reports();
     for (i, r) in reports.iter().enumerate() {
         out.push_str(&format!(
             "    {{\"kind\": \"{}\", \"held_class\": \"{}\", \"acquired_class\": \"{}\", \
@@ -712,9 +593,8 @@ pub struct LockSnapshot {
     pub contended: u64,
 }
 
-/// One class's counters, alone on a cache line so that hot classes do
-/// not false-share.
-#[repr(align(64))]
+/// One class's counters.
+#[derive(Default)]
 struct ClassStat {
     acquisitions: AtomicU64,
     contended: AtomicU64,
@@ -722,28 +602,22 @@ struct ClassStat {
     hold_ns: AtomicU64,
 }
 
-#[allow(clippy::declare_interior_mutable_const)] // Only a repeat-expression seed.
-const CLASS_STAT_INIT: ClassStat = ClassStat {
-    acquisitions: AtomicU64::new(0),
-    contended: AtomicU64::new(0),
-    wait_ns: AtomicU64::new(0),
-    hold_ns: AtomicU64::new(0),
-};
-
-static CLASS_STATS: [ClassStat; NCLASS] = [CLASS_STAT_INIT; NCLASS];
-
 impl LockClass {
-    /// Process-wide totals of every acquisition of a lock of this class
-    /// since start-up. Counters only grow; diff two reads to measure a
-    /// phase.
+    /// Totals of every acquisition of a lock of this class on the
+    /// calling thread's executor since its clock was created; zero on a
+    /// thread in no executor. Counters only grow; diff two reads to
+    /// measure a phase.
     pub fn stats(self) -> LockSnapshot {
-        let s = &CLASS_STATS[self.index()];
-        LockSnapshot {
-            wait_ns: s.wait_ns.load(Ordering::Relaxed),
-            hold_ns: s.hold_ns.load(Ordering::Relaxed),
-            acquisitions: s.acquisitions.load(Ordering::Relaxed),
-            contended: s.contended.load(Ordering::Relaxed),
-        }
+        with_witness(|w| {
+            let s = &w.stats[self.index()];
+            LockSnapshot {
+                wait_ns: s.wait_ns.load(Ordering::Relaxed),
+                hold_ns: s.hold_ns.load(Ordering::Relaxed),
+                acquisitions: s.acquisitions.load(Ordering::Relaxed),
+                contended: s.contended.load(Ordering::Relaxed),
+            }
+        })
+        .unwrap_or_default()
     }
 }
 
@@ -757,9 +631,12 @@ struct HoldTimer {
 
 impl HoldTimer {
     fn record(&self) {
-        CLASS_STATS[self.class.index()]
-            .hold_ns
-            .fetch_add(self.since.elapsed_ns(), Ordering::Relaxed);
+        let ns = self.since.elapsed_ns();
+        with_witness(|w| {
+            w.stats[self.class.index()]
+                .hold_ns
+                .fetch_add(ns, Ordering::Relaxed)
+        });
     }
 }
 
@@ -790,15 +667,19 @@ fn take<'a>(
     mode: Mode,
     site: &'static Location<'static>,
 ) -> (RawHold<'a>, HoldTimer) {
-    let stat = &CLASS_STATS[class.index()];
-    stat.acquisitions.fetch_add(1, Ordering::Relaxed);
-    if !lock.try_lock(mode) {
+    let waited = (!lock.try_lock(mode)).then(|| {
         let waited = WallStopwatch::start();
         lock.lock(mode, class, site);
-        stat.contended.fetch_add(1, Ordering::Relaxed);
-        stat.wait_ns
-            .fetch_add(waited.elapsed_ns(), Ordering::Relaxed);
-    }
+        waited.elapsed_ns()
+    });
+    with_witness(|w| {
+        let stat = &w.stats[class.index()];
+        stat.acquisitions.fetch_add(1, Ordering::Relaxed);
+        if let Some(ns) = waited {
+            stat.contended.fetch_add(1, Ordering::Relaxed);
+            stat.wait_ns.fetch_add(ns, Ordering::Relaxed);
+        }
+    });
     let hold = HoldTimer {
         class,
         since: WallStopwatch::start(),
@@ -826,7 +707,7 @@ pub struct TrackedMutexGuard<'a, T: ?Sized> {
     // interleaving the other way could let a sibling acquisition observe
     // a stale "held" entry that the lock has already released. The hold
     // timer likewise stops before the release.
-    _dep: Option<HeldToken>,
+    _dep: HeldToken,
     hold: HoldTimer,
     raw: RawHold<'a>,
     data: &'a UnsafeCell<T>,
@@ -849,8 +730,8 @@ impl<T> TrackedMutex<T> {
 }
 
 impl<T: ?Sized> TrackedMutex<T> {
-    /// Acquires the lock, counting it in the class statistics and
-    /// recording it when the witness is enabled.
+    /// Acquires the lock, recording it in the witness and the class
+    /// statistics of the calling thread's executor.
     #[track_caller]
     pub fn lock(&self) -> TrackedMutexGuard<'_, T> {
         let site = Location::caller();
@@ -927,7 +808,7 @@ unsafe impl<T: ?Sized + Send + Sync> Sync for TrackedRwLock<T> {}
 
 /// Guard of [`TrackedRwLock::read`].
 pub struct TrackedReadGuard<'a, T: ?Sized> {
-    _dep: Option<HeldToken>,
+    _dep: HeldToken,
     _hold: HoldTimer,
     _raw: RawHold<'a>,
     data: &'a UnsafeCell<T>,
@@ -935,7 +816,7 @@ pub struct TrackedReadGuard<'a, T: ?Sized> {
 
 /// Guard of [`TrackedRwLock::write`].
 pub struct TrackedWriteGuard<'a, T: ?Sized> {
-    _dep: Option<HeldToken>,
+    _dep: HeldToken,
     _hold: HoldTimer,
     _raw: RawHold<'a>,
     data: &'a UnsafeCell<T>,
@@ -1071,44 +952,18 @@ impl TrackedCondvar {
     }
 }
 
-/// Global witness state is process-wide; serializes the tests that reset
-/// it, inspect it, or record known-bad orders.
-#[cfg(test)]
-pub(crate) static TEST_GATE: Mutex<()> = Mutex::new(());
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use parking_lot::MutexGuard;
+    use crate::{spawn, Clock};
+    use std::time::Duration;
 
-    fn fresh() -> MutexGuard<'static, ()> {
-        let g = TEST_GATE.lock();
-        enable();
-        reset();
-        g
-    }
-
-    #[test]
-    fn disabled_witness_records_nothing() {
-        let _g = TEST_GATE.lock();
-        disable();
-        reset();
-        let a = TrackedMutex::new(LockClass::Test, 0u32);
-        let b = TrackedMutex::new(LockClass::PoolSlots, 0u32);
-        let _ga = a.lock();
-        let _gb = b.lock();
-        drop((_ga, _gb));
-        assert!(reports().is_empty());
-        assert_eq!(
-            graph_dot(),
-            "digraph lockdep {\n  rankdir=LR;\n  node [shape=box];\n}\n"
-        );
-        enable();
-    }
+    // Each test starts its own clock, so the witness and counters it
+    // reads are its own.
 
     #[test]
     fn cycle_between_two_classes_reported() {
-        let _g = fresh();
+        let _clock = Clock::new_virtual(1.0);
         let a = TrackedMutex::new(LockClass::PoolSlots, ());
         let b = TrackedMutex::new(LockClass::CgroupRegistry, ());
         {
@@ -1130,7 +985,7 @@ mod tests {
 
     #[test]
     fn hierarchy_inversion_reported() {
-        let _g = fresh();
+        let _clock = Clock::new_virtual(1.0);
         let parent = TrackedRwLock::new(LockClass::DevsetParent, ());
         let child = TrackedMutex::new(LockClass::DevsetChild, ());
         {
@@ -1151,8 +1006,23 @@ mod tests {
     }
 
     #[test]
+    fn a_thread_in_no_executor_records_nothing() {
+        let seen = std::thread::spawn(|| {
+            let parent = TrackedRwLock::new(LockClass::DevsetParent, ());
+            let child = TrackedMutex::new(LockClass::DevsetChild, ());
+            let _c = child.lock();
+            let _p = parent.write();
+            (reports().len(), graph_dot(), LockClass::DevsetChild.stats())
+        })
+        .join()
+        .expect("plain thread");
+        let empty = "digraph lockdep {\n  rankdir=LR;\n  node [shape=box];\n}\n";
+        assert_eq!(seen, (0, empty.to_string(), LockSnapshot::default()));
+    }
+
+    #[test]
     fn shared_read_cycle_is_not_a_deadlock() {
-        let _g = fresh();
+        let _clock = Clock::new_virtual(1.0);
         // child(x) then members(read); members(read) then child(x) —
         // the devset open/reset pattern. Readers don't block readers, so
         // no report.
@@ -1172,7 +1042,7 @@ mod tests {
 
     #[test]
     fn graph_exports_name_sites() {
-        let _g = fresh();
+        let _clock = Clock::new_virtual(1.0);
         let a = TrackedMutex::new(LockClass::IommuTable, ());
         let b = TrackedMutex::new(LockClass::IommuTlb, ());
         {
@@ -1186,119 +1056,101 @@ mod tests {
         assert!(json.contains("lockdep.rs"), "{json}");
     }
 
-    // The lock-statistics tests below each use a class that no other test
-    // in this binary takes, so their exact counts hold under parallel
-    // test threads.
-
     #[test]
     fn uncontended_acquisitions_count_without_wait() {
-        let class = LockClass::KvmVm;
-        let before = class.stats();
-        let m = TrackedMutex::new(class, 0u32);
+        let _clock = Clock::new_virtual(1.0);
+        let m = TrackedMutex::new(LockClass::Test, 0u32);
         for _ in 0..5 {
             *m.lock() += 1;
         }
-        let after = class.stats();
-        assert_eq!(after.acquisitions - before.acquisitions, 5);
-        assert_eq!(after.contended, before.contended);
-        assert_eq!(after.wait_ns, before.wait_ns);
+        let s = LockClass::Test.stats();
+        assert_eq!((s.acquisitions, s.contended, s.wait_ns), (5, 0, 0));
     }
 
     #[test]
     fn contended_acquisition_records_wait() {
-        let class = LockClass::CniNns;
-        let before = class.stats();
-        let m = std::sync::Arc::new(TrackedMutex::new(class, ()));
-        let barrier = std::sync::Arc::new(std::sync::Barrier::new(2));
-        let holder = {
-            let m = std::sync::Arc::clone(&m);
-            let barrier = std::sync::Arc::clone(&barrier);
-            std::thread::spawn(move || {
-                let _g = m.lock();
-                barrier.wait();
-                std::thread::sleep(std::time::Duration::from_millis(20));
-            })
-        };
-        // The holder owns the lock once the barrier opens, so the
-        // try-lock fast path must fail.
-        barrier.wait();
+        let clock = Clock::new_virtual(1.0);
+        let m = Arc::new(TrackedMutex::new(LockClass::Test, ()));
+        let (c, held) = (clock.clone(), Arc::clone(&m));
+        let holder = spawn(&clock, "holder", move || {
+            let _g = held.lock();
+            c.sleep(Duration::from_millis(20));
+        });
+        // The holder takes the lock while the driver sleeps, so the
+        // driver's try-lock fast path must fail.
+        clock.sleep(Duration::from_millis(1));
         drop(m.lock());
-        holder.join().unwrap();
-        let after = class.stats();
-        assert_eq!(after.acquisitions - before.acquisitions, 2);
-        assert_eq!(after.contended - before.contended, 1);
-        assert!(after.wait_ns > before.wait_ns);
+        holder.join().expect("holder");
+        let s = LockClass::Test.stats();
+        assert_eq!((s.acquisitions, s.contended), (2, 1));
+        assert!(s.wait_ns > 0);
     }
 
     #[test]
     fn hold_is_recorded_for_lock_read_and_write() {
-        let hold = std::time::Duration::from_millis(2);
+        let _clock = Clock::new_virtual(1.0);
+        let hold = Duration::from_millis(2);
         let ns = hold.as_nanos() as u64;
 
-        let class = LockClass::NicTx;
-        let before = class.stats();
-        let m = TrackedMutex::new(class, ());
+        let m = TrackedMutex::new(LockClass::Test, ());
         {
             let _g = m.lock();
             std::thread::sleep(hold);
         }
-        assert!(class.stats().hold_ns - before.hold_ns >= ns);
+        assert!(LockClass::Test.stats().hold_ns >= ns);
 
         let class = LockClass::NicDma;
-        let before = class.stats();
         let rw = TrackedRwLock::new(class, ());
         {
             let _r = rw.read();
             std::thread::sleep(hold);
         }
         let after_read = class.stats();
-        assert!(after_read.hold_ns - before.hold_ns >= ns);
+        assert!(after_read.hold_ns >= ns);
         {
             let _w = rw.write();
             std::thread::sleep(hold);
         }
         let after_write = class.stats();
         assert!(after_write.hold_ns - after_read.hold_ns >= ns);
-        assert_eq!(after_write.acquisitions - before.acquisitions, 2);
+        assert_eq!(after_write.acquisitions, 2);
     }
 
     #[test]
     fn condvar_parking_is_not_hold() {
-        let class = LockClass::GuestNet;
-        let before = class.stats();
-        let parked = std::time::Duration::from_millis(200);
-        let shared = std::sync::Arc::new((TrackedMutex::new(class, false), TrackedCondvar::new()));
-        let barrier = std::sync::Arc::new(std::sync::Barrier::new(2));
-        let waiter = {
-            let shared = std::sync::Arc::clone(&shared);
-            let barrier = std::sync::Arc::clone(&barrier);
-            std::thread::spawn(move || {
-                barrier.wait();
-                let sw = WallStopwatch::start();
-                let (m, cv) = &*shared;
-                let mut ready = m.lock();
-                while !*ready {
-                    cv.wait(&mut ready);
-                }
-                sw.elapsed()
-            })
-        };
-        barrier.wait();
+        let clock = Clock::new_virtual(1.0);
+        let parked = Duration::from_millis(100);
+        let shared = Arc::new((
+            TrackedMutex::new(LockClass::Test, false),
+            TrackedCondvar::new(),
+        ));
+        let s = Arc::clone(&shared);
+        let waiter = spawn(&clock, "waiter", move || {
+            let sw = WallStopwatch::start();
+            let (m, cv) = &*s;
+            let mut ready = m.lock();
+            while !*ready {
+                cv.wait(&mut ready);
+            }
+            sw.elapsed()
+        });
+        // The waiter parks on the condvar while the driver sleeps, then
+        // stays parked for `parked` of real time.
+        clock.sleep(Duration::from_millis(1));
         std::thread::sleep(parked);
         let (m, cv) = &*shared;
         *m.lock() = true;
         cv.notify_all();
-        let waited = waiter.join().unwrap();
-        let after = class.stats();
+        let waited = waiter.join().expect("waiter");
+        let s = LockClass::Test.stats();
         assert!(waited >= parked / 2, "waiter never parked: {waited:?}");
-        assert_eq!(after.acquisitions - before.acquisitions, 2);
-        let hold = std::time::Duration::from_nanos(after.hold_ns - before.hold_ns);
+        assert_eq!(s.acquisitions, 2);
+        let hold = Duration::from_nanos(s.hold_ns);
         assert!(hold < parked / 2, "parked time counted as hold: {hold:?}");
     }
 
     #[test]
     fn out_of_order_guard_drop_keeps_stack_consistent() {
-        let _g = fresh();
         let a = TrackedMutex::new(LockClass::Test, ());
         let b = TrackedMutex::new(LockClass::AppStorage, ());
         let ga = a.lock();

@@ -416,7 +416,7 @@ impl DevsetManager {
     }
 
     /// Wait/hold totals of the devset parent lock class, across every
-    /// devset.
+    /// devset of the calling thread's clock.
     pub fn lock_stats(&self) -> fastiov_simtime::LockSnapshot {
         fastiov_simtime::LockClass::DevsetParent.stats()
     }

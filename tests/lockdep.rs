@@ -1,44 +1,39 @@
-//! Lock-discipline witness driven through the whole stack (ISSUE 5).
+//! Lock-discipline witness driven through the whole stack.
 //!
 //! The unit tests in `fastiov-simtime` exercise the witness mechanics in
-//! isolation; these check the two contracts the repo relies on. Negative:
+//! isolation; these check the contracts the repo relies on. Negative:
 //! a deliberately inverted acquisition (child before parent) must produce
 //! a report naming *both* acquisition sites, because a report without the
 //! partner site is not actionable. Positive:
 //! a full 200-way launch wave under both lock policies — `Coarse` via the
 //! vanilla baseline, `Hierarchical` via FastIOV — must produce none.
+//! Isolation: each clock owns its witness and lock counters, so hosts on
+//! different threads see only their own.
+//!
+//! Each test starts its own clock (directly or by building a host), so
+//! the witness it reads is its own.
 
 use fastiov_repro::hostmem::addr::units::gib;
-use fastiov_repro::simtime::lockdep::{self, LockClass, ReportKind};
-use fastiov_repro::simtime::{TrackedMutex, TrackedRwLock};
+use fastiov_repro::simtime::lockdep::{self, LockClass, LockdepReport, ReportKind};
+use fastiov_repro::simtime::{Clock, TrackedMutex, TrackedRwLock};
 use fastiov_repro::{Baseline, ExperimentConfig};
-use std::sync::Mutex;
 
-/// The witness keeps one process-global graph and report list, so the
-/// tests in this binary serialize on this gate and wipe the state before
-/// driving it. Held stacks are per-thread and drain as guards drop.
-static GATE: Mutex<()> = Mutex::new(());
-
-fn fresh() -> std::sync::MutexGuard<'static, ()> {
-    let g = GATE.lock().unwrap_or_else(|e| e.into_inner());
-    lockdep::enable();
-    lockdep::reset();
-    g
-}
-
-#[test]
-fn child_before_parent_reports_both_sites() {
-    let _g = fresh();
-    // Standalone locks carrying the real devset classes: acquiring the
-    // level-1 child first and then the level-0 parent is the inversion
-    // `ParentChildLock` exists to make impossible (§4.2.1). Two separate
-    // instances cannot actually deadlock, so the test is safe to run.
+/// Takes a per-device child lock and then the devset parent: the
+/// inversion `ParentChildLock` exists to make impossible (§4.2.1). Two
+/// separate instances cannot actually deadlock, so this is safe to run.
+fn invert_child_and_parent() {
     let child = TrackedMutex::new(LockClass::DevsetChild, ());
     let parent = TrackedRwLock::new(LockClass::DevsetParent, ());
     let held_child = child.lock();
     let inverted = parent.write();
     drop(inverted);
     drop(held_child);
+}
+
+#[test]
+fn child_before_parent_reports_both_sites() {
+    let _clock = Clock::new_virtual(1.0);
+    invert_child_and_parent();
 
     let reports = lockdep::reports();
     let r = reports
@@ -59,11 +54,28 @@ fn child_before_parent_reports_both_sites() {
     assert!(r.detail.contains("child-before-parent"), "{}", r.detail);
 }
 
+#[test]
+fn an_inversion_on_one_clock_leaves_another_clocks_reports_empty() {
+    let _clock = Clock::new_virtual(1.0);
+    let other = std::thread::spawn(|| {
+        let _clock = Clock::new_virtual(1.0);
+        invert_child_and_parent();
+        lockdep::reports().len()
+    });
+    assert_eq!(other.join().expect("inverting thread"), 1);
+    let reports = lockdep::reports();
+    assert!(reports.is_empty(), "{reports:?}");
+}
+
+/// Every class's (acquisitions, contended) and the witness reports of
+/// one 200-way wave on a fresh host, read on the host's driver thread.
+type LockTable = (Vec<(u64, u64)>, Vec<String>);
+
 /// One full launch wave at the paper's headline concurrency with the
 /// witness recording every acquisition. The test host gets enough VFs and
 /// memory for 200 smoke-sized guests; the lock behavior under scrutiny is
 /// identical to the paper configuration.
-fn witnessed_wave(baseline: Baseline) {
+fn witnessed_wave(baseline: Baseline) -> LockTable {
     let conc = 200;
     let mut cfg = ExperimentConfig::smoke(baseline, conc);
     cfg.host.total_vfs = conc as u16;
@@ -77,27 +89,45 @@ fn witnessed_wave(baseline: Baseline) {
     if let Some(pool) = engine.pool() {
         pool.wait_idle();
     }
+    let counts = LockClass::ALL
+        .iter()
+        .map(|c| c.stats())
+        .map(|s| (s.acquisitions, s.contended))
+        .collect();
     let reports = lockdep::reports();
+    (
+        counts,
+        reports.iter().map(LockdepReport::to_string).collect(),
+    )
+}
+
+fn assert_report_free(baseline: Baseline) {
+    let (_, reports) = witnessed_wave(baseline);
     assert!(
         reports.is_empty(),
         "{} wave produced lock-discipline reports:\n{}",
         baseline.label(),
-        reports
-            .iter()
-            .map(|r| r.to_string())
-            .collect::<Vec<_>>()
-            .join("\n")
+        reports.join("\n")
     );
 }
 
 #[test]
 fn coarse_200_way_wave_is_report_free() {
-    let _g = fresh();
-    witnessed_wave(Baseline::Vanilla);
+    assert_report_free(Baseline::Vanilla);
 }
 
 #[test]
 fn hierarchical_200_way_wave_is_report_free() {
-    let _g = fresh();
-    witnessed_wave(Baseline::FastIov);
+    assert_report_free(Baseline::FastIov);
+}
+
+#[test]
+fn two_hosts_at_once_each_count_what_they_count_alone() {
+    let on_a_thread = |b| std::thread::spawn(move || witnessed_wave(b));
+    let alone = [Baseline::Vanilla, Baseline::FastIov].map(|b| on_a_thread(b).join().unwrap());
+    let together = [Baseline::Vanilla, Baseline::FastIov]
+        .map(on_a_thread)
+        .map(|t| t.join().unwrap());
+    assert_ne!(alone[0].0, alone[1].0, "the two lock policies count alike");
+    assert_eq!(together, alone);
 }
