@@ -10,7 +10,7 @@
 use crate::storage::{NetworkedStorage, StorageServer};
 use crate::workloads::{Workload, WorkloadOutput};
 use crate::{AppError, Result};
-use fastiov_engine::{Engine, PodHandle};
+use fastiov_engine::{vm_id, Engine, PodHandle};
 use fastiov_hostmem::Gpa;
 use fastiov_simtime::{LockClass, TrackedMutex};
 use std::collections::HashMap;
@@ -97,7 +97,7 @@ pub fn run_serverless_task(
     // `run_pod` scopes its own spans to the VM but that scope ends when it
     // returns; re-establish it here so the application phases of the task
     // land on the same timeline row as the startup.
-    let _vm_scope = host.tracer.vm_scope(1000 + u64::from(index));
+    let _vm_scope = host.tracer.vm_scope(vm_id(index));
     let t0 = clock.now();
 
     // Container startup (t_config + t_attach).

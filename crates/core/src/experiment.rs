@@ -3,7 +3,7 @@
 use crate::baseline::Baseline;
 use crate::{Error, Result};
 use fastiov_apps::{run_serverless_concurrent, AppKind, StorageServer, TaskResult};
-use fastiov_engine::{Engine, EngineParams, LaunchSummary, StartupReport, Summary};
+use fastiov_engine::{vm_id, Engine, EngineParams, LaunchSummary, StartupReport, Summary};
 use fastiov_faults::FaultConfig;
 use fastiov_hostmem::addr::units::mib;
 use fastiov_microvm::{stages, Host, HostParams};
@@ -163,7 +163,7 @@ pub fn run_startup_experiment(cfg: &ExperimentConfig) -> Result<StartupRunResult
 /// Runs one launch wave on a fresh host: `prepare` sees the host first,
 /// every started pod is torn down, and the warm pool (if any) is drained
 /// before returning the host, the wave's summary and the VM ids of the
-/// pods that started (`1000 + launch index`, the id their spans carry),
+/// pods that started ([`vm_id`], the id their spans carry),
 /// in ascending order.
 pub fn run_wave(
     cfg: &ExperimentConfig,
@@ -174,7 +174,7 @@ pub fn run_wave(
     let outcome = engine.launch_concurrent(cfg.concurrency);
     let mut started = Vec::new();
     for pod in outcome.pods.iter().flatten() {
-        started.push(1000 + u64::from(pod.index));
+        started.push(vm_id(pod.index));
         let _ = engine.teardown_pod(pod);
     }
     if let Some(pool) = engine.pool() {

@@ -146,6 +146,11 @@ impl StartupReport {
     }
 }
 
+/// The VM id of launch `index`: its hypervisor's pid and its spans' VM.
+pub fn vm_id(index: u32) -> u64 {
+    1000 + u64::from(index)
+}
+
 /// A started pod: the microVM plus its network state.
 pub struct PodHandle {
     /// Container index.
@@ -348,11 +353,11 @@ impl Engine {
         // Attribute everything this thread does for the pod — including
         // spans opened deep inside vfio/iommu/fastiovd/nic — to its VM,
         // under one root span covering the whole startup.
-        let _vm_scope = self.host.tracer.vm_scope(1000 + u64::from(index));
+        let pid = vm_id(index);
+        let _vm_scope = self.host.tracer.vm_scope(pid);
         let _launch_span = self.host.tracer.span("launch");
         if let Some(pool) = &self.pool {
             if let Some(mut warm) = pool.claim() {
-                let pid = 1000 + u64::from(index);
                 // Health check of the claimed VM. Keyed by the claiming
                 // pod, not the pool VM: pod identity is stable across
                 // runs, pod-to-VM assignment order is not.
@@ -439,7 +444,7 @@ impl Engine {
     /// pooled microVM did all that off the critical path. What remains is
     /// per-pod identity: cgroup, namespace, interface move, IP, MAC/VLAN.
     fn run_pod_warm(&self, index: u32, warm: WarmVm) -> Result<PodHandle> {
-        let pid = 1000 + index as u64;
+        let pid = vm_id(index);
         let mut log = StageLog::begin(&self.host.tracer);
         let started = log.started();
 
@@ -499,7 +504,7 @@ impl Engine {
 
     /// The cold path: full Fig. 4 launch sequence.
     fn run_pod_cold(&self, index: u32) -> Result<PodHandle> {
-        let pid = 1000 + index as u64;
+        let pid = vm_id(index);
         let mut log = StageLog::begin(&self.host.tracer);
         let started = log.started();
 
@@ -641,9 +646,9 @@ impl Engine {
     /// memory; pool-claimed pods hand the microVM back to the pool, which
     /// wipes and re-parks it on the replenisher thread.
     pub fn teardown_pod(&self, pod: &PodHandle) -> Result<()> {
+        let pid = vm_id(pod.index);
         if let (Some(pool_pid), Some(pool)) = (pod.pool_pid, &self.pool) {
             if let Some(CniResult::Passthrough { vf, netdev, .. }) = &pod.cni {
-                let pid = 1000 + pod.index as u64;
                 self.nns.destroy(pid).map_err(LaunchError::Cni)?;
                 self.cgroups.remove(pid);
                 pool.recycle(WarmVm {
@@ -668,7 +673,6 @@ impl Engine {
                 .teardown(&self.host, result)
                 .map_err(LaunchError::Cni)?;
         }
-        let pid = 1000 + pod.index as u64;
         self.nns.destroy(pid).map_err(LaunchError::Cni)?;
         self.cgroups.remove(pid);
         Ok(())

@@ -23,8 +23,8 @@ pub mod sustain;
 
 pub use cgroup::CgroupManager;
 pub use engine::{
-    Engine, EngineParams, LaunchOutcome, LaunchSummary, PodHandle, PodNetworking, StartupReport,
-    VmOptions,
+    vm_id, Engine, EngineParams, LaunchOutcome, LaunchSummary, PodHandle, PodNetworking,
+    StartupReport, VmOptions,
 };
 pub use recovery::RecoveryPolicy;
 pub use stats::Summary;

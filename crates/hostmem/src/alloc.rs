@@ -626,8 +626,13 @@ impl PhysMemory {
 
 impl Drop for PhysMemory {
     /// Resets the frame table (dropping written contents, as freeing it
-    /// would) and keeps it as the spare, replacing any older one.
+    /// would) and keeps it as the spare, replacing any older one. A pooled
+    /// simulation worker frees it instead: it never exits, so a spare kept
+    /// on it would never be freed.
     fn drop(&mut self) {
+        if fastiov_simtime::on_worker_thread() {
+            return;
+        }
         let mut frames = std::mem::take(&mut self.state.lock().frames);
         for (i, frame) in frames.iter_mut().enumerate() {
             *frame = fresh_frame(self.page, i);
@@ -882,6 +887,28 @@ mod tests {
         // Unowned and unpinned: a new owner can take and free every frame.
         let r = m.alloc_frames(13, 2).unwrap();
         m.free_ranges(&r, 2).unwrap();
+    }
+
+    #[test]
+    fn a_pooled_worker_keeps_no_spare_frame_table() {
+        let clock = Clock::new_virtual(1.0);
+        let c = clock.clone();
+        let worker = fastiov_simtime::spawn(&clock, "dropper", move || {
+            drop(PhysMemory::new(
+                MemCosts::for_tests(c),
+                PageSize::Size2M,
+                11,
+            ));
+            take_spare_frames(PageSize::Size2M, 11).is_none()
+        });
+        assert!(worker.join().expect("dropper"), "a worker kept the table");
+        // The driver, which builds host after host, keeps it.
+        drop(PhysMemory::new(
+            MemCosts::for_tests(clock),
+            PageSize::Size2M,
+            11,
+        ));
+        assert!(take_spare_frames(PageSize::Size2M, 11).is_some());
     }
 
     #[test]

@@ -93,10 +93,10 @@ impl AdminQueue {
     /// the timeline.
     pub fn submit(&self, vf: &Vf, cmd: AdminCmd) -> AdminReply {
         let _span = self.tracer.read().as_ref().map(|t| t.span("nic.admin"));
-        // The FairSemaphore(1) is a lock in all but name; report it so
-        // ordering against real locks is witnessed.
+        // The FairSemaphore(1) is a lock in all but name: the witness
+        // orders it against real locks and the lock statistics count it.
         let _dep = lockdep::acquire(LockClass::NicMailbox, Mode::Exclusive);
-        let _g = self.sem.acquire();
+        let _g = self.sem.acquire_counted(LockClass::NicMailbox);
         self.clock.sleep(self.service_for(cmd));
         self.submitted.fetch_add(1, Ordering::Relaxed);
         match cmd {
@@ -504,5 +504,8 @@ mod tests {
         // 8 commands of 1 s each, one at a time.
         assert_eq!(clock.now().duration_since(t0), Duration::from_secs(8));
         assert!(clock.is_virtual());
+        // The first submitter finds the mailbox free; the other seven queue.
+        let stats = LockClass::NicMailbox.stats();
+        assert_eq!((stats.acquisitions, stats.contended), (8, 7));
     }
 }

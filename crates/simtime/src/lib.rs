@@ -10,10 +10,10 @@
 //!
 //! Every host runs on a *virtual* clock ([`Clock::new_virtual`]) with its
 //! own discrete-event executor. The driver — the thread that built the
-//! host — and the threads started with [`spawn`] take turns holding one
-//! baton: one runs at a time, and it hands the baton on at each blocking
-//! point (a sleep, a tracked lock, condvar or semaphore wait, a channel
-//! receive, a join). When no thread can run, time jumps to the earliest
+//! host — and the tasks started with [`spawn`], each on a pooled OS
+//! thread, take turns holding one baton: one runs at a time, and it
+//! hands the baton on at each blocking point (a sleep, a tracked lock,
+//! condvar or semaphore wait, a channel receive, a join). When no thread can run, time jumps to the earliest
 //! pending sleep. Simulated time is therefore exact and independent of
 //! the machine: a wave costs the simulator's CPU time, not its simulated
 //! seconds. Should a thread outside the simulation sleep on or spawn
@@ -44,7 +44,7 @@ mod wall;
 
 pub use channel::{channel, Receiver, RecvError, SendError, Sender};
 pub use clock::{Clock, SimInstant};
-pub use exec::{spawn, spawn_daemon, ExecStats, JoinHandle};
+pub use exec::{on_worker_thread, spawn, spawn_daemon, ExecStats, JoinHandle};
 pub use lockdep::{
     LockClass, LockSnapshot, LockdepReport, TrackedCondvar, TrackedMutex, TrackedMutexGuard,
     TrackedReadGuard, TrackedRwLock, TrackedWriteGuard,

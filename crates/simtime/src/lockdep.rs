@@ -291,6 +291,12 @@ std::thread_local! {
     static HELD: RefCell<Vec<HeldEntry>> = const { RefCell::new(Vec::new()) };
 }
 
+/// Empties the calling thread's held stack, for a worker between tasks
+/// (a task that leaked a guard leaves its entry behind).
+pub(crate) fn clear_held() {
+    HELD.with_borrow_mut(Vec::clear);
+}
+
 #[derive(Clone, Copy)]
 struct HeldEntry {
     class: LockClass,
@@ -621,6 +627,20 @@ impl LockClass {
     }
 }
 
+/// Counts one acquisition of `class` in the statistics of the calling
+/// thread's executor, contended if it had to wait, for `waited` real
+/// nanoseconds.
+pub(crate) fn count(class: LockClass, waited: Option<u64>) {
+    with_witness(|w| {
+        let stat = &w.stats[class.index()];
+        stat.acquisitions.fetch_add(1, Ordering::Relaxed);
+        if let Some(ns) = waited {
+            stat.contended.fetch_add(1, Ordering::Relaxed);
+            stat.wait_ns.fetch_add(ns, Ordering::Relaxed);
+        }
+    });
+}
+
 /// The running hold time of one acquisition; adds it to its class's
 /// `hold_ns` when dropped. Declared before the lock hold it times, so
 /// that it stops just before the lock is released.
@@ -672,14 +692,7 @@ fn take<'a>(
         lock.lock(mode, class, site);
         waited.elapsed_ns()
     });
-    with_witness(|w| {
-        let stat = &w.stats[class.index()];
-        stat.acquisitions.fetch_add(1, Ordering::Relaxed);
-        if let Some(ns) = waited {
-            stat.contended.fetch_add(1, Ordering::Relaxed);
-            stat.wait_ns.fetch_add(ns, Ordering::Relaxed);
-        }
-    });
+    count(class, waited);
     let hold = HoldTimer {
         class,
         since: WallStopwatch::start(),

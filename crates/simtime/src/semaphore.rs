@@ -10,6 +10,7 @@
 //! clock's executor.
 
 use crate::exec::{current_slot, Slot, Wait, WaitOn};
+use crate::lockdep::{self, LockClass};
 use parking_lot::Mutex;
 use std::collections::VecDeque;
 use std::panic::Location;
@@ -69,22 +70,39 @@ impl FairSemaphore {
     /// the FIFO queue, then returns a guard that releases on drop.
     #[track_caller]
     pub fn acquire(self: &Arc<Self>) -> SemaphoreGuard {
+        self.take(Location::caller()).0
+    }
+
+    /// [`acquire`](Self::acquire) for a semaphore that serves as a lock of
+    /// `class`: the acquisition is counted in the class's lock statistics,
+    /// contended if it had to queue (its wait is not timed).
+    #[track_caller]
+    pub fn acquire_counted(self: &Arc<Self>, class: LockClass) -> SemaphoreGuard {
+        let (guard, queued) = self.take(Location::caller());
+        lockdep::count(class, queued.then_some(0));
+        guard
+    }
+
+    /// Acquires a permit, waiting at `site` if it has to queue; true if it
+    /// queued.
+    fn take(self: &Arc<Self>, site: &'static Location<'static>) -> (SemaphoreGuard, bool) {
         let me = current_slot();
         {
             let mut st = self.state.lock();
             if st.available > 0 && st.queue.is_empty() {
                 st.available -= 1;
                 st.served += 1;
-                return SemaphoreGuard {
+                let guard = SemaphoreGuard {
                     sem: Arc::clone(self),
                 };
+                return (guard, false);
             }
             st.queue.push_back(Arc::clone(&me));
             st.max_queue = st.max_queue.max(st.queue.len());
         }
         let wait = Wait {
             on: WaitOn::Semaphore,
-            site: Location::caller(),
+            site,
         };
         // Woken only once a releaser has handed us its permit.
         me.block(wait, || {
@@ -93,9 +111,10 @@ impl FairSemaphore {
             st.queue.retain(|s| !Arc::ptr_eq(s, &me));
             st.queue.len() < before
         });
-        SemaphoreGuard {
+        let guard = SemaphoreGuard {
             sem: Arc::clone(self),
-        }
+        };
+        (guard, true)
     }
 
     /// Acquires a permit only if one is free *and* no one is queued.

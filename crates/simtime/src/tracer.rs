@@ -118,6 +118,12 @@ struct TraceTls {
     tracks: Vec<(u64, u32)>,
 }
 
+/// Drops the calling thread's trace state, for a worker between tasks:
+/// the next task's first span opens a fresh track.
+pub(crate) fn clear_thread() {
+    TLS.with_borrow_mut(|t| *t = TraceTls::default());
+}
+
 /// A span recorder shared by every component of a simulated host.
 ///
 /// Cheap to clone (an `Arc` internally) and created disabled: components
