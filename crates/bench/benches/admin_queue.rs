@@ -24,6 +24,7 @@ fn build(n_vfs: u16) -> (Clock, Arc<PfDriver>) {
             admin_service: Duration::from_millis(15),
             ..fastiov::nic::pf::PfCosts::for_tests()
         },
+        fastiov::faults::FaultPlane::disabled(),
     )
     .unwrap();
     pf.create_vfs(n_vfs).unwrap();

@@ -15,7 +15,12 @@ fn build(policy: LockPolicy, vfs: u8) -> (Clock, Arc<DevsetManager>) {
         Duration::from_micros(20),
         Duration::from_millis(1),
     );
-    let mgr = DevsetManager::new(Arc::clone(&bus), policy, Duration::from_millis(5));
+    let mgr = DevsetManager::new(
+        Arc::clone(&bus),
+        policy,
+        Duration::from_millis(5),
+        fastiov::faults::FaultPlane::disabled(),
+    );
     for i in 0..vfs {
         let dev = PciDevice::new(
             Bdf::new(3, i, 0),

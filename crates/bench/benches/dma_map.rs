@@ -24,7 +24,11 @@ fn setup(fragment: bool) -> (Arc<PhysMemory>, Arc<VfioContainer>) {
         Duration::from_nanos(300),
         64,
     );
-    let container = VfioContainer::new(iommu.create_domain(PageSize::Size2M), aspace);
+    let container = VfioContainer::new(
+        iommu.create_domain(PageSize::Size2M),
+        aspace,
+        fastiov::faults::FaultPlane::disabled(),
+    );
     (mem, container)
 }
 

@@ -33,7 +33,7 @@ fn build(hook: bool) -> Arc<Vm> {
     })
     .unwrap();
     if hook {
-        let d = Fastiovd::new(clock, mem);
+        let d = Fastiovd::new(clock, mem, fastiov::faults::FaultPlane::disabled());
         d.register_pages(1, &ranges);
         vm.set_fault_hook(d as Arc<dyn EptFaultHook>);
     }

@@ -1,7 +1,8 @@
-//! The tracer's Chrome trace JSON carries each span's wall-clock time
-//! and is *not* reproducible, but its canonical structural digest — which
-//! VMs ran which spans at which depths, how many times — must be
-//! byte-identical across same-config runs.
+//! The tracer's canonical structural digest — which VMs ran which spans
+//! at which depths, how many times — must be byte-identical across
+//! same-config runs. (The Chrome trace JSON carries no wall-clock figure
+//! either, so on a virtual clock it repeats byte for byte too; that is
+//! checked in `tests/trace.rs`.)
 
 use fastiov::{Baseline, ExperimentConfig};
 

@@ -199,20 +199,14 @@ impl VfProvider for DevicePlugin {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fastiov_pci::PciBus;
-    use fastiov_simtime::Clock;
-    use std::time::Duration;
+    use fastiov_microvm::{Host, HostParams};
+    use fastiov_vfio::LockPolicy;
 
     fn plugin(vfs: u16) -> Arc<DevicePlugin> {
-        let clock = Clock::new_virtual(1e-5);
-        let bus = PciBus::new(
-            clock.clone(),
-            Duration::from_micros(10),
-            Duration::from_millis(1),
-        );
-        let pf = PfDriver::new(clock, bus, 3, 256, fastiov_nic::pf::PfCosts::for_tests()).unwrap();
-        pf.create_vfs(vfs).unwrap();
-        DevicePlugin::discover("intel.com/sriov_vf", &pf)
+        let mut params = HostParams::for_tests();
+        params.total_vfs = vfs;
+        let host = Host::new(params, LockPolicy::Hierarchical).unwrap();
+        DevicePlugin::discover("intel.com/sriov_vf", &host.pf)
     }
 
     #[test]

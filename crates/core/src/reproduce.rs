@@ -19,7 +19,7 @@ use crate::{
 };
 use fastiov_apps::AppKind;
 use fastiov_engine::SustainedConfig;
-use fastiov_faults::FaultConfig;
+use fastiov_faults::{FaultConfig, FaultPlane};
 use fastiov_hostmem::addr::units::{gib, mib};
 use fastiov_hostmem::{AddressSpace, Gpa, Iova, MemCosts, PageSize, PhysMemory};
 use fastiov_iommu::Iommu;
@@ -236,7 +236,7 @@ fn fragmentation_case(page: PageSize, frag_stride: Option<usize>, guest_bytes: u
         Duration::from_micros(1),
         64,
     );
-    let container = VfioContainer::new(iommu.create_domain(page), aspace);
+    let container = VfioContainer::new(iommu.create_domain(page), aspace, FaultPlane::disabled());
     let hva = container
         .address_space()
         .mmap("ram", guest_bytes)

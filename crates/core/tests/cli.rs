@@ -1,8 +1,9 @@
 //! `fastiovctl` as a process: a missing or extra argument, an unknown
 //! flag and a flag without its value are usage errors (exit 1 with the
 //! usage), never panics; an unknown row id is named; `run` prints a
-//! row's metrics; two `observe` runs of a row write the same bytes; and
-//! `observe` on a fault row reconciles the pods that started.
+//! row's metrics; two `observe` runs of a fault-free row write the same
+//! bytes and take no fault-plane lock; and `observe` on a fault row
+//! reconciles the pods that started.
 
 use std::path::PathBuf;
 use std::process::Command;
@@ -96,7 +97,7 @@ fn two_observe_runs_of_a_row_write_the_same_bytes() {
             std::env::temp_dir().join(format!("fastiovctl-observe-{}-{run}", std::process::id()));
         let out = dir.to_str().expect("utf-8 temp dir");
         let (code, stdout, stderr) =
-            fastiovctl(&["observe", "calibrate.fastiov@200", "--out", out]);
+            fastiovctl(&["observe", "calibrate.vanilla@200", "--out", out]);
         assert_eq!(code, Some(0), "{stderr}");
         // Masks the output directory, which one line names.
         (dir.clone(), stdout.replace(out, "DIR"))
@@ -105,6 +106,11 @@ fn two_observe_runs_of_a_row_write_the_same_bytes() {
     let (b, b_stdout) = observe("b");
     assert_eq!(a_stdout, b_stdout);
     assert!(a_stdout.contains("200/200 pods started"), "{a_stdout}");
+    // Components hold their fault plane from construction, and a disabled
+    // plane takes no lock.
+    let locks = a_stdout.split("lock class").nth(1).expect("lock table");
+    assert!(locks.contains("\ndevset-parent "), "{a_stdout}");
+    assert!(!locks.contains("\nfault-plane "), "{a_stdout}");
     for name in ["trace.json", "lockgraph.dot", "lockgraph.json"] {
         let body = std::fs::read_to_string(a.join(name)).expect(name);
         assert!(!body.is_empty(), "{name} is empty");

@@ -361,16 +361,11 @@ impl Engine {
                 // Health check of the claimed VM. Keyed by the claiming
                 // pod, not the pool VM: pod identity is stable across
                 // runs, pod-to-VM assignment order is not.
-                if self.host.faults.is_enabled() {
-                    if let Err(_unhealthy) =
-                        self.host
-                            .faults
-                            .check(sites::WARM_CLAIM, pid, &self.host.clock)
-                    {
-                        self.host.faults.note_fallback(sites::WARM_CLAIM);
-                        pool.evict(warm);
-                        return self.run_pod_cold_recovering(index);
-                    }
+                let faults = &self.host.faults;
+                if let Err(_unhealthy) = faults.check(sites::WARM_CLAIM, pid, &self.host.clock) {
+                    faults.note_fallback(sites::WARM_CLAIM);
+                    pool.evict(warm);
+                    return self.run_pod_cold_recovering(index);
                 }
                 warm.tenant = Some(pid);
                 return self.run_pod_warm(index, warm);

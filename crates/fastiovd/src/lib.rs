@@ -21,9 +21,7 @@
 use fastiov_faults::{sites, FaultPlane};
 use fastiov_hostmem::{FrameId, FrameRange, Hpa, PhysMemory};
 use fastiov_kvm::EptFaultHook;
-use fastiov_simtime::{
-    Clock, LockClass, LockSnapshot, SimInstant, Tracer, TrackedMutex, TrackedRwLock,
-};
+use fastiov_simtime::{Clock, LockClass, LockSnapshot, SimInstant, TrackedMutex, TrackedRwLock};
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -83,20 +81,17 @@ pub struct Fastiovd {
     instantly_zeroed: AtomicU64,
     registered: AtomicU64,
     scrub_running: AtomicBool,
-    /// Fault plane consulted when the DMA-map path registers pages. Read
-    /// on the hot path (RwLock, never write-contended after setup) and
-    /// skipped entirely while `faults_enabled` is false.
-    faults: TrackedRwLock<Arc<FaultPlane>>,
-    faults_enabled: AtomicBool,
-    /// Span tracer for the registration and instant-zero paths. The
-    /// per-page EPT-fault path is deliberately *not* traced: its span
-    /// count depends on guest touch order and it is far too hot.
-    tracer: TrackedRwLock<Option<Tracer>>,
+    /// Fault plane consulted when the DMA-map path registers pages.
+    faults: Arc<FaultPlane>,
 }
 
 impl Fastiovd {
-    /// Loads the module.
-    pub fn new(clock: Clock, mem: Arc<PhysMemory>) -> Arc<Self> {
+    /// Loads the module, consulting `faults` when pages are registered.
+    ///
+    /// The registration and instant-zero paths open spans on the clock's
+    /// tracer. The per-page EPT-fault path is deliberately *not* traced:
+    /// its span count depends on guest touch order and it is far too hot.
+    pub fn new(clock: Clock, mem: Arc<PhysMemory>, faults: Arc<FaultPlane>) -> Arc<Self> {
         Arc::new(Fastiovd {
             mem,
             clock,
@@ -107,25 +102,8 @@ impl Fastiovd {
             instantly_zeroed: AtomicU64::new(0),
             registered: AtomicU64::new(0),
             scrub_running: AtomicBool::new(false),
-            faults: TrackedRwLock::new(LockClass::FaultPlane, FaultPlane::disabled()),
-            faults_enabled: AtomicBool::new(false),
-            tracer: TrackedRwLock::new(LockClass::TracerSlot, None),
+            faults,
         })
-    }
-
-    /// Installs the span tracer for the registration paths.
-    pub fn set_tracer(&self, tracer: Tracer) {
-        *self.tracer.write() = Some(tracer);
-    }
-
-    /// Installs the fault plane for the registration path.
-    pub fn set_fault_plane(&self, plane: Arc<FaultPlane>) {
-        // Swap the plane before publishing the enabled flag: a concurrent
-        // registration that observes `faults_enabled == true` must never
-        // read the old (disabled) plane and silently skip its check.
-        let enabled = plane.is_enabled();
-        *self.faults.write() = plane;
-        self.faults_enabled.store(enabled, Ordering::Release);
     }
 
     /// The simulation clock the module runs on.
@@ -167,22 +145,14 @@ impl Fastiovd {
     /// than the pool VM's pid, because pod-to-pool-VM assignment depends
     /// on thread interleaving while the tenant set does not.
     pub fn register_pages_keyed(&self, pid: u64, fault_key: u64, ranges: &[FrameRange]) -> bool {
-        let _span = self
-            .tracer
-            .read()
-            .as_ref()
-            .map(|t| t.span("fastiovd.register"));
-        // The enabled flag is an atomic so the common (fault-free) case
-        // takes no lock at all here.
-        if self.faults_enabled.load(Ordering::Acquire) {
-            let plane = Arc::clone(&self.faults.read());
-            if plane
-                .check(sites::SCRUB_REGISTER, fault_key, &self.clock)
-                .is_err()
-            {
-                plane.note_fallback(sites::SCRUB_REGISTER);
-                return false;
-            }
+        let _span = self.clock.tracer().span("fastiovd.register");
+        if self
+            .faults
+            .check(sites::SCRUB_REGISTER, fault_key, &self.clock)
+            .is_err()
+        {
+            self.faults.note_fallback(sites::SCRUB_REGISTER);
+            return false;
         }
         let table = self.vm_table(pid);
         let now = self.clock.now();
@@ -222,11 +192,7 @@ impl Fastiovd {
     /// are zeroed now (charged) and removed from tracking so a later EPT
     /// fault will not wipe the hypervisor's data.
     pub fn instant_zero(&self, pid: u64, ranges: &[FrameRange]) -> fastiov_hostmem::Result<()> {
-        let _span = self
-            .tracer
-            .read()
-            .as_ref()
-            .map(|t| t.span("fastiovd.instant-zero"));
+        let _span = self.clock.tracer().span("fastiovd.instant-zero");
         let table = self.vm_table(pid);
         {
             let mut t = table.lock();
@@ -426,9 +392,13 @@ mod tests {
     use fastiov_hostmem::{MemCosts, PageSize};
 
     fn setup() -> (Arc<PhysMemory>, Arc<Fastiovd>) {
+        setup_with(FaultPlane::disabled())
+    }
+
+    fn setup_with(faults: Arc<FaultPlane>) -> (Arc<PhysMemory>, Arc<Fastiovd>) {
         let clock = Clock::new_virtual(1e-5);
         let mem = PhysMemory::new(MemCosts::for_tests(clock.clone()), PageSize::Size2M, 64);
-        let d = Fastiovd::new(clock, Arc::clone(&mem));
+        let d = Fastiovd::new(clock, Arc::clone(&mem), faults);
         (mem, d)
     }
 
@@ -454,8 +424,7 @@ mod tests {
     #[test]
     fn injected_scrub_failure_refuses_registration() {
         use fastiov_faults::{Effect, FaultPoint, Trigger};
-        let (mem, d) = setup();
-        d.set_fault_plane(FaultPlane::with_points(
+        let (mem, d) = setup_with(FaultPlane::with_points(
             0,
             vec![FaultPoint {
                 site: sites::SCRUB_REGISTER,

@@ -4,7 +4,7 @@ use crate::iotlb::Iotlb;
 use crate::table::{IoPageTable, TableError};
 use crate::{IommuError, Result};
 use fastiov_hostmem::{FrameRange, Hpa, Iova, PageSize, PhysMemory};
-use fastiov_simtime::{Clock, LockClass, LockSnapshot, Tracer, TrackedMutex, TrackedRwLock};
+use fastiov_simtime::{Clock, LockClass, LockSnapshot, TrackedMutex};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -40,8 +40,6 @@ pub struct IommuDomain {
     walk_latency: Duration,
     table: TrackedMutex<IoPageTable>,
     tlb: TrackedMutex<Iotlb>,
-    /// Captured from the owning [`Iommu`] at domain creation.
-    tracer: Option<Tracer>,
     translations: AtomicU64,
     dma_faults: AtomicU64,
 }
@@ -77,7 +75,7 @@ impl IommuDomain {
         // One span per call (not per extent): the extent split depends on
         // allocator interleaving, so a per-call span keeps the trace's
         // structural digest deterministic.
-        let _span = self.tracer.as_ref().map(|t| t.span("iommu.map"));
+        let _span = self.clock.tracer().span("iommu.map");
         let pages: usize = ranges.iter().map(|r| r.count).sum();
         {
             let mut table = self.table.lock();
@@ -117,7 +115,7 @@ impl IommuDomain {
         if !iova.is_aligned(self.page.bytes()) {
             return Err(IommuError::Unaligned(iova));
         }
-        let _span = self.tracer.as_ref().map(|t| t.span("iommu.unmap"));
+        let _span = self.clock.tracer().span("iommu.unmap");
         let start = self.page_no(iova);
         let mut table = self.table.lock();
         // The TLB lock nests inside the table lock (as in the pre-extent
@@ -178,8 +176,6 @@ pub struct Iommu {
     map_per_page: Duration,
     walk_latency: Duration,
     tlb_capacity: usize,
-    /// Tracer captured by domains created after [`Iommu::set_tracer`].
-    tracer: TrackedRwLock<Option<Tracer>>,
     inner: TrackedMutex<IommuInner>,
 }
 
@@ -204,7 +200,6 @@ impl Iommu {
             map_per_page,
             walk_latency,
             tlb_capacity,
-            tracer: TrackedRwLock::new(LockClass::TracerSlot, None),
             inner: TrackedMutex::new(
                 LockClass::IommuRegistry,
                 IommuInner {
@@ -221,13 +216,6 @@ impl Iommu {
         LockClass::IommuTable.stats()
     }
 
-    /// Installs the span tracer. Domains capture the tracer current at
-    /// their creation, so install before the first launch (the host does
-    /// this at construction).
-    pub fn set_tracer(&self, tracer: Tracer) {
-        *self.tracer.write() = Some(tracer);
-    }
-
     /// Creates a translation domain with the given page size.
     pub fn create_domain(&self, page: PageSize) -> Arc<IommuDomain> {
         let mut inner = self.inner.lock();
@@ -241,7 +229,6 @@ impl Iommu {
             walk_latency: self.walk_latency,
             table: TrackedMutex::new(LockClass::IommuTable, IoPageTable::new()),
             tlb: TrackedMutex::new(LockClass::IommuTlb, Iotlb::new(self.tlb_capacity)),
-            tracer: self.tracer.read().clone(),
             translations: AtomicU64::new(0),
             dma_faults: AtomicU64::new(0),
         });
@@ -299,6 +286,19 @@ mod tests {
         let expected = mem.hpa_of(ranges.iter().flat_map(|r| r.iter()).nth(1).unwrap());
         assert_eq!(hpa, Hpa(expected.raw() + 123));
         assert_eq!(dom.stats().mapped_pages, 4);
+    }
+
+    #[test]
+    fn a_bare_domain_records_its_spans_on_the_clocks_tracer() {
+        let (mem, dom) = setup();
+        let tracer = dom.clock.tracer();
+        // Enabled after the domain exists, with nothing installed on it.
+        tracer.enable();
+        let ranges = mem.alloc_frames(2, 1).unwrap();
+        dom.map_range(Iova(0), &ranges, &mem).unwrap();
+        dom.unmap_range(Iova(0), 2).unwrap();
+        let names: Vec<String> = tracer.spans().into_iter().map(|s| s.name).collect();
+        assert_eq!(names, ["iommu.map", "iommu.unmap"]);
     }
 
     #[test]

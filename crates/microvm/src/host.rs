@@ -49,9 +49,10 @@ pub struct Host {
     /// The fault-injection plane shared by every instrumented layer.
     /// Disabled (a no-op) unless built via [`Host::with_faults`].
     pub faults: Arc<FaultPlane>,
-    /// The per-launch span tracer shared by every instrumented layer.
-    /// Created disabled; `fastiovctl observe` and tests call
-    /// `tracer.enable()` before launching.
+    /// The per-launch span tracer of the host's clock (`clock.tracer()`),
+    /// which every instrumented layer reaches through its clock. Created
+    /// disabled; `fastiovctl observe`, the benchmark's traced runs and
+    /// tests call `tracer.enable()` before launching.
     pub tracer: Tracer,
     /// The host-global virtiofsd lock serializing device setup.
     virtiofsd_lock: Arc<FairSemaphore>,
@@ -82,7 +83,6 @@ impl Host {
         faults: Arc<FaultPlane>,
     ) -> Result<Arc<Self>> {
         let clock = Clock::new_virtual(params.time_scale);
-        let tracer = Tracer::new(clock.clone());
         let cpu = CpuPool::new(clock.clone(), params.host_cores);
         let membw =
             FairShareBandwidth::new(clock.clone(), params.membw_total, params.membw_stream_cap);
@@ -104,12 +104,12 @@ impl Host {
             params.iommu_walk,
             params.iotlb_capacity,
         );
-        iommu.set_tracer(tracer.clone());
-        let vfio = DevsetManager::new(Arc::clone(&bus), vfio_policy, params.vfio_open_overhead);
-        vfio.set_tracer(tracer.clone());
-        if faults.is_enabled() {
-            vfio.set_fault_plane(Arc::clone(&faults));
-        }
+        let vfio = DevsetManager::new(
+            Arc::clone(&bus),
+            vfio_policy,
+            params.vfio_open_overhead,
+            Arc::clone(&faults),
+        );
         let pf = PfDriver::new(
             clock.clone(),
             Arc::clone(&bus),
@@ -124,11 +124,8 @@ impl Host {
                 admin_config_service: params.admin_config_service,
                 admin_service: params.admin_service,
             },
+            Arc::clone(&faults),
         )?;
-        pf.set_tracer(tracer.clone());
-        if faults.is_enabled() {
-            pf.set_fault_plane(Arc::clone(&faults));
-        }
         pf.create_vfs(params.total_vfs)?;
         let line = FairShareBandwidth::new(
             clock.clone(),
@@ -139,11 +136,7 @@ impl Host {
         let irq = crate::irq::IrqRouter::new(clock.clone(), params.irq_relay);
         dma.set_interrupt_sink(Arc::clone(&irq) as Arc<dyn fastiov_nic::InterruptSink>);
         let wire = fastiov_nic::Wire::new();
-        let fastiovd = Fastiovd::new(clock.clone(), Arc::clone(&mem));
-        fastiovd.set_tracer(tracer.clone());
-        if faults.is_enabled() {
-            fastiovd.set_fault_plane(Arc::clone(&faults));
-        }
+        let fastiovd = Fastiovd::new(clock.clone(), Arc::clone(&mem), Arc::clone(&faults));
         let virtiofs_bw = FairShareBandwidth::new(
             clock.clone(),
             params.virtiofs_total,
@@ -153,7 +146,6 @@ impl Host {
             FairShareBandwidth::new(clock.clone(), params.sw_net_total, params.sw_net_stream_cap);
         Ok(Arc::new(Host {
             params,
-            clock,
             cpu,
             mem,
             membw,
@@ -168,7 +160,8 @@ impl Host {
             virtiofs_bw,
             sw_net_bw,
             faults,
-            tracer,
+            tracer: clock.tracer().clone(),
+            clock,
             virtiofsd_lock: FairSemaphore::new(1),
         }))
     }

@@ -245,12 +245,7 @@ impl Microvm {
         let mut vf_id = None;
         if let NetworkAttachment::Passthrough(vf) | NetworkAttachment::Vdpa(vf) = net {
             let domain = host.iommu.create_domain(params.page_size);
-            let c = VfioContainer::with_faults(
-                domain,
-                Arc::clone(&aspace),
-                Arc::clone(&host.faults),
-                host.clock.clone(),
-            );
+            let c = VfioContainer::new(domain, Arc::clone(&aspace), Arc::clone(&host.faults));
 
             // Stage 1: DMA-map guest RAM.
             log.stage(stages::DMA_RAM, || -> Result<()> {
@@ -563,11 +558,9 @@ impl Microvm {
             let _ = t.join();
         }
         let host = &self.host;
-        if host.faults.is_enabled() {
-            host.faults
-                .check(fastiov_faults::sites::POOL_RECYCLE, fault_key, &host.clock)
-                .map_err(VmmError::Injected)?;
-        }
+        host.faults
+            .check(fastiov_faults::sites::POOL_RECYCLE, fault_key, &host.clock)
+            .map_err(VmmError::Injected)?;
         let page = host.params.page_size.bytes();
         log.stage(stages::RECYCLE, || -> Result<()> {
             // (1) Drop stale EPT entries over RAM and the image window.

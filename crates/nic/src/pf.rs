@@ -6,7 +6,7 @@ use crate::{vf_bdf, NicError, Result};
 use fastiov_faults::{sites, FaultPlane};
 use fastiov_pci::{DeviceClass, DriverBinding, PciBus, PciDevice, ResetCapability};
 use fastiov_simtime::lockdep::{self, Mode};
-use fastiov_simtime::{Clock, FairSemaphore, LockClass, Tracer, TrackedMutex, TrackedRwLock};
+use fastiov_simtime::{Clock, FairSemaphore, LockClass, TrackedMutex};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -54,8 +54,6 @@ pub struct AdminQueue {
     /// link negotiation, resets) that involve NIC firmware round trips.
     bringup_service: Duration,
     submitted: AtomicU64,
-    /// Span tracer: each submit records queueing + service as one span.
-    tracer: TrackedRwLock<Option<Tracer>>,
 }
 
 impl AdminQueue {
@@ -67,13 +65,7 @@ impl AdminQueue {
             config_service,
             bringup_service,
             submitted: AtomicU64::new(0),
-            tracer: TrackedRwLock::new(LockClass::TracerSlot, None),
         }
-    }
-
-    /// Installs the span tracer for the submit path.
-    pub fn set_tracer(&self, tracer: Tracer) {
-        *self.tracer.write() = Some(tracer);
     }
 
     /// Service time of one command.
@@ -92,7 +84,7 @@ impl AdminQueue {
     /// what makes simultaneous VF bring-up scale badly, so it belongs in
     /// the timeline.
     pub fn submit(&self, vf: &Vf, cmd: AdminCmd) -> AdminReply {
-        let _span = self.tracer.read().as_ref().map(|t| t.span("nic.admin"));
+        let _span = self.clock.tracer().span("nic.admin");
         // The FairSemaphore(1) is a lock in all but name: the witness
         // orders it against real locks and the lock statistics count it.
         let _dep = lockdep::acquire(LockClass::NicMailbox, Mode::Exclusive);
@@ -208,17 +200,19 @@ pub struct PfDriver {
     host_binds: AtomicU64,
     vfio_binds: AtomicU64,
     /// Fault plane consulted during VF link bring-up.
-    faults: TrackedMutex<Arc<FaultPlane>>,
+    faults: Arc<FaultPlane>,
 }
 
 impl PfDriver {
-    /// Probes the PF on `bus_no` of `bus`, registering the PF function.
+    /// Probes the PF on `bus_no` of `bus`, registering the PF function;
+    /// `faults` is consulted during VF link bring-up.
     pub fn new(
         clock: Clock,
         bus: Arc<PciBus>,
         bus_no: u8,
         total_vfs: u16,
         costs: PfCosts,
+        faults: Arc<FaultPlane>,
     ) -> Result<Arc<Self>> {
         let pf = PciDevice::new(
             fastiov_pci::Bdf::new(bus_no, 0, 0),
@@ -241,18 +235,8 @@ impl PfDriver {
             vfs: TrackedMutex::new(LockClass::NicPf, Vec::new()),
             host_binds: AtomicU64::new(0),
             vfio_binds: AtomicU64::new(0),
-            faults: TrackedMutex::new(LockClass::FaultPlane, FaultPlane::disabled()),
+            faults,
         }))
-    }
-
-    /// Installs the fault plane for the link bring-up path.
-    pub fn set_fault_plane(&self, plane: Arc<FaultPlane>) {
-        *self.faults.lock() = plane;
-    }
-
-    /// Installs the span tracer on the admin mailbox.
-    pub fn set_tracer(&self, tracer: Tracer) {
-        self.admin.set_tracer(tracer);
     }
 
     /// Link bring-up gate for `vf`, consulted by the guest VF driver
@@ -261,10 +245,7 @@ impl PfDriver {
     /// of VF assignment order. Injected failures model the link-negotiation
     /// timeouts SR-IOV deployments see under bursty VF churn.
     pub fn link_up(&self, vf: VfId, fault_key: u64) -> Result<()> {
-        let plane = Arc::clone(&self.faults.lock());
-        if plane.is_enabled() {
-            plane.check(sites::VF_LINK, fault_key, &self.clock)?;
-        }
+        self.faults.check(sites::VF_LINK, fault_key, &self.clock)?;
         if !self.vf(vf)?.state().link_up {
             return Err(NicError::BadVfState {
                 vf: vf.0,
@@ -406,7 +387,15 @@ mod tests {
             Duration::from_micros(10),
             Duration::from_millis(1),
         );
-        let pf = PfDriver::new(clock, bus, 3, 256, PfCosts::for_tests()).unwrap();
+        let pf = PfDriver::new(
+            clock,
+            bus,
+            3,
+            256,
+            PfCosts::for_tests(),
+            FaultPlane::disabled(),
+        )
+        .unwrap();
         pf.create_vfs(total).unwrap();
         pf
     }
@@ -485,6 +474,7 @@ mod tests {
                 admin_config_service: Duration::from_millis(1000),
                 ..PfCosts::for_tests()
             },
+            FaultPlane::disabled(),
         )
         .unwrap();
         pf.create_vfs(8).unwrap();

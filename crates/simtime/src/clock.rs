@@ -1,6 +1,7 @@
 //! The simulation clock.
 
 use crate::exec::{Exec, ExecStats};
+use crate::Tracer;
 use std::fmt;
 use std::panic::Location;
 use std::sync::Arc;
@@ -158,6 +159,15 @@ impl Clock {
     /// hand-offs, self-resumes and timer jumps. All zero for a wall clock.
     pub fn exec_stats(&self) -> ExecStats {
         self.exec.stats()
+    }
+
+    /// The span tracer of this clock: one per clock, disabled until
+    /// [`Tracer::enable`], shared by every holder of the clock. A borrowed
+    /// view of the clock, so asking for it costs nothing; clone it to keep
+    /// it.
+    pub fn tracer(&self) -> &Tracer {
+        // SAFETY: `Tracer` is `repr(transparent)` over `Clock`.
+        unsafe { &*(self as *const Clock).cast::<Tracer>() }
     }
 
     pub(crate) fn exec(&self) -> &Arc<Exec> {

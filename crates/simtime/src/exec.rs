@@ -16,11 +16,13 @@
 //!
 //! A thread belongs to one executor at a time: creating a virtual clock
 //! leaves the executor the thread drove or ran on before. Each executor
-//! also owns its clock's lock witness and lock statistics
-//! ([`lockdep`](crate::lockdep)), and a thread records its lock
-//! acquisitions into the executor it belongs to. A task started on a
-//! clock that paces in real time still belongs to it for that purpose,
-//! though it is never scheduled.
+//! also owns its clock's instruments: the lock witness and lock
+//! statistics ([`lockdep`](crate::lockdep)), into which a thread records
+//! the acquisitions it makes while it belongs to the executor, and the
+//! span log of [`Clock::tracer`], into which any thread records the spans
+//! it opens on the clock. A task started on a clock that paces in real
+//! time still belongs to it for the witness's purpose, though it is never
+//! scheduled. A thread's span nesting state belongs to its membership.
 //!
 //! **Pooled workers.** A task runs on a *worker*: an OS thread that runs
 //! tasks one after another, taken from a process-wide stack of idle
@@ -29,10 +31,10 @@
 //! baton moves on, so on a virtual clock the next spawn always finds it,
 //! whatever the OS scheduler does; a worker finding the stack full
 //! ([`MAX_IDLE_WORKERS`]) exits instead. Every task starts with clean
-//! per-thread state: the membership of its own clock only, an empty
-//! lockdep held-lock stack and no tracer state, so its first span opens
-//! a fresh track. The OS thread is named after the worker, not the task;
-//! the task's name appears in deadlock reports.
+//! per-thread state: the membership of its own clock only, with no span
+//! nesting state, so its first span opens a fresh track, and an empty
+//! lockdep held-lock stack. The OS thread is named after the worker, not
+//! the task; the task's name appears in deadlock reports.
 //!
 //! **One core per clock.** Since only the baton holder runs, a virtual
 //! clock's threads are pinned to one CPU (on Linux; elsewhere this is a
@@ -68,6 +70,7 @@
 
 use crate::clock::Clock;
 use crate::lockdep::{LockClass, Mode, Witness};
+use crate::tracer::{ThreadTrace, TraceLog};
 use parking_lot::Mutex;
 use std::cell::{Cell, RefCell};
 use std::collections::{BTreeMap, VecDeque};
@@ -349,6 +352,19 @@ struct Member {
     /// A driver this membership pinned: it gets the allowed set back on
     /// leaving.
     pinned: bool,
+    /// The thread's open spans, VM scopes and tracks: a new membership
+    /// starts without any.
+    trace: ThreadTrace,
+}
+
+impl Member {
+    fn new(slot: Arc<Slot>, pinned: bool) -> Member {
+        Member {
+            slot,
+            pinned,
+            trace: ThreadTrace::default(),
+        }
+    }
 }
 
 impl Drop for Member {
@@ -375,25 +391,28 @@ pub(crate) fn with_witness<R>(f: impl FnOnce(&Witness) -> R) -> Option<R> {
         .flatten()
 }
 
+/// Runs `f` on the calling thread's membership, created standalone (in
+/// no executor) on first use; `None` once the thread's locals are gone.
+fn with_member<R>(f: impl FnOnce(&mut Member) -> R) -> Option<R> {
+    let standalone = || Member::new(Slot::new(None, 0), false);
+    MEMBER
+        .try_with(|m| f(m.borrow_mut().get_or_insert_with(standalone)))
+        .ok()
+}
+
 /// The calling thread's slot, created standalone on first use.
 pub(crate) fn current_slot() -> Arc<Slot> {
-    MEMBER
-        .try_with(|m| {
-            Arc::clone(
-                &m.borrow_mut()
-                    .get_or_insert_with(|| Member {
-                        slot: Slot::new(None, 0),
-                        pinned: false,
-                    })
-                    .slot,
-            )
-        })
-        .unwrap_or_else(|_| Slot::new(None, 0))
+    with_member(|m| Arc::clone(&m.slot)).unwrap_or_else(|| Slot::new(None, 0))
+}
+
+/// Runs `f` on the calling thread's span nesting state.
+pub(crate) fn with_thread_trace<R: Default>(f: impl FnOnce(&mut ThreadTrace) -> R) -> R {
+    with_member(|m| f(&mut m.trace)).unwrap_or_default()
 }
 
 /// Makes `slot` the calling thread's membership, leaving the previous one.
 fn enter(slot: Arc<Slot>, pinned: bool) {
-    let old = MEMBER.with(|m| m.borrow_mut().replace(Member { slot, pinned }));
+    let old = MEMBER.with(|m| m.borrow_mut().replace(Member::new(slot, pinned)));
     drop(old);
 }
 
@@ -457,6 +476,8 @@ pub(crate) struct Exec {
     pin: Option<affinity::CpuSet>,
     /// The lock witness and lock statistics of the clock's threads.
     witness: Witness,
+    /// The spans opened on the clock, by any thread.
+    pub(crate) trace: TraceLog,
 }
 
 impl Exec {
@@ -487,6 +508,7 @@ impl Exec {
             state: Mutex::new(State::default()),
             pin,
             witness: Witness::default(),
+            trace: TraceLog::default(),
         })
     }
 
@@ -992,11 +1014,12 @@ fn work(mut job: Job) {
         };
         leave();
         crate::lockdep::clear_held();
-        crate::tracer::clear_thread();
         if exec.pin.is_some() && !exec.is_virtual() {
             // The fallback may have unpinned this thread.
             affinity::forget();
         }
+        // Waiting for its next job, a worker keeps no clock alive.
+        drop((exec, slot));
         if !idle {
             return;
         }

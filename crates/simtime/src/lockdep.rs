@@ -124,7 +124,7 @@ lock_classes! {
     PoolWorker => "pool-worker",
     /// NIC PF admin mailbox (strictly serialized command channel).
     NicMailbox => "nic-mailbox",
-    /// PF driver registries (VF list, fault-plane slot).
+    /// PF driver VF list.
     NicPf => "nic-pf",
     /// NIC DMA engine state (rings, attachments, irq sink).
     NicDma => "nic-dma",
@@ -150,10 +150,8 @@ lock_classes! {
     GuestNet => "guest-net",
     /// virtio-fs / virtio-net shared state.
     Virtio => "virtio",
-    /// Fault-plane counters and installed-plane slots.
+    /// A fault plane's own per-site counters and statistics.
     FaultPlane => "fault-plane",
-    /// Tracer installation slots (`RwLock<Option<Tracer>>`).
-    TracerSlot => "tracer-slot",
     /// Cgroup registry.
     CgroupRegistry => "cgroup-registry",
     /// Application object storage.

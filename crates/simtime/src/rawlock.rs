@@ -1,12 +1,14 @@
 //! The FIFO reader–writer lock under the tracked lock wrappers.
 //!
 //! A lock is one atomic word, as small as the `std` mutex it replaces:
-//! the workspace keeps one per physical frame. Uncontended acquisitions
-//! and releases are a single compare-and-swap. Waiters queue in a global
-//! table keyed by the lock's address (the `parking_lot` design), and a
-//! release hands the lock straight to the queue head — a writer, or every
-//! reader up to the next writer — so waiters never retry and are served
-//! in arrival order. Waiting goes through [`Slot::block`], which on a
+//! a host at the paper's 256 VFs keeps over a thousand tracked locks
+//! (five per VF across its PCI function, config space, NIC state and
+//! VFIO device, plus one or two per IOMMU domain and fastiovd VM table).
+//! Uncontended acquisitions and releases are a single compare-and-swap.
+//! Waiters queue in a global table keyed by the lock's address (the
+//! `parking_lot` design), and a release hands the lock straight to the
+//! queue head — a writer, or every reader up to the next writer — so
+//! waiters never retry and are served in arrival order. Waiting goes through [`Slot::block`], which on a
 //! virtual clock passes the baton on instead of parking in the OS.
 
 use crate::exec::{current_slot, Slot, Wait, WaitOn};

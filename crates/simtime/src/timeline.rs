@@ -94,7 +94,7 @@ mod tests {
     fn stage_records_interval_and_result() {
         let clock = Clock::new_virtual(1.0);
         clock.sleep(Duration::from_millis(3));
-        let mut log = StageLog::begin(&Tracer::new(clock.clone()));
+        let mut log = StageLog::begin(clock.tracer());
         let v = log.stage("0-cgroup", || {
             clock.sleep(Duration::from_millis(10));
             7
@@ -110,8 +110,8 @@ mod tests {
     #[test]
     fn untraced_stages_record_without_spans() {
         let clock = Clock::new_virtual(1.0);
-        let tracer = Tracer::new(clock.clone());
-        let mut log = StageLog::begin(&tracer);
+        let tracer = clock.tracer();
+        let mut log = StageLog::begin(tracer);
         for _ in 0..3 {
             log.stage("1-dma-ram", || clock.sleep(Duration::from_millis(5)));
         }
@@ -123,9 +123,9 @@ mod tests {
     #[test]
     fn traced_stage_span_matches_record_exactly() {
         let clock = Clock::new_virtual(1.0);
-        let tracer = Tracer::new(clock.clone());
+        let tracer = clock.tracer();
         tracer.enable();
-        let mut log = StageLog::begin(&tracer);
+        let mut log = StageLog::begin(tracer);
         log.stage("4-vfio-dev", || clock.sleep(Duration::from_millis(10)));
         let rec = &log.records()[0];
         let spans = tracer.spans();
@@ -139,9 +139,9 @@ mod tests {
     #[test]
     fn traced_stage_nests_inner_spans() {
         let clock = Clock::new_virtual(1.0);
-        let tracer = Tracer::new(clock.clone());
+        let tracer = clock.tracer();
         tracer.enable();
-        let mut log = StageLog::begin(&tracer);
+        let mut log = StageLog::begin(tracer);
         log.stage("1-dma-ram", || tracer.span("iommu.map").finish());
         let spans = tracer.spans();
         let stage = spans.iter().find(|s| s.name == "1-dma-ram").unwrap();

@@ -9,44 +9,46 @@
 //!
 //! Design points:
 //!
-//! - **Sim-time anchored, wall-clock annotated.** Every span records its
-//!   interval twice: in simulated time (read from the shared [`Clock`],
-//!   identical to what `StageLog` reports) and in raw wall-clock time
-//!   (measured directly with [`Instant`]). The sim component is the
-//!   modelled cost plus any real contention divided by the time scale; the
-//!   wall component is the ground truth of what the host actually spent.
-//!   Comparing the two is how real-clock contamination (scheduler jitter
-//!   leaking into sim-time metrics) is diagnosed instead of guessed at.
+//! - **One tracer per clock.** The span log lives in the clock's executor,
+//!   beside its lock witness; every component reaches it through
+//!   [`Clock::tracer`] on the clock it already holds. A span records into
+//!   the clock it is opened on, whatever thread opens it (a plain
+//!   `std::thread` in no executor included), unlike a lock acquisition.
+//! - **Sim-time anchored.** Every span records its interval in simulated
+//!   time, read from the clock (identical to what `StageLog` reports). It
+//!   also keeps the raw wall-clock interval, from the clock's creation, on
+//!   the [`Span`] only: no export carries it.
 //! - **Nesting is per-thread.** Each thread keeps a stack of its open
-//!   spans; a new span's parent is whatever span the same thread currently
-//!   has open. Cross-thread work (e.g. the asynchronous VF driver init)
-//!   opens root-level spans on its own track.
+//!   spans per clock; a new span's parent is whatever span the same
+//!   thread currently has open on that clock. Cross-thread work (e.g. the
+//!   asynchronous VF driver init) opens root-level spans on its own track.
+//!   The state ends with the thread's executor membership: a task on a
+//!   reused worker, or a driver of a new clock, opens a fresh track.
 //! - **Attribution is two-dimensional:** a *vm* id (set with
 //!   [`Tracer::vm_scope`]; 0 means host/background work such as pool
 //!   replenishment) and a *track* (one per participating thread, assigned
 //!   on first use).
-//! - **Disabled by default, one atomic load when off.** Hosts carry a
-//!   tracer everywhere; only `fastiovctl observe` and tests turn it on,
-//!   so the instrumentation costs nothing on benchmark paths.
+//! - **Disabled by default, one atomic load when off.** Instrumented
+//!   paths open spans unconditionally; only `fastiovctl observe`, the
+//!   benchmark's traced runs (`--trace 1`) and tests turn recording on.
 //!
 //! Two exports:
 //!
 //! - [`Tracer::chrome_trace_json`] — Chrome trace-event JSON (the
 //!   `traceEvents` array format) loadable in `chrome://tracing` or
-//!   Perfetto. Timestamps are simulated microseconds; wall microseconds
-//!   ride along in each event's `args`. Timestamped output is inherently
-//!   schedule-dependent and is **not** part of any determinism guarantee.
+//!   Perfetto. Timestamps are simulated microseconds and no figure is
+//!   wall time, so the same wave on a fresh host renders the same bytes.
 //! - [`Tracer::canonical_json`] — a structural digest (per-VM span
-//!   name/depth counts, no timestamps, no track ids) that *is*
-//!   byte-identical across same-seed runs.
+//!   name/depth counts, no timestamps, no track ids) that is
+//!   byte-identical across same-seed runs even where span timing is not
+//!   (a wall-paced clock).
 
+use crate::exec::with_thread_trace;
 use crate::{Clock, SimInstant};
 use parking_lot::Mutex;
-use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// One completed span.
@@ -54,7 +56,7 @@ use std::time::{Duration, Instant};
 pub struct Span {
     /// Span name, e.g. `"4-vfio-dev"` or `"iommu.map"`.
     pub name: String,
-    /// Owning VM id (`1000 + launch index` by engine convention), or 0 for
+    /// Owning VM id (`fastiov_engine::vm_id` of the launch), or 0 for
     /// host/background work.
     pub vm: u64,
     /// Track (thread) the span ran on; assigned per thread on first use.
@@ -69,9 +71,9 @@ pub struct Span {
     pub sim_start: SimInstant,
     /// Simulated end time.
     pub sim_end: SimInstant,
-    /// Wall-clock start, measured from the tracer's creation.
+    /// Wall-clock start, measured from the clock's creation.
     pub wall_start: Duration,
-    /// Wall-clock end, measured from the tracer's creation.
+    /// Wall-clock end, measured from the clock's creation.
     pub wall_end: Duration,
 }
 
@@ -87,11 +89,11 @@ impl Span {
     }
 }
 
-struct TracerInner {
-    /// Process-unique tracer id, used to key thread-local state so tests
-    /// running several tracers on one thread do not cross-contaminate.
+/// One clock's span log, owned by its executor.
+pub(crate) struct TraceLog {
+    /// Process-unique, never reused: keys this log's entries in a
+    /// thread's [`ThreadTrace`].
     id: u64,
-    clock: Clock,
     origin: Instant,
     enabled: AtomicBool,
     spans: Mutex<Vec<Span>>,
@@ -99,83 +101,74 @@ struct TracerInner {
     next_track: AtomicU32,
 }
 
-static NEXT_TRACER_ID: AtomicU64 = AtomicU64::new(1);
-
-thread_local! {
-    static TLS: RefCell<TraceTls> = RefCell::new(TraceTls::default());
+impl Default for TraceLog {
+    fn default() -> Self {
+        static NEXT_LOG: AtomicU64 = AtomicU64::new(1);
+        TraceLog {
+            id: NEXT_LOG.fetch_add(1, Ordering::Relaxed),
+            origin: Instant::now(),
+            enabled: AtomicBool::new(false),
+            spans: Mutex::new(Vec::new()),
+            next_span: AtomicU32::new(1),
+            next_track: AtomicU32::new(1),
+        }
+    }
 }
 
-/// Per-thread trace state, keyed by tracer id. The vectors are tiny (one
-/// entry per live tracer, a handful of open frames), so linear scans beat
-/// any map.
+/// A thread's trace state, keyed by log id, held by its executor
+/// membership. The vectors are tiny (one entry per clock the thread
+/// traces on, a handful of open frames), so linear scans beat any map.
 #[derive(Default)]
-struct TraceTls {
-    /// Stack of open spans: (tracer id, span id, depth).
+pub(crate) struct ThreadTrace {
+    /// Stack of open spans: (log id, span id, depth).
     frames: Vec<(u64, u32, u32)>,
-    /// Stack of VM scopes: (tracer id, vm).
+    /// Stack of VM scopes: (log id, vm).
     vms: Vec<(u64, u64)>,
-    /// Track assigned to this thread: (tracer id, track).
+    /// Track assigned to this thread: (log id, track).
     tracks: Vec<(u64, u32)>,
 }
 
-/// Drops the calling thread's trace state, for a worker between tasks:
-/// the next task's first span opens a fresh track.
-pub(crate) fn clear_thread() {
-    TLS.with_borrow_mut(|t| *t = TraceTls::default());
-}
-
-/// A span recorder shared by every component of a simulated host.
+/// The span tracer of one clock ([`Clock::tracer`]), shared by every
+/// component of a simulated host.
 ///
-/// Cheap to clone (an `Arc` internally) and created disabled: components
-/// call [`Tracer::span`] unconditionally and pay one atomic load when
-/// tracing is off.
-#[derive(Clone)]
+/// Cheap to clone (a clock handle) and disabled until [`Tracer::enable`]:
+/// components call [`Tracer::span`] unconditionally and pay one atomic
+/// load when tracing is off.
+#[derive(Clone, Debug)]
+#[repr(transparent)]
 pub struct Tracer {
-    inner: Arc<TracerInner>,
+    pub(crate) clock: Clock,
 }
 
 impl Tracer {
-    /// Creates a disabled tracer anchored to `clock`.
-    pub fn new(clock: Clock) -> Self {
-        Tracer {
-            inner: Arc::new(TracerInner {
-                id: NEXT_TRACER_ID.fetch_add(1, Ordering::Relaxed),
-                clock,
-                origin: Instant::now(),
-                enabled: AtomicBool::new(false),
-                spans: Mutex::new(Vec::new()),
-                next_span: AtomicU32::new(1),
-                next_track: AtomicU32::new(1),
-            }),
-        }
+    fn log(&self) -> &TraceLog {
+        &self.clock.exec().trace
     }
 
     /// Turns recording on.
     pub fn enable(&self) {
-        self.inner.enabled.store(true, Ordering::Release);
+        self.log().enabled.store(true, Ordering::Release);
     }
 
     /// Whether spans are currently recorded.
     pub fn is_enabled(&self) -> bool {
-        self.inner.enabled.load(Ordering::Acquire)
+        self.log().enabled.load(Ordering::Acquire)
     }
 
     /// The clock spans are timed against.
     pub fn clock(&self) -> &Clock {
-        &self.inner.clock
+        &self.clock
     }
 
     /// Attributes spans opened by this thread to `vm` until the returned
     /// guard drops. Scopes nest; the innermost wins.
     pub fn vm_scope(&self, vm: u64) -> VmScope {
         if !self.is_enabled() {
-            return VmScope { tracer: None };
+            return VmScope { log: None };
         }
-        let id = self.inner.id;
-        TLS.with(|t| t.borrow_mut().vms.push((id, vm)));
-        VmScope {
-            tracer: Some(self.clone()),
-        }
+        let id = self.log().id;
+        with_thread_trace(|t| t.vms.push((id, vm)));
+        VmScope { log: Some(id) }
     }
 
     /// Opens a span starting "now".
@@ -183,7 +176,7 @@ impl Tracer {
         if !self.is_enabled() {
             return SpanGuard { open: None };
         }
-        self.open_span(name, self.inner.clock.now())
+        self.open_span(name, self.clock.now())
     }
 
     /// Opens a span with an externally read simulated start time, so a
@@ -198,32 +191,31 @@ impl Tracer {
     }
 
     fn open_span(&self, name: &str, sim_start: SimInstant) -> SpanGuard {
-        let inner = &self.inner;
-        let id = inner.next_span.fetch_add(1, Ordering::Relaxed);
-        let (parent, depth, vm, track) = TLS.with(|t| {
-            let mut t = t.borrow_mut();
+        let log = self.log();
+        let id = log.next_span.fetch_add(1, Ordering::Relaxed);
+        let (parent, depth, vm, track) = with_thread_trace(|t| {
             let parent = t
                 .frames
                 .iter()
                 .rev()
-                .find(|f| f.0 == inner.id)
+                .find(|f| f.0 == log.id)
                 .map(|f| (f.1, f.2));
             let vm = t
                 .vms
                 .iter()
                 .rev()
-                .find(|v| v.0 == inner.id)
+                .find(|v| v.0 == log.id)
                 .map_or(0, |v| v.1);
-            let track = match t.tracks.iter().find(|tr| tr.0 == inner.id) {
+            let track = match t.tracks.iter().find(|tr| tr.0 == log.id) {
                 Some(tr) => tr.1,
                 None => {
-                    let tr = inner.next_track.fetch_add(1, Ordering::Relaxed);
-                    t.tracks.push((inner.id, tr));
+                    let tr = log.next_track.fetch_add(1, Ordering::Relaxed);
+                    t.tracks.push((log.id, tr));
                     tr
                 }
             };
             let depth = parent.map_or(0, |(_, d)| d + 1);
-            t.frames.push((inner.id, id, depth));
+            t.frames.push((log.id, id, depth));
             (parent.map(|(p, _)| p), depth, vm, track)
         });
         SpanGuard {
@@ -238,7 +230,7 @@ impl Tracer {
                     depth,
                     sim_start,
                     sim_end: sim_start,
-                    wall_start: inner.origin.elapsed(),
+                    wall_start: log.origin.elapsed(),
                     wall_end: Duration::ZERO,
                 },
             }),
@@ -246,41 +238,32 @@ impl Tracer {
     }
 
     fn close_span(&self, mut span: Span, sim_end: SimInstant) {
+        let log = self.log();
         span.sim_end = sim_end.max(span.sim_start);
-        span.wall_end = self.inner.origin.elapsed();
-        TLS.with(|t| {
-            let mut t = t.borrow_mut();
+        span.wall_end = log.origin.elapsed();
+        with_thread_trace(|t| {
             // Pop this span's frame. Guards are values, so drops normally
-            // run in LIFO order and this is the top frame; a retain keeps
+            // run in LIFO order and this is the top frame; a search keeps
             // the stack consistent even if a guard outlives its scope.
             if let Some(pos) = t
                 .frames
                 .iter()
-                .rposition(|f| f.0 == self.inner.id && f.1 == span.id)
+                .rposition(|f| f.0 == log.id && f.1 == span.id)
             {
                 t.frames.remove(pos);
             }
         });
-        self.inner.spans.lock().push(span);
+        log.spans.lock().push(span);
     }
 
     /// A snapshot of all completed spans, in completion order.
     pub fn spans(&self) -> Vec<Span> {
-        self.inner.spans.lock().clone()
+        self.log().spans.lock().clone()
     }
 
     /// Drops all recorded spans (between experiment phases).
     pub fn clear(&self) {
-        self.inner.spans.lock().clear();
-    }
-
-    /// Completed spans sorted for display: by vm, then track, then start.
-    fn sorted_spans(&self) -> Vec<Span> {
-        let mut spans = self.spans();
-        spans.sort_by(|a, b| {
-            (a.vm, a.track, a.sim_start, a.id).cmp(&(b.vm, b.track, b.sim_start, b.id))
-        });
-        spans
+        self.log().spans.lock().clear();
     }
 
     /// Renders all spans as Chrome trace-event JSON (the `traceEvents`
@@ -291,7 +274,9 @@ impl Tracer {
     /// `args` carries its nesting depth. Every figure is simulated, so the
     /// same wave on a fresh host renders the same bytes.
     pub fn chrome_trace_json(&self) -> String {
-        let spans = self.sorted_spans();
+        let mut spans = self.spans();
+        // By vm, then track, then start.
+        spans.sort_by_key(|s| (s.vm, s.track, s.sim_start, s.id));
         let mut out = String::with_capacity(128 + spans.len() * 160);
         out.push_str("{\"traceEvents\":[");
         let mut first = true;
@@ -375,15 +360,6 @@ impl Tracer {
     }
 }
 
-impl std::fmt::Debug for Tracer {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Tracer")
-            .field("enabled", &self.is_enabled())
-            .field("spans", &self.inner.spans.lock().len())
-            .finish()
-    }
-}
-
 fn escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {
@@ -403,17 +379,16 @@ fn escape(s: &str) -> String {
 /// Guard returned by [`Tracer::vm_scope`]; restores the previous VM
 /// attribution when dropped.
 pub struct VmScope {
-    tracer: Option<Tracer>,
+    /// The id of the tracer's log, if it was enabled.
+    log: Option<u64>,
 }
 
 impl Drop for VmScope {
     fn drop(&mut self) {
-        if let Some(t) = &self.tracer {
-            let id = t.inner.id;
-            TLS.with(|tls| {
-                let mut tls = tls.borrow_mut();
-                if let Some(pos) = tls.vms.iter().rposition(|v| v.0 == id) {
-                    tls.vms.remove(pos);
+        if let Some(id) = self.log {
+            with_thread_trace(|t| {
+                if let Some(pos) = t.vms.iter().rposition(|v| v.0 == id) {
+                    t.vms.remove(pos);
                 }
             });
         }
@@ -433,12 +408,7 @@ pub struct SpanGuard {
 
 impl SpanGuard {
     /// Closes the span at the current simulated time (same as dropping).
-    pub fn finish(mut self) {
-        if let Some(o) = self.open.take() {
-            let end = o.tracer.inner.clock.now();
-            o.tracer.close_span(o.span, end);
-        }
-    }
+    pub fn finish(self) {}
 
     /// Closes the span with an externally read simulated end time, for
     /// callers that share clock readings with another recorder.
@@ -452,7 +422,7 @@ impl SpanGuard {
 impl Drop for SpanGuard {
     fn drop(&mut self) {
         if let Some(o) = self.open.take() {
-            let end = o.tracer.inner.clock.now();
+            let end = o.tracer.clock.now();
             o.tracer.close_span(o.span, end);
         }
     }
@@ -464,14 +434,14 @@ mod tests {
     use crate::DurationExt;
 
     fn tracer() -> Tracer {
-        let t = Tracer::new(Clock::new_virtual(1.0));
+        let t = Clock::new_virtual(1.0).tracer().clone();
         t.enable();
         t
     }
 
     #[test]
     fn disabled_tracer_records_nothing() {
-        let t = Tracer::new(Clock::new_virtual(1.0));
+        let t = Clock::new_virtual(1.0).tracer().clone();
         let _vm = t.vm_scope(7);
         t.span("x").finish();
         assert!(t.spans().is_empty());
@@ -609,6 +579,65 @@ mod tests {
         let b_spans = b.spans();
         assert_eq!(b_spans[0].parent, None, "b must not nest under a's span");
         assert_eq!(a.spans().len(), 1);
+    }
+
+    #[test]
+    fn a_plain_thread_records_nested_spans_on_its_own_track() {
+        let clock = Clock::new_virtual(1.0);
+        let t = clock.tracer();
+        t.enable();
+        let driver = t.span("driver");
+        let c = clock.clone();
+        // A thread in no executor: its spans still record into the clock
+        // they are opened on.
+        std::thread::spawn(move || {
+            let t = c.tracer();
+            let outer = t.span("outer");
+            c.tracer().span("inner").finish();
+            outer.finish();
+        })
+        .join()
+        .expect("plain thread");
+        driver.finish();
+        let spans = t.spans();
+        let span = |name: &str| spans.iter().find(|s| s.name == name).unwrap();
+        let (driver, outer, inner) = (span("driver"), span("outer"), span("inner"));
+        assert_eq!((outer.parent, outer.depth), (None, 0));
+        assert_eq!((inner.parent, inner.depth), (Some(outer.id), 1));
+        assert_eq!(inner.track, outer.track);
+        assert_ne!(outer.track, driver.track);
+        assert!(clock.is_virtual());
+    }
+
+    #[test]
+    fn two_clocks_driven_one_after_another_share_no_track_or_parent() {
+        let first = Clock::new_virtual(1.0);
+        let a = first.tracer();
+        a.enable();
+        // A task takes the first clock's track 1 and the driver track 2;
+        // the driver leaves a span open while it moves to the next clock.
+        let t = a.clone();
+        crate::spawn(&first, "task", move || t.span("task").finish())
+            .join()
+            .expect("task");
+        let open = a.span("open");
+        let second = Clock::new_virtual(1.0);
+        let b = second.tracer();
+        b.enable();
+        b.span("b").finish();
+        drop(open);
+        let (open, b) = (&a.spans()[1], &b.spans()[0]);
+        assert_eq!((open.name.as_str(), open.track), ("open", 2));
+        assert_eq!((b.track, b.parent, b.depth), (1, None, 0));
+        // A clock built after the first one is gone, perhaps at its
+        // address, starts from nothing on this thread too.
+        drop(first);
+        let third = Clock::new_virtual(1.0);
+        let c = third.tracer();
+        c.enable();
+        c.span("c").finish();
+        let c = &c.spans()[0];
+        assert_eq!((c.track, c.parent, c.depth), (1, None, 0));
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //! binary of their own and take turns (`SERIAL`), so the stack of idle
 //! workers is theirs alone and the worker each task runs on is exact.
 
-use fastiov_simtime::{lockdep, spawn, Clock, LockClass, Tracer, TrackedMutex};
+use fastiov_simtime::{lockdep, spawn, Clock, LockClass, TrackedMutex};
 use std::collections::HashSet;
 use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::thread::ThreadId;
@@ -41,7 +41,7 @@ fn a_thousand_spawn_joins_in_sequence_run_on_one_os_thread() {
 fn a_task_on_a_reused_worker_starts_with_clean_thread_state() {
     let _serial = serial();
     let first = Clock::new_virtual(1.0);
-    let tracer = Tracer::new(first.clone());
+    let tracer = first.tracer();
     tracer.enable();
     let t = tracer.clone();
     // Leaves behind all a task can on its thread: a held lock, a VM scope

@@ -14,7 +14,6 @@ use crate::{Result, VfioError};
 use fastiov_faults::{sites, FaultPlane};
 use fastiov_hostmem::{AddressSpace, FrameRange, Hva, Iova, Populate};
 use fastiov_iommu::IommuDomain;
-use fastiov_simtime::Clock;
 use fastiov_simtime::{LockClass, TrackedMutex};
 use std::sync::Arc;
 
@@ -53,43 +52,31 @@ pub struct VfioContainer {
     domain: Arc<IommuDomain>,
     aspace: Arc<AddressSpace>,
     mappings: TrackedMutex<Vec<DmaMapping>>,
-    /// Fault plane consulted on the pin and map steps, with the clock
-    /// latency spikes are charged to.
-    faults: Option<(Arc<FaultPlane>, Clock)>,
+    /// Fault plane consulted on the pin and map steps.
+    faults: Arc<FaultPlane>,
 }
 
 impl VfioContainer {
     /// Creates a container for the hypervisor process `aspace` translating
-    /// through `domain`.
-    pub fn new(domain: Arc<IommuDomain>, aspace: Arc<AddressSpace>) -> Arc<Self> {
-        Arc::new(VfioContainer {
-            domain,
-            aspace,
-            mappings: TrackedMutex::new(LockClass::VfioContainer, Vec::new()),
-            faults: None,
-        })
-    }
-
-    /// Creates a container with a fault plane on the pin/map pipeline.
-    pub fn with_faults(
+    /// through `domain`, consulting `faults` on the pin/map pipeline.
+    pub fn new(
         domain: Arc<IommuDomain>,
         aspace: Arc<AddressSpace>,
-        plane: Arc<FaultPlane>,
-        clock: Clock,
+        faults: Arc<FaultPlane>,
     ) -> Arc<Self> {
         Arc::new(VfioContainer {
             domain,
             aspace,
             mappings: TrackedMutex::new(LockClass::VfioContainer, Vec::new()),
-            faults: plane.is_enabled().then_some((plane, clock)),
+            faults,
         })
     }
 
+    /// Consults the fault plane at `site`; latency spikes are charged to
+    /// the clock of the mapped memory.
     fn check_fault(&self, site: &'static str) -> Result<()> {
-        if let Some((plane, clock)) = &self.faults {
-            plane.check(site, self.aspace.pid(), clock)?;
-        }
-        Ok(())
+        let clock = &self.aspace.memory().costs().clock;
+        Ok(self.faults.check(site, self.aspace.pid(), clock)?)
     }
 
     /// The container's IOMMU domain.
@@ -204,7 +191,7 @@ mod tests {
             64,
         );
         let domain = iommu.create_domain(PageSize::Size2M);
-        let container = VfioContainer::new(domain, Arc::clone(&aspace));
+        let container = VfioContainer::new(domain, Arc::clone(&aspace), FaultPlane::disabled());
         (mem, aspace, container)
     }
 
@@ -309,11 +296,10 @@ mod tests {
                 effect: Effect::Error,
             }],
         );
-        let c = VfioContainer::with_faults(
+        let c = VfioContainer::new(
             iommu.create_domain(PageSize::Size2M),
             Arc::clone(&aspace),
             plane,
-            clock,
         );
         let hva = aspace.mmap("ram", 2 * PAGE).unwrap();
         let e = c

@@ -236,19 +236,22 @@ pub struct DevsetManager {
     opens: AtomicU64,
     resets: AtomicU64,
     busy: AtomicU64,
-    /// Fault plane consulted on the ioctl paths. Groups capture the plane
-    /// installed at their registration time.
-    faults: TrackedMutex<Arc<FaultPlane>>,
-    /// Span tracer for the open path; installed at host construction.
-    tracer: TrackedRwLock<Option<fastiov_simtime::Tracer>>,
+    /// Fault plane consulted on the ioctl paths, and by every group.
+    faults: Arc<FaultPlane>,
 }
 
 impl DevsetManager {
     /// Creates the driver core.
     ///
     /// `open_overhead` is the devset bookkeeping charged inside the lock
-    /// on every open (on top of the PCI bus scan the open performs).
-    pub fn new(bus: Arc<PciBus>, policy: LockPolicy, open_overhead: Duration) -> Arc<Self> {
+    /// on every open (on top of the PCI bus scan the open performs);
+    /// `faults` is consulted on the ioctl paths.
+    pub fn new(
+        bus: Arc<PciBus>,
+        policy: LockPolicy,
+        open_overhead: Duration,
+        faults: Arc<FaultPlane>,
+    ) -> Arc<Self> {
         Arc::new(DevsetManager {
             policy,
             bus,
@@ -260,20 +263,8 @@ impl DevsetManager {
             opens: AtomicU64::new(0),
             resets: AtomicU64::new(0),
             busy: AtomicU64::new(0),
-            faults: TrackedMutex::new(LockClass::FaultPlane, FaultPlane::disabled()),
-            tracer: TrackedRwLock::new(LockClass::TracerSlot, None),
+            faults,
         })
-    }
-
-    /// Installs the fault plane for the ioctl paths. Must be called
-    /// before devices are registered: groups capture the current plane.
-    pub fn set_fault_plane(&self, plane: Arc<FaultPlane>) {
-        *self.faults.lock() = plane;
-    }
-
-    /// Installs the span tracer for the open path.
-    pub fn set_tracer(&self, tracer: fastiov_simtime::Tracer) {
-        *self.tracer.write() = Some(tracer);
     }
 
     /// The lock policy devices are created with.
@@ -311,14 +302,12 @@ impl DevsetManager {
         self.devices.lock().insert(dev.bdf(), Arc::clone(&dev));
         // Every function gets its own IOMMU group (ACS topology).
         let gid = self.next_group.fetch_add(1, Ordering::Relaxed) as u32;
-        let group = {
-            let plane = self.faults.lock();
-            if plane.is_enabled() {
-                VfioGroup::with_faults(gid, dev.bdf(), Arc::clone(&plane), self.bus.clock().clone())
-            } else {
-                VfioGroup::new(gid, dev.bdf())
-            }
-        };
+        let group = VfioGroup::new(
+            gid,
+            dev.bdf(),
+            Arc::clone(&self.faults),
+            self.bus.clock().clone(),
+        );
         self.groups.lock().insert(dev.bdf(), group);
         Ok(dev)
     }
@@ -366,7 +355,7 @@ impl DevsetManager {
     /// bottleneck 1: under [`LockPolicy::Coarse`], concurrent opens of
     /// different VFs serialize on the devset mutex.
     pub fn open(&self, bdf: Bdf) -> Result<VfioDeviceFd> {
-        let _span = self.tracer.read().as_ref().map(|t| t.span("vfio.open"));
+        let _span = self.bus.clock().tracer().span("vfio.open");
         let dev = self.device(bdf)?;
         // VFIO only hands out device descriptors through an attached
         // group (VFIO_GROUP_GET_DEVICE_FD).
@@ -374,12 +363,8 @@ impl DevsetManager {
         let Some(owner) = group.owner() else {
             return Err(VfioError::GroupNotAttached(bdf));
         };
-        {
-            let plane = self.faults.lock();
-            if plane.is_enabled() {
-                plane.check(sites::VFIO_DEV_OPEN, owner, self.bus.clock())?;
-            }
-        }
+        self.faults
+            .check(sites::VFIO_DEV_OPEN, owner, self.bus.clock())?;
         dev.devset().open(&dev)?;
         self.opens.fetch_add(1, Ordering::Relaxed);
         Ok(VfioDeviceFd { dev })
@@ -428,10 +413,15 @@ mod tests {
     use fastiov_pci::DeviceClass;
     use fastiov_simtime::Clock;
 
+    /// A fault-free manager on `bus`.
+    fn manager(bus: &Arc<PciBus>, policy: LockPolicy, overhead: Duration) -> Arc<DevsetManager> {
+        DevsetManager::new(Arc::clone(bus), policy, overhead, FaultPlane::disabled())
+    }
+
     fn setup(policy: LockPolicy, n_vfs: u8) -> (Arc<PciBus>, Arc<DevsetManager>) {
         let clock = Clock::new_virtual(1e-4);
         let bus = PciBus::new(clock, Duration::from_micros(50), Duration::from_millis(1));
-        let mgr = DevsetManager::new(Arc::clone(&bus), policy, Duration::from_micros(100));
+        let mgr = manager(&bus, policy, Duration::from_micros(100));
         for i in 0..n_vfs {
             let dev = PciDevice::new(
                 Bdf::new(3, i, 0),
@@ -462,7 +452,7 @@ mod tests {
     fn slot_reset_devices_get_singleton_devsets() {
         let clock = Clock::new_virtual(1e-4);
         let bus = PciBus::new(clock, Duration::from_micros(10), Duration::from_millis(1));
-        let mgr = DevsetManager::new(Arc::clone(&bus), LockPolicy::Coarse, Duration::ZERO);
+        let mgr = manager(&bus, LockPolicy::Coarse, Duration::ZERO);
         for i in 0..2 {
             let dev = PciDevice::new(
                 Bdf::new(1, i, 0),
@@ -484,7 +474,7 @@ mod tests {
     fn unbound_device_rejected() {
         let clock = Clock::new_virtual(1e-4);
         let bus = PciBus::new(clock, Duration::from_micros(10), Duration::from_millis(1));
-        let mgr = DevsetManager::new(bus, LockPolicy::Coarse, Duration::ZERO);
+        let mgr = manager(&bus, LockPolicy::Coarse, Duration::ZERO);
         let dev = PciDevice::new(
             Bdf::new(1, 0, 0),
             DeviceClass::NetworkVf,
@@ -588,7 +578,7 @@ mod tests {
                 Duration::from_micros(100),
                 Duration::from_millis(1),
             );
-            let mgr = DevsetManager::new(Arc::clone(&bus), policy, Duration::from_millis(2000));
+            let mgr = manager(&bus, policy, Duration::from_millis(2000));
             for i in 0..16 {
                 let dev = PciDevice::new(
                     Bdf::new(3, i, 0),

@@ -24,31 +24,23 @@ pub struct VfioGroup {
     /// Owner container, identified by the hypervisor PID behind it.
     attached: TrackedMutex<Option<u64>>,
     attach_count: AtomicU64,
-    /// Fault plane consulted on the attach ioctl, with the clock latency
-    /// spikes are charged to. `None` in standalone/test construction.
-    faults: Option<(Arc<FaultPlane>, Clock)>,
+    /// Fault plane consulted on the attach ioctl.
+    faults: Arc<FaultPlane>,
+    /// The clock latency spikes are charged to.
+    clock: Clock,
 }
 
 impl VfioGroup {
-    /// Creates the group for `bdf`.
-    pub fn new(id: u32, bdf: Bdf) -> Arc<Self> {
+    /// Creates the group for `bdf`, consulting `faults` on the attach
+    /// path.
+    pub fn new(id: u32, bdf: Bdf, faults: Arc<FaultPlane>, clock: Clock) -> Arc<Self> {
         Arc::new(VfioGroup {
             id,
             bdf,
             attached: TrackedMutex::new(LockClass::VfioGroup, None),
             attach_count: AtomicU64::new(0),
-            faults: None,
-        })
-    }
-
-    /// Creates the group with a fault plane on the attach path.
-    pub fn with_faults(id: u32, bdf: Bdf, plane: Arc<FaultPlane>, clock: Clock) -> Arc<Self> {
-        Arc::new(VfioGroup {
-            id,
-            bdf,
-            attached: TrackedMutex::new(LockClass::VfioGroup, None),
-            attach_count: AtomicU64::new(0),
-            faults: Some((plane, clock)),
+            faults,
+            clock,
         })
     }
 
@@ -66,9 +58,8 @@ impl VfioGroup {
     /// (`VFIO_GROUP_SET_CONTAINER`). Idempotent for the same owner;
     /// refused while another owner holds it.
     pub fn attach(&self, pid: u64) -> Result<()> {
-        if let Some((plane, clock)) = &self.faults {
-            plane.check(sites::VFIO_GROUP_ATTACH, pid, clock)?;
-        }
+        self.faults
+            .check(sites::VFIO_GROUP_ATTACH, pid, &self.clock)?;
         let mut owner = self.attached.lock();
         match *owner {
             None => {
@@ -121,7 +112,12 @@ mod tests {
     use super::*;
 
     fn group() -> Arc<VfioGroup> {
-        VfioGroup::new(7, Bdf::new(3, 1, 0))
+        VfioGroup::new(
+            7,
+            Bdf::new(3, 1, 0),
+            FaultPlane::disabled(),
+            Clock::new_virtual(1.0),
+        )
     }
 
     #[test]

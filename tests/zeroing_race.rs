@@ -3,6 +3,7 @@
 //! threads, with the zero-charge accounting and residue invariants
 //! checked at the end.
 
+use fastiov::faults::FaultPlane;
 use fastiov_hostmem::{FrameId, MemCosts, PageSize, PhysMemory};
 use fastiov_kvm::EptFaultHook;
 use fastiov_simtime::Clock;
@@ -33,7 +34,7 @@ fn register_fault_scrub_unregister_race() {
     let clock = Clock::with_scale(1e-5);
     let costs = MemCosts::for_tests(clock.clone());
     let mem = PhysMemory::new(costs, PageSize::Size2M, TOTAL_FRAMES);
-    let d = Fastiovd::new(clock, Arc::clone(&mem));
+    let d = Fastiovd::new(clock, Arc::clone(&mem), FaultPlane::disabled());
 
     let stop = Arc::new(AtomicBool::new(false));
     let true_faults = Arc::new(AtomicU64::new(0));
