@@ -17,26 +17,22 @@ fn build(hook: bool) -> Arc<Vm> {
     let costs = MemCosts::for_tests(clock.clone());
     let mem = PhysMemory::new(costs, PageSize::Size2M, PAGES as usize * 2);
     let aspace = AddressSpace::new(1, Arc::clone(&mem));
-    let vm = Vm::new(
-        clock.clone(),
-        Arc::clone(&aspace),
-        Duration::from_micros(25),
-    );
     let hva = aspace.mmap("ram", PAGES * PAGE).unwrap();
     let ranges = aspace
         .populate_range(hva, PAGES * PAGE, Populate::AllocOnly)
         .unwrap();
+    let hook = hook.then(|| {
+        let d = Fastiovd::new(clock.clone(), mem, fastiov::faults::FaultPlane::disabled());
+        d.register_pages(1, 1, &ranges);
+        d as Arc<dyn EptFaultHook>
+    });
+    let vm = Vm::new(clock, Arc::clone(&aspace), Duration::from_micros(25), hook);
     vm.set_memslot(Memslot {
         gpa: Gpa(0),
         len: PAGES * PAGE,
         hva,
     })
     .unwrap();
-    if hook {
-        let d = Fastiovd::new(clock, mem, fastiov::faults::FaultPlane::disabled());
-        d.register_pages(1, &ranges);
-        vm.set_fault_hook(d as Arc<dyn EptFaultHook>);
-    }
     vm
 }
 

@@ -1,13 +1,12 @@
-//! The tracer's canonical structural digest — which VMs ran which spans
-//! at which depths, how many times — must be byte-identical across
-//! same-config runs. (The Chrome trace JSON carries no wall-clock figure
-//! either, so on a virtual clock it repeats byte for byte too; that is
-//! checked in `tests/trace.rs`.)
+//! Two same-config launch waves on fresh hosts must render byte-identical
+//! Chrome traces: every span's name, VM, track, depth and simulated
+//! timestamps. The trace carries no wall-clock figure, so on a virtual
+//! clock any difference is a scheduling or attribution change.
 
 use fastiov::{Baseline, ExperimentConfig};
 
-/// One traced launch wave; returns the structural trace digest.
-fn canonical_trace(cfg: &ExperimentConfig) -> String {
+/// One traced launch wave; returns its Chrome trace JSON.
+fn traced_wave(cfg: &ExperimentConfig) -> String {
     let (host, engine) = cfg.build().expect("build");
     host.tracer.enable();
     let outcome = engine.launch_concurrent(cfg.concurrency);
@@ -15,21 +14,17 @@ fn canonical_trace(cfg: &ExperimentConfig) -> String {
     for pod in outcome.pods.iter().flatten() {
         let _ = engine.teardown_pod(pod);
     }
-    host.tracer.canonical_json()
+    host.tracer.chrome_trace_json()
 }
 
 #[test]
-fn same_config_traces_have_identical_structure() {
-    // No pool (warm-claim assignment is scheduling-dependent) and no
-    // faults, so the per-VM span structure is fully determined by the
-    // config. Teardown spans run without a VM scope and land on vm 0,
-    // which the digest excludes.
+fn same_config_traces_are_byte_identical() {
     let cfg = ExperimentConfig::smoke(Baseline::FastIov, 4);
-    let a = canonical_trace(&cfg);
-    let b = canonical_trace(&cfg);
-    assert_eq!(a, b, "same-config trace structure diverged");
+    let a = traced_wave(&cfg);
+    let b = traced_wave(&cfg);
+    assert!(a == b, "same-config traces diverged");
     // Sanity: all four launches are present and rooted at `launch`.
-    assert!(a.contains("\"vm\":1000"), "{a}");
-    assert!(a.contains("\"vm\":1003"), "{a}");
+    assert!(a.contains("\"name\":\"vm-1000\""), "{a}");
+    assert!(a.contains("\"name\":\"vm-1003\""), "{a}");
     assert!(a.contains("\"name\":\"launch\""), "{a}");
 }

@@ -2,9 +2,10 @@
 //!
 //! Implements decoupled (lazy) zeroing for passthrough-enabled microVMs:
 //!
-//! - a **two-tier hash table**: PID → (HPA page → page info), populated by
+//! - a **two-tier table**: PID → (HPA page → page info), populated by
 //!   the VFIO DMA-map path when it allocates guest pages *without* zeroing
-//!   them;
+//!   them. The second tier is the paper's hash table; the first is
+//!   ordered, so a scrub sweep visits VMs in a repeatable order;
 //! - the **EPT-fault zeroing** entry point ([`Fastiovd::on_ept_fault`],
 //!   installed into KVM as an [`EptFaultHook`]): on a guest's first touch
 //!   of a tracked page, the page is zeroed, removed from the table, and
@@ -21,8 +22,9 @@
 use fastiov_faults::{sites, FaultPlane};
 use fastiov_hostmem::{FrameId, FrameRange, Hpa, PhysMemory};
 use fastiov_kvm::EptFaultHook;
-use fastiov_simtime::{Clock, LockClass, LockSnapshot, SimInstant, TrackedMutex, TrackedRwLock};
-use std::collections::{HashMap, VecDeque};
+use fastiov_simtime::{Clock, LockClass, LockSnapshot, SimInstant, TrackedMutex};
+use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::ops::Bound;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -65,15 +67,15 @@ pub struct FastiovdStats {
 
 /// The module state.
 ///
-/// The first tier (PID → VM table) sits behind one `RwLock`: EPT faults
-/// and registrations of existing VMs share its read side, and only VM
-/// creation and teardown write it. The page count is an atomic
+/// Both tiers sit behind one lock: it is never held across a blocking
+/// point (zeroing is charged after it is released), so no simulated
+/// thread ever waits on it. The page count is an atomic
 /// ([`FastiovdStats::tracked`]) so `stats()` never walks the tables.
 pub struct Fastiovd {
     mem: Arc<PhysMemory>,
     clock: Clock,
-    /// First tier: PID → VM table.
-    tier1: TrackedRwLock<HashMap<u64, Arc<TrackedMutex<VmTable>>>>,
+    /// PID → VM table; ordered, so a scrub sweep visits VMs by pid.
+    tables: TrackedMutex<BTreeMap<u64, VmTable>>,
     /// Pages currently tracked across all VMs.
     tracked: AtomicU64,
     lazily_zeroed: AtomicU64,
@@ -95,7 +97,7 @@ impl Fastiovd {
         Arc::new(Fastiovd {
             mem,
             clock,
-            tier1: TrackedRwLock::new(LockClass::FastiovdTier1, HashMap::new()),
+            tables: TrackedMutex::new(LockClass::FastiovdTier1, BTreeMap::new()),
             tracked: AtomicU64::new(0),
             lazily_zeroed: AtomicU64::new(0),
             background_zeroed: AtomicU64::new(0),
@@ -111,40 +113,23 @@ impl Fastiovd {
         &self.clock
     }
 
-    /// Wait/hold totals of the tier-1 lock class on the calling thread's
+    /// Wait/hold totals of the table's lock class on the calling thread's
     /// clock.
     pub fn tier1_lock_stats(&self) -> LockSnapshot {
         LockClass::FastiovdTier1.stats()
     }
 
-    fn vm_table(&self, pid: u64) -> Arc<TrackedMutex<VmTable>> {
-        // Fast path: the table exists; a read lock suffices.
-        if let Some(t) = self.tier1.read().get(&pid).cloned() {
-            return t;
-        }
-        Arc::clone(self.tier1.write().entry(pid).or_insert_with(|| {
-            Arc::new(TrackedMutex::new(
-                LockClass::FastiovdVmTable,
-                VmTable::default(),
-            ))
-        }))
-    }
-
     /// Registers freshly allocated, *unzeroed* frames of microVM `pid` for
-    /// lazy zeroing (called by the VFIO DMA-map deferred path).
+    /// lazy zeroing. The injection decision at [`sites::SCRUB_REGISTER`]
+    /// is keyed on `fault_key`: the pid on the VFIO DMA-map path, and on
+    /// a warm-pool recycle the tenant being torn down, so that a recycle
+    /// fault follows the tenant set a run is given rather than which pool
+    /// VM a claim happened to pick.
     ///
     /// Returns `false` if registration was refused (injected scrub
     /// failure); the caller must then fall back to eager zeroing — the
     /// fallback is counted against [`sites::SCRUB_REGISTER`].
-    pub fn register_pages(&self, pid: u64, ranges: &[FrameRange]) -> bool {
-        self.register_pages_keyed(pid, pid, ranges)
-    }
-
-    /// [`Self::register_pages`] with a caller-chosen fault key: recycle
-    /// paths key the injection decision on the *tenant* identity rather
-    /// than the pool VM's pid, because pod-to-pool-VM assignment depends
-    /// on thread interleaving while the tenant set does not.
-    pub fn register_pages_keyed(&self, pid: u64, fault_key: u64, ranges: &[FrameRange]) -> bool {
+    pub fn register_pages(&self, pid: u64, fault_key: u64, ranges: &[FrameRange]) -> bool {
         let _span = self.clock.tracer().span("fastiovd.register");
         if self
             .faults
@@ -154,9 +139,9 @@ impl Fastiovd {
             self.faults.note_fallback(sites::SCRUB_REGISTER);
             return false;
         }
-        let table = self.vm_table(pid);
         let now = self.clock.now();
-        let mut t = table.lock();
+        let mut tables = self.tables.lock();
+        let t = tables.entry(pid).or_default();
         let mut n = 0u64;
         let mut fresh = 0u64;
         for r in ranges {
@@ -183,7 +168,7 @@ impl Fastiovd {
         // never transiently underflows between insert and fetch_add.
         self.tracked.fetch_add(fresh, Ordering::Relaxed);
         self.registered.fetch_add(n, Ordering::Relaxed);
-        drop(t);
+        drop(tables);
         true
     }
 
@@ -193,9 +178,7 @@ impl Fastiovd {
     /// fault will not wipe the hypervisor's data.
     pub fn instant_zero(&self, pid: u64, ranges: &[FrameRange]) -> fastiov_hostmem::Result<()> {
         let _span = self.clock.tracer().span("fastiovd.instant-zero");
-        let table = self.vm_table(pid);
-        {
-            let mut t = table.lock();
+        if let Some(t) = self.tables.lock().get_mut(&pid) {
             let mut removed = 0u64;
             for r in ranges {
                 for f in r.iter() {
@@ -216,25 +199,9 @@ impl Fastiovd {
     /// zeroed — the allocator re-garbles frames on free, and the next
     /// owner zeroes before use. Returns how many pages were still tracked.
     pub fn unregister_vm(&self, pid: u64) -> usize {
-        let removed = self.tier1.write().remove(&pid);
-        match removed {
-            Some(t) => {
-                // Drain under the table lock: a scrubber or EPT fault that
-                // cloned this table's Arc before it left the tier-1 map then
-                // finds nothing left to remove, so each page decrements
-                // `tracked` exactly once (no double fetch_sub underflow).
-                let n = {
-                    let mut t = t.lock();
-                    let n = t.pages.len();
-                    t.pages.clear();
-                    t.order.clear();
-                    n
-                };
-                self.tracked.fetch_sub(n as u64, Ordering::Relaxed);
-                n
-            }
-            None => 0,
-        }
+        let n = self.tables.lock().remove(&pid).map_or(0, |t| t.pages.len());
+        self.tracked.fetch_sub(n as u64, Ordering::Relaxed);
+        n
     }
 
     /// One scrubber sweep: zero up to `batch` tracked pages across all
@@ -243,26 +210,22 @@ impl Fastiovd {
     /// Returns pages zeroed.
     pub fn scrub_once(&self, batch: usize) -> usize {
         // Cheap idle check: the sweeping thread wakes often and usually
-        // finds nothing; do not touch any table lock in that case.
+        // finds nothing; do not take the table lock in that case.
         if self.tracked.load(Ordering::Relaxed) == 0 {
             return 0;
         }
-        let mut tables: Vec<(u64, Arc<TrackedMutex<VmTable>>)> = self
-            .tier1
-            .read()
-            .iter()
-            .map(|(&pid, t)| (pid, Arc::clone(t)))
-            .collect();
-        // The map's own order is random per instance; a run must repeat.
-        tables.sort_unstable_by_key(|&(pid, _)| pid);
         let mut done = 0;
-        for (_, table) in tables {
-            if done >= batch {
-                break;
-            }
-            // Claim victims under the lock, zero outside it.
+        // The last pid visited: zeroing charges memory bandwidth, so the
+        // lock is released between VMs.
+        let mut after = Bound::Unbounded;
+        while done < batch {
+            // Claim one VM's victims under the lock, zero outside it.
             let victims: Vec<FrameId> = {
-                let mut t = table.lock();
+                let mut tables = self.tables.lock();
+                let Some((&pid, t)) = tables.range_mut((after, Bound::Unbounded)).next() else {
+                    break;
+                };
+                after = Bound::Excluded(pid);
                 let mut v = Vec::new();
                 while v.len() < batch - done {
                     let Some(key) = t.order.pop_front() else {
@@ -329,11 +292,10 @@ impl Fastiovd {
 
     /// True if the page at `hpa` of VM `pid` is currently tracked.
     pub fn is_tracked(&self, pid: u64, hpa: Hpa) -> bool {
-        let table = self.tier1.read().get(&pid).cloned();
-        match table {
-            Some(t) => t.lock().pages.contains_key(&hpa.raw()),
-            None => false,
-        }
+        self.tables
+            .lock()
+            .get(&pid)
+            .is_some_and(|t| t.pages.contains_key(&hpa.raw()))
     }
 }
 
@@ -342,10 +304,11 @@ impl EptFaultHook for Fastiovd {
     /// If the page is tracked for `pid`, it is zeroed (charged) and
     /// untracked; KVM installs the EPT entry only after this returns.
     fn on_ept_fault(&self, pid: u64, hpa_page: Hpa) -> bool {
-        let Some(table) = self.tier1.read().get(&pid).cloned() else {
-            return false;
-        };
-        let info = table.lock().pages.remove(&hpa_page.raw());
+        let info = self
+            .tables
+            .lock()
+            .get_mut(&pid)
+            .and_then(|t| t.pages.remove(&hpa_page.raw()));
         match info {
             Some(info) => {
                 self.tracked.fetch_sub(1, Ordering::Relaxed);
@@ -406,7 +369,7 @@ mod tests {
     fn fault_on_tracked_page_zeroes_once() {
         let (mem, d) = setup();
         let ranges = mem.alloc_frames(4, 1).unwrap();
-        d.register_pages(1, &ranges);
+        d.register_pages(1, 1, &ranges);
         assert_eq!(d.stats().tracked, 4);
         let f = ranges[0].start;
         let hpa = mem.hpa_of(f);
@@ -433,9 +396,12 @@ mod tests {
             }],
         ));
         let ranges = mem.alloc_frames(2, 1).unwrap();
-        assert!(!d.register_pages(1, &ranges), "first registration refused");
+        assert!(
+            !d.register_pages(1, 1, &ranges),
+            "first registration refused"
+        );
         assert_eq!(d.stats().tracked, 0);
-        assert!(d.register_pages(1, &ranges), "second attempt accepted");
+        assert!(d.register_pages(1, 1, &ranges), "second attempt accepted");
         assert_eq!(d.stats().tracked, 2);
     }
 
@@ -443,7 +409,7 @@ mod tests {
     fn fault_on_untracked_pid_is_noop() {
         let (mem, d) = setup();
         let ranges = mem.alloc_frames(1, 1).unwrap();
-        d.register_pages(1, &ranges);
+        d.register_pages(1, 1, &ranges);
         assert!(!d.on_ept_fault(2, mem.hpa_of(ranges[0].start)));
         assert_eq!(d.stats().lazily_zeroed, 0);
     }
@@ -453,8 +419,8 @@ mod tests {
         let (mem, d) = setup();
         let r1 = mem.alloc_frames(2, 1).unwrap();
         let r2 = mem.alloc_frames(2, 2).unwrap();
-        d.register_pages(1, &r1);
-        d.register_pages(2, &r2);
+        d.register_pages(1, 1, &r1);
+        d.register_pages(2, 2, &r2);
         assert_eq!(d.stats().tracked, 4);
         assert_eq!(d.unregister_vm(1), 2);
         assert_eq!(d.stats().tracked, 2);
@@ -465,7 +431,7 @@ mod tests {
     fn instant_zero_removes_from_tracking() {
         let (mem, d) = setup();
         let ranges = mem.alloc_frames(4, 1).unwrap();
-        d.register_pages(1, &ranges);
+        d.register_pages(1, 1, &ranges);
         // Hypervisor is about to write the first two pages.
         let head = FrameRange {
             start: ranges[0].start,
@@ -483,7 +449,7 @@ mod tests {
     fn scrub_once_drains_in_batches() {
         let (mem, d) = setup();
         let ranges = mem.alloc_frames(8, 1).unwrap();
-        d.register_pages(1, &ranges);
+        d.register_pages(1, 1, &ranges);
         assert_eq!(d.scrub_once(3), 3);
         assert_eq!(d.scrub_once(100), 5);
         assert_eq!(d.scrub_once(100), 0);
@@ -501,7 +467,7 @@ mod tests {
     fn scrubber_thread_drains_table() {
         let (mem, d) = setup();
         let ranges = mem.alloc_frames(8, 1).unwrap();
-        d.register_pages(1, &ranges);
+        d.register_pages(1, 1, &ranges);
         let handle = d.start_scrubber(Duration::from_millis(1), 4);
         // Two 1 ms sweeps of 4 pages each, then zeroing costs: the table
         // is empty within 3 ms of simulated time.
@@ -519,11 +485,11 @@ mod tests {
         // implementation did before the FIFO queue.
         let (mem, d) = setup();
         let old = mem.alloc_frames(2, 1).unwrap();
-        d.register_pages(1, &old);
+        d.register_pages(1, 1, &old);
         // Later registration wave for the same VM.
         d.clock().sleep(Duration::from_millis(1));
         let newer = mem.alloc_frames(2, 1).unwrap();
-        d.register_pages(1, &newer);
+        d.register_pages(1, 1, &newer);
         assert_eq!(d.scrub_once(2), 2);
         for r in &old {
             for f in r.iter() {
@@ -543,7 +509,7 @@ mod tests {
         // key in the order queue; the sweep must skip it, not double-count.
         let (mem, d) = setup();
         let ranges = mem.alloc_frames(4, 1).unwrap();
-        d.register_pages(1, &ranges);
+        d.register_pages(1, 1, &ranges);
         let frames: Vec<FrameId> = ranges.iter().flat_map(|r| r.iter()).collect();
         assert!(d.on_ept_fault(1, mem.hpa_of(frames[0])));
         assert_eq!(d.scrub_once(100), 3);
@@ -558,7 +524,7 @@ mod tests {
         let (mem, d) = setup();
         for pid in 1..=8u64 {
             let r = mem.alloc_frames(2, pid).unwrap();
-            d.register_pages(pid, &r);
+            d.register_pages(pid, pid, &r);
         }
         assert_eq!(d.stats().tracked, 16);
         assert_eq!(d.unregister_vm(3), 2);
@@ -572,8 +538,8 @@ mod tests {
     fn reregistration_does_not_inflate_tracked() {
         let (mem, d) = setup();
         let ranges = mem.alloc_frames(4, 1).unwrap();
-        d.register_pages(1, &ranges);
-        d.register_pages(1, &ranges);
+        d.register_pages(1, 1, &ranges);
+        d.register_pages(1, 1, &ranges);
         assert_eq!(d.stats().tracked, 4);
         assert_eq!(d.scrub_once(1000), 4);
         assert_eq!(d.stats().tracked, 0);
@@ -585,7 +551,7 @@ mod tests {
         // never reaches "readable by guest" state with residue.
         let (mem, d) = setup();
         let ranges = mem.alloc_frames(3, 1).unwrap();
-        d.register_pages(1, &ranges);
+        d.register_pages(1, 1, &ranges);
         let frames: Vec<FrameId> = ranges.iter().flat_map(|r| r.iter()).collect();
         // Page 0 via fault, page 1 via instant list, page 2 via scrubber.
         d.on_ept_fault(1, mem.hpa_of(frames[0]));

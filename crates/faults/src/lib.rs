@@ -166,9 +166,16 @@ pub struct FaultPlane {
     /// Points grouped by site. Empty ⇒ the plane is disabled and every
     /// check is a no-op (the fault-free fast path).
     points: BTreeMap<&'static str, Vec<FaultPoint>>,
+    /// Released before an injected delay is slept.
+    state: TrackedMutex<PlaneState>,
+}
+
+/// What a plane has counted so far.
+#[derive(Default)]
+struct PlaneState {
     /// Per-(site, key) check counts — the deterministic "time" axis.
-    counters: TrackedMutex<BTreeMap<(u64, u64), u64>>,
-    stats: TrackedMutex<BTreeMap<&'static str, SiteStats>>,
+    counters: BTreeMap<(u64, u64), u64>,
+    stats: BTreeMap<&'static str, SiteStats>,
 }
 
 impl FaultPlane {
@@ -176,12 +183,7 @@ impl FaultPlane {
     /// without touching any counter, so fault-free numbers are
     /// bit-for-bit identical to a build without the plane.
     pub fn disabled() -> Arc<Self> {
-        Arc::new(FaultPlane {
-            seed: 0,
-            points: BTreeMap::new(),
-            counters: TrackedMutex::new(LockClass::FaultPlane, BTreeMap::new()),
-            stats: TrackedMutex::new(LockClass::FaultPlane, BTreeMap::new()),
-        })
+        Self::with_points(0, Vec::new())
     }
 
     /// Builds a plane from an explicit point list.
@@ -193,8 +195,7 @@ impl FaultPlane {
         Arc::new(FaultPlane {
             seed,
             points: by_site,
-            counters: TrackedMutex::new(LockClass::FaultPlane, BTreeMap::new()),
-            stats: TrackedMutex::new(LockClass::FaultPlane, BTreeMap::new()),
+            state: TrackedMutex::new(LockClass::FaultPlane, PlaneState::default()),
         })
     }
 
@@ -242,17 +243,15 @@ impl FaultPlane {
     pub fn check(&self, site: &'static str, key: u64, clock: &Clock) -> Result<(), FaultError> {
         let Some(points) = self.points.get(site) else {
             if self.is_enabled() {
-                self.stats.lock().entry(site).or_default().checks += 1;
+                self.state.lock().stats.entry(site).or_default().checks += 1;
             }
             return Ok(());
         };
         let sh = site_hash(site);
-        let count = {
-            let mut counters = self.counters.lock();
-            let c = counters.entry((sh, key)).or_insert(0);
-            *c += 1;
-            *c
-        };
+        let mut state = self.state.lock();
+        let count = state.counters.entry((sh, key)).or_insert(0);
+        *count += 1;
+        let count = *count;
         let mut delay = None;
         let mut error = None;
         for (idx, p) in points.iter().enumerate() {
@@ -268,7 +267,7 @@ impl FaultPlane {
                     // Map the hash to [0, 1) and compare against the rate.
                     ((h >> 11) as f64 / (1u64 << 53) as f64) < rate
                 }
-                Trigger::NthCall(n) => n > 0 && count % n == 0,
+                Trigger::NthCall(n) => n > 0 && count.is_multiple_of(n),
                 Trigger::Once(n) => count == n,
             };
             if !fired {
@@ -282,8 +281,7 @@ impl FaultPlane {
                 Effect::FatalError => error = Some(FaultKind::Fatal),
             }
         }
-        let mut stats = self.stats.lock();
-        let s = stats.entry(site).or_default();
+        let s = state.stats.entry(site).or_default();
         s.checks += 1;
         if delay.is_some() {
             s.delays += 1;
@@ -291,7 +289,7 @@ impl FaultPlane {
         if error.is_some() {
             s.errors += 1;
         }
-        drop(stats);
+        drop(state);
         if let Some(d) = delay {
             clock.sleep(d);
         }
@@ -304,21 +302,22 @@ impl FaultPlane {
     /// Records that the recovery layer retried an operation because of a
     /// failure attributed to `site`.
     pub fn note_retry(&self, site: &'static str) {
-        self.stats.lock().entry(site).or_default().retries += 1;
+        self.state.lock().stats.entry(site).or_default().retries += 1;
     }
 
     /// Records that a graceful-degradation fallback was taken because of
     /// `site` (eager-zero instead of lazy scrub, cold boot instead of a
     /// poisoned warm VM, retire instead of re-park).
     pub fn note_fallback(&self, site: &'static str) {
-        self.stats.lock().entry(site).or_default().fallbacks += 1;
+        self.state.lock().stats.entry(site).or_default().fallbacks += 1;
     }
 
     /// Snapshot of all per-site counters, sorted by site name (so the
     /// rendering is deterministic).
     pub fn report(&self) -> Vec<(&'static str, SiteStats)> {
-        self.stats
+        self.state
             .lock()
+            .stats
             .iter()
             .map(|(site, s)| (*site, *s))
             .collect()
@@ -326,12 +325,17 @@ impl FaultPlane {
 
     /// Counters of one site (zeroes if it was never consulted).
     pub fn report_for(&self, site: &str) -> SiteStats {
-        self.stats.lock().get(site).copied().unwrap_or_default()
+        self.state
+            .lock()
+            .stats
+            .get(site)
+            .copied()
+            .unwrap_or_default()
     }
 
     /// Sum of all injected errors across sites.
     pub fn total_errors(&self) -> u64 {
-        self.stats.lock().values().map(|s| s.errors).sum()
+        self.state.lock().stats.values().map(|s| s.errors).sum()
     }
 }
 

@@ -643,15 +643,7 @@ impl Drop for PhysMemory {
 }
 
 /// Groups sorted frame indices into contiguous [`FrameRange`]s.
-///
-/// Exposed for other crates (the MMU, VFIO) that need to coalesce frame
-/// lists before batch operations.
-pub fn coalesce_pub(sorted: &[usize]) -> Vec<FrameRange> {
-    coalesce(sorted)
-}
-
-/// Groups sorted frame indices into contiguous ranges.
-fn coalesce(sorted: &[usize]) -> Vec<FrameRange> {
+pub(crate) fn coalesce(sorted: &[usize]) -> Vec<FrameRange> {
     let mut out = Vec::new();
     let mut iter = sorted.iter().copied();
     let Some(first) = iter.next() else {

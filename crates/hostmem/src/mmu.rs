@@ -108,7 +108,7 @@ impl AddressSpace {
         let frames: Vec<usize> = region.pages.iter().flatten().map(|f| f.0).collect();
         let mut sorted = frames;
         sorted.sort_unstable();
-        let ranges = super::alloc::coalesce_pub(&sorted);
+        let ranges = super::alloc::coalesce(&sorted);
         self.mem.free_ranges(&ranges, self.pid)
     }
 
@@ -248,7 +248,7 @@ impl AddressSpace {
             .ok_or(MemError::NotMapped(base.raw()))?;
         let mut frames: Vec<usize> = region.pages.iter().flatten().map(|f| f.0).collect();
         frames.sort_unstable();
-        Ok(super::alloc::coalesce_pub(&frames))
+        Ok(super::alloc::coalesce(&frames))
     }
 
     /// Name and length of the region at `base` (diagnostics).

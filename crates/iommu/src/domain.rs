@@ -29,6 +29,12 @@ pub struct IommuStats {
     pub dma_faults: u64,
 }
 
+/// A domain's I/O page table and IOTLB, behind one lock.
+struct Translation {
+    table: IoPageTable,
+    tlb: Iotlb,
+}
+
 /// One guest's translation domain: an I/O page table plus an IOTLB.
 pub struct IommuDomain {
     id: DomainId,
@@ -38,8 +44,9 @@ pub struct IommuDomain {
     map_per_page: Duration,
     /// Charged per full table walk (IOTLB miss).
     walk_latency: Duration,
-    table: TrackedMutex<IoPageTable>,
-    tlb: TrackedMutex<Iotlb>,
+    /// Never held across a blocking point: the map charge and the walk
+    /// latency are slept outside it.
+    tr: TrackedMutex<Translation>,
     translations: AtomicU64,
     dma_faults: AtomicU64,
 }
@@ -78,7 +85,8 @@ impl IommuDomain {
         let _span = self.clock.tracer().span("iommu.map");
         let pages: usize = ranges.iter().map(|r| r.count).sum();
         {
-            let mut table = self.table.lock();
+            let mut tr = self.tr.lock();
+            let table = &mut tr.table;
             let mut cursor = self.page_no(iova);
             let mut installed: Vec<(u64, usize)> = Vec::with_capacity(ranges.len());
             for r in ranges {
@@ -117,20 +125,18 @@ impl IommuDomain {
         }
         let _span = self.clock.tracer().span("iommu.unmap");
         let start = self.page_no(iova);
-        let mut table = self.table.lock();
-        // The TLB lock nests inside the table lock (as in the pre-extent
-        // code) so a concurrent translate can never observe the table
-        // emptied but the TLB still warm.
-        let mut tlb = self.tlb.lock();
-        table
+        // One lock over both, so a translate never sees the table emptied
+        // but the TLB still warm.
+        let mut tr = self.tr.lock();
+        tr.table
             .unmap_extent(start, count)
             .map_err(|_| IommuError::NotMapped(iova))?;
-        tlb.invalidate_range(start, count);
+        tr.tlb.invalidate_range(start, count);
         Ok(())
     }
 
-    /// Wait/hold totals of the I/O page-table lock class on the calling
-    /// thread's clock.
+    /// Wait/hold totals of the translation (page table and IOTLB) lock
+    /// class on the calling thread's clock.
     pub fn table_lock_stats(&self) -> LockSnapshot {
         LockClass::IommuTable.stats()
     }
@@ -140,14 +146,15 @@ impl IommuDomain {
         self.translations.fetch_add(1, Ordering::Relaxed);
         let page = self.page_no(iova);
         let offset = iova.page_offset(self.page.bytes());
-        if let Some(base) = self.tlb.lock().lookup(page) {
+        if let Some(base) = self.tr.lock().tlb.lookup(page) {
             return Ok(Hpa(base.raw() + offset));
         }
         // Full walk.
         self.clock.sleep(self.walk_latency);
-        match self.table.lock().lookup(page) {
+        let mut tr = self.tr.lock();
+        match tr.table.lookup(page) {
             Some(base) => {
-                self.tlb.lock().insert(page, base);
+                tr.tlb.insert(page, base);
                 Ok(Hpa(base.raw() + offset))
             }
             None => {
@@ -159,9 +166,10 @@ impl IommuDomain {
 
     /// Counters snapshot.
     pub fn stats(&self) -> IommuStats {
-        let (tlb_hits, tlb_misses) = self.tlb.lock().stats();
+        let tr = self.tr.lock();
+        let (tlb_hits, tlb_misses) = tr.tlb.stats();
         IommuStats {
-            mapped_pages: self.table.lock().entries(),
+            mapped_pages: tr.table.entries(),
             translations: self.translations.load(Ordering::Relaxed),
             tlb_hits,
             tlb_misses,
@@ -210,7 +218,7 @@ impl Iommu {
         })
     }
 
-    /// Wait/hold totals of the I/O page-table lock class, across every
+    /// Wait/hold totals of the translation lock class, across every
     /// domain of the calling thread's clock.
     pub fn table_lock_stats(&self) -> LockSnapshot {
         LockClass::IommuTable.stats()
@@ -227,8 +235,13 @@ impl Iommu {
             clock: self.clock.clone(),
             map_per_page: self.map_per_page,
             walk_latency: self.walk_latency,
-            table: TrackedMutex::new(LockClass::IommuTable, IoPageTable::new()),
-            tlb: TrackedMutex::new(LockClass::IommuTlb, Iotlb::new(self.tlb_capacity)),
+            tr: TrackedMutex::new(
+                LockClass::IommuTable,
+                Translation {
+                    table: IoPageTable::new(),
+                    tlb: Iotlb::new(self.tlb_capacity),
+                },
+            ),
             translations: AtomicU64::new(0),
             dma_faults: AtomicU64::new(0),
         });

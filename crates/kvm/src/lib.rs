@@ -18,7 +18,7 @@
 use fastiov_hostmem::{AddressSpace, Gpa, Hpa, Hva, MemError, PageSize};
 use fastiov_iommu::table::IoPageTable;
 use fastiov_simtime::Clock;
-use fastiov_simtime::{LockClass, TrackedMutex, TrackedRwLock};
+use fastiov_simtime::{LockClass, TrackedMutex};
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -85,6 +85,12 @@ pub struct VmStats {
     pub ept_entries: usize,
 }
 
+/// The memslots and the EPT, behind one lock.
+struct VmState {
+    slots: Vec<Memslot>,
+    ept: IoPageTable,
+}
+
 /// One guest's KVM state.
 pub struct Vm {
     pid: u64,
@@ -93,16 +99,23 @@ pub struct Vm {
     page: PageSize,
     /// Charged per EPT violation (vm-exit + resolve + install).
     fault_latency: Duration,
-    slots: TrackedRwLock<Vec<Memslot>>,
-    ept: TrackedMutex<IoPageTable>,
-    hook: TrackedRwLock<Option<Arc<dyn EptFaultHook>>>,
+    /// Never held across a blocking point or the fault hook.
+    state: TrackedMutex<VmState>,
+    hook: Option<Arc<dyn EptFaultHook>>,
     faults: AtomicU64,
     hook_zeroed: AtomicU64,
 }
 
 impl Vm {
-    /// Creates a VM for the hypervisor process behind `aspace`.
-    pub fn new(clock: Clock, aspace: Arc<AddressSpace>, fault_latency: Duration) -> Arc<Self> {
+    /// Creates a VM for the hypervisor process behind `aspace`. `hook`,
+    /// if given, sees every EPT violation before its entry is installed
+    /// (the `fastiovd` lazy-zeroing entry point).
+    pub fn new(
+        clock: Clock,
+        aspace: Arc<AddressSpace>,
+        fault_latency: Duration,
+        hook: Option<Arc<dyn EptFaultHook>>,
+    ) -> Arc<Self> {
         let page = aspace.memory().page_size();
         Arc::new(Vm {
             pid: aspace.pid(),
@@ -110,9 +123,14 @@ impl Vm {
             aspace,
             page,
             fault_latency,
-            slots: TrackedRwLock::new(LockClass::KvmVm, Vec::new()),
-            ept: TrackedMutex::new(LockClass::KvmVm, IoPageTable::new()),
-            hook: TrackedRwLock::new(LockClass::KvmVm, None),
+            state: TrackedMutex::new(
+                LockClass::KvmVm,
+                VmState {
+                    slots: Vec::new(),
+                    ept: IoPageTable::new(),
+                },
+            ),
+            hook,
             faults: AtomicU64::new(0),
             hook_zeroed: AtomicU64::new(0),
         })
@@ -128,15 +146,9 @@ impl Vm {
         &self.aspace
     }
 
-    /// Installs the EPT fault hook (the `fastiovd` lazy-zeroing entry
-    /// point).
-    pub fn set_fault_hook(&self, hook: Arc<dyn EptFaultHook>) {
-        *self.hook.write() = Some(hook);
-    }
-
     /// Registers a GPA→HVA slot.
     pub fn set_memslot(&self, slot: Memslot) -> Result<()> {
-        let mut slots = self.slots.write();
+        let slots = &mut self.state.lock().slots;
         for s in slots.iter() {
             let disjoint =
                 slot.gpa.raw() + slot.len <= s.gpa.raw() || s.gpa.raw() + s.len <= slot.gpa.raw();
@@ -150,8 +162,7 @@ impl Vm {
 
     /// Translates a GPA to the hypervisor HVA via the memslots.
     pub fn gpa_to_hva(&self, gpa: Gpa) -> Result<Hva> {
-        let slots = self.slots.read();
-        for s in slots.iter() {
+        for s in &self.state.lock().slots {
             if gpa.raw() >= s.gpa.raw() && gpa.raw() < s.gpa.raw() + s.len {
                 return Ok(Hva(s.hva.raw() + (gpa.raw() - s.gpa.raw())));
             }
@@ -167,7 +178,7 @@ impl Vm {
     /// violation (Fig. 9 ③–⑥) on first touch. Returns the page-base HPA.
     pub fn ept_resolve(&self, gpa: Gpa) -> Result<Hpa> {
         let page = self.page_no(gpa);
-        if let Some(hpa) = self.ept.lock().lookup(page) {
+        if let Some(hpa) = self.state.lock().ept.lookup(page) {
             return Ok(hpa);
         }
         // EPT violation: vm-exit into KVM.
@@ -187,14 +198,13 @@ impl Vm {
         };
         // FastIOV hook: lazy zeroing happens here, before the entry goes
         // live.
-        if let Some(hook) = self.hook.read().clone() {
+        if let Some(hook) = &self.hook {
             if hook.on_ept_fault(self.pid, hpa) {
                 self.hook_zeroed.fetch_add(1, Ordering::Relaxed);
             }
         }
-        let mut ept = self.ept.lock();
         // A racing fault may have installed it; that is fine.
-        let _ = ept.map(page, hpa);
+        let _ = self.state.lock().ept.map(page, hpa);
         Ok(hpa)
     }
 
@@ -260,7 +270,7 @@ impl Vm {
     pub fn clear_ept_range(&self, gpa: Gpa, len: u64) -> usize {
         let first = self.page_no(gpa);
         let last = self.page_no(Gpa(gpa.raw() + len.max(1) - 1));
-        let mut ept = self.ept.lock();
+        let ept = &mut self.state.lock().ept;
         let mut removed = 0;
         for page in first..=last {
             if ept.unmap(page).is_ok() {
@@ -272,7 +282,7 @@ impl Vm {
 
     /// True if the page containing `gpa` already has an EPT entry.
     pub fn ept_present(&self, gpa: Gpa) -> bool {
-        self.ept.lock().lookup(self.page_no(gpa)).is_some()
+        self.state.lock().ept.lookup(self.page_no(gpa)).is_some()
     }
 
     /// Counter snapshot.
@@ -280,7 +290,7 @@ impl Vm {
         VmStats {
             ept_faults: self.faults.load(Ordering::Relaxed),
             hook_zeroed: self.hook_zeroed.load(Ordering::Relaxed),
-            ept_entries: self.ept.lock().entries(),
+            ept_entries: self.state.lock().ept.entries(),
         }
     }
 }
@@ -293,10 +303,16 @@ mod tests {
     const PAGE: u64 = 2 * 1024 * 1024;
 
     fn setup() -> (Arc<PhysMemory>, Arc<AddressSpace>, Arc<Vm>) {
+        setup_with(None)
+    }
+
+    fn setup_with(
+        hook: Option<Arc<dyn EptFaultHook>>,
+    ) -> (Arc<PhysMemory>, Arc<AddressSpace>, Arc<Vm>) {
         let clock = Clock::new_virtual(1e-5);
         let mem = PhysMemory::new(MemCosts::for_tests(clock.clone()), PageSize::Size2M, 128);
         let aspace = AddressSpace::new(11, Arc::clone(&mem));
-        let vm = Vm::new(clock, Arc::clone(&aspace), Duration::from_micros(20));
+        let vm = Vm::new(clock, Arc::clone(&aspace), Duration::from_micros(20), hook);
         (mem, aspace, vm)
     }
 
@@ -406,7 +422,8 @@ mod tests {
 
     #[test]
     fn hook_fires_once_per_page() {
-        let (_, aspace, vm) = setup();
+        let hook = Arc::new(CountingHook(AtomicU64::new(0)));
+        let (_, aspace, vm) = setup_with(Some(Arc::clone(&hook) as Arc<dyn EptFaultHook>));
         let hva = aspace.mmap("ram", 4 * PAGE).unwrap();
         // Pre-populate as the VFIO path would (no zeroing).
         aspace
@@ -418,8 +435,6 @@ mod tests {
             hva,
         })
         .unwrap();
-        let hook = Arc::new(CountingHook(AtomicU64::new(0)));
-        vm.set_fault_hook(Arc::clone(&hook) as Arc<dyn EptFaultHook>);
         let mut buf = [0u8; 1];
         for _ in 0..3 {
             vm.read_gpa(Gpa(0), &mut buf).unwrap();
@@ -431,7 +446,8 @@ mod tests {
 
     #[test]
     fn clear_ept_range_rearms_faults_and_hook() {
-        let (_, aspace, vm) = setup();
+        let hook = Arc::new(CountingHook(AtomicU64::new(0)));
+        let (_, aspace, vm) = setup_with(Some(Arc::clone(&hook) as Arc<dyn EptFaultHook>));
         let hva = aspace.mmap("ram", 4 * PAGE).unwrap();
         aspace
             .populate_range(hva, 4 * PAGE, Populate::AllocOnly)
@@ -442,8 +458,6 @@ mod tests {
             hva,
         })
         .unwrap();
-        let hook = Arc::new(CountingHook(AtomicU64::new(0)));
-        vm.set_fault_hook(Arc::clone(&hook) as Arc<dyn EptFaultHook>);
         vm.proactive_fault(Gpa(0), 4 * PAGE).unwrap();
         assert_eq!(hook.0.load(Ordering::Relaxed), 4);
         // Clear the middle two pages: their next touch faults (and runs

@@ -132,9 +132,9 @@ impl Host {
             params.nic_line_total,
             params.nic_line_stream_cap,
         );
-        let dma = DmaEngine::new(Arc::clone(&mem), line);
         let irq = crate::irq::IrqRouter::new(clock.clone(), params.irq_relay);
-        dma.set_interrupt_sink(Arc::clone(&irq) as Arc<dyn fastiov_nic::InterruptSink>);
+        let sink = Arc::clone(&irq) as Arc<dyn fastiov_nic::InterruptSink>;
+        let dma = DmaEngine::new(Arc::clone(&mem), line, Some(sink));
         let wire = fastiov_nic::Wire::new();
         let fastiovd = Fastiovd::new(clock.clone(), Arc::clone(&mem), Arc::clone(&faults));
         let virtiofs_bw = FairShareBandwidth::new(

@@ -164,12 +164,18 @@ pub struct Microvm {
     ram_hva: Hva,
     image_hva: Hva,
     container: Option<Arc<VfioContainer>>,
-    vfio_fd: TrackedMutex<Option<VfioDeviceFd>>,
+    /// Taken out before the join or the close that releases it.
+    held: TrackedMutex<Held>,
     vf: Option<VfId>,
     virtiofs: Arc<VirtioFs>,
     virtio_net: Option<Arc<VirtioNet>>,
     net_readiness: Option<Arc<NetReadiness>>,
-    init_thread: TrackedMutex<Option<fastiov_simtime::JoinHandle<()>>>,
+}
+
+/// What teardown releases.
+struct Held {
+    vfio_fd: Option<VfioDeviceFd>,
+    init_thread: Option<fastiov_simtime::JoinHandle<()>>,
 }
 
 impl Microvm {
@@ -220,7 +226,16 @@ impl Microvm {
 
         // Hypervisor process: address space, KVM VM, memory regions.
         let aspace = AddressSpace::new(cfg.pid, Arc::clone(&host.mem));
-        let vm = Vm::new(host.clock.clone(), Arc::clone(&aspace), params.ept_fault);
+        let hook = cfg
+            .zeroing
+            .is_decoupled()
+            .then(|| Arc::clone(&host.fastiovd) as Arc<dyn EptFaultHook>);
+        let vm = Vm::new(
+            host.clock.clone(),
+            Arc::clone(&aspace),
+            params.ept_fault,
+            hook,
+        );
         let ram_hva = aspace.mmap("ram", cfg.ram_bytes)?;
         let image_hva = aspace.mmap("image", cfg.image_bytes)?;
         vm.set_memslot(Memslot {
@@ -235,9 +250,6 @@ impl Microvm {
             hva: image_hva,
         })
         .map_err(VmmError::Kvm)?;
-        if cfg.zeroing.is_decoupled() {
-            vm.set_fault_hook(Arc::clone(&host.fastiovd) as Arc<dyn EptFaultHook>);
-        }
 
         // Passthrough setup (t_attach in Fig. 4).
         let mut container = None;
@@ -255,8 +267,9 @@ impl Microvm {
                     }
                     ZeroingMode::Decoupled { .. } => {
                         let fd = Arc::clone(&host.fastiovd);
-                        let register =
-                            move |pid: u64, ranges: &[FrameRange]| fd.register_pages(pid, ranges);
+                        let register = move |pid: u64, ranges: &[FrameRange]| {
+                            fd.register_pages(pid, pid, ranges)
+                        };
                         c.dma_map(
                             ram_hva,
                             cfg.ram_bytes,
@@ -447,13 +460,27 @@ impl Microvm {
             ram_hva,
             image_hva,
             container,
-            vfio_fd: TrackedMutex::new(LockClass::MicrovmState, vfio_fd),
+            held: TrackedMutex::new(
+                LockClass::MicrovmState,
+                Held {
+                    vfio_fd,
+                    init_thread,
+                },
+            ),
             vf: vf_id,
             virtiofs,
             virtio_net,
             net_readiness,
-            init_thread: TrackedMutex::new(LockClass::MicrovmState, init_thread),
         }))
+    }
+
+    /// Joins the asynchronous VF initializer if it still runs: it writes
+    /// guest memory.
+    fn quiesce(&self) {
+        let init = self.held.lock().init_thread.take();
+        if let Some(t) = init {
+            let _ = t.join();
+        }
     }
 
     /// The host this microVM runs on.
@@ -544,19 +571,14 @@ impl Microvm {
     ///
     /// Runs off the startup critical path: the pool's replenisher thread
     /// pays these costs, not the claiming pod.
-    pub fn recycle(&self, log: &mut StageLog) -> Result<()> {
-        self.recycle_keyed(log, self.cfg.pid)
-    }
-
-    /// [`Microvm::recycle`] with an explicit fault-injection key: the
-    /// stable identity of the tenant pod being torn down (falling back to
-    /// the VM's own pid when it never hosted one), so injected recycle
-    /// faults don't depend on pod-to-VM assignment order.
-    pub fn recycle_keyed(&self, log: &mut StageLog, fault_key: u64) -> Result<()> {
-        // Quiesce: a still-running async VF init writes guest memory.
-        if let Some(t) = self.init_thread.lock().take() {
-            let _ = t.join();
-        }
+    ///
+    /// Injected faults at `POOL_RECYCLE` and at the re-registration's
+    /// `SCRUB_REGISTER` are keyed on `fault_key`: the pool passes the tenant pod being torn down, or the
+    /// VM's own pid when it never hosted one, so a recycle fault follows
+    /// the tenant set a run is given rather than which pool VM a claim
+    /// happened to pick.
+    pub fn recycle(&self, log: &mut StageLog, fault_key: u64) -> Result<()> {
+        self.quiesce();
         let host = &self.host;
         host.faults
             .check(fastiov_faults::sites::POOL_RECYCLE, fault_key, &host.clock)
@@ -576,7 +598,7 @@ impl Microvm {
             if !self.cfg.zeroing.is_decoupled()
                 || !host
                     .fastiovd
-                    .register_pages_keyed(self.cfg.pid, fault_key, &ram_frames)
+                    .register_pages(self.cfg.pid, fault_key, &ram_frames)
             {
                 host.mem.zero_ranges(&ram_frames).map_err(VmmError::Mem)?;
             }
@@ -665,9 +687,7 @@ impl Microvm {
     /// Tears the microVM down: joins the async initializer, detaches and
     /// resets the VF, releases DMA state, and frees guest memory.
     pub fn shutdown(&self) -> Result<()> {
-        if let Some(t) = self.init_thread.lock().take() {
-            let _ = t.join();
-        }
+        self.quiesce();
         if let Some(vf) = self.vf {
             self.host.dma.detach_vf(vf);
             let vf_ref = self.host.pf.vf(vf)?;
@@ -680,7 +700,8 @@ impl Microvm {
         if let Some(c) = &self.container {
             c.dma_unmap_all()?;
         }
-        *self.vfio_fd.lock() = None; // RAII close
+        let fd = self.held.lock().vfio_fd.take();
+        drop(fd); // RAII close
         if let Some(vf) = self.vf {
             let bdf = self.host.pf.vf(vf)?.pci().bdf();
             if let Ok(group) = self.host.vfio.group(bdf) {
@@ -850,7 +871,7 @@ mod tests {
         let secret = [0xabu8; 64];
         vm.vm().write_gpa(vm.layout().app_gpa, &secret).unwrap();
         let mut log = StageLog::begin(&host.tracer);
-        vm.recycle(&mut log).unwrap();
+        vm.recycle(&mut log, 30).unwrap();
         assert!(log.records().iter().any(|r| r.name == stages::RECYCLE));
         // New tenant reads the same GPA: zeros, never the secret.
         let mut buf = [0xffu8; 64];
@@ -886,7 +907,7 @@ mod tests {
         let hpa = vm.vm().ept_resolve(gpa).unwrap();
         assert!(!host.fastiovd.is_tracked(31, hpa));
         let mut log = StageLog::begin(&host.tracer);
-        vm.recycle(&mut log).unwrap();
+        vm.recycle(&mut log, 31).unwrap();
         assert!(host.fastiovd.is_tracked(31, hpa));
         assert!(
             !vm.vm().ept_present(gpa),

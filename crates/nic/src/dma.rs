@@ -11,7 +11,7 @@ use crate::vf::VfId;
 use crate::{NicError, Result};
 use fastiov_hostmem::{Hpa, Iova, PhysMemory};
 use fastiov_iommu::IommuDomain;
-use fastiov_simtime::{FairShareBandwidth, LockClass, TrackedCondvar, TrackedMutex, TrackedRwLock};
+use fastiov_simtime::{FairShareBandwidth, LockClass, TrackedCondvar, TrackedMutex};
 use std::collections::{HashMap, VecDeque};
 use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -76,34 +76,35 @@ pub struct DmaEngine {
     /// NIC line rate, shared across all VFs (processor-sharing).
     line: Arc<FairShareBandwidth>,
     attachments: TrackedMutex<HashMap<u16, Arc<VfAttachment>>>,
-    irq: TrackedRwLock<Option<Arc<dyn InterruptSink>>>,
+    irq: Option<Arc<dyn InterruptSink>>,
     rx_packets: AtomicU64,
     rx_bytes: AtomicU64,
     faults: AtomicU64,
 }
 
 impl DmaEngine {
-    /// Creates the engine with the given shared line-rate resource.
-    pub fn new(mem: Arc<PhysMemory>, line: Arc<FairShareBandwidth>) -> Arc<Self> {
+    /// Creates the engine with the given shared line-rate resource. `irq`,
+    /// if given, receives every MSI-X vector the engine raises (the
+    /// hypervisor's IRQ relay).
+    pub fn new(
+        mem: Arc<PhysMemory>,
+        line: Arc<FairShareBandwidth>,
+        irq: Option<Arc<dyn InterruptSink>>,
+    ) -> Arc<Self> {
         Arc::new(DmaEngine {
             mem,
             line,
             attachments: TrackedMutex::new(LockClass::NicDma, HashMap::new()),
-            irq: TrackedRwLock::new(LockClass::NicDma, None),
+            irq,
             rx_packets: AtomicU64::new(0),
             rx_bytes: AtomicU64::new(0),
             faults: AtomicU64::new(0),
         })
     }
 
-    /// Installs the interrupt sink (the hypervisor's IRQ relay).
-    pub fn set_interrupt_sink(&self, sink: Arc<dyn InterruptSink>) {
-        *self.irq.write() = Some(sink);
-    }
-
-    /// Raises an MSI-X vector through the installed sink, if any.
+    /// Raises an MSI-X vector through the sink, if any.
     fn raise_irq(&self, vf: VfId, vector: MsixVector) {
-        if let Some(sink) = self.irq.read().clone() {
+        if let Some(sink) = &self.irq {
             sink.raise(vf, vector);
         }
     }
@@ -249,7 +250,7 @@ mod tests {
         );
         let domain = iommu.create_domain(PageSize::Size2M);
         let line = FairShareBandwidth::new(clock, 3.125e9, 3.125e9); // 25 GbE
-        let engine = DmaEngine::new(Arc::clone(&mem), line);
+        let engine = DmaEngine::new(Arc::clone(&mem), line, None);
         engine.attach_vf(VfId(0), Arc::clone(&domain));
         (mem, domain, engine)
     }

@@ -172,7 +172,7 @@ mod tests {
         mem.zero_ranges(&ranges).unwrap();
         domain.map_range(Iova(0), &ranges, &mem).unwrap();
         let line = FairShareBandwidth::new(clock, 3.125e9, 3.125e9);
-        let engine = DmaEngine::new(Arc::clone(&mem), line);
+        let engine = DmaEngine::new(Arc::clone(&mem), line, None);
         engine.attach_vf(VfId(0), domain);
         (mem, engine, Wire::new())
     }

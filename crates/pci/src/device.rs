@@ -88,9 +88,14 @@ pub struct PciDevice {
     class: DeviceClass,
     reset: ResetCapability,
     config: ConfigSpace,
-    driver: TrackedMutex<DriverBinding>,
-    sriov: TrackedMutex<Option<SriovCap>>,
+    state: TrackedMutex<DeviceState>,
     resets: AtomicU64,
+}
+
+/// A device's driver binding and SR-IOV capability.
+struct DeviceState {
+    driver: DriverBinding,
+    sriov: Option<SriovCap>,
 }
 
 impl PciDevice {
@@ -106,13 +111,15 @@ impl PciDevice {
             class,
             reset,
             config: ConfigSpace::new(),
-            driver: TrackedMutex::new(LockClass::PciDevice, DriverBinding::None),
-            sriov: TrackedMutex::new(
+            state: TrackedMutex::new(
                 LockClass::PciDevice,
-                sriov_total_vfs.map(|total_vfs| SriovCap {
-                    total_vfs,
-                    num_vfs: 0,
-                }),
+                DeviceState {
+                    driver: DriverBinding::None,
+                    sriov: sriov_total_vfs.map(|total_vfs| SriovCap {
+                        total_vfs,
+                        num_vfs: 0,
+                    }),
+                },
             ),
             resets: AtomicU64::new(0),
         })
@@ -140,23 +147,22 @@ impl PciDevice {
 
     /// Current driver binding.
     pub fn driver(&self) -> DriverBinding {
-        *self.driver.lock()
+        self.state.lock().driver
     }
 
     /// Rebinds the device to `driver`, returning the previous binding.
     pub fn bind_driver(&self, driver: DriverBinding) -> DriverBinding {
-        std::mem::replace(&mut *self.driver.lock(), driver)
+        std::mem::replace(&mut self.state.lock().driver, driver)
     }
 
     /// SR-IOV capability, if present.
     pub fn sriov_cap(&self) -> Option<SriovCap> {
-        *self.sriov.lock()
+        self.state.lock().sriov
     }
 
     /// Sets the number of enabled VFs in the SR-IOV capability.
     pub fn set_num_vfs(&self, n: u16) -> crate::Result<()> {
-        let mut cap = self.sriov.lock();
-        match cap.as_mut() {
+        match self.state.lock().sriov.as_mut() {
             None => Err(crate::PciError::NoSriovCap(self.bdf)),
             Some(c) if n > c.total_vfs => Err(crate::PciError::TooManyVfs {
                 requested: n,

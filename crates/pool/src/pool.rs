@@ -265,7 +265,7 @@ fn replenisher(shared: Arc<Shared>, rx: Receiver<Cmd>) {
                 let _span = shared.host.tracer.span("pool.recycle");
                 let mut log = StageLog::begin(&shared.host.tracer);
                 let key = warm.tenant.unwrap_or(warm.pool_pid);
-                match warm.vm.recycle_keyed(&mut log, key) {
+                match warm.vm.recycle(&mut log, key) {
                     Ok(()) => {
                         shared.slots.lock().push(warm);
                         shared.recycled.fetch_add(1, Ordering::Relaxed);
@@ -290,8 +290,8 @@ fn replenisher(shared: Arc<Shared>, rx: Receiver<Cmd>) {
 /// The warm microVM pool. See the crate docs for the model.
 pub struct WarmPool {
     shared: Arc<Shared>,
-    tx: TrackedMutex<Option<Sender<Cmd>>>,
-    thread: TrackedMutex<Option<JoinHandle<()>>>,
+    /// The replenisher's channel and thread, until shutdown takes them.
+    worker: TrackedMutex<Option<(Sender<Cmd>, JoinHandle<()>)>>,
 }
 
 impl WarmPool {
@@ -323,8 +323,7 @@ impl WarmPool {
         };
         Arc::new(WarmPool {
             shared,
-            tx: TrackedMutex::new(LockClass::PoolWorker, Some(tx)),
-            thread: TrackedMutex::new(LockClass::PoolWorker, Some(thread)),
+            worker: TrackedMutex::new(LockClass::PoolWorker, Some((tx, thread))),
         })
     }
 
@@ -410,8 +409,8 @@ impl WarmPool {
 
     fn send(&self, cmd: Cmd) {
         *self.shared.backlog.lock() += 1;
-        let undelivered = match self.tx.lock().as_ref() {
-            Some(tx) => tx.send(cmd).err().map(|e| e.0),
+        let undelivered = match self.worker.lock().as_ref() {
+            Some((tx, _)) => tx.send(cmd).err().map(|e| e.0),
             None => Some(cmd),
         };
         if let Some(cmd) = undelivered {
@@ -455,9 +454,10 @@ impl WarmPool {
     /// Stops the replenisher and shuts every parked microVM down,
     /// releasing frames and VFs. Called automatically on drop.
     pub fn shutdown(&self) {
-        drop(self.tx.lock().take());
-        if let Some(t) = self.thread.lock().take() {
-            let _ = t.join();
+        let worker = self.worker.lock().take();
+        if let Some((tx, thread)) = worker {
+            drop(tx);
+            let _ = thread.join();
         }
         let parked: Vec<WarmVm> = self.shared.slots.lock().drain(..).collect();
         for warm in parked {

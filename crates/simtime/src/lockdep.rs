@@ -14,9 +14,9 @@
 //!    deadlock, reported with the witness acquisition sites of both the
 //!    forward edge and the first edge of the return path (à la lockdep's
 //!    two-stack report).
-//! 2. **Hierarchy violations** — classes may declare a (domain, level);
-//!    acquiring a lower level while a deeper one is held in the same
-//!    domain is a child-before-parent inversion (e.g. taking the devset
+//! 2. **Hierarchy violations** — the devset classes declare a level in
+//!    the devset hierarchy; acquiring a lower level while a deeper one is
+//!    held is a child-before-parent inversion (e.g. taking the devset
 //!    parent rwlock while a per-device child mutex is held).
 //!
 //! Shared (read) acquisitions are recorded in the graph for reporting but
@@ -66,9 +66,11 @@ macro_rules! lock_classes {
     ($($(#[$doc:meta])* $class:ident => $name:literal,)*) => {
         /// The class of an instrumented lock. One class per *role*, not per
         /// instance: all per-device child mutexes share [`LockClass::DevsetChild`],
-        /// all per-VM fastiovd tables share [`LockClass::FastiovdVmTable`], and so
-        /// on. The acquired-while-held graph and the lock statistics are kept per
-        /// class.
+        /// all IOMMU domains' translation locks share [`LockClass::IommuTable`],
+        /// and so on. A component keeps one lock over all of its state unless a
+        /// simulated thread can wait on part of it, so most classes name one
+        /// component. The acquired-while-held graph and the lock statistics are
+        /// kept per class.
         #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
         #[repr(u8)]
         pub enum LockClass {
@@ -96,7 +98,7 @@ lock_classes! {
     DevsetChild => "devset-child",
     /// Devset global (parent-mode) state mutex.
     DevsetState => "devset-state",
-    /// DevsetManager registries (devsets/devices/groups maps).
+    /// DevsetManager registry (devsets, devices and their groups).
     DevsetRegistry => "devset-registry",
     /// Devset membership list (`DevSet::devices`).
     DevsetMembers => "devset-members",
@@ -104,35 +106,31 @@ lock_classes! {
     VfioContainer => "vfio-container",
     /// VFIO group attachment slot.
     VfioGroup => "vfio-group",
-    /// fastiovd tier-1 table (PID → VM table).
+    /// fastiovd's two-tier table (PID → per-VM page table), both tiers.
     FastiovdTier1 => "fastiovd-tier1",
-    /// fastiovd tier-2 per-VM page table.
-    FastiovdVmTable => "fastiovd-vm-table",
     /// IOMMU domain registry.
     IommuRegistry => "iommu-registry",
-    /// IOMMU domain I/O page table.
+    /// IOMMU domain I/O page table and IOTLB.
     IommuTable => "iommu-table",
-    /// IOMMU domain IOTLB.
-    IommuTlb => "iommu-tlb",
     /// Physical memory: the frame table and its free runs.
     PhysMemory => "phys-memory",
     /// Host MMU region table.
     HostMmu => "host-mmu",
     /// Warm-pool slot list.
     PoolSlots => "pool-slots",
-    /// Warm-pool worker channel/handle slots and replenisher backlog.
+    /// Warm-pool replenisher (its channel and thread) and its backlog.
     PoolWorker => "pool-worker",
     /// NIC PF admin mailbox (strictly serialized command channel).
     NicMailbox => "nic-mailbox",
     /// PF driver VF list.
     NicPf => "nic-pf",
-    /// NIC DMA engine state (rings, attachments, irq sink).
+    /// NIC DMA engine state (per-VF RX rings, VF attachments).
     NicDma => "nic-dma",
     /// NIC TX queue / wire sink.
     NicTx => "nic-tx",
     /// Per-VF configuration state.
     NicVf => "nic-vf",
-    /// KVM VM state (memslots, EPT, fault hook).
+    /// KVM VM state (memslots and EPT).
     KvmVm => "kvm-vm",
     /// PCI bus device map.
     PciBus => "pci-bus",
@@ -144,13 +142,14 @@ lock_classes! {
     CniRegistry => "cni-registry",
     /// Per-network-namespace state.
     CniNns => "cni-nns",
-    /// MicroVM per-instance state (vfio fd, init thread).
+    /// MicroVM per-instance state (vfio fd and init thread, taken out at
+    /// teardown).
     MicrovmState => "microvm-state",
     /// Guest network readiness flag.
     GuestNet => "guest-net",
     /// virtio-fs / virtio-net shared state.
     Virtio => "virtio",
-    /// A fault plane's own per-site counters and statistics.
+    /// A fault plane's own per-(site, key) counters and per-site statistics.
     FaultPlane => "fault-plane",
     /// Cgroup registry.
     CgroupRegistry => "cgroup-registry",
@@ -169,31 +168,18 @@ lock_classes! {
 const NCLASS: usize = LockClass::Test as usize + 1;
 const _: () = assert!(NCLASS <= 64);
 
-/// Lock-ordering domains for the hierarchy rule.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Domain {
-    Devset,
-    Fastiovd,
-    Iommu,
-}
-
 impl LockClass {
     fn index(self) -> usize {
         self as usize
     }
 
-    /// Hierarchy position: `(domain, level)`. Acquiring a *lower* level
-    /// while a deeper level of the same domain is held is a
+    /// Level in the devset hierarchy, the one lock hierarchy (§4.2.1).
+    /// Acquiring a *lower* level while a deeper one is held is a
     /// child-before-parent inversion.
-    fn hierarchy(self) -> Option<(Domain, u8)> {
+    fn devset_level(self) -> Option<u8> {
         match self {
-            LockClass::DevsetParent => Some((Domain::Devset, 0)),
-            LockClass::DevsetChild => Some((Domain::Devset, 1)),
-            LockClass::DevsetState => Some((Domain::Devset, 1)),
-            LockClass::FastiovdTier1 => Some((Domain::Fastiovd, 0)),
-            LockClass::FastiovdVmTable => Some((Domain::Fastiovd, 1)),
-            LockClass::IommuTable => Some((Domain::Iommu, 0)),
-            LockClass::IommuTlb => Some((Domain::Iommu, 1)),
+            LockClass::DevsetParent => Some(0),
+            LockClass::DevsetChild | LockClass::DevsetState => Some(1),
             _ => None,
         }
     }
@@ -220,7 +206,7 @@ pub enum Mode {
 pub enum ReportKind {
     /// A blocking-edge cycle in the class graph.
     PotentialDeadlock,
-    /// Child-before-parent acquisition within a hierarchy domain.
+    /// Child-before-parent acquisition within the devset hierarchy.
     HierarchyViolation,
 }
 
@@ -463,13 +449,13 @@ impl Graph {
         }
     }
 
-    /// Acquiring a lower level while a deeper one of the same domain is
-    /// held is a child-before-parent inversion.
+    /// Acquiring a lower devset level while a deeper one is held is a
+    /// child-before-parent inversion.
     fn check_hierarchy(&mut self, h: &HeldEntry, new: HeldEntry) {
-        if let (Some((hd, hl)), Some((nd, nl))) = (h.class.hierarchy(), new.class.hierarchy()) {
-            if hd == nd && nl < hl {
+        if let (Some(hl), Some(nl)) = (h.class.devset_level(), new.class.devset_level()) {
+            if nl < hl {
                 let detail = format!(
-                    "{} is level {} of its domain but level-{} {} is already held \
+                    "{} is level {} of the devset hierarchy but level-{} {} is already held \
                      (child-before-parent inversion)",
                     new.class, nl, hl, h.class
                 );
@@ -549,7 +535,9 @@ pub fn graph_dot() -> String {
 }
 
 /// JSON rendering of the graph plus all reports of the calling thread's
-/// executor (the `lockgraph.json` of `fastiovctl observe`).
+/// executor (the `lockgraph.json` of `fastiovctl observe`). An edge's
+/// witness sites are named by file only, so a commit that moves a line
+/// leaves the graph's bytes alone; a report keeps `file:line`.
 pub fn graph_json() -> String {
     let (edges, reports) = snapshot();
     let mut out = String::from("{\n  \"edges\": [\n");
@@ -561,8 +549,8 @@ pub fn graph_json() -> String {
             LockClass::ALL[to].name(),
             info.count,
             info.blocking,
-            site_str(info.holder_site),
-            site_str(info.acquire_site),
+            info.holder_site.file(),
+            info.acquire_site.file(),
             if i + 1 == edges.len() { "" } else { "," }
         ));
     }
@@ -1054,17 +1042,26 @@ mod tests {
     #[test]
     fn graph_exports_name_sites() {
         let _clock = Clock::new_virtual(1.0);
-        let a = TrackedMutex::new(LockClass::IommuTable, ());
-        let b = TrackedMutex::new(LockClass::IommuTlb, ());
+        let a = TrackedMutex::new(LockClass::IommuRegistry, ());
+        let b = TrackedMutex::new(LockClass::IommuTable, ());
         {
             let _ga = a.lock();
             let _gb = b.lock();
         }
         let dot = graph_dot();
-        assert!(dot.contains("\"iommu-table\" -> \"iommu-tlb\""), "{dot}");
+        assert!(
+            dot.contains("\"iommu-registry\" -> \"iommu-table\""),
+            "{dot}"
+        );
+        // Edge sites are files, not lines, so moving a line keeps the bytes.
         let json = graph_json();
-        assert!(json.contains("\"from\": \"iommu-table\""), "{json}");
-        assert!(json.contains("lockdep.rs"), "{json}");
+        let sites = format!(
+            "\"holder_site\": \"{f}\", \"acquire_site\": \"{f}\"",
+            f = file!()
+        );
+        assert!(json.contains("\"from\": \"iommu-registry\""), "{json}");
+        assert!(json.contains(&sites), "{json}");
+        assert!(!json.contains("lockdep.rs:"), "{json}");
     }
 
     #[test]

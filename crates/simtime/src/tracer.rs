@@ -32,21 +32,15 @@
 //!   paths open spans unconditionally; only `fastiovctl observe`, the
 //!   benchmark's traced runs (`--trace 1`) and tests turn recording on.
 //!
-//! Two exports:
-//!
-//! - [`Tracer::chrome_trace_json`] — Chrome trace-event JSON (the
-//!   `traceEvents` array format) loadable in `chrome://tracing` or
-//!   Perfetto. Timestamps are simulated microseconds and no figure is
-//!   wall time, so the same wave on a fresh host renders the same bytes.
-//! - [`Tracer::canonical_json`] — a structural digest (per-VM span
-//!   name/depth counts, no timestamps, no track ids) that is
-//!   byte-identical across same-seed runs even where span timing is not
-//!   (a wall-paced clock).
+//! One export: [`Tracer::chrome_trace_json`] — Chrome trace-event JSON
+//! (the `traceEvents` array format) loadable in `chrome://tracing` or
+//! Perfetto. Timestamps are simulated microseconds and no figure is wall
+//! time, so the same wave on a fresh virtual-clock host renders the same
+//! bytes, timestamps and track ids included.
 
 use crate::exec::with_thread_trace;
 use crate::{Clock, SimInstant};
 use parking_lot::Mutex;
-use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::time::{Duration, Instant};
@@ -319,45 +313,6 @@ impl Tracer {
         out.push_str("]}");
         out
     }
-
-    /// Renders a deterministic structural digest of the trace: per-VM
-    /// counts of `(span name, depth)` pairs, sorted, with background
-    /// (vm 0) spans excluded. Contains no timestamps and no track ids, so
-    /// two same-configuration runs produce byte-identical output — this is
-    /// the view determinism tests assert on.
-    pub fn canonical_json(&self) -> String {
-        // vm -> (name, depth) -> count
-        let mut vms: BTreeMap<u64, BTreeMap<(String, u32), u64>> = BTreeMap::new();
-        for s in self.spans() {
-            if s.vm == 0 {
-                continue;
-            }
-            *vms.entry(s.vm)
-                .or_default()
-                .entry((s.name, s.depth))
-                .or_insert(0) += 1;
-        }
-        let mut out = String::from("{\"vms\":[");
-        for (i, (vm, counts)) in vms.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(out, "{{\"vm\":{vm},\"spans\":[");
-            for (j, ((name, depth), count)) in counts.iter().enumerate() {
-                if j > 0 {
-                    out.push(',');
-                }
-                let _ = write!(
-                    out,
-                    "{{\"name\":\"{}\",\"depth\":{depth},\"count\":{count}}}",
-                    escape(name)
-                );
-            }
-            out.push_str("]}");
-        }
-        out.push_str("]}");
-        out
-    }
 }
 
 fn escape(s: &str) -> String {
@@ -548,24 +503,6 @@ mod tests {
         assert!(json.contains("\"ph\":\"X\""));
         assert!(json.contains("\"pid\":1000"));
         assert!(json.ends_with("]}"));
-    }
-
-    #[test]
-    fn canonical_json_is_structural_and_sorted() {
-        let t = tracer();
-        {
-            let _vm = t.vm_scope(1001);
-            t.span("b").finish();
-            t.span("a").finish();
-            t.span("a").finish();
-        }
-        t.span("background").finish(); // vm 0: excluded
-        assert_eq!(
-            t.canonical_json(),
-            "{\"vms\":[{\"vm\":1001,\"spans\":[\
-             {\"name\":\"a\",\"depth\":0,\"count\":2},\
-             {\"name\":\"b\",\"depth\":0,\"count\":1}]}]}"
-        );
     }
 
     #[test]

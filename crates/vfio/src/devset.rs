@@ -229,15 +229,21 @@ pub struct DevsetManager {
     policy: LockPolicy,
     bus: Arc<PciBus>,
     open_overhead: Duration,
-    devsets: TrackedMutex<HashMap<DevsetKey, Arc<DevSet>>>,
-    devices: TrackedMutex<HashMap<Bdf, Arc<VfioDevice>>>,
-    groups: TrackedMutex<HashMap<Bdf, Arc<VfioGroup>>>,
+    registry: TrackedMutex<Registry>,
     next_group: AtomicU64,
     opens: AtomicU64,
     resets: AtomicU64,
     busy: AtomicU64,
     /// Fault plane consulted on the ioctl paths, and by every group.
     faults: Arc<FaultPlane>,
+}
+
+/// What a [`DevsetManager`] has registered.
+#[derive(Default)]
+struct Registry {
+    devsets: HashMap<DevsetKey, Arc<DevSet>>,
+    /// Each registered device with its IOMMU group.
+    devices: HashMap<Bdf, (Arc<VfioDevice>, Arc<VfioGroup>)>,
 }
 
 impl DevsetManager {
@@ -256,9 +262,7 @@ impl DevsetManager {
             policy,
             bus,
             open_overhead,
-            devsets: TrackedMutex::new(LockClass::DevsetRegistry, HashMap::new()),
-            devices: TrackedMutex::new(LockClass::DevsetRegistry, HashMap::new()),
-            groups: TrackedMutex::new(LockClass::DevsetRegistry, HashMap::new()),
+            registry: TrackedMutex::new(LockClass::DevsetRegistry, Registry::default()),
             next_group: AtomicU64::new(0),
             opens: AtomicU64::new(0),
             resets: AtomicU64::new(0),
@@ -282,8 +286,8 @@ impl DevsetManager {
             ResetCapability::BusReset => DevsetKey::Bus(pci.bdf().bus),
         };
         let devset = {
-            let mut sets = self.devsets.lock();
-            Arc::clone(sets.entry(key).or_insert_with(|| {
+            let mut reg = self.registry.lock();
+            Arc::clone(reg.devsets.entry(key).or_insert_with(|| {
                 Arc::new(DevSet {
                     key,
                     lock: ParentChildLock::new(self.policy, DevsetState::default()),
@@ -299,7 +303,6 @@ impl DevsetManager {
             state: ChildLock::new(DeviceState::default()),
         });
         devset.devices.write().insert(dev.bdf(), Arc::clone(&dev));
-        self.devices.lock().insert(dev.bdf(), Arc::clone(&dev));
         // Every function gets its own IOMMU group (ACS topology).
         let gid = self.next_group.fetch_add(1, Ordering::Relaxed) as u32;
         let group = VfioGroup::new(
@@ -308,47 +311,46 @@ impl DevsetManager {
             Arc::clone(&self.faults),
             self.bus.clock().clone(),
         );
-        self.groups.lock().insert(dev.bdf(), group);
+        self.registry
+            .lock()
+            .devices
+            .insert(dev.bdf(), (Arc::clone(&dev), group));
         Ok(dev)
     }
 
     /// Unregisters a device (must be closed).
     pub fn unregister(&self, bdf: Bdf) -> Result<()> {
-        let dev = self
-            .devices
-            .lock()
-            .remove(&bdf)
-            .ok_or(VfioError::Unregistered(bdf))?;
-        if dev.open_count() > 0 {
-            // Put it back; it is busy.
-            self.devices.lock().insert(bdf, Arc::clone(&dev));
+        let dev = self.device(bdf)?;
+        let open = dev.open_count();
+        if open > 0 {
             return Err(VfioError::DevsetBusy {
                 bdf,
-                others_open: dev.open_count(),
+                others_open: open,
             });
         }
-        let devset = dev.devset();
-        devset.devices.write().remove(&bdf);
-        self.groups.lock().remove(&bdf);
+        self.registry.lock().devices.remove(&bdf);
+        dev.devset().devices.write().remove(&bdf);
         Ok(())
+    }
+
+    /// The registered device at `bdf` and its IOMMU group.
+    fn entry(&self, bdf: Bdf) -> Result<(Arc<VfioDevice>, Arc<VfioGroup>)> {
+        self.registry
+            .lock()
+            .devices
+            .get(&bdf)
+            .cloned()
+            .ok_or(VfioError::Unregistered(bdf))
     }
 
     /// The IOMMU group of a registered device.
     pub fn group(&self, bdf: Bdf) -> Result<Arc<VfioGroup>> {
-        self.groups
-            .lock()
-            .get(&bdf)
-            .cloned()
-            .ok_or(VfioError::Unregistered(bdf))
+        Ok(self.entry(bdf)?.1)
     }
 
     /// Looks up a registered device.
     pub fn device(&self, bdf: Bdf) -> Result<Arc<VfioDevice>> {
-        self.devices
-            .lock()
-            .get(&bdf)
-            .cloned()
-            .ok_or(VfioError::Unregistered(bdf))
+        Ok(self.entry(bdf)?.0)
     }
 
     /// Opens a device, returning an RAII fd. This is the hot path of
@@ -356,10 +358,9 @@ impl DevsetManager {
     /// different VFs serialize on the devset mutex.
     pub fn open(&self, bdf: Bdf) -> Result<VfioDeviceFd> {
         let _span = self.bus.clock().tracer().span("vfio.open");
-        let dev = self.device(bdf)?;
         // VFIO only hands out device descriptors through an attached
         // group (VFIO_GROUP_GET_DEVICE_FD).
-        let group = self.group(bdf)?;
+        let (dev, group) = self.entry(bdf)?;
         let Some(owner) = group.owner() else {
             return Err(VfioError::GroupNotAttached(bdf));
         };

@@ -147,7 +147,7 @@ mod tests {
     use fastiov_hostmem::{AddressSpace, MemCosts, PageSize, PhysMemory, Populate};
     use fastiov_kvm::Memslot;
     use fastiov_simtime::Clock;
-    use fastiovd_testhook::install_fastiovd;
+    use fastiovd_testhook::lazy_zero_hook;
     use std::time::Duration;
 
     const PAGE: u64 = 2 * 1024 * 1024;
@@ -177,45 +177,54 @@ mod tests {
             }
         }
 
-        /// Registers `ranges` for lazy zeroing and installs the hook.
-        pub fn install_fastiovd(vm: &Arc<Vm>, mem: &Arc<PhysMemory>, ranges: &[FrameRange]) {
+        /// A hook that zeroes each page of `ranges` on its first fault.
+        pub fn lazy_zero_hook(
+            mem: &Arc<PhysMemory>,
+            ranges: &[FrameRange],
+        ) -> Arc<dyn EptFaultHook> {
             let tracked = ranges
                 .iter()
                 .flat_map(|r| r.iter())
                 .map(|f| mem.hpa_of(f).raw())
                 .collect();
-            vm.set_fault_hook(Arc::new(MiniLazyZero {
+            Arc::new(MiniLazyZero {
                 mem: Arc::clone(mem),
                 tracked: Mutex::new(tracked),
-            }));
+            })
         }
     }
 
     struct Setup {
         mem: Arc<PhysMemory>,
-        aspace: Arc<AddressSpace>,
         vm: Arc<Vm>,
         ram_hva: Hva,
     }
 
     fn setup() -> Setup {
+        setup_with(false)
+    }
+
+    /// With `lazy`, guest RAM is allocated up front without zeroing, as
+    /// VFIO's DMA map does, and every page is left to the lazy-zero hook.
+    fn setup_with(lazy: bool) -> Setup {
         let clock = Clock::new_virtual(1e-5);
         let mem = PhysMemory::new(MemCosts::for_tests(clock.clone()), PageSize::Size2M, 64);
         let aspace = AddressSpace::new(9, Arc::clone(&mem));
-        let vm = Vm::new(clock, Arc::clone(&aspace), Duration::from_micros(10));
         let ram_hva = aspace.mmap("ram", 16 * PAGE).unwrap();
+        let hook = lazy.then(|| {
+            let ranges = aspace
+                .populate_range(ram_hva, 16 * PAGE, Populate::AllocOnly)
+                .unwrap();
+            lazy_zero_hook(&mem, &ranges)
+        });
+        let vm = Vm::new(clock, Arc::clone(&aspace), Duration::from_micros(10), hook);
         vm.set_memslot(Memslot {
             gpa: Gpa(0),
             len: 16 * PAGE,
             hva: ram_hva,
         })
         .unwrap();
-        Setup {
-            mem,
-            aspace,
-            vm,
-            ram_hva,
-        }
+        Setup { mem, vm, ram_hva }
     }
 
     // Compile-time layout check: the ring must fit in one page.
@@ -246,13 +255,8 @@ mod tests {
         // Decoupled zeroing with a *naive* frontend: the EPT fault taken on
         // the guest's first read of the buffer zeroes the host-written
         // data. This is the §4.3.2 failure FastIOV must prevent.
-        let s = setup();
         // VFIO-style eager allocation without zeroing, pages tracked.
-        let ranges = s
-            .aspace
-            .populate_range(s.ram_hva, 16 * PAGE, Populate::AllocOnly)
-            .unwrap();
-        install_fastiovd(&s.vm, &s.mem, &ranges);
+        let s = setup_with(true);
         let fs = make_fs(&s, /* proactive = */ false);
         let payload = vec![0xabu8; 1024];
         fs.add_file("data", payload);
@@ -264,12 +268,7 @@ mod tests {
     fn proactive_faults_preserve_shared_buffer_reads() {
         // Same setup, FastIOV frontend: buffer pages are faulted (and
         // zeroed) *before* the host writes, so the data survives.
-        let s = setup();
-        let ranges = s
-            .aspace
-            .populate_range(s.ram_hva, 16 * PAGE, Populate::AllocOnly)
-            .unwrap();
-        install_fastiovd(&s.vm, &s.mem, &ranges);
+        let s = setup_with(true);
         let fs = make_fs(&s, /* proactive = */ true);
         let payload: Vec<u8> = (0..1024u32).map(|i| (i * 7 % 255) as u8 + 1).collect();
         fs.add_file("data", payload.clone());

@@ -117,6 +117,7 @@ mod tests {
             clock.clone(),
             Arc::clone(&aspace),
             Duration::from_micros(10),
+            None,
         );
         let hva = aspace.mmap("ram", 8 * PAGE).unwrap();
         vm.set_memslot(Memslot {

@@ -254,6 +254,7 @@ fn vring_is_fifo() {
             clock,
             std::sync::Arc::clone(&aspace),
             Duration::from_micros(1),
+            None,
         );
         let hva = aspace.mmap("ram", 8 * PAGE).unwrap();
         vm.set_memslot(Memslot {

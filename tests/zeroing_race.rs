@@ -1,7 +1,8 @@
 //! Concurrency stress for the decoupled-zeroing hot path: registration,
-//! EPT faults, background scrubbing and teardown racing across many
-//! threads, with the zero-charge accounting and residue invariants
-//! checked at the end.
+//! EPT faults, background scrubbing and teardown racing on plain OS
+//! threads, which no executor serializes, over fastiovd's one table
+//! lock, with the zero-charge accounting and residue invariants checked
+//! at the end.
 
 use fastiov::faults::FaultPlane;
 use fastiov_hostmem::{FrameId, MemCosts, PageSize, PhysMemory};
@@ -17,7 +18,7 @@ const PAGES_PER_ROUND: usize = 8;
 const TOTAL_FRAMES: usize = (WORKERS as usize) * ROUNDS * PAGES_PER_ROUND;
 
 /// Eight VM threads race register→EPT-fault→unregister against two
-/// scrubber threads on one free list and one fastiovd tier-1 table.
+/// scrubber threads on one free list and one fastiovd table lock.
 /// Frames are freed only after the race so every page has
 /// exactly one allocation generation, which makes the charge accounting
 /// an equality rather than a bound. Checks:
@@ -65,7 +66,7 @@ fn register_fault_scrub_unregister_race() {
                     let ranges = mem
                         .alloc_frames(PAGES_PER_ROUND, pid)
                         .unwrap_or_else(|e| panic!("pid {pid} round {round}: {e}"));
-                    assert!(d.register_pages(pid, &ranges));
+                    assert!(d.register_pages(pid, pid, &ranges));
                     let frames: Vec<FrameId> = ranges.iter().flat_map(|r| r.iter()).collect();
                     // Fault every other page; the rest race the scrubber.
                     for f in frames.iter().step_by(2) {
