@@ -86,13 +86,12 @@ pub fn run_serverless_task(
     params: &TaskParams,
 ) -> Result<TaskResult> {
     let host = Arc::clone(engine.host());
-    // Make sure the storage server sits on the far end of the wire.
-    if !host.wire.is_connected() {
-        host.wire.connect(NetworkedStorage::new(
-            Arc::clone(storage),
-            Arc::clone(&host.dma),
-        ));
-    }
+    // Make sure a storage server sits on the far end of the wire (the
+    // first one connected stays).
+    host.wire.connect(NetworkedStorage::new(
+        Arc::clone(storage),
+        Arc::clone(&host.dma),
+    ));
     let clock = host.clock.clone();
     // `run_pod` scopes its own spans to the VM but that scope ends when it
     // returns; re-establish it here so the application phases of the task

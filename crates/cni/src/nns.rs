@@ -7,16 +7,16 @@
 
 use crate::{CniError, Result};
 use fastiov_nic::NetdevName;
-use fastiov_simtime::{Clock, FairSemaphore};
-use fastiov_simtime::{LockClass, TrackedMutex};
+use fastiov_simtime::{Clock, LockClass, TrackedMutex};
 use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Duration;
 
-/// The kernel's global routing-netlink lock.
+/// The kernel's global routing-netlink lock, a FIFO lock of class
+/// [`LockClass::Rtnl`].
 pub struct RtnlLock {
     clock: Clock,
-    sem: Arc<FairSemaphore>,
+    lock: TrackedMutex<()>,
 }
 
 impl RtnlLock {
@@ -24,22 +24,17 @@ impl RtnlLock {
     pub fn new(clock: Clock) -> Arc<Self> {
         Arc::new(RtnlLock {
             clock,
-            sem: FairSemaphore::new(1),
+            lock: TrackedMutex::new(LockClass::Rtnl, ()),
         })
     }
 
     /// Runs `f` while holding rtnl, charging `hold` of kernel work under
     /// the lock.
     pub fn with<R>(&self, hold: Duration, f: impl FnOnce() -> R) -> R {
-        let _g = self.sem.acquire();
+        let _g = self.lock.lock();
         let r = f();
         self.clock.sleep(hold);
         r
-    }
-
-    /// Current waiters (diagnostics).
-    pub fn queue_len(&self) -> usize {
-        self.sem.queue_len()
     }
 }
 

@@ -109,8 +109,12 @@ fn two_observe_runs_of_a_row_write_the_same_bytes() {
     // Components hold their fault plane from construction, and a disabled
     // plane takes no lock.
     let locks = a_stdout.split("lock class").nth(1).expect("lock table");
-    assert!(locks.contains("\ndevset-parent "), "{a_stdout}");
-    assert!(!locks.contains("\nfault-plane "), "{a_stdout}");
+    for serializer in ["devset-parent", "cgroup", "virtiofsd", "rtnl"] {
+        assert!(locks.contains(&format!("\n{serializer} ")), "{a_stdout}");
+    }
+    for gone in ["fault-plane", "devset-state", "cgroup-registry"] {
+        assert!(!locks.contains(&format!("\n{gone} ")), "{a_stdout}");
+    }
     for name in ["trace.json", "lockgraph.dot", "lockgraph.json"] {
         let body = std::fs::read_to_string(a.join(name)).expect(name);
         assert!(!body.is_empty(), "{name} is empty");

@@ -5,8 +5,7 @@
 //! (Tab. 1) and a visibly larger share of the (smaller) software-CNI
 //! startup (Fig. 14).
 
-use fastiov_simtime::{Clock, FairSemaphore};
-use fastiov_simtime::{LockClass, TrackedMutex};
+use fastiov_simtime::{Clock, LockClass, TrackedMutex};
 use std::collections::HashSet;
 use std::sync::Arc;
 use std::time::Duration;
@@ -14,12 +13,13 @@ use std::time::Duration;
 /// Creates and destroys per-container cgroups.
 pub struct CgroupManager {
     clock: Clock,
-    lock: Arc<FairSemaphore>,
+    /// The global cgroup lock (a FIFO lock of class [`LockClass::Cgroup`])
+    /// and the live cgroups it guards.
+    groups: TrackedMutex<HashSet<u64>>,
     /// Parallel setup work per cgroup.
     base: Duration,
     /// Work under the global cgroup lock per cgroup.
     hold: Duration,
-    groups: TrackedMutex<HashSet<u64>>,
 }
 
 impl CgroupManager {
@@ -27,26 +27,25 @@ impl CgroupManager {
     pub fn new(clock: Clock, base: Duration, hold: Duration) -> Arc<Self> {
         Arc::new(CgroupManager {
             clock,
-            lock: FairSemaphore::new(1),
+            groups: TrackedMutex::new(LockClass::Cgroup, HashSet::new()),
             base,
             hold,
-            groups: TrackedMutex::new(LockClass::CgroupRegistry, HashSet::new()),
         })
     }
 
     /// Creates the cgroup for container `id`.
     pub fn create(&self, id: u64) {
         self.clock.sleep(self.base);
-        let _g = self.lock.acquire();
+        let mut groups = self.groups.lock();
         self.clock.sleep(self.hold);
-        self.groups.lock().insert(id);
+        groups.insert(id);
     }
 
     /// Removes the cgroup for container `id`. Returns whether it existed.
     pub fn remove(&self, id: u64) -> bool {
-        let _g = self.lock.acquire();
+        let mut groups = self.groups.lock();
         self.clock.sleep(self.hold);
-        self.groups.lock().remove(&id)
+        groups.remove(&id)
     }
 
     /// Live cgroups.

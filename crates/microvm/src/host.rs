@@ -7,7 +7,7 @@ use fastiov_hostmem::{MemCosts, PhysMemory};
 use fastiov_iommu::Iommu;
 use fastiov_nic::{DmaEngine, PfDriver};
 use fastiov_pci::PciBus;
-use fastiov_simtime::{Clock, CpuPool, FairSemaphore, FairShareBandwidth, Tracer};
+use fastiov_simtime::{Clock, CpuPool, FairShareBandwidth, LockClass, Tracer, TrackedMutex};
 use fastiov_vfio::{DevsetManager, LockPolicy};
 use fastiovd::Fastiovd;
 use std::sync::Arc;
@@ -55,7 +55,7 @@ pub struct Host {
     /// tests call `tracer.enable()` before launching.
     pub tracer: Tracer,
     /// The host-global virtiofsd lock serializing device setup.
-    virtiofsd_lock: Arc<FairSemaphore>,
+    virtiofsd_lock: TrackedMutex<()>,
 }
 
 impl Host {
@@ -162,7 +162,7 @@ impl Host {
             faults,
             tracer: clock.tracer().clone(),
             clock,
-            virtiofsd_lock: FairSemaphore::new(1),
+            virtiofsd_lock: TrackedMutex::new(LockClass::Virtiofsd, ()),
         }))
     }
 
@@ -171,7 +171,7 @@ impl Host {
     pub fn virtiofs_setup(&self) {
         self.clock.sleep(self.params.virtiofs_setup_base);
         self.cpu.run(self.params.virtiofs_setup_cpu);
-        let _g = self.virtiofsd_lock.acquire();
+        let _g = self.virtiofsd_lock.lock();
         self.clock.sleep(self.params.virtiofs_lock_hold);
     }
 

@@ -108,9 +108,10 @@ pub struct HostParams {
     pub virtiofs_setup_base: Duration,
     /// CPU portion of virtioFS setup.
     pub virtiofs_setup_cpu: Duration,
-    /// Hold time of the host-global virtiofsd lock during setup; its
-    /// serialization makes `2-virtiofs` 13.3 % of vanilla startup at
-    /// concurrency 200 (Tab. 1).
+    /// Hold time of the host-global virtiofsd lock (class `virtiofsd`)
+    /// during setup. Its serialization makes `2-virtiofs` 13.3 % of vanilla
+    /// startup at concurrency 200 in the paper (Tab. 1); the model's 7.5 %
+    /// (DESIGN.md §8, D5) queues 150 of 200 setups on the lock.
     pub virtiofs_lock_hold: Duration,
     /// Aggregate virtioFS data-path bandwidth, fairly shared.
     pub virtiofs_total: f64,

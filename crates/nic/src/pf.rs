@@ -5,8 +5,7 @@ use crate::vf::{MacAddr, NetdevName, Vf, VfId};
 use crate::{vf_bdf, NicError, Result};
 use fastiov_faults::{sites, FaultPlane};
 use fastiov_pci::{DeviceClass, DriverBinding, PciBus, PciDevice, ResetCapability};
-use fastiov_simtime::lockdep::{self, Mode};
-use fastiov_simtime::{Clock, FairSemaphore, LockClass, TrackedMutex};
+use fastiov_simtime::{Clock, LockClass, TrackedMutex};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -44,10 +43,12 @@ pub enum AdminReply {
 ///
 /// Real SR-IOV NICs process VF mailbox messages through PF firmware one at
 /// a time; this is the shared resource that makes guest VF driver
-/// initialization (§3.2.4) scale badly with *simultaneous* arrivals.
+/// initialization (§3.2.4) scale badly with *simultaneous* arrivals. It is
+/// a FIFO lock of class [`LockClass::NicMailbox`], held for each command's
+/// service time.
 pub struct AdminQueue {
     clock: Clock,
-    sem: Arc<FairSemaphore>,
+    mailbox: TrackedMutex<()>,
     /// Service time of lightweight configuration writes (MAC/VLAN).
     config_service: Duration,
     /// Service time of heavyweight bring-up commands (queue enablement,
@@ -61,7 +62,7 @@ impl AdminQueue {
     pub fn new(clock: Clock, config_service: Duration, bringup_service: Duration) -> Self {
         AdminQueue {
             clock,
-            sem: FairSemaphore::new(1),
+            mailbox: TrackedMutex::new(LockClass::NicMailbox, ()),
             config_service,
             bringup_service,
             submitted: AtomicU64::new(0),
@@ -85,10 +86,7 @@ impl AdminQueue {
     /// the timeline.
     pub fn submit(&self, vf: &Vf, cmd: AdminCmd) -> AdminReply {
         let _span = self.clock.tracer().span("nic.admin");
-        // The FairSemaphore(1) is a lock in all but name: the witness
-        // orders it against real locks and the lock statistics count it.
-        let _dep = lockdep::acquire(LockClass::NicMailbox, Mode::Exclusive);
-        let _g = self.sem.acquire_counted(LockClass::NicMailbox);
+        let _g = self.mailbox.lock();
         self.clock.sleep(self.service_for(cmd));
         self.submitted.fetch_add(1, Ordering::Relaxed);
         match cmd {
@@ -132,11 +130,6 @@ impl AdminQueue {
     /// Commands processed so far.
     pub fn submitted(&self) -> u64 {
         self.submitted.load(Ordering::Relaxed)
-    }
-
-    /// Current queue depth (diagnostics).
-    pub fn queue_len(&self) -> usize {
-        self.sem.queue_len()
     }
 }
 
@@ -274,11 +267,14 @@ impl PfDriver {
     /// hardware and registers `n` VF PCI functions. Time-consuming but
     /// outside the measured startup window.
     pub fn create_vfs(&self, n: u16) -> Result<Vec<Arc<Vf>>> {
-        let mut vfs = self.vfs.lock();
-        if !vfs.is_empty() {
+        if !self.vfs.lock().is_empty() {
             return Err(NicError::VfsAlreadyCreated);
         }
         self.pf.set_num_vfs(n)?;
+        // Built first and published after, so no lock is held across the
+        // per-VF configuration time. A concurrent second call fails on
+        // the VFs' PCI addresses, which the first has registered.
+        let mut vfs = Vec::with_capacity(usize::from(n));
         for i in 0..n {
             let pci = PciDevice::new(
                 vf_bdf(self.bus_no, i),
@@ -290,7 +286,8 @@ impl PfDriver {
             self.clock.sleep(self.costs.vf_precreate);
             vfs.push(Vf::new(VfId(i), pci));
         }
-        Ok(vfs.clone())
+        self.vfs.lock().clone_from(&vfs);
+        Ok(vfs)
     }
 
     /// Looks up a VF by index.

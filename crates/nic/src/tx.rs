@@ -14,7 +14,7 @@ use fastiov_hostmem::Iova;
 use fastiov_simtime::{LockClass, TrackedMutex};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// A transmitted frame as seen on the wire.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -73,8 +73,10 @@ impl WireSink for FrameQueue {
 }
 
 /// The wire between the application server and its peer.
+#[derive(Default)]
 pub struct Wire {
-    sink: TrackedMutex<Option<Arc<dyn WireSink>>>,
+    /// The far end, connected once.
+    sink: OnceLock<Arc<dyn WireSink>>,
     tx_frames: AtomicU64,
     tx_bytes: AtomicU64,
 }
@@ -82,21 +84,13 @@ pub struct Wire {
 impl Wire {
     /// Creates a wire with no sink (frames are counted and dropped).
     pub fn new() -> Arc<Self> {
-        Arc::new(Wire {
-            sink: TrackedMutex::new(LockClass::NicTx, None),
-            tx_frames: AtomicU64::new(0),
-            tx_bytes: AtomicU64::new(0),
-        })
+        Arc::new(Wire::default())
     }
 
-    /// Connects the far-end sink.
+    /// Connects the far-end sink. A wire is connected once: if a sink is
+    /// connected already, it stays and `sink` is dropped.
     pub fn connect(&self, sink: Arc<dyn WireSink>) {
-        *self.sink.lock() = Some(sink);
-    }
-
-    /// True if a sink is connected.
-    pub fn is_connected(&self) -> bool {
-        self.sink.lock().is_some()
+        let _ = self.sink.set(sink);
     }
 
     /// Puts a frame on the wire.
@@ -104,7 +98,7 @@ impl Wire {
         self.tx_frames.fetch_add(1, Ordering::Relaxed);
         self.tx_bytes
             .fetch_add(frame.payload.len() as u64, Ordering::Relaxed);
-        if let Some(sink) = self.sink.lock().clone() {
+        if let Some(sink) = self.sink.get() {
             sink.on_frame(frame);
         }
     }
@@ -115,16 +109,6 @@ impl Wire {
             self.tx_frames.load(Ordering::Relaxed),
             self.tx_bytes.load(Ordering::Relaxed),
         )
-    }
-}
-
-impl Default for Wire {
-    fn default() -> Self {
-        Wire {
-            sink: TrackedMutex::new(LockClass::NicTx, None),
-            tx_frames: AtomicU64::new(0),
-            tx_bytes: AtomicU64::new(0),
-        }
     }
 }
 

@@ -257,7 +257,7 @@ mod tests {
     #[test]
     fn one_permit_serves_three_sleepers_back_to_back() {
         let clock = Clock::new_virtual(1.0);
-        let sem = crate::FairSemaphore::new(1);
+        let sem = Arc::new(crate::FairSemaphore::new(1));
         let d = Duration::from_millis(7);
         let starts = Arc::new(parking_lot::Mutex::new(Vec::new()));
         let handles: Vec<_> = (0..3)

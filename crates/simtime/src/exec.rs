@@ -5,8 +5,8 @@
 //! building a host) and every task started on it with [`spawn`] or
 //! [`spawn_daemon`]. They take turns holding one baton: exactly one of
 //! them runs at a time. A thread hands the baton on only at a blocking
-//! point — [`Clock::sleep`], a wait on a tracked lock, condvar, or
-//! [`FairSemaphore`](crate::FairSemaphore), a
+//! point — [`Clock::sleep`], a wait on a tracked lock or condvar or for a
+//! [`CpuPool`](crate::CpuPool) core, a
 //! [`Receiver::recv`](crate::Receiver::recv) or a [`JoinHandle::join`] —
 //! and it hands it through the executor's own queues, so no wake-up is
 //! ever in flight in the OS scheduler while simulated time moves. When no
@@ -69,7 +69,7 @@
 //! thread: its name, what it waits on and the `file:line` of the wait.
 
 use crate::clock::Clock;
-use crate::lockdep::{LockClass, Mode, Witness};
+use crate::lockdep::{HeldEntry, Mode, Witness};
 use crate::tracer::{ThreadTrace, TraceLog};
 use parking_lot::Mutex;
 use std::cell::{Cell, RefCell};
@@ -246,13 +246,16 @@ mod affinity {
     pub(super) fn release_inherited(_: &CpuSet) {}
 }
 
-/// What a blocked thread waits on, for the deadlock report.
+/// What a blocked thread waits on, for the deadlock report and the lock
+/// witness.
 #[derive(Debug, Clone)]
 pub(crate) enum WaitOn {
     Sleep,
-    Lock(LockClass, Mode),
+    /// The acquisition being waited for.
+    Lock(HeldEntry),
     Semaphore,
-    Condvar,
+    /// The acquisition of the condvar's mutex, which the wait releases.
+    Condvar(HeldEntry),
     Join(Arc<str>),
     Recv,
 }
@@ -261,10 +264,10 @@ impl fmt::Display for WaitOn {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             WaitOn::Sleep => f.write_str("a timer"),
-            WaitOn::Lock(class, Mode::Exclusive) => write!(f, "lock {class}"),
-            WaitOn::Lock(class, Mode::Shared) => write!(f, "lock {class} (shared)"),
+            WaitOn::Lock(e) if e.mode == Mode::Exclusive => write!(f, "lock {}", e.class),
+            WaitOn::Lock(e) => write!(f, "lock {} (shared)", e.class),
             WaitOn::Semaphore => f.write_str("a semaphore"),
-            WaitOn::Condvar => f.write_str("a condvar"),
+            WaitOn::Condvar(_) => f.write_str("a condvar"),
             WaitOn::Join(name) => write!(f, "join of `{name}`"),
             WaitOn::Recv => f.write_str("a channel receive"),
         }
@@ -697,6 +700,9 @@ impl Exec {
     }
 
     fn block(&self, me: &Arc<Slot>, wait: Wait, timer: Option<u64>, cancel: impl FnOnce() -> bool) {
+        if self.is_virtual() {
+            self.witness.check_wait(&wait);
+        }
         let mut st = self.state.lock();
         if self.wall.get().is_some() {
             drop(st);
@@ -1032,14 +1038,15 @@ fn work(mut job: Job) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{channel, TrackedMutex, WallStopwatch};
+    use crate::{channel, LockClass, TrackedMutex, WallStopwatch};
     use std::sync::atomic::AtomicU64;
 
     #[test]
     fn lock_order_cycle_panics_naming_both_classes_instead_of_hanging() {
         let clock = Clock::new_virtual(1.0);
-        let a = Arc::new(TrackedMutex::new(LockClass::IommuRegistry, ()));
-        let b = Arc::new(TrackedMutex::new(LockClass::HostMmu, ()));
+        // Two serializer classes, which may be held across the sleep.
+        let a = Arc::new(TrackedMutex::new(LockClass::Rtnl, ()));
+        let b = Arc::new(TrackedMutex::new(LockClass::Cgroup, ()));
         let cross = |first: &Arc<TrackedMutex<()>>, second: &Arc<TrackedMutex<()>>, name| {
             let (c, first, second) = (clock.clone(), Arc::clone(first), Arc::clone(second));
             spawn(&clock, name, move || {
@@ -1057,12 +1064,12 @@ mod tests {
             .and_then(|p| p.downcast_ref::<String>())
             .unwrap_or_else(|| panic!("no deadlock report: {results:?}"));
         assert!(msg.contains("simtime deadlock"), "{msg}");
-        assert!(msg.contains("lock iommu-registry at"), "{msg}");
-        assert!(msg.contains("lock host-mmu at"), "{msg}");
+        assert!(msg.contains("lock rtnl at"), "{msg}");
+        assert!(msg.contains("lock cgroup at"), "{msg}");
         assert!(msg.contains("src/exec.rs:"), "{msg}");
         // Named by task, not by the worker thread it runs on.
-        assert!(msg.contains("\n  ab waits on lock host-mmu"), "{msg}");
-        assert!(msg.contains("\n  ba waits on lock iommu-registry"), "{msg}");
+        assert!(msg.contains("\n  ab waits on lock cgroup"), "{msg}");
+        assert!(msg.contains("\n  ba waits on lock rtnl"), "{msg}");
         assert!(results.iter().any(|r| r.is_ok()), "the survivor finishes");
         assert!(sw.elapsed() < 5 * DEADLOCK_GRACE);
     }

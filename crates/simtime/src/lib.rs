@@ -1,19 +1,20 @@
 //! Simulation time, its scheduler, and shared-resource models.
 //!
 //! The FastIOV reproduction runs the paper's 200-way concurrent container
-//! startups as 200 threads contending on locks, semaphores and bandwidth
+//! startups as 200 threads contending on locks, CPU cores and bandwidth
 //! ceilings. Hardware and kernel operation *costs* are simulated: every
-//! modelled latency is a [`Clock::sleep`], and shared hardware resources
-//! (CPU cores, memory bandwidth, PCIe config cycles) are fair semaphores
-//! and processor-sharing ceilings, so queueing and saturation emerge from
-//! the concurrency itself.
+//! modelled latency is a [`Clock::sleep`], the serializing kernel and
+//! daemon locks are tracked locks of their own classes ([`lockdep`]), and
+//! shared hardware resources are a FIFO pool of cores ([`CpuPool`]) and
+//! processor-sharing ceilings ([`FairShareBandwidth`]), so queueing and
+//! saturation emerge from the concurrency itself.
 //!
 //! Every host runs on a *virtual* clock ([`Clock::new_virtual`]) with its
 //! own discrete-event executor. The driver — the thread that built the
 //! host — and the tasks started with [`spawn`], each on a pooled OS
 //! thread, take turns holding one baton: one runs at a time, and it
 //! hands the baton on at each blocking point (a sleep, a tracked lock,
-//! condvar or semaphore wait, a channel receive, a join). When no thread can run, time jumps to the earliest
+//! condvar or CPU-core wait, a channel receive, a join). When no thread can run, time jumps to the earliest
 //! pending sleep. Simulated time is therefore exact and independent of
 //! the machine: a wave costs the simulator's CPU time, not its simulated
 //! seconds. Should a thread outside the simulation sleep on or spawn
@@ -50,7 +51,7 @@ pub use lockdep::{
     TrackedReadGuard, TrackedRwLock, TrackedWriteGuard,
 };
 pub use resources::{CpuPool, FairShareBandwidth, ResourceStats};
-pub use semaphore::FairSemaphore;
+use semaphore::FairSemaphore;
 pub use timeline::{StageLog, StageRecord};
 pub use tracer::{Span, SpanGuard, Tracer, VmScope};
 pub use wall::WallStopwatch;

@@ -6,8 +6,8 @@
 //! way Linux lockdep does: every instrumented lock belongs to a
 //! [`LockClass`], each thread keeps a stack of currently-held
 //! acquisitions, and every *exclusive* acquisition made while other locks
-//! are held records a class-level **acquired-while-held edge**. Two rules
-//! are enforced online:
+//! are held records a class-level **acquired-while-held edge**. Three
+//! rules are enforced online:
 //!
 //! 1. **Cycle detection** — a new blocking edge `A → B` is rejected when
 //!    `B` can already reach `A` through blocking edges: a potential
@@ -18,6 +18,12 @@
 //!    the devset hierarchy; acquiring a lower level while a deeper one is
 //!    held is a child-before-parent inversion (e.g. taking the devset
 //!    parent rwlock while a per-device child mutex is held).
+//! 3. **Only serializers wait** — a thread that blocks on a virtual clock
+//!    may hold only locks of serializer classes
+//!    ([`LockClass::is_serializer`]): under the executor's baton, a lock
+//!    never held across a wait is never waited on. The lock being acquired
+//!    and a condvar's own mutex, which the wait releases, are exempt. A
+//!    wall-paced clock's threads run freely, so it is not checked there.
 //!
 //! Shared (read) acquisitions are recorded in the graph for reporting but
 //! do not participate in cycle detection: two readers never block each
@@ -96,8 +102,6 @@ lock_classes! {
     DevsetParent => "devset-parent",
     /// Per-device child mutex inside a devset.
     DevsetChild => "devset-child",
-    /// Devset global (parent-mode) state mutex.
-    DevsetState => "devset-state",
     /// DevsetManager registry (devsets, devices and their groups).
     DevsetRegistry => "devset-registry",
     /// Devset membership list (`DevSet::devices`).
@@ -120,13 +124,13 @@ lock_classes! {
     PoolSlots => "pool-slots",
     /// Warm-pool replenisher (its channel and thread) and its backlog.
     PoolWorker => "pool-worker",
-    /// NIC PF admin mailbox (strictly serialized command channel).
+    /// NIC PF admin mailbox (strictly serialized command channel, §3.2.4).
     NicMailbox => "nic-mailbox",
     /// PF driver VF list.
     NicPf => "nic-pf",
     /// NIC DMA engine state (per-VF RX rings, VF attachments).
     NicDma => "nic-dma",
-    /// NIC TX queue / wire sink.
+    /// Frames queued at the far end of a wire (`FrameQueue`).
     NicTx => "nic-tx",
     /// Per-VF configuration state.
     NicVf => "nic-vf",
@@ -151,14 +155,16 @@ lock_classes! {
     Virtio => "virtio",
     /// A fault plane's own per-(site, key) counters and per-site statistics.
     FaultPlane => "fault-plane",
-    /// Cgroup registry.
-    CgroupRegistry => "cgroup-registry",
+    /// The kernel's global cgroup lock and the cgroups it guards (§6.4).
+    Cgroup => "cgroup",
+    /// The kernel's global rtnl lock (§6.4).
+    Rtnl => "rtnl",
+    /// The host-global virtiofsd device-setup lock.
+    Virtiofsd => "virtiofsd",
     /// Application object storage.
     AppStorage => "app-storage",
     /// Memoized outputs of the serverless tasks' real computations.
     AppComputeMemo => "app-compute-memo",
-    /// Example code (`examples/`).
-    Example => "example",
     /// Ad-hoc locks in test fixtures.
     Test => "test",
 }
@@ -179,9 +185,26 @@ impl LockClass {
     fn devset_level(self) -> Option<u8> {
         match self {
             LockClass::DevsetParent => Some(0),
-            LockClass::DevsetChild | LockClass::DevsetState => Some(1),
+            LockClass::DevsetChild => Some(1),
             _ => None,
         }
+    }
+
+    /// Whether a lock of this class may be held across a wait (rule 3 of
+    /// the module docs): true for the modelled serializers (the devset
+    /// locks, §4.2.1; the NIC admin mailbox, §3.2.4; the rtnl, cgroup and
+    /// virtiofsd global locks) and the test fixture class.
+    pub fn is_serializer(self) -> bool {
+        matches!(
+            self,
+            LockClass::DevsetParent
+                | LockClass::DevsetChild
+                | LockClass::NicMailbox
+                | LockClass::Rtnl
+                | LockClass::Cgroup
+                | LockClass::Virtiofsd
+                | LockClass::Test
+        )
     }
 }
 
@@ -208,6 +231,8 @@ pub enum ReportKind {
     PotentialDeadlock,
     /// Child-before-parent acquisition within the devset hierarchy.
     HierarchyViolation,
+    /// A lock of a class that is not a serializer held across a wait.
+    HeldAcrossWait,
 }
 
 impl fmt::Display for ReportKind {
@@ -215,24 +240,26 @@ impl fmt::Display for ReportKind {
         f.write_str(match self {
             ReportKind::PotentialDeadlock => "potential-deadlock",
             ReportKind::HierarchyViolation => "hierarchy-violation",
+            ReportKind::HeldAcrossWait => "held-across-wait",
         })
     }
 }
 
-/// One witness report. `held_site`/`acquire_site` are the two
-/// acquisition sites (file:line) that together exhibit the violation —
-/// the lock already held and the offending new acquisition.
+/// One witness report. `held_site`/`acquire_site` are the two sites
+/// (file:line) that together exhibit the violation — the lock already
+/// held, and the offending new acquisition or wait.
 #[derive(Debug, Clone)]
 pub struct LockdepReport {
     /// Violation kind.
     pub kind: ReportKind,
     /// Class of the already-held lock.
     pub held_class: LockClass,
-    /// Class of the lock being acquired.
-    pub acquired_class: LockClass,
+    /// Class of the lock being acquired; `None` for a hold across a wait,
+    /// whose `detail` names the wait.
+    pub acquired_class: Option<LockClass>,
     /// Where the held lock was acquired.
     pub held_site: String,
-    /// Where the offending acquisition happened.
+    /// Where the offending acquisition or wait happened.
     pub acquire_site: String,
     /// Human-readable rule text (cycle path, hierarchy levels, …).
     pub detail: String,
@@ -242,14 +269,14 @@ impl fmt::Display for LockdepReport {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "[{}] holding {} (acquired at {}) while acquiring {} at {}: {}",
-            self.kind,
-            self.held_class,
-            self.held_site,
-            self.acquired_class,
-            self.acquire_site,
-            self.detail
-        )
+            "[{}] holding {} (acquired at {}) ",
+            self.kind, self.held_class, self.held_site
+        )?;
+        match self.acquired_class {
+            Some(class) => write!(f, "while acquiring {class}")?,
+            None => f.write_str("while waiting")?,
+        }
+        write!(f, " at {}: {}", self.acquire_site, self.detail)
     }
 }
 
@@ -281,11 +308,13 @@ pub(crate) fn clear_held() {
     HELD.with_borrow_mut(Vec::clear);
 }
 
-#[derive(Clone, Copy)]
-struct HeldEntry {
-    class: LockClass,
-    mode: Mode,
-    site: &'static Location<'static>,
+/// One acquisition on a thread's held stack: its class, its mode and
+/// where it was made.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct HeldEntry {
+    pub(crate) class: LockClass,
+    pub(crate) mode: Mode,
+    pub(crate) site: &'static Location<'static>,
 }
 
 impl HeldEntry {
@@ -323,18 +352,39 @@ fn site_str(loc: &'static Location<'static>) -> String {
     format!("{}:{}", loc.file(), loc.line())
 }
 
-/// Records an acquisition of `class` in `mode` at the caller's source
-/// location into the witness of the calling thread's executor. Returns a
-/// token that must live for the duration of the hold; dropping it pops
-/// the per-thread held stack.
-#[track_caller]
+impl Witness {
+    /// Rule 3: the calling thread blocks on `wait` on a virtual clock, so
+    /// every lock it holds must be a serializer, apart from the entry the
+    /// wait is about (the lock being acquired, or a condvar's mutex).
+    pub(crate) fn check_wait(&self, wait: &Wait) {
+        let mut exempt = match &wait.on {
+            WaitOn::Lock(entry) | WaitOn::Condvar(entry) => Some(*entry),
+            _ => None,
+        };
+        HELD.with_borrow(|held| {
+            for h in held.iter().rev() {
+                if exempt.is_some_and(|e| e.same(h)) {
+                    exempt = None;
+                } else if !h.class.is_serializer() {
+                    self.graph.lock().push(LockdepReport {
+                        kind: ReportKind::HeldAcrossWait,
+                        held_class: h.class,
+                        acquired_class: None,
+                        held_site: site_str(h.site),
+                        acquire_site: site_str(wait.site),
+                        detail: format!("blocked on {} while holding {}", wait.on, h.class),
+                    });
+                }
+            }
+        });
+    }
+}
+
+/// Records `entry`, an acquisition about to be made, into the witness of
+/// the calling thread's executor. Returns a token that must live for the
+/// duration of the hold; dropping it pops the per-thread held stack.
 #[inline]
-pub fn acquire(class: LockClass, mode: Mode) -> HeldToken {
-    let entry = HeldEntry {
-        class,
-        mode,
-        site: Location::caller(),
-    };
+fn acquire(entry: HeldEntry) -> HeldToken {
     HELD.with(|held| {
         let mut held = held.borrow_mut();
         // A first lock has nothing to be ordered against.
@@ -465,30 +515,36 @@ impl Graph {
     }
 
     fn report(&mut self, kind: ReportKind, h: &HeldEntry, new: HeldEntry, detail: String) {
-        // Dedupe on (kind, class pair): one witness per rule violation
-        // keeps a 200-way wave's report readable.
-        if self
-            .reports
-            .iter()
-            .any(|r| r.kind == kind && r.held_class == h.class && r.acquired_class == new.class)
-        {
-            return;
-        }
-        self.reports.push(LockdepReport {
+        self.push(LockdepReport {
             kind,
             held_class: h.class,
-            acquired_class: new.class,
+            acquired_class: Some(new.class),
             held_site: site_str(h.site),
             acquire_site: site_str(new.site),
             detail,
         });
+    }
+
+    /// Records `r` unless it repeats one already recorded: one report per
+    /// (kind, class pair) for the ordering rules and per (class, hold
+    /// site, wait site) for a hold across a wait, which keeps a 200-way
+    /// wave's report readable.
+    fn push(&mut self, r: LockdepReport) {
+        let repeats = |o: &LockdepReport| {
+            (o.kind, o.held_class, o.acquired_class) == (r.kind, r.held_class, r.acquired_class)
+                && (r.kind != ReportKind::HeldAcrossWait
+                    || (o.held_site == r.held_site && o.acquire_site == r.acquire_site))
+        };
+        if !self.reports.iter().any(repeats) {
+            self.reports.push(r);
+        }
     }
 }
 
 /// RAII token marking one acquisition on the current thread's held stack.
 /// Must be dropped on the acquiring thread (it is `!Send`); guards of the
 /// instrumented wrappers carry it automatically.
-pub struct HeldToken {
+struct HeldToken {
     entry: HeldEntry,
     _not_send: std::marker::PhantomData<*const ()>,
 }
@@ -556,12 +612,15 @@ pub fn graph_json() -> String {
     }
     out.push_str("  ],\n  \"reports\": [\n");
     for (i, r) in reports.iter().enumerate() {
+        let acquired = r
+            .acquired_class
+            .map_or("null".to_string(), |c| format!("\"{c}\""));
         out.push_str(&format!(
-            "    {{\"kind\": \"{}\", \"held_class\": \"{}\", \"acquired_class\": \"{}\", \
+            "    {{\"kind\": \"{}\", \"held_class\": \"{}\", \"acquired_class\": {}, \
              \"held_site\": \"{}\", \"acquire_site\": \"{}\"}}{}\n",
             r.kind,
             r.held_class,
-            r.acquired_class,
+            acquired,
             r.held_site,
             r.acquire_site,
             if i + 1 == reports.len() { "" } else { "," }
@@ -616,7 +675,7 @@ impl LockClass {
 /// Counts one acquisition of `class` in the statistics of the calling
 /// thread's executor, contended if it had to wait, for `waited` real
 /// nanoseconds.
-pub(crate) fn count(class: LockClass, waited: Option<u64>) {
+fn count(class: LockClass, waited: Option<u64>) {
     with_witness(|w| {
         let stat = &w.stats[class.index()];
         stat.acquisitions.fetch_add(1, Ordering::Relaxed);
@@ -664,18 +723,21 @@ impl Drop for RawHold<'_> {
     }
 }
 
-/// Takes `lock` in `mode` for a wrapper of `class`, counting the
-/// acquisition. Only if the fast path fails does it wait, at `site` (the
-/// wrapper's caller), with the wait timed.
+/// Takes `lock` in `mode` for a wrapper of `class` called at `site`:
+/// records the acquisition in the witness, then takes the lock, counting
+/// the acquisition. Only if the fast path fails does it wait, with the
+/// wait timed.
 fn take<'a>(
     lock: &'a RawLock,
     class: LockClass,
     mode: Mode,
     site: &'static Location<'static>,
-) -> (RawHold<'a>, HoldTimer) {
+) -> (HeldToken, RawHold<'a>, HoldTimer) {
+    let entry = HeldEntry { class, mode, site };
+    let dep = acquire(entry);
     let waited = (!lock.try_lock(mode)).then(|| {
         let waited = WallStopwatch::start();
-        lock.lock(mode, class, site);
+        lock.lock(entry, site);
         waited.elapsed_ns()
     });
     count(class, waited);
@@ -683,7 +745,7 @@ fn take<'a>(
         class,
         since: WallStopwatch::start(),
     };
-    (RawHold { lock, mode }, hold)
+    (dep, RawHold { lock, mode }, hold)
 }
 
 /// A FIFO mutex that declares a [`LockClass`] and reports every
@@ -706,7 +768,7 @@ pub struct TrackedMutexGuard<'a, T: ?Sized> {
     // interleaving the other way could let a sibling acquisition observe
     // a stale "held" entry that the lock has already released. The hold
     // timer likewise stops before the release.
-    _dep: HeldToken,
+    dep: HeldToken,
     hold: HoldTimer,
     raw: RawHold<'a>,
     data: &'a UnsafeCell<T>,
@@ -721,11 +783,6 @@ impl<T> TrackedMutex<T> {
             data: UnsafeCell::new(value),
         }
     }
-
-    /// Consumes the mutex, returning the inner value.
-    pub fn into_inner(self) -> T {
-        self.data.into_inner()
-    }
 }
 
 impl<T: ?Sized> TrackedMutex<T> {
@@ -733,20 +790,13 @@ impl<T: ?Sized> TrackedMutex<T> {
     /// statistics of the calling thread's executor.
     #[track_caller]
     pub fn lock(&self) -> TrackedMutexGuard<'_, T> {
-        let site = Location::caller();
-        let _dep = acquire(self.class, Mode::Exclusive);
-        let (raw, hold) = take(&self.raw, self.class, Mode::Exclusive, site);
+        let (dep, raw, hold) = take(&self.raw, self.class, Mode::Exclusive, Location::caller());
         TrackedMutexGuard {
-            _dep,
+            dep,
             hold,
             raw,
             data: &self.data,
         }
-    }
-
-    /// The class this lock was declared with.
-    pub fn class(&self) -> LockClass {
-        self.class
     }
 }
 
@@ -836,9 +886,7 @@ impl<T: ?Sized> TrackedRwLock<T> {
     /// Shared acquisition (recorded as a non-blocking edge).
     #[track_caller]
     pub fn read(&self) -> TrackedReadGuard<'_, T> {
-        let site = Location::caller();
-        let _dep = acquire(self.class, Mode::Shared);
-        let (_raw, _hold) = take(&self.raw, self.class, Mode::Shared, site);
+        let (_dep, _raw, _hold) = take(&self.raw, self.class, Mode::Shared, Location::caller());
         TrackedReadGuard {
             _dep,
             _hold,
@@ -850,20 +898,13 @@ impl<T: ?Sized> TrackedRwLock<T> {
     /// Exclusive acquisition.
     #[track_caller]
     pub fn write(&self) -> TrackedWriteGuard<'_, T> {
-        let site = Location::caller();
-        let _dep = acquire(self.class, Mode::Exclusive);
-        let (_raw, _hold) = take(&self.raw, self.class, Mode::Exclusive, site);
+        let (_dep, _raw, _hold) = take(&self.raw, self.class, Mode::Exclusive, Location::caller());
         TrackedWriteGuard {
             _dep,
             _hold,
             _raw,
             data: &self.data,
         }
-    }
-
-    /// The class this lock was declared with.
-    pub fn class(&self) -> LockClass {
-        self.class
     }
 }
 
@@ -899,7 +940,8 @@ impl<T: ?Sized> DerefMut for TrackedWriteGuard<'_, T> {
 /// Condition variable paired with [`TrackedMutex`]. The held-stack entry
 /// is deliberately kept across `wait` (the thread acquires nothing while
 /// parked, so no false edges can form), matching how lockdep treats
-/// condvar sleeps. The hold time, however, pauses while parked.
+/// condvar sleeps; the serializer rule exempts it, since the wait
+/// releases the mutex. The hold time, however, pauses while parked.
 #[derive(Default)]
 pub struct TrackedCondvar {
     waiters: Mutex<VecDeque<Arc<Slot>>>,
@@ -921,7 +963,7 @@ impl TrackedCondvar {
         guard.hold.record();
         guard.raw.lock.unlock(Mode::Exclusive);
         let wait = Wait {
-            on: WaitOn::Condvar,
+            on: WaitOn::Condvar(guard.dep.entry),
             site,
         };
         me.block(wait, || {
@@ -930,7 +972,7 @@ impl TrackedCondvar {
             waiters.retain(|s| !Arc::ptr_eq(s, &me));
             waiters.len() < before
         });
-        guard.raw.lock.lock(Mode::Exclusive, guard.hold.class, site);
+        guard.raw.lock.lock(guard.dep.entry, site);
         guard.hold.since = WallStopwatch::start();
     }
 
@@ -964,7 +1006,7 @@ mod tests {
     fn cycle_between_two_classes_reported() {
         let _clock = Clock::new_virtual(1.0);
         let a = TrackedMutex::new(LockClass::PoolSlots, ());
-        let b = TrackedMutex::new(LockClass::CgroupRegistry, ());
+        let b = TrackedMutex::new(LockClass::AppStorage, ());
         {
             let _ga = a.lock();
             let _gb = b.lock();
@@ -979,7 +1021,59 @@ mod tests {
         assert_eq!(r[0].kind, ReportKind::PotentialDeadlock);
         assert!(r[0].held_site.contains("lockdep.rs"));
         assert!(r[0].acquire_site.contains("lockdep.rs"));
-        assert!(r[0].detail.contains("cgroup-registry -> pool-slots"));
+        assert!(r[0].detail.contains("app-storage -> pool-slots"));
+    }
+
+    #[test]
+    fn only_a_serializer_may_be_held_across_a_wait() {
+        let clock = Clock::new_virtual(1.0);
+        let us = Duration::from_micros(1);
+        let bookkeeping = TrackedMutex::new(LockClass::FastiovdTier1, ());
+        let line = line!() + 2;
+        for _ in 0..3 {
+            let _g = bookkeeping.lock();
+            clock.sleep(us);
+        }
+        let r = reports();
+        assert_eq!(r.len(), 1, "one per (class, hold site, wait site): {r:?}");
+        let kind = (r[0].kind, r[0].held_class, r[0].acquired_class);
+        assert_eq!(
+            kind,
+            (ReportKind::HeldAcrossWait, LockClass::FastiovdTier1, None)
+        );
+        let sites = [r[0].held_site.clone(), r[0].acquire_site.clone()];
+        assert_eq!(sites, [line, line + 1].map(|l| format!("{}:{l}", file!())));
+        let text = r[0].to_string();
+        assert!(
+            text.contains("blocked on a timer while holding fastiovd-tier1"),
+            "{text}"
+        );
+
+        // A serializer may be held across the same wait.
+        let serializer = TrackedMutex::new(LockClass::Rtnl, ());
+        {
+            let _g = serializer.lock();
+            clock.sleep(us);
+        }
+        // So may a condvar's own mutex, which the wait releases.
+        let shared = Arc::new((
+            TrackedMutex::new(LockClass::GuestNet, false),
+            TrackedCondvar::new(),
+        ));
+        let s = Arc::clone(&shared);
+        let waiter = spawn(&clock, "waiter", move || {
+            let (m, cv) = &*s;
+            let mut ready = m.lock();
+            while !*ready {
+                cv.wait(&mut ready);
+            }
+        });
+        clock.sleep(us);
+        let (m, cv) = &*shared;
+        *m.lock() = true;
+        cv.notify_all();
+        waiter.join().expect("waiter");
+        assert_eq!(reports().len(), 1, "{:?}", reports());
     }
 
     #[test]

@@ -12,7 +12,7 @@
 //! virtual clock passes the baton on instead of parking in the OS.
 
 use crate::exec::{current_slot, Slot, Wait, WaitOn};
-use crate::lockdep::{LockClass, Mode};
+use crate::lockdep::{HeldEntry, Mode};
 use parking_lot::Mutex;
 use std::collections::{HashMap, VecDeque};
 use std::panic::Location;
@@ -85,9 +85,10 @@ impl RawLock {
         false
     }
 
-    /// Takes the lock, waiting in FIFO order behind earlier waiters.
-    /// `class` and `site` describe the wait for a deadlock report.
-    pub(crate) fn lock(&self, mode: Mode, class: LockClass, site: &'static Location<'static>) {
+    /// Takes the lock for the acquisition `entry`, waiting at `site` in
+    /// FIFO order behind earlier waiters.
+    pub(crate) fn lock(&self, entry: HeldEntry, site: &'static Location<'static>) {
+        let mode = entry.mode;
         let me = current_slot();
         {
             let mut table = shard(self.addr()).lock();
@@ -114,7 +115,7 @@ impl RawLock {
                 .push_back((Arc::clone(&me), mode));
         }
         let wait = Wait {
-            on: WaitOn::Lock(class, mode),
+            on: WaitOn::Lock(entry),
             site,
         };
         // Woken only once the lock has been handed over.

@@ -36,7 +36,7 @@ pub struct ResourceStats {
 /// ```
 pub struct CpuPool {
     clock: Clock,
-    sem: Arc<FairSemaphore>,
+    sem: FairSemaphore,
     cores: usize,
 }
 

@@ -1,16 +1,14 @@
-//! A FIFO-fair counting semaphore with targeted handoff.
-//!
-//! `std` has no semaphore. Queueing fairness matters here: the paper's
-//! serialization bottlenecks (the VFIO devset mutex, the PF admin queue,
-//! the memory bandwidth ceiling) produce the characteristic *linear ramp*
-//! of Fig. 5 precisely because waiters are served in arrival order.
+//! A FIFO-fair counting semaphore with targeted handoff: the modelled
+//! cores of a [`CpuPool`](crate::CpuPool), served in arrival order like
+//! the tracked locks. A serializer is a
+//! [`TrackedMutex`](crate::TrackedMutex) of its own lock class instead,
+//! so that the lock witness sees it.
 //!
 //! A release hands the permit directly to the queue head, so it wakes
 //! exactly one thread, and waiting is a blocking point of a virtual
 //! clock's executor.
 
 use crate::exec::{current_slot, Slot, Wait, WaitOn};
-use crate::lockdep::{self, LockClass};
 use parking_lot::Mutex;
 use std::collections::VecDeque;
 use std::panic::Location;
@@ -28,23 +26,8 @@ struct State {
 }
 
 /// A FIFO-fair counting semaphore.
-///
-/// # Examples
-///
-/// ```
-/// use fastiov_simtime::FairSemaphore;
-///
-/// let sem = FairSemaphore::new(2);
-/// let g1 = sem.acquire();
-/// let g2 = sem.acquire();
-/// assert_eq!(sem.try_acquire().is_none(), true);
-/// drop(g1);
-/// assert!(sem.try_acquire().is_some());
-/// # drop(g2);
-/// ```
-pub struct FairSemaphore {
+pub(crate) struct FairSemaphore {
     state: Mutex<State>,
-    permits: usize,
 }
 
 impl FairSemaphore {
@@ -53,56 +36,36 @@ impl FairSemaphore {
     /// # Panics
     ///
     /// Panics if `permits` is zero.
-    pub fn new(permits: usize) -> Arc<Self> {
+    pub(crate) fn new(permits: usize) -> Self {
         assert!(permits > 0, "semaphore needs at least one permit");
-        Arc::new(FairSemaphore {
+        FairSemaphore {
             state: Mutex::new(State {
                 available: permits,
                 queue: VecDeque::new(),
                 served: 0,
                 max_queue: 0,
             }),
-            permits,
-        })
+        }
     }
 
     /// Blocks until a permit is available and this caller is at the head of
     /// the FIFO queue, then returns a guard that releases on drop.
     #[track_caller]
-    pub fn acquire(self: &Arc<Self>) -> SemaphoreGuard {
-        self.take(Location::caller()).0
-    }
-
-    /// [`acquire`](Self::acquire) for a semaphore that serves as a lock of
-    /// `class`: the acquisition is counted in the class's lock statistics,
-    /// contended if it had to queue (its wait is not timed).
-    #[track_caller]
-    pub fn acquire_counted(self: &Arc<Self>, class: LockClass) -> SemaphoreGuard {
-        let (guard, queued) = self.take(Location::caller());
-        lockdep::count(class, queued.then_some(0));
-        guard
-    }
-
-    /// Acquires a permit, waiting at `site` if it has to queue; true if it
-    /// queued.
-    fn take(self: &Arc<Self>, site: &'static Location<'static>) -> (SemaphoreGuard, bool) {
+    pub(crate) fn acquire(&self) -> SemaphoreGuard<'_> {
         let me = current_slot();
         {
             let mut st = self.state.lock();
             if st.available > 0 && st.queue.is_empty() {
                 st.available -= 1;
                 st.served += 1;
-                let guard = SemaphoreGuard {
-                    sem: Arc::clone(self),
-                };
-                return (guard, false);
+                return SemaphoreGuard { sem: self };
             }
             st.queue.push_back(Arc::clone(&me));
             st.max_queue = st.max_queue.max(st.queue.len());
         }
         let wait = Wait {
             on: WaitOn::Semaphore,
-            site,
+            site: Location::caller(),
         };
         // Woken only once a releaser has handed us its permit.
         me.block(wait, || {
@@ -111,33 +74,11 @@ impl FairSemaphore {
             st.queue.retain(|s| !Arc::ptr_eq(s, &me));
             st.queue.len() < before
         });
-        let guard = SemaphoreGuard {
-            sem: Arc::clone(self),
-        };
-        (guard, true)
-    }
-
-    /// Acquires a permit only if one is free *and* no one is queued.
-    pub fn try_acquire(self: &Arc<Self>) -> Option<SemaphoreGuard> {
-        let mut st = self.state.lock();
-        if st.available > 0 && st.queue.is_empty() {
-            st.available -= 1;
-            st.served += 1;
-            Some(SemaphoreGuard {
-                sem: Arc::clone(self),
-            })
-        } else {
-            None
-        }
-    }
-
-    /// Number of threads currently queued.
-    pub fn queue_len(&self) -> usize {
-        self.state.lock().queue.len()
+        SemaphoreGuard { sem: self }
     }
 
     /// (served acquisitions, high-water queue length).
-    pub fn stats(&self) -> (u64, usize) {
+    pub(crate) fn stats(&self) -> (u64, usize) {
         let st = self.state.lock();
         (st.served, st.max_queue)
     }
@@ -153,7 +94,6 @@ impl FairSemaphore {
                 }
                 None => {
                     st.available += 1;
-                    debug_assert!(st.available <= self.permits);
                     None
                 }
             }
@@ -165,11 +105,11 @@ impl FairSemaphore {
 }
 
 /// RAII guard returned by [`FairSemaphore::acquire`].
-pub struct SemaphoreGuard {
-    sem: Arc<FairSemaphore>,
+pub(crate) struct SemaphoreGuard<'a> {
+    sem: &'a FairSemaphore,
 }
 
-impl Drop for SemaphoreGuard {
+impl Drop for SemaphoreGuard<'_> {
     fn drop(&mut self) {
         self.sem.release();
     }
@@ -183,7 +123,7 @@ mod tests {
 
     #[test]
     fn permits_bound_concurrency() {
-        let sem = FairSemaphore::new(3);
+        let sem = Arc::new(FairSemaphore::new(3));
         let active = Arc::new(AtomicUsize::new(0));
         let peak = Arc::new(AtomicUsize::new(0));
         let handles: Vec<_> = (0..24)
@@ -212,7 +152,7 @@ mod tests {
         // One permit, held while eight workers queue in spawn order (a
         // virtual clock runs them one at a time, in that order).
         let clock = crate::Clock::new_virtual(1.0);
-        let sem = FairSemaphore::new(1);
+        let sem = Arc::new(FairSemaphore::new(1));
         let order = Arc::new(Mutex::new(Vec::new()));
         let first = sem.acquire();
         let handles: Vec<_> = (0..8)
@@ -225,7 +165,7 @@ mod tests {
             })
             .collect();
         clock.sleep(Duration::from_millis(1));
-        assert_eq!(sem.queue_len(), 8);
+        assert_eq!(sem.state.lock().queue.len(), 8);
         drop(first);
         for h in handles {
             h.join().unwrap();
@@ -235,20 +175,10 @@ mod tests {
     }
 
     #[test]
-    fn try_acquire_respects_queue() {
-        let sem = FairSemaphore::new(1);
-        let g = sem.acquire();
-        assert!(sem.try_acquire().is_none());
-        drop(g);
-        let g2 = sem.try_acquire();
-        assert!(g2.is_some());
-    }
-
-    #[test]
     fn handoff_preserves_permit_accounting() {
         // Hammer with more threads than permits and verify the final
         // available count equals the initial permits.
-        let sem = FairSemaphore::new(4);
+        let sem = Arc::new(FairSemaphore::new(4));
         let handles: Vec<_> = (0..32)
             .map(|_| {
                 let sem = Arc::clone(&sem);
@@ -262,14 +192,10 @@ mod tests {
         for h in handles {
             h.join().unwrap();
         }
-        assert_eq!(sem.queue_len(), 0);
-        // All permits must be claimable again.
-        let g1 = sem.try_acquire();
-        let g2 = sem.try_acquire();
-        let g3 = sem.try_acquire();
-        let g4 = sem.try_acquire();
-        assert!(g1.is_some() && g2.is_some() && g3.is_some() && g4.is_some());
-        assert!(sem.try_acquire().is_none());
+        let st = sem.state.lock();
+        assert!(st.queue.is_empty());
+        assert_eq!(st.available, 4, "every permit is free again");
+        assert_eq!(st.served, 32 * 50);
     }
 
     #[test]

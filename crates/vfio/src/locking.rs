@@ -24,14 +24,14 @@
 //!
 //! The framework is built from the tracked wrappers: acquisitions report
 //! to the lockdep witness and the lock statistics under
-//! [`LockClass::DevsetParent`], [`LockClass::DevsetChild`] and
-//! [`LockClass::DevsetState`], and every wait is a blocking point of the
-//! simulation clock's executor.
+//! [`LockClass::DevsetParent`] and [`LockClass::DevsetChild`], and every
+//! wait is a blocking point of the simulation clock's executor. The
+//! parent's global state lives inside the parent lock itself, so a parent
+//! operation takes one lock.
 
-use fastiov_simtime::{
-    LockClass, TrackedMutex, TrackedMutexGuard, TrackedReadGuard, TrackedRwLock, TrackedWriteGuard,
-};
+use fastiov_simtime::{LockClass, TrackedMutex, TrackedMutexGuard, TrackedRwLock};
 use std::marker::PhantomData;
+use std::ops::{Deref, DerefMut};
 
 /// Which lock design guards a parent–child structure.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -83,9 +83,9 @@ pub struct ParentWitness<'a> {
     _guard: PhantomData<&'a ()>,
 }
 
-/// The parent-side lock pair implementing the framework.
-///
-/// `P` is the parent's global state, protected by parent-mode acquisition.
+/// The parent-side lock implementing the framework: one lock per policy,
+/// holding the parent's global state `P`, which parent-mode acquisition
+/// reaches.
 ///
 /// # Examples
 ///
@@ -105,16 +105,14 @@ pub struct ParentWitness<'a> {
 /// assert_eq!(*lock.lock_parent(), 1);
 /// ```
 #[derive(Debug)]
-pub struct ParentChildLock<P> {
-    policy: LockPolicy,
-    /// Used only under [`LockPolicy::Coarse`].
-    coarse: TrackedMutex<()>,
-    /// Used only under [`LockPolicy::Hierarchical`].
-    rw: TrackedRwLock<()>,
-    /// The parent's global state. Access is legal only through guards, so
-    /// it sits in its own mutex; under either policy that mutex is
-    /// uncontended by construction (parent access is already exclusive).
-    parent_state: TrackedMutex<P>,
+pub struct ParentChildLock<P>(ParentLock<P>);
+
+#[derive(Debug)]
+enum ParentLock<P> {
+    /// [`LockPolicy::Coarse`]: one mutex for every operation.
+    Coarse(TrackedMutex<P>),
+    /// [`LockPolicy::Hierarchical`]: child operations share the read side.
+    Hierarchical(TrackedRwLock<P>),
 }
 
 /// Guard for a child operation; dereferences to the child state.
@@ -123,14 +121,16 @@ pub struct ParentChildLock<P> {
 /// parent-side lock it was taken under.
 pub struct ChildGuard<'a, T> {
     child: TrackedMutexGuard<'a, T>,
-    _outer: OuterGuard<'a>,
+    /// The coarse mutex or the rwlock's read side, kept for its Drop.
+    _outer: Box<dyn Held + 'a>,
 }
 
+/// Any guard, boxed for its Drop alone.
+trait Held {}
+impl<G> Held for G {}
+
 /// Guard for a parent operation; dereferences to the parent state.
-pub struct ParentGuard<'a, P> {
-    parent: TrackedMutexGuard<'a, P>,
-    _outer: OuterParentGuard<'a>,
-}
+pub struct ParentGuard<'a, P>(Box<dyn DerefMut<Target = P> + 'a>);
 
 impl<P> ParentGuard<'_, P> {
     /// A proof token for [`ChildLock::lock_direct`], borrowed from this
@@ -142,33 +142,24 @@ impl<P> ParentGuard<'_, P> {
     }
 }
 
-// The guards are held purely for their Drop impls (RAII release).
-#[allow(dead_code)]
-enum OuterGuard<'a> {
-    Coarse(TrackedMutexGuard<'a, ()>),
-    Read(TrackedReadGuard<'a, ()>),
-}
-
-#[allow(dead_code)]
-enum OuterParentGuard<'a> {
-    Coarse(TrackedMutexGuard<'a, ()>),
-    Write(TrackedWriteGuard<'a, ()>),
-}
-
 impl<P> ParentChildLock<P> {
-    /// Creates the lock pair with the given policy and parent state.
+    /// Creates the lock with the given policy and parent state.
     pub fn new(policy: LockPolicy, parent_state: P) -> Self {
-        ParentChildLock {
-            policy,
-            coarse: TrackedMutex::new(LockClass::DevsetParent, ()),
-            rw: TrackedRwLock::new(LockClass::DevsetParent, ()),
-            parent_state: TrackedMutex::new(LockClass::DevsetState, parent_state),
-        }
+        let class = LockClass::DevsetParent;
+        ParentChildLock(match policy {
+            LockPolicy::Coarse => ParentLock::Coarse(TrackedMutex::new(class, parent_state)),
+            LockPolicy::Hierarchical => {
+                ParentLock::Hierarchical(TrackedRwLock::new(class, parent_state))
+            }
+        })
     }
 
     /// The active policy.
     pub fn policy(&self) -> LockPolicy {
-        self.policy
+        match self.0 {
+            ParentLock::Coarse(_) => LockPolicy::Coarse,
+            ParentLock::Hierarchical(_) => LockPolicy::Hierarchical,
+        }
     }
 
     /// Acquires for an **intra/inter-child** operation on the child whose
@@ -182,9 +173,9 @@ impl<P> ParentChildLock<P> {
     pub fn lock_child<'a, T>(&'a self, child: &'a ChildLock<T>) -> ChildGuard<'a, T> {
         // Coarse mode's single mutex plays the parent-lock role but in
         // exclusive mode; hierarchical child ops share the read side.
-        let _outer = match self.policy {
-            LockPolicy::Coarse => OuterGuard::Coarse(self.coarse.lock()),
-            LockPolicy::Hierarchical => OuterGuard::Read(self.rw.read()),
+        let _outer: Box<dyn Held + 'a> = match &self.0 {
+            ParentLock::Coarse(m) => Box::new(m.lock()),
+            ParentLock::Hierarchical(rw) => Box::new(rw.read()),
         };
         ChildGuard {
             child: child.mutex.lock(),
@@ -196,18 +187,14 @@ impl<P> ParentChildLock<P> {
     /// Excludes every other operation under either policy.
     #[track_caller]
     pub fn lock_parent(&self) -> ParentGuard<'_, P> {
-        let _outer = match self.policy {
-            LockPolicy::Coarse => OuterParentGuard::Coarse(self.coarse.lock()),
-            LockPolicy::Hierarchical => OuterParentGuard::Write(self.rw.write()),
-        };
-        ParentGuard {
-            parent: self.parent_state.lock(),
-            _outer,
-        }
+        ParentGuard(match &self.0 {
+            ParentLock::Coarse(m) => Box::new(m.lock()),
+            ParentLock::Hierarchical(rw) => Box::new(rw.write()),
+        })
     }
 }
 
-impl<T> std::ops::Deref for ChildGuard<'_, T> {
+impl<T> Deref for ChildGuard<'_, T> {
     type Target = T;
 
     fn deref(&self) -> &T {
@@ -215,23 +202,23 @@ impl<T> std::ops::Deref for ChildGuard<'_, T> {
     }
 }
 
-impl<T> std::ops::DerefMut for ChildGuard<'_, T> {
+impl<T> DerefMut for ChildGuard<'_, T> {
     fn deref_mut(&mut self) -> &mut T {
         &mut self.child
     }
 }
 
-impl<P> std::ops::Deref for ParentGuard<'_, P> {
+impl<P> Deref for ParentGuard<'_, P> {
     type Target = P;
 
     fn deref(&self) -> &P {
-        &self.parent
+        &self.0
     }
 }
 
-impl<P> std::ops::DerefMut for ParentGuard<'_, P> {
+impl<P> DerefMut for ParentGuard<'_, P> {
     fn deref_mut(&mut self) -> &mut P {
-        &mut self.parent
+        &mut self.0
     }
 }
 
