@@ -113,8 +113,8 @@ impl Fastiovd {
         &self.clock
     }
 
-    /// Wait/hold totals of the table's lock class on the calling thread's
-    /// clock.
+    /// Acquisition and wait totals of the table's lock class on the
+    /// calling thread's clock; a bookkeeping class, so its `hold_ns` is 0.
     pub fn tier1_lock_stats(&self) -> LockSnapshot {
         LockClass::FastiovdTier1.stats()
     }

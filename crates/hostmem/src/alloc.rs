@@ -302,8 +302,9 @@ impl PhysMemory {
         })
     }
 
-    /// Wait/hold totals of the lock class the frame table and free list
-    /// live under, on the calling thread's clock.
+    /// Acquisition and wait totals of the lock class the frame table and
+    /// free list live under, on the calling thread's clock; a bookkeeping
+    /// class, so its `hold_ns` is 0.
     pub fn free_lock_stats(&self) -> LockSnapshot {
         LockClass::PhysMemory.stats()
     }

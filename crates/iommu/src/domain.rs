@@ -135,8 +135,9 @@ impl IommuDomain {
         Ok(())
     }
 
-    /// Wait/hold totals of the translation (page table and IOTLB) lock
-    /// class on the calling thread's clock.
+    /// Acquisition and wait totals of the translation (page table and
+    /// IOTLB) lock class on the calling thread's clock; a bookkeeping
+    /// class, so its `hold_ns` is 0.
     pub fn table_lock_stats(&self) -> LockSnapshot {
         LockClass::IommuTable.stats()
     }
@@ -218,8 +219,9 @@ impl Iommu {
         })
     }
 
-    /// Wait/hold totals of the translation lock class, across every
-    /// domain of the calling thread's clock.
+    /// Acquisition and wait totals of the translation lock class, across
+    /// every domain of the calling thread's clock; a bookkeeping class,
+    /// so its `hold_ns` is 0.
     pub fn table_lock_stats(&self) -> LockSnapshot {
         LockClass::IommuTable.stats()
     }

@@ -45,12 +45,16 @@
 //! **Lock statistics** sit on the same classes, the way Linux lock_stat
 //! sits on lockdep's: every acquisition through the tracked wrappers is
 //! counted per class.
-//! Wait time is measured only when the try-lock fast path fails; hold
-//! time runs from acquisition to release, minus time parked in
-//! [`TrackedCondvar::wait`]. Both are **real** nanoseconds — a ranking of
-//! where threads queue, not a modelled cost; on a virtual clock they
-//! measure baton hand-offs, not simulated waiting. A lock carries no
-//! memory for them.
+//! Wait time is measured only when the try-lock fast path fails, for
+//! every class. Hold time is measured only for the serializer classes:
+//! it runs from acquisition to release, minus time parked in
+//! [`TrackedCondvar::wait`]. A bookkeeping class is never held across a
+//! wait (rule 3), so its hold would be the simulator's own time between
+//! two statements; its acquisitions read no clock and its `hold_ns`
+//! stays 0. Both figures are **real** nanoseconds — a ranking of where
+//! threads queue, not a modelled cost; on a virtual clock they measure
+//! baton hand-offs, not simulated waiting. A lock carries no memory for
+//! them.
 
 use parking_lot::Mutex;
 use std::cell::{RefCell, UnsafeCell};
@@ -636,7 +640,9 @@ pub fn graph_json() -> String {
 pub struct LockSnapshot {
     /// Time spent blocked after the try-lock fast path failed.
     pub wait_ns: u64,
-    /// Time between acquisition and release, minus condvar parking.
+    /// Time between acquisition and release, minus condvar parking, of
+    /// a serializer class ([`LockClass::is_serializer`]); always 0 for
+    /// any other class, whose holds are counted but not timed.
     pub hold_ns: u64,
     /// Acquisitions.
     pub acquisitions: u64,
@@ -688,20 +694,36 @@ fn count(class: LockClass, waited: Option<u64>) {
 
 /// The running hold time of one acquisition; adds it to its class's
 /// `hold_ns` when dropped. Declared before the lock hold it times, so
-/// that it stops just before the lock is released.
+/// that it stops just before the lock is released. Only a serializer's
+/// hold is timed (see the module docs); any other reads no clock.
 struct HoldTimer {
     class: LockClass,
-    since: WallStopwatch,
+    since: Option<WallStopwatch>,
 }
 
 impl HoldTimer {
-    fn record(&self) {
-        let ns = self.since.elapsed_ns();
-        with_witness(|w| {
-            w.stats[self.class.index()]
-                .hold_ns
-                .fetch_add(ns, Ordering::Relaxed)
-        });
+    fn start(class: LockClass) -> Self {
+        HoldTimer {
+            class,
+            since: class.is_serializer().then(WallStopwatch::start),
+        }
+    }
+
+    /// Adds the running hold to the class's `hold_ns` and stops the
+    /// timer until [`HoldTimer::restart`].
+    fn record(&mut self) {
+        if let Some(since) = self.since.take() {
+            let ns = since.elapsed_ns();
+            with_witness(|w| {
+                w.stats[self.class.index()]
+                    .hold_ns
+                    .fetch_add(ns, Ordering::Relaxed)
+            });
+        }
+    }
+
+    fn restart(&mut self) {
+        *self = HoldTimer::start(self.class);
     }
 }
 
@@ -741,11 +763,7 @@ fn take<'a>(
         waited.elapsed_ns()
     });
     count(class, waited);
-    let hold = HoldTimer {
-        class,
-        since: WallStopwatch::start(),
-    };
-    (dep, RawHold { lock, mode }, hold)
+    (dep, RawHold { lock, mode }, HoldTimer::start(class))
 }
 
 /// A FIFO mutex that declares a [`LockClass`] and reports every
@@ -973,7 +991,7 @@ impl TrackedCondvar {
             waiters.len() < before
         });
         guard.raw.lock.lock(guard.dep.entry, site);
-        guard.hold.since = WallStopwatch::start();
+        guard.hold.restart();
     }
 
     /// Wakes one waiter.
@@ -1201,7 +1219,7 @@ mod tests {
         }
         assert!(LockClass::Test.stats().hold_ns >= ns);
 
-        let class = LockClass::NicDma;
+        let class = LockClass::DevsetParent;
         let rw = TrackedRwLock::new(class, ());
         {
             let _r = rw.read();
@@ -1216,6 +1234,53 @@ mod tests {
         let after_write = class.stats();
         assert!(after_write.hold_ns - after_read.hold_ns >= ns);
         assert_eq!(after_write.acquisitions, 2);
+    }
+
+    #[test]
+    fn bookkeeping_holds_are_counted_not_timed() {
+        let _clock = Clock::new_virtual(1.0);
+        let class = LockClass::KvmVm;
+        assert!(!class.is_serializer());
+        let m = TrackedMutex::new(class, ());
+        let rw = TrackedRwLock::new(class, ());
+        {
+            let _g = m.lock();
+            let _r = rw.read();
+            std::thread::sleep(Duration::from_millis(2));
+        }
+        drop(rw.write());
+        let s = class.stats();
+        assert_eq!((s.acquisitions, s.contended, s.hold_ns), (3, 0, 0));
+    }
+
+    #[test]
+    fn a_hold_across_a_resource_names_the_callers_wait_site() {
+        let clock = Clock::new_virtual(1.0);
+        let cpu = crate::CpuPool::new(clock.clone(), 1);
+        let membw = crate::FairShareBandwidth::new(clock.clone(), 1e9, 1e9);
+        let bookkeeping = TrackedMutex::new(LockClass::HostMmu, ());
+        let run_line = line!() + 3;
+        {
+            let _g = bookkeeping.lock();
+            cpu.run(Duration::from_micros(1));
+        }
+        let r = reports();
+        assert_eq!(r.len(), 1, "{r:?}");
+        let sites = [r[0].held_site.clone(), r[0].acquire_site.clone()];
+        assert_eq!(
+            sites,
+            [run_line - 1, run_line].map(|l| format!("{}:{l}", file!()))
+        );
+
+        // A sliced transfer sleeps four times at one site: one report.
+        let transfer_line = line!() + 3;
+        {
+            let _g = bookkeeping.lock();
+            membw.transfer(10_000_000);
+        }
+        let r = reports();
+        assert_eq!(r.len(), 2, "{r:?}");
+        assert_eq!(r[1].acquire_site, format!("{}:{transfer_line}", file!()));
     }
 
     #[test]

@@ -57,7 +57,8 @@ impl CpuPool {
 
     /// Executes `sim` worth of CPU-bound work on one modelled core,
     /// blocking the calling thread until a core is free and the work is
-    /// done.
+    /// done. A wait here is reported at the caller's site.
+    #[track_caller]
     pub fn run(&self, sim: Duration) {
         if sim.is_zero() {
             return;
@@ -131,7 +132,9 @@ impl FairShareBandwidth {
     }
 
     /// Moves `bytes` through the resource, sharing bandwidth fairly with
-    /// every concurrent transfer.
+    /// every concurrent transfer. A wait here is reported at the
+    /// caller's site.
+    #[track_caller]
     pub fn transfer(&self, bytes: u64) {
         use std::sync::atomic::Ordering;
         if bytes == 0 {

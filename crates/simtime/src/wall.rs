@@ -4,8 +4,9 @@
 //! from touching `std::time::Instant`/`SystemTime` directly: mixing raw
 //! wall-clock reads with the simulation clock is how a test ends up
 //! asserting on real time where it meant simulated time, and vice versa.
-//! Code that legitimately needs real elapsed time — guard hold/wait
-//! accounting, test deadlines, serialization checks — uses a
+//! Code that legitimately needs real elapsed time — contended-lock wait
+//! and serializer hold accounting, test deadlines, serialization
+//! checks — uses a
 //! [`WallStopwatch`], which makes the intent explicit and keeps every raw
 //! `Instant` read inside this crate.
 
