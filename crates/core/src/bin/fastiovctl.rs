@@ -149,8 +149,8 @@ fn run(id: &str) -> ExitCode {
 /// trace, the executor's baton counts, the per-class lock counts and the
 /// lockdep verdict, writing `trace.json`, `lockgraph.dot` and
 /// `lockgraph.json` into `out`. Every figure it prints or writes is
-/// exact, so two runs of a row agree byte for byte. Fails if the trace
-/// and the stage summary diverge by more than 1 % or on any lockdep
+/// exact, so two runs of a row agree byte for byte. Fails if a stage's
+/// trace mean and summary mean differ by a nanosecond or on any lockdep
 /// report.
 fn observe(id: &str, out: &str) -> ExitCode {
     use fastiov::simtime::{lockdep, LockClass};
@@ -209,12 +209,11 @@ fn observe(id: &str, out: &str) -> ExitCode {
         "p99 (s)",
         "trace mean (s)",
     ]);
-    let mut worst: f64 = 0.0;
+    let mut worst = Duration::ZERO;
     for (stage, s) in &summary.stage_percentiles {
         // Each started VM's last span of the stage: a retried launch runs
         // its stages again, and the stage log keeps the attempt that
         // started the pod; a pod that never started has no stage record.
-        // Summed in VM order, so the float sum is the same every run.
         let mut per_vm: BTreeMap<u64, Duration> = BTreeMap::new();
         for sp in spans
             .iter()
@@ -222,31 +221,24 @@ fn observe(id: &str, out: &str) -> ExitCode {
         {
             per_vm.insert(sp.vm, sp.sim_duration());
         }
-        let n = per_vm.len().max(1) as f64;
-        let trace_mean = per_vm.values().map(Duration::as_secs_f64).sum::<f64>() / n;
-        let sim_mean = s.mean.as_secs_f64();
-        let rel = if sim_mean > 0.0 {
-            (trace_mean - sim_mean).abs() / sim_mean
-        } else if trace_mean > 0.0 {
-            1.0
-        } else {
-            0.0
-        };
-        worst = worst.max(rel);
+        // Rounded as `Summary::mean` rounds, so equal samples give equal
+        // nanoseconds.
+        let trace_mean = per_vm.values().sum::<Duration>() / per_vm.len().max(1) as u32;
+        worst = worst.max(trace_mean.abs_diff(s.mean));
         t.row(vec![
             stage.clone(),
             s.n.to_string(),
-            format!("{:.3}", sim_mean),
+            format!("{:.3}", s.mean.as_secs_f64()),
             format!("{:.3}", s.p50.as_secs_f64()),
             format!("{:.3}", s.p90.as_secs_f64()),
             format!("{:.3}", s.p99.as_secs_f64()),
-            format!("{:.3}", trace_mean),
+            format!("{:.3}", trace_mean.as_secs_f64()),
         ]);
     }
     println!("{}", t.render());
     println!(
-        "trace/summary reconciliation: max divergence {:.4}% over {} stages",
-        worst * 100.0,
+        "trace/summary reconciliation: max divergence {} ns over {} stages",
+        worst.as_nanos(),
         summary.stage_percentiles.len(),
     );
     // Exact, like the simulated times: the baton traffic behind the
@@ -282,9 +274,9 @@ fn observe(id: &str, out: &str) -> ExitCode {
     for r in &reports {
         eprintln!("lockdep: {r}");
     }
-    let diverged = worst > 0.01;
+    let diverged = !worst.is_zero();
     if diverged {
-        eprintln!("fastiovctl: trace disagrees with stage summary by more than 1%");
+        eprintln!("fastiovctl: trace disagrees with stage summary");
     }
     if !reports.is_empty() {
         eprintln!("fastiovctl: {} lock-discipline report(s)", reports.len());

@@ -590,19 +590,10 @@ impl Engine {
         let vm = match Microvm::launch(&self.host, cfg, attachment, &mut log) {
             Ok(vm) => vm,
             Err(e) => {
-                // Unwind everything the partial launch may have grabbed so
-                // the host stays reusable: frames, lazy-zero entries, the
-                // DMA attachment, and the group ownership.
-                if let NetworkAttachment::Passthrough(vf) | NetworkAttachment::Vdpa(vf) = attachment
-                {
-                    self.host.dma.detach_vf(vf);
-                    if let Ok(vf_ref) = self.host.pf.vf(vf) {
-                        if let Ok(group) = self.host.vfio.group(vf_ref.pci().bdf()) {
-                            let _ = group.detach(pid);
-                        }
-                    }
-                }
-                self.host.fastiovd.unregister_vm(pid);
+                // `Microvm::launch` has already unwound the passthrough
+                // state (DMA attachment, group ownership, lazy-zero
+                // entries); release the frames and what the pod set up
+                // around the VM, so the host stays reusable.
                 self.host.mem.release_owner(pid);
                 if let (
                     Some(result),

@@ -12,7 +12,6 @@ use crate::addr::{Hpa, PageSize};
 use crate::content::PageContent;
 use crate::{MemError, Result};
 use fastiov_simtime::{Clock, CpuPool, FairShareBandwidth, LockClass, LockSnapshot, TrackedMutex};
-use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::time::Duration;
@@ -81,8 +80,10 @@ struct Frame {
     content: PageContent,
 }
 
-/// A memory's frames, indexed by frame number.
-type FrameTable = Vec<Frame>;
+/// Frames per chunk of a [`FrameTable`]: at 72 bytes a frame, a chunk is
+/// about 72 KB, below glibc's default 128 KB `mmap` threshold.
+const CHUNK: usize = 1024;
+const _: () = assert!(CHUNK * std::mem::size_of::<Frame>() < 128 * 1024);
 
 /// Frame `i` of a new memory: free, unpinned, full of residue.
 fn fresh_frame(page: PageSize, i: usize) -> Frame {
@@ -94,32 +95,51 @@ fn fresh_frame(page: PageSize, i: usize) -> Frame {
     }
 }
 
-std::thread_local! {
-    /// The frame table of the last memory this thread dropped, already
-    /// reset to fresh frames, for the next memory of the same page size
-    /// and frame count.
-    ///
-    /// A host's table is one ~10 MB allocation. Freed back to `malloc`,
-    /// it became a heap hole that later small allocations split, so after
-    /// a hundred-odd hosts in one process the next table no longer fit
-    /// and the heap grew by a whole table: resident memory stepped up by
-    /// ~9 MB at a host count that varied run to run. Reusing the table
-    /// keeps one host after another on the same pages. It is kept per
-    /// thread, as the thread that builds hosts one after another also
-    /// drops them, so hosts on different threads (and clocks) share no
-    /// lock.
-    static SPARE_FRAMES: RefCell<Option<(PageSize, FrameTable)>> = const { RefCell::new(None) };
+/// A memory's frames in chunks of [`CHUNK`], each built of fresh frames
+/// the first time one of its frames is touched. The allocator hands out
+/// the lowest free frames first, so a host builds only the chunks its
+/// guests reach. Every chunk has the same size, the last one included
+/// (its frames past the memory's end are never reached): chunks of one
+/// size freed by one host are reused by the next instead of leaving heap
+/// holes of odd sizes.
+struct FrameTable {
+    page: PageSize,
+    chunks: Vec<Option<Box<[Frame]>>>,
 }
 
-/// Takes the spare table if it has `page`-sized frames and `total` of them.
-fn take_spare_frames(page: PageSize, total: usize) -> Option<FrameTable> {
-    SPARE_FRAMES.with_borrow_mut(|spare| match spare.take() {
-        Some((p, frames)) if p == page && frames.len() == total => Some(frames),
-        other => {
-            *spare = other;
-            None
+impl FrameTable {
+    /// A table for `total` frames of size `page`, no chunk built yet.
+    fn new(page: PageSize, total: usize) -> Self {
+        FrameTable {
+            page,
+            chunks: (0..total.div_ceil(CHUNK)).map(|_| None).collect(),
         }
-    })
+    }
+
+    /// Frame `i`, building its chunk on first touch.
+    fn frame(&mut self, i: usize) -> &mut Frame {
+        let page = self.page;
+        let c = i / CHUNK;
+        let chunk = self.chunks[c].get_or_insert_with(|| {
+            (c * CHUNK..(c + 1) * CHUNK)
+                .map(|j| fresh_frame(page, j))
+                .collect()
+        });
+        &mut chunk[i % CHUNK]
+    }
+
+    /// Indices of the frames `owner` holds; only built chunks can hold any.
+    fn owned_by(&self, owner: u64) -> Vec<usize> {
+        let mut owned = Vec::new();
+        for (c, chunk) in self.chunks.iter().enumerate() {
+            for (j, f) in chunk.as_deref().unwrap_or_default().iter().enumerate() {
+                if f.owner == Some(owner) {
+                    owned.push(c * CHUNK + j);
+                }
+            }
+        }
+        owned
+    }
 }
 
 /// The free frames as maximal runs of contiguous frames: start → length.
@@ -202,22 +222,9 @@ struct State {
 }
 
 impl State {
-    /// Fails with [`MemError::BadFrame`] (the first frame past the end)
-    /// unless every range lies inside the table.
-    fn check_bounds(&self, ranges: &[FrameRange]) -> Result<()> {
-        let total = self.frames.len();
-        match ranges
-            .iter()
-            .find(|r| r.count > 0 && r.start.0 + r.count > total)
-        {
-            Some(r) => Err(MemError::BadFrame(r.start.0.max(total))),
-            None => Ok(()),
-        }
-    }
-
     /// Turns a freed or released frame back into fresh residue.
     fn invalidate(&mut self, i: usize) {
-        let f = &mut self.frames[i];
+        let f = self.frames.frame(i);
         f.owner = None;
         f.pins = 0;
         f.clean = false;
@@ -252,7 +259,8 @@ pub struct AllocStats {
     pub frames_stolen: u64,
 }
 
-/// The host's physical memory: a fixed array of frames of one page size.
+/// The host's physical memory: a fixed number of frames of one page size,
+/// whose table is built a chunk at a time as frames are first touched.
 ///
 /// One lock guards the frame table and the free runs, and every call takes
 /// it once. The modelled charges (CPU for retrieval and pinning, memory
@@ -284,8 +292,6 @@ impl PhysMemory {
 
     /// Creates a memory of `total_frames` frames of size `page`, all free.
     pub fn new(costs: MemCosts, page: PageSize, total_frames: usize) -> Arc<Self> {
-        let frames = take_spare_frames(page, total_frames)
-            .unwrap_or_else(|| (0..total_frames).map(|i| fresh_frame(page, i)).collect());
         Arc::new(PhysMemory {
             costs,
             page,
@@ -293,7 +299,7 @@ impl PhysMemory {
             state: TrackedMutex::new(
                 LockClass::PhysMemory,
                 State {
-                    frames,
+                    frames: FrameTable::new(page, total_frames),
                     free: FreeRuns::all(total_frames),
                     nonce: total_frames as u64,
                     counts: AllocStats::default(),
@@ -317,6 +323,27 @@ impl PhysMemory {
     /// The cost model in use.
     pub fn costs(&self) -> &MemCosts {
         &self.costs
+    }
+
+    /// Fails with [`MemError::BadFrame`] unless `id` lies inside the memory.
+    fn check_frame(&self, id: FrameId) -> Result<()> {
+        self.check_bounds(&[FrameRange {
+            start: id,
+            count: 1,
+        }])
+    }
+
+    /// Fails with [`MemError::BadFrame`] (the first frame past the end)
+    /// unless every range lies inside the memory.
+    fn check_bounds(&self, ranges: &[FrameRange]) -> Result<()> {
+        let total = self.total;
+        match ranges
+            .iter()
+            .find(|r| r.count > 0 && r.start.0 + r.count > total)
+        {
+            Some(r) => Err(MemError::BadFrame(r.start.0.max(total))),
+            None => Ok(()),
+        }
     }
 
     /// Host physical address of a frame.
@@ -351,7 +378,7 @@ impl PhysMemory {
             }
             let ranges = s.free.take_lowest(count);
             for i in frame_indices(&ranges) {
-                let f = &mut s.frames[i];
+                let f = s.frames.frame(i);
                 debug_assert!(f.owner.is_none(), "allocating an owned frame");
                 f.owner = Some(owner);
             }
@@ -372,13 +399,13 @@ impl PhysMemory {
     /// Every frame is checked before any is freed, so a failed call changes
     /// nothing.
     pub fn free_ranges(&self, ranges: &[FrameRange], owner: u64) -> Result<()> {
+        self.check_bounds(ranges)?;
         let mut s = self.state.lock();
-        s.check_bounds(ranges)?;
         // Claim each frame by clearing its owner. A frame named twice then
         // reads as unowned, as a double free would; on any failure the
         // claims made so far are handed back.
         for (n, i) in frame_indices(ranges).enumerate() {
-            let f = &mut s.frames[i];
+            let f = s.frames.frame(i);
             let err = if f.owner != Some(owner) {
                 Some(MemError::NotOwner {
                     frame: i,
@@ -391,7 +418,7 @@ impl PhysMemory {
             };
             if let Some(e) = err {
                 for j in frame_indices(ranges).take(n) {
-                    s.frames[j].owner = Some(owner);
+                    s.frames.frame(j).owner = Some(owner);
                 }
                 return Err(e);
             }
@@ -410,11 +437,11 @@ impl PhysMemory {
     /// frames that are not already pre-zeroed clean.
     pub fn zero_ranges(&self, ranges: &[FrameRange]) -> Result<()> {
         let dirty = {
+            self.check_bounds(ranges)?;
             let mut s = self.state.lock();
-            s.check_bounds(ranges)?;
             let mut dirty = 0u64;
             for i in frame_indices(ranges) {
-                let f = &mut s.frames[i];
+                let f = s.frames.frame(i);
                 if !f.clean {
                     f.content.zero();
                     f.clean = true;
@@ -433,8 +460,9 @@ impl PhysMemory {
     /// needed zeroing.
     pub fn zero_frame(&self, id: FrameId) -> Result<bool> {
         let needed = {
+            self.check_frame(id)?;
             let mut s = self.state.lock();
-            let f = s.frames.get_mut(id.0).ok_or(MemError::BadFrame(id.0))?;
+            let f = s.frames.frame(id.0);
             let needed = !f.clean;
             if needed {
                 f.content.zero();
@@ -452,11 +480,11 @@ impl PhysMemory {
     /// Pins every frame in `ranges` (refcount++), charging per-page CPU.
     pub fn pin_ranges(&self, ranges: &[FrameRange]) -> Result<()> {
         let pages = {
+            self.check_bounds(ranges)?;
             let mut s = self.state.lock();
-            s.check_bounds(ranges)?;
             let mut pages = 0u32;
             for i in frame_indices(ranges) {
-                s.frames[i].pins += 1;
+                s.frames.frame(i).pins += 1;
                 pages += 1;
             }
             pages
@@ -468,26 +496,27 @@ impl PhysMemory {
     /// Unpins every frame in `ranges`. Every frame is checked before any
     /// count changes, so a failed call changes nothing.
     pub fn unpin_ranges(&self, ranges: &[FrameRange]) -> Result<()> {
+        self.check_bounds(ranges)?;
         let mut s = self.state.lock();
-        s.check_bounds(ranges)?;
         // Unpin in order; a frame named more often than it is pinned
         // underflows, and then the unpins made so far are undone.
         for (n, i) in frame_indices(ranges).enumerate() {
-            if s.frames[i].pins == 0 {
+            let f = s.frames.frame(i);
+            if f.pins == 0 {
                 for j in frame_indices(ranges).take(n) {
-                    s.frames[j].pins += 1;
+                    s.frames.frame(j).pins += 1;
                 }
                 return Err(MemError::PinUnderflow(i));
             }
-            s.frames[i].pins -= 1;
+            f.pins -= 1;
         }
         Ok(())
     }
 
     /// Runs `f` on frame `id` under the lock (test/diagnostic accessors).
     fn with_frame<T>(&self, id: FrameId, f: impl FnOnce(&Frame) -> T) -> Result<T> {
-        let s = self.state.lock();
-        s.frames.get(id.0).map(f).ok_or(MemError::BadFrame(id.0))
+        self.check_frame(id)?;
+        Ok(f(self.state.lock().frames.frame(id.0)))
     }
 
     /// Pin count of a frame (test/diagnostic).
@@ -507,9 +536,9 @@ impl PhysMemory {
 
     /// Reads physical memory at `hpa`, possibly crossing frame boundaries.
     pub fn read_phys(&self, hpa: Hpa, buf: &mut [u8]) -> Result<()> {
-        let s = self.state.lock();
+        let mut s = self.state.lock();
         self.walk(hpa, buf.len() as u64, |frame, off, lo, hi| {
-            s.frames[frame].content.read(off, &mut buf[lo..hi])
+            s.frames.frame(frame).content.read(off, &mut buf[lo..hi])
         })
     }
 
@@ -518,7 +547,7 @@ impl PhysMemory {
     pub fn write_phys(&self, hpa: Hpa, data: &[u8]) -> Result<()> {
         let mut s = self.state.lock();
         self.walk(hpa, data.len() as u64, |frame, off, lo, hi| {
-            let f = &mut s.frames[frame];
+            let f = s.frames.frame(frame);
             f.clean = false;
             f.content.write(off, &data[lo..hi])
         })
@@ -555,9 +584,7 @@ impl PhysMemory {
     /// stranded. Returns the number of frames released.
     pub fn release_owner(&self, owner: u64) -> usize {
         let mut s = self.state.lock();
-        let released: Vec<usize> = (0..s.frames.len())
-            .filter(|&i| s.frames[i].owner == Some(owner))
-            .collect();
+        let released = s.frames.owned_by(owner);
         for &i in &released {
             s.invalidate(i);
         }
@@ -577,7 +604,7 @@ impl PhysMemory {
         let n = (s.free.frames as f64 * fraction.clamp(0.0, 1.0)).round() as usize;
         let mut done = 0;
         for i in s.free.iter().take(n) {
-            let f = &mut s.frames[i];
+            let f = s.frames.frame(i);
             debug_assert!(f.owner.is_none(), "a free frame has an owner");
             if !f.clean {
                 f.content.zero();
@@ -609,7 +636,7 @@ impl PhysMemory {
             s.free.insert(r.start.0, r.count);
         }
         for &i in &taken {
-            s.frames[i].owner = Some(Self::OWNER_FRAG);
+            s.frames.frame(i).owner = Some(Self::OWNER_FRAG);
         }
         taken.len()
     }
@@ -619,27 +646,9 @@ impl PhysMemory {
         let s = self.state.lock();
         AllocStats {
             free_frames: s.free.frames,
-            total_frames: s.frames.len(),
+            total_frames: self.total,
             ..s.counts
         }
-    }
-}
-
-impl Drop for PhysMemory {
-    /// Resets the frame table (dropping written contents, as freeing it
-    /// would) and keeps it as the spare, replacing any older one. A pooled
-    /// simulation worker frees it instead: it never exits, so a spare kept
-    /// on it would never be freed.
-    fn drop(&mut self) {
-        if fastiov_simtime::on_worker_thread() {
-            return;
-        }
-        let mut frames = std::mem::take(&mut self.state.lock().frames);
-        for (i, frame) in frames.iter_mut().enumerate() {
-            *frame = fresh_frame(self.page, i);
-        }
-        // A thread past its thread-locals frees the table instead.
-        let _ = SPARE_FRAMES.try_with(|spare| spare.replace(Some((self.page, frames))));
     }
 }
 
@@ -856,52 +865,107 @@ mod tests {
         assert!(s.acquisitions >= 2);
     }
 
-    #[test]
-    fn a_recycled_frame_table_comes_back_fresh() {
-        // The next 13-frame memory this thread builds takes the table
-        // this drop leaves as its spare.
-        let residue = |m: &PhysMemory| {
-            let mut buf = [0u8; 16];
-            m.read_phys(m.hpa_of(FrameId(5)), &mut buf).unwrap();
-            buf
-        };
-        let m = mem(13);
-        let expect = residue(&m);
-        let r = m.alloc_frames(13, 1).unwrap();
-        m.zero_ranges(&r).unwrap();
-        m.pin_ranges(&r).unwrap();
-        m.write_phys(m.hpa_of(FrameId(5)), &[9; 16]).unwrap();
-        drop(m);
+    /// A memory that ends two frames into its third chunk.
+    const ODD: usize = 2 * CHUNK + 2;
 
-        let m = mem(13);
-        assert_eq!(m.stats().free_frames, 13);
-        assert!(m.leaks_residue(FrameId(5)).unwrap());
-        assert_eq!(residue(&m), expect);
-        // Unowned and unpinned: a new owner can take and free every frame.
-        let r = m.alloc_frames(13, 2).unwrap();
-        m.free_ranges(&r, 2).unwrap();
+    /// The first 16 bytes of frame `i`.
+    fn head(m: &PhysMemory, i: usize) -> [u8; 16] {
+        let mut buf = [0u8; 16];
+        m.read_phys(m.hpa_of(FrameId(i)), &mut buf).unwrap();
+        buf
+    }
+
+    /// The first 16 bytes of a fresh frame `i`.
+    fn fresh_head(i: usize) -> [u8; 16] {
+        std::array::from_fn(|o| crate::content::garbage_byte(i as u64, o as u64))
     }
 
     #[test]
-    fn a_pooled_worker_keeps_no_spare_frame_table() {
-        let clock = Clock::new_virtual(1.0);
-        let c = clock.clone();
-        let worker = fastiov_simtime::spawn(&clock, "dropper", move || {
-            drop(PhysMemory::new(
-                MemCosts::for_tests(c),
-                PageSize::Size2M,
-                11,
-            ));
-            take_spare_frames(PageSize::Size2M, 11).is_none()
-        });
-        assert!(worker.join().expect("dropper"), "a worker kept the table");
-        // The driver, which builds host after host, keeps it.
-        drop(PhysMemory::new(
-            MemCosts::for_tests(clock),
-            PageSize::Size2M,
-            11,
-        ));
-        assert!(take_spare_frames(PageSize::Size2M, 11).is_some());
+    fn frames_at_chunk_edges_read_fresh_residue() {
+        let m = mem(ODD);
+        for i in [0, CHUNK - 1, CHUNK, ODD - 1] {
+            assert!(m.leaks_residue(FrameId(i)).unwrap(), "frame {i}");
+            assert_eq!(head(&m, i), fresh_head(i), "frame {i}");
+            assert_eq!(m.owner_of(FrameId(i)).unwrap(), None, "frame {i}");
+        }
+        assert_eq!(m.stats().total_frames, ODD);
+    }
+
+    #[test]
+    fn frames_cross_a_chunk_edge_and_come_back() {
+        let m = mem(ODD);
+        m.alloc_frames(CHUNK - 2, 1).unwrap();
+        let r = m.alloc_frames(4, 2).unwrap();
+        assert_eq!(r, [range(CHUNK - 2, 4)]);
+        m.zero_ranges(&r).unwrap();
+        m.pin_ranges(&r).unwrap();
+        for i in CHUNK - 2..CHUNK + 2 {
+            assert_eq!(m.owner_of(FrameId(i)).unwrap(), Some(2), "frame {i}");
+            assert_eq!(m.pin_count(FrameId(i)).unwrap(), 1, "frame {i}");
+            assert_eq!(head(&m, i), [0; 16], "frame {i}");
+        }
+        assert_eq!(m.free_ranges(&r, 2), Err(MemError::Pinned(CHUNK - 2)));
+        m.unpin_ranges(&r).unwrap();
+        m.free_ranges(&r, 2).unwrap();
+        assert_eq!(m.stats().free_frames, ODD - (CHUNK - 2));
+        for i in CHUNK - 2..CHUNK + 2 {
+            assert_eq!(m.owner_of(FrameId(i)).unwrap(), None, "frame {i}");
+            assert!(m.leaks_residue(FrameId(i)).unwrap(), "frame {i}");
+        }
+        // The next tenant takes the same frames back.
+        assert_eq!(m.alloc_frames(4, 3).unwrap(), r);
+    }
+
+    #[test]
+    fn release_owner_spans_two_chunks() {
+        let m = mem(ODD);
+        m.alloc_frames(CHUNK - 2, 1).unwrap();
+        let r = m.alloc_frames(CHUNK + 4, 2).unwrap();
+        m.pin_ranges(&r).unwrap();
+        assert_eq!(m.release_owner(2), CHUNK + 4);
+        assert_eq!(m.stats().free_frames, CHUNK + 4);
+        assert_eq!(m.owner_of(FrameId(CHUNK - 3)).unwrap(), Some(1));
+        for i in [CHUNK - 2, CHUNK, 2 * CHUNK + 1] {
+            assert_eq!(m.owner_of(FrameId(i)).unwrap(), None, "frame {i}");
+            assert_eq!(m.pin_count(FrameId(i)).unwrap(), 0, "frame {i}");
+        }
+        assert_eq!(m.release_owner(2), 0);
+    }
+
+    #[test]
+    fn the_frame_at_total_is_out_of_range() {
+        // Its chunk is built (it holds frame `ODD - 1`), but it lies past
+        // the memory's end.
+        let m = mem(ODD);
+        m.alloc_frames(ODD, 1).unwrap();
+        let past = FrameId(ODD);
+        assert_eq!(m.owner_of(past), Err(MemError::BadFrame(ODD)));
+        assert_eq!(m.zero_frame(past), Err(MemError::BadFrame(ODD)));
+        assert_eq!(
+            m.pin_ranges(&[range(ODD - 1, 2)]),
+            Err(MemError::BadFrame(ODD))
+        );
+        assert!(m.read_phys(m.hpa_of(past), &mut [0; 1]).is_err());
+    }
+
+    #[test]
+    fn a_second_memory_reads_the_same_fresh_residue() {
+        let m = mem(ODD);
+        let r = m.alloc_frames(ODD, 1).unwrap();
+        m.zero_ranges(&r).unwrap();
+        m.pin_ranges(&r).unwrap();
+        m.write_phys(m.hpa_of(FrameId(CHUNK)), &[9; 16]).unwrap();
+        drop(m);
+
+        let m = mem(ODD);
+        assert_eq!(m.stats().free_frames, ODD);
+        for i in [5, CHUNK] {
+            assert!(m.leaks_residue(FrameId(i)).unwrap(), "frame {i}");
+            assert_eq!(head(&m, i), fresh_head(i), "frame {i}");
+        }
+        // Unowned and unpinned: a new owner can take and free every frame.
+        let r = m.alloc_frames(ODD, 2).unwrap();
+        m.free_ranges(&r, 2).unwrap();
     }
 
     #[test]

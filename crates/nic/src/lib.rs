@@ -26,7 +26,7 @@ pub mod vf;
 pub use dma::{DmaEngine, RxCompletion, RxRing};
 pub use msix::{CountingSink, InterruptSink, MsixVector};
 pub use pf::{AdminCmd, AdminQueue, AdminReply, PfDriver, PfStats};
-pub use tx::{Frame, FrameQueue, Wire, WireSink};
+pub use tx::{Frame, Wire, WireSink};
 pub use vf::{MacAddr, NetdevName, Vf, VfId, VfState};
 
 use fastiov_faults::FaultError;

@@ -11,8 +11,6 @@ use crate::dma::{dma_chunks, DmaEngine};
 use crate::vf::VfId;
 use crate::Result;
 use fastiov_hostmem::Iova;
-use fastiov_simtime::{LockClass, TrackedMutex};
-use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
@@ -29,47 +27,6 @@ pub struct Frame {
 pub trait WireSink: Send + Sync {
     /// Receives one frame.
     fn on_frame(&self, frame: Frame);
-}
-
-/// A sink that queues frames for inspection (tests, simple servers).
-pub struct FrameQueue {
-    frames: TrackedMutex<VecDeque<Frame>>,
-}
-
-impl Default for FrameQueue {
-    fn default() -> Self {
-        FrameQueue {
-            frames: TrackedMutex::new(LockClass::NicTx, VecDeque::new()),
-        }
-    }
-}
-
-impl FrameQueue {
-    /// Creates an empty queue.
-    pub fn new() -> Arc<Self> {
-        Arc::new(FrameQueue::default())
-    }
-
-    /// Pops the oldest frame, if any.
-    pub fn pop(&self) -> Option<Frame> {
-        self.frames.lock().pop_front()
-    }
-
-    /// Frames currently queued.
-    pub fn len(&self) -> usize {
-        self.frames.lock().len()
-    }
-
-    /// True if no frames are queued.
-    pub fn is_empty(&self) -> bool {
-        self.frames.lock().is_empty()
-    }
-}
-
-impl WireSink for FrameQueue {
-    fn on_frame(&self, frame: Frame) {
-        self.frames.lock().push_back(frame);
-    }
 }
 
 /// The wire between the application server and its peer.
@@ -137,8 +94,17 @@ mod tests {
     use crate::NicError;
     use fastiov_hostmem::{MemCosts, PageSize, PhysMemory};
     use fastiov_iommu::Iommu;
-    use fastiov_simtime::{Clock, FairShareBandwidth};
+    use fastiov_simtime::{Clock, FairShareBandwidth, LockClass, TrackedMutex};
     use std::time::Duration;
+
+    /// A sink that keeps every frame it receives.
+    struct Frames(TrackedMutex<Vec<Frame>>);
+
+    impl WireSink for Frames {
+        fn on_frame(&self, frame: Frame) {
+            self.0.lock().push(frame);
+        }
+    }
 
     const PAGE: u64 = 2 * 1024 * 1024;
 
@@ -164,7 +130,7 @@ mod tests {
     #[test]
     fn transmit_reads_guest_memory_through_iommu() {
         let (mem, engine, wire) = setup();
-        let sink = FrameQueue::new();
+        let sink = Arc::new(Frames(TrackedMutex::new(LockClass::Test, Vec::new())));
         wire.connect(Arc::clone(&sink) as Arc<dyn WireSink>);
         // Guest "wrote" a frame at IOVA 0x100 (via its identity-mapped
         // physical page).
@@ -172,8 +138,7 @@ mod tests {
         mem.write_phys(domain_hpa, &[7u8; 64]).unwrap();
         let frame = engine.transmit(VfId(0), Iova(0x100), 64, &wire).unwrap();
         assert_eq!(frame.payload, vec![7u8; 64]);
-        assert_eq!(sink.pop().unwrap().payload, vec![7u8; 64]);
-        assert!(sink.is_empty());
+        assert_eq!(*sink.0.lock(), [frame]);
         assert_eq!(wire.stats(), (1, 64));
     }
 

@@ -1,6 +1,5 @@
 //! PCI device identity, reset capability, driver binding.
 
-use crate::config::ConfigSpace;
 use fastiov_simtime::{LockClass, TrackedMutex};
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -87,7 +86,6 @@ pub struct PciDevice {
     bdf: Bdf,
     class: DeviceClass,
     reset: ResetCapability,
-    config: ConfigSpace,
     state: TrackedMutex<DeviceState>,
     resets: AtomicU64,
 }
@@ -110,7 +108,6 @@ impl PciDevice {
             bdf,
             class,
             reset,
-            config: ConfigSpace::new(),
             state: TrackedMutex::new(
                 LockClass::PciDevice,
                 DeviceState {
@@ -138,11 +135,6 @@ impl PciDevice {
     /// Reset capability.
     pub fn reset_capability(&self) -> ResetCapability {
         self.reset
-    }
-
-    /// The device's config space.
-    pub fn config(&self) -> &ConfigSpace {
-        &self.config
     }
 
     /// Current driver binding.

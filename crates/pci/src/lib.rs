@@ -1,5 +1,4 @@
-//! PCI bus model: devices, config space, reset capabilities, SR-IOV
-//! capability.
+//! PCI bus model: devices, reset capabilities, SR-IOV capability.
 //!
 //! The paper's bottleneck 1 (§3.2.2) lives here structurally: whether a
 //! device supports **slot-level reset** decides how VFIO groups devices
@@ -12,11 +11,9 @@
 #![warn(missing_docs)]
 
 pub mod bus;
-pub mod config;
 pub mod device;
 
 pub use bus::PciBus;
-pub use config::ConfigSpace;
 pub use device::{Bdf, DeviceClass, DriverBinding, PciDevice, ResetCapability, SriovCap};
 
 use std::fmt;
@@ -44,8 +41,6 @@ pub enum PciError {
         /// Capability maximum.
         max: u16,
     },
-    /// Config-space access out of range.
-    BadRegister(u16),
 }
 
 impl fmt::Display for PciError {
@@ -63,7 +58,6 @@ impl fmt::Display for PciError {
             PciError::TooManyVfs { requested, max } => {
                 write!(f, "requested {requested} VFs, capability allows {max}")
             }
-            PciError::BadRegister(r) => write!(f, "config register {r:#x} out of range"),
         }
     }
 }

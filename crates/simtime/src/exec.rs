@@ -72,7 +72,7 @@ use crate::clock::Clock;
 use crate::lockdep::{HeldEntry, Mode, Witness};
 use crate::tracer::{ThreadTrace, TraceLog};
 use parking_lot::Mutex;
-use std::cell::{Cell, RefCell};
+use std::cell::RefCell;
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
 use std::panic::Location;
@@ -977,17 +977,6 @@ const MAX_IDLE_WORKERS: usize = 8;
 /// next job.
 static IDLE: Mutex<Vec<mpsc::Sender<Job>>> = Mutex::new(Vec::new());
 
-thread_local! {
-    static ON_WORKER: Cell<bool> = const { Cell::new(false) };
-}
-
-/// Whether the calling thread is a pooled worker, the kind of thread every
-/// [`spawn`]ed task runs on. A worker outlives its tasks, so a per-thread
-/// cache left on it is never freed.
-pub fn on_worker_thread() -> bool {
-    ON_WORKER.get()
-}
-
 /// One task for a worker: its clock, its slot and its body.
 struct Job {
     exec: Arc<Exec>,
@@ -998,7 +987,6 @@ struct Job {
 /// A worker's thread: runs `job`, then each job it is given while idle,
 /// until it finds the idle stack full.
 fn work(mut job: Job) {
-    ON_WORKER.set(true);
     let (next, jobs) = mpsc::channel();
     loop {
         let Job { exec, slot, run } = job;

@@ -45,7 +45,7 @@ mod wall;
 
 pub use channel::{channel, Receiver, RecvError, SendError, Sender};
 pub use clock::{Clock, SimInstant};
-pub use exec::{on_worker_thread, spawn, spawn_daemon, ExecStats, JoinHandle};
+pub use exec::{spawn, spawn_daemon, ExecStats, JoinHandle};
 pub use lockdep::{
     LockClass, LockSnapshot, LockdepReport, TrackedCondvar, TrackedMutex, TrackedMutexGuard,
     TrackedReadGuard, TrackedRwLock, TrackedWriteGuard,

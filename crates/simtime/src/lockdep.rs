@@ -134,8 +134,6 @@ lock_classes! {
     NicPf => "nic-pf",
     /// NIC DMA engine state (per-VF RX rings, VF attachments).
     NicDma => "nic-dma",
-    /// Frames queued at the far end of a wire (`FrameQueue`).
-    NicTx => "nic-tx",
     /// Per-VF configuration state.
     NicVf => "nic-vf",
     /// KVM VM state (memslots and EPT).
@@ -144,8 +142,6 @@ lock_classes! {
     PciBus => "pci-bus",
     /// Per-PCI-device state (driver binding, SR-IOV cap).
     PciDevice => "pci-device",
-    /// PCI config space registers.
-    PciConfig => "pci-config",
     /// CNI registries (namespaces, device plugin, VF pool).
     CniRegistry => "cni-registry",
     /// Per-network-namespace state.

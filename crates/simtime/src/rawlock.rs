@@ -2,8 +2,8 @@
 //!
 //! A lock is one atomic word, as small as the `std` mutex it replaces:
 //! a host at the paper's 256 VFs keeps over a thousand tracked locks
-//! (five per VF across its PCI function, config space, NIC state and
-//! VFIO device, plus one or two per IOMMU domain and fastiovd VM table).
+//! (four per VF across its PCI function, NIC state and VFIO device,
+//! plus one or two per IOMMU domain and fastiovd VM table).
 //! Uncontended acquisitions and releases are a single compare-and-swap.
 //! Waiters queue in a global table keyed by the lock's address (the
 //! `parking_lot` design), and a release hands the lock straight to the
