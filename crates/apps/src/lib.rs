@@ -29,7 +29,7 @@ pub use runner::{run_serverless_concurrent, run_serverless_task, TaskResult};
 pub use storage::StorageServer;
 pub use workloads::{AppKind, Workload, WorkloadOutput};
 
-use fastiov_engine::EngineError;
+use fastiov_engine::LaunchError;
 use fastiov_microvm::VmmError;
 use std::fmt;
 
@@ -37,7 +37,7 @@ use std::fmt;
 #[derive(Debug)]
 pub enum AppError {
     /// Engine-level failure.
-    Engine(EngineError),
+    Engine(LaunchError),
     /// microVM failure.
     Vmm(VmmError),
     /// Storage object missing.
@@ -62,8 +62,8 @@ impl fmt::Display for AppError {
 
 impl std::error::Error for AppError {}
 
-impl From<EngineError> for AppError {
-    fn from(e: EngineError) -> Self {
+impl From<LaunchError> for AppError {
+    fn from(e: LaunchError) -> Self {
         AppError::Engine(e)
     }
 }

@@ -314,7 +314,7 @@ fn download(
 mod tests {
     use super::*;
     use crate::workloads::AppKind;
-    use fastiov_cni::{FastIovCni, IpvtapCni, SriovCniFixed, VfAllocator};
+    use fastiov_cni::{FastIovCni, IpvtapCni, SriovCniFixed, VfPool};
     use fastiov_engine::{EngineParams, PodNetworking, VmOptions};
     use fastiov_hostmem::addr::units::mib;
     use fastiov_microvm::{Host, HostParams};
@@ -323,7 +323,7 @@ mod tests {
     fn engine(fast: bool) -> Arc<Engine> {
         let host = Host::new(HostParams::for_tests(), LockPolicy::Hierarchical).unwrap();
         host.prebind_all_vfs().unwrap();
-        let vfs = VfAllocator::new(host.pf.vf_count() as u16);
+        let vfs = VfPool::new(host.pf.vf_count() as u16);
         let (plugin, opts): (Arc<dyn fastiov_cni::CniPlugin>, VmOptions) = if fast {
             (
                 Arc::new(FastIovCni::new(vfs)),

@@ -40,7 +40,7 @@ fn dma_map(c: &mut Criterion) {
         b.iter_batched(
             || setup(false),
             |(_, container)| {
-                let hva = container.address_space().mmap("ram", pages * PAGE).unwrap();
+                let hva = container.address_space().mmap(pages * PAGE).unwrap();
                 container
                     .dma_map(
                         hva,
@@ -57,7 +57,7 @@ fn dma_map(c: &mut Criterion) {
         b.iter_batched(
             || setup(true),
             |(_, container)| {
-                let hva = container.address_space().mmap("ram", pages * PAGE).unwrap();
+                let hva = container.address_space().mmap(pages * PAGE).unwrap();
                 container
                     .dma_map(
                         hva,
@@ -75,7 +75,7 @@ fn dma_map(c: &mut Criterion) {
             || setup(false),
             |(_, container)| {
                 let register = |_pid: u64, _r: &[FrameRange]| true;
-                let hva = container.address_space().mmap("ram", pages * PAGE).unwrap();
+                let hva = container.address_space().mmap(pages * PAGE).unwrap();
                 container
                     .dma_map(
                         hva,

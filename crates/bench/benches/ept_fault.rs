@@ -17,7 +17,7 @@ fn build(hook: bool) -> Arc<Vm> {
     let costs = MemCosts::for_tests(clock.clone());
     let mem = PhysMemory::new(costs, PageSize::Size2M, PAGES as usize * 2);
     let aspace = AddressSpace::new(1, Arc::clone(&mem));
-    let hva = aspace.mmap("ram", PAGES * PAGE).unwrap();
+    let hva = aspace.mmap(PAGES * PAGE).unwrap();
     let ranges = aspace
         .populate_range(hva, PAGES * PAGE, Populate::AllocOnly)
         .unwrap();

@@ -24,14 +24,12 @@
 
 pub mod nns;
 pub mod plugin;
-pub mod sriovdp;
 
 pub use nns::{Nns, NnsRegistry, RtnlLock};
 pub use plugin::{
     CniParams, CniPlugin, CniResult, FastIovCni, IpvtapCni, PodNetSpec, SriovCniFixed,
-    SriovCniOriginal, VfAllocator,
+    SriovCniOriginal, VfPool,
 };
-pub use sriovdp::{DevicePlugin, DevicePluginStats, Health, VfProvider};
 
 use fastiov_nic::NicError;
 use fastiov_vfio::VfioError;

@@ -1,25 +1,20 @@
 //! The CNI plugin implementations.
 
 use crate::nns::{Nns, NnsRegistry};
-use crate::sriovdp::VfProvider;
 use crate::{CniError, Result};
 use fastiov_microvm::{stages, Host};
 use fastiov_nic::{AdminCmd, MacAddr, NetdevName, VfId};
 use fastiov_simtime::StageLog;
 use fastiov_simtime::{LockClass, TrackedMutex};
+use std::collections::BTreeSet;
 use std::sync::Arc;
 use std::time::Duration;
 
-/// Cost parameters of the CNI layer, separate from [`Host`] hardware
-/// parameters.
+/// Cost parameters of the software CNI, separate from [`Host`] hardware
+/// parameters (the namespace and rtnl costs every plugin shares are the
+/// engine's).
 #[derive(Debug, Clone, Copy)]
 pub struct CniParams {
-    /// Namespace creation cost.
-    pub nns_create: Duration,
-    /// rtnl hold while moving an interface into an NNS.
-    pub move_hold: Duration,
-    /// rtnl hold while configuring addresses.
-    pub ip_hold: Duration,
     /// rtnl hold while creating an ipvtap device — the dominant `addCNI`
     /// serialization of the software CNI (§6.4).
     pub ipvtap_create_hold: Duration,
@@ -32,36 +27,40 @@ impl CniParams {
     /// through rtnl serialization (Fig. 14).
     pub fn paper() -> Self {
         CniParams {
-            nns_create: Duration::from_millis(10),
-            move_hold: Duration::from_millis(3),
-            ip_hold: Duration::from_millis(2),
             ipvtap_create_hold: Duration::from_millis(30),
             ipvtap_setup: Duration::from_millis(60),
         }
     }
 }
 
-/// Pool of free VFs, owned by the SR-IOV plugins.
-pub struct VfAllocator {
-    free: TrackedMutex<Vec<VfId>>,
+/// The host's free VFs: what the SR-IOV device plugin (`sriovdp`,
+/// reference \[22\]) advertises to the kubelet, which pins one to each pod
+/// before the CNI plugin configures it (Fig. 4). The SR-IOV plugins and
+/// the warm pool share one, so allocations stay globally consistent.
+pub struct VfPool {
+    free: TrackedMutex<BTreeSet<u16>>,
 }
 
-impl VfAllocator {
-    /// Creates an allocator over VFs `0..n`.
+impl VfPool {
+    /// Creates a pool over VFs `0..n`, all free.
     pub fn new(n: u16) -> Arc<Self> {
-        Arc::new(VfAllocator {
-            free: TrackedMutex::new(LockClass::CniRegistry, (0..n).rev().map(VfId).collect()),
+        Arc::new(VfPool {
+            free: TrackedMutex::new(LockClass::CniRegistry, (0..n).collect()),
         })
     }
 
-    /// Takes a free VF.
+    /// Takes the lowest free VF, as the device plugin's Allocate does.
     pub fn allocate(&self) -> Result<VfId> {
-        self.free.lock().pop().ok_or(CniError::NoFreeVf)
+        self.free
+            .lock()
+            .pop_first()
+            .map(VfId)
+            .ok_or(CniError::NoFreeVf)
     }
 
     /// Returns a VF to the pool.
     pub fn release(&self, vf: VfId) {
-        self.free.lock().push(vf);
+        self.free.lock().insert(vf.0);
     }
 
     /// Free VFs remaining.
@@ -136,7 +135,7 @@ fn sriov_common(
     spec: &PodNetSpec,
     nns: &Nns,
     registry: &NnsRegistry,
-    vfs: &dyn VfProvider,
+    vfs: &VfPool,
     bind_host_driver: bool,
 ) -> Result<CniResult> {
     let vf = vfs.allocate()?;
@@ -167,13 +166,12 @@ fn sriov_common(
 /// The upstream SR-IOV CNI (reference \[23\]): binds the VF to the host network driver
 /// every launch (the implementation flaw of §5).
 pub struct SriovCniOriginal {
-    vfs: Arc<dyn VfProvider>,
+    vfs: Arc<VfPool>,
 }
 
 impl SriovCniOriginal {
-    /// Creates the plugin over a VF source (a plain pool or the
-    /// kubelet-mediated device plugin).
-    pub fn new(vfs: Arc<dyn VfProvider>) -> Self {
+    /// Creates the plugin over the host's VF pool.
+    pub fn new(vfs: Arc<VfPool>) -> Self {
         SriovCniOriginal { vfs }
     }
 }
@@ -191,7 +189,7 @@ impl CniPlugin for SriovCniOriginal {
         registry: &NnsRegistry,
         _log: &mut StageLog,
     ) -> Result<CniResult> {
-        sriov_common(host, spec, nns, registry, self.vfs.as_ref(), true)
+        sriov_common(host, spec, nns, registry, &self.vfs, true)
     }
 
     fn teardown(&self, _host: &Arc<Host>, result: &CniResult) -> Result<()> {
@@ -205,13 +203,12 @@ impl CniPlugin for SriovCniOriginal {
 /// The fixed SR-IOV CNI (§5): VFs pre-bound to VFIO once; dummy netdevs
 /// carry identity and configuration. The paper's *vanilla* baseline.
 pub struct SriovCniFixed {
-    vfs: Arc<dyn VfProvider>,
+    vfs: Arc<VfPool>,
 }
 
 impl SriovCniFixed {
-    /// Creates the plugin over a VF source (a plain pool or the
-    /// kubelet-mediated device plugin).
-    pub fn new(vfs: Arc<dyn VfProvider>) -> Self {
+    /// Creates the plugin over the host's VF pool.
+    pub fn new(vfs: Arc<VfPool>) -> Self {
         SriovCniFixed { vfs }
     }
 }
@@ -229,7 +226,7 @@ impl CniPlugin for SriovCniFixed {
         registry: &NnsRegistry,
         _log: &mut StageLog,
     ) -> Result<CniResult> {
-        sriov_common(host, spec, nns, registry, self.vfs.as_ref(), false)
+        sriov_common(host, spec, nns, registry, &self.vfs, false)
     }
 
     fn teardown(&self, _host: &Arc<Host>, result: &CniResult) -> Result<()> {
@@ -246,13 +243,12 @@ impl CniPlugin for SriovCniFixed {
 /// the runtime builds; the network-side flow is identical to
 /// [`SriovCniFixed`].
 pub struct FastIovCni {
-    vfs: Arc<dyn VfProvider>,
+    vfs: Arc<VfPool>,
 }
 
 impl FastIovCni {
-    /// Creates the plugin over a VF source (a plain pool or the
-    /// kubelet-mediated device plugin).
-    pub fn new(vfs: Arc<dyn VfProvider>) -> Self {
+    /// Creates the plugin over the host's VF pool.
+    pub fn new(vfs: Arc<VfPool>) -> Self {
         FastIovCni { vfs }
     }
 }
@@ -270,7 +266,7 @@ impl CniPlugin for FastIovCni {
         registry: &NnsRegistry,
         _log: &mut StageLog,
     ) -> Result<CniResult> {
-        sriov_common(host, spec, nns, registry, self.vfs.as_ref(), false)
+        sriov_common(host, spec, nns, registry, &self.vfs, false)
     }
 
     fn teardown(&self, _host: &Arc<Host>, result: &CniResult) -> Result<()> {
@@ -334,36 +330,53 @@ mod tests {
     use fastiov_pci::DriverBinding;
     use fastiov_vfio::LockPolicy;
 
-    fn setup() -> (Arc<Host>, Arc<NnsRegistry>, Arc<VfAllocator>) {
+    /// Namespace creation cost and the rtnl holds of an interface move
+    /// and an address configuration.
+    const NNS_CREATE: Duration = Duration::from_millis(10);
+    const MOVE_HOLD: Duration = Duration::from_millis(3);
+    const IP_HOLD: Duration = Duration::from_millis(2);
+
+    fn setup() -> (Arc<Host>, Arc<NnsRegistry>, Arc<VfPool>) {
         let host = Host::new(HostParams::for_tests(), LockPolicy::Hierarchical).unwrap();
-        let p = CniParams::paper();
         let rtnl = RtnlLock::new(host.clock.clone());
-        let registry = NnsRegistry::new(
-            host.clock.clone(),
-            rtnl,
-            p.nns_create,
-            p.move_hold,
-            p.ip_hold,
-        );
-        let vfs = VfAllocator::new(host.params.total_vfs.min(host.pf.vf_count() as u16));
+        let registry = NnsRegistry::new(host.clock.clone(), rtnl, NNS_CREATE, MOVE_HOLD, IP_HOLD);
+        let vfs = VfPool::new(host.params.total_vfs.min(host.pf.vf_count() as u16));
         (host, registry, vfs)
     }
 
     #[test]
-    fn vf_allocator_round_trip() {
-        let vfs = VfAllocator::new(2);
+    fn vf_pool_round_trip() {
+        let vfs = VfPool::new(2);
+        assert_eq!(vfs.available(), 2);
         let a = vfs.allocate().unwrap();
         let b = vfs.allocate().unwrap();
         assert_ne!(a, b);
+        assert_eq!(vfs.available(), 0);
         assert!(matches!(vfs.allocate(), Err(CniError::NoFreeVf)));
         vfs.release(a);
         assert_eq!(vfs.available(), 1);
+        assert_eq!(vfs.allocate().unwrap(), a);
+    }
+
+    #[test]
+    fn vf_pool_hands_out_the_lowest_free_vf() {
+        let vfs = VfPool::new(4);
+        let a = vfs.allocate().unwrap();
+        let b = vfs.allocate().unwrap();
+        let c = vfs.allocate().unwrap();
+        assert_eq!((a, b, c), (VfId(0), VfId(1), VfId(2)));
+        vfs.release(a);
+        vfs.release(b);
+        // The lowest free VF, not the last one released.
+        assert_eq!(vfs.allocate().unwrap(), a);
+        assert_eq!(vfs.allocate().unwrap(), b);
+        assert_eq!(vfs.allocate().unwrap(), VfId(3));
     }
 
     #[test]
     fn fixed_plugin_uses_dummy_netdev() {
         let (host, registry, vfs) = setup();
-        let plugin = SriovCniFixed::new(Arc::clone(&vfs) as Arc<dyn VfProvider>);
+        let plugin = SriovCniFixed::new(Arc::clone(&vfs));
         let spec = PodNetSpec { pid: 1, index: 0 };
         let nns = registry.create(1);
         let mut log = StageLog::begin(&host.tracer);

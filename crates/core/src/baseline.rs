@@ -1,8 +1,7 @@
 //! The experiment baselines of §6.1 and how each is assembled.
 
 use fastiov_cni::{
-    CniParams, CniPlugin, DevicePlugin, FastIovCni, IpvtapCni, SriovCniFixed, SriovCniOriginal,
-    VfAllocator, VfProvider,
+    CniParams, CniPlugin, FastIovCni, IpvtapCni, SriovCniFixed, SriovCniOriginal, VfPool,
 };
 use fastiov_engine::{PodNetworking, VmOptions};
 use fastiov_microvm::{Host, ZeroingMode};
@@ -50,19 +49,6 @@ pub enum Baseline {
 }
 
 impl Baseline {
-    /// The baselines of Fig. 11, in presentation order.
-    pub const FIG11: [Baseline; 9] = [
-        Baseline::NoNet,
-        Baseline::Vanilla,
-        Baseline::FastIov,
-        Baseline::FastIovMinusL,
-        Baseline::FastIovMinusA,
-        Baseline::FastIovMinusS,
-        Baseline::FastIovMinusD,
-        Baseline::Prezero(50),
-        Baseline::Prezero(100),
-    ];
-
     /// VFIO devset lock policy for this baseline.
     pub fn lock_policy(self) -> LockPolicy {
         match self {
@@ -120,18 +106,14 @@ impl Baseline {
     }
 
     /// Builds the pod networking (CNI plugin) for this baseline on `host`,
-    /// pre-binding VFs where the fixed flow requires it.
-    pub fn networking(self, host: &Arc<Host>) -> fastiov_microvm::Result<PodNetworking> {
-        Ok(self.networking_and_provider(host)?.0)
-    }
-
-    /// Like [`Baseline::networking`], but also returns the VF source the
-    /// plugin draws from (when there is one), so other consumers — the
-    /// warm pool — can share it and allocations stay globally consistent.
-    pub fn networking_and_provider(
+    /// pre-binding VFs where the fixed flow requires it, and returns the
+    /// VF pool the plugin draws from (when there is one), so the warm pool
+    /// can share it and allocations stay globally consistent.
+    pub fn networking(
         self,
         host: &Arc<Host>,
-    ) -> fastiov_microvm::Result<(PodNetworking, Option<Arc<dyn VfProvider>>)> {
+    ) -> fastiov_microvm::Result<(PodNetworking, Option<Arc<VfPool>>)> {
+        let vf_pool = || VfPool::new(host.pf.vf_count() as u16);
         Ok(match self {
             Baseline::NoNet => (PodNetworking::None, None),
             Baseline::Ipvtap => (
@@ -140,7 +122,7 @@ impl Baseline {
             ),
             Baseline::VanillaOriginal => {
                 // No pre-binding: the original plugin binds per launch.
-                let vfs = VfAllocator::new(host.pf.vf_count() as u16) as Arc<dyn VfProvider>;
+                let vfs = vf_pool();
                 (
                     PodNetworking::Sriov(Arc::new(SriovCniOriginal::new(Arc::clone(&vfs)))),
                     Some(vfs),
@@ -148,9 +130,7 @@ impl Baseline {
             }
             Baseline::Vanilla | Baseline::Prezero(_) => {
                 host.prebind_all_vfs()?;
-                // VFs flow through the sriovdp device plugin, as deployed.
-                let vfs =
-                    DevicePlugin::discover("intel.com/sriov_vf", &host.pf) as Arc<dyn VfProvider>;
+                let vfs = vf_pool();
                 (
                     PodNetworking::Sriov(
                         Arc::new(SriovCniFixed::new(Arc::clone(&vfs))) as Arc<dyn CniPlugin>
@@ -160,8 +140,7 @@ impl Baseline {
             }
             Baseline::FastIovVdpa => {
                 host.prebind_all_vfs()?;
-                let vfs =
-                    DevicePlugin::discover("intel.com/sriov_vf", &host.pf) as Arc<dyn VfProvider>;
+                let vfs = vf_pool();
                 (
                     PodNetworking::Vdpa(
                         Arc::new(FastIovCni::new(Arc::clone(&vfs))) as Arc<dyn CniPlugin>
@@ -171,8 +150,7 @@ impl Baseline {
             }
             _ => {
                 host.prebind_all_vfs()?;
-                let vfs =
-                    DevicePlugin::discover("intel.com/sriov_vf", &host.pf) as Arc<dyn VfProvider>;
+                let vfs = vf_pool();
                 (
                     PodNetworking::Sriov(
                         Arc::new(FastIovCni::new(Arc::clone(&vfs))) as Arc<dyn CniPlugin>

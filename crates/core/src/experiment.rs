@@ -29,9 +29,9 @@ pub struct ExperimentConfig {
     pub host: HostParams,
     /// Engine parameter set.
     pub engine: EngineParams,
-    /// Fault-injection configuration (disabled by default). When enabled,
-    /// the engine's recovery jitter is re-seeded from the fault seed so a
-    /// single seed reproduces the entire run.
+    /// Fault-injection configuration (disabled by default). The engine's
+    /// retry jitter is seeded from the host's fault plane, so a single
+    /// seed reproduces the entire run.
     pub faults: FaultConfig,
     /// Overrides the warm pool's low watermark ([`Baseline::WarmPool`]
     /// only). `Some(0)` disables claim-time replenish nudges, which keeps
@@ -74,7 +74,7 @@ impl ExperimentConfig {
 
     /// Builds the host + engine pair for this configuration. For
     /// [`Baseline::WarmPool`], also constructs the warm pool — sharing
-    /// the CNI plugin's VF provider — and prefills it before any pod
+    /// the CNI plugin's VF pool — and prefills it before any pod
     /// arrives.
     pub fn build(&self) -> Result<(Arc<Host>, Arc<Engine>)> {
         let host = Host::with_faults(
@@ -87,11 +87,8 @@ impl ExperimentConfig {
         if frac > 0.0 {
             host.mem.prezero_pass(frac);
         }
-        let (networking, provider) = self
-            .baseline
-            .networking_and_provider(&host)
-            .map_err(Error::Host)?;
-        let pool = match (self.baseline.pool_capacity(), provider) {
+        let (networking, vfs) = self.baseline.networking(&host).map_err(Error::Host)?;
+        let pool = match (self.baseline.pool_capacity(), vfs) {
             (Some(capacity), Some(vfs)) => {
                 let mut params = PoolParams::new(capacity, self.ram_bytes, self.image_bytes);
                 if let Some(watermark) = self.pool_watermark {
@@ -103,13 +100,9 @@ impl ExperimentConfig {
             }
             _ => None,
         };
-        let mut engine_params = self.engine;
-        if !self.faults.is_disabled() {
-            engine_params.recovery.seed = self.faults.seed;
-        }
         let engine = Engine::with_pool(
             Arc::clone(&host),
-            engine_params,
+            self.engine,
             networking,
             self.baseline.vm_options(self.ram_bytes, self.image_bytes),
             pool,

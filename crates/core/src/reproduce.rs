@@ -145,7 +145,6 @@ impl Run {
                     let counts = [
                         ("checks", st.checks),
                         ("errors", st.errors),
-                        ("delays", st.delays),
                         ("retries", st.retries),
                         ("fallbacks", st.fallbacks),
                     ];
@@ -239,7 +238,7 @@ fn fragmentation_case(page: PageSize, frag_stride: Option<usize>, guest_bytes: u
     let container = VfioContainer::new(iommu.create_domain(page), aspace, FaultPlane::disabled());
     let hva = container
         .address_space()
-        .mmap("ram", guest_bytes)
+        .mmap(guest_bytes)
         .map_err(|e| Error::Host(e.into()))?;
     container
         .dma_map(hva, guest_bytes, Iova(0), DmaZeroMode::Eager)

@@ -1,7 +1,7 @@
 //! Pod lifecycle and the concurrent launcher.
 
 use crate::cgroup::CgroupManager;
-use crate::recovery::RecoveryPolicy;
+use crate::recovery;
 use crate::stats::Summary;
 use crate::{LaunchError, Result};
 use fastiov_cni::{CniPlugin, CniResult, NnsRegistry, PodNetSpec, RtnlLock};
@@ -32,8 +32,6 @@ pub struct EngineParams {
     /// starts after `i * launch_spread / n`. Models the "nearly
     /// simultaneous" arrivals of §3.1.
     pub launch_spread: Duration,
-    /// Retry, backoff, and stage-timeout policy of the recovery layer.
-    pub recovery: RecoveryPolicy,
 }
 
 impl EngineParams {
@@ -47,7 +45,6 @@ impl EngineParams {
             ip_hold: Duration::from_millis(2),
             sandbox_overhead: Duration::from_millis(150),
             launch_spread: Duration::from_millis(200),
-            recovery: RecoveryPolicy::default(),
         }
     }
 }
@@ -346,9 +343,8 @@ impl Engine {
     /// warm pool configured, claims a pre-launched microVM when one is
     /// available and pays only per-pod identity work; a claim the fault
     /// plane marks unhealthy is evicted and the pod degrades to the cold
-    /// path. Cold launches run under the recovery policy: transient
-    /// failures retry with deterministic backoff, stages that exceed the
-    /// configured timeout fail the attempt.
+    /// path. Cold launches run under the recovery layer: injected
+    /// (transient) failures retry with deterministic backoff.
     pub fn run_pod(&self, index: u32) -> Result<PodHandle> {
         // Attribute everything this thread does for the pod — including
         // spans opened deep inside vfio/iommu/fastiovd/nic — to its VM,
@@ -362,7 +358,7 @@ impl Engine {
                 // pod, not the pool VM: pod identity is stable across
                 // runs, pod-to-VM assignment order is not.
                 let faults = &self.host.faults;
-                if let Err(_unhealthy) = faults.check(sites::WARM_CLAIM, pid, &self.host.clock) {
+                if let Err(_unhealthy) = faults.check(sites::WARM_CLAIM, pid) {
                     faults.note_fallback(sites::WARM_CLAIM);
                     pool.evict(warm);
                     return self.run_pod_cold_recovering(index);
@@ -375,26 +371,26 @@ impl Engine {
         self.run_pod_cold_recovering(index)
     }
 
-    /// The cold path under the recovery policy: bounded retries with
-    /// deterministic exponential backoff for transient errors, plus
-    /// post-hoc stage-timeout enforcement.
+    /// The cold path under the recovery layer: up to
+    /// [`recovery::MAX_ATTEMPTS`] attempts, with deterministic exponential
+    /// backoff between them, for injected faults.
     fn run_pod_cold_recovering(&self, index: u32) -> Result<PodHandle> {
-        let policy = self.params.recovery;
+        let faults = &self.host.faults;
         let mut attempt = 0u32;
         loop {
             attempt += 1;
-            let result = self
-                .run_pod_cold(index)
-                .and_then(|pod| self.enforce_stage_timeouts(pod));
-            match result {
+            let e = match self.run_pod_cold(index) {
                 Ok(pod) => return Ok(pod),
-                Err(e) if attempt < policy.max_attempts.max(1) && e.is_retryable() => {
-                    if self.host.faults.is_enabled() {
-                        self.host.faults.note_retry(e.retry_site());
-                    }
-                    self.host.clock.sleep(policy.backoff(attempt, index));
+                Err(e) => e,
+            };
+            match e.retryable() {
+                Some(fault) if attempt < recovery::MAX_ATTEMPTS => {
+                    faults.note_retry(fault.site);
+                    self.host
+                        .clock
+                        .sleep(recovery::backoff(faults.seed(), attempt, index));
                 }
-                Err(e) => {
+                _ => {
                     return Err(if attempt > 1 {
                         LaunchError::RetriesExhausted {
                             attempts: attempt,
@@ -404,33 +400,6 @@ impl Engine {
                         e
                     });
                 }
-            }
-        }
-    }
-
-    /// Fails a freshly launched pod whose slowest stage ran past the
-    /// policy limit, tearing it down first. The timeout is enforced after
-    /// the fact — the simulation records true stage durations, so a
-    /// post-hoc check is exact where an in-flight watchdog would race.
-    fn enforce_stage_timeouts(&self, pod: PodHandle) -> Result<PodHandle> {
-        let Some(limit) = self.params.recovery.stage_timeout else {
-            return Ok(pod);
-        };
-        let slow = pod
-            .report
-            .records
-            .iter()
-            .find(|r| r.duration() > limit)
-            .map(|r| (r.name.clone(), r.duration()));
-        match slow {
-            None => Ok(pod),
-            Some((stage, elapsed)) => {
-                let _ = self.teardown_pod(&pod);
-                Err(LaunchError::StageTimeout {
-                    stage,
-                    elapsed,
-                    limit,
-                })
             }
         }
     }
@@ -708,7 +677,7 @@ impl Engine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fastiov_cni::{FastIovCni, IpvtapCni, SriovCniFixed, SriovCniOriginal, VfAllocator};
+    use fastiov_cni::{FastIovCni, IpvtapCni, SriovCniFixed, SriovCniOriginal, VfPool};
     use fastiov_hostmem::addr::units::mib;
     use fastiov_microvm::HostParams;
     use fastiov_vfio::LockPolicy;
@@ -719,7 +688,7 @@ mod tests {
 
     fn sriov_engine(host: &Arc<Host>, fast: bool) -> Arc<Engine> {
         host.prebind_all_vfs().unwrap();
-        let vfs = VfAllocator::new(host.pf.vf_count() as u16);
+        let vfs = VfPool::new(host.pf.vf_count() as u16);
         let (plugin, opts): (Arc<dyn CniPlugin>, VmOptions) = if fast {
             (
                 Arc::new(FastIovCni::new(vfs)),
@@ -820,7 +789,7 @@ mod tests {
     fn original_plugin_rebinds_every_launch() {
         let host = host(LockPolicy::Coarse);
         // No pre-binding: the original flow binds per launch.
-        let vfs = VfAllocator::new(host.pf.vf_count() as u16);
+        let vfs = VfPool::new(host.pf.vf_count() as u16);
         let engine = Engine::new(
             Arc::clone(&host),
             EngineParams::paper(),
@@ -836,10 +805,10 @@ mod tests {
 
     fn pooled_engine(host: &Arc<Host>, capacity: usize) -> Arc<Engine> {
         host.prebind_all_vfs().unwrap();
-        let vfs = VfAllocator::new(host.pf.vf_count() as u16);
+        let vfs = VfPool::new(host.pf.vf_count() as u16);
         let pool = fastiov_pool::WarmPool::new(
             Arc::clone(host),
-            Arc::clone(&vfs) as Arc<dyn fastiov_cni::VfProvider>,
+            Arc::clone(&vfs),
             fastiov_pool::PoolParams::new(capacity, mib(64), mib(32)),
         );
         pool.prefill();
@@ -954,6 +923,22 @@ mod tests {
         for pod in outcome.pods.into_iter().flatten() {
             engine.teardown_pod(&pod).unwrap();
         }
+    }
+
+    #[test]
+    fn teardown_frees_the_pods_iommu_domain() {
+        let host = host(LockPolicy::Hierarchical);
+        let engine = sriov_engine(&host, true);
+        let pod = engine.run_pod(0).unwrap();
+        pod.vm.wait_net_ready().unwrap();
+        let vf = pod.vm.vf().unwrap();
+        let domain = Arc::downgrade(&host.dma.domain_of(vf).unwrap());
+        engine.teardown_pod(&pod).unwrap();
+        drop(pod);
+        assert!(
+            domain.upgrade().is_none(),
+            "the torn-down pod's IOMMU domain is still alive"
+        );
     }
 
     #[test]

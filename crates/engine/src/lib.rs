@@ -9,9 +9,9 @@
 //! per-stage timelines collected asynchronously.
 //!
 //! Failures are typed ([`LaunchError`]) and classified: transient faults
-//! (injected by the fault plane) are retried under a deterministic
-//! [`recovery::RecoveryPolicy`]; everything else fails the pod with a
-//! stable error class and exit code.
+//! (injected by the fault plane) are retried with the deterministic
+//! backoff of [`recovery`]; everything else fails the pod with a stable
+//! error class and exit code.
 
 #![warn(missing_docs)]
 
@@ -26,15 +26,13 @@ pub use engine::{
     vm_id, Engine, EngineParams, LaunchOutcome, LaunchSummary, PodHandle, PodNetworking,
     StartupReport, VmOptions,
 };
-pub use recovery::RecoveryPolicy;
 pub use stats::Summary;
 pub use sustain::{SustainedConfig, SustainedOutcome};
 
 use fastiov_cni::CniError;
-use fastiov_faults::{sites, FaultError};
+use fastiov_faults::FaultError;
 use fastiov_microvm::VmmError;
 use std::fmt;
-use std::time::Duration;
 
 /// Errors from the engine layer: everything that can fail one pod's
 /// startup, with enough structure for the recovery layer to classify it.
@@ -48,15 +46,6 @@ pub enum LaunchError {
     InterfaceMissing(String),
     /// A launch thread panicked.
     LaunchPanic,
-    /// A single startup stage ran past the recovery policy's limit.
-    StageTimeout {
-        /// The offending stage.
-        stage: String,
-        /// How long it took.
-        elapsed: Duration,
-        /// The configured limit.
-        limit: Duration,
-    },
     /// Every attempt the retry budget allowed failed; `last` is the final
     /// attempt's error.
     RetriesExhausted {
@@ -67,9 +56,6 @@ pub enum LaunchError {
     },
 }
 
-/// The engine's historical error name, kept as an alias.
-pub type EngineError = LaunchError;
-
 impl LaunchError {
     /// Stable classification label, used for aggregate failure counts.
     pub fn class(&self) -> &'static str {
@@ -79,7 +65,6 @@ impl LaunchError {
             LaunchError::Vmm(_) => "vmm",
             LaunchError::InterfaceMissing(_) => "interface-missing",
             LaunchError::LaunchPanic => "launch-panic",
-            LaunchError::StageTimeout { .. } => "stage-timeout",
             LaunchError::RetriesExhausted { .. } => "retries-exhausted",
         }
     }
@@ -93,21 +78,14 @@ impl LaunchError {
         }
     }
 
-    /// True when a retry has a chance of succeeding: transient injected
-    /// faults and stage timeouts. Guest crashes, CNI failures, missing
-    /// interfaces, panics, and exhausted budgets are final.
-    pub fn is_retryable(&self) -> bool {
+    /// The injected fault a retry has a chance of getting past; every
+    /// injected fault is transient. Guest crashes, CNI failures, missing
+    /// interfaces, panics, and exhausted budgets are final (`None`).
+    pub fn retryable(&self) -> Option<&FaultError> {
         match self {
-            LaunchError::StageTimeout { .. } => true,
-            LaunchError::RetriesExhausted { .. } => false,
-            e => e.injected().is_some_and(FaultError::is_transient),
+            LaunchError::RetriesExhausted { .. } => None,
+            e => e.injected(),
         }
-    }
-
-    /// The fault site a retry of this error is charged to:
-    /// the injected fault's own site, or the generic engine-launch site.
-    pub fn retry_site(&self) -> &'static str {
-        self.injected().map_or(sites::ENGINE_LAUNCH, |f| f.site)
     }
 
     /// Stable process exit code for CLI surfaces. `0` is reserved for
@@ -118,7 +96,6 @@ impl LaunchError {
             LaunchError::Vmm(_) => 11,
             LaunchError::InterfaceMissing(_) => 12,
             LaunchError::LaunchPanic => 13,
-            LaunchError::StageTimeout { .. } => 14,
             LaunchError::RetriesExhausted { .. } => 15,
         }
     }
@@ -133,11 +110,6 @@ impl fmt::Display for LaunchError {
                 write!(f, "interface {n} not found in container NNS")
             }
             LaunchError::LaunchPanic => write!(f, "launch thread panicked"),
-            LaunchError::StageTimeout {
-                stage,
-                elapsed,
-                limit,
-            } => write!(f, "stage {stage} ran {elapsed:?}, past the {limit:?} limit"),
             LaunchError::RetriesExhausted { attempts, last } => {
                 write!(f, "all {attempts} attempts failed; last: {last}")
             }

@@ -75,7 +75,7 @@ impl Engine {
 mod tests {
     use super::*;
     use crate::engine::{EngineParams, PodNetworking, VmOptions};
-    use fastiov_cni::{CniPlugin, FastIovCni, VfAllocator};
+    use fastiov_cni::{CniPlugin, FastIovCni, VfPool};
     use fastiov_hostmem::addr::units::mib;
     use fastiov_microvm::{Host, HostParams};
     use fastiov_vfio::LockPolicy;
@@ -84,13 +84,11 @@ mod tests {
     fn sustained_run_completes_every_pod_and_frees_the_host() {
         let host = Host::new(HostParams::for_tests(), LockPolicy::Hierarchical).unwrap();
         host.prebind_all_vfs().unwrap();
-        let vfs = VfAllocator::new(host.pf.vf_count() as u16);
+        let vfs = VfPool::new(host.pf.vf_count() as u16);
         let engine = Engine::new(
             Arc::clone(&host),
             EngineParams::paper(),
-            PodNetworking::Sriov(Arc::new(FastIovCni::new(
-                Arc::clone(&vfs) as Arc<dyn fastiov_cni::VfProvider>
-            )) as Arc<dyn CniPlugin>),
+            PodNetworking::Sriov(Arc::new(FastIovCni::new(Arc::clone(&vfs))) as Arc<dyn CniPlugin>),
             VmOptions::fastiov(mib(64), mib(32)),
         );
         let outcome = engine.run_sustained(SustainedConfig {
@@ -103,6 +101,6 @@ mod tests {
         assert_eq!(outcome.reports.len(), 6);
         // Every pod was torn down: namespaces empty, all VFs back.
         assert!(engine.nns().is_empty());
-        assert_eq!(fastiov_cni::VfProvider::available(&*vfs), 16);
+        assert_eq!(vfs.available(), 16);
     }
 }

@@ -131,11 +131,7 @@ impl Fastiovd {
     /// fallback is counted against [`sites::SCRUB_REGISTER`].
     pub fn register_pages(&self, pid: u64, fault_key: u64, ranges: &[FrameRange]) -> bool {
         let _span = self.clock.tracer().span("fastiovd.register");
-        if self
-            .faults
-            .check(sites::SCRUB_REGISTER, fault_key, &self.clock)
-            .is_err()
-        {
+        if self.faults.check(sites::SCRUB_REGISTER, fault_key).is_err() {
             self.faults.note_fallback(sites::SCRUB_REGISTER);
             return false;
         }
@@ -386,13 +382,12 @@ mod tests {
 
     #[test]
     fn injected_scrub_failure_refuses_registration() {
-        use fastiov_faults::{Effect, FaultPoint, Trigger};
+        use fastiov_faults::{FaultPoint, Trigger};
         let (mem, d) = setup_with(FaultPlane::with_points(
             0,
             vec![FaultPoint {
                 site: sites::SCRUB_REGISTER,
                 trigger: Trigger::Once(1),
-                effect: Effect::Error,
             }],
         ));
         let ranges = mem.alloc_frames(2, 1).unwrap();

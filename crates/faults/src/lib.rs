@@ -15,18 +15,16 @@
 //! only on the seed and the shape of the workload — not on thread
 //! interleaving — and two runs with the same seed inject exactly the
 //! same faults even at 200-way concurrency. No wall clock and no global
-//! RNG are involved; latency-spike effects are charged to the simulated
-//! clock.
+//! RNG are involved. Every injected fault is a transient error: a retry
+//! of the failed operation may succeed.
 
 #![warn(missing_docs)]
 
 use fastiov_simtime::rng::mix64;
-use fastiov_simtime::Clock;
 use fastiov_simtime::{LockClass, TrackedMutex};
 use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::Arc;
-use std::time::Duration;
 
 /// Well-known injection sites, one per real failure point in the stack.
 pub mod sites {
@@ -46,9 +44,6 @@ pub mod sites {
     pub const POOL_RECYCLE: &str = "pool-recycle";
     /// Health check of a claimed warm-pool VM.
     pub const WARM_CLAIM: &str = "warm-claim";
-    /// Catch-all site the engine charges retries to when a failure has
-    /// no injected origin (e.g. stage timeouts).
-    pub const ENGINE_LAUNCH: &str = "engine-launch";
 
     /// Every real injection site, in report order.
     pub const ALL: &[&str] = &[
@@ -63,37 +58,16 @@ pub mod sites {
     ];
 }
 
-/// How severe an injected error is, for retry classification.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FaultKind {
-    /// Transient: a retry of the operation may succeed.
-    Transient,
-    /// Fatal: retrying is pointless; the launch must fail.
-    Fatal,
-}
-
-/// An injected failure, carrying the site it fired at.
+/// An injected (transient) failure, carrying the site it fired at.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FaultError {
     /// The site that produced the fault.
     pub site: &'static str,
-    /// Severity class.
-    pub kind: FaultKind,
-}
-
-impl FaultError {
-    /// True if a retry of the failed operation may succeed.
-    pub fn is_transient(&self) -> bool {
-        self.kind == FaultKind::Transient
-    }
 }
 
 impl fmt::Display for FaultError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self.kind {
-            FaultKind::Transient => write!(f, "injected transient fault at {}", self.site),
-            FaultKind::Fatal => write!(f, "injected fatal fault at {}", self.site),
-        }
+        write!(f, "injected transient fault at {}", self.site)
     }
 }
 
@@ -104,33 +78,19 @@ impl std::error::Error for FaultError {}
 pub enum Trigger {
     /// Fire on each check independently with this probability.
     Probability(f64),
-    /// Fire on every `n`-th check of a given `(site, key)` pair.
-    NthCall(u64),
     /// Fire exactly once, on check number `n` of a `(site, key)` pair
     /// (1-based).
     Once(u64),
 }
 
-/// What happens when a fault point fires.
-#[derive(Debug, Clone, Copy)]
-pub enum Effect {
-    /// Fail the operation with a transient (retryable) error.
-    Error,
-    /// Fail the operation with a fatal (non-retryable) error.
-    FatalError,
-    /// Stall the operation by this much simulated time, then succeed.
-    Delay(Duration),
-}
-
-/// One configured fault: a site, a trigger, and an effect.
+/// One configured fault: a site and a trigger. Firing fails the
+/// operation with a transient error.
 #[derive(Debug, Clone, Copy)]
 pub struct FaultPoint {
     /// Site name (usually one of [`sites`]).
     pub site: &'static str,
     /// Firing rule.
     pub trigger: Trigger,
-    /// What firing does.
-    pub effect: Effect,
 }
 
 /// Per-site counters, all monotonically increasing.
@@ -138,10 +98,8 @@ pub struct FaultPoint {
 pub struct SiteStats {
     /// Times the site was consulted.
     pub checks: u64,
-    /// Hard errors injected.
+    /// Errors injected.
     pub errors: u64,
-    /// Latency spikes injected.
-    pub delays: u64,
     /// Retries the recovery layer charged to this site.
     pub retries: u64,
     /// Graceful-degradation fallbacks taken because of this site.
@@ -166,7 +124,6 @@ pub struct FaultPlane {
     /// Points grouped by site. Empty ⇒ the plane is disabled and every
     /// check is a no-op (the fault-free fast path).
     points: BTreeMap<&'static str, Vec<FaultPoint>>,
-    /// Released before an injected delay is slept.
     state: TrackedMutex<PlaneState>,
 }
 
@@ -199,30 +156,6 @@ impl FaultPlane {
         })
     }
 
-    /// A uniform plane: every site in [`sites::ALL`] gets a transient
-    /// error point at `error_rate` and (if non-zero) a latency spike
-    /// point at `delay_rate` of `delay` simulated time.
-    pub fn uniform(seed: u64, error_rate: f64, delay_rate: f64, delay: Duration) -> Arc<Self> {
-        let mut points = Vec::new();
-        for site in sites::ALL {
-            if error_rate > 0.0 {
-                points.push(FaultPoint {
-                    site,
-                    trigger: Trigger::Probability(error_rate),
-                    effect: Effect::Error,
-                });
-            }
-            if delay_rate > 0.0 {
-                points.push(FaultPoint {
-                    site,
-                    trigger: Trigger::Probability(delay_rate),
-                    effect: Effect::Delay(delay),
-                });
-            }
-        }
-        Self::with_points(seed, points)
-    }
-
     /// True if any point is configured.
     pub fn is_enabled(&self) -> bool {
         !self.points.is_empty()
@@ -234,13 +167,12 @@ impl FaultPlane {
     }
 
     /// Consults the plane at `site` on behalf of the stable identity
-    /// `key` (pod pid / pool pid). Latency-spike effects sleep on
-    /// `clock` and return `Ok`; error effects return the injected fault.
+    /// `key` (pod pid / pool pid): the injected fault if any point fires.
     ///
     /// The decision is a pure function of
     /// `(seed, site, point index, key, call count)` — independent of
     /// wall-clock time and thread interleaving.
-    pub fn check(&self, site: &'static str, key: u64, clock: &Clock) -> Result<(), FaultError> {
+    pub fn check(&self, site: &'static str, key: u64) -> Result<(), FaultError> {
         let Some(points) = self.points.get(site) else {
             if self.is_enabled() {
                 self.state.lock().stats.entry(site).or_default().checks += 1;
@@ -252,51 +184,27 @@ impl FaultPlane {
         let count = state.counters.entry((sh, key)).or_insert(0);
         *count += 1;
         let count = *count;
-        let mut delay = None;
-        let mut error = None;
-        for (idx, p) in points.iter().enumerate() {
-            let fired = match p.trigger {
-                Trigger::Probability(rate) => {
-                    let h = mix64(
-                        self.seed
-                            .wrapping_add(mix64(sh))
-                            .wrapping_add(mix64(key.wrapping_mul(0x9e37_79b9_7f4a_7c15)))
-                            .wrapping_add(mix64(count))
-                            .wrapping_add(idx as u64),
-                    );
-                    // Map the hash to [0, 1) and compare against the rate.
-                    ((h >> 11) as f64 / (1u64 << 53) as f64) < rate
-                }
-                Trigger::NthCall(n) => n > 0 && count.is_multiple_of(n),
-                Trigger::Once(n) => count == n,
-            };
-            if !fired {
-                continue;
+        let fired = points.iter().enumerate().any(|(idx, p)| match p.trigger {
+            Trigger::Probability(rate) => {
+                let h = mix64(
+                    self.seed
+                        .wrapping_add(mix64(sh))
+                        .wrapping_add(mix64(key.wrapping_mul(0x9e37_79b9_7f4a_7c15)))
+                        .wrapping_add(mix64(count))
+                        .wrapping_add(idx as u64),
+                );
+                // Map the hash to [0, 1) and compare against the rate.
+                ((h >> 11) as f64 / (1u64 << 53) as f64) < rate
             }
-            match p.effect {
-                Effect::Delay(d) => delay = Some(delay.map_or(d, |prev: Duration| prev.max(d))),
-                Effect::Error => {
-                    error.get_or_insert(FaultKind::Transient);
-                }
-                Effect::FatalError => error = Some(FaultKind::Fatal),
-            }
-        }
+            Trigger::Once(n) => count == n,
+        });
         let s = state.stats.entry(site).or_default();
         s.checks += 1;
-        if delay.is_some() {
-            s.delays += 1;
-        }
-        if error.is_some() {
+        if fired {
             s.errors += 1;
+            return Err(FaultError { site });
         }
-        drop(state);
-        if let Some(d) = delay {
-            clock.sleep(d);
-        }
-        match error {
-            Some(kind) => Err(FaultError { site, kind }),
-            None => Ok(()),
-        }
+        Ok(())
     }
 
     /// Records that the recovery layer retried an operation because of a
@@ -349,7 +257,7 @@ impl fmt::Debug for FaultPlane {
 }
 
 /// Declarative fault configuration, carried by experiment configs and
-/// CLI flags and turned into a [`FaultPlane`] with [`FaultConfig::build`].
+/// turned into a [`FaultPlane`] with [`FaultConfig::build`].
 #[derive(Debug, Clone)]
 pub struct FaultConfig {
     /// Seed every decision derives from.
@@ -357,11 +265,6 @@ pub struct FaultConfig {
     /// Per-check transient-error probability applied to every site
     /// (0 ⇒ none).
     pub error_rate: f64,
-    /// Per-check latency-spike probability applied to every site
-    /// (0 ⇒ none).
-    pub delay_rate: f64,
-    /// Simulated duration of an injected latency spike.
-    pub delay: Duration,
     /// Additional hand-placed points (tests, targeted chaos).
     pub points: Vec<FaultPoint>,
 }
@@ -372,8 +275,6 @@ impl FaultConfig {
         FaultConfig {
             seed: 0,
             error_rate: 0.0,
-            delay_rate: 0.0,
-            delay: Duration::ZERO,
             points: Vec::new(),
         }
     }
@@ -383,17 +284,8 @@ impl FaultConfig {
         FaultConfig {
             seed,
             error_rate,
-            delay_rate: 0.0,
-            delay: Duration::ZERO,
             points: Vec::new(),
         }
-    }
-
-    /// Adds uniform latency spikes.
-    pub fn with_delays(mut self, delay_rate: f64, delay: Duration) -> Self {
-        self.delay_rate = delay_rate;
-        self.delay = delay;
-        self
     }
 
     /// Adds a hand-placed point.
@@ -404,7 +296,7 @@ impl FaultConfig {
 
     /// True if this config produces a disabled plane.
     pub fn is_disabled(&self) -> bool {
-        self.error_rate <= 0.0 && self.delay_rate <= 0.0 && self.points.is_empty()
+        self.error_rate <= 0.0 && self.points.is_empty()
     }
 
     /// Materializes the plane.
@@ -413,21 +305,11 @@ impl FaultConfig {
             return FaultPlane::disabled();
         }
         let mut points = Vec::new();
-        for site in sites::ALL {
-            if self.error_rate > 0.0 {
-                points.push(FaultPoint {
-                    site,
-                    trigger: Trigger::Probability(self.error_rate),
-                    effect: Effect::Error,
-                });
-            }
-            if self.delay_rate > 0.0 {
-                points.push(FaultPoint {
-                    site,
-                    trigger: Trigger::Probability(self.delay_rate),
-                    effect: Effect::Delay(self.delay),
-                });
-            }
+        if self.error_rate > 0.0 {
+            points.extend(sites::ALL.iter().map(|&site| FaultPoint {
+                site,
+                trigger: Trigger::Probability(self.error_rate),
+            }));
         }
         points.extend(self.points.iter().copied());
         FaultPlane::with_points(self.seed, points)
@@ -444,16 +326,15 @@ impl Default for FaultConfig {
 mod tests {
     use super::*;
 
-    fn clock() -> Clock {
-        Clock::new_virtual(1e-6)
+    fn uniform(seed: u64, error_rate: f64) -> Arc<FaultPlane> {
+        FaultConfig::uniform(seed, error_rate).build()
     }
 
     fn decisions(plane: &FaultPlane, site: &'static str, keys: u64, calls: u64) -> Vec<bool> {
-        let c = clock();
         let mut out = Vec::new();
         for key in 0..keys {
             for _ in 0..calls {
-                out.push(plane.check(site, key, &c).is_err());
+                out.push(plane.check(site, key).is_err());
             }
         }
         out
@@ -461,8 +342,8 @@ mod tests {
 
     #[test]
     fn same_seed_same_schedule() {
-        let a = FaultPlane::uniform(42, 0.1, 0.0, Duration::ZERO);
-        let b = FaultPlane::uniform(42, 0.1, 0.0, Duration::ZERO);
+        let a = uniform(42, 0.1);
+        let b = uniform(42, 0.1);
         assert_eq!(
             decisions(&a, sites::DMA_PIN, 64, 8),
             decisions(&b, sites::DMA_PIN, 64, 8)
@@ -472,8 +353,8 @@ mod tests {
 
     #[test]
     fn different_seed_different_schedule() {
-        let a = FaultPlane::uniform(1, 0.2, 0.0, Duration::ZERO);
-        let b = FaultPlane::uniform(2, 0.2, 0.0, Duration::ZERO);
+        let a = uniform(1, 0.2);
+        let b = uniform(2, 0.2);
         assert_ne!(
             decisions(&a, sites::DMA_PIN, 128, 4),
             decisions(&b, sites::DMA_PIN, 128, 4)
@@ -484,16 +365,15 @@ mod tests {
     fn schedule_independent_of_interleaving() {
         // The same (site, key, call-count) tuples must decide identically
         // regardless of the order checks arrive in.
-        let a = FaultPlane::uniform(7, 0.3, 0.0, Duration::ZERO);
-        let b = FaultPlane::uniform(7, 0.3, 0.0, Duration::ZERO);
-        let c = clock();
+        let a = uniform(7, 0.3);
+        let b = uniform(7, 0.3);
         let mut fwd = Vec::new();
         for key in 0..32u64 {
-            fwd.push((key, a.check(sites::VF_LINK, key, &c).is_err()));
+            fwd.push((key, a.check(sites::VF_LINK, key).is_err()));
         }
         let mut rev = Vec::new();
         for key in (0..32u64).rev() {
-            rev.push((key, b.check(sites::VF_LINK, key, &c).is_err()));
+            rev.push((key, b.check(sites::VF_LINK, key).is_err()));
         }
         rev.reverse();
         assert_eq!(fwd, rev);
@@ -501,7 +381,7 @@ mod tests {
 
     #[test]
     fn probability_roughly_matches_rate() {
-        let plane = FaultPlane::uniform(99, 0.1, 0.0, Duration::ZERO);
+        let plane = uniform(99, 0.1);
         let hits = decisions(&plane, sites::IOMMU_MAP, 2000, 1)
             .iter()
             .filter(|d| **d)
@@ -510,33 +390,26 @@ mod tests {
     }
 
     #[test]
-    fn nth_call_and_once_triggers() {
+    fn once_trigger_fires_on_its_call_only() {
         let plane = FaultPlane::with_points(
             0,
-            vec![
-                FaultPoint {
-                    site: sites::DMA_PIN,
-                    trigger: Trigger::NthCall(3),
-                    effect: Effect::Error,
-                },
-                FaultPoint {
-                    site: sites::VF_LINK,
-                    trigger: Trigger::Once(2),
-                    effect: Effect::FatalError,
-                },
-            ],
+            vec![FaultPoint {
+                site: sites::VF_LINK,
+                trigger: Trigger::Once(2),
+            }],
         );
-        let c = clock();
-        let pin: Vec<bool> = (0..6)
-            .map(|_| plane.check(sites::DMA_PIN, 5, &c).is_err())
-            .collect();
-        assert_eq!(pin, vec![false, false, true, false, false, true]);
         let link: Vec<bool> = (0..4)
-            .map(|_| plane.check(sites::VF_LINK, 5, &c).is_err())
+            .map(|_| plane.check(sites::VF_LINK, 5).is_err())
             .collect();
         assert_eq!(link, vec![false, true, false, false]);
-        let e = plane.check(sites::VF_LINK, 6, &c);
+        let e = plane.check(sites::VF_LINK, 6);
         assert!(e.is_ok(), "Once counts per key, not globally");
+        assert_eq!(
+            plane.check(sites::VF_LINK, 6).unwrap_err(),
+            FaultError {
+                site: sites::VF_LINK
+            }
+        );
     }
 
     #[test]
@@ -546,41 +419,18 @@ mod tests {
             vec![FaultPoint {
                 site: sites::POOL_RECYCLE,
                 trigger: Trigger::Once(1),
-                effect: Effect::Error,
             }],
         );
-        let c = clock();
-        assert!(plane.check(sites::POOL_RECYCLE, 10, &c).is_err());
-        assert!(plane.check(sites::POOL_RECYCLE, 10, &c).is_ok());
-        assert!(plane.check(sites::POOL_RECYCLE, 11, &c).is_err());
-    }
-
-    #[test]
-    fn delay_charges_simulated_clock() {
-        let plane = FaultPlane::with_points(
-            0,
-            vec![FaultPoint {
-                site: sites::VFIO_DEV_OPEN,
-                trigger: Trigger::Once(1),
-                effect: Effect::Delay(Duration::from_millis(250)),
-            }],
-        );
-        let c = clock();
-        let t0 = c.now();
-        plane.check(sites::VFIO_DEV_OPEN, 1, &c).unwrap();
-        assert_eq!(c.now().duration_since(t0), Duration::from_millis(250));
-        let (site, s) = plane.report()[0];
-        assert_eq!(site, sites::VFIO_DEV_OPEN);
-        assert_eq!(s.delays, 1);
-        assert_eq!(s.errors, 0);
+        assert!(plane.check(sites::POOL_RECYCLE, 10).is_err());
+        assert!(plane.check(sites::POOL_RECYCLE, 10).is_ok());
+        assert!(plane.check(sites::POOL_RECYCLE, 11).is_err());
     }
 
     #[test]
     fn disabled_plane_is_a_noop() {
         let plane = FaultPlane::disabled();
-        let c = clock();
         for i in 0..100 {
-            assert!(plane.check(sites::DMA_PIN, i, &c).is_ok());
+            assert!(plane.check(sites::DMA_PIN, i).is_ok());
         }
         assert!(!plane.is_enabled());
         assert!(plane.report().is_empty());
@@ -588,7 +438,7 @@ mod tests {
 
     #[test]
     fn counters_track_retries_and_fallbacks() {
-        let plane = FaultPlane::uniform(3, 0.5, 0.0, Duration::ZERO);
+        let plane = uniform(3, 0.5);
         plane.note_retry(sites::DMA_PIN);
         plane.note_retry(sites::DMA_PIN);
         plane.note_fallback(sites::WARM_CLAIM);
@@ -601,25 +451,11 @@ mod tests {
     fn fault_config_roundtrip() {
         assert!(FaultConfig::disabled().is_disabled());
         assert!(!FaultConfig::disabled().build().is_enabled());
-        let cfg = FaultConfig::uniform(9, 0.01).with_delays(0.005, Duration::from_millis(100));
+        assert_eq!(FaultConfig::disabled().build().seed(), 0);
+        let cfg = FaultConfig::uniform(9, 0.01);
         assert!(!cfg.is_disabled());
         let plane = cfg.build();
         assert!(plane.is_enabled());
         assert_eq!(plane.seed(), 9);
-    }
-
-    #[test]
-    fn fatal_faults_are_not_transient() {
-        let plane = FaultPlane::with_points(
-            0,
-            vec![FaultPoint {
-                site: sites::VF_LINK,
-                trigger: Trigger::Once(1),
-                effect: Effect::FatalError,
-            }],
-        );
-        let e = plane.check(sites::VF_LINK, 0, &clock()).unwrap_err();
-        assert!(!e.is_transient());
-        assert_eq!(e.site, sites::VF_LINK);
     }
 }

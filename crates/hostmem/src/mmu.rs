@@ -34,7 +34,6 @@ struct Region {
     len: u64,
     /// One slot per page; `None` until populated.
     pages: Vec<Option<FrameId>>,
-    name: String,
 }
 
 /// A host process's virtual address space.
@@ -77,8 +76,8 @@ impl AddressSpace {
     }
 
     /// Reserves a `len`-byte anonymous region (no frames yet) and returns
-    /// its base HVA. `name` labels the region for diagnostics.
-    pub fn mmap(&self, name: &str, len: u64) -> Result<Hva> {
+    /// its base HVA.
+    pub fn mmap(&self, len: u64) -> Result<Hva> {
         let page = self.mem.page_size().bytes();
         let len = len.div_ceil(page) * page;
         let mut inner = self.inner.lock();
@@ -91,7 +90,6 @@ impl AddressSpace {
                 base,
                 len,
                 pages: vec![None; npages],
-                name: name.to_string(),
             },
         );
         Ok(base)
@@ -238,28 +236,6 @@ impl AddressSpace {
         }
         Ok(out)
     }
-
-    /// All currently populated frames of the region at `base`, coalesced.
-    pub fn region_frames(&self, base: Hva) -> Result<Vec<FrameRange>> {
-        let inner = self.inner.lock();
-        let region = inner
-            .regions
-            .get(&base.raw())
-            .ok_or(MemError::NotMapped(base.raw()))?;
-        let mut frames: Vec<usize> = region.pages.iter().flatten().map(|f| f.0).collect();
-        frames.sort_unstable();
-        Ok(super::alloc::coalesce(&frames))
-    }
-
-    /// Name and length of the region at `base` (diagnostics).
-    pub fn region_info(&self, base: Hva) -> Result<(String, u64)> {
-        let inner = self.inner.lock();
-        let region = inner
-            .regions
-            .get(&base.raw())
-            .ok_or(MemError::NotMapped(base.raw()))?;
-        Ok((region.name.clone(), region.len))
-    }
 }
 
 fn find_region(regions: &BTreeMap<u64, Region>, hva: Hva, len: u64) -> Result<&Region> {
@@ -292,7 +268,7 @@ mod tests {
     #[test]
     fn mmap_reserves_without_allocating() {
         let (mem, aspace) = setup();
-        let base = aspace.mmap("ram", 8 * PAGE).unwrap();
+        let base = aspace.mmap(8 * PAGE).unwrap();
         assert_eq!(mem.stats().free_frames, 128);
         assert!(aspace.translate(base).is_err());
     }
@@ -300,7 +276,7 @@ mod tests {
     #[test]
     fn populate_zero_makes_pages_readable_zero() {
         let (_, aspace) = setup();
-        let base = aspace.mmap("ram", 4 * PAGE).unwrap();
+        let base = aspace.mmap(4 * PAGE).unwrap();
         let ranges = aspace
             .populate_range(base, 4 * PAGE, Populate::AllocZero)
             .unwrap();
@@ -313,7 +289,7 @@ mod tests {
     #[test]
     fn populate_alloc_only_leaves_residue() {
         let (mem, aspace) = setup();
-        let base = aspace.mmap("ram", 2 * PAGE).unwrap();
+        let base = aspace.mmap(2 * PAGE).unwrap();
         let ranges = aspace
             .populate_range(base, 2 * PAGE, Populate::AllocOnly)
             .unwrap();
@@ -327,7 +303,7 @@ mod tests {
     #[test]
     fn repopulate_skips_present_pages() {
         let (_, aspace) = setup();
-        let base = aspace.mmap("ram", 4 * PAGE).unwrap();
+        let base = aspace.mmap(4 * PAGE).unwrap();
         aspace
             .populate_range(base, 2 * PAGE, Populate::AllocZero)
             .unwrap();
@@ -340,7 +316,7 @@ mod tests {
     #[test]
     fn lazy_touch_zeroes_on_first_access() {
         let (mem, aspace) = setup();
-        let base = aspace.mmap("ram", 2 * PAGE).unwrap();
+        let base = aspace.mmap(2 * PAGE).unwrap();
         let mut buf = [0xaau8; 8];
         aspace.read(base + (PAGE + 7), &mut buf).unwrap();
         assert_eq!(buf, [0u8; 8]);
@@ -351,7 +327,7 @@ mod tests {
     #[test]
     fn write_then_read_round_trips() {
         let (_, aspace) = setup();
-        let base = aspace.mmap("ram", 2 * PAGE).unwrap();
+        let base = aspace.mmap(2 * PAGE).unwrap();
         let data = [1u8, 2, 3, 4, 5];
         // Crossing a page boundary.
         let at = base + (PAGE - 2);
@@ -367,7 +343,7 @@ mod tests {
         // VFIO-populated, unzeroed page; the rest of the page keeps the
         // previous owner's residue.
         let (mem, aspace) = setup();
-        let base = aspace.mmap("image", PAGE).unwrap();
+        let base = aspace.mmap(PAGE).unwrap();
         let ranges = aspace
             .populate_range(base, PAGE, Populate::AllocOnly)
             .unwrap();
@@ -382,7 +358,7 @@ mod tests {
     #[test]
     fn unmap_frees_frames() {
         let (mem, aspace) = setup();
-        let base = aspace.mmap("ram", 4 * PAGE).unwrap();
+        let base = aspace.mmap(4 * PAGE).unwrap();
         aspace
             .populate_range(base, 4 * PAGE, Populate::AllocZero)
             .unwrap();
@@ -395,7 +371,7 @@ mod tests {
     #[test]
     fn out_of_region_access_fails() {
         let (_, aspace) = setup();
-        let base = aspace.mmap("ram", PAGE).unwrap();
+        let base = aspace.mmap(PAGE).unwrap();
         assert!(aspace
             .populate_range(base, 2 * PAGE, Populate::AllocZero)
             .is_err());
@@ -403,16 +379,13 @@ mod tests {
     }
 
     #[test]
-    fn region_frames_reports_populated_pages() {
+    fn frames_in_reports_populated_pages() {
         let (_, aspace) = setup();
-        let base = aspace.mmap("ram", 4 * PAGE).unwrap();
+        let base = aspace.mmap(4 * PAGE).unwrap();
         aspace
             .populate_range(base, 4 * PAGE, Populate::AllocZero)
             .unwrap();
-        let frames = aspace.region_frames(base).unwrap();
+        let frames = aspace.frames_in(base, 4 * PAGE).unwrap();
         assert_eq!(frames.iter().map(|r| r.count).sum::<usize>(), 4);
-        let (name, len) = aspace.region_info(base).unwrap();
-        assert_eq!(name, "ram");
-        assert_eq!(len, 4 * PAGE);
     }
 }

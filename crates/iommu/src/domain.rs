@@ -5,14 +5,9 @@ use crate::table::{IoPageTable, TableError};
 use crate::{IommuError, Result};
 use fastiov_hostmem::{FrameRange, Hpa, Iova, PageSize, PhysMemory};
 use fastiov_simtime::{Clock, LockClass, LockSnapshot, TrackedMutex};
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
-
-/// Identifier of an IOMMU translation domain (one per guest).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct DomainId(pub u64);
 
 /// Per-domain counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -36,8 +31,9 @@ struct Translation {
 }
 
 /// One guest's translation domain: an I/O page table plus an IOTLB.
+/// Owned by the guest's VFIO container (and, while a VF is attached, the
+/// NIC's DMA engine); it is freed with them.
 pub struct IommuDomain {
-    id: DomainId,
     page: PageSize,
     clock: Clock,
     /// Charged per page-table entry installed.
@@ -54,11 +50,6 @@ pub struct IommuDomain {
 impl IommuDomain {
     fn page_no(&self, iova: Iova) -> u64 {
         iova.raw() / self.page.bytes()
-    }
-
-    /// Domain id.
-    pub fn id(&self) -> DomainId {
-        self.id
     }
 
     /// Page size of this domain.
@@ -179,18 +170,13 @@ impl IommuDomain {
     }
 }
 
-/// The IOMMU unit: domain registry plus device→domain attachment.
+/// The IOMMU unit: the costs and IOTLB size every domain it creates
+/// shares. It keeps no domain; each belongs to whoever created it.
 pub struct Iommu {
     clock: Clock,
     map_per_page: Duration,
     walk_latency: Duration,
     tlb_capacity: usize,
-    inner: TrackedMutex<IommuInner>,
-}
-
-struct IommuInner {
-    domains: HashMap<u64, Arc<IommuDomain>>,
-    next_id: u64,
 }
 
 impl Iommu {
@@ -209,13 +195,6 @@ impl Iommu {
             map_per_page,
             walk_latency,
             tlb_capacity,
-            inner: TrackedMutex::new(
-                LockClass::IommuRegistry,
-                IommuInner {
-                    domains: HashMap::new(),
-                    next_id: 1,
-                },
-            ),
         })
     }
 
@@ -228,11 +207,7 @@ impl Iommu {
 
     /// Creates a translation domain with the given page size.
     pub fn create_domain(&self, page: PageSize) -> Arc<IommuDomain> {
-        let mut inner = self.inner.lock();
-        let id = DomainId(inner.next_id);
-        inner.next_id += 1;
-        let domain = Arc::new(IommuDomain {
-            id,
+        Arc::new(IommuDomain {
             page,
             clock: self.clock.clone(),
             map_per_page: self.map_per_page,
@@ -246,29 +221,7 @@ impl Iommu {
             ),
             translations: AtomicU64::new(0),
             dma_faults: AtomicU64::new(0),
-        });
-        inner.domains.insert(id.0, Arc::clone(&domain));
-        domain
-    }
-
-    /// Looks up a domain by id.
-    pub fn domain(&self, id: DomainId) -> Result<Arc<IommuDomain>> {
-        self.inner
-            .lock()
-            .domains
-            .get(&id.0)
-            .cloned()
-            .ok_or(IommuError::NoDomain(id.0))
-    }
-
-    /// Destroys a domain.
-    pub fn destroy_domain(&self, id: DomainId) -> Result<()> {
-        self.inner
-            .lock()
-            .domains
-            .remove(&id.0)
-            .map(|_| ())
-            .ok_or(IommuError::NoDomain(id.0))
+        })
     }
 }
 
@@ -443,16 +396,16 @@ mod tests {
     }
 
     #[test]
-    fn iommu_domain_registry() {
+    fn the_iommu_keeps_no_domain_alive() {
         let iommu = Iommu::new(
             Clock::new_virtual(1e-5),
             Duration::from_nanos(200),
             Duration::from_nanos(500),
             16,
         );
-        let d = iommu.create_domain(PageSize::Size2M);
-        assert_eq!(iommu.domain(d.id()).unwrap().id(), d.id());
-        iommu.destroy_domain(d.id()).unwrap();
-        assert!(iommu.domain(d.id()).is_err());
+        let dom = iommu.create_domain(PageSize::Size2M);
+        let weak = Arc::downgrade(&dom);
+        drop(dom);
+        assert!(weak.upgrade().is_none());
     }
 }

@@ -15,7 +15,7 @@ pub mod domain;
 pub mod iotlb;
 pub mod table;
 
-pub use domain::{DomainId, Iommu, IommuDomain, IommuStats};
+pub use domain::{Iommu, IommuDomain, IommuStats};
 pub use iotlb::Iotlb;
 pub use table::IoPageTable;
 
@@ -34,8 +34,6 @@ pub enum IommuError {
     NotMapped(Iova),
     /// Address not aligned to the domain's page size.
     Unaligned(Iova),
-    /// Unknown domain.
-    NoDomain(u64),
 }
 
 impl fmt::Display for IommuError {
@@ -45,7 +43,6 @@ impl fmt::Display for IommuError {
             IommuError::AlreadyMapped(a) => write!(f, "IOVA {a} already mapped"),
             IommuError::NotMapped(a) => write!(f, "IOVA {a} not mapped"),
             IommuError::Unaligned(a) => write!(f, "IOVA {a} not page aligned"),
-            IommuError::NoDomain(id) => write!(f, "no IOMMU domain {id}"),
         }
     }
 }

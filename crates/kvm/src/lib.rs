@@ -319,7 +319,7 @@ mod tests {
     #[test]
     fn memslot_translation() {
         let (_, aspace, vm) = setup();
-        let hva = aspace.mmap("ram", 4 * PAGE).unwrap();
+        let hva = aspace.mmap(4 * PAGE).unwrap();
         vm.set_memslot(Memslot {
             gpa: Gpa(0),
             len: 4 * PAGE,
@@ -339,7 +339,7 @@ mod tests {
     #[test]
     fn overlapping_memslots_rejected() {
         let (_, aspace, vm) = setup();
-        let hva = aspace.mmap("ram", 4 * PAGE).unwrap();
+        let hva = aspace.mmap(4 * PAGE).unwrap();
         vm.set_memslot(Memslot {
             gpa: Gpa(0),
             len: 2 * PAGE,
@@ -359,7 +359,7 @@ mod tests {
     #[test]
     fn first_touch_faults_then_hits() {
         let (_, aspace, vm) = setup();
-        let hva = aspace.mmap("ram", 2 * PAGE).unwrap();
+        let hva = aspace.mmap(2 * PAGE).unwrap();
         vm.set_memslot(Memslot {
             gpa: Gpa(0),
             len: 2 * PAGE,
@@ -380,7 +380,7 @@ mod tests {
         // The non-SR-IOV path: nothing populated up front, guest touch
         // allocates and zeroes.
         let (mem, aspace, vm) = setup();
-        let hva = aspace.mmap("ram", 2 * PAGE).unwrap();
+        let hva = aspace.mmap(2 * PAGE).unwrap();
         vm.set_memslot(Memslot {
             gpa: Gpa(0),
             len: 2 * PAGE,
@@ -396,7 +396,7 @@ mod tests {
     #[test]
     fn guest_write_read_round_trip_across_pages() {
         let (_, aspace, vm) = setup();
-        let hva = aspace.mmap("ram", 4 * PAGE).unwrap();
+        let hva = aspace.mmap(4 * PAGE).unwrap();
         vm.set_memslot(Memslot {
             gpa: Gpa(0),
             len: 4 * PAGE,
@@ -424,7 +424,7 @@ mod tests {
     fn hook_fires_once_per_page() {
         let hook = Arc::new(CountingHook(AtomicU64::new(0)));
         let (_, aspace, vm) = setup_with(Some(Arc::clone(&hook) as Arc<dyn EptFaultHook>));
-        let hva = aspace.mmap("ram", 4 * PAGE).unwrap();
+        let hva = aspace.mmap(4 * PAGE).unwrap();
         // Pre-populate as the VFIO path would (no zeroing).
         aspace
             .populate_range(hva, 4 * PAGE, Populate::AllocOnly)
@@ -448,7 +448,7 @@ mod tests {
     fn clear_ept_range_rearms_faults_and_hook() {
         let hook = Arc::new(CountingHook(AtomicU64::new(0)));
         let (_, aspace, vm) = setup_with(Some(Arc::clone(&hook) as Arc<dyn EptFaultHook>));
-        let hva = aspace.mmap("ram", 4 * PAGE).unwrap();
+        let hva = aspace.mmap(4 * PAGE).unwrap();
         aspace
             .populate_range(hva, 4 * PAGE, Populate::AllocOnly)
             .unwrap();
@@ -476,7 +476,7 @@ mod tests {
     #[test]
     fn proactive_fault_populates_ept() {
         let (_, aspace, vm) = setup();
-        let hva = aspace.mmap("buf", 4 * PAGE).unwrap();
+        let hva = aspace.mmap(4 * PAGE).unwrap();
         vm.set_memslot(Memslot {
             gpa: Gpa(0),
             len: 4 * PAGE,

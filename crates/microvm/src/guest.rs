@@ -134,7 +134,7 @@ impl GuestVfDriver {
     ) {
         match self.try_initialize(host_cpu, params) {
             Ok(()) => self.readiness.set_ready(),
-            Err(first) if first.injected().is_some_and(|f| f.is_transient()) => {
+            Err(first) if first.injected().is_some() => {
                 faults.note_retry(sites::VF_LINK);
                 match self.try_initialize(host_cpu, params) {
                     Ok(()) => self.readiness.set_ready(),

@@ -236,8 +236,8 @@ impl Microvm {
             params.ept_fault,
             hook,
         );
-        let ram_hva = aspace.mmap("ram", cfg.ram_bytes)?;
-        let image_hva = aspace.mmap("image", cfg.image_bytes)?;
+        let ram_hva = aspace.mmap(cfg.ram_bytes)?;
+        let image_hva = aspace.mmap(cfg.image_bytes)?;
         vm.set_memslot(Memslot {
             gpa: Gpa(0),
             len: cfg.ram_bytes,
@@ -581,7 +581,7 @@ impl Microvm {
         self.quiesce();
         let host = &self.host;
         host.faults
-            .check(fastiov_faults::sites::POOL_RECYCLE, fault_key, &host.clock)
+            .check(fastiov_faults::sites::POOL_RECYCLE, fault_key)
             .map_err(VmmError::Injected)?;
         let page = host.params.page_size.bytes();
         log.stage(stages::RECYCLE, || -> Result<()> {

@@ -207,13 +207,6 @@ impl DmaEngine {
         }
     }
 
-    /// Non-blocking completion poll.
-    pub fn try_rx(&self, vf: VfId) -> Result<Option<RxCompletion>> {
-        let att = self.attachment(vf)?;
-        let completion = att.ring.lock().completed.pop_front();
-        Ok(completion)
-    }
-
     /// The shared line-rate resource (callers charging bulk transfers).
     pub fn line(&self) -> &Arc<FairShareBandwidth> {
         &self.line
@@ -344,6 +337,5 @@ mod tests {
         let (_, _, engine) = setup();
         engine.detach_vf(VfId(0));
         assert!(engine.post_rx_buffer(VfId(0), Iova(0), 10).is_err());
-        assert!(engine.try_rx(VfId(0)).is_err());
     }
 }

@@ -238,7 +238,7 @@ impl PfDriver {
     /// of VF assignment order. Injected failures model the link-negotiation
     /// timeouts SR-IOV deployments see under bursty VF churn.
     pub fn link_up(&self, vf: VfId, fault_key: u64) -> Result<()> {
-        self.faults.check(sites::VF_LINK, fault_key, &self.clock)?;
+        self.faults.check(sites::VF_LINK, fault_key)?;
         if !self.vf(vf)?.state().link_up {
             return Err(NicError::BadVfState {
                 vf: vf.0,

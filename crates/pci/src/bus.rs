@@ -48,14 +48,6 @@ impl PciBus {
         Ok(())
     }
 
-    /// Removes a device.
-    pub fn remove_device(&self, bdf: Bdf) -> Result<Arc<PciDevice>> {
-        self.devices
-            .write()
-            .remove(&bdf)
-            .ok_or(PciError::NoDevice(bdf))
-    }
-
     /// Looks up a device by address.
     pub fn device(&self, bdf: Bdf) -> Result<Arc<PciDevice>> {
         self.devices
@@ -188,13 +180,5 @@ mod tests {
         assert_eq!(d1.reset_count(), 1);
         assert_eq!(d2.reset_count(), 1);
         assert_eq!(d3.reset_count(), 0);
-    }
-
-    #[test]
-    fn remove_device_works() {
-        let b = bus();
-        b.add_device(dev(1, 0)).unwrap();
-        b.remove_device(Bdf::new(1, 0, 0)).unwrap();
-        assert_eq!(b.device_count(), 0);
     }
 }

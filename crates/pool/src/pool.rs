@@ -1,6 +1,6 @@
 //! The warm pool proper: slots, watermarks, the replenisher thread.
 
-use fastiov_cni::{CniError, VfProvider};
+use fastiov_cni::{CniError, VfPool};
 use fastiov_faults::sites;
 use fastiov_microvm::{Host, Microvm, MicrovmConfig, NetworkAttachment, VmmError};
 use fastiov_nic::{AdminCmd, MacAddr, NetdevName, NicError, VfId};
@@ -147,7 +147,7 @@ enum Cmd {
 
 struct Shared {
     host: Arc<Host>,
-    vfs: Arc<dyn VfProvider>,
+    vfs: Arc<VfPool>,
     params: PoolParams,
     slots: TrackedMutex<Vec<WarmVm>>,
     next_pid: AtomicU64,
@@ -298,7 +298,7 @@ impl WarmPool {
     /// Creates the pool (empty) and starts its replenisher thread. Call
     /// [`WarmPool::prefill`] to fill it synchronously, or let the
     /// replenisher fill it as claims miss.
-    pub fn new(host: Arc<Host>, vfs: Arc<dyn VfProvider>, params: PoolParams) -> Arc<Self> {
+    pub fn new(host: Arc<Host>, vfs: Arc<VfPool>, params: PoolParams) -> Arc<Self> {
         let shared = Arc::new(Shared {
             host,
             vfs,
@@ -475,18 +475,17 @@ impl Drop for WarmPool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fastiov_cni::VfAllocator;
     use fastiov_hostmem::addr::units::mib;
     use fastiov_microvm::HostParams;
     use fastiov_vfio::LockPolicy;
 
-    fn setup(capacity: usize) -> (Arc<Host>, Arc<VfAllocator>, Arc<WarmPool>) {
+    fn setup(capacity: usize) -> (Arc<Host>, Arc<VfPool>, Arc<WarmPool>) {
         let host = Host::new(HostParams::for_tests(), LockPolicy::Hierarchical).unwrap();
         host.prebind_all_vfs().unwrap();
-        let vfs = VfAllocator::new(host.pf.vf_count() as u16);
+        let vfs = VfPool::new(host.pf.vf_count() as u16);
         let pool = WarmPool::new(
             Arc::clone(&host),
-            Arc::clone(&vfs) as Arc<dyn VfProvider>,
+            Arc::clone(&vfs),
             PoolParams::new(capacity, mib(64), mib(32)),
         );
         (host, vfs, pool)
@@ -563,12 +562,8 @@ mod tests {
         let host = Host::new(HostParams::for_tests(), LockPolicy::Hierarchical).unwrap();
         host.prebind_all_vfs().unwrap();
         // Only one VF available to a two-slot pool.
-        let vfs = VfAllocator::new(1);
-        let pool = WarmPool::new(
-            Arc::clone(&host),
-            vfs as Arc<dyn VfProvider>,
-            PoolParams::new(2, mib(64), mib(32)),
-        );
+        let vfs = VfPool::new(1);
+        let pool = WarmPool::new(Arc::clone(&host), vfs, PoolParams::new(2, mib(64), mib(32)));
         assert_eq!(pool.prefill(), 1);
         let s = pool.stats();
         assert_eq!(s.provisioned, 1);

@@ -116,8 +116,6 @@ lock_classes! {
     VfioGroup => "vfio-group",
     /// fastiovd's two-tier table (PID → per-VM page table), both tiers.
     FastiovdTier1 => "fastiovd-tier1",
-    /// IOMMU domain registry.
-    IommuRegistry => "iommu-registry",
     /// IOMMU domain I/O page table and IOTLB.
     IommuTable => "iommu-table",
     /// Physical memory: the frame table and its free runs.
@@ -142,7 +140,7 @@ lock_classes! {
     PciBus => "pci-bus",
     /// Per-PCI-device state (driver binding, SR-IOV cap).
     PciDevice => "pci-device",
-    /// CNI registries (namespaces, device plugin, VF pool).
+    /// CNI registries (namespaces, VF pool).
     CniRegistry => "cni-registry",
     /// Per-network-namespace state.
     CniNns => "cni-nns",
@@ -1150,7 +1148,7 @@ mod tests {
     #[test]
     fn graph_exports_name_sites() {
         let _clock = Clock::new_virtual(1.0);
-        let a = TrackedMutex::new(LockClass::IommuRegistry, ());
+        let a = TrackedMutex::new(LockClass::VfioContainer, ());
         let b = TrackedMutex::new(LockClass::IommuTable, ());
         {
             let _ga = a.lock();
@@ -1158,7 +1156,7 @@ mod tests {
         }
         let dot = graph_dot();
         assert!(
-            dot.contains("\"iommu-registry\" -> \"iommu-table\""),
+            dot.contains("\"vfio-container\" -> \"iommu-table\""),
             "{dot}"
         );
         // Edge sites are files, not lines, so moving a line keeps the bytes.
@@ -1167,7 +1165,7 @@ mod tests {
             "\"holder_site\": \"{f}\", \"acquire_site\": \"{f}\"",
             f = file!()
         );
-        assert!(json.contains("\"from\": \"iommu-registry\""), "{json}");
+        assert!(json.contains("\"from\": \"vfio-container\""), "{json}");
         assert!(json.contains(&sites), "{json}");
         assert!(!json.contains("lockdep.rs:"), "{json}");
     }

@@ -47,7 +47,7 @@ fn a_task_on_a_reused_worker_starts_with_clean_thread_state() {
     // Leaves behind all a task can on its thread: a held lock, a VM scope
     // and an open span.
     let leaky = spawn(&first, "leaky", move || {
-        let lock = Box::leak(Box::new(TrackedMutex::new(LockClass::IommuRegistry, ())));
+        let lock = Box::leak(Box::new(TrackedMutex::new(LockClass::VfioContainer, ())));
         std::mem::forget(lock.lock());
         std::mem::forget(t.vm_scope(7));
         std::mem::forget(t.span("leaked"));
@@ -62,11 +62,11 @@ fn a_task_on_a_reused_worker_starts_with_clean_thread_state() {
         thread()
     });
     assert_eq!(clean.join().expect("clean"), worker, "the worker is reused");
-    // An iommu-registry entry left on the held stack would have ordered
+    // A vfio-container entry left on the held stack would have ordered
     // the host-mmu acquisition after it.
     let graph = lockdep::graph_dot();
     assert!(!graph.contains("->"), "{graph}");
-    assert_eq!(LockClass::IommuRegistry.stats().acquisitions, 1);
+    assert_eq!(LockClass::VfioContainer.stats().acquisitions, 1);
     let spans = tracer.spans();
     let span = |name: &str| {
         spans
@@ -82,7 +82,7 @@ fn a_task_on_a_reused_worker_starts_with_clean_thread_state() {
     // On a second clock the worker records into that clock's witness only.
     let second = Clock::new_virtual(1.0);
     let probe = spawn(&second, "probe", || {
-        (thread(), LockClass::IommuRegistry.stats().acquisitions)
+        (thread(), LockClass::VfioContainer.stats().acquisitions)
     });
     assert_eq!(probe.join().expect("probe"), (worker, 0));
 }

@@ -72,11 +72,9 @@ impl VfioContainer {
         })
     }
 
-    /// Consults the fault plane at `site`; latency spikes are charged to
-    /// the clock of the mapped memory.
+    /// Consults the fault plane at `site`.
     fn check_fault(&self, site: &'static str) -> Result<()> {
-        let clock = &self.aspace.memory().costs().clock;
-        Ok(self.faults.check(site, self.aspace.pid(), clock)?)
+        Ok(self.faults.check(site, self.aspace.pid())?)
     }
 
     /// The container's IOMMU domain.
@@ -198,7 +196,7 @@ mod tests {
     #[test]
     fn eager_map_zeroes_pins_and_maps() {
         let (mem, aspace, c) = setup();
-        let hva = aspace.mmap("ram", 8 * PAGE).unwrap();
+        let hva = aspace.mmap(8 * PAGE).unwrap();
         c.dma_map(hva, 8 * PAGE, Iova(0), DmaZeroMode::Eager)
             .unwrap();
         let m = &c.mappings()[0];
@@ -216,7 +214,7 @@ mod tests {
     #[test]
     fn deferred_map_registers_dirty_frames() {
         let (mem, aspace, c) = setup();
-        let hva = aspace.mmap("ram", 4 * PAGE).unwrap();
+        let hva = aspace.mmap(4 * PAGE).unwrap();
         let registered: PlMutex<Vec<(u64, usize)>> = PlMutex::new(Vec::new());
         let reg = |pid: u64, ranges: &[FrameRange]| {
             registered
@@ -243,7 +241,7 @@ mod tests {
         // Hypervisor wrote 2 pages (BIOS/kernel) before the mapping: those
         // were host-faulted (zeroed) and must not reach the registrar.
         let (_, aspace, c) = setup();
-        let hva = aspace.mmap("ram", 4 * PAGE).unwrap();
+        let hva = aspace.mmap(4 * PAGE).unwrap();
         aspace.write(hva, &[1u8; 64]).unwrap();
         aspace.write(hva + PAGE, &[2u8; 64]).unwrap();
         let count = PlMutex::new(0usize);
@@ -263,7 +261,7 @@ mod tests {
         // Scrub registration failure must not leave dirty pages mapped:
         // the container zeroes them eagerly instead.
         let (mem, aspace, c) = setup();
-        let hva = aspace.mmap("ram", 4 * PAGE).unwrap();
+        let hva = aspace.mmap(4 * PAGE).unwrap();
         let reg = |_pid: u64, _ranges: &[FrameRange]| false;
         c.dma_map(hva, 4 * PAGE, Iova(0), DmaZeroMode::Deferred(&reg))
             .unwrap();
@@ -278,7 +276,7 @@ mod tests {
 
     #[test]
     fn injected_pin_fault_fails_map_cleanly() {
-        use fastiov_faults::{Effect, FaultPoint, Trigger};
+        use fastiov_faults::{FaultPoint, Trigger};
         let clock = Clock::new_virtual(1e-5);
         let mem = PhysMemory::new(MemCosts::for_tests(clock.clone()), PageSize::Size2M, 256);
         let aspace = AddressSpace::new(7, Arc::clone(&mem));
@@ -293,7 +291,6 @@ mod tests {
             vec![FaultPoint {
                 site: sites::DMA_PIN,
                 trigger: Trigger::Once(1),
-                effect: Effect::Error,
             }],
         );
         let c = VfioContainer::new(
@@ -301,7 +298,7 @@ mod tests {
             Arc::clone(&aspace),
             plane,
         );
-        let hva = aspace.mmap("ram", 2 * PAGE).unwrap();
+        let hva = aspace.mmap(2 * PAGE).unwrap();
         let e = c
             .dma_map(hva, 2 * PAGE, Iova(0), DmaZeroMode::Eager)
             .unwrap_err();
@@ -320,7 +317,7 @@ mod tests {
     #[test]
     fn translation_follows_page_order() {
         let (mem, aspace, c) = setup();
-        let hva = aspace.mmap("ram", 4 * PAGE).unwrap();
+        let hva = aspace.mmap(4 * PAGE).unwrap();
         c.dma_map(hva, 4 * PAGE, Iova(0), DmaZeroMode::Eager)
             .unwrap();
         // Writing via HVA page 2 must be visible via IOVA page 2.
@@ -334,7 +331,7 @@ mod tests {
     #[test]
     fn unmap_unpins_and_removes_translations() {
         let (mem, aspace, c) = setup();
-        let hva = aspace.mmap("ram", 2 * PAGE).unwrap();
+        let hva = aspace.mmap(2 * PAGE).unwrap();
         c.dma_map(hva, 2 * PAGE, Iova(0), DmaZeroMode::Eager)
             .unwrap();
         let m = c.dma_unmap(Iova(0)).unwrap();
@@ -351,8 +348,8 @@ mod tests {
     #[test]
     fn unmap_all_clears_every_mapping() {
         let (_, aspace, c) = setup();
-        let a = aspace.mmap("ram", 2 * PAGE).unwrap();
-        let b = aspace.mmap("image", 2 * PAGE).unwrap();
+        let a = aspace.mmap(2 * PAGE).unwrap();
+        let b = aspace.mmap(2 * PAGE).unwrap();
         c.dma_map(a, 2 * PAGE, Iova(0), DmaZeroMode::Eager).unwrap();
         c.dma_map(b, 2 * PAGE, Iova(0x4000_0000), DmaZeroMode::Eager)
             .unwrap();

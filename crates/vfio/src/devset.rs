@@ -305,12 +305,7 @@ impl DevsetManager {
         devset.devices.write().insert(dev.bdf(), Arc::clone(&dev));
         // Every function gets its own IOMMU group (ACS topology).
         let gid = self.next_group.fetch_add(1, Ordering::Relaxed) as u32;
-        let group = VfioGroup::new(
-            gid,
-            dev.bdf(),
-            Arc::clone(&self.faults),
-            self.bus.clock().clone(),
-        );
+        let group = VfioGroup::new(gid, dev.bdf(), Arc::clone(&self.faults));
         self.registry
             .lock()
             .devices
@@ -364,8 +359,7 @@ impl DevsetManager {
         let Some(owner) = group.owner() else {
             return Err(VfioError::GroupNotAttached(bdf));
         };
-        self.faults
-            .check(sites::VFIO_DEV_OPEN, owner, self.bus.clock())?;
+        self.faults.check(sites::VFIO_DEV_OPEN, owner)?;
         dev.devset().open(&dev)?;
         self.opens.fetch_add(1, Ordering::Relaxed);
         Ok(VfioDeviceFd { dev })

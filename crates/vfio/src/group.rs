@@ -12,9 +12,7 @@
 use crate::{Result, VfioError};
 use fastiov_faults::{sites, FaultPlane};
 use fastiov_pci::Bdf;
-use fastiov_simtime::Clock;
 use fastiov_simtime::{LockClass, TrackedMutex};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// One IOMMU group (single-function, ACS topology).
@@ -23,24 +21,19 @@ pub struct VfioGroup {
     bdf: Bdf,
     /// Owner container, identified by the hypervisor PID behind it.
     attached: TrackedMutex<Option<u64>>,
-    attach_count: AtomicU64,
     /// Fault plane consulted on the attach ioctl.
     faults: Arc<FaultPlane>,
-    /// The clock latency spikes are charged to.
-    clock: Clock,
 }
 
 impl VfioGroup {
     /// Creates the group for `bdf`, consulting `faults` on the attach
     /// path.
-    pub fn new(id: u32, bdf: Bdf, faults: Arc<FaultPlane>, clock: Clock) -> Arc<Self> {
+    pub fn new(id: u32, bdf: Bdf, faults: Arc<FaultPlane>) -> Arc<Self> {
         Arc::new(VfioGroup {
             id,
             bdf,
             attached: TrackedMutex::new(LockClass::VfioGroup, None),
-            attach_count: AtomicU64::new(0),
             faults,
-            clock,
         })
     }
 
@@ -58,13 +51,11 @@ impl VfioGroup {
     /// (`VFIO_GROUP_SET_CONTAINER`). Idempotent for the same owner;
     /// refused while another owner holds it.
     pub fn attach(&self, pid: u64) -> Result<()> {
-        self.faults
-            .check(sites::VFIO_GROUP_ATTACH, pid, &self.clock)?;
+        self.faults.check(sites::VFIO_GROUP_ATTACH, pid)?;
         let mut owner = self.attached.lock();
         match *owner {
             None => {
                 *owner = Some(pid);
-                self.attach_count.fetch_add(1, Ordering::Relaxed);
                 Ok(())
             }
             Some(current) if current == pid => Ok(()),
@@ -100,11 +91,6 @@ impl VfioGroup {
     pub fn is_attached(&self) -> bool {
         self.attached.lock().is_some()
     }
-
-    /// Times this group has been attached (diagnostics).
-    pub fn attach_count(&self) -> u64 {
-        self.attach_count.load(Ordering::Relaxed)
-    }
 }
 
 #[cfg(test)]
@@ -112,12 +98,7 @@ mod tests {
     use super::*;
 
     fn group() -> Arc<VfioGroup> {
-        VfioGroup::new(
-            7,
-            Bdf::new(3, 1, 0),
-            FaultPlane::disabled(),
-            Clock::new_virtual(1.0),
-        )
+        VfioGroup::new(7, Bdf::new(3, 1, 0), FaultPlane::disabled())
     }
 
     #[test]
@@ -126,9 +107,8 @@ mod tests {
         assert!(!g.is_attached());
         g.attach(100).unwrap();
         assert_eq!(g.owner(), Some(100));
-        // Idempotent for the same owner.
+        // Idempotent for the same owner: one detach releases it.
         g.attach(100).unwrap();
-        assert_eq!(g.attach_count(), 1);
         g.detach(100).unwrap();
         assert!(!g.is_attached());
     }

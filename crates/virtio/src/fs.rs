@@ -210,7 +210,7 @@ mod tests {
         let clock = Clock::new_virtual(1e-5);
         let mem = PhysMemory::new(MemCosts::for_tests(clock.clone()), PageSize::Size2M, 64);
         let aspace = AddressSpace::new(9, Arc::clone(&mem));
-        let ram_hva = aspace.mmap("ram", 16 * PAGE).unwrap();
+        let ram_hva = aspace.mmap(16 * PAGE).unwrap();
         let hook = lazy.then(|| {
             let ranges = aspace
                 .populate_range(ram_hva, 16 * PAGE, Populate::AllocOnly)

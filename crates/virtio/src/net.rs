@@ -119,7 +119,7 @@ mod tests {
             Duration::from_micros(10),
             None,
         );
-        let hva = aspace.mmap("ram", 8 * PAGE).unwrap();
+        let hva = aspace.mmap(8 * PAGE).unwrap();
         vm.set_memslot(Memslot {
             gpa: Gpa(0),
             len: 8 * PAGE,

@@ -156,7 +156,7 @@ mod tests {
         let mem = PhysMemory::new(MemCosts::for_tests(clock.clone()), PageSize::Size2M, 64);
         let aspace = AddressSpace::new(5, mem);
         let vm = Vm::new(clock, Arc::clone(&aspace), Duration::from_micros(10), None);
-        let hva = aspace.mmap("ram", 8 * PAGE).unwrap();
+        let hva = aspace.mmap(8 * PAGE).unwrap();
         vm.set_memslot(Memslot {
             gpa: Gpa(0),
             len: 8 * PAGE,

@@ -1,7 +1,7 @@
 //! Failure injection: exhaustion, contention, and misuse must fail
 //! cleanly and leave the host reusable.
 
-use fastiov_repro::cni::{FastIovCni, VfAllocator, VfProvider};
+use fastiov_repro::cni::{FastIovCni, VfPool};
 use fastiov_repro::engine::{Engine, EngineParams, PodNetworking, VmOptions};
 use fastiov_repro::hostmem::addr::units::mib;
 use fastiov_repro::microvm::{Host, HostParams, Microvm, MicrovmConfig, NetworkAttachment};
@@ -19,7 +19,7 @@ fn host() -> Arc<Host> {
 #[test]
 fn vf_exhaustion_fails_cleanly_and_recovers() {
     let host = host();
-    let vfs = VfAllocator::new(2) as Arc<dyn VfProvider>;
+    let vfs = VfPool::new(2);
     let engine = Engine::new(
         Arc::clone(&host),
         EngineParams::paper(),
@@ -48,7 +48,7 @@ fn host_memory_exhaustion_fails_launch_not_host() {
 
     // A pod whose guest cannot fit (384 MB RAM + 256 MB image on a 512 MB
     // host): the engine's unwind must release every partial allocation.
-    let vfs = VfAllocator::new(4) as Arc<dyn VfProvider>;
+    let vfs = VfPool::new(4);
     let engine = Engine::new(
         Arc::clone(&host),
         EngineParams::paper(),
@@ -141,23 +141,4 @@ fn devset_reset_refused_while_guests_running_then_allowed() {
     ));
     vm.shutdown().unwrap();
     host.vfio.reset(other).unwrap();
-}
-
-#[test]
-fn unhealthy_device_is_never_handed_out() {
-    use fastiov_repro::cni::DevicePlugin;
-    let host = host();
-    let dp = DevicePlugin::discover("intel.com/sriov_vf", &host.pf);
-    dp.mark_unhealthy(VfId(0));
-    let engine = Engine::new(
-        Arc::clone(&host),
-        EngineParams::paper(),
-        PodNetworking::Sriov(Arc::new(FastIovCni::new(
-            Arc::clone(&dp) as Arc<dyn VfProvider>
-        ))),
-        VmOptions::fastiov(mib(64), mib(32)),
-    );
-    let pod = engine.run_pod(0).unwrap();
-    assert_ne!(pod.vm.vf(), Some(VfId(0)), "unhealthy VF handed out");
-    engine.teardown_pod(&pod).unwrap();
 }

@@ -8,7 +8,7 @@
 //! re-zeroes it before the new tenant's read completes (§4.3.2's
 //! correctness argument, applied a second time).
 
-use fastiov_repro::faults::{sites, Effect, FaultConfig, FaultPoint, Trigger};
+use fastiov_repro::faults::{sites, FaultConfig, FaultPoint, Trigger};
 use fastiov_repro::hostmem::FrameId;
 use fastiov_repro::{Baseline, ExperimentConfig};
 
@@ -89,7 +89,6 @@ fn injected_recycle_failure_evicts_vm_instead_of_reparking_it() {
     cfg.faults = FaultConfig::uniform(7, 0.0).with_point(FaultPoint {
         site: sites::POOL_RECYCLE,
         trigger: Trigger::Once(1),
-        effect: Effect::Error,
     });
     cfg.pool_watermark = Some(0);
     let (host, engine) = cfg.build().unwrap();

@@ -256,7 +256,7 @@ fn vring_is_fifo() {
             Duration::from_micros(1),
             None,
         );
-        let hva = aspace.mmap("ram", 8 * PAGE).unwrap();
+        let hva = aspace.mmap(8 * PAGE).unwrap();
         vm.set_memslot(Memslot {
             gpa: Gpa(0),
             len: 8 * PAGE,
