@@ -2,10 +2,13 @@
 //! point of a virtual clock pays. A 2-thread ping-pong and a 200-thread
 //! round-robin of `Clock::sleep`: one iteration is one round, so the
 //! throughput column reads in hand-offs per second (its inverse is the
-//! time per hand-off). A third round spawns 200 tasks that sleep one tick
-//! and joins them, so it also pays a task's start and end on a pooled
-//! worker; its throughput column reads in tasks per second. The clock's
-//! threads share one CPU, as in a wave.
+//! time per hand-off). Two more rounds spawn 64 and 200 tasks that sleep
+//! one tick and join them, so they also pay a task's start and end on a
+//! pooled worker; their throughput column reads in tasks per second. 64
+//! tasks fit the idle-worker stack, so after warm-up that round starts no
+//! OS thread. 200 tasks outgrow it, which cuts it to 8 idle workers, so
+//! that round starts 192 each time, as a 200-way burst wave does. The
+//! clock's threads share one CPU, as in a wave.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use fastiov::simtime::{spawn, spawn_daemon, Clock};
@@ -81,6 +84,7 @@ fn spawn_join(c: &mut Criterion, name: &str, tasks: u64) {
 fn handoff(c: &mut Criterion) {
     round(c, "ping-pong-2", 2);
     round(c, "round-robin-200", 200);
+    spawn_join(c, "spawn-join-64", 64);
     spawn_join(c, "spawn-join-200", 200);
 }
 

@@ -29,12 +29,20 @@
 //! workers (the most recently idle first) or started when the stack is
 //! empty. When a task ends, its worker goes back on the stack before the
 //! baton moves on, so on a virtual clock the next spawn always finds it,
-//! whatever the OS scheduler does; a worker finding the stack full
-//! ([`MAX_IDLE_WORKERS`]) exits instead. Every task starts with clean
-//! per-thread state: the membership of its own clock only, with no span
-//! nesting state, so its first span opens a fresh track, and an empty
-//! lockdep held-lock stack. The OS thread is named after the worker, not
-//! the task; the task's name appears in deadlock reports.
+//! whatever the OS scheduler does. A worker finding the stack full
+//! ([`MAX_IDLE_WORKERS`]) retires instead: it leaves its thread's handle
+//! to the pool and exits, and the next spawn that has to start a thread
+//! joins every retired worker first, so their stacks are back in the C
+//! library's stack cache. The bound covers a warm-pool host's peak of
+//! live tasks, so a host built after another starts no thread; once a
+//! wave outgrows it, the pool keeps only [`IDLE_WORKERS_AFTER_OVERFLOW`].
+//! What the idle workers' malloc caches would strand is paid for by
+//! capping the process at [`MALLOC_ARENAS`] malloc arenas. Every task
+//! starts with clean per-thread state: the membership of its own clock
+//! only, with no span nesting state, so its first span opens a fresh
+//! track, and an empty lockdep held-lock stack. The OS thread is named
+//! after the worker, not the task; the task's name appears in deadlock
+//! reports.
 //!
 //! **One core per clock.** Since only the baton holder runs, a virtual
 //! clock's threads are pinned to one CPU (on Linux; elsewhere this is a
@@ -504,6 +512,8 @@ impl Exec {
     }
 
     fn new(scale: f64, pin: Option<affinity::CpuSet>) -> Arc<Exec> {
+        static ARENAS: std::sync::Once = std::sync::Once::new();
+        ARENAS.call_once(limit_malloc_arenas);
         Arc::new(Exec {
             scale,
             now_ns: AtomicU64::new(0),
@@ -949,33 +959,64 @@ where
         finish.finish(std::panic::catch_unwind(std::panic::AssertUnwindSafe(f)));
     });
     let job = Job { exec, slot, run };
-    let idle = IDLE.lock().pop();
+    let idle = POOL.lock().idle.pop();
     match idle {
         Some(worker) => worker
-            .send(job)
+            .send(Some(job))
             .expect("invariant: an idle worker waits for its next job"),
-        None => {
-            std::thread::Builder::new()
-                .name("simtime-worker".into())
-                .spawn(move || work(job))
-                .expect("the OS refused to start a simulation worker");
-        }
+        None => start_worker(job),
     }
     JoinHandle { done, name }
 }
 
-/// Most idle workers kept for reuse; a worker finding this many idle
-/// exits. An idle worker keeps its stack and its C library per-thread
-/// malloc cache, so the bound sets the pool's memory cost. A sweep of the
-/// bound (medians of four 4 s benchmark runs on a 2-CPU host) moved
-/// `churn-pool` `peak_rss_mb` against a thread per task by −1.5 % at 8,
-/// +2.9 % at 16 and +13.3 % at 32; with no bound `burst-fastiov` rose
-/// 21 % and `burst-vanilla` 27 %.
-const MAX_IDLE_WORKERS: usize = 8;
+/// Most idle workers kept for reuse while every wave fits them. The
+/// bound covers a `churn-pool` host's peak of live tasks, so a host built
+/// after another starts no OS thread in its set-up and waves. A worker
+/// that finds this many idle retires, and the pool then keeps at most
+/// [`IDLE_WORKERS_AFTER_OVERFLOW`] for good.
+const MAX_IDLE_WORKERS: usize = 64;
 
-/// Idle workers, the most recently idle on top: the sender of each one's
-/// next job.
-static IDLE: Mutex<Vec<mpsc::Sender<Job>>> = Mutex::new(Vec::new());
+/// Most idle workers kept once a wave has outgrown [`MAX_IDLE_WORKERS`]:
+/// such waves (a 200-way burst) start threads whatever the bound, and an
+/// idle worker is not free. It keeps its stack and its C library
+/// per-thread malloc cache, ≈ 50 KB of small chunks that glibc never
+/// flushes and that pin the heap around them; with 64 idle workers
+/// kept through 30 s of burst hosts, `peak_rss_mb` crept +9 % with one
+/// malloc arena and +27 % with two, and the first allocation of each
+/// set-up, which bins every chunk the last host freed, grew with it
+/// (`setup_s` +60 % with one arena).
+const IDLE_WORKERS_AFTER_OVERFLOW: usize = 8;
+
+/// Most malloc arenas the process uses once a clock exists: the main one
+/// and one more, which new workers take in turn. Only the baton holder of
+/// a clock runs, so glibc's default of up to eight arenas per CPU buys no
+/// parallelism; the arenas only strand freed memory, a host's frame-table
+/// chunks included, in arenas no other thread allocates from, and the
+/// idle workers a warm-pool host keeps would strand the most
+/// (`churn-pool` `peak_rss_mb` +25 % with 64 idle workers and default
+/// arenas). One arena strands the least, but then the driver's arena
+/// holds every chunk the workers allocate, and the first allocation of
+/// the next host's set-up that misses glibc's caches bins every chunk the
+/// last host freed: `burst-fastiov` `setup_s` read +22 % to +29 %.
+const MALLOC_ARENAS: i32 = 2;
+
+/// The workers between tasks.
+struct Pool {
+    /// Idle workers, the most recently idle on top: the sender of each
+    /// one's next job, or of `None` to retire it.
+    idle: Vec<mpsc::Sender<Option<Job>>>,
+    /// The most idle workers kept: [`MAX_IDLE_WORKERS`] until a wave
+    /// outgrows it.
+    bound: usize,
+    /// Workers retired since a worker last started, not yet joined.
+    retired: Vec<std::thread::JoinHandle<()>>,
+}
+
+static POOL: Mutex<Pool> = Mutex::new(Pool {
+    idle: Vec::new(),
+    bound: MAX_IDLE_WORKERS,
+    retired: Vec::new(),
+});
 
 /// One task for a worker: its clock, its slot and its body.
 struct Job {
@@ -984,9 +1025,50 @@ struct Job {
     run: Box<dyn FnOnce() + Send>,
 }
 
+/// Starts a worker thread for `job` and sends it its own handle, which it
+/// hands to the pool when it retires. Retired workers are joined first,
+/// so their stacks are back in the C library's stack cache for the new
+/// thread; by then they have usually exited.
+fn start_worker(job: Job) {
+    let retired = std::mem::take(&mut POOL.lock().retired);
+    for worker in retired {
+        // A worker catches its tasks' panics, so its thread ends normally.
+        let _ = worker.join();
+    }
+    let (handle_tx, handle_rx) = mpsc::sync_channel(1);
+    let handle = std::thread::Builder::new()
+        .name("simtime-worker".into())
+        .spawn(move || work(job, handle_rx))
+        .expect("the OS refused to start a simulation worker");
+    handle_tx
+        .send(handle)
+        .expect("invariant: a worker waits for its handle");
+}
+
+/// Caps the C library's malloc arenas at [`MALLOC_ARENAS`] for every
+/// thread that allocates from now on; called before the first clock, so
+/// before the first worker starts.
+#[cfg(all(target_os = "linux", target_env = "gnu"))]
+fn limit_malloc_arenas() {
+    extern "C" {
+        fn mallopt(param: i32, value: i32) -> i32;
+    }
+    const M_ARENA_MAX: i32 = -8;
+    // SAFETY: mallopt only sets one of the allocator's tunables; a refusal
+    // (return 0) leaves the default, which is still correct.
+    unsafe {
+        mallopt(M_ARENA_MAX, MALLOC_ARENAS);
+    }
+}
+
+/// Off glibc the allocator keeps its own arena policy.
+#[cfg(not(all(target_os = "linux", target_env = "gnu")))]
+fn limit_malloc_arenas() {}
+
 /// A worker's thread: runs `job`, then each job it is given while idle,
-/// until it finds the idle stack full.
-fn work(mut job: Job) {
+/// until it finds the idle stack full or is told to retire.
+fn work(mut job: Job, handle: mpsc::Receiver<std::thread::JoinHandle<()>>) {
+    let mut me = handle.recv().ok();
     let (next, jobs) = mpsc::channel();
     loop {
         let Job { exec, slot, run } = job;
@@ -996,16 +1078,28 @@ fn work(mut job: Job) {
             slot.park();
         }
         run();
-        // Idle again before `leave` passes the baton on, so the next
-        // thread of the clock to spawn finds this worker.
-        let idle = {
-            let mut idle = IDLE.lock();
-            let room = idle.len() < MAX_IDLE_WORKERS;
+        // Idle or retired before `leave` passes the baton on, so the next
+        // thread of the clock to spawn finds this worker, or joins it
+        // before starting another.
+        let (retiring, surplus) = {
+            let mut pool = POOL.lock();
+            let room = pool.idle.len() < pool.bound;
+            let mut surplus = Vec::new();
             if room {
-                idle.push(next.clone());
+                pool.idle.push(next.clone());
+            } else {
+                pool.retired.extend(me.take());
+                pool.bound = IDLE_WORKERS_AFTER_OVERFLOW;
+                let over = pool.idle.len().saturating_sub(pool.bound);
+                // The least recently idle go.
+                surplus.extend(pool.idle.drain(..over));
             }
-            room
+            (!room, surplus)
         };
+        for worker in surplus {
+            // An idle worker holds its receiver until it retires.
+            let _ = worker.send(None);
+        }
         leave();
         crate::lockdep::clear_held();
         if exec.pin.is_some() && !exec.is_virtual() {
@@ -1014,12 +1108,16 @@ fn work(mut job: Job) {
         }
         // Waiting for its next job, a worker keeps no clock alive.
         drop((exec, slot));
-        if !idle {
+        if retiring {
             return;
         }
-        job = jobs
-            .recv()
-            .expect("invariant: the worker holds a sender of its own jobs");
+        match jobs.recv() {
+            Ok(Some(next)) => job = next,
+            _ => {
+                POOL.lock().retired.extend(me.take());
+                return;
+            }
+        }
     }
 }
 

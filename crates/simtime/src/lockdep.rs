@@ -58,7 +58,6 @@
 
 use parking_lot::Mutex;
 use std::cell::{RefCell, UnsafeCell};
-use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
 use std::ops::{Deref, DerefMut};
@@ -278,21 +277,17 @@ impl fmt::Display for LockdepReport {
     }
 }
 
-/// A recorded acquired-while-held edge (first witness kept).
+/// Where an acquired-while-held edge was first seen: the held lock's
+/// acquisition and the new one's.
 #[derive(Debug, Clone, Copy)]
 struct EdgeInfo {
-    count: u64,
-    blocking: bool,
     holder_site: &'static Location<'static>,
     acquire_site: &'static Location<'static>,
 }
 
 struct Graph {
-    /// `(held_class, acquired_class)` → first witness + count.
+    /// `(held_class, acquired_class)` → first witness.
     edges: BTreeMap<(usize, usize), EdgeInfo>,
-    /// Blocking-edge adjacency for cycle detection: bit `b` of `adj[a]`
-    /// is the edge `a → b`.
-    adj: [u64; NCLASS],
     reports: Vec<LockdepReport>,
 }
 
@@ -326,15 +321,34 @@ impl HeldEntry {
 /// One clock's lock instrument: the acquired-while-held class graph,
 /// its reports and the per-class counters. Every executor owns one, and
 /// an acquisition records into the executor of the acquiring thread.
+///
+/// An acquisition along an edge the graph already holds in a state it
+/// cannot change (a shared one along any known edge, an exclusive one
+/// along a known blocking edge) only bumps the edge's count: the graph
+/// lock is taken for a new edge, a newly blocking one or a report.
 pub(crate) struct Witness {
     graph: Mutex<Graph>,
+    /// The edges in the graph, one bit per class pair: bit `b` of
+    /// `edges[a]` is the edge `a → b`. Set under the graph lock, read
+    /// without it.
+    edges: [AtomicU64; NCLASS],
+    /// The blocking ones among them: the adjacency of cycle detection.
+    blocking: [AtomicU64; NCLASS],
+    /// Acquisitions along each edge: `counts[a][b]` for `a → b`.
+    counts: [[AtomicU64; NCLASS]; NCLASS],
     stats: [ClassStat; NCLASS],
 }
 
 impl Default for Witness {
     fn default() -> Self {
         Witness {
-            graph: Mutex::new(Graph::new()),
+            graph: Mutex::new(Graph {
+                edges: BTreeMap::new(),
+                reports: Vec::new(),
+            }),
+            edges: std::array::from_fn(|_| AtomicU64::new(0)),
+            blocking: std::array::from_fn(|_| AtomicU64::new(0)),
+            counts: std::array::from_fn(|_| std::array::from_fn(|_| AtomicU64::new(0))),
             stats: std::array::from_fn(|_| ClassStat::default()),
         }
     }
@@ -379,16 +393,22 @@ impl Witness {
 }
 
 /// Records `entry`, an acquisition about to be made, into the witness of
-/// the calling thread's executor. Returns a token that must live for the
-/// duration of the hold; dropping it pops the per-thread held stack.
+/// the calling thread's executor, and counts it in its class's
+/// statistics. Returns a token that must live for the duration of the
+/// hold; dropping it pops the per-thread held stack.
 #[inline]
 fn acquire(entry: HeldEntry) -> HeldToken {
     HELD.with(|held| {
         let mut held = held.borrow_mut();
-        // A first lock has nothing to be ordered against.
-        if !held.is_empty() {
-            with_witness(|w| w.graph.lock().record(&held, entry));
-        }
+        with_witness(|w| {
+            w.stats[entry.class.index()]
+                .acquisitions
+                .fetch_add(1, Ordering::Relaxed);
+            // A first lock has nothing to be ordered against.
+            if !held.is_empty() {
+                w.record(&held, entry);
+            }
+        });
         held.push(entry);
     });
     HeldToken {
@@ -397,12 +417,98 @@ fn acquire(entry: HeldEntry) -> HeldToken {
     }
 }
 
-impl Graph {
-    fn new() -> Self {
-        Graph {
-            edges: BTreeMap::new(),
-            adj: [0; NCLASS],
-            reports: Vec::new(),
+/// The devset levels `(held, new)` if taking `new` while `h` is held
+/// takes a lower level than one already held: a child-before-parent
+/// inversion.
+fn inversion(h: &HeldEntry, new: &HeldEntry) -> Option<(u8, u8)> {
+    let levels = (h.class.devset_level()?, new.class.devset_level()?);
+    (levels.1 < levels.0).then_some(levels)
+}
+
+impl Witness {
+    /// Checks a new acquisition against the held stack (the hierarchy
+    /// rule, then acquired-while-held edges with cycle detection on new
+    /// blocking ones) and counts it along each edge.
+    fn record(&self, held: &[HeldEntry], new: HeldEntry) {
+        let to = new.class.index();
+        let known = match new.mode {
+            Mode::Exclusive => &self.blocking,
+            Mode::Shared => &self.edges,
+        };
+        let settled = held.iter().all(|h| {
+            let from = h.class.index();
+            inversion(h, &new).is_none()
+                && (from == to || known[from].load(Ordering::Acquire) >> to & 1 == 1)
+        });
+        if !settled {
+            self.add(&mut self.graph.lock(), held, new);
+        }
+        for h in held {
+            // Same-class nesting (e.g. parent state under the parent
+            // rwlock wrapper, per-frame sequences) carries no class-level
+            // ordering information.
+            if h.class != new.class {
+                self.counts[h.class.index()][to].fetch_add(1, Ordering::Relaxed);
+            }
+        }
+    }
+
+    /// The slow path of [`Witness::record`], under the graph lock: reports
+    /// inversions, adds new edges and checks each newly blocking edge for
+    /// a cycle.
+    fn add(&self, g: &mut Graph, held: &[HeldEntry], new: HeldEntry) {
+        for h in held {
+            if let Some((hl, nl)) = inversion(h, &new) {
+                let detail = format!(
+                    "{} is level {} of the devset hierarchy but level-{} {} is already held \
+                     (child-before-parent inversion)",
+                    new.class, nl, hl, h.class
+                );
+                g.report(ReportKind::HierarchyViolation, h, new, detail);
+            }
+        }
+        let to = new.class.index();
+        let bit = 1u64 << to;
+        for h in held {
+            let from = h.class.index();
+            if from == to {
+                continue;
+            }
+            if self.edges[from].load(Ordering::Relaxed) & bit == 0 {
+                g.edges.insert(
+                    (from, to),
+                    EdgeInfo {
+                        holder_site: h.site,
+                        acquire_site: new.site,
+                    },
+                );
+                self.edges[from].fetch_or(bit, Ordering::Release);
+            }
+            if new.mode == Mode::Shared || self.blocking[from].load(Ordering::Relaxed) & bit != 0 {
+                continue;
+            }
+            // New blocking edge from → to: a path to → … → from means a
+            // cycle.
+            if let Some(path) = self.path(to, from) {
+                let back_witness = path
+                    .windows(2)
+                    .next()
+                    .and_then(|w| g.edges.get(&(w[0], w[1])))
+                    .map(|e| {
+                        format!(
+                            " (return edge held at {}, acquired at {})",
+                            site_str(e.holder_site),
+                            site_str(e.acquire_site)
+                        )
+                    })
+                    .unwrap_or_default();
+                let cycle: Vec<&str> = std::iter::once(h.class.name())
+                    .chain(path.iter().map(|&i| LockClass::ALL[i].name()))
+                    .collect();
+                let detail = format!("lock-order cycle {}{}", cycle.join(" -> "), back_witness);
+                g.report(ReportKind::PotentialDeadlock, h, new, detail);
+            }
+            self.blocking[from].fetch_or(bit, Ordering::Release);
         }
     }
 
@@ -422,7 +528,7 @@ impl Graph {
                 path.reverse();
                 return Some(path);
             }
-            let mut next = self.adj[n] & !seen;
+            let mut next = self.blocking[n].load(Ordering::Relaxed) & !seen;
             seen |= next;
             while next != 0 {
                 let m = next.trailing_zeros() as usize;
@@ -433,85 +539,9 @@ impl Graph {
         }
         None
     }
+}
 
-    /// Checks a new acquisition against the held stack: the hierarchy
-    /// rule, then acquired-while-held edges with cycle detection on new
-    /// blocking ones.
-    fn record(&mut self, held: &[HeldEntry], new: HeldEntry) {
-        for h in held {
-            self.check_hierarchy(h, new);
-        }
-        let blocking = new.mode == Mode::Exclusive;
-        let to = new.class.index();
-        for h in held {
-            let from = h.class.index();
-            if from == to {
-                // Same-class nesting (e.g. parent state under the parent
-                // rwlock wrapper, per-frame sequences) carries no
-                // class-level ordering information.
-                continue;
-            }
-            match self.edges.entry((from, to)) {
-                Entry::Occupied(mut e) => {
-                    let e = e.get_mut();
-                    e.count += 1;
-                    if !blocking || e.blocking {
-                        continue;
-                    }
-                    e.blocking = true;
-                }
-                Entry::Vacant(e) => {
-                    e.insert(EdgeInfo {
-                        count: 1,
-                        blocking,
-                        holder_site: h.site,
-                        acquire_site: new.site,
-                    });
-                    if !blocking {
-                        continue;
-                    }
-                }
-            }
-            // New blocking edge from → to: a path to → … → from means a
-            // cycle.
-            if let Some(path) = self.path(to, from) {
-                let back_witness = path
-                    .windows(2)
-                    .next()
-                    .and_then(|w| self.edges.get(&(w[0], w[1])))
-                    .map(|e| {
-                        format!(
-                            " (return edge held at {}, acquired at {})",
-                            site_str(e.holder_site),
-                            site_str(e.acquire_site)
-                        )
-                    })
-                    .unwrap_or_default();
-                let cycle: Vec<&str> = std::iter::once(h.class.name())
-                    .chain(path.iter().map(|&i| LockClass::ALL[i].name()))
-                    .collect();
-                let detail = format!("lock-order cycle {}{}", cycle.join(" -> "), back_witness);
-                self.report(ReportKind::PotentialDeadlock, h, new, detail);
-            }
-            self.adj[from] |= 1 << to;
-        }
-    }
-
-    /// Acquiring a lower devset level while a deeper one is held is a
-    /// child-before-parent inversion.
-    fn check_hierarchy(&mut self, h: &HeldEntry, new: HeldEntry) {
-        if let (Some(hl), Some(nl)) = (h.class.devset_level(), new.class.devset_level()) {
-            if nl < hl {
-                let detail = format!(
-                    "{} is level {} of the devset hierarchy but level-{} {} is already held \
-                     (child-before-parent inversion)",
-                    new.class, nl, hl, h.class
-                );
-                self.report(ReportKind::HierarchyViolation, h, new, detail);
-            }
-        }
-    }
-
+impl Graph {
     fn report(&mut self, kind: ReportKind, h: &HeldEntry, new: HeldEntry, detail: String) {
         self.push(LockdepReport {
             kind,
@@ -559,13 +589,25 @@ impl Drop for HeldToken {
     }
 }
 
-/// The graph edges and the reports of the calling thread's executor.
-type Snapshot = (BTreeMap<(usize, usize), EdgeInfo>, Vec<LockdepReport>);
+/// One edge of the graph as the exports show it: its classes, its
+/// acquisition count, whether it is blocking, and its first witness.
+type Edge = ((usize, usize), u64, bool, EdgeInfo);
 
-fn snapshot() -> Snapshot {
+/// The graph edges, in class-pair order, and the reports of the calling
+/// thread's executor.
+fn snapshot() -> (Vec<Edge>, Vec<LockdepReport>) {
     with_witness(|w| {
         let g = w.graph.lock();
-        (g.edges.clone(), g.reports.clone())
+        let edges = g
+            .edges
+            .iter()
+            .map(|(&(from, to), &info)| {
+                let count = w.counts[from][to].load(Ordering::Relaxed);
+                let blocking = w.blocking[from].load(Ordering::Relaxed) >> to & 1 == 1;
+                ((from, to), count, blocking, info)
+            })
+            .collect();
+        (edges, g.reports.clone())
     })
     .unwrap_or_default()
 }
@@ -575,13 +617,13 @@ fn snapshot() -> Snapshot {
 /// dashed; labels carry counts.
 pub fn graph_dot() -> String {
     let mut out = String::from("digraph lockdep {\n  rankdir=LR;\n  node [shape=box];\n");
-    for ((from, to), info) in snapshot().0 {
+    for ((from, to), count, blocking, _) in snapshot().0 {
         out.push_str(&format!(
             "  \"{}\" -> \"{}\" [label=\"{}\"{}];\n",
             LockClass::ALL[from].name(),
             LockClass::ALL[to].name(),
-            info.count,
-            if info.blocking { "" } else { ", style=dashed" }
+            count,
+            if blocking { "" } else { ", style=dashed" }
         ));
     }
     out.push_str("}\n");
@@ -595,14 +637,14 @@ pub fn graph_dot() -> String {
 pub fn graph_json() -> String {
     let (edges, reports) = snapshot();
     let mut out = String::from("{\n  \"edges\": [\n");
-    for (i, (&(from, to), info)) in edges.iter().enumerate() {
+    for (i, &((from, to), count, blocking, info)) in edges.iter().enumerate() {
         out.push_str(&format!(
             "    {{\"from\": \"{}\", \"to\": \"{}\", \"count\": {}, \"blocking\": {}, \
              \"holder_site\": \"{}\", \"acquire_site\": \"{}\"}}{}\n",
             LockClass::ALL[from].name(),
             LockClass::ALL[to].name(),
-            info.count,
-            info.blocking,
+            count,
+            blocking,
             info.holder_site.file(),
             info.acquire_site.file(),
             if i + 1 == edges.len() { "" } else { "," }
@@ -672,17 +714,13 @@ impl LockClass {
     }
 }
 
-/// Counts one acquisition of `class` in the statistics of the calling
-/// thread's executor, contended if it had to wait, for `waited` real
-/// nanoseconds.
-fn count(class: LockClass, waited: Option<u64>) {
+/// Adds one contended acquisition of `class`, which waited `ns` real
+/// nanoseconds, to the statistics of the calling thread's executor.
+fn count_wait(class: LockClass, ns: u64) {
     with_witness(|w| {
         let stat = &w.stats[class.index()];
-        stat.acquisitions.fetch_add(1, Ordering::Relaxed);
-        if let Some(ns) = waited {
-            stat.contended.fetch_add(1, Ordering::Relaxed);
-            stat.wait_ns.fetch_add(ns, Ordering::Relaxed);
-        }
+        stat.contended.fetch_add(1, Ordering::Relaxed);
+        stat.wait_ns.fetch_add(ns, Ordering::Relaxed);
     });
 }
 
@@ -740,9 +778,9 @@ impl Drop for RawHold<'_> {
 }
 
 /// Takes `lock` in `mode` for a wrapper of `class` called at `site`:
-/// records the acquisition in the witness, then takes the lock, counting
-/// the acquisition. Only if the fast path fails does it wait, with the
-/// wait timed.
+/// records and counts the acquisition in the witness, then takes the
+/// lock. Only if the fast path fails does it wait, with the wait timed
+/// and counted.
 fn take<'a>(
     lock: &'a RawLock,
     class: LockClass,
@@ -751,12 +789,11 @@ fn take<'a>(
 ) -> (HeldToken, RawHold<'a>, HoldTimer) {
     let entry = HeldEntry { class, mode, site };
     let dep = acquire(entry);
-    let waited = (!lock.try_lock(mode)).then(|| {
+    if !lock.try_lock(mode) {
         let waited = WallStopwatch::start();
         lock.lock(entry, site);
-        waited.elapsed_ns()
-    });
-    count(class, waited);
+        count_wait(class, waited.elapsed_ns());
+    }
     (dep, RawHold { lock, mode }, HoldTimer::start(class))
 }
 

@@ -109,6 +109,35 @@ fn a_panicking_tasks_payload_comes_back_from_join_and_its_worker_runs_the_next_t
     assert_eq!(clock.now().since_origin(), Duration::from_millis(2));
 }
 
+/// Starts `tasks` tasks on `clock` at once, task `i` sleeping `i + 1`
+/// microseconds, and returns the OS thread each ran on.
+fn wave(clock: &Clock, tasks: u64) -> Vec<ThreadId> {
+    let handles: Vec<_> = (0..tasks)
+        .map(|i| {
+            let c = clock.clone();
+            spawn(clock, format!("task-{i}"), move || {
+                c.sleep(Duration::from_micros(i + 1));
+                thread()
+            })
+        })
+        .collect();
+    handles
+        .into_iter()
+        .map(|h| h.join().expect("task"))
+        .collect()
+}
+
+#[test]
+fn a_second_clocks_wave_runs_on_the_workers_the_first_clocks_wave_started() {
+    let _serial = serial();
+    let first: HashSet<_> = wave(&Clock::new_virtual(1.0), 48).into_iter().collect();
+    assert_eq!(first.len(), 48, "48 tasks alive at once take 48 workers");
+    let second = wave(&Clock::new_virtual(1.0), 48);
+    let started: Vec<_> = second.iter().filter(|t| !first.contains(t)).collect();
+    // All 48 went back on the idle stack, so the second wave starts none.
+    assert!(started.is_empty(), "{} new OS threads", started.len());
+}
+
 #[cfg(target_os = "linux")]
 mod pinning {
     use super::*;
