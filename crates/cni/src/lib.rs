@@ -1,16 +1,14 @@
 //! Container Network Interface plugins.
 //!
-//! Four plugins are implemented, matching the paper's baselines:
+//! Three plugins are implemented, matching the paper's baselines:
 //!
-//! - [`SriovCniOriginal`] — the upstream SR-IOV CNI (reference \[23\]): binds the VF to
-//!   the host network driver on every launch so a Linux netdev exists for
-//!   the runtime to detect, forcing the runtime to unbind and rebind to
-//!   VFIO afterwards. "Extremely inefficient" (§5) — several minutes at
-//!   concurrency 200.
-//! - [`SriovCniFixed`] — the paper's fairness fix (§5): VFs stay bound to
-//!   VFIO from boot; a cheap dummy netdev carries the interface identity
-//!   and IP configuration into the container NNS. This is the *vanilla*
-//!   baseline of every measurement.
+//! - [`SriovCniFixed`] — the paper's fairness fix (§5) to the upstream
+//!   SR-IOV CNI (reference \[23\]), which binds each VF to the host
+//!   network driver on every launch and leaves the runtime to rebind it to
+//!   VFIO: here VFs stay bound to VFIO from boot, and a cheap dummy netdev
+//!   carries the interface identity and IP configuration into the
+//!   container NNS. This is the *vanilla* baseline of every measurement;
+//!   the upstream plugin is not modelled.
 //! - [`FastIovCni`] — the fixed flow plus FastIOV metadata: it tells the
 //!   hypervisor which memory region to skip (the image) and requests
 //!   decoupled zeroing and asynchronous VF driver initialization. The
@@ -27,8 +25,7 @@ pub mod plugin;
 
 pub use nns::{Nns, NnsRegistry, RtnlLock};
 pub use plugin::{
-    CniParams, CniPlugin, CniResult, FastIovCni, IpvtapCni, PodNetSpec, SriovCniFixed,
-    SriovCniOriginal, VfPool,
+    CniParams, CniPlugin, CniResult, FastIovCni, IpvtapCni, PodNetSpec, SriovCniFixed, VfPool,
 };
 
 use fastiov_nic::NicError;

@@ -78,9 +78,6 @@ pub enum CniResult {
         vf: VfId,
         /// Interface the runtime detects in the NNS.
         netdev: NetdevName,
-        /// Whether the runtime must unbind the host network driver and
-        /// rebind to VFIO before attaching (the original plugin's flaw).
-        needs_host_rebind: bool,
         /// Address configured on the interface.
         ip: [u8; 4],
     },
@@ -136,7 +133,6 @@ fn sriov_common(
     nns: &Nns,
     registry: &NnsRegistry,
     vfs: &VfPool,
-    bind_host_driver: bool,
 ) -> Result<CniResult> {
     let vf = vfs.allocate()?;
     let vf_ref = host.pf.vf(vf)?;
@@ -147,57 +143,11 @@ fn sriov_common(
     host.pf
         .admin()
         .submit(&vf_ref, AdminCmd::SetVlan(100 + (spec.index % 4000) as u16));
-    let netdev = if bind_host_driver {
-        host.pf.bind_host_driver(vf)?
-    } else {
-        host.pf.create_dummy_netdev(vf)?
-    };
+    let netdev = host.pf.create_dummy_netdev(vf)?;
     registry.move_into(nns, netdev.clone());
     let ip = spec.ip();
     registry.configure_ip(nns, ip);
-    Ok(CniResult::Passthrough {
-        vf,
-        netdev,
-        needs_host_rebind: bind_host_driver,
-        ip,
-    })
-}
-
-/// The upstream SR-IOV CNI (reference \[23\]): binds the VF to the host network driver
-/// every launch (the implementation flaw of §5).
-pub struct SriovCniOriginal {
-    vfs: Arc<VfPool>,
-}
-
-impl SriovCniOriginal {
-    /// Creates the plugin over the host's VF pool.
-    pub fn new(vfs: Arc<VfPool>) -> Self {
-        SriovCniOriginal { vfs }
-    }
-}
-
-impl CniPlugin for SriovCniOriginal {
-    fn name(&self) -> &'static str {
-        "sriov-original"
-    }
-
-    fn setup(
-        &self,
-        host: &Arc<Host>,
-        spec: &PodNetSpec,
-        nns: &Nns,
-        registry: &NnsRegistry,
-        _log: &mut StageLog,
-    ) -> Result<CniResult> {
-        sriov_common(host, spec, nns, registry, &self.vfs, true)
-    }
-
-    fn teardown(&self, _host: &Arc<Host>, result: &CniResult) -> Result<()> {
-        if let CniResult::Passthrough { vf, .. } = result {
-            self.vfs.release(*vf);
-        }
-        Ok(())
-    }
+    Ok(CniResult::Passthrough { vf, netdev, ip })
 }
 
 /// The fixed SR-IOV CNI (§5): VFs pre-bound to VFIO once; dummy netdevs
@@ -226,7 +176,7 @@ impl CniPlugin for SriovCniFixed {
         registry: &NnsRegistry,
         _log: &mut StageLog,
     ) -> Result<CniResult> {
-        sriov_common(host, spec, nns, registry, &self.vfs, false)
+        sriov_common(host, spec, nns, registry, &self.vfs)
     }
 
     fn teardown(&self, _host: &Arc<Host>, result: &CniResult) -> Result<()> {
@@ -266,7 +216,7 @@ impl CniPlugin for FastIovCni {
         registry: &NnsRegistry,
         _log: &mut StageLog,
     ) -> Result<CniResult> {
-        sriov_common(host, spec, nns, registry, &self.vfs, false)
+        sriov_common(host, spec, nns, registry, &self.vfs)
     }
 
     fn teardown(&self, _host: &Arc<Host>, result: &CniResult) -> Result<()> {
@@ -384,22 +334,13 @@ mod tests {
             .setup(&host, &spec, &nns, &registry, &mut log)
             .unwrap();
         match &r {
-            CniResult::Passthrough {
-                vf,
-                netdev,
-                needs_host_rebind,
-                ip,
-            } => {
-                assert!(!needs_host_rebind);
+            CniResult::Passthrough { vf, netdev, ip } => {
                 assert!(netdev.0.starts_with("dummy-vf"));
                 assert!(nns.has_interface(netdev));
                 assert_eq!(nns.ip(), Some(*ip));
-                // The VF stays unbound from the host driver (pre-binding
-                // to VFIO is the host's boot-time job).
-                assert_ne!(
-                    host.pf.vf(*vf).unwrap().pci().driver(),
-                    DriverBinding::HostNetdev
-                );
+                // The plugin binds no driver (pre-binding to VFIO is the
+                // host's boot-time job).
+                assert_eq!(host.pf.vf(*vf).unwrap().pci().driver(), DriverBinding::None);
                 // MAC was configured through the PF.
                 assert!(host.pf.vf(*vf).unwrap().state().mac.is_some());
             }
@@ -407,32 +348,6 @@ mod tests {
         }
         plugin.teardown(&host, &r).unwrap();
         assert_eq!(vfs.available(), 16);
-    }
-
-    #[test]
-    fn original_plugin_binds_host_driver() {
-        let (host, registry, vfs) = setup();
-        let plugin = SriovCniOriginal::new(vfs);
-        let spec = PodNetSpec { pid: 2, index: 1 };
-        let nns = registry.create(2);
-        let mut log = StageLog::begin(&host.tracer);
-        let r = plugin
-            .setup(&host, &spec, &nns, &registry, &mut log)
-            .unwrap();
-        match &r {
-            CniResult::Passthrough {
-                vf,
-                needs_host_rebind,
-                ..
-            } => {
-                assert!(needs_host_rebind);
-                assert_eq!(
-                    host.pf.vf(*vf).unwrap().pci().driver(),
-                    DriverBinding::HostNetdev
-                );
-            }
-            other => panic!("unexpected result {other:?}"),
-        }
     }
 
     #[test]

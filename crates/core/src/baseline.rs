@@ -1,8 +1,6 @@
 //! The experiment baselines of §6.1 and how each is assembled.
 
-use fastiov_cni::{
-    CniParams, CniPlugin, FastIovCni, IpvtapCni, SriovCniFixed, SriovCniOriginal, VfPool,
-};
+use fastiov_cni::{CniParams, CniPlugin, FastIovCni, IpvtapCni, SriovCniFixed, VfPool};
 use fastiov_engine::{PodNetworking, VmOptions};
 use fastiov_microvm::{Host, ZeroingMode};
 use fastiov_vfio::LockPolicy;
@@ -14,10 +12,6 @@ use std::sync::Arc;
 pub enum Baseline {
     /// Startup without any network: the lower bound.
     NoNet,
-    /// The unmodified upstream SR-IOV CNI (bind/rebind per launch, §5).
-    /// Only used to demonstrate the implementation flaw; all paper
-    /// comparisons use [`Baseline::Vanilla`].
-    VanillaOriginal,
     /// The fixed SR-IOV CNI — the paper's vanilla baseline.
     Vanilla,
     /// Full FastIOV: all four optimizations.
@@ -120,14 +114,6 @@ impl Baseline {
                 PodNetworking::Software(Arc::new(IpvtapCni::new(CniParams::paper()))),
                 None,
             ),
-            Baseline::VanillaOriginal => {
-                // No pre-binding: the original plugin binds per launch.
-                let vfs = vf_pool();
-                (
-                    PodNetworking::Sriov(Arc::new(SriovCniOriginal::new(Arc::clone(&vfs)))),
-                    Some(vfs),
-                )
-            }
             Baseline::Vanilla | Baseline::Prezero(_) => {
                 host.prebind_all_vfs()?;
                 let vfs = vf_pool();
@@ -173,7 +159,6 @@ impl Baseline {
     pub fn label(self) -> String {
         match self {
             Baseline::NoNet => "No-Net".into(),
-            Baseline::VanillaOriginal => "Vanilla-Orig".into(),
             Baseline::Vanilla => "Vanilla".into(),
             Baseline::FastIov => "FastIOV".into(),
             Baseline::FastIovMinusL => "FastIOV-L".into(),

@@ -275,9 +275,8 @@ pub struct Engine {
 }
 
 impl Engine {
-    /// Creates the engine. For SR-IOV networking with the fixed/FastIOV
-    /// plugins the caller must have pre-bound VFs
-    /// ([`Host::prebind_all_vfs`]); the original plugin binds per launch.
+    /// Creates the engine. For SR-IOV networking the caller must have
+    /// pre-bound VFs ([`Host::prebind_all_vfs`]).
     pub fn new(
         host: Arc<Host>,
         params: EngineParams,
@@ -452,7 +451,6 @@ impl Engine {
             cni: Some(CniResult::Passthrough {
                 vf: warm.vf,
                 netdev: warm.netdev.clone(),
-                needs_host_rebind: false,
                 ip,
             }),
             pool_pid: Some(warm.pool_pid),
@@ -490,8 +488,7 @@ impl Engine {
             ),
         };
 
-        // Container runtime (t_attach): verify the interface, rebind if
-        // the original plugin left the VF on the host driver, launch.
+        // Container runtime (t_attach): verify the interface, launch.
         let attachment = match &cni_result {
             None => NetworkAttachment::None,
             Some(CniResult::Software { netdev, .. }) => {
@@ -500,37 +497,9 @@ impl Engine {
                 }
                 NetworkAttachment::SoftwareVirtio
             }
-            Some(CniResult::Passthrough {
-                vf,
-                netdev,
-                needs_host_rebind,
-                ..
-            }) => {
+            Some(CniResult::Passthrough { vf, netdev, .. }) => {
                 if !nns.has_interface(netdev) {
                     return Err(LaunchError::InterfaceMissing(netdev.0.clone()));
-                }
-                if *needs_host_rebind {
-                    // The original plugin's flaw: unbind the host network
-                    // driver and rebind to VFIO on every single launch.
-                    self.host
-                        .pf
-                        .unbind_host_driver(*vf)
-                        .map_err(|e| LaunchError::Cni(e.into()))?;
-                    self.host
-                        .pf
-                        .bind_vfio(*vf)
-                        .map_err(|e| LaunchError::Cni(e.into()))?;
-                    let pci = Arc::clone(
-                        self.host
-                            .pf
-                            .vf(*vf)
-                            .map_err(|e| LaunchError::Cni(e.into()))?
-                            .pci(),
-                    );
-                    self.host
-                        .vfio
-                        .register(pci)
-                        .map_err(|e| LaunchError::Cni(e.into()))?;
                 }
                 if matches!(self.networking, PodNetworking::Vdpa(_)) {
                     NetworkAttachment::Vdpa(*vf)
@@ -677,7 +646,7 @@ impl Engine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fastiov_cni::{FastIovCni, IpvtapCni, SriovCniFixed, SriovCniOriginal, VfPool};
+    use fastiov_cni::{FastIovCni, IpvtapCni, SriovCniFixed, VfPool};
     use fastiov_hostmem::addr::units::mib;
     use fastiov_microvm::HostParams;
     use fastiov_vfio::LockPolicy;
@@ -782,24 +751,6 @@ mod tests {
         let pod = engine.run_pod(0).unwrap();
         assert!(pod.report.stage_total(stages::ADD_CNI) > Duration::ZERO);
         assert_eq!(pod.report.vf_related(), Duration::ZERO);
-        engine.teardown_pod(&pod).unwrap();
-    }
-
-    #[test]
-    fn original_plugin_rebinds_every_launch() {
-        let host = host(LockPolicy::Coarse);
-        // No pre-binding: the original flow binds per launch.
-        let vfs = VfPool::new(host.pf.vf_count() as u16);
-        let engine = Engine::new(
-            Arc::clone(&host),
-            EngineParams::paper(),
-            PodNetworking::Sriov(Arc::new(SriovCniOriginal::new(vfs))),
-            VmOptions::vanilla(mib(64), mib(32)),
-        );
-        let pod = engine.run_pod(0).unwrap();
-        let stats = host.pf.stats();
-        assert_eq!(stats.host_binds, 1);
-        assert_eq!(stats.vfio_binds, 1);
         engine.teardown_pod(&pod).unwrap();
     }
 

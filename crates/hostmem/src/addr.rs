@@ -36,12 +36,6 @@ macro_rules! address_type {
                 $name(self.0 & !(align - 1))
             }
 
-            /// Rounds up to a multiple of `align`.
-            pub fn align_up(self, align: u64) -> $name {
-                debug_assert!(align.is_power_of_two());
-                $name((self.0 + align - 1) & !(align - 1))
-            }
-
             /// Offset within an `align`-sized page.
             pub fn page_offset(self, align: u64) -> u64 {
                 debug_assert!(align.is_power_of_two());
@@ -174,7 +168,6 @@ mod tests {
     fn alignment_helpers() {
         let a = Hpa(0x2_1234);
         assert_eq!(a.align_down(0x1000), Hpa(0x2_1000));
-        assert_eq!(a.align_up(0x1000), Hpa(0x2_2000));
         assert_eq!(a.page_offset(0x1000), 0x234);
         assert!(!a.is_aligned(0x1000));
         assert!(Hpa(0x4000).is_aligned(0x1000));

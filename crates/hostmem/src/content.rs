@@ -91,24 +91,6 @@ impl PageContent {
         self.base
     }
 
-    /// True if every byte reads as zero.
-    pub fn is_all_zero(&self) -> bool {
-        match self.base {
-            BaseState::Zeroed => self.writes.values().flatten().all(|&b| b == 0),
-            BaseState::Garbage(_) => {
-                // Garbage bytes are never zero by construction, so the page
-                // can only be all-zero if writes cover it entirely with
-                // zeros — which the merge invariant makes a single extent.
-                match self.writes.iter().next() {
-                    Some((&0, data)) => {
-                        data.len() as u64 == self.size && data.iter().all(|&b| b == 0)
-                    }
-                    _ => false,
-                }
-            }
-        }
-    }
-
     /// True if any readable byte still comes from previous-owner residue.
     pub fn leaks_residue(&self) -> bool {
         match self.base {
@@ -231,12 +213,6 @@ impl PageContent {
         self.writes.insert(new_off, new_data);
         Ok(())
     }
-
-    /// Bytes of real storage used by written extents (model overhead
-    /// accounting).
-    pub fn stored_bytes(&self) -> usize {
-        self.writes.values().map(Vec::len).sum()
-    }
 }
 
 #[cfg(test)]
@@ -265,7 +241,6 @@ mod tests {
     fn zeroed_reads_zero() {
         let c = PageContent::zeroed(4096);
         assert!(read_vec(&c, 0, 4096).iter().all(|&x| x == 0));
-        assert!(c.is_all_zero());
         assert!(!c.leaks_residue());
     }
 
@@ -284,8 +259,7 @@ mod tests {
         let mut c = PageContent::garbage(4096, 7);
         c.write(0, &[9; 100]).unwrap();
         c.zero();
-        assert!(c.is_all_zero());
-        assert_eq!(c.stored_bytes(), 0);
+        assert_eq!(c, PageContent::zeroed(4096));
     }
 
     #[test]
@@ -296,7 +270,7 @@ mod tests {
         let r = read_vec(&c, 0, 15);
         assert_eq!(&r[..5], &[1; 5]);
         assert_eq!(&r[5..15], &[2; 10]);
-        assert_eq!(c.stored_bytes(), 15);
+        assert_extents(&c);
     }
 
     #[test]
@@ -304,7 +278,7 @@ mod tests {
         let mut c = PageContent::zeroed(4096);
         c.write(0, &[1; 8]).unwrap();
         c.write(8, &[2; 8]).unwrap();
-        assert_eq!(c.stored_bytes(), 16);
+        assert_extents(&c);
         let r = read_vec(&c, 0, 16);
         assert_eq!(&r[..8], &[1; 8]);
         assert_eq!(&r[8..], &[2; 8]);
@@ -314,7 +288,7 @@ mod tests {
     fn full_zero_write_over_garbage_reads_zero() {
         let mut c = PageContent::garbage(64, 3);
         c.write(0, &[0; 64]).unwrap();
-        assert!(c.is_all_zero());
+        assert_eq!(read_vec(&c, 0, 64), [0; 64]);
         assert!(!c.leaks_residue());
     }
 
@@ -334,7 +308,7 @@ mod tests {
         let mut c = PageContent::zeroed(64);
         c.invalidate(99);
         assert!(c.leaks_residue());
-        assert!(!c.is_all_zero());
+        assert!(read_vec(&c, 0, 64).iter().all(|&x| x != 0));
     }
 
     /// Asserts the extent invariant: non-empty, in bounds, and neither
@@ -398,7 +372,6 @@ mod tests {
                     model,
                     "seed {seed} step {step}"
                 );
-                assert_eq!(c.is_all_zero(), model.iter().all(|&b| b == 0));
             }
         }
     }

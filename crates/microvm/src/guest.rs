@@ -43,11 +43,6 @@ impl NetReadiness {
         })
     }
 
-    /// Current state snapshot.
-    pub fn state(&self) -> GuestNetState {
-        self.state.lock().clone()
-    }
-
     /// Marks the interface ready.
     pub fn set_ready(&self) {
         *self.state.lock() = GuestNetState::Ready;
@@ -196,14 +191,17 @@ mod tests {
     fn readiness_transitions() {
         let clock = Clock::new_virtual(1.0);
         let r = NetReadiness::new();
-        assert_eq!(r.state(), GuestNetState::Initializing);
-        let r2 = Arc::clone(&r);
-        let waiter = fastiov_simtime::spawn(&clock, "waiter", move || r2.wait());
-        // The waiter runs while this thread sleeps, and blocks.
-        clock.sleep(std::time::Duration::from_millis(5));
+        let (r2, c) = (Arc::clone(&r), clock.clone());
+        let waiter = fastiov_simtime::spawn(&clock, "waiter", move || {
+            r2.wait().map(|()| c.now().since_origin())
+        });
+        // The waiter runs while this thread sleeps, and blocks until the
+        // interface is ready.
+        let ready_at = std::time::Duration::from_millis(5);
+        clock.sleep(ready_at);
         r.set_ready();
-        waiter.join().unwrap().unwrap();
-        assert_eq!(r.state(), GuestNetState::Ready);
+        assert_eq!(waiter.join().unwrap().unwrap(), ready_at);
+        r.wait().unwrap();
     }
 
     #[test]

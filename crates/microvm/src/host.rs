@@ -117,8 +117,6 @@ impl Host {
             params.total_vfs,
             fastiov_nic::pf::PfCosts {
                 vf_precreate: params.vf_precreate,
-                bind_host_driver: params.bind_host_driver,
-                unbind_host_driver: params.unbind_host_driver,
                 bind_vfio: params.bind_vfio,
                 dummy_netdev: params.dummy_netdev,
                 admin_config_service: params.admin_config_service,
@@ -182,8 +180,7 @@ impl Host {
 
     /// Binds every VF to the VFIO driver and registers it with the devset
     /// manager — the one-time post-boot step of the fixed SR-IOV CNI (§5),
-    /// which removes the per-launch bind/rebind churn of the original
-    /// plugin.
+    /// which removes the upstream plugin's per-launch bind/rebind churn.
     pub fn prebind_all_vfs(&self) -> Result<()> {
         for i in 0..self.pf.vf_count() as u16 {
             let vf = self

@@ -67,10 +67,6 @@ pub struct HostParams {
     pub total_vfs: u16,
     /// One-time hardware configuration per VF during pre-creation.
     pub vf_precreate: Duration,
-    /// Host network driver bind (netdev probe) — the vanilla CNI flow.
-    pub bind_host_driver: Duration,
-    /// Host network driver unbind.
-    pub unbind_host_driver: Duration,
     /// VFIO driver bind.
     pub bind_vfio: Duration,
     /// Dummy netdev creation (FastIOV CNI).
@@ -173,8 +169,6 @@ impl HostParams {
 
             total_vfs: 256,
             vf_precreate: Duration::from_millis(20),
-            bind_host_driver: Duration::from_millis(120),
-            unbind_host_driver: Duration::from_millis(40),
             bind_vfio: Duration::from_millis(30),
             dummy_netdev: Duration::from_millis(3),
             admin_config_service: Duration::from_micros(800),

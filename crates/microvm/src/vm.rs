@@ -534,15 +534,6 @@ impl Microvm {
         }
     }
 
-    /// True once the network interface is ready (non-blocking; the
-    /// agent's periodic check).
-    pub fn net_ready(&self) -> bool {
-        matches!(
-            self.net_readiness.as_ref().map(|r| r.state()),
-            Some(crate::guest::GuestNetState::Ready)
-        )
-    }
-
     /// Resets this microVM for reuse by a *new tenant* without tearing
     /// down its DMA mappings, VFIO state, or VF attachment — the warm-pool
     /// recycle path.
@@ -746,7 +737,6 @@ mod tests {
         let cfg = MicrovmConfig::vanilla(1, mb(64), mb(32));
         let vm = launch(&host, cfg, NetworkAttachment::Passthrough(VfId(0))).unwrap();
         vm.wait_net_ready().unwrap();
-        assert!(vm.net_ready());
         assert_eq!(vm.vf(), Some(VfId(0)));
         assert_eq!(host.vfio.stats().opens, 1);
         let free_before = host.mem.stats().free_frames;
@@ -842,7 +832,6 @@ mod tests {
         // No synchronous 5-vf-driver stage was recorded.
         assert!(log.records().iter().all(|r| r.name != stages::VF_DRIVER));
         vm.wait_net_ready().unwrap();
-        assert!(vm.net_ready());
         vm.shutdown().unwrap();
     }
 

@@ -138,11 +138,6 @@ impl AdminQueue {
 pub struct PfCosts {
     /// Hardware configuration per VF during one-time pre-creation.
     pub vf_precreate: Duration,
-    /// Binding a VF to the host kernel network driver (netdev creation,
-    /// probe).
-    pub bind_host_driver: Duration,
-    /// Unbinding from the host network driver.
-    pub unbind_host_driver: Duration,
     /// Binding to the VFIO driver.
     pub bind_vfio: Duration,
     /// Creating a dummy Linux netdev (FastIOV CNI's stand-in interface).
@@ -158,8 +153,6 @@ impl PfCosts {
     pub fn for_tests() -> Self {
         PfCosts {
             vf_precreate: Duration::from_micros(50),
-            bind_host_driver: Duration::from_micros(100),
-            unbind_host_driver: Duration::from_micros(50),
             bind_vfio: Duration::from_micros(50),
             dummy_netdev: Duration::from_micros(10),
             admin_config_service: Duration::from_micros(5),
@@ -173,10 +166,6 @@ impl PfCosts {
 pub struct PfStats {
     /// VFs created.
     pub vfs_created: usize,
-    /// Host-driver binds performed.
-    pub host_binds: u64,
-    /// VFIO binds performed.
-    pub vfio_binds: u64,
     /// Admin commands served.
     pub admin_cmds: u64,
 }
@@ -190,8 +179,6 @@ pub struct PfDriver {
     costs: PfCosts,
     admin: AdminQueue,
     vfs: TrackedMutex<Vec<Arc<Vf>>>,
-    host_binds: AtomicU64,
-    vfio_binds: AtomicU64,
     /// Fault plane consulted during VF link bring-up.
     faults: Arc<FaultPlane>,
 }
@@ -226,8 +213,6 @@ impl PfDriver {
             pf,
             costs,
             vfs: TrackedMutex::new(LockClass::NicPf, Vec::new()),
-            host_binds: AtomicU64::new(0),
-            vfio_binds: AtomicU64::new(0),
             faults,
         }))
     }
@@ -246,11 +231,6 @@ impl PfDriver {
             });
         }
         Ok(())
-    }
-
-    /// The PF's PCI function.
-    pub fn pf_device(&self) -> &Arc<PciDevice> {
-        &self.pf
     }
 
     /// The NIC's bus number.
@@ -304,39 +284,6 @@ impl PfDriver {
         self.vfs.lock().len()
     }
 
-    /// Binds a VF to the host kernel network driver, creating its Linux
-    /// netdev (the vanilla SR-IOV CNI flow).
-    pub fn bind_host_driver(&self, id: VfId) -> Result<NetdevName> {
-        let vf = self.vf(id)?;
-        if vf.pci().driver() != DriverBinding::None {
-            return Err(NicError::BadVfState {
-                vf: id.0,
-                reason: "already bound to a driver",
-            });
-        }
-        self.clock.sleep(self.costs.bind_host_driver);
-        vf.pci().bind_driver(DriverBinding::HostNetdev);
-        let name = NetdevName(format!("enp{}s0v{}", self.bus_no, id.0));
-        vf.with_state(|s| s.netdev = Some(name.clone()));
-        self.host_binds.fetch_add(1, Ordering::Relaxed);
-        Ok(name)
-    }
-
-    /// Unbinds a VF from the host network driver, destroying its netdev.
-    pub fn unbind_host_driver(&self, id: VfId) -> Result<()> {
-        let vf = self.vf(id)?;
-        if vf.pci().driver() != DriverBinding::HostNetdev {
-            return Err(NicError::BadVfState {
-                vf: id.0,
-                reason: "not bound to the host network driver",
-            });
-        }
-        self.clock.sleep(self.costs.unbind_host_driver);
-        vf.pci().bind_driver(DriverBinding::None);
-        vf.with_state(|s| s.netdev = None);
-        Ok(())
-    }
-
     /// Binds a VF to the VFIO driver (passthrough).
     pub fn bind_vfio(&self, id: VfId) -> Result<()> {
         let vf = self.vf(id)?;
@@ -348,7 +295,6 @@ impl PfDriver {
         }
         self.clock.sleep(self.costs.bind_vfio);
         vf.pci().bind_driver(DriverBinding::Vfio);
-        self.vfio_binds.fetch_add(1, Ordering::Relaxed);
         Ok(())
     }
 
@@ -366,8 +312,6 @@ impl PfDriver {
     pub fn stats(&self) -> PfStats {
         PfStats {
             vfs_created: self.vf_count(),
-            host_binds: self.host_binds.load(Ordering::Relaxed),
-            vfio_binds: self.vfio_binds.load(Ordering::Relaxed),
             admin_cmds: self.admin.submitted(),
         }
     }
@@ -401,23 +345,18 @@ mod tests {
     fn vf_precreation_registers_pci_functions() {
         let pf = setup(16);
         assert_eq!(pf.vf_count(), 16);
-        assert_eq!(pf.pf_device().sriov_cap().unwrap().num_vfs, 16);
+        let pf_fn = pf.bus.device(fastiov_pci::Bdf::new(3, 0, 0)).unwrap();
+        assert_eq!(pf_fn.sriov_cap().unwrap().num_vfs, 16);
         assert!(matches!(pf.create_vfs(4), Err(NicError::VfsAlreadyCreated)));
         assert!(matches!(pf.vf(VfId(99)), Err(NicError::NoSuchVf(99))));
     }
 
     #[test]
-    fn host_bind_unbind_cycle() {
+    fn vfio_bind_is_refused_twice() {
         let pf = setup(2);
-        let name = pf.bind_host_driver(VfId(0)).unwrap();
-        assert_eq!(name.0, "enp3s0v0");
-        assert_eq!(pf.vf(VfId(0)).unwrap().state().netdev, Some(name));
-        // Double bind refused.
-        assert!(pf.bind_host_driver(VfId(0)).is_err());
-        pf.unbind_host_driver(VfId(0)).unwrap();
-        assert!(pf.vf(VfId(0)).unwrap().state().netdev.is_none());
         pf.bind_vfio(VfId(0)).unwrap();
         assert_eq!(pf.vf(VfId(0)).unwrap().pci().driver(), DriverBinding::Vfio);
+        assert!(pf.bind_vfio(VfId(0)).is_err());
     }
 
     #[test]

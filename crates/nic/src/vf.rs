@@ -54,7 +54,7 @@ pub struct VfState {
     pub link_up: bool,
     /// The microVM (hypervisor PID) currently owning the VF.
     pub owner_vm: Option<u64>,
-    /// Host netdev generated for the VF, when bound to the host driver.
+    /// The dummy netdev that carries the VF's identity, once created.
     pub netdev: Option<NetdevName>,
 }
 

@@ -3,7 +3,7 @@
 use crate::device::{Bdf, PciDevice};
 use crate::{PciError, Result};
 use fastiov_simtime::Clock;
-use fastiov_simtime::{LockClass, TrackedRwLock};
+use fastiov_simtime::{LockClass, TrackedMutex};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::time::Duration;
@@ -21,7 +21,7 @@ pub struct PciBus {
     cfg_access: Duration,
     /// Simulated latency of a function-level reset.
     reset_latency: Duration,
-    devices: TrackedRwLock<BTreeMap<Bdf, Arc<PciDevice>>>,
+    devices: TrackedMutex<BTreeMap<Bdf, Arc<PciDevice>>>,
 }
 
 impl PciBus {
@@ -34,13 +34,13 @@ impl PciBus {
             clock,
             cfg_access,
             reset_latency,
-            devices: TrackedRwLock::new(LockClass::PciBus, BTreeMap::new()),
+            devices: TrackedMutex::new(LockClass::PciBus, BTreeMap::new()),
         })
     }
 
     /// Registers a device.
     pub fn add_device(&self, dev: Arc<PciDevice>) -> Result<()> {
-        let mut devs = self.devices.write();
+        let mut devs = self.devices.lock();
         if devs.contains_key(&dev.bdf()) {
             return Err(PciError::DuplicateBdf(dev.bdf()));
         }
@@ -51,7 +51,7 @@ impl PciBus {
     /// Looks up a device by address.
     pub fn device(&self, bdf: Bdf) -> Result<Arc<PciDevice>> {
         self.devices
-            .read()
+            .lock()
             .get(&bdf)
             .cloned()
             .ok_or(PciError::NoDevice(bdf))
@@ -61,7 +61,7 @@ impl PciBus {
     /// examined (the whole registry is walked, as a real scan does).
     pub fn scan_bus(&self, bus: u8) -> Vec<Arc<PciDevice>> {
         let (total, found) = {
-            let devs = self.devices.read();
+            let devs = self.devices.lock();
             let found: Vec<Arc<PciDevice>> = devs
                 .values()
                 .filter(|d| d.bdf().bus == bus)
@@ -75,7 +75,7 @@ impl PciBus {
 
     /// Number of registered devices (no charge).
     pub fn device_count(&self) -> usize {
-        self.devices.read().len()
+        self.devices.lock().len()
     }
 
     /// Function-level reset of one device, charging the reset latency.
@@ -90,7 +90,7 @@ impl PciBus {
     /// single reset latency (it is one electrical event).
     pub fn reset_bus(&self, bus: u8) -> usize {
         let victims: Vec<Arc<PciDevice>> = {
-            let devs = self.devices.read();
+            let devs = self.devices.lock();
             devs.values()
                 .filter(|d| d.bdf().bus == bus)
                 .cloned()

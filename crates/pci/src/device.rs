@@ -66,8 +66,6 @@ pub enum DeviceClass {
 pub enum DriverBinding {
     /// No driver bound.
     None,
-    /// The host kernel network driver (creates a Linux netdev).
-    HostNetdev,
     /// The VFIO passthrough driver.
     Vfio,
 }
@@ -207,15 +205,9 @@ mod tests {
             None,
         );
         assert_eq!(d.driver(), DriverBinding::None);
-        assert_eq!(
-            d.bind_driver(DriverBinding::HostNetdev),
-            DriverBinding::None
-        );
-        assert_eq!(
-            d.bind_driver(DriverBinding::Vfio),
-            DriverBinding::HostNetdev
-        );
+        assert_eq!(d.bind_driver(DriverBinding::Vfio), DriverBinding::None);
         assert_eq!(d.driver(), DriverBinding::Vfio);
+        assert_eq!(d.bind_driver(DriverBinding::None), DriverBinding::Vfio);
     }
 
     #[test]

@@ -5,15 +5,14 @@
 //! through review. This module makes the discipline machine-checked, the
 //! way Linux lockdep does: every instrumented lock belongs to a
 //! [`LockClass`], each thread keeps a stack of currently-held
-//! acquisitions, and every *exclusive* acquisition made while other locks
-//! are held records a class-level **acquired-while-held edge**. Three
-//! rules are enforced online:
+//! acquisitions, and every acquisition made while other locks are held
+//! records a class-level **acquired-while-held edge**. Three rules are
+//! enforced online:
 //!
-//! 1. **Cycle detection** — a new blocking edge `A → B` is rejected when
-//!    `B` can already reach `A` through blocking edges: a potential
-//!    deadlock, reported with the witness acquisition sites of both the
-//!    forward edge and the first edge of the return path (à la lockdep's
-//!    two-stack report).
+//! 1. **Cycle detection** — a new edge `A → B` is rejected when `B` can
+//!    already reach `A`: a potential deadlock, reported with the witness
+//!    acquisition sites of both the forward edge and the first edge of
+//!    the return path (à la lockdep's two-stack report).
 //! 2. **Hierarchy violations** — the devset classes declare a level in
 //!    the devset hierarchy; acquiring a lower level while a deeper one is
 //!    held is a child-before-parent inversion (e.g. taking the devset
@@ -25,14 +24,12 @@
 //!    and a condvar's own mutex, which the wait releases, are exempt. A
 //!    wall-paced clock's threads run freely, so it is not checked there.
 //!
-//! Shared (read) acquisitions are recorded in the graph for reporting but
-//! do not participate in cycle detection: two readers never block each
-//! other, and flagging read-side cycles would condemn the legitimate
-//! `child → members(read)` / `members(read) → child` pattern in the
-//! devset reset path. This matches pre-2020 kernel lockdep's treatment of
-//! recursive reads and is a documented limitation (a reader parked behind
-//! a queued writer can still deadlock; the static pass plus the hierarchy
-//! rules cover the instances of that shape we actually have).
+//! A shared (read) acquisition records the same edge as an exclusive one.
+//! Two readers never block each other, but grants are FIFO, so a reader
+//! queues behind a waiting writer: a thread holding `devset-parent` for
+//! read and waiting for `cgroup`, against one holding `cgroup` and asking
+//! for `devset-parent` for read behind a queued writer, deadlocks. Every
+//! edge is therefore a blocking edge.
 //!
 //! **One instrument per clock.** The witness is always on. Its graph and
 //! reports and the lock statistics belong to the executor of a clock
@@ -107,7 +104,8 @@ lock_classes! {
     DevsetChild => "devset-child",
     /// DevsetManager registry (devsets, devices and their groups).
     DevsetRegistry => "devset-registry",
-    /// Devset membership list (`DevSet::devices`).
+    /// Devset membership list (`DevSet::devices`), a mutex: bookkeeping,
+    /// so no two of its holds overlap.
     DevsetMembers => "devset-members",
     /// VFIO container DMA-mapping list.
     VfioContainer => "vfio-container",
@@ -135,7 +133,7 @@ lock_classes! {
     NicVf => "nic-vf",
     /// KVM VM state (memslots and EPT).
     KvmVm => "kvm-vm",
-    /// PCI bus device map.
+    /// PCI bus device map, a mutex like every bookkeeping lock.
     PciBus => "pci-bus",
     /// Per-PCI-device state (driver binding, SR-IOV cap).
     PciDevice => "pci-device",
@@ -166,8 +164,8 @@ lock_classes! {
     Test => "test",
 }
 
-/// Number of lock classes; the blocking-edge adjacency keeps one bit
-/// per class in a `u64`.
+/// Number of lock classes; the edge adjacency keeps one bit per class in
+/// a `u64`.
 const NCLASS: usize = LockClass::Test as usize + 1;
 const _: () = assert!(NCLASS <= 64);
 
@@ -211,8 +209,8 @@ impl fmt::Display for LockClass {
     }
 }
 
-/// Acquisition mode. Shared acquisitions never block one another, so
-/// they contribute reporting edges but not cycle-detection edges.
+/// Acquisition mode. Shared acquisitions never block one another; the
+/// witness records both modes alike.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Mode {
     /// Mutex lock or rwlock write.
@@ -224,7 +222,7 @@ pub enum Mode {
 /// What a report is about.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ReportKind {
-    /// A blocking-edge cycle in the class graph.
+    /// A cycle in the class graph.
     PotentialDeadlock,
     /// Child-before-parent acquisition within the devset hierarchy.
     HierarchyViolation,
@@ -322,18 +320,14 @@ impl HeldEntry {
 /// its reports and the per-class counters. Every executor owns one, and
 /// an acquisition records into the executor of the acquiring thread.
 ///
-/// An acquisition along an edge the graph already holds in a state it
-/// cannot change (a shared one along any known edge, an exclusive one
-/// along a known blocking edge) only bumps the edge's count: the graph
-/// lock is taken for a new edge, a newly blocking one or a report.
+/// An acquisition along edges the graph already holds only bumps their
+/// counts: the graph lock is taken for a new edge or a report.
 pub(crate) struct Witness {
     graph: Mutex<Graph>,
     /// The edges in the graph, one bit per class pair: bit `b` of
-    /// `edges[a]` is the edge `a → b`. Set under the graph lock, read
-    /// without it.
+    /// `edges[a]` is the edge `a → b`, the adjacency of cycle detection.
+    /// Set under the graph lock, read without it.
     edges: [AtomicU64; NCLASS],
-    /// The blocking ones among them: the adjacency of cycle detection.
-    blocking: [AtomicU64; NCLASS],
     /// Acquisitions along each edge: `counts[a][b]` for `a → b`.
     counts: [[AtomicU64; NCLASS]; NCLASS],
     stats: [ClassStat; NCLASS],
@@ -347,7 +341,6 @@ impl Default for Witness {
                 reports: Vec::new(),
             }),
             edges: std::array::from_fn(|_| AtomicU64::new(0)),
-            blocking: std::array::from_fn(|_| AtomicU64::new(0)),
             counts: std::array::from_fn(|_| std::array::from_fn(|_| AtomicU64::new(0))),
             stats: std::array::from_fn(|_| ClassStat::default()),
         }
@@ -428,17 +421,13 @@ fn inversion(h: &HeldEntry, new: &HeldEntry) -> Option<(u8, u8)> {
 impl Witness {
     /// Checks a new acquisition against the held stack (the hierarchy
     /// rule, then acquired-while-held edges with cycle detection on new
-    /// blocking ones) and counts it along each edge.
+    /// ones) and counts it along each edge.
     fn record(&self, held: &[HeldEntry], new: HeldEntry) {
         let to = new.class.index();
-        let known = match new.mode {
-            Mode::Exclusive => &self.blocking,
-            Mode::Shared => &self.edges,
-        };
         let settled = held.iter().all(|h| {
             let from = h.class.index();
             inversion(h, &new).is_none()
-                && (from == to || known[from].load(Ordering::Acquire) >> to & 1 == 1)
+                && (from == to || self.edges[from].load(Ordering::Acquire) >> to & 1 == 1)
         });
         if !settled {
             self.add(&mut self.graph.lock(), held, new);
@@ -454,8 +443,7 @@ impl Witness {
     }
 
     /// The slow path of [`Witness::record`], under the graph lock: reports
-    /// inversions, adds new edges and checks each newly blocking edge for
-    /// a cycle.
+    /// inversions and adds new edges, checking each for a cycle.
     fn add(&self, g: &mut Graph, held: &[HeldEntry], new: HeldEntry) {
         for h in held {
             if let Some((hl, nl)) = inversion(h, &new) {
@@ -471,24 +459,10 @@ impl Witness {
         let bit = 1u64 << to;
         for h in held {
             let from = h.class.index();
-            if from == to {
+            if from == to || self.edges[from].load(Ordering::Relaxed) & bit != 0 {
                 continue;
             }
-            if self.edges[from].load(Ordering::Relaxed) & bit == 0 {
-                g.edges.insert(
-                    (from, to),
-                    EdgeInfo {
-                        holder_site: h.site,
-                        acquire_site: new.site,
-                    },
-                );
-                self.edges[from].fetch_or(bit, Ordering::Release);
-            }
-            if new.mode == Mode::Shared || self.blocking[from].load(Ordering::Relaxed) & bit != 0 {
-                continue;
-            }
-            // New blocking edge from → to: a path to → … → from means a
-            // cycle.
+            // New edge from → to: a path to → … → from means a cycle.
             if let Some(path) = self.path(to, from) {
                 let back_witness = path
                     .windows(2)
@@ -508,12 +482,18 @@ impl Witness {
                 let detail = format!("lock-order cycle {}{}", cycle.join(" -> "), back_witness);
                 g.report(ReportKind::PotentialDeadlock, h, new, detail);
             }
-            self.blocking[from].fetch_or(bit, Ordering::Release);
+            g.edges.insert(
+                (from, to),
+                EdgeInfo {
+                    holder_site: h.site,
+                    acquire_site: new.site,
+                },
+            );
+            self.edges[from].fetch_or(bit, Ordering::Release);
         }
     }
 
-    /// One blocking path `from → … → to`, if `to` is reachable from
-    /// `from` over blocking edges.
+    /// One path `from → … → to`, if `to` is reachable from `from`.
     fn path(&self, from: usize, to: usize) -> Option<Vec<usize>> {
         // `prev[m]` is the node `m` was reached from.
         let mut prev = [from; NCLASS];
@@ -528,7 +508,7 @@ impl Witness {
                 path.reverse();
                 return Some(path);
             }
-            let mut next = self.blocking[n].load(Ordering::Relaxed) & !seen;
+            let mut next = self.edges[n].load(Ordering::Relaxed) & !seen;
             seen |= next;
             while next != 0 {
                 let m = next.trailing_zeros() as usize;
@@ -590,8 +570,8 @@ impl Drop for HeldToken {
 }
 
 /// One edge of the graph as the exports show it: its classes, its
-/// acquisition count, whether it is blocking, and its first witness.
-type Edge = ((usize, usize), u64, bool, EdgeInfo);
+/// acquisition count and its first witness.
+type Edge = ((usize, usize), u64, EdgeInfo);
 
 /// The graph edges, in class-pair order, and the reports of the calling
 /// thread's executor.
@@ -603,8 +583,7 @@ fn snapshot() -> (Vec<Edge>, Vec<LockdepReport>) {
             .iter()
             .map(|(&(from, to), &info)| {
                 let count = w.counts[from][to].load(Ordering::Relaxed);
-                let blocking = w.blocking[from].load(Ordering::Relaxed) >> to & 1 == 1;
-                ((from, to), count, blocking, info)
+                ((from, to), count, info)
             })
             .collect();
         (edges, g.reports.clone())
@@ -613,17 +592,15 @@ fn snapshot() -> (Vec<Edge>, Vec<LockdepReport>) {
 }
 
 /// DOT rendering of the acquired-while-held class graph of the calling
-/// thread's executor. Blocking edges are solid, shared-acquisition edges
-/// dashed; labels carry counts.
+/// thread's executor; labels carry counts.
 pub fn graph_dot() -> String {
     let mut out = String::from("digraph lockdep {\n  rankdir=LR;\n  node [shape=box];\n");
-    for ((from, to), count, blocking, _) in snapshot().0 {
+    for ((from, to), count, _) in snapshot().0 {
         out.push_str(&format!(
-            "  \"{}\" -> \"{}\" [label=\"{}\"{}];\n",
+            "  \"{}\" -> \"{}\" [label=\"{}\"];\n",
             LockClass::ALL[from].name(),
             LockClass::ALL[to].name(),
             count,
-            if blocking { "" } else { ", style=dashed" }
         ));
     }
     out.push_str("}\n");
@@ -637,14 +614,13 @@ pub fn graph_dot() -> String {
 pub fn graph_json() -> String {
     let (edges, reports) = snapshot();
     let mut out = String::from("{\n  \"edges\": [\n");
-    for (i, &((from, to), count, blocking, info)) in edges.iter().enumerate() {
+    for (i, &((from, to), count, info)) in edges.iter().enumerate() {
         out.push_str(&format!(
-            "    {{\"from\": \"{}\", \"to\": \"{}\", \"count\": {}, \"blocking\": {}, \
+            "    {{\"from\": \"{}\", \"to\": \"{}\", \"count\": {}, \
              \"holder_site\": \"{}\", \"acquire_site\": \"{}\"}}{}\n",
             LockClass::ALL[from].name(),
             LockClass::ALL[to].name(),
             count,
-            blocking,
             info.holder_site.file(),
             info.acquire_site.file(),
             if i + 1 == edges.len() { "" } else { "," }
@@ -932,7 +908,7 @@ impl<T> TrackedRwLock<T> {
 }
 
 impl<T: ?Sized> TrackedRwLock<T> {
-    /// Shared acquisition (recorded as a non-blocking edge).
+    /// Shared acquisition.
     #[track_caller]
     pub fn read(&self) -> TrackedReadGuard<'_, T> {
         let (_dep, _raw, _hold) = take(&self.raw, self.class, Mode::Shared, Location::caller());
@@ -1163,23 +1139,31 @@ mod tests {
     }
 
     #[test]
-    fn shared_read_cycle_is_not_a_deadlock() {
+    fn a_read_edge_that_closes_a_cycle_is_reported() {
         let _clock = Clock::new_virtual(1.0);
-        // child(x) then members(read); members(read) then child(x) —
-        // the devset open/reset pattern. Readers don't block readers, so
-        // no report.
-        let child = TrackedMutex::new(LockClass::DevsetChild, ());
-        let members = TrackedRwLock::new(LockClass::DevsetMembers, ());
+        // Parent (read) then cgroup; cgroup then parent (read). Readers
+        // do not block readers, but grants are FIFO: if A holds the parent
+        // for read and waits for cgroup, B holds cgroup, and a writer C
+        // queues on the parent before B asks for it, B's read waits
+        // behind C, C behind A, and A behind B. A deadlock, so a cycle.
+        let parent = TrackedRwLock::new(LockClass::DevsetParent, ());
+        let cgroup = TrackedMutex::new(LockClass::Cgroup, ());
         {
-            let _c = child.lock();
-            let _m = members.read();
+            let _p = parent.read();
+            let _c = cgroup.lock();
         }
+        assert!(reports().is_empty(), "one order alone is fine");
         {
-            let _m = members.read();
-            let _c = child.lock();
+            let _c = cgroup.lock();
+            let _p = parent.read();
         }
         let r = reports();
-        assert!(r.is_empty(), "{r:?}");
+        assert_eq!(r.len(), 1, "{r:?}");
+        assert_eq!(r[0].kind, ReportKind::PotentialDeadlock);
+        assert!(
+            r[0].detail.contains("cgroup -> devset-parent -> cgroup"),
+            "{r:?}"
+        );
     }
 
     #[test]

@@ -12,7 +12,7 @@ use crate::locking::{ChildLock, LockPolicy, ParentChildLock};
 use crate::{Result, VfioError};
 use fastiov_faults::{sites, FaultPlane};
 use fastiov_pci::{Bdf, DriverBinding, PciBus, PciDevice, ResetCapability};
-use fastiov_simtime::{LockClass, TrackedMutex, TrackedRwLock};
+use fastiov_simtime::{LockClass, TrackedMutex};
 use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Weak};
@@ -77,7 +77,7 @@ pub struct DevSet {
     key: DevsetKey,
     lock: ParentChildLock<DevsetState>,
     /// Members keyed by address, so a membership check is a lookup.
-    devices: TrackedRwLock<BTreeMap<Bdf, Arc<VfioDevice>>>,
+    devices: TrackedMutex<BTreeMap<Bdf, Arc<VfioDevice>>>,
     bus: Arc<PciBus>,
     /// Devset bookkeeping charged inside the lock on every open, on top of
     /// the PCI bus scan.
@@ -87,12 +87,12 @@ pub struct DevSet {
 impl DevSet {
     /// Number of member devices.
     pub fn len(&self) -> usize {
-        self.devices.read().len()
+        self.devices.lock().len()
     }
 
     /// True if the devset has no members.
     pub fn is_empty(&self) -> bool {
-        self.devices.read().is_empty()
+        self.devices.lock().is_empty()
     }
 
     /// The lock policy in force.
@@ -119,7 +119,7 @@ impl DevSet {
         // driver binding is read.
         let on_bus = self.bus.scan_bus(self.bus_no());
         if matches!(self.key, DevsetKey::Bus(_)) {
-            let members = self.devices.read();
+            let members = self.devices.lock();
             for d in on_bus {
                 if !members.contains_key(&d.bdf())
                     && d.reset_capability() == ResetCapability::BusReset
@@ -157,17 +157,18 @@ impl DevSet {
             ResetCapability::BusReset => {
                 let mut parent = self.lock.lock_parent();
                 let _scan = self.bus.scan_bus(self.bus_no());
-                let others_open: u32 = {
-                    let members = self.devices.read();
-                    members
-                        .values()
-                        .filter(|m| m.bdf() != dev.bdf())
-                        // The parent-mode witness proves all child
-                        // operations are excluded, so direct child-state
-                        // access cannot race (see ChildLock::lock_direct).
-                        .map(|m| m.state.lock_direct(parent.witness()).open_count)
-                        .sum()
-                };
+                // A copy of the members, taken and released before any
+                // child is peeked at: open takes the members lock under a
+                // child, so peeking under it would invert that order.
+                let members: Vec<Arc<VfioDevice>> = self.devices.lock().values().cloned().collect();
+                let others_open: u32 = members
+                    .iter()
+                    .filter(|m| m.bdf() != dev.bdf())
+                    // The parent-mode witness proves all child operations
+                    // are excluded, so direct child-state access cannot
+                    // race (see ChildLock::lock_direct).
+                    .map(|m| m.state.lock_direct(parent.witness()).open_count)
+                    .sum();
                 if others_open > 0 {
                     return Err(VfioError::DevsetBusy {
                         bdf: dev.bdf(),
@@ -291,7 +292,7 @@ impl DevsetManager {
                 Arc::new(DevSet {
                     key,
                     lock: ParentChildLock::new(self.policy, DevsetState::default()),
-                    devices: TrackedRwLock::new(LockClass::DevsetMembers, BTreeMap::new()),
+                    devices: TrackedMutex::new(LockClass::DevsetMembers, BTreeMap::new()),
                     bus: Arc::clone(&self.bus),
                     open_overhead: self.open_overhead,
                 })
@@ -302,7 +303,7 @@ impl DevsetManager {
             devset: Arc::downgrade(&devset),
             state: ChildLock::new(DeviceState::default()),
         });
-        devset.devices.write().insert(dev.bdf(), Arc::clone(&dev));
+        devset.devices.lock().insert(dev.bdf(), Arc::clone(&dev));
         // Every function gets its own IOMMU group (ACS topology).
         let gid = self.next_group.fetch_add(1, Ordering::Relaxed) as u32;
         let group = VfioGroup::new(gid, dev.bdf(), Arc::clone(&self.faults));
@@ -324,7 +325,7 @@ impl DevsetManager {
             });
         }
         self.registry.lock().devices.remove(&bdf);
-        dev.devset().devices.write().remove(&bdf);
+        dev.devset().devices.lock().remove(&bdf);
         Ok(())
     }
 
@@ -381,11 +382,6 @@ impl DevsetManager {
         }
     }
 
-    /// Devset of a registered device (diagnostics).
-    pub fn devset_of(&self, bdf: Bdf) -> Result<Arc<DevSet>> {
-        Ok(self.device(bdf)?.devset())
-    }
-
     /// Counter snapshot.
     pub fn stats(&self) -> VfioStats {
         VfioStats {
@@ -437,8 +433,8 @@ mod tests {
     #[test]
     fn bus_reset_devices_share_a_devset() {
         let (_, mgr) = setup(LockPolicy::Coarse, 4);
-        let s0 = mgr.devset_of(Bdf::new(3, 0, 0)).unwrap();
-        let s1 = mgr.devset_of(Bdf::new(3, 1, 0)).unwrap();
+        let s0 = mgr.device(Bdf::new(3, 0, 0)).unwrap().devset();
+        let s1 = mgr.device(Bdf::new(3, 1, 0)).unwrap().devset();
         assert!(Arc::ptr_eq(&s0, &s1));
         assert_eq!(s0.len(), 4);
     }
@@ -459,8 +455,8 @@ mod tests {
             bus.add_device(Arc::clone(&dev)).unwrap();
             mgr.register(dev).unwrap();
         }
-        let s0 = mgr.devset_of(Bdf::new(1, 0, 0)).unwrap();
-        let s1 = mgr.devset_of(Bdf::new(1, 1, 0)).unwrap();
+        let s0 = mgr.device(Bdf::new(1, 0, 0)).unwrap().devset();
+        let s1 = mgr.device(Bdf::new(1, 1, 0)).unwrap().devset();
         assert!(!Arc::ptr_eq(&s0, &s1));
         assert_eq!(s0.len(), 1);
     }
@@ -510,8 +506,21 @@ mod tests {
         }
         mgr.reset(Bdf::new(3, 0, 0)).unwrap();
         assert_eq!(mgr.stats().resets, 1);
-        let devset = mgr.devset_of(Bdf::new(3, 0, 0)).unwrap();
+        let devset = mgr.device(Bdf::new(3, 0, 0)).unwrap().devset();
         assert_eq!(devset.reset_count(), 1);
+    }
+
+    /// Open takes the members lock under a child; a bus reset that took
+    /// a child under the members lock would close a cycle with it.
+    #[test]
+    fn open_then_bus_reset_of_a_peer_reports_nothing() {
+        for policy in [LockPolicy::Coarse, LockPolicy::Hierarchical] {
+            let (_, mgr) = setup(policy, 2);
+            drop(mgr.open(Bdf::new(3, 0, 0)).unwrap());
+            mgr.reset(Bdf::new(3, 1, 0)).unwrap();
+            let r = fastiov_simtime::lockdep::reports();
+            assert!(r.is_empty(), "{policy:?}: {r:?}");
+        }
     }
 
     #[test]

@@ -86,11 +86,6 @@ impl VfioGroup {
     pub fn owner(&self) -> Option<u64> {
         *self.attached.lock()
     }
-
-    /// True if attached to any container.
-    pub fn is_attached(&self) -> bool {
-        self.attached.lock().is_some()
-    }
 }
 
 #[cfg(test)]
@@ -104,13 +99,13 @@ mod tests {
     #[test]
     fn attach_detach_cycle() {
         let g = group();
-        assert!(!g.is_attached());
+        assert!(g.owner().is_none());
         g.attach(100).unwrap();
         assert_eq!(g.owner(), Some(100));
         // Idempotent for the same owner: one detach releases it.
         g.attach(100).unwrap();
         g.detach(100).unwrap();
-        assert!(!g.is_attached());
+        assert!(g.owner().is_none());
     }
 
     #[test]

@@ -133,12 +133,6 @@ impl Vring {
         let used = self.host_read_u32(4)?;
         self.host_write_u32(4, used.wrapping_add(1))
     }
-
-    /// Guest side: true if the host has completed more descriptors than
-    /// the guest has consumed externally (simple progress check).
-    pub fn guest_used_idx(&self) -> Result<u32> {
-        self.guest_read_u32(4)
-    }
 }
 
 #[cfg(test)]
@@ -180,7 +174,7 @@ mod tests {
         assert_eq!(d.gpa, Gpa(4 * PAGE));
         assert_eq!(d.len, 1024);
         ring.host_complete().unwrap();
-        assert_eq!(ring.guest_used_idx().unwrap(), 1);
+        assert_eq!(ring.guest_read_u32(4).unwrap(), 1);
         assert!(matches!(ring.host_peek(), Err(VirtioError::RingEmpty)));
     }
 
@@ -217,7 +211,7 @@ mod tests {
         assert_eq!(ring.host_read_u32(0).unwrap(), 1);
         ring.host_complete().unwrap();
         // Guest observes used=1 through the EPT.
-        assert_eq!(ring.guest_used_idx().unwrap(), 1);
+        assert_eq!(ring.guest_read_u32(4).unwrap(), 1);
     }
 
     #[test]

@@ -102,15 +102,6 @@ fn ipvtap_records_addcni_and_no_vf_stages() {
 }
 
 #[test]
-fn original_cni_is_slower_than_fixed_cni() {
-    let original = smoke(Baseline::VanillaOriginal, 6).total.mean;
-    let fixed = smoke(Baseline::Vanilla, 6).total.mean;
-    // Binding to the host driver and rebinding to VFIO every launch costs
-    // strictly more than the pre-bound flow (§5).
-    assert!(original > fixed, "original {original:?} vs fixed {fixed:?}");
-}
-
-#[test]
 fn serverless_tasks_complete_and_fastiov_wins() {
     let run = |b: Baseline| {
         let run =
