@@ -87,7 +87,7 @@ impl Default for StorageServer {
 /// ```
 pub mod protocol {
     /// Request opcode.
-    pub const OP_GET: u8 = 0x01;
+    pub(crate) const OP_GET: u8 = 0x01;
 
     /// Encodes a GET request.
     pub fn encode_get(name: &str, offset: u64, len: u32) -> Vec<u8> {

@@ -20,7 +20,7 @@ impl Graph {
     }
 
     /// Neighbors of `v`.
-    pub fn neighbors(&self, v: u32) -> &[u32] {
+    pub(crate) fn neighbors(&self, v: u32) -> &[u32] {
         let s = self.offsets[v as usize] as usize;
         let e = self.offsets[v as usize + 1] as usize;
         &self.edges[s..e]

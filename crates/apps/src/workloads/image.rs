@@ -4,7 +4,7 @@ use super::{scale_exec, Workload, WorkloadOutput};
 use std::time::Duration;
 
 /// Output thumbnail edge length (the paper resizes to 100×100).
-pub const THUMB: usize = 100;
+pub(crate) const THUMB: usize = 100;
 
 /// Resizes a synthetic grayscale image decoded from the input bytes.
 #[derive(Debug, Clone, Copy)]

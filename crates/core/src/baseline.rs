@@ -44,7 +44,7 @@ pub enum Baseline {
 
 impl Baseline {
     /// VFIO devset lock policy for this baseline.
-    pub fn lock_policy(self) -> LockPolicy {
+    pub(crate) fn lock_policy(self) -> LockPolicy {
         match self {
             Baseline::FastIov
             | Baseline::FastIovMinusA
@@ -57,7 +57,7 @@ impl Baseline {
     }
 
     /// Fraction of free memory pre-zeroed before the run.
-    pub fn prezero_fraction(self) -> f64 {
+    pub(crate) fn prezero_fraction(self) -> f64 {
         match self {
             Baseline::Prezero(pct) => f64::from(pct) / 100.0,
             _ => 0.0,

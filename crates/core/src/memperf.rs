@@ -124,7 +124,7 @@ pub fn run_memperf(
 
 impl Baseline {
     /// True if the baseline uses SR-IOV passthrough.
-    pub fn uses_passthrough(self) -> bool {
+    pub(crate) fn uses_passthrough(self) -> bool {
         !matches!(self, Baseline::NoNet | Baseline::Ipvtap)
     }
 }

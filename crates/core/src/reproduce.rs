@@ -503,7 +503,7 @@ impl Expr {
     ///
     /// # Panics
     /// If a row it reads is not in `r` or lacks the metric.
-    pub fn eval(&self, r: &Results) -> f64 {
+    pub(crate) fn eval(&self, r: &Results) -> f64 {
         match self {
             Expr::Get(row, m) => metric(r, row, m),
             Expr::Cut(row, base, m) => 100.0 * (1.0 - metric(r, row, m) / metric(r, base, m)),
@@ -616,7 +616,7 @@ impl Claim {
     }
 
     /// Evaluates the claim on `results`, which must hold its rows.
-    pub fn evaluate(&self, results: &Results) -> Record {
+    pub(crate) fn evaluate(&self, results: &Results) -> Record {
         let model: Vec<f64> = self.model.iter().map(|e| e.eval(results)).collect();
         let status = status(self.pred.holds(&model), self.basis);
         let shown: Vec<String> = model.iter().map(|&v| fmt(v, self.unit)).collect();
@@ -907,7 +907,7 @@ impl Record {
     }
 
     /// Parses a line written by [`Record::to_json`].
-    pub fn from_json(line: &str) -> Option<Record> {
+    pub(crate) fn from_json(line: &str) -> Option<Record> {
         let fields = parse_flat_object(line)?;
         let get = |k: &str| {
             fields

@@ -189,7 +189,7 @@ pub struct LaunchSummary {
 
 impl LaunchSummary {
     /// Classifies a wave of per-pod results.
-    pub fn from_results<T>(results: &[Result<T>]) -> Self {
+    pub(crate) fn from_results<T>(results: &[Result<T>]) -> Self {
         let mut summary = LaunchSummary::default();
         let mut classes = std::collections::BTreeMap::new();
         for r in results {
@@ -795,6 +795,7 @@ mod tests {
     }
 
     #[test]
+    #[expect(clippy::disallowed_methods, reason = "test: each host needs a thread")]
     fn warm_claim_is_much_faster_than_cold_launch() {
         // Each host on its own driver thread: building a second host on a
         // thread leaves the first one's clock without a driver.

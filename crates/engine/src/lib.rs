@@ -14,6 +14,7 @@
 //! error class and exit code.
 
 #![warn(missing_docs)]
+#![deny(clippy::unwrap_used, clippy::expect_used)]
 
 pub mod cgroup;
 pub mod engine;

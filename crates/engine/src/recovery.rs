@@ -13,9 +13,9 @@ use std::time::Duration;
 /// Total launch attempts per pod, the first try included.
 pub const MAX_ATTEMPTS: u32 = 3;
 /// Backoff before the second attempt; it doubles per further attempt.
-pub const BACKOFF_BASE: Duration = Duration::from_millis(10);
+pub(crate) const BACKOFF_BASE: Duration = Duration::from_millis(10);
 /// Ceiling the exponential backoff saturates at.
-pub const BACKOFF_MAX: Duration = Duration::from_millis(160);
+pub(crate) const BACKOFF_MAX: Duration = Duration::from_millis(160);
 /// Jitter amplitude as a fraction of the backoff: the slept time is
 /// `backoff * (1 ± JITTER_FRAC)`.
 pub const JITTER_FRAC: f64 = 0.25;

@@ -24,11 +24,9 @@ pub struct Summary {
 impl Summary {
     /// Computes the summary of a sample. Returns `None` for an empty one.
     pub fn from_durations(sample: &[Duration]) -> Option<Summary> {
-        if sample.is_empty() {
-            return None;
-        }
         let mut sorted = sample.to_vec();
         sorted.sort_unstable();
+        let max = *sorted.last()?;
         let total: Duration = sorted.iter().sum();
         Some(Summary {
             n: sorted.len(),
@@ -37,9 +35,7 @@ impl Summary {
             p50: percentile(&sorted, 0.50),
             p90: percentile(&sorted, 0.90),
             p99: percentile(&sorted, 0.99),
-            max: *sorted
-                .last()
-                .expect("invariant: emptiness checked at function entry"),
+            max,
         })
     }
 

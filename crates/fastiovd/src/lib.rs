@@ -18,6 +18,7 @@
 //!   during idle moments, overlapping zeroing with other startup stages.
 
 #![warn(missing_docs)]
+#![deny(clippy::unwrap_used, clippy::expect_used)]
 
 use fastiov_faults::{sites, FaultPlane};
 use fastiov_hostmem::{FrameId, FrameRange, Hpa, PhysMemory};

@@ -288,7 +288,7 @@ pub struct PhysMemory {
 
 impl PhysMemory {
     /// Owner id used by [`PhysMemory::inject_fragmentation`].
-    pub const OWNER_FRAG: u64 = u64::MAX;
+    pub(crate) const OWNER_FRAG: u64 = u64::MAX;
 
     /// Creates a memory of `total_frames` frames of size `page`, all free.
     pub fn new(costs: MemCosts, page: PageSize, total_frames: usize) -> Arc<Self> {

@@ -24,6 +24,7 @@
 //!   with eager or lazy (fault-time, zero-on-touch) population.
 
 #![warn(missing_docs)]
+#![deny(clippy::unwrap_used, clippy::expect_used)]
 
 pub mod addr;
 pub mod alloc;

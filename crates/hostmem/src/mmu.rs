@@ -135,15 +135,16 @@ impl AddressSpace {
             let mut inner = self.inner.lock();
             let mut frames = ranges.iter().flat_map(|r| r.iter());
             for (rbase, idx) in &missing {
+                #[expect(clippy::expect_used, reason = "invariant: built from these regions")]
                 let region = inner
                     .regions
                     .get_mut(rbase)
                     .expect("invariant: missing was built from inner.regions under this lock");
-                region.pages[*idx] = Some(
-                    frames
-                        .next()
-                        .expect("invariant: alloc_frames returned missing.len() frames"),
-                );
+                #[expect(clippy::expect_used, reason = "invariant: one frame per missing page")]
+                let frame = frames
+                    .next()
+                    .expect("invariant: alloc_frames returned missing.len() frames");
+                region.pages[*idx] = Some(frame);
             }
         }
         if mode == Populate::AllocZero {

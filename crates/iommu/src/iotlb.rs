@@ -70,7 +70,7 @@ impl Iotlb {
     /// Drops every cached translation in `[start, start + count)` — the
     /// batched invalidation issued by an extent unmap. One pass over the
     /// cache when the range is wider than the cache itself.
-    pub fn invalidate_range(&mut self, start: u64, count: usize) {
+    pub(crate) fn invalidate_range(&mut self, start: u64, count: usize) {
         let end = start.saturating_add(count as u64);
         if count >= self.map.len() {
             self.map.retain(|&p, _| p < start || p >= end);

@@ -10,6 +10,7 @@
 //! target") is tested against it.
 
 #![warn(missing_docs)]
+#![deny(clippy::unwrap_used, clippy::expect_used)]
 
 pub mod domain;
 pub mod iotlb;

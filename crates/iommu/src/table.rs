@@ -43,7 +43,7 @@ pub enum TableError {
 
 impl IoPageTable {
     /// Maximum mappable page number (exclusive).
-    pub const MAX_PAGES: u64 = 1 << (3 * BITS);
+    pub(crate) const MAX_PAGES: u64 = 1 << (3 * BITS);
 
     /// Creates an empty table.
     pub fn new() -> Self {
@@ -86,15 +86,12 @@ impl IoPageTable {
             .as_mut()
             .and_then(|m| m[i2].as_mut())
             .map(|l| &mut l[i3]);
-        match slot {
-            Some(s) if s.is_some() => {
-                let hpa = s
-                    .take()
-                    .expect("invariant: is_some checked by the match guard");
+        match slot.and_then(Option::take) {
+            Some(hpa) => {
                 self.entries -= 1;
                 Ok(hpa)
             }
-            _ => Err(TableError::Absent),
+            None => Err(TableError::Absent),
         }
     }
 
@@ -156,7 +153,7 @@ impl IoPageTable {
     /// Removes `count` consecutive entries starting at `start_page` in one
     /// table operation. All-or-nothing: if any page is absent, nothing is
     /// modified.
-    pub fn unmap_extent(
+    pub(crate) fn unmap_extent(
         &mut self,
         start_page: u64,
         count: usize,
@@ -181,6 +178,7 @@ impl IoPageTable {
         while remaining > 0 {
             let (i1, i2, i3) = Self::split(p);
             let chunk = (FANOUT - i3).min(remaining);
+            #[expect(clippy::expect_used, reason = "invariant: pass 1 saw every leaf")]
             let leaf = self.root[i1]
                 .as_mut()
                 .and_then(|m| m[i2].as_mut())

@@ -44,13 +44,13 @@ impl NetReadiness {
     }
 
     /// Marks the interface ready.
-    pub fn set_ready(&self) {
+    pub(crate) fn set_ready(&self) {
         *self.state.lock() = GuestNetState::Ready;
         self.cv.notify_all();
     }
 
     /// Marks initialization failed.
-    pub fn set_failed(&self, why: String) {
+    pub(crate) fn set_failed(&self, why: String) {
         *self.state.lock() = GuestNetState::Failed(why);
         self.cv.notify_all();
     }

@@ -60,7 +60,7 @@ pub struct Host {
 
 impl Host {
     /// PCI bus number the SR-IOV NIC sits on.
-    pub const NIC_BUS: u8 = 3;
+    pub(crate) const NIC_BUS: u8 = 3;
 
     /// Builds the server with the given VFIO lock policy and pre-creates
     /// all VFs (the one-time boot-phase work of §2.3, excluded from
@@ -166,16 +166,11 @@ impl Host {
 
     /// Charges the virtioFS setup sequence for one microVM: baseline
     /// handshake, CPU work, and the serialized virtiofsd section.
-    pub fn virtiofs_setup(&self) {
+    pub(crate) fn virtiofs_setup(&self) {
         self.clock.sleep(self.params.virtiofs_setup_base);
         self.cpu.run(self.params.virtiofs_setup_cpu);
         let _g = self.virtiofsd_lock.lock();
         self.clock.sleep(self.params.virtiofs_lock_hold);
-    }
-
-    /// The VFIO lock policy this host runs.
-    pub fn vfio_policy(&self) -> LockPolicy {
-        self.vfio.policy()
     }
 
     /// Binds every VF to the VFIO driver and registers it with the devset
@@ -208,7 +203,7 @@ mod tests {
         assert_eq!(host.pf.vf_count(), 16);
         // PF + 16 VFs on the bus.
         assert_eq!(host.bus.device_count(), 17);
-        assert_eq!(host.vfio_policy(), LockPolicy::Hierarchical);
+        assert_eq!(host.vfio.policy(), LockPolicy::Hierarchical);
         assert!(host.mem.stats().free_frames > 0);
     }
 

@@ -141,8 +141,6 @@ pub mod stages {
     pub const VFIO_DEV: &str = "4-vfio-dev";
     /// Guest VF driver initialization.
     pub const VF_DRIVER: &str = "5-vf-driver";
-    /// Everything else (NNS, guest boot, runtime overheads).
-    pub const OTHER: &str = "other";
     /// Software-CNI device creation (Fig. 14).
     pub const ADD_CNI: &str = "addCNI";
     /// Warm-pool claim: reconfigure a pre-booted microVM for a new pod.

@@ -144,7 +144,7 @@ impl GuestLayout {
 }
 
 /// Deterministic kernel-page signature the boot check verifies.
-pub fn kernel_signature(page_index: u64) -> [u8; 16] {
+pub(crate) fn kernel_signature(page_index: u64) -> [u8; 16] {
     let mut sig = [0u8; 16];
     for (i, b) in sig.iter_mut().enumerate() {
         let v = (page_index.wrapping_mul(0x9e37_79b9) ^ (i as u64).wrapping_mul(0x85eb_ca6b))

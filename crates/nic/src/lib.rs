@@ -16,6 +16,7 @@
 //!   owning guest, at the NIC's line rate.
 
 #![warn(missing_docs)]
+#![deny(clippy::unwrap_used, clippy::expect_used)]
 
 pub mod dma;
 pub mod msix;
@@ -105,7 +106,7 @@ pub type Result<T> = std::result::Result<T, NicError>;
 
 /// Returns the BDF a VF index maps to on the NIC's bus (ARI-style packing:
 /// eight functions per device number).
-pub fn vf_bdf(bus: u8, index: u16) -> Bdf {
+pub(crate) fn vf_bdf(bus: u8, index: u16) -> Bdf {
     Bdf::new(bus, (1 + index / 8) as u8, (index % 8) as u8)
 }
 

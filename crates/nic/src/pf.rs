@@ -70,7 +70,7 @@ impl AdminQueue {
     }
 
     /// Service time of one command.
-    pub fn service_for(&self, cmd: AdminCmd) -> Duration {
+    pub(crate) fn service_for(&self, cmd: AdminCmd) -> Duration {
         match cmd {
             AdminCmd::SetMac(_) | AdminCmd::SetVlan(_) => self.config_service,
             AdminCmd::EnableQueues
@@ -301,11 +301,9 @@ impl PfDriver {
     /// Creates a dummy Linux netdev carrying a VF's identity without
     /// binding the VF to any host driver (FastIOV CNI, §5).
     pub fn create_dummy_netdev(&self, id: VfId) -> Result<NetdevName> {
-        let vf = self.vf(id)?;
+        self.vf(id)?;
         self.clock.sleep(self.costs.dummy_netdev);
-        let name = NetdevName(format!("dummy-vf{}", id.0));
-        vf.with_state(|s| s.netdev = Some(name.clone()));
-        Ok(name)
+        Ok(NetdevName(format!("dummy-vf{}", id.0)))
     }
 
     /// Counter snapshot.

@@ -54,8 +54,6 @@ pub struct VfState {
     pub link_up: bool,
     /// The microVM (hypervisor PID) currently owning the VF.
     pub owner_vm: Option<u64>,
-    /// The dummy netdev that carries the VF's identity, once created.
-    pub netdev: Option<NetdevName>,
 }
 
 /// One virtual function.

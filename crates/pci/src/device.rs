@@ -166,7 +166,7 @@ impl PciDevice {
     }
 
     /// Records a function-level reset (counted for tests/diagnostics).
-    pub fn do_reset(&self) {
+    pub(crate) fn do_reset(&self) {
         self.resets.fetch_add(1, Ordering::Relaxed);
     }
 

@@ -30,6 +30,11 @@
 //!   clock's origin, expressed as a `Duration` wrapped in [`SimInstant`].
 
 #![warn(missing_docs)]
+#![allow(
+    clippy::disallowed_methods,
+    clippy::disallowed_types,
+    reason = "the one home of the raw locks, OS threads and wall-clock reads the rest of the workspace may not touch"
+)]
 
 mod channel;
 mod clock;

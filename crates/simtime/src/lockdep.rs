@@ -1001,14 +1001,6 @@ impl TrackedCondvar {
         guard.hold.restart();
     }
 
-    /// Wakes one waiter.
-    pub fn notify_one(&self) {
-        let next = self.waiters.lock().pop_front();
-        if let Some(slot) = next {
-            slot.wake();
-        }
-    }
-
     /// Wakes all waiters.
     pub fn notify_all(&self) {
         let all = std::mem::take(&mut *self.waiters.lock());

@@ -42,7 +42,7 @@ impl Rng {
     }
 
     /// The next value. An endless stream, so not an [`Iterator`].
-    #[allow(clippy::should_implement_trait)]
+    #[allow(clippy::should_implement_trait, reason = "an endless stream")]
     pub fn next(&mut self) -> u64 {
         let mut x = self.0;
         x ^= x << 13;

@@ -1,6 +1,7 @@
 //! The single sanctioned wall-clock measurement helper.
 //!
-//! Everything outside `crates/simtime` is forbidden (by `fastiov-analyze`)
+//! Everything outside `crates/simtime` is forbidden (by clippy's
+//! `disallowed-types`, configured in the workspace's `clippy.toml`)
 //! from touching `std::time::Instant`/`SystemTime` directly: mixing raw
 //! wall-clock reads with the simulation clock is how a test ends up
 //! asserting on real time where it meant simulated time, and vice versa.
@@ -44,7 +45,7 @@ impl WallStopwatch {
 
     /// Real nanoseconds elapsed, saturating at `u64::MAX` (the unit the
     /// lock statistics accumulate in).
-    pub fn elapsed_ns(&self) -> u64 {
+    pub(crate) fn elapsed_ns(&self) -> u64 {
         u64::try_from(self.start.elapsed().as_nanos()).unwrap_or(u64::MAX)
     }
 }

@@ -3,6 +3,11 @@
 //! creates.
 
 #![cfg(target_os = "linux")]
+#![allow(
+    clippy::disallowed_methods,
+    clippy::disallowed_types,
+    reason = "a simtime test: drives the executor from plain OS threads, locks and sleeps"
+)]
 
 use fastiov_simtime::Clock;
 

@@ -2,6 +2,12 @@
 //! binary of their own and take turns (`SERIAL`), so the stack of idle
 //! workers is theirs alone and the worker each task runs on is exact.
 
+#![allow(
+    clippy::disallowed_methods,
+    clippy::disallowed_types,
+    reason = "a simtime test: drives the executor from plain OS threads, locks and sleeps"
+)]
+
 use fastiov_simtime::{lockdep, spawn, Clock, LockClass, TrackedMutex};
 use std::collections::HashSet;
 use std::sync::{Mutex, MutexGuard, PoisonError};

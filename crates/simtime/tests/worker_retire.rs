@@ -3,6 +3,11 @@
 //! process, so this test has a binary of its own.
 
 #![cfg(target_os = "linux")]
+#![allow(
+    clippy::disallowed_methods,
+    clippy::disallowed_types,
+    reason = "a simtime test: drives the executor from plain OS threads, locks and sleeps"
+)]
 
 use fastiov_simtime::{spawn, Clock, WallStopwatch};
 use std::cell::RefCell;

@@ -137,7 +137,7 @@ impl VfioContainer {
     }
 
     /// Unmaps the mapping that starts at `iova`, unpinning its frames.
-    pub fn dma_unmap(&self, iova: Iova) -> Result<DmaMapping> {
+    pub(crate) fn dma_unmap(&self, iova: Iova) -> Result<DmaMapping> {
         let mapping = {
             let mut maps = self.mappings.lock();
             let idx = maps
@@ -212,6 +212,7 @@ mod tests {
     }
 
     #[test]
+    #[expect(clippy::disallowed_methods, reason = "test: a plain lock logs calls")]
     fn deferred_map_registers_dirty_frames() {
         let (mem, aspace, c) = setup();
         let hva = aspace.mmap(4 * PAGE).unwrap();
@@ -237,6 +238,7 @@ mod tests {
     }
 
     #[test]
+    #[expect(clippy::disallowed_methods, reason = "test: a plain lock counts pages")]
     fn prepopulated_pages_are_not_reregistered() {
         // Hypervisor wrote 2 pages (BIOS/kernel) before the mapping: those
         // were host-faulted (zeroed) and must not reach the registrar.

@@ -60,6 +60,7 @@ impl VfioDevice {
     }
 
     /// The devset this device belongs to.
+    #[expect(clippy::expect_used, reason = "invariant: devsets outlive devices")]
     pub fn devset(&self) -> Arc<DevSet> {
         self.devset
             .upgrade()
@@ -67,7 +68,7 @@ impl VfioDevice {
     }
 
     /// Current open count (diagnostic; takes the child lock).
-    pub fn open_count(&self) -> u32 {
+    pub(crate) fn open_count(&self) -> u32 {
         self.devset().lock.lock_child(&self.state).open_count
     }
 }

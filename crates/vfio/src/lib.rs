@@ -21,6 +21,7 @@
 //!    `fastiovd` in the full stack).
 
 #![warn(missing_docs)]
+#![deny(clippy::unwrap_used, clippy::expect_used)]
 
 pub mod container;
 pub mod devset;

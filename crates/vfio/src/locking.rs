@@ -297,6 +297,7 @@ mod tests {
     }
 
     #[test]
+    #[expect(clippy::disallowed_methods, reason = "test: OS threads race the lock")]
     fn same_child_ops_are_exclusive_under_hierarchical() {
         let lock = Arc::new(ParentChildLock::new(LockPolicy::Hierarchical, ()));
         let child = Arc::new(ChildLock::new(0u64));

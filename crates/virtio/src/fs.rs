@@ -77,7 +77,7 @@ impl VirtioFs {
     /// Guest side: reads (a prefix of) `name` into guest memory at
     /// `buf_gpa`, returning the bytes transferred. This drives the full
     /// shared-buffer protocol, including the lazy-zeroing hazard.
-    pub fn guest_read_file(&self, name: &str, buf_gpa: Gpa, buf_len: u32) -> Result<usize> {
+    pub(crate) fn guest_read_file(&self, name: &str, buf_gpa: Gpa, buf_len: u32) -> Result<usize> {
         let data = self
             .files
             .lock()
@@ -117,7 +117,7 @@ impl VirtioFs {
     /// Guest side: copies the buffer contents out through the EPT (what
     /// the application sees). Exposed separately so tests can observe
     /// corruption when `proactive_faults` is off.
-    pub fn guest_read_buffer(&self, buf_gpa: Gpa, out: &mut [u8]) -> Result<()> {
+    pub(crate) fn guest_read_buffer(&self, buf_gpa: Gpa, out: &mut [u8]) -> Result<()> {
         self.vm.read_gpa(buf_gpa, out)?;
         Ok(())
     }
@@ -178,6 +178,7 @@ mod tests {
         }
 
         /// A hook that zeroes each page of `ranges` on its first fault.
+        #[expect(clippy::disallowed_methods, reason = "test: a stand-in daemon's lock")]
         pub fn lazy_zero_hook(
             mem: &Arc<PhysMemory>,
             ranges: &[FrameRange],

@@ -11,6 +11,12 @@
 //! that `cargo bench` runs offline and the bench sources stay valid
 //! against the real criterion API.
 
+#![allow(
+    clippy::disallowed_methods,
+    clippy::disallowed_types,
+    reason = "an offline stand-in for an external crate: it times real runs on the wall clock"
+)]
+
 use std::fmt;
 use std::time::{Duration, Instant};
 

@@ -7,6 +7,12 @@
 //! every consumer in this workspace is single-threaded per channel, so
 //! the mpsc restriction never bites — and the type system enforces it.
 
+#![allow(
+    clippy::disallowed_methods,
+    clippy::disallowed_types,
+    reason = "an offline stand-in for an external crate, built on std's raw primitives"
+)]
+
 pub mod channel {
     use std::fmt;
     use std::sync::mpsc;

@@ -11,6 +11,12 @@
 //! wraps the std guard in an `Option` solely so `Condvar::wait` can move
 //! it out and back without changing the caller-visible `&mut` signature.
 
+#![allow(
+    clippy::disallowed_methods,
+    clippy::disallowed_types,
+    reason = "an offline stand-in for an external crate, built on std's raw locks"
+)]
+
 use std::fmt;
 use std::ops::{Deref, DerefMut};
 use std::sync::PoisonError;

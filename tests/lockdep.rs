@@ -58,6 +58,7 @@ fn child_before_parent_reports_both_sites() {
 }
 
 #[test]
+#[expect(clippy::disallowed_methods, reason = "test: a second clock's thread")]
 fn an_inversion_on_one_clock_leaves_another_clocks_reports_empty() {
     let _clock = Clock::new_virtual(1.0);
     let other = std::thread::spawn(|| {
@@ -141,6 +142,7 @@ fn hierarchical_200_way_wave_is_report_free() {
 }
 
 #[test]
+#[expect(clippy::disallowed_methods, reason = "test: each host needs a thread")]
 fn two_hosts_at_once_each_count_what_they_count_alone() {
     let on_a_thread = |b| std::thread::spawn(move || witnessed_wave(b));
     let alone = [Baseline::Vanilla, Baseline::FastIov].map(|b| on_a_thread(b).join().unwrap());

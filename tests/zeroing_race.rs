@@ -31,6 +31,7 @@ const TOTAL_FRAMES: usize = (WORKERS as usize) * ROUNDS * PAGES_PER_ROUND;
 /// - nothing left tracked after unregister, and every frame returns to
 ///   the free list at the end.
 #[test]
+#[expect(clippy::disallowed_methods, reason = "test: threads race the daemon")]
 fn register_fault_scrub_unregister_race() {
     let clock = Clock::with_scale(1e-5);
     let costs = MemCosts::for_tests(clock.clone());
