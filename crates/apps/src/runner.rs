@@ -314,7 +314,7 @@ fn download(
 mod tests {
     use super::*;
     use crate::workloads::AppKind;
-    use fastiov_cni::{FastIovCni, IpvtapCni, SriovCniFixed, VfPool};
+    use fastiov_cni::VfPool;
     use fastiov_engine::{EngineParams, PodNetworking, VmOptions};
     use fastiov_hostmem::addr::units::mib;
     use fastiov_microvm::{Host, HostParams};
@@ -324,23 +324,12 @@ mod tests {
         let host = Host::new(HostParams::for_tests(), LockPolicy::Hierarchical).unwrap();
         host.prebind_all_vfs().unwrap();
         let vfs = VfPool::new(host.pf.vf_count() as u16);
-        let (plugin, opts): (Arc<dyn fastiov_cni::CniPlugin>, VmOptions) = if fast {
-            (
-                Arc::new(FastIovCni::new(vfs)),
-                VmOptions::fastiov(mib(64), mib(32)),
-            )
+        let opts = if fast {
+            VmOptions::fastiov(mib(64), mib(32))
         } else {
-            (
-                Arc::new(SriovCniFixed::new(vfs)),
-                VmOptions::vanilla(mib(64), mib(32)),
-            )
+            VmOptions::vanilla(mib(64), mib(32))
         };
-        Engine::new(
-            host,
-            EngineParams::paper(),
-            PodNetworking::Sriov(plugin),
-            opts,
-        )
+        Engine::new(host, EngineParams::paper(), PodNetworking::Sriov(vfs), opts)
     }
 
     fn small_params() -> TaskParams {
@@ -418,7 +407,7 @@ mod tests {
         let engine = Engine::new(
             host,
             EngineParams::paper(),
-            PodNetworking::Software(Arc::new(IpvtapCni::new(fastiov_cni::CniParams::paper()))),
+            PodNetworking::Ipvtap,
             VmOptions::vanilla(mib(64), mib(32)),
         );
         let storage = Arc::new(StorageServer::new());

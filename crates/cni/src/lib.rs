@@ -1,21 +1,18 @@
-//! Container Network Interface plugins.
+//! Container Network Interface flows: the `t_config` step of Fig. 4.
 //!
-//! Three plugins are implemented, matching the paper's baselines:
+//! Two flows are implemented, matching the paper's baselines:
 //!
-//! - [`SriovCniFixed`] — the paper's fairness fix (§5) to the upstream
-//!   SR-IOV CNI (reference \[23\]), which binds each VF to the host
-//!   network driver on every launch and leaves the runtime to rebind it to
-//!   VFIO: here VFs stay bound to VFIO from boot, and a cheap dummy netdev
-//!   carries the interface identity and IP configuration into the
-//!   container NNS. This is the *vanilla* baseline of every measurement;
-//!   the upstream plugin is not modelled.
-//! - [`FastIovCni`] — the fixed flow plus FastIOV metadata: it tells the
-//!   hypervisor which memory region to skip (the image) and requests
-//!   decoupled zeroing and asynchronous VF driver initialization. The
-//!   kernel-side mechanisms live in `fastiovd`/KVM/VFIO; the plugin's job
-//!   is plumbing the policy (Fig. 7, Fig. 10).
-//! - [`IpvtapCni`] — the fastest basic software CNI (§6.4): no
-//!   passthrough at all; a kernel virtual device whose creation contends
+//! - [`sriov_setup`]: the SR-IOV flow with the paper's fairness fix (§5)
+//!   to the upstream SR-IOV CNI (reference \[23\]). VFs stay bound to VFIO
+//!   from boot, and a cheap dummy netdev carries the interface identity
+//!   and IP configuration into the container NNS. The vanilla baseline and
+//!   every FastIOV baseline share it: the FastIOV CNI adds only policy
+//!   (skip region, decoupled zeroing, asynchronous VF init), which travels
+//!   in the microVM configuration the runtime builds (Fig. 7, Fig. 10).
+//!   The upstream flow, which rebinds each VF to the host network driver
+//!   on every launch, is not modelled.
+//! - [`ipvtap_setup`]: the fastest basic software CNI (§6.4). No
+//!   passthrough at all: a kernel virtual device whose creation contends
 //!   on the rtnl lock (`addCNI`), with an emulated virtio-net data plane.
 
 #![warn(missing_docs)]
@@ -24,9 +21,7 @@ pub mod nns;
 pub mod plugin;
 
 pub use nns::{Nns, NnsRegistry, RtnlLock};
-pub use plugin::{
-    CniParams, CniPlugin, CniResult, FastIovCni, IpvtapCni, PodNetSpec, SriovCniFixed, VfPool,
-};
+pub use plugin::{ipvtap_setup, sriov_setup, CniResult, PodNetSpec, VfPool};
 
 use fastiov_nic::NicError;
 use fastiov_vfio::VfioError;

@@ -1,4 +1,4 @@
-//! The CNI plugin implementations.
+//! The two CNI flows: SR-IOV passthrough and the IPvtap software device.
 
 use crate::nns::{Nns, NnsRegistry};
 use crate::{CniError, Result};
@@ -10,33 +10,19 @@ use std::collections::BTreeSet;
 use std::sync::Arc;
 use std::time::Duration;
 
-/// Cost parameters of the software CNI, separate from [`Host`] hardware
-/// parameters (the namespace and rtnl costs every plugin shares are the
-/// engine's).
-#[derive(Debug, Clone, Copy)]
-pub struct CniParams {
-    /// rtnl hold while creating an ipvtap device — the dominant `addCNI`
-    /// serialization of the software CNI (§6.4).
-    pub ipvtap_create_hold: Duration,
-    /// Non-serialized part of ipvtap device setup.
-    pub ipvtap_setup: Duration,
-}
+/// rtnl hold while creating an ipvtap device: the serialized part of the
+/// software CNI's `addCNI` (§6.4). Fitted together with [`IPVTAP_SETUP`]
+/// so that `addCNI` averages ≈ 3 s at concurrency 200 (Fig. 14).
+const IPVTAP_CREATE_HOLD: Duration = Duration::from_millis(30);
 
-impl CniParams {
-    /// Paper-calibrated costs: `addCNI` averages ≈ 3 s at concurrency 200
-    /// through rtnl serialization (Fig. 14).
-    pub fn paper() -> Self {
-        CniParams {
-            ipvtap_create_hold: Duration::from_millis(30),
-            ipvtap_setup: Duration::from_millis(60),
-        }
-    }
-}
+/// Kernel work of ipvtap device setup outside rtnl; see
+/// [`IPVTAP_CREATE_HOLD`].
+const IPVTAP_SETUP: Duration = Duration::from_millis(60);
 
 /// The host's free VFs: what the SR-IOV device plugin (`sriovdp`,
 /// reference \[22\]) advertises to the kubelet, which pins one to each pod
-/// before the CNI plugin configures it (Fig. 4). The SR-IOV plugins and
-/// the warm pool share one, so allocations stay globally consistent.
+/// before the CNI plugin configures it (Fig. 4). SR-IOV and vDPA pods
+/// and the warm pool share one, so allocations stay globally consistent.
 pub struct VfPool {
     free: TrackedMutex<BTreeSet<u16>>,
 }
@@ -90,6 +76,23 @@ pub enum CniResult {
     },
 }
 
+impl CniResult {
+    /// The passed-through VF, if any.
+    pub fn vf(&self) -> Option<VfId> {
+        match self {
+            CniResult::Passthrough { vf, .. } => Some(*vf),
+            CniResult::Software { .. } => None,
+        }
+    }
+
+    /// The interface the runtime looks for in the pod's namespace.
+    pub fn netdev(&self) -> &NetdevName {
+        match self {
+            CniResult::Passthrough { netdev, .. } | CniResult::Software { netdev, .. } => netdev,
+        }
+    }
+}
+
 /// Identity of the pod being networked.
 #[derive(Debug, Clone, Copy)]
 pub struct PodNetSpec {
@@ -106,35 +109,21 @@ impl PodNetSpec {
     }
 }
 
-/// A CNI plugin: the `t_config` step of Fig. 4.
-pub trait CniPlugin: Send + Sync {
-    /// Plugin name (reporting).
-    fn name(&self) -> &'static str;
-
-    /// Sets up networking for a pod inside `nns`.
-    fn setup(
-        &self,
-        host: &Arc<Host>,
-        spec: &PodNetSpec,
-        nns: &Nns,
-        registry: &NnsRegistry,
-        log: &mut StageLog,
-    ) -> Result<CniResult>;
-
-    /// Releases what `setup` created.
-    fn teardown(&self, host: &Arc<Host>, result: &CniResult) -> Result<()>;
-}
-
-/// Shared SR-IOV configuration flow: VF parameters via the PF, an
-/// interface in the NNS, addresses on it.
-fn sriov_common(
-    host: &Arc<Host>,
+/// The SR-IOV CNI flow (§5) that the vanilla and every FastIOV baseline
+/// share, for the VF the device plugin took from the [`VfPool`]: set its
+/// MAC and VLAN through the PF, and move a dummy netdev carrying its
+/// identity into `nns` with the pod's address. VFs stay bound to VFIO
+/// from boot, so the flow binds no driver. FastIOV's policy (skip region,
+/// decoupled zeroing, asynchronous VF init) travels in the microVM
+/// configuration, not here (Fig. 10). Teardown returns the VF to the
+/// pool.
+pub fn sriov_setup(
+    host: &Host,
     spec: &PodNetSpec,
     nns: &Nns,
     registry: &NnsRegistry,
-    vfs: &VfPool,
+    vf: VfId,
 ) -> Result<CniResult> {
-    let vf = vfs.allocate()?;
     let vf_ref = host.pf.vf(vf)?;
     // VF parameter setup through the PF (MAC + VLAN).
     host.pf
@@ -150,126 +139,28 @@ fn sriov_common(
     Ok(CniResult::Passthrough { vf, netdev, ip })
 }
 
-/// The fixed SR-IOV CNI (§5): VFs pre-bound to VFIO once; dummy netdevs
-/// carry identity and configuration. The paper's *vanilla* baseline.
-pub struct SriovCniFixed {
-    vfs: Arc<VfPool>,
-}
-
-impl SriovCniFixed {
-    /// Creates the plugin over the host's VF pool.
-    pub fn new(vfs: Arc<VfPool>) -> Self {
-        SriovCniFixed { vfs }
-    }
-}
-
-impl CniPlugin for SriovCniFixed {
-    fn name(&self) -> &'static str {
-        "sriov-fixed"
-    }
-
-    fn setup(
-        &self,
-        host: &Arc<Host>,
-        spec: &PodNetSpec,
-        nns: &Nns,
-        registry: &NnsRegistry,
-        _log: &mut StageLog,
-    ) -> Result<CniResult> {
-        sriov_common(host, spec, nns, registry, &self.vfs)
-    }
-
-    fn teardown(&self, _host: &Arc<Host>, result: &CniResult) -> Result<()> {
-        if let CniResult::Passthrough { vf, .. } = result {
-            self.vfs.release(*vf);
-        }
-        Ok(())
-    }
-}
-
-/// The FastIOV CNI plugin (Fig. 10): the fixed flow, plus it notifies the
-/// hypervisor of the skip region and requests the FastIOV kernel-side
-/// optimizations. Those policies are carried in the microVM configuration
-/// the runtime builds; the network-side flow is identical to
-/// [`SriovCniFixed`].
-pub struct FastIovCni {
-    vfs: Arc<VfPool>,
-}
-
-impl FastIovCni {
-    /// Creates the plugin over the host's VF pool.
-    pub fn new(vfs: Arc<VfPool>) -> Self {
-        FastIovCni { vfs }
-    }
-}
-
-impl CniPlugin for FastIovCni {
-    fn name(&self) -> &'static str {
-        "fastiov"
-    }
-
-    fn setup(
-        &self,
-        host: &Arc<Host>,
-        spec: &PodNetSpec,
-        nns: &Nns,
-        registry: &NnsRegistry,
-        _log: &mut StageLog,
-    ) -> Result<CniResult> {
-        sriov_common(host, spec, nns, registry, &self.vfs)
-    }
-
-    fn teardown(&self, _host: &Arc<Host>, result: &CniResult) -> Result<()> {
-        if let CniResult::Passthrough { vf, .. } = result {
-            self.vfs.release(*vf);
-        }
-        Ok(())
-    }
-}
-
-/// The IPvtap software CNI (§6.4): a kernel virtual device, rtnl-heavy to
-/// create, with an emulated data plane.
-pub struct IpvtapCni {
-    params: CniParams,
-}
-
-impl IpvtapCni {
-    /// Creates the plugin.
-    pub fn new(params: CniParams) -> Self {
-        IpvtapCni { params }
-    }
-}
-
-impl CniPlugin for IpvtapCni {
-    fn name(&self) -> &'static str {
-        "ipvtap"
-    }
-
-    fn setup(
-        &self,
-        host: &Arc<Host>,
-        spec: &PodNetSpec,
-        nns: &Nns,
-        registry: &NnsRegistry,
-        log: &mut StageLog,
-    ) -> Result<CniResult> {
-        let netdev = log.stage(stages::ADD_CNI, || {
-            // Device creation: kernel work plus the rtnl-serialized
-            // section.
-            host.clock.sleep(self.params.ipvtap_setup);
-            registry.rtnl().with(self.params.ipvtap_create_hold, || {
-                NetdevName(format!("ipvtap{}", spec.index))
-            })
-        });
-        registry.move_into(nns, netdev.clone());
-        let ip = spec.ip();
-        registry.configure_ip(nns, ip);
-        Ok(CniResult::Software { netdev, ip })
-    }
-
-    fn teardown(&self, _host: &Arc<Host>, _result: &CniResult) -> Result<()> {
-        Ok(())
-    }
+/// The IPvtap software CNI flow (§6.4): a kernel virtual device whose
+/// creation contends on rtnl, recorded as the `addCNI` stage, with an
+/// emulated data plane. The device goes with the namespace, so there is
+/// no teardown.
+pub fn ipvtap_setup(
+    host: &Host,
+    spec: &PodNetSpec,
+    nns: &Nns,
+    registry: &NnsRegistry,
+    log: &mut StageLog,
+) -> CniResult {
+    let netdev = log.stage(stages::ADD_CNI, || {
+        // Device creation: kernel work plus the rtnl-serialized section.
+        host.clock.sleep(IPVTAP_SETUP);
+        registry.rtnl().with(IPVTAP_CREATE_HOLD, || {
+            NetdevName(format!("ipvtap{}", spec.index))
+        })
+    });
+    registry.move_into(nns, netdev.clone());
+    let ip = spec.ip();
+    registry.configure_ip(nns, ip);
+    CniResult::Software { netdev, ip }
 }
 
 #[cfg(test)]
@@ -324,15 +215,11 @@ mod tests {
     }
 
     #[test]
-    fn fixed_plugin_uses_dummy_netdev() {
+    fn sriov_flow_uses_dummy_netdev() {
         let (host, registry, vfs) = setup();
-        let plugin = SriovCniFixed::new(Arc::clone(&vfs));
         let spec = PodNetSpec { pid: 1, index: 0 };
         let nns = registry.create(1);
-        let mut log = StageLog::begin(&host.tracer);
-        let r = plugin
-            .setup(&host, &spec, &nns, &registry, &mut log)
-            .unwrap();
+        let r = sriov_setup(&host, &spec, &nns, &registry, vfs.allocate().unwrap()).unwrap();
         match &r {
             CniResult::Passthrough { vf, netdev, ip } => {
                 assert!(netdev.0.starts_with("dummy-vf"));
@@ -346,20 +233,17 @@ mod tests {
             }
             other => panic!("unexpected result {other:?}"),
         }
-        plugin.teardown(&host, &r).unwrap();
+        vfs.release(r.vf().unwrap());
         assert_eq!(vfs.available(), 16);
     }
 
     #[test]
-    fn ipvtap_plugin_creates_software_device_and_logs_addcni() {
+    fn ipvtap_flow_creates_software_device_and_logs_addcni() {
         let (host, registry, _) = setup();
-        let plugin = IpvtapCni::new(CniParams::paper());
         let spec = PodNetSpec { pid: 3, index: 7 };
         let nns = registry.create(3);
         let mut log = StageLog::begin(&host.tracer);
-        let r = plugin
-            .setup(&host, &spec, &nns, &registry, &mut log)
-            .unwrap();
+        let r = ipvtap_setup(&host, &spec, &nns, &registry, &mut log);
         match &r {
             CniResult::Software { netdev, .. } => {
                 assert_eq!(netdev.0, "ipvtap7");

@@ -1,6 +1,6 @@
 //! The experiment baselines of §6.1 and how each is assembled.
 
-use fastiov_cni::{CniParams, CniPlugin, FastIovCni, IpvtapCni, SriovCniFixed, VfPool};
+use fastiov_cni::VfPool;
 use fastiov_engine::{PodNetworking, VmOptions};
 use fastiov_microvm::{Host, ZeroingMode};
 use fastiov_vfio::LockPolicy;
@@ -99,50 +99,22 @@ impl Baseline {
         opts
     }
 
-    /// Builds the pod networking (CNI plugin) for this baseline on `host`,
-    /// pre-binding VFs where the fixed flow requires it, and returns the
-    /// VF pool the plugin draws from (when there is one), so the warm pool
-    /// can share it and allocations stay globally consistent.
-    pub fn networking(
-        self,
-        host: &Arc<Host>,
-    ) -> fastiov_microvm::Result<(PodNetworking, Option<Arc<VfPool>>)> {
-        let vf_pool = || VfPool::new(host.pf.vf_count() as u16);
+    /// Builds the pod networking for this baseline on `host`, pre-binding
+    /// VFs where the SR-IOV flow requires it. A warm pool shares the VF
+    /// pool ([`PodNetworking::vf_pool`]), so allocations stay globally
+    /// consistent.
+    pub fn networking(self, host: &Arc<Host>) -> fastiov_microvm::Result<PodNetworking> {
         Ok(match self {
-            Baseline::NoNet => (PodNetworking::None, None),
-            Baseline::Ipvtap => (
-                PodNetworking::Software(Arc::new(IpvtapCni::new(CniParams::paper()))),
-                None,
-            ),
-            Baseline::Vanilla | Baseline::Prezero(_) => {
-                host.prebind_all_vfs()?;
-                let vfs = vf_pool();
-                (
-                    PodNetworking::Sriov(
-                        Arc::new(SriovCniFixed::new(Arc::clone(&vfs))) as Arc<dyn CniPlugin>
-                    ),
-                    Some(vfs),
-                )
-            }
-            Baseline::FastIovVdpa => {
-                host.prebind_all_vfs()?;
-                let vfs = vf_pool();
-                (
-                    PodNetworking::Vdpa(
-                        Arc::new(FastIovCni::new(Arc::clone(&vfs))) as Arc<dyn CniPlugin>
-                    ),
-                    Some(vfs),
-                )
-            }
+            Baseline::NoNet => PodNetworking::None,
+            Baseline::Ipvtap => PodNetworking::Ipvtap,
             _ => {
                 host.prebind_all_vfs()?;
-                let vfs = vf_pool();
-                (
-                    PodNetworking::Sriov(
-                        Arc::new(FastIovCni::new(Arc::clone(&vfs))) as Arc<dyn CniPlugin>
-                    ),
-                    Some(vfs),
-                )
+                let vfs = VfPool::new(host.pf.vf_count() as u16);
+                if self == Baseline::FastIovVdpa {
+                    PodNetworking::Vdpa(vfs)
+                } else {
+                    PodNetworking::Sriov(vfs)
+                }
             }
         })
     }

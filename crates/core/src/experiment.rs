@@ -74,7 +74,7 @@ impl ExperimentConfig {
 
     /// Builds the host + engine pair for this configuration. For
     /// [`Baseline::WarmPool`], also constructs the warm pool — sharing
-    /// the CNI plugin's VF pool — and prefills it before any pod
+    /// the SR-IOV flow's VF pool — and prefills it before any pod
     /// arrives.
     pub fn build(&self) -> Result<(Arc<Host>, Arc<Engine>)> {
         let host = Host::with_faults(
@@ -87,14 +87,14 @@ impl ExperimentConfig {
         if frac > 0.0 {
             host.mem.prezero_pass(frac);
         }
-        let (networking, vfs) = self.baseline.networking(&host).map_err(Error::Host)?;
-        let pool = match (self.baseline.pool_capacity(), vfs) {
+        let networking = self.baseline.networking(&host).map_err(Error::Host)?;
+        let pool = match (self.baseline.pool_capacity(), networking.vf_pool()) {
             (Some(capacity), Some(vfs)) => {
                 let mut params = PoolParams::new(capacity, self.ram_bytes, self.image_bytes);
                 if let Some(watermark) = self.pool_watermark {
                     params.low_watermark = watermark;
                 }
-                let pool = WarmPool::new(Arc::clone(&host), vfs, params);
+                let pool = WarmPool::new(Arc::clone(&host), Arc::clone(vfs), params);
                 pool.prefill();
                 Some(pool)
             }
@@ -263,6 +263,7 @@ mod tests {
             Baseline::FastIov,
             Baseline::Prezero(100),
             Baseline::Ipvtap,
+            Baseline::FastIovVdpa,
         ] {
             let run = run_startup_experiment(&ExperimentConfig::smoke(b, 3)).unwrap();
             assert_eq!(run.reports.len(), 3, "{b}");

@@ -19,8 +19,6 @@ use std::time::Duration;
 pub struct MemPerfResult {
     /// The baseline measured.
     pub baseline: Baseline,
-    /// Modelled time of the first (cold, faulting) sweep.
-    pub cold_sweep: Duration,
     /// Modelled time of one steady-state sweep.
     pub steady_sweep: Duration,
     /// Modelled time of the random-read pass.
@@ -55,15 +53,14 @@ pub fn run_memperf(
     let block = 2048u64;
     let faults_before = vm.stats().ept_faults;
     let zeroed_before = host.fastiovd.stats().lazily_zeroed;
-    let page = host.params.page_size.bytes();
     let copy_bw = host.params.membw_stream_cap;
 
     // Cold sweep: writes the whole range once — this is where first
     // touches (EPT faults, and under decoupled zeroing the lazy page
-    // zeroing) happen. The model actually executes the accesses; the
-    // reported durations are *model-exact* charges computed from the
-    // observed event counts, so they carry no host-side measurement
-    // noise.
+    // zeroing) happen, so the steady sweeps below fault no more. The
+    // model actually executes the accesses; the reported durations are
+    // *model-exact* charges computed from the observed event counts, so
+    // they carry no host-side measurement noise.
     let payload = vec![0xa5u8; block as usize];
     let mut off = 0;
     while off < sweep_bytes {
@@ -72,11 +69,7 @@ pub fn run_memperf(
         off += block;
     }
     let cold_faults = vm.stats().ept_faults - faults_before;
-    let cold_zeroed = host.fastiovd.stats().lazily_zeroed - zeroed_before;
     let copy_time = Duration::from_secs_f64(sweep_bytes as f64 / copy_bw);
-    let cold_sweep = copy_time
-        + host.params.ept_fault * cold_faults as u32
-        + Duration::from_secs_f64(cold_zeroed as f64 * page as f64 / copy_bw);
 
     // Steady-state sweeps: every page is mapped, so the charge is the
     // plain copy time, identical by construction across zeroing modes —
@@ -112,7 +105,6 @@ pub fn run_memperf(
 
     let result = MemPerfResult {
         baseline,
-        cold_sweep,
         steady_sweep,
         random_reads,
         ept_faults: vm.stats().ept_faults - faults_before,

@@ -4,7 +4,9 @@ use crate::cgroup::CgroupManager;
 use crate::recovery;
 use crate::stats::Summary;
 use crate::{LaunchError, Result};
-use fastiov_cni::{CniPlugin, CniResult, NnsRegistry, PodNetSpec, RtnlLock};
+use fastiov_cni::{
+    ipvtap_setup, sriov_setup, CniResult, NnsRegistry, PodNetSpec, RtnlLock, VfPool,
+};
 use fastiov_faults::sites;
 use fastiov_microvm::{stages, Host, Microvm, MicrovmConfig, NetworkAttachment, ZeroingMode};
 use fastiov_pool::{WarmPool, WarmVm};
@@ -88,17 +90,28 @@ impl VmOptions {
     }
 }
 
-/// How pods get networked.
+/// How pods get networked: which CNI flow runs and what the runtime
+/// attaches to the microVM.
 pub enum PodNetworking {
     /// No network (baseline lower bound).
     None,
-    /// SR-IOV passthrough via the given plugin.
-    Sriov(Arc<dyn CniPlugin>),
-    /// Software CNI via the given plugin.
-    Software(Arc<dyn CniPlugin>),
-    /// vDPA-mediated VF (§7): hardware data plane, standard virtio
-    /// control plane in the guest.
-    Vdpa(Arc<dyn CniPlugin>),
+    /// SR-IOV passthrough of a VF from the given pool.
+    Sriov(Arc<VfPool>),
+    /// vDPA-mediated VF from the given pool (§7): the SR-IOV flow and
+    /// hardware data plane, standard virtio control plane in the guest.
+    Vdpa(Arc<VfPool>),
+    /// The IPvtap software CNI with an emulated virtio-net device.
+    Ipvtap,
+}
+
+impl PodNetworking {
+    /// The VF pool the SR-IOV flow draws from, when pods get a VF.
+    pub fn vf_pool(&self) -> Option<&Arc<VfPool>> {
+        match self {
+            PodNetworking::Sriov(vfs) | PodNetworking::Vdpa(vfs) => Some(vfs),
+            PodNetworking::None | PodNetworking::Ipvtap => None,
+        }
+    }
 }
 
 /// The measured outcome of one container startup.
@@ -475,52 +488,47 @@ impl Engine {
         // Containerd: isolated network namespace.
         let nns = self.nns.create(pid);
 
-        // CNI plugin (t_config).
+        // CNI plugin (t_config), and the device the runtime attaches for
+        // what it set up (t_attach).
         let spec = PodNetSpec { pid, index };
-        let cni_result = match &self.networking {
-            PodNetworking::None => None,
-            PodNetworking::Sriov(plugin)
-            | PodNetworking::Software(plugin)
-            | PodNetworking::Vdpa(plugin) => Some(
-                plugin
-                    .setup(&self.host, &spec, &nns, &self.nns, &mut log)
-                    .map_err(LaunchError::Cni)?,
+        let (cni, attachment) = match &self.networking {
+            PodNetworking::None => (None, NetworkAttachment::None),
+            PodNetworking::Sriov(vfs) | PodNetworking::Vdpa(vfs) => {
+                // The device plugin pins a VF to the pod; the CNI
+                // configures it.
+                let vf = vfs.allocate().map_err(LaunchError::Cni)?;
+                let cni = sriov_setup(&self.host, &spec, &nns, &self.nns, vf)
+                    .map_err(LaunchError::Cni)?;
+                let attachment = if matches!(self.networking, PodNetworking::Vdpa(_)) {
+                    NetworkAttachment::Vdpa(vf)
+                } else {
+                    NetworkAttachment::Passthrough(vf)
+                };
+                (Some(cni), attachment)
+            }
+            PodNetworking::Ipvtap => (
+                Some(ipvtap_setup(&self.host, &spec, &nns, &self.nns, &mut log)),
+                NetworkAttachment::SoftwareVirtio,
             ),
         };
 
         // Container runtime (t_attach): verify the interface, launch.
-        let attachment = match &cni_result {
-            None => NetworkAttachment::None,
-            Some(CniResult::Software { netdev, .. }) => {
-                if !nns.has_interface(netdev) {
-                    return Err(LaunchError::InterfaceMissing(netdev.0.clone()));
-                }
-                NetworkAttachment::SoftwareVirtio
+        if let Some(netdev) = cni.as_ref().map(CniResult::netdev) {
+            if !nns.has_interface(netdev) {
+                return Err(LaunchError::InterfaceMissing(netdev.0.clone()));
             }
-            Some(CniResult::Passthrough { vf, netdev, .. }) => {
-                if !nns.has_interface(netdev) {
-                    return Err(LaunchError::InterfaceMissing(netdev.0.clone()));
-                }
-                if matches!(self.networking, PodNetworking::Vdpa(_)) {
-                    NetworkAttachment::Vdpa(*vf)
-                } else {
-                    NetworkAttachment::Passthrough(*vf)
-                }
-            }
-        };
+        }
 
         let cfg = MicrovmConfig {
             pid,
             ram_bytes: self.vm_options.ram_bytes,
             image_bytes: self.vm_options.image_bytes,
-            zeroing: if attachment == NetworkAttachment::None
-                || matches!(attachment, NetworkAttachment::SoftwareVirtio)
-            {
+            zeroing: if self.networking.vf_pool().is_some() {
+                self.vm_options.zeroing
+            } else {
                 // Without passthrough there is no eager DMA allocation;
                 // the host's natural lazy zeroing applies.
                 ZeroingMode::Eager
-            } else {
-                self.vm_options.zeroing
             },
             skip_image_mapping: self.vm_options.skip_image_mapping,
             async_vf_init: self.vm_options.async_vf_init,
@@ -533,15 +541,7 @@ impl Engine {
                 // entries); release the frames and what the pod set up
                 // around the VM, so the host stays reusable.
                 self.host.mem.release_owner(pid);
-                if let (
-                    Some(result),
-                    PodNetworking::Sriov(plugin)
-                    | PodNetworking::Software(plugin)
-                    | PodNetworking::Vdpa(plugin),
-                ) = (&cni_result, &self.networking)
-                {
-                    let _ = plugin.teardown(&self.host, result);
-                }
+                self.release_vf(cni.as_ref());
                 let _ = self.nns.destroy(pid);
                 self.cgroups.remove(pid);
                 return Err(LaunchError::Vmm(e));
@@ -555,7 +555,7 @@ impl Engine {
         Ok(PodHandle {
             index,
             vm,
-            cni: cni_result,
+            cni,
             pool_pid: None,
             report: StartupReport {
                 index,
@@ -586,20 +586,18 @@ impl Engine {
             }
         }
         pod.vm.shutdown()?;
-        if let (
-            Some(result),
-            PodNetworking::Sriov(plugin)
-            | PodNetworking::Software(plugin)
-            | PodNetworking::Vdpa(plugin),
-        ) = (&pod.cni, &self.networking)
-        {
-            plugin
-                .teardown(&self.host, result)
-                .map_err(LaunchError::Cni)?;
-        }
+        self.release_vf(pod.cni.as_ref());
         self.nns.destroy(pid).map_err(LaunchError::Cni)?;
         self.cgroups.remove(pid);
         Ok(())
+    }
+
+    /// The SR-IOV flow's teardown: returns the pod's VF, if it got one,
+    /// to the pool it came from.
+    fn release_vf(&self, cni: Option<&CniResult>) {
+        if let (Some(vfs), Some(vf)) = (self.networking.vf_pool(), cni.and_then(CniResult::vf)) {
+            vfs.release(vf);
+        }
     }
 
     /// `crictl`-style concurrent startup of `n` pods, one simulation
@@ -646,7 +644,6 @@ impl Engine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fastiov_cni::{FastIovCni, IpvtapCni, SriovCniFixed, VfPool};
     use fastiov_hostmem::addr::units::mib;
     use fastiov_microvm::HostParams;
     use fastiov_vfio::LockPolicy;
@@ -657,22 +654,15 @@ mod tests {
 
     fn sriov_engine(host: &Arc<Host>, fast: bool) -> Arc<Engine> {
         host.prebind_all_vfs().unwrap();
-        let vfs = VfPool::new(host.pf.vf_count() as u16);
-        let (plugin, opts): (Arc<dyn CniPlugin>, VmOptions) = if fast {
-            (
-                Arc::new(FastIovCni::new(vfs)),
-                VmOptions::fastiov(mib(64), mib(32)),
-            )
+        let opts = if fast {
+            VmOptions::fastiov(mib(64), mib(32))
         } else {
-            (
-                Arc::new(SriovCniFixed::new(vfs)),
-                VmOptions::vanilla(mib(64), mib(32)),
-            )
+            VmOptions::vanilla(mib(64), mib(32))
         };
         Engine::new(
             Arc::clone(host),
             EngineParams::paper(),
-            PodNetworking::Sriov(plugin),
+            PodNetworking::Sriov(VfPool::new(host.pf.vf_count() as u16)),
             opts,
         )
     }
@@ -726,32 +716,45 @@ mod tests {
     }
 
     #[test]
-    fn no_network_pods_have_no_vf_stages() {
-        let host = host(LockPolicy::Coarse);
-        let engine = Engine::new(
-            Arc::clone(&host),
-            EngineParams::paper(),
+    fn every_networking_variant_attaches_its_device_and_returns_its_vf() {
+        let host = host(LockPolicy::Hierarchical);
+        host.prebind_all_vfs().unwrap();
+        let pool = || VfPool::new(4);
+        for networking in [
             PodNetworking::None,
-            VmOptions::vanilla(mib(64), mib(32)),
-        );
-        let pod = engine.run_pod(0).unwrap();
-        assert_eq!(pod.report.vf_related(), Duration::ZERO);
-        engine.teardown_pod(&pod).unwrap();
-    }
-
-    #[test]
-    fn software_cni_pods_record_addcni() {
-        let host = host(LockPolicy::Coarse);
-        let engine = Engine::new(
-            Arc::clone(&host),
-            EngineParams::paper(),
-            PodNetworking::Software(Arc::new(IpvtapCni::new(fastiov_cni::CniParams::paper()))),
-            VmOptions::vanilla(mib(64), mib(32)),
-        );
-        let pod = engine.run_pod(0).unwrap();
-        assert!(pod.report.stage_total(stages::ADD_CNI) > Duration::ZERO);
-        assert_eq!(pod.report.vf_related(), Duration::ZERO);
-        engine.teardown_pod(&pod).unwrap();
+            PodNetworking::Sriov(pool()),
+            PodNetworking::Vdpa(pool()),
+            PodNetworking::Ipvtap,
+        ] {
+            let (has_vf, has_virtio_net, has_add_cni) = match &networking {
+                PodNetworking::None => (false, false, false),
+                PodNetworking::Sriov(_) => (true, false, false),
+                PodNetworking::Vdpa(_) => (true, true, false),
+                PodNetworking::Ipvtap => (false, true, true),
+            };
+            let vfs = networking.vf_pool().cloned();
+            let engine = Engine::new(
+                Arc::clone(&host),
+                EngineParams::paper(),
+                networking,
+                VmOptions::fastiov(mib(64), mib(32)),
+            );
+            let pod = engine.run_pod(0).unwrap();
+            assert_eq!(pod.vm.vf().is_some(), has_vf);
+            assert_eq!(pod.vm.virtio_net().is_some(), has_virtio_net);
+            assert_eq!(pod.report.vf_related() > Duration::ZERO, has_vf);
+            let add_cni = pod.report.stage_total(stages::ADD_CNI);
+            assert_eq!(add_cni > Duration::ZERO, has_add_cni);
+            if let Some(vfs) = &vfs {
+                assert_eq!(vfs.available(), 3);
+            }
+            engine.teardown_pod(&pod).unwrap();
+            assert!(engine.nns().is_empty());
+            if let Some(vfs) = &vfs {
+                assert_eq!(vfs.available(), 4);
+            }
+        }
+        assert!(host.clock.is_virtual());
     }
 
     fn pooled_engine(host: &Arc<Host>, capacity: usize) -> Arc<Engine> {
@@ -766,7 +769,7 @@ mod tests {
         Engine::with_pool(
             Arc::clone(host),
             EngineParams::paper(),
-            PodNetworking::Sriov(Arc::new(FastIovCni::new(vfs))),
+            PodNetworking::Sriov(vfs),
             VmOptions::fastiov(mib(64), mib(32)),
             Some(pool),
         )

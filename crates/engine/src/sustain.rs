@@ -75,7 +75,7 @@ impl Engine {
 mod tests {
     use super::*;
     use crate::engine::{EngineParams, PodNetworking, VmOptions};
-    use fastiov_cni::{CniPlugin, FastIovCni, VfPool};
+    use fastiov_cni::VfPool;
     use fastiov_hostmem::addr::units::mib;
     use fastiov_microvm::{Host, HostParams};
     use fastiov_vfio::LockPolicy;
@@ -88,7 +88,7 @@ mod tests {
         let engine = Engine::new(
             Arc::clone(&host),
             EngineParams::paper(),
-            PodNetworking::Sriov(Arc::new(FastIovCni::new(Arc::clone(&vfs))) as Arc<dyn CniPlugin>),
+            PodNetworking::Sriov(Arc::clone(&vfs)),
             VmOptions::fastiov(mib(64), mib(32)),
         );
         let outcome = engine.run_sustained(SustainedConfig {

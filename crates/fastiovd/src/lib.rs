@@ -2,7 +2,7 @@
 //!
 //! Implements decoupled (lazy) zeroing for passthrough-enabled microVMs:
 //!
-//! - a **two-tier table**: PID → (HPA page → page info), populated by
+//! - a **two-tier table**: PID → (HPA page → frame), populated by
 //!   the VFIO DMA-map path when it allocates guest pages *without* zeroing
 //!   them. The second tier is the paper's hash table; the first is
 //!   ordered, so a scrub sweep visits VMs in a repeatable order;
@@ -23,27 +23,18 @@
 use fastiov_faults::{sites, FaultPlane};
 use fastiov_hostmem::{FrameId, FrameRange, Hpa, PhysMemory};
 use fastiov_kvm::EptFaultHook;
-use fastiov_simtime::{Clock, LockClass, LockSnapshot, SimInstant, TrackedMutex};
+use fastiov_simtime::{Clock, LockClass, LockSnapshot, TrackedMutex};
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::ops::Bound;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-/// Information kept for every tracked (to-be-lazily-zeroed) page.
-#[derive(Debug, Clone, Copy)]
-pub struct PageInfo {
-    /// The physical frame.
-    pub frame: FrameId,
-    /// When the page was registered (simulated time).
-    pub registered_at: SimInstant,
-}
-
 /// Second tier of the table: one per microVM.
 #[derive(Debug, Default)]
 struct VmTable {
-    /// HPA page base → info.
-    pages: HashMap<u64, PageInfo>,
+    /// HPA page base → the tracked (to-be-lazily-zeroed) frame.
+    pages: HashMap<u64, FrameId>,
     /// Registration-order queue of HPA keys. The scrubber pops FIFO
     /// victims from the front instead of sorting every tracked key per
     /// sweep; keys already untracked by an EPT fault or the instant list
@@ -136,7 +127,6 @@ impl Fastiovd {
             self.faults.note_fallback(sites::SCRUB_REGISTER);
             return false;
         }
-        let now = self.clock.now();
         let mut tables = self.tables.lock();
         let t = tables.entry(pid).or_default();
         let mut n = 0u64;
@@ -144,14 +134,7 @@ impl Fastiovd {
         for r in ranges {
             for f in r.iter() {
                 let key = self.mem.hpa_of(f).raw();
-                let prev = t.pages.insert(
-                    key,
-                    PageInfo {
-                        frame: f,
-                        registered_at: now,
-                    },
-                );
-                if prev.is_none() {
+                if t.pages.insert(key, f).is_none() {
                     // Re-registered keys keep their original queue slot;
                     // scrubbing a page early is idempotent and safe.
                     t.order.push_back(key);
@@ -230,8 +213,8 @@ impl Fastiovd {
                     };
                     // Stale keys (already zeroed by an EPT fault or the
                     // instant list) are skipped.
-                    if let Some(info) = t.pages.remove(&key) {
-                        v.push(info.frame);
+                    if let Some(frame) = t.pages.remove(&key) {
+                        v.push(frame);
                     }
                 }
                 v
@@ -301,15 +284,15 @@ impl EptFaultHook for Fastiovd {
     /// If the page is tracked for `pid`, it is zeroed (charged) and
     /// untracked; KVM installs the EPT entry only after this returns.
     fn on_ept_fault(&self, pid: u64, hpa_page: Hpa) -> bool {
-        let info = self
+        let frame = self
             .tables
             .lock()
             .get_mut(&pid)
             .and_then(|t| t.pages.remove(&hpa_page.raw()));
-        match info {
-            Some(info) => {
+        match frame {
+            Some(frame) => {
                 self.tracked.fetch_sub(1, Ordering::Relaxed);
-                let zeroed = self.mem.zero_frame(info.frame).unwrap_or(false);
+                let zeroed = self.mem.zero_frame(frame).unwrap_or(false);
                 if zeroed {
                     self.lazily_zeroed.fetch_add(1, Ordering::Relaxed);
                 }

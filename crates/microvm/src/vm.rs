@@ -154,6 +154,66 @@ pub(crate) fn kernel_signature(page_index: u64) -> [u8; 16] {
     sig
 }
 
+/// Loads BIOS + kernel (hypervisor data writes, §4.3.2): one signature per
+/// kernel page at the bottom of guest RAM, preceded by instant zeroing
+/// when the decoupled mode is configured safely. The launch path's
+/// `g-kernel-load` body, and step 3 of [`Microvm::recycle`].
+fn load_kernel(
+    host: &Host,
+    aspace: &AddressSpace,
+    ram_hva: Hva,
+    pid: u64,
+    zeroing: ZeroingMode,
+) -> Result<()> {
+    let page = host.params.page_size.bytes();
+    let kernel_pages = host.params.kernel_bytes.div_ceil(page);
+    match zeroing {
+        ZeroingMode::Decoupled {
+            instant_zero_list: true,
+            ..
+        } => {
+            // Pages were allocated (dirty) by the DMA map; clear them in
+            // one batch via the instant-zeroing list.
+            let kernel_frames = aspace.frames_in(ram_hva, kernel_pages * page)?;
+            host.fastiovd
+                .instant_zero(pid, &kernel_frames)
+                .map_err(VmmError::Mem)?;
+        }
+        _ => {
+            // Ensure the kernel region is present in one batched populate
+            // (no-op when a DMA map already populated it).
+            aspace.populate_range(
+                ram_hva,
+                kernel_pages * page,
+                fastiov_hostmem::Populate::AllocZero,
+            )?;
+        }
+    }
+    for p in 0..kernel_pages {
+        aspace.write(Hva(ram_hva.raw() + p * page), &kernel_signature(p))?;
+    }
+    Ok(())
+}
+
+/// Boots the guest kernel ("other" time): CPU work plus executing kernel
+/// pages through the EPT, which verifies their integrity. The launch
+/// path's `g-boot` body, and the boot check of [`Microvm::recycle`].
+fn boot_kernel(host: &Host, vm: &Vm) -> Result<()> {
+    let page = host.params.page_size.bytes();
+    host.cpu.run(host.params.guest_boot_cpu);
+    for p in 0..host.params.kernel_bytes.div_ceil(page) {
+        let mut sig = [0u8; 16];
+        vm.read_gpa(Gpa(p * page), &mut sig)
+            .map_err(VmmError::Kvm)?;
+        if sig != kernel_signature(p) {
+            return Err(VmmError::GuestCrash {
+                detail: format!("kernel page {p} corrupted (lazy zeroing wiped hypervisor data)"),
+            });
+        }
+    }
+    Ok(())
+}
+
 /// A running microVM.
 pub struct Microvm {
     host: Arc<Host>,
@@ -356,57 +416,10 @@ impl Microvm {
             _ => None,
         };
 
-        // Load BIOS + kernel (hypervisor data writes, §4.3.2): one
-        // signature per kernel page, preceded by instant zeroing when the
-        // decoupled mode is configured safely.
-        let kernel_pages = params.kernel_bytes.div_ceil(page);
-        log.stage("g-kernel-load", || -> Result<()> {
-            match cfg.zeroing {
-                ZeroingMode::Decoupled {
-                    instant_zero_list: true,
-                    ..
-                } => {
-                    // Pages were allocated (dirty) by the DMA map; clear
-                    // them in one batch via the instant-zeroing list.
-                    let kernel_frames = aspace.frames_in(ram_hva, kernel_pages * page)?;
-                    host.fastiovd
-                        .instant_zero(cfg.pid, &kernel_frames)
-                        .map_err(VmmError::Mem)?;
-                }
-                _ => {
-                    // Ensure the kernel region is present in one batched
-                    // populate (no-op when a DMA map already populated it).
-                    aspace.populate_range(
-                        ram_hva,
-                        kernel_pages * page,
-                        fastiov_hostmem::Populate::AllocZero,
-                    )?;
-                }
-            }
-            for p in 0..kernel_pages {
-                aspace.write(Hva(ram_hva.raw() + p * page), &kernel_signature(p))?;
-            }
-            Ok(())
+        log.stage("g-kernel-load", || {
+            load_kernel(host, &aspace, ram_hva, cfg.pid, cfg.zeroing)
         })?;
-
-        // Boot the guest kernel ("other" time): CPU work plus executing
-        // kernel pages through the EPT, which verifies their integrity.
-        log.stage("g-boot", || -> Result<()> {
-            host.cpu.run(params.guest_boot_cpu);
-            for p in 0..kernel_pages {
-                let mut sig = [0u8; 16];
-                vm.read_gpa(Gpa(p * page), &mut sig)
-                    .map_err(VmmError::Kvm)?;
-                if sig != kernel_signature(p) {
-                    return Err(VmmError::GuestCrash {
-                        detail: format!(
-                            "kernel page {p} corrupted (lazy zeroing wiped hypervisor data)"
-                        ),
-                    });
-                }
-            }
-            Ok(())
-        })?;
+        log.stage("g-boot", || boot_kernel(host, &vm))?;
 
         // Stage 5: guest VF driver initialization — synchronous (vanilla)
         // or overlapped with application launch (FastIOV A). Under vDPA
@@ -605,35 +618,16 @@ impl Microvm {
                 }
             }
 
-            // (3) Reload the kernel and re-verify boot integrity, exactly
-            // as the launch path does.
-            let kernel_pages = host.params.kernel_bytes.div_ceil(page);
-            if let ZeroingMode::Decoupled {
-                instant_zero_list: true,
-                ..
-            } = self.cfg.zeroing
-            {
-                let kernel_frames = self.aspace.frames_in(self.ram_hva, kernel_pages * page)?;
-                host.fastiovd
-                    .instant_zero(self.cfg.pid, &kernel_frames)
-                    .map_err(VmmError::Mem)?;
-            }
-            for p in 0..kernel_pages {
-                self.aspace
-                    .write(Hva(self.ram_hva.raw() + p * page), &kernel_signature(p))?;
-            }
-            host.cpu.run(host.params.guest_boot_cpu);
-            for p in 0..kernel_pages {
-                let mut sig = [0u8; 16];
-                self.vm
-                    .read_gpa(Gpa(p * page), &mut sig)
-                    .map_err(VmmError::Kvm)?;
-                if sig != kernel_signature(p) {
-                    return Err(VmmError::GuestCrash {
-                        detail: format!("kernel page {p} corrupted during recycle"),
-                    });
-                }
-            }
+            // (3) Reload the kernel and re-verify boot integrity with the
+            // launch path's own steps.
+            load_kernel(
+                host,
+                &self.aspace,
+                self.ram_hva,
+                self.cfg.pid,
+                self.cfg.zeroing,
+            )?;
+            boot_kernel(host, &self.vm)?;
 
             // (4) Proactively fault the host-written shared regions so
             // their zeroing happens here, not under host-side DMA.

@@ -25,7 +25,7 @@ pub mod tx;
 pub mod vf;
 
 pub use dma::{DmaEngine, RxCompletion, RxRing};
-pub use msix::{CountingSink, InterruptSink, MsixVector};
+pub use msix::{InterruptSink, MsixVector};
 pub use pf::{AdminCmd, AdminQueue, AdminReply, PfDriver, PfStats};
 pub use tx::{Frame, Wire, WireSink};
 pub use vf::{MacAddr, NetdevName, Vf, VfId, VfState};

@@ -7,8 +7,6 @@
 //! forwards it into the guest, charging the relay cost.
 
 use crate::vf::VfId;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 
 /// An MSI-X vector index within a VF's table.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -29,41 +27,9 @@ pub trait InterruptSink: Send + Sync {
     fn raise(&self, vf: VfId, vector: MsixVector);
 }
 
-/// A sink that only counts (default when no hypervisor is attached).
-#[derive(Debug, Default)]
-pub struct CountingSink {
-    raised: AtomicU64,
-}
-
-impl CountingSink {
-    /// Creates the sink.
-    pub fn new() -> Arc<Self> {
-        Arc::new(CountingSink::default())
-    }
-
-    /// Interrupts observed.
-    pub fn raised(&self) -> u64 {
-        self.raised.load(Ordering::Relaxed)
-    }
-}
-
-impl InterruptSink for CountingSink {
-    fn raise(&self, _vf: VfId, _vector: MsixVector) {
-        self.raised.fetch_add(1, Ordering::Relaxed);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn counting_sink_counts() {
-        let s = CountingSink::new();
-        s.raise(VfId(0), RX_VECTOR);
-        s.raise(VfId(1), TX_VECTOR);
-        assert_eq!(s.raised(), 2);
-    }
 
     #[test]
     fn well_known_vectors_are_distinct() {

@@ -164,8 +164,6 @@ impl PfCosts {
 /// Counters exposed by [`PfDriver::stats`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PfStats {
-    /// VFs created.
-    pub vfs_created: usize,
     /// Admin commands served.
     pub admin_cmds: u64,
 }
@@ -309,7 +307,6 @@ impl PfDriver {
     /// Counter snapshot.
     pub fn stats(&self) -> PfStats {
         PfStats {
-            vfs_created: self.vf_count(),
             admin_cmds: self.admin.submitted(),
         }
     }

@@ -60,46 +60,3 @@ use semaphore::FairSemaphore;
 pub use timeline::{StageLog, StageRecord};
 pub use tracer::{Span, SpanGuard, Tracer, VmScope};
 pub use wall::WallStopwatch;
-
-use std::time::Duration;
-
-/// Extension helpers for building simulated durations tersely.
-pub trait DurationExt {
-    /// A simulated duration of `self` milliseconds.
-    fn sim_ms(self) -> Duration;
-    /// A simulated duration of `self` microseconds.
-    fn sim_us(self) -> Duration;
-}
-
-impl DurationExt for u64 {
-    fn sim_ms(self) -> Duration {
-        Duration::from_millis(self)
-    }
-
-    fn sim_us(self) -> Duration {
-        Duration::from_micros(self)
-    }
-}
-
-impl DurationExt for f64 {
-    fn sim_ms(self) -> Duration {
-        Duration::from_secs_f64(self / 1e3)
-    }
-
-    fn sim_us(self) -> Duration {
-        Duration::from_secs_f64(self / 1e6)
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn duration_ext_builds_expected_durations() {
-        assert_eq!(5u64.sim_ms(), Duration::from_millis(5));
-        assert_eq!(5u64.sim_us(), Duration::from_micros(5));
-        assert_eq!(1.5f64.sim_ms(), Duration::from_micros(1500));
-        assert_eq!(2.5f64.sim_us(), Duration::from_nanos(2500));
-    }
-}

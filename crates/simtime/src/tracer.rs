@@ -381,7 +381,6 @@ impl Drop for SpanGuard {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::DurationExt;
 
     fn tracer() -> Tracer {
         let t = Clock::new_virtual(1.0).tracer().clone();
@@ -402,9 +401,9 @@ mod tests {
         let t = tracer();
         let clock = t.clock().clone();
         let outer = t.span("outer");
-        clock.sleep(5u64.sim_ms());
+        clock.sleep(Duration::from_millis(5));
         let inner = t.span("inner");
-        clock.sleep(5u64.sim_ms());
+        clock.sleep(Duration::from_millis(5));
         inner.finish();
         outer.finish();
         let spans = t.spans();
@@ -416,7 +415,7 @@ mod tests {
         assert_eq!(outer.depth, 0);
         assert_eq!(outer.parent, None);
         // The child interval lies within the parent's.
-        let at = |ms: u64| SimInstant::from_origin(ms.sim_ms());
+        let at = |ms: u64| SimInstant::from_origin(Duration::from_millis(ms));
         assert_eq!((outer.sim_start, outer.sim_end), (at(0), at(10)));
         assert_eq!((inner.sim_start, inner.sim_end), (at(5), at(10)));
         assert!(outer.wall_start <= inner.wall_start && inner.wall_end <= outer.wall_end);

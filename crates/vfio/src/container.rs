@@ -43,8 +43,6 @@ pub struct DmaMapping {
     pub len: u64,
     /// All frames backing the span, in page order.
     pub ranges: Vec<FrameRange>,
-    /// The subset that was freshly allocated by this mapping.
-    pub newly_allocated: Vec<FrameRange>,
 }
 
 /// A VFIO container: one guest's DMA state (IOMMU domain + mappings).
@@ -131,7 +129,6 @@ impl VfioContainer {
             hva,
             len,
             ranges: all,
-            newly_allocated: newly,
         });
         Ok(())
     }

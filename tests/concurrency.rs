@@ -2,7 +2,7 @@
 //! one host, and teardown under load. Every assertion here is structural
 //! (resource counts, VF uniqueness, launch success, executor counts).
 
-use fastiov_repro::cni::{FastIovCni, SriovCniFixed, VfPool};
+use fastiov_repro::cni::VfPool;
 use fastiov_repro::engine::{Engine, EngineParams, PodNetworking, VmOptions};
 use fastiov_repro::microvm::{Host, HostParams};
 use fastiov_repro::vfio::LockPolicy;
@@ -11,22 +11,15 @@ use std::sync::Arc;
 const MB: u64 = 1024 * 1024;
 
 fn engine_on(host: &Arc<Host>, fast: bool) -> Arc<Engine> {
-    let vfs = VfPool::new(host.pf.vf_count() as u16);
-    let (plugin, opts): (Arc<dyn fastiov_repro::cni::CniPlugin>, VmOptions) = if fast {
-        (
-            Arc::new(FastIovCni::new(vfs)),
-            VmOptions::fastiov(64 * MB, 32 * MB),
-        )
+    let opts = if fast {
+        VmOptions::fastiov(64 * MB, 32 * MB)
     } else {
-        (
-            Arc::new(SriovCniFixed::new(vfs)),
-            VmOptions::vanilla(64 * MB, 32 * MB),
-        )
+        VmOptions::vanilla(64 * MB, 32 * MB)
     };
     Engine::new(
         Arc::clone(host),
         EngineParams::paper(),
-        PodNetworking::Sriov(plugin),
+        PodNetworking::Sriov(VfPool::new(host.pf.vf_count() as u16)),
         opts,
     )
 }

@@ -1,7 +1,7 @@
 //! Failure injection: exhaustion, contention, and misuse must fail
 //! cleanly and leave the host reusable.
 
-use fastiov_repro::cni::{FastIovCni, VfPool};
+use fastiov_repro::cni::VfPool;
 use fastiov_repro::engine::{Engine, EngineParams, PodNetworking, VmOptions};
 use fastiov_repro::hostmem::addr::units::mib;
 use fastiov_repro::microvm::{Host, HostParams, Microvm, MicrovmConfig, NetworkAttachment};
@@ -23,7 +23,7 @@ fn vf_exhaustion_fails_cleanly_and_recovers() {
     let engine = Engine::new(
         Arc::clone(&host),
         EngineParams::paper(),
-        PodNetworking::Sriov(Arc::new(FastIovCni::new(vfs))),
+        PodNetworking::Sriov(vfs),
         VmOptions::fastiov(mib(64), mib(32)),
     );
     let a = engine.run_pod(0).unwrap();
@@ -52,7 +52,7 @@ fn host_memory_exhaustion_fails_launch_not_host() {
     let engine = Engine::new(
         Arc::clone(&host),
         EngineParams::paper(),
-        PodNetworking::Sriov(Arc::new(FastIovCni::new(vfs))),
+        PodNetworking::Sriov(vfs),
         VmOptions::vanilla(mib(384), mib(256)),
     );
     assert!(engine.run_pod(0).is_err());
